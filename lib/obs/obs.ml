@@ -998,43 +998,6 @@ module Cost_model = struct
       msgs = 2 + rec_m;
       rounds = 1 + rec_r }
 
-  (* SecBest (Alg. 5) over all source lists at once, [prefixes] holding
-     each list's scanned-prefix length: one Equality batch across the
-     lists (an e = 0 list still ships its empty element), then one
-     Recover batch across the non-empty lists — two rounds total,
-     regardless of list count and depth. *)
-  let sec_best p ~prefixes =
-    let label = "SecBest" in
-    let ops =
-      List.fold_left
-        (fun acc e ->
-          if e = 0 then acc
-          else
-            { acc with
-              penc = acc.penc + 1;
-              pdec = acc.pdec + e;
-              pmul = acc.pmul + (2 * p.cells * e) + 1;
-              djenc = acc.djenc + e;
-              djdec = acc.djdec + 1;
-              djmul = acc.djmul + e + 3 })
-        zero prefixes
-    in
-    let eq_b, eq_m, eq_r =
-      batch_cost p ~label
-        (List.map (fun e -> 4 + (e * p.ct)) prefixes)
-        (List.map (fun e -> 4 + (e * p.dj_ct)) prefixes)
-    in
-    let nonempty = List.filter (fun e -> e > 0) prefixes in
-    let rc_b, rc_m, rc_r =
-      batch_cost p ~label
-        (List.map (fun _ -> p.dj_ct) nonempty)
-        (List.map (fun _ -> p.ct) nonempty)
-    in
-    { ops with
-      bytes = eq_b + rc_b;
-      msgs = eq_m + rc_m;
-      rounds = eq_r + rc_r }
-
   (* SecDedup (Alg. 6/7) over [items] candidates of which [dups] are
      non-keeper duplicates: pairwise EHL+ diffs and masked items travel in
      one Dedup rpc (1 mode byte, count-prefixed matrix and item lists);
@@ -1122,43 +1085,6 @@ module Cost_model = struct
       msgs = ops.msgs + eq_m + rc_m;
       rounds = ops.rounds + eq_r + rc_r }
 
-  (* Sec_best.run_many: the batch elements are history LISTS, so the
-     instances' lists concatenate into the same two rounds the singleton
-     pays — [sec_best_many p ~prefixes:[l]] = [sec_best p ~prefixes:l]
-     definitionally. *)
-  let sec_best_many p ~prefixes =
-    let label = "SecBest" in
-    let all = List.concat prefixes in
-    let ops =
-      List.fold_left
-        (fun acc e ->
-          if e = 0 then acc
-          else
-            { acc with
-              penc = acc.penc + 1;
-              pdec = acc.pdec + e;
-              pmul = acc.pmul + (2 * p.cells * e) + 1;
-              djenc = acc.djenc + e;
-              djdec = acc.djdec + 1;
-              djmul = acc.djmul + e + 3 })
-        zero all
-    in
-    let eq_b, eq_m, eq_r =
-      batch_cost p ~label
-        (List.map (fun e -> 4 + (e * p.ct)) all)
-        (List.map (fun e -> 4 + (e * p.dj_ct)) all)
-    in
-    let nonempty = List.filter (fun e -> e > 0) all in
-    let rc_b, rc_m, rc_r =
-      batch_cost p ~label
-        (List.map (fun _ -> p.dj_ct) nonempty)
-        (List.map (fun _ -> p.ct) nonempty)
-    in
-    { ops with
-      bytes = eq_b + rc_b;
-      msgs = eq_m + rc_m;
-      rounds = eq_r + rc_r }
-
   (* EncSort, blinded strategy, over [items] scored candidates: blind +
      encrypt + signed-decrypt per item, full re-randomization on return
      (every noise factor drawn from S2's precomputed pool); one
@@ -1177,7 +1103,7 @@ module Cost_model = struct
       msgs = 2;
       rounds = 1 }
 
-  (* One sharded halting checkpoint (Shard.run's "ShardMerge"): sort the
+  (* One halting checkpoint (SecQuery's "ShardMerge" span): sort the
      concatenated running lists, then one batched NRA test — a pair per
      candidate outside the top-k plus one unseen-bound pair per
      non-exhausted shard. Two rounds, whatever [bounds] (the shard

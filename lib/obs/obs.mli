@@ -284,7 +284,6 @@ module Cost_model : sig
 
   val enc_compare : params -> counts
   val sec_worst : params -> others:int -> counts
-  val sec_best : params -> prefixes:int list -> counts
 
   val sec_dedup :
     params -> mode:[ `Replace | `Eliminate ] -> items:int -> dups:int -> counts
@@ -306,13 +305,7 @@ module Cost_model : sig
       {!sec_worst} at a single instance. *)
   val sec_worst_many : params -> others:int list -> counts
 
-  (** [Sec_best.run_many] over one instance per element of [prefixes]
-      (its per-list scanned-prefix lengths). Batch elements are history
-      lists, so instances concatenate into the singleton's two rounds;
-      equals {!sec_best} at a single instance. *)
-  val sec_best_many : params -> prefixes:int list list -> counts
-
-  (** One sharded halting checkpoint ({!shard_merge}[ ~items ~k ~bounds]
+  (** One halting checkpoint ({!shard_merge}[ ~items ~k ~bounds]
       — [items] concatenated candidates, [bounds] non-exhausted shards):
       one blinded sort plus one batched NRA bound test; two rounds flat
       in the shard count. With [items < k] only the sort runs. *)

@@ -43,7 +43,7 @@ val select :
 val recover_enc : Ctx.t -> protocol:string -> Damgard_jurik.ciphertext -> Paillier.ciphertext
 
 (** [select_recover ctx ~protocol ~t ~if_one ~if_zero] — the select gadget
-    followed by RecoverEnc; the workhorse of SecWorst/SecBest/SecUpdate. *)
+    followed by RecoverEnc; the workhorse of SecWorst/SecUpdate/SecRefresh. *)
 val select_recover :
   Ctx.t ->
   protocol:string ->

@@ -23,5 +23,5 @@ type mode = Wire.dedup_mode = Replace | Eliminate
     pattern (and, in [Eliminate] mode, S1 additionally learns the distinct
     count). If duplicates carry different scores the kept copy's scores
     are those of one of the duplicates (callers must ensure duplicates
-    agree, which SecWorst/SecBest/SecUpdate guarantee). *)
+    agree, which SecWorst guarantees). *)
 val run : Ctx.t -> mode:mode -> Enc_item.scored list -> Enc_item.scored list

@@ -35,10 +35,11 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
     let ts = Array.of_list (Gadgets.equality_round ctx ~protocol !diffs) in
     let t_of i j = ts.((i * n_old) + j) in
     let zero = Gadgets.enc_zero s1 in
-    (* --- old entries: W'_j = W_j + sum_i t_ij * W_i ; B'_j refreshed.
-       The per-entry selections (worst delta, per-slot seen merge, best)
+    (* --- old entries: W'_j = W_j + sum_i t_ij * W_i, seen vectors
+       merged. The per-entry selections (worst delta, per-slot seen merge)
        are all independent E2 accumulators: every RecoverEnc of the whole
-       T-list travels in one batch round. *)
+       T-list travels in one batch round. Best scores are not carried:
+       SecRefresh rewrites them from worst and seen before any read. *)
     let selections =
       Array.mapi
         (fun j (old : Enc_item.scored) ->
@@ -60,17 +61,13 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
               (fun l _ -> select zero (fun i -> news.(i).Enc_item.seen.(l)))
               old.Enc_item.seen
           in
-          let b_sel = select old.Enc_item.best (fun i -> news.(i).Enc_item.best) in
-          (w_sel, seen_sels, b_sel))
+          w_sel :: Array.to_list seen_sels)
         olds
     in
-    let flat =
-      Array.to_list selections
-      |> List.concat_map (fun (w, seens, b) -> (w :: Array.to_list seens) @ [ b ])
-    in
+    let flat = List.concat (Array.to_list selections) in
     let recovered = Array.of_list (Gadgets.recover_enc_specs ctx ~protocol flat) in
     let m_seen = match t_list with it :: _ -> Array.length it.Enc_item.seen | [] -> 0 in
-    let stride = m_seen + 2 in
+    let stride = m_seen + 1 in
     let updated_olds =
       Array.mapi
         (fun j (old : Enc_item.scored) ->
@@ -84,7 +81,6 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
           {
             old with
             Enc_item.worst = Paillier.add s1.pub old.Enc_item.worst w_delta;
-            best = recovered.(base + 1 + m_seen);
             seen = seen';
           })
         olds
@@ -120,7 +116,7 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
                 nw.Enc_item.seen
             in
             Array.to_list cell_choices
-            @ [ (t, enc_z, nw.Enc_item.worst); (t, enc_z, nw.Enc_item.best) ]
+            @ [ (t, enc_z, nw.Enc_item.worst) ]
             @ Array.to_list seen_choices)
           news
       in
@@ -141,9 +137,8 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
               Array.map (fun _ -> take ()) (Ehl.Ehl_plus.cells nw.Enc_item.ehl)
             in
             let worst = take () in
-            let best = take () in
             let seen = Array.map (fun _ -> take ()) nw.Enc_item.seen in
-            { Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; worst; best; seen })
+            { Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; worst; best = worst; seen })
           news
       in
       Array.to_list updated_olds @ Array.to_list updated_news

@@ -3,8 +3,10 @@
 
     For every pair (new item i, old item j) the servers obliviously test
     object equality. On a match the old entry's global worst score is
-    increased by the new item's in-depth worst score and its best score is
-    replaced by the new (most recent) best bound.
+    increased by the new item's in-depth worst score and its seen vector
+    absorbs the new item's. Best scores are not maintained here: SecQuery
+    rewrites every [best] with SecRefresh before anything reads it, so a
+    returned entry's [best] is only a placeholder.
 
     The appended copy of a matched new item must not survive as a second
     entry for the same object (it would break the at-most-one-match
@@ -12,8 +14,9 @@
     SecDedup discipline this is done in one of two ways:
 
     - [Replace] (the fully-private SecDedup composition of Algorithm 9
-      line 13): the copy is obliviously rewritten — random EHL cells and
-      sentinel scores [Z = -1] — via select gadgets, so S1 cannot tell
+      line 13): the copy is obliviously rewritten — random EHL cells, a
+      sentinel worst score [Z = -1] and an all-ones seen vector, so its
+      refreshed best score is [-1] too — via select gadgets, so S1 cannot tell
       which appended items were duplicates and [|T|] grows by exactly
       [|gamma|] every depth (the paper's Figure 3 garbage rows).
     - [Eliminate] (the SecDupElim optimization, Section 10.1): S2 reveals

@@ -7,8 +7,8 @@
 
 type event =
   | Equality_bits of { protocol : string; bits : bool list }
-      (** The [t_i] bits S2 derives while serving SecWorst / SecBest /
-          SecUpdate (already under S1's random permutation). *)
+      (** The [t_i] bits S2 derives while serving SecWorst / SecUpdate
+          (already under S1's random permutation). *)
   | Dedup_matrix of { protocol : string; size : int; equal_pairs : (int * int) list }
       (** The permuted pairwise-equality matrix decrypted in SecDedup. *)
   | Comparison of { protocol : string; ordering : int }

@@ -46,7 +46,7 @@ type tuple = {
 
 type request =
   | Sign_of of Paillier.ciphertext  (** EncCompare: sign of a blinded difference *)
-  | Equality of Paillier.ciphertext list  (** SecWorst/SecBest/SecUpdate/SecJoin *)
+  | Equality of Paillier.ciphertext list  (** SecWorst/SecUpdate/SecJoin *)
   | Conjunction of Paillier.ciphertext list list  (** multi-way join predicate *)
   | Recover of Damgard_jurik.ciphertext  (** RecoverEnc: strip the outer layer *)
   | Lift of Paillier.ciphertext list  (** SecRefresh: Enc -> E2 *)

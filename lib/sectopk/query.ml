@@ -36,8 +36,10 @@ let rec take n = function
 let rec drop n = function [] -> [] | _ :: rest as l -> if n = 0 then l else drop (n - 1) rest
 
 (* The NRA bound test over the sorted encrypted list (Algorithm 3 lines
-   10-12, completed with the unseen-object bound). *)
-let halting_test ctx ~halting ~compare ~k ~sorted ~unseen_bound =
+   10-12), completed with one unseen-object bound per shard that still
+   has unseen rows: an unseen object lives in exactly one shard, so its
+   best possible score is that shard's bottom-score sum. *)
+let halting_test ctx ~halting ~compare ~k ~sorted ~unseen_bounds =
   let leq =
     match compare with
     | `Sign -> Enc_compare.leq ctx
@@ -55,11 +57,11 @@ let halting_test ctx ~halting ~compare ~k ~sorted ~unseen_bound =
     let rest = drop k sorted in
     match (halting, compare) with
     | `All, `Sign ->
-      (* all bound tests of the checkpoint in one batch round; the
-         short-circuit is gone but the conjunction is unchanged *)
+      (* every candidate test and every shard's unseen-bound test in one
+         batch round: checkpoint rounds are flat in the shard count *)
       let pairs =
         List.map (fun (it : Enc_item.scored) -> (it.Enc_item.best, wk)) rest
-        @ [ (unseen_bound, wk) ]
+        @ List.map (fun b -> (b, wk)) unseen_bounds
       in
       List.for_all Fun.id (Enc_compare.leq_many ctx pairs)
     | _ ->
@@ -69,10 +71,12 @@ let halting_test ctx ~halting ~compare ~k ~sorted ~unseen_bound =
           match rest with [] -> true | next :: _ -> leq next.Enc_item.best wk)
         | `All -> List.for_all (fun (it : Enc_item.scored) -> leq it.Enc_item.best wk) rest
       in
-      candidates_ok && leq unseen_bound wk
+      candidates_ok && List.for_all (fun b -> leq b wk) unseen_bounds
   end
 
-let run (ctx : Ctx.t) er (tk : Scheme.token) options =
+let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
+  let shards = Array.length ers in
+  if shards = 0 then invalid_arg "Query.run: no shards";
   let ctx = Ctx.with_domains ctx (max ctx.Ctx.domains options.domains) in
   (* Collect per-query observability into the context's own collector
      unless an outer harness (bench) already installed one. *)
@@ -84,132 +88,182 @@ let run (ctx : Ctx.t) er (tk : Scheme.token) options =
   let attrs = Array.of_list tk.Scheme.attrs in
   let m = Array.length attrs in
   if m = 0 then invalid_arg "Query.run: empty token";
-  let n = Scheme.n_rows er in
+  Array.iter
+    (fun er ->
+      if Scheme.n_attrs er <> Scheme.n_attrs ers.(0) then
+        invalid_arg "Query.run: shards disagree on attribute count")
+    ers;
+  let ns = Array.map Scheme.n_rows ers in
+  let n_max = Array.fold_left max 0 ns in
   let check_every = match options.variant with Batched p -> max 1 p | Full | Elim -> 1 in
   let dedup_mode =
     match options.variant with Full -> Sec_dedup.Replace | Elim | Batched _ -> Sec_dedup.Eliminate
   in
-  let limit = match options.max_depth with None -> n | Some d -> min d n in
-  (* per queried list: entries seen so far (latest last) and bottom score *)
-  let history : Enc_item.entry list ref array = Array.make m (ref []) in
-  Array.iteri (fun i _ -> history.(i) <- ref []) history;
-  let bottoms : Paillier.ciphertext option array = Array.make m None in
-  let t_list = ref [] in
+  let limit = match options.max_depth with None -> n_max | Some d -> min d n_max in
+  (* per-shard NRA state: bottom score per queried list, running list T *)
+  let bottoms = Array.init shards (fun _ -> Array.make m None) in
+  let t_lists = Array.make shards [] in
+  let merge_rounds = ref 0 in
   let timings = ref [] in
-  let weighted_entry li w depth =
-    let e = Scheme.entry er ~list:li ~depth in
+  (* With several shards, each gets a sub-context forked once and held
+     across the whole loop: shard-local phases run as concurrent sessions
+     over the shared transport (coalesced by the round scheduler under
+     Mux), with Ctx.parallel's fork/collector/join discipline. One shard
+     runs on [ctx] itself: no fork, no extra draws or trips. *)
+  let subs = if shards = 1 then [| ctx |] else Ctx.fork_subs ctx ~jobs:shards in
+  let pool_domains = Ctx.effective_domains ctx in
+  let on_shards js f =
+    if shards = 1 then Array.map (f ctx) js
+    else
+      Core.Pool.run ~domains:pool_domains ~jobs:(Array.length js) (fun p ->
+          let j = js.(p) in
+          Obs.with_collector subs.(j).Ctx.obs (fun () -> f subs.(j) j))
+  in
+  (* SecRefresh: rewrite every candidate's best score as its worst score
+     plus the bottoms of the lists it is unseen in (DESIGN §3a.1). This is
+     the only producer of [best] that any reader sees. *)
+  let refresh () =
+    let js = Array.of_list (List.filter (fun j -> t_lists.(j) <> []) (List.init shards Fun.id)) in
+    Array.iter2
+      (fun j t -> t_lists.(j) <- t)
+      js
+      (on_shards js (fun sub j ->
+           Sec_refresh.run sub ~items:t_lists.(j) ~bottoms:(Array.map Option.get bottoms.(j))))
+  in
+  let sort_all () = Enc_sort.sort ctx ~strategy:options.sort (List.concat (Array.to_list t_lists)) in
+  let weighted_entry j li w depth =
+    let e = Scheme.entry ers.(j) ~list:li ~depth in
     if w = 1 then e
     else { e with Enc_item.score = Paillier.scalar_mul pub e.Enc_item.score (Bignum.Nat.of_int w) }
   in
-  let result = ref None in
+  let halted = ref false in
+  (* the sorted merge of the last checkpoint, if it ran at the last depth *)
+  let last_sorted = ref None in
   let depth = ref 0 in
-  while !result = None && !depth < limit do
+  Fun.protect ~finally:(fun () -> if shards > 1 then Ctx.join_subs ctx subs) @@ fun () ->
+  while (not !halted) && !depth < limit do
     let d = !depth in
     let (), dt =
       Obs.Timer.time @@ fun () ->
       Obs.span ("depth:" ^ string_of_int d) @@ fun () ->
 
-    let row = Array.to_list (Array.map (fun (li, w) -> weighted_entry li w d) attrs) in
-    let row_arr = Array.of_list row in
-    (* SecBest sees history inclusive of the current depth *)
-    Array.iteri
-      (fun i e ->
-        history.(i) := e :: !(history.(i));
-        bottoms.(i) <- Some e.Enc_item.score)
-      row_arr;
-    (* The m per-list SecWorst/SecBest instances of one depth are
-       independent of each other — the paper's S1 runs them as separate
-       protocol sessions — so their rounds collapse phase-wise: one
-       Equality + one Recover batch for all SecWorsts (the seen-vector
-       recoveries piggyback on that Recover batch via [?seen]), and the
-       same pair for all SecBests. Four rounds per depth, whatever m is. *)
-    let scored =
-      let indices = List.init m Fun.id in
-      (* seen vectors: 1 for the item's own list; SecWorst's equality
-         indicators (recovered to Paillier form) for the others — the
-         m*(m-1) independent recoveries ride SecWorst's recover batch *)
-      let owns = Array.make m (Gadgets.enc_zero s1) in
-      let worsts =
-        Array.of_list
-          (Sec_worst.run_many ctx
-             ~seen:(fun i eq_bits ->
-               let eq_arr = Array.of_list eq_bits in
-               owns.(i) <- Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one;
-               List.init m (fun l ->
-                   if l = i then None
-                   else
-                     let e = if l < i then eq_arr.(l) else eq_arr.(l - 1) in
-                     Some
-                       ( e,
-                         Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one,
-                         Gadgets.enc_zero s1 ))
-               |> List.filter_map Fun.id)
-             (List.map
-                (fun i -> (row_arr.(i), List.filteri (fun j _ -> j <> i) row))
-                indices))
-      in
-      let bests =
-        Array.of_list
-          (Sec_best.run_many ctx
-             (List.map
-                (fun i ->
-                  let hist =
-                    List.filter (fun j -> j <> i) indices
-                    |> List.map (fun j -> (!(history.(j)), Option.get bottoms.(j)))
-                  in
-                  (row_arr.(i), hist))
-                indices))
-      in
-      List.map
-        (fun i ->
-          let worst, _, picked_list = worsts.(i) in
-          let picked = Array.of_list picked_list in
-          let seen =
-            Array.init m (fun l ->
-                if l = i then owns.(i)
-                else if l < i then picked.(l)
-                else picked.(l - 1))
-          in
-          { Enc_item.ehl = row_arr.(i).Enc_item.ehl; worst; best = bests.(i); seen })
-        indices
+    (* global depth barrier: every live shard advances to depth d *)
+    let rows =
+      List.filter (fun j -> d < ns.(j)) (List.init shards Fun.id)
+      |> List.map (fun j ->
+             let row = Array.map (fun (li, w) -> weighted_entry j li w d) attrs in
+             Array.iteri (fun i e -> bottoms.(j).(i) <- Some e.Enc_item.score) row;
+             (j, row))
     in
-    let gamma = Sec_dedup.run ctx ~mode:dedup_mode scored in
-    t_list := Sec_update.run ctx ~mode:dedup_mode ~t_list:!t_list ~gamma;
-    (* checkpoint: refresh upper bounds, sort, halting test *)
+    (* Phase 1 — worst scores. The m per-list SecWorst instances of every
+       live shard are independent, so they share one Equality and one
+       Recover batch: two rounds per depth whatever m and the shard count.
+       The seen vectors are 1 for the item's own list and SecWorst's
+       equality indicators (recovered to Paillier form, riding the same
+       Recover batch) for the others. Global instance index gi maps to
+       (shard block gi / m, local list gi mod m). *)
+    let indices = List.init m Fun.id in
+    let owns = Array.make (List.length rows * m) (Gadgets.enc_zero s1) in
+    let worsts =
+      Array.of_list
+        (Sec_worst.run_many ctx
+           ~seen:(fun gi eq_bits ->
+             let i = gi mod m in
+             let eq_arr = Array.of_list eq_bits in
+             owns.(gi) <- Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one;
+             List.init m (fun l ->
+                 if l = i then None
+                 else
+                   let e = if l < i then eq_arr.(l) else eq_arr.(l - 1) in
+                   Some
+                     ( e,
+                       Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one,
+                       Gadgets.enc_zero s1 ))
+             |> List.filter_map Fun.id)
+           (List.concat_map
+              (fun (_, row) ->
+                let others = Array.to_list row in
+                List.map (fun i -> (row.(i), List.filteri (fun l _ -> l <> i) others)) indices)
+              rows))
+    in
+    (* New candidates start with [best = worst]: every read of [best] (the
+       halting test, the returned top-k) follows a [refresh]. *)
+    let scored = Array.make shards [] in
+    List.iteri
+      (fun pos ((j, row) : int * Enc_item.entry array) ->
+        scored.(j) <-
+          List.map
+            (fun i ->
+              let gi = (pos * m) + i in
+              let worst, _, picked_list = worsts.(gi) in
+              let picked = Array.of_list picked_list in
+              let seen =
+                Array.init m (fun l ->
+                    if l = i then owns.(gi) else if l < i then picked.(l) else picked.(l - 1))
+              in
+              { Enc_item.ehl = row.(i).Enc_item.ehl; worst; best = worst; seen })
+            indices)
+      rows;
+    (* Phase 2 — shard-local dedup + merge into the shard's running list.
+       The row partition makes the SecUpdate grid block-diagonal:
+       cross-shard pairs encode distinct objects by construction and never
+       meet, so the per-depth O(|T|·|gamma|) work divides by the shard
+       count. *)
+    let live = Array.of_list (List.map fst rows) in
+    Array.iter2
+      (fun j t -> t_lists.(j) <- t)
+      live
+      (on_shards live (fun sub j ->
+           let gamma = Sec_dedup.run sub ~mode:dedup_mode scored.(j) in
+           Sec_update.run sub ~mode:dedup_mode ~t_list:t_lists.(j) ~gamma));
+    (* Phase 3 — checkpoint: refresh every shard's upper bounds against
+       its own bottoms, then one global merge: sort the concatenation and
+       run one NRA test with a per-shard unseen bound. Exhausted shards
+       have no unseen objects and drop out of the bound test. *)
+    let total = Array.fold_left (fun acc t -> acc + List.length t) 0 t_lists in
     let at_checkpoint = (d + 1) mod check_every = 0 || d = limit - 1 in
-    if at_checkpoint && List.length !t_list >= k then begin
-      let current_bottoms = Array.map Option.get bottoms in
-      t_list := Sec_refresh.run ctx ~items:!t_list ~bottoms:current_bottoms;
-      let sorted = Enc_sort.sort ctx ~strategy:options.sort !t_list in
-      t_list := sorted;
-      let unseen_bound =
-        Array.fold_left
-          (fun acc b -> Paillier.add pub acc (Option.get b))
-          (Gadgets.enc_zero s1) bottoms
+    last_sorted := None;
+    if at_checkpoint && total >= k then begin
+      refresh ();
+      incr merge_rounds;
+      Obs.span "ShardMerge" @@ fun () ->
+      let sorted = sort_all () in
+      let unseen_bounds =
+        List.filter_map
+          (fun j ->
+            if d >= ns.(j) - 1 then None
+            else
+              Some
+                (Array.fold_left
+                   (fun acc b -> Paillier.add pub acc (Option.get b))
+                   (Gadgets.enc_zero s1) bottoms.(j)))
+          (List.init shards Fun.id)
       in
-      let exhausted = d = n - 1 in
-      if
-        exhausted
+      last_sorted := Some sorted;
+      halted :=
+        d >= n_max - 1
         || halting_test ctx ~halting:options.halting ~compare:options.compare ~k ~sorted
-             ~unseen_bound
-      then
-        result :=
-          Some
-            {
-              top = take k sorted;
-              halting_depth = d + 1;
-              halted = true;
-              depth_seconds = [||];
-            }
+             ~unseen_bounds
     end
     in
     timings := dt :: !timings;
     incr depth
   done;
-  let depth_seconds = Array.of_list (List.rev !timings) in
-  match !result with
-  | Some r -> { r with depth_seconds }
-  | None ->
-    (* stopped by max_depth: report the current best-effort list *)
-    let sorted = Enc_sort.sort ctx ~strategy:options.sort !t_list in
-    { top = take k sorted; halting_depth = !depth; halted = false; depth_seconds }
+  (* stopped by max_depth with |T| < k at the cap: the best-effort list
+     still needs its bounds refreshed before it is returned *)
+  let sorted =
+    match !last_sorted with
+    | Some sorted -> sorted
+    | None ->
+      refresh ();
+      sort_all ()
+  in
+  ( {
+      top = take k sorted;
+      halting_depth = !depth;
+      halted = !halted;
+      depth_seconds = Array.of_list (List.rev !timings);
+    },
+    !merge_rounds )
+
+let run ctx er tk options = fst (run_sharded ctx [| er |] tk options)

@@ -15,7 +15,12 @@
     bottom scores) — is at most the k-th worst score. [`KthOnly] checks
     only the (k+1)-th candidate, which is the paper's literal Algorithm 3
     line 10 (kept for ablation; it can halt early on adversarial data —
-    see DESIGN.md). *)
+    see DESIGN.md).
+
+    Best scores come from SecRefresh alone (DESIGN §3a items 1 and 13):
+    it rewrites every candidate's [best] right before each halting test
+    and before a best-effort return, so the per-depth SecBest scan of the
+    paper's Algorithm 3 is not run. *)
 
 type variant = Full | Elim | Batched of int
 
@@ -46,3 +51,39 @@ type result = {
 }
 
 val run : Proto.Ctx.t -> Scheme.encrypted_relation -> Scheme.token -> options -> result
+(** [run ctx er tk options] is [run_sharded ctx [| er |] tk options]
+    without the checkpoint count. *)
+
+val run_sharded :
+  Proto.Ctx.t -> Scheme.encrypted_relation array -> Scheme.token -> options -> result * int
+(** The one NRA depth loop, over a horizontally sharded index
+    ({!Scheme.encrypt_sharded}: one secret key, disjoint pseudo-random row
+    sets). It also returns the number of halting checkpoints it ran.
+
+    All shards advance through a {e global depth barrier}: at depth [d]
+    every live shard contributes its depth-[d] row, and the per-list
+    SecWorst instances of the whole fleet share one Equality and one
+    Recover batch, so rounds per depth stay flat as shards grow. Dedup
+    and the running-list merge stay shard-local: the SecUpdate grid is
+    block-diagonal, because cross-shard pairs encode distinct objects by
+    construction. Each checkpoint sorts the {e concatenation} of the
+    shard lists and runs one NRA bound test with a per-shard unseen
+    bound.
+
+    An unseen object lives in exactly one shard, so its best possible
+    score is bounded by that shard's bottom-score sum. A shard scanned to
+    its full depth has no unseen objects and drops out of the test.
+    Per-shard local halting would be unsound: a shard may hold a
+    candidate whose global rank is undercut by another shard's deeper
+    rows. That is why the barrier is global and only the bound test is
+    per-shard.
+
+    With several shards, each gets a long-lived forked sub-context
+    (session) over [ctx]'s transport. One shard runs on [ctx] itself, with
+    no fork. Leakage beyond SecQuery's own per-depth pattern (now per
+    shard): the per-shard row counts (public in the shard map) and the
+    depth at which each shard is exhausted, which those counts
+    determine.
+
+    @raise Invalid_argument on an empty shard array, an empty token, or
+    shards that disagree on the attribute count. *)

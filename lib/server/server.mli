@@ -39,8 +39,9 @@ type s2_mode = Local | Tcp of Unix.sockaddr
     run through the {!Shard} scatter-gather coordinator — clients see
     one logical relation (the [Server_hello] row count is the total) and
     the registry gains the [shards] gauge plus [shard_queries] /
-    [shard_merge_rounds] counters. A [Sharded] array of one behaves
-    exactly like [Single]. *)
+    [shard_merge_rounds] counters ([shard_merge_rounds] counts halting
+    checkpoints for every index, [Single] included). A [Sharded] array
+    of one behaves exactly like [Single]. *)
 type index = Single of Store.t | Sharded of Store.t array
 
 type config = {

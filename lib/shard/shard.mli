@@ -1,44 +1,21 @@
 (** Scatter-gather SecQuery over a horizontally sharded encrypted index.
 
-    The index is partitioned over the row space ({!Sectopk.Scheme.encrypt_sharded}:
-    one secret key, disjoint pseudo-random row sets), and one coordinator
-    drives all shards through a {e global depth barrier}: at depth [d]
-    every live shard contributes its depth-[d] row, the per-list
-    SecWorst/SecBest instances of the whole fleet share one Equality and
-    one Recover batch (rounds per depth stay flat as shards grow), dedup
-    and the running-list merge stay shard-local (the SecUpdate grid is
-    block-diagonal — cross-shard pairs encode distinct objects by
-    construction, so they never meet), and each halting checkpoint sorts
-    the {e concatenation} of the shard lists and runs one NRA bound test
-    with a per-shard unseen bound.
-
-    Correctness of the multi-bound halting test: an unseen object lives in
-    exactly one shard, so its best possible score is bounded by that
-    shard's bottom-score sum; a shard that has been scanned to its full
-    depth has no unseen objects and drops out of the test. Per-shard local
-    halting would be unsound — a shard may hold a candidate whose global
-    rank is undercut by another shard's deeper rows — which is why the
-    barrier is global and only the bound test is per-shard.
-
-    Leakage: S1/S2 additionally learn the per-shard row counts (public:
-    the shard map stores them) and which depth each shard exhausted at —
-    determined by those counts — plus the same per-depth pattern SecQuery
-    already leaks, now per shard. *)
+    The coordinator is {!Sectopk.Query.run_sharded}, the repo's one NRA
+    depth loop; this module adds the counters the server exports. *)
 
 type stats = {
   shards : int;
   merge_rounds : int;
-      (** Halting checkpoints executed: each is one global sort plus one
-          batched bound test, independent of the shard count. [0] when the
-          single-shard fast path delegated to {!Sectopk.Query.run}. *)
+      (** Halting checkpoints executed, at every shard count (one shard
+          included): each is one global sort plus one batched bound test,
+          independent of the shard count. A best-effort return at
+          [max_depth] is not a checkpoint. *)
 }
 
 (** [run ctx ers tk options] — top-k over the shard set [ers]. With one
     shard this {e is} [Sectopk.Query.run ctx ers.(0) tk options]: same
-    rng draws, same traffic, same result. With several, each shard gets a
-    long-lived forked sub-context (session) over [ctx]'s transport, and
-    [halting_depth] reports the global barrier depth at which the NRA
-    condition held. *)
+    rng draws, same traffic, same result. [halting_depth] reports the
+    global barrier depth at which the NRA condition held. *)
 val run :
   Proto.Ctx.t ->
   Sectopk.Scheme.encrypted_relation array ->

@@ -235,7 +235,7 @@ let test_dj_layered () =
   Alcotest.check nat "inner decrypts to m1+m2" (Nat.of_int 579) (Paillier.decrypt sk recovered)
 
 let test_dj_layered_select () =
-  (* The select gadget used by SecWorst/SecBest:
+  (* The select gadget used by SecWorst/SecUpdate:
      E2(t)^Enc(x) * (E2(1) * E2(t)^-1)^Enc(0) = E2(t*Enc(x) + (1-t)*Enc(0)) *)
   let x = Nat.of_int 777 in
   let enc_x = Paillier.encrypt rng pub x in

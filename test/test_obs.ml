@@ -70,12 +70,6 @@ let test_model_sec_worst () =
   let m = measure (fun () -> ignore (Sec_worst.run ctx ~target ~others)) in
   check_model "sec_worst" (Obs.Cost_model.sec_worst params ~others:2) m
 
-let test_model_sec_best () =
-  let target = entry "o1" 10 in
-  let history = [ ([ entry "o2" 8; entry "o4" 7 ], enc 7); ([], enc 5) ] in
-  let m = measure (fun () -> ignore (Sec_best.run ctx ~target ~history)) in
-  check_model "sec_best" (Obs.Cost_model.sec_best params ~prefixes:[ 2; 0 ]) m
-
 let test_model_sec_dedup () =
   (* Replace mode: 4 items, one duplicated pair -> 1 non-keeper *)
   let items = [ scored "o1" 5 9; scored "o2" 3 7; scored "o1" 4 8; scored "o3" 1 4 ] in
@@ -118,19 +112,6 @@ let test_model_sec_worst_many () =
   check_model "sec_worst_many" (Obs.Cost_model.sec_worst_many params ~others:[ 2; 2; 2 ]) m;
   Alcotest.(check bool) "1 instance = sec_worst" true
     (Obs.Cost_model.sec_worst_many params ~others:[ 2 ] = Obs.Cost_model.sec_worst params ~others:2)
-
-let test_model_sec_best_many () =
-  let instances =
-    [ (entry "o1" 10, [ ([ entry "o2" 8; entry "o4" 7 ], enc 7); ([], enc 5) ]);
-      (entry "o2" 9, [ ([ entry "o3" 6 ], enc 6); ([ entry "o5" 4 ], enc 4) ]) ]
-  in
-  let m = measure (fun () -> ignore (Sec_best.run_many ctx instances)) in
-  check_model "sec_best_many"
-    (Obs.Cost_model.sec_best_many params ~prefixes:[ [ 2; 0 ]; [ 1; 1 ] ])
-    m;
-  Alcotest.(check bool) "1 instance = sec_best" true
-    (Obs.Cost_model.sec_best_many params ~prefixes:[ [ 2; 0 ] ]
-    = Obs.Cost_model.sec_best params ~prefixes:[ 2; 0 ])
 
 (* The load-bearing property of the scatter-gather design: crypto work of
    the phase-collapsed fleet is the SUM of the per-shard work, while the
@@ -403,12 +384,10 @@ let suite =
   [ ( "cost-model",
       [ Alcotest.test_case "enc_compare" `Quick test_model_enc_compare;
         Alcotest.test_case "sec_worst" `Quick test_model_sec_worst;
-        Alcotest.test_case "sec_best" `Quick test_model_sec_best;
         Alcotest.test_case "sec_dedup" `Quick test_model_sec_dedup;
         Alcotest.test_case "enc_sort" `Quick test_model_enc_sort;
         Alcotest.test_case "enc_compare_many" `Quick test_model_enc_compare_many;
         Alcotest.test_case "sec_worst_many" `Quick test_model_sec_worst_many;
-        Alcotest.test_case "sec_best_many" `Quick test_model_sec_best_many;
         Alcotest.test_case "shard flatness" `Quick test_model_shard_flatness ] );
     ( "hist",
       [ QCheck_alcotest.to_alcotest prop_bucket_scheme;

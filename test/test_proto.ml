@@ -1,6 +1,6 @@
 (* Tests for the two-cloud sub-protocols, each checked against a plaintext
-   oracle: RecoverEnc, SecWorst, SecBest, SecDedup/SecDupElim, SecUpdate,
-   EncCompare and EncSort. *)
+   oracle: RecoverEnc, SecWorst, SecDedup/SecDupElim, SecUpdate,
+   EncCompare, EncSort and SecRefresh. *)
 
 open Bignum
 open Crypto
@@ -126,35 +126,6 @@ let test_sec_worst_empty_others () =
   let target = entry "o7" 42 in
   Alcotest.(check int) "own score only" 42 (dec (fst (Sec_worst.run ctx ~target ~others:[])))
 
-(* ---------------- SecBest ---------------- *)
-
-let test_sec_best_unseen () =
-  (* target o1 score 10; other list has seen (o2,8),(o3,7) and bottom 7:
-     o1 not seen there -> best = 10 + 7 *)
-  let target = entry "o1" 10 in
-  let hist = [ ([ entry "o2" 8; entry "o3" 7 ], enc 7) ] in
-  Alcotest.(check int) "adds bottom" 17 (dec (Sec_best.run ctx ~target ~history:hist))
-
-let test_sec_best_seen () =
-  (* o1 appeared in the other list with score 3 -> best = 10 + 3 *)
-  let target = entry "o1" 10 in
-  let hist = [ ([ entry "o2" 8; entry "o1" 3 ], enc 3) ] in
-  Alcotest.(check int) "uses known score" 13 (dec (Sec_best.run ctx ~target ~history:hist))
-
-let test_sec_best_multi_list () =
-  (* paper Example 8.2 (Figure 3b): best for X4 at depth 2 is 23:
-     own 8 (R3 depth1) + R1 bottom 8 + R2 bottom 7 *)
-  let target = entry "o4" 8 in
-  let hist =
-    [ ([ entry "o1" 10; entry "o2" 8 ], enc 8); ([ entry "o2" 8; entry "o3" 7 ], enc 7) ]
-  in
-  Alcotest.(check int) "Fig 3b upper bound for X4" 23 (dec (Sec_best.run ctx ~target ~history:hist))
-
-let test_sec_best_empty_history () =
-  let target = entry "o1" 9 in
-  let hist = [ ([], enc 4); ([], enc 2) ] in
-  Alcotest.(check int) "bottoms only" 15 (dec (Sec_best.run ctx ~target ~history:hist))
-
 (* ---------------- SecDedup ---------------- *)
 
 let test_sec_dedup_replace () =
@@ -193,32 +164,43 @@ let test_sec_dedup_empty () =
 
 (* ---------------- SecUpdate ---------------- *)
 
+(* SecUpdate merges worst scores and seen vectors; best scores are left
+   to the SecRefresh that precedes every read *)
+let merged out =
+  List.filter_map
+    (fun (it : Enc_item.scored) ->
+      let id, w, _ = opened it in
+      Option.map (fun i -> (i, w, Array.to_list (Array.map dec it.Enc_item.seen))) id)
+    out
+  |> List.sort compare
+
+let merged_t = Alcotest.(list (triple string int (list int)))
+
 let test_sec_update_match () =
-  (* T = [(o1,W=10,B=26)], gamma = [(o1,w=6,B=22)]:
-     o1's worst 10+6=16, best refreshed to 22; appended copy neutralized *)
+  (* T = [(o1,W=10,seen [1;0])], gamma = [(o1,w=6,seen [0;1])]:
+     o1's worst 10+6=16, seen in both lists; appended copy neutralized *)
   let t_list = [ scored "o1" 10 26 ] in
-  let gamma = [ scored "o1" 6 22 ] in
+  let gamma = [ scored ~seen:[| 0; 1 |] "o1" 6 22 ] in
   let out = Sec_update.run ctx ~mode:Sec_dedup.Replace ~t_list ~gamma in
   Alcotest.(check int) "replace keeps length" 2 (List.length out);
-  let reals = List.map opened out |> List.filter_map (fun (id, w, b) -> Option.map (fun i -> (i, w, b)) id) in
-  Alcotest.(check (list (triple string int int))) "merged" [ ("o1", 16, 22) ] reals
+  Alcotest.check merged_t "merged" [ ("o1", 16, [ 1; 1 ]) ] (merged out)
 
 let test_sec_update_no_match () =
   let t_list = [ scored "o1" 10 26 ] in
-  let gamma = [ scored "o2" 6 22 ] in
+  let gamma = [ scored ~seen:[| 0; 1 |] "o2" 6 22 ] in
   let out = Sec_update.run ctx ~mode:Sec_dedup.Eliminate ~t_list ~gamma in
-  let reals = List.map opened out |> List.filter_map (fun (id, w, b) -> Option.map (fun i -> (i, w, b)) id) in
-  Alcotest.(check bool) "both present, untouched" true
-    (List.sort compare reals = [ ("o1", 10, 26); ("o2", 6, 22) ])
+  Alcotest.check merged_t "both present, untouched"
+    [ ("o1", 10, [ 1; 0 ]); ("o2", 6, [ 0; 1 ]) ]
+    (merged out)
 
 let test_sec_update_eliminate_match () =
   let t_list = [ scored "o1" 10 26; scored "o2" 9 20 ] in
-  let gamma = [ scored "o2" 4 18; scored "o3" 3 17 ] in
+  let gamma = [ scored ~seen:[| 0; 1 |] "o2" 4 18; scored "o3" 3 17 ] in
   let out = Sec_update.run ctx ~mode:Sec_dedup.Eliminate ~t_list ~gamma in
   Alcotest.(check int) "3 distinct" 3 (List.length out);
-  let reals = List.map opened out |> List.filter_map (fun (id, w, b) -> Option.map (fun i -> (i, w, b)) id) in
-  Alcotest.(check bool) "o2 merged" true
-    (List.sort compare reals = [ ("o1", 10, 26); ("o2", 13, 18); ("o3", 3, 17) ])
+  Alcotest.check merged_t "o2 merged"
+    [ ("o1", 10, [ 1; 0 ]); ("o2", 13, [ 1; 1 ]); ("o3", 3, [ 1; 0 ]) ]
+    (merged out)
 
 let test_sec_update_replace_breaks_link () =
   (* the replaced appended copy must no longer equal the kept entry *)
@@ -342,6 +324,13 @@ let test_sec_refresh_sentinel () =
   let out = Sec_refresh.run ctx ~items:[ it ] ~bottoms:[| enc 9; enc 4 |] in
   Alcotest.(check string) "sentinel stays -1" "-1" (dec_signed (List.hd out).Enc_item.best)
 
+let test_sec_refresh_example_8_2 () =
+  (* paper Example 8.2 (Figure 3b): best for X4 at depth 2 is 23 — its
+     own 8 (seen in R3 only) + R1 bottom 8 + R2 bottom 7 *)
+  let it = scored ~seen:[| 0; 0; 1 |] "o4" 8 999 in
+  let out = Sec_refresh.run ctx ~items:[ it ] ~bottoms:[| enc 8; enc 7; enc 3 |] in
+  Alcotest.(check int) "Fig 3b upper bound for X4" 23 (dec (List.hd out).Enc_item.best)
+
 (* ---------------- latency model ---------------- *)
 
 let test_latency_model () =
@@ -380,12 +369,6 @@ let suite =
         Alcotest.test_case "sums matches" `Quick test_sec_worst_matches;
         Alcotest.test_case "no others" `Quick test_sec_worst_empty_others
       ] );
-    ( "sec-best",
-      [ Alcotest.test_case "unseen adds bottom" `Quick test_sec_best_unseen;
-        Alcotest.test_case "seen uses known score" `Quick test_sec_best_seen;
-        Alcotest.test_case "paper Example 8.2" `Quick test_sec_best_multi_list;
-        Alcotest.test_case "empty history" `Quick test_sec_best_empty_history
-      ] );
     ( "sec-dedup",
       [ Alcotest.test_case "replace mode" `Quick test_sec_dedup_replace;
         Alcotest.test_case "eliminate mode" `Quick test_sec_dedup_eliminate;
@@ -415,7 +398,8 @@ let suite =
     ( "sec-refresh",
       [ Alcotest.test_case "adds unseen bottoms" `Quick test_sec_refresh;
         Alcotest.test_case "all seen -> B = W" `Quick test_sec_refresh_all_seen;
-        Alcotest.test_case "sentinel stays -1" `Quick test_sec_refresh_sentinel
+        Alcotest.test_case "sentinel stays -1" `Quick test_sec_refresh_sentinel;
+        Alcotest.test_case "paper Example 8.2" `Quick test_sec_refresh_example_8_2
       ] );
     ("latency", [ Alcotest.test_case "50 Mbps link model" `Quick test_latency_model ]);
     ("trace", [ Alcotest.test_case "records events" `Quick test_trace_records ])

@@ -222,7 +222,7 @@ let prop_halting_depth_matches_nra =
          res.Query.halting_depth = nra_stats.Nra.halting_depth))
 
 let test_single_attribute_query () =
-  (* m = 1 degenerates SecWorst (no others) and SecBest (no history) *)
+  (* m = 1 degenerates SecWorst (no others) and SecRefresh (no unseen list) *)
   let rel = random_rel "m1" 12 3 25 in
   let f = Scoring.sum_of [ 1 ] in
   let ctx, key, res = run_query ~options:{ Query.default_options with variant = Query.Elim } rel f ~k:3 in
@@ -281,7 +281,9 @@ let test_bandwidth_recorded () =
   let labels = List.map fst (Proto.Channel.bytes_by_label ch) in
   List.iter
     (fun l -> Alcotest.(check bool) (l ^ " present") true (List.mem l labels))
-    [ "SecWorst"; "SecBest"; "SecUpdate"; "EncSort"; "EncCompare" ]
+    [ "SecWorst"; "SecUpdate"; "SecRefresh"; "EncSort"; "EncCompare" ];
+  (* best scores come from SecRefresh alone (DESIGN §3a.13) *)
+  Alcotest.(check bool) "SecBest absent" false (List.mem "SecBest" labels)
 
 (* ---------------- leakage ---------------- *)
 
@@ -315,7 +317,12 @@ let test_leakage_profile_contents () =
   let f = Scoring.sum_of [ 0; 1; 2 ] in
   let ctx, _, res = run_query ~options:{ Query.default_options with variant = Query.Elim } fig3 f ~k:2 in
   let p = Leakage.of_trace (Proto.Ctx.trace ctx) in
-  Alcotest.(check bool) "equality rounds happened" true (p.Leakage.equality_rounds > 0);
+  (* S2's equality events per depth: one per SecWorst instance (m = 3)
+     plus SecUpdate's grid once T is non-empty (every depth but the
+     first) — no SecBest history scans *)
+  let d = res.Query.halting_depth in
+  Alcotest.(check int) "equality rounds = m per depth + SecUpdate" ((3 * d) + (d - 1))
+    p.Leakage.equality_rounds;
   Alcotest.(check bool) "uniqueness pattern revealed (Qry_E)" true
     (List.length p.Leakage.uniqueness_counts > 0);
   Alcotest.(check bool) "halting depth matches trace era" true (res.Query.halting_depth = 3)

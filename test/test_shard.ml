@@ -1,9 +1,10 @@
-(* Sharded index + scatter-gather coordinator tests: shards=1 delegation
-   is byte-identical to the unsharded path (results, S2 trace, crypto op
+(* Sharded index + scatter-gather coordinator tests: shards=1 is
+   byte-identical to the unsharded path (results, S2 trace, crypto op
    counters); multi-shard answers are valid top-k per the plaintext NRA
    oracle in every variant, including random partitions (QCheck) and
-   forced exhaustion; the sharded store round-trips byte-identically and
-   every shard-map corruption class is rejected with its typed error. *)
+   forced exhaustion; best-effort answers at a depth cap bracket the exact
+   scores; the sharded store round-trips byte-identically and every
+   shard-map corruption class is rejected with its typed error. *)
 
 open Bignum
 open Crypto
@@ -127,7 +128,10 @@ let test_shards1_identity () =
       Alcotest.(check bool) "trace non-trivial" true (List.length reference.trace > 3);
       check_identical "unsharded vs 1-shard" reference sharded;
       Alcotest.(check int) "1 shard" 1 stats.Shard.shards;
-      Alcotest.(check int) "no coordinator merges" 0 stats.Shard.merge_rounds)
+      (* Full variant: a checkpoint at every depth from the first with
+         |T| >= k, i.e. every depth (T grows by m = 3 per depth) *)
+      Alcotest.(check int) "one checkpoint per depth" sharded.halting_depth
+        stats.Shard.merge_rounds)
 
 (* ---------------- multi-shard vs plaintext oracle ---------------- *)
 
@@ -168,8 +172,38 @@ let test_sharded_max_depth () =
   Alcotest.(check bool) "not halted" false o.halted;
   Alcotest.(check int) "stopped at the cap" 1 o.halting_depth
 
-(* random row partitions (not the PRP's): any disjoint cover must merge
-   to a valid top-k *)
+(* A cap with |T| < k skips the last checkpoint, so the best-effort return
+   must refresh the bounds itself: every decrypted [worst, best] brackets
+   the exact score. *)
+let test_best_effort_bounds () =
+  List.iter
+    (fun (shards, k, variant, vname) ->
+      let pub, sk, ctx_rng, data_rng = provision () in
+      let ctx = Ctx.of_keys ~blind_bits:48 ctx_rng pub sk in
+      let ers, key = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards data_rng pub rel in
+      let tk = Sectopk.Scheme.token key ~m_total:3 scoring ~k in
+      let options = { Sectopk.Query.default_options with variant; max_depth = Some 1 } in
+      let res, stats = Shard.run_with_stats ctx ers tk options in
+      let name = Printf.sprintf "%d shards, k=%d, %s" shards k vname in
+      Alcotest.(check bool) (name ^ ": not halted") false res.Sectopk.Query.halted;
+      Alcotest.(check int) (name ^ ": no checkpoint ran") 0 stats.Shard.merge_rounds;
+      let reals = Sectopk.Client.real_results ~sk ctx key ~ids:all_ids res in
+      Alcotest.(check bool) (name ^ ": 0 < |top| < k") true (reals <> [] && List.length reals < k);
+      List.iter
+        (fun (id, w, b) ->
+          let s = Scoring.score scoring rel (oid_of_id id) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s worst %d <= %d <= best %d" name id w s b)
+            true
+            (w <= s && s <= b))
+        reals)
+    [ (1, 4, Sectopk.Query.Elim, "elim");
+      (1, 4, Sectopk.Query.Full, "full");
+      (3, 10, Sectopk.Query.Elim, "elim") ]
+
+(* the salted PRP placement: encrypting under a salt-forked rng draws a
+   fresh placement key, so each case partitions the rows differently, and
+   every such partition must merge to a valid top-k *)
 let prop_random_partition =
   QCheck.Test.make ~name:"random partitions merge to valid top-k" ~count:4
     QCheck.(pair (int_range 2 4) (int_range 0 1000))
@@ -177,13 +211,6 @@ let prop_random_partition =
       let pub, sk, ctx_rng, data_rng = provision () in
       let ctx = Ctx.of_keys ~blind_bits:48 ctx_rng pub sk in
       let key_rng = Rng.fork data_rng ~label:(Printf.sprintf "qc%d" salt) in
-      (* reuse the scheme's own partitioner under a salted key to vary
-         the partition, then encrypt each part as a shard *)
-      let place_key = Rng.bytes key_rng 32 in
-      let parts =
-        Sectopk.Scheme.shard_rows ~key:place_key ~shards ~rows:(Relation.n_rows rel)
-      in
-      ignore parts;
       let ers, key = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards key_rng pub rel in
       let k = 1 + (salt mod 3) in
       let tk = Sectopk.Scheme.token key ~m_total:3 scoring ~k in
@@ -318,6 +345,7 @@ let suite =
         Alcotest.test_case "oracle (variants x shards)" `Slow test_sharded_oracle;
         Alcotest.test_case "exhaustion" `Slow test_sharded_exhaustion;
         Alcotest.test_case "max_depth cap" `Slow test_sharded_max_depth;
+        Alcotest.test_case "best-effort bounds" `Slow test_best_effort_bounds;
         QCheck_alcotest.to_alcotest ~long:true prop_random_partition ] );
     ( "store",
       [ Alcotest.test_case "roundtrip" `Slow test_store_roundtrip;
