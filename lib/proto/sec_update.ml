@@ -19,6 +19,9 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
   | _ ->
     let olds = Array.of_list t_list in
     let news = Array.of_list gamma in
+    (* both sides of the grid are permuted afresh: a stable T order would
+       let S2 follow one object's column across depths *)
+    ignore (Rng.shuffle s1.rng olds);
     ignore (Rng.shuffle s1.rng news);
     let n_old = Array.length olds and n_new = Array.length news in
     (* one equality round for the whole |gamma| x |T| grid *)

@@ -23,6 +23,11 @@
       which (permuted) new items matched and they are dropped, leaking the
       uniqueness pattern UP^d but keeping [T] duplicate- and garbage-free.
 
+    S1 permutes both [T] and [gamma] before the equality round, so S2
+    sees each depth's grid under a fresh row and column order and cannot
+    link a column to the same [T] entry across depths; the returned [T]
+    is in that permuted order.
+
     Communication/computation are [O(|T| * |gamma|)] — the paper's
     [O(m^2 d)] per depth. Assumes [t_list] and [gamma] are individually
     duplicate-free (up to sentinel items), which SecQuery guarantees. *)

@@ -213,6 +213,39 @@ let test_sec_update_replace_breaks_link () =
     Alcotest.(check int) "one sentinel" 1 (List.length sentinels)
   | _ -> Alcotest.fail "expected two items"
 
+let test_sec_update_columns_unlinkable () =
+  (* SecQuery feeds T back into SecUpdate depth after depth, and S2
+     decrypts the |gamma| x |T| grid column by column. Matching the same
+     object at every step must not land in the same column every time,
+     or S2 could link the matches across depths. *)
+  let t_list = ref (List.init 6 (fun i -> scored ("o" ^ string_of_int i) 1 1)) in
+  let steps = 8 in
+  let columns =
+    List.init steps (fun _ ->
+        let before = Trace.length (Ctx.trace ctx) in
+        t_list :=
+          Sec_update.run ctx ~mode:Sec_dedup.Eliminate ~t_list:!t_list
+            ~gamma:[ scored ~seen:[| 0; 1 |] "o0" 1 1 ];
+        let grid =
+          List.filteri (fun i _ -> i >= before) (Trace.events (Ctx.trace ctx))
+          |> List.find_map (function
+               | Trace.Equality_bits { protocol = "SecUpdate"; bits } -> Some bits
+               | _ -> None)
+        in
+        match grid with
+        | Some bits ->
+          Alcotest.(check int) "one 1 x |T| grid" 6 (List.length bits);
+          fst (List.find (fun (_, b) -> b) (List.mapi (fun j b -> (j, b)) bits))
+        | None -> Alcotest.fail "no SecUpdate equality event")
+  in
+  Alcotest.(check int) "T stays duplicate-free" 6 (List.length !t_list);
+  let o0_worst =
+    List.find_map (fun it -> match opened it with Some "o0", w, _ -> Some w | _ -> None) !t_list
+  in
+  Alcotest.(check (option int)) "every match merged" (Some (1 + steps)) o0_worst;
+  Alcotest.(check bool) "match column varies across steps" true
+    (List.length (List.sort_uniq compare columns) > 1)
+
 (* ---------------- EncCompare ---------------- *)
 
 let test_enc_compare () =
@@ -379,7 +412,9 @@ let suite =
       [ Alcotest.test_case "match merges scores" `Quick test_sec_update_match;
         Alcotest.test_case "no match appends" `Quick test_sec_update_no_match;
         Alcotest.test_case "eliminate drops copy" `Quick test_sec_update_eliminate_match;
-        Alcotest.test_case "replace neutralizes copy" `Quick test_sec_update_replace_breaks_link
+        Alcotest.test_case "replace neutralizes copy" `Quick test_sec_update_replace_breaks_link;
+        Alcotest.test_case "T columns re-permuted per call" `Quick
+          test_sec_update_columns_unlinkable
       ] );
     ( "enc-compare",
       [ Alcotest.test_case "known orders + sentinel" `Quick test_enc_compare;
