@@ -14,7 +14,6 @@ open Bench_util
 let read_bytes () =
   Obs.Metrics.get (Obs.Collector.metrics collector) Obs.Metrics.Store_read_bytes
 
-let query_options () = { Sectopk.Query.default_options with domains = !domains }
 
 let run () =
   header "store: durable index (build/publish, cold-open vs warm-cache query)";
@@ -38,7 +37,7 @@ let run () =
   let disk = Store.disk_bytes st in
   let query relation =
     let ctx = fresh_ctx () in
-    ignore (Sectopk.Query.run ctx relation tk (query_options ()))
+    ignore (Sectopk.Query.run ctx relation tk Sectopk.Query.default_options)
   in
   let b0 = read_bytes () in
   let (), t_cold = time (fun () -> query (Store.relation st)) in

@@ -21,8 +21,8 @@ let rng = Rng.create ~seed:"bench"
 let pub, sk = Paillier.keygen ~rand_bits rng ~bits:key_bits
 
 (* --transport inproc|loopback: which Ctx transport every benchmark
-   context uses (the codec/transport overhead axis; socket mode is
-   exercised by the CLI and tests, not the in-process harness). *)
+   context uses (the codec/transport overhead axis; the daemon path is
+   exercised by the CLI, the tests and benchmark/, not this harness). *)
 let transport = ref Proto.Ctx.Inproc
 
 (* --rtt MICROS: simulated per-round latency injected by the Loopback
@@ -42,9 +42,13 @@ let clients = ref 8
    transports instead of the shared round scheduler (the N x baseline). *)
 let coalescing = ref true
 
+(* --domains N: width of the query-side domain pool (results and traces
+   are identical for every setting; only wall-clock changes). *)
+let domains = ref 1
+
 let fresh_ctx () =
   Proto.Ctx.with_batching
-    (Proto.Ctx.of_keys ~blind_bits ~mode:!transport ?rtt_us:!rtt_us
+    (Proto.Ctx.of_keys ~blind_bits ~domains:!domains ~mode:!transport ?rtt_us:!rtt_us
        (Rng.fork rng ~label:"ctx") pub sk)
     !batching
 
@@ -65,10 +69,6 @@ let eval_datasets ~rows =
     gen "diabetes" 10 (Synthetic.Gaussian { mean = 450.; stddev = 250.; max_value = 1200 }) 40;
     gen "pamap" 15 (Synthetic.Gaussian { mean = 2400.; stddev = 900.; max_value = 5000 }) 150;
     gen "synthetic" 10 (Synthetic.Gaussian { mean = 500.; stddev = 150.; max_value = 1000 }) 30 ]
-
-(* --domains N: width of the query-side domain pool (results and traces
-   are identical for every setting; only wall-clock changes). *)
-let domains = ref 1
 
 (* Harness-wide observability: main.ml enables Obs and installs this
    collector around every experiment, so protocol entry points defer to
@@ -157,9 +157,7 @@ let run_query ?(sort = Proto.Enc_sort.Blinded) ?max_depth ?hist ~variant rel sco
   let ctx = fresh_ctx () in
   let er, key = Sectopk.Scheme.encrypt ~s:ehl_s (Rng.fork rng ~label:"enc") pub rel in
   let tk = Sectopk.Scheme.token key ~m_total:(Relation.n_attrs rel) scoring ~k in
-  let options =
-    { Sectopk.Query.default_options with variant; sort; max_depth; domains = !domains }
-  in
+  let options = { Sectopk.Query.default_options with variant; sort; max_depth } in
   let res = Sectopk.Query.run ctx er tk options in
   Option.iter
     (fun h -> Array.iter (Obs.Hist.record_seconds h) res.Sectopk.Query.depth_seconds)

@@ -60,9 +60,30 @@ let parse_addr s =
     let host = if host = "" then "127.0.0.1" else host in
     Unix.ADDR_INET ((Unix.gethostbyname host).Unix.h_addr_list.(0), port)
 
-(* The demo provisions both parties from the seed ([Ctx.provision]); a
-   socket-mode S2 — spawned child or a remote [serve-s2] daemon — replays
-   the same Hello and derives identical keys and randomness streams. *)
+(* The demo provisions both parties from the seed ([Ctx.provision]). A
+   daemon S2 — spawned child or a remote [serve-s2] — replays the same
+   Hello and is reached the way serve-s1 reaches it: a round scheduler
+   over the connection, with this query parked on it as one mux
+   session. [stop] retires the scheduler, scrapes the daemon's op
+   counters on the same connection and hangs up. *)
+let remote_s2 ~seed ~bits fd pid =
+  (* the framing keys, derived the way Server.start does: a second
+     provisioning replay, so the query's own generator is untouched *)
+  let pub, sk, krng, _ = Proto.Ctx.provision ~seed ~key_bits:bits ~rand_bits:96 () in
+  let kctx = Proto.Ctx.of_keys ~mode:Proto.Ctx.Inproc krng pub sk in
+  let keys = Proto.Transport.keys kctx.Proto.Ctx.transport in
+  let sched = Proto.Sched.create ~backend:(Proto.Sched.socket_backend keys fd) () in
+  let session = Proto.Sched.open_query sched in
+  let stop () =
+    Proto.Sched.close_query sched session;
+    Proto.Sched.stop sched;
+    let ops = Obs.Registry.op_counters (Proto.Transport.stats fd) in
+    Unix.close fd;
+    Option.iter (fun pid -> ignore (Unix.waitpid [] pid)) pid;
+    ops
+  in
+  (Some (Proto.Ctx.Mux (sched, session)), stop)
+
 let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics trace_out =
   if metrics || trace_out <> None then Obs.set_enabled true;
   let rel = make_rel ~seed ~rows ~attrs ~dist in
@@ -70,17 +91,17 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
   let hello =
     { Proto.Wire.seed; key_bits = bits; rand_bits = Some 96; obs = Obs.is_enabled () }
   in
-  let mode, daemon_pid =
+  let mode, stop_s2 =
     match (s2_addr, transport) with
     | Some addr, _ ->
-      (Some (Proto.Ctx.Socket_fd (Proto.Transport.connect_tcp (parse_addr addr) hello)), None)
-    | None, Some "inproc" -> (Some Proto.Ctx.Inproc, None)
-    | None, Some "loopback" -> (Some Proto.Ctx.Loopback, None)
+      remote_s2 ~seed ~bits (Proto.Transport.connect_tcp (parse_addr addr) hello) None
     | None, Some "socket" ->
       let fd, pid = Proto.Transport.spawn_daemon hello in
-      (Some (Proto.Ctx.Socket_fd fd), Some pid)
+      remote_s2 ~seed ~bits fd (Some pid)
+    | None, Some "inproc" -> (Some Proto.Ctx.Inproc, fun () -> [])
+    | None, Some "loopback" -> (Some Proto.Ctx.Loopback, fun () -> [])
     | None, Some other -> invalid_arg ("unknown transport: " ^ other)
-    | None, None -> (None, None) (* TRANSPORT env or inproc *)
+    | None, None -> (None, fun () -> []) (* TRANSPORT env or inproc *)
   in
   let (er, key), enc_s =
     Obs.Timer.time (fun () -> Sectopk.Scheme.encrypt ~s:4 data_rng pub rel)
@@ -96,6 +117,7 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
         Sectopk.Query.run ctx er token
           { Sectopk.Query.default_options with variant = variant_of_string variant })
   in
+  let daemon_ops = stop_s2 () in
   Format.printf "query: %.2fs, halting depth %d/%d@." query_s
     res.Sectopk.Query.halting_depth rows;
   let ids = List.init rows (Relation.object_id rel) in
@@ -112,20 +134,16 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
   if metrics then begin
     Format.printf "@.per-protocol observability (query only):@.";
     Obs.Report.print ctx.Proto.Ctx.obs;
-    match Proto.Ctx.remote_stats ctx with
-    | [] -> ()
-    | stats ->
+    if daemon_ops <> [] then begin
       Format.printf "@.S2 daemon-side operation counters:@.";
-      List.iter (fun (name, v) -> Format.printf "  %-16s %d@." name v) stats
+      List.iter (fun (name, v) -> Format.printf "  %-16s %d@." name v) daemon_ops
+    end
   end;
   Option.iter
     (fun file ->
       Obs.Chrome.write ctx.Proto.Ctx.obs ~file;
       Format.printf "chrome trace written to %s@." file)
-    trace_out;
-  (match daemon_pid with
-  | Some pid -> Proto.Transport.stop_daemon (ctx.Proto.Ctx.transport) pid
-  | None -> Proto.Transport.shutdown ctx.Proto.Ctx.transport)
+    trace_out
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~doc:"Query-side domain pool width.")
@@ -133,7 +151,8 @@ let domains_arg =
 let transport_arg =
   Arg.(value & opt (some string) None
        & info [ "transport" ]
-           ~doc:"Transport to S2: inproc | loopback | socket (spawns a child daemon). \
+           ~doc:"Transport to S2: inproc | loopback | socket (spawns a child daemon \
+                 and reaches it through the round scheduler, like --s2). \
                  Defaults to the TRANSPORT environment variable, else inproc.")
 
 let s2_arg =
@@ -269,8 +288,9 @@ let serve_s2_cmd =
 (* ---------------- the three-process deployment ----------------
 
    build-index writes the encrypted relation to a store directory;
-   serve-s1 serves it to clients, dialing a serve-s2 key-holder per
-   query (or hosting S2 in-process); query is the client. All three
+   serve-s1 serves it to clients, coalescing every query's rounds onto
+   one connection to a serve-s2 key-holder (or hosting S2 in-process);
+   query is the client. All three
    derive key material from the same seed via Ctx.provision, so the
    served results are byte-identical to the in-process demo. *)
 
@@ -485,7 +505,7 @@ let coalesce_window_arg =
            ~doc:"Round-coalescing window in microseconds: concurrent queries' \
                  S2 round trips parked within it merge into one frame (a trip \
                  also ships as soon as every in-flight query is parked). 0 \
-                 disables coalescing — each query owns a private S2 transport.")
+                 ships whatever is parked on every wake.")
 
 let serve_s1_cmd =
   Cmd.v

@@ -21,9 +21,8 @@ let run ~domains ~jobs f =
 
 (* One task on a fresh helper domain, joined explicitly by the caller.
    Used for work overlapped with the calling domain (an in-flight RPC
-   batch, a rerandomizer-pool refill); every user must [await] before
-   anything that forks the process, preserving the no-live-domain-at-fork
-   invariant Transport.spawn_daemon relies on. *)
+   batch). OCaml 5 refuses [Unix.fork] once the process has spawned any
+   domain, so Transport.spawn_daemon must run before the first one. *)
 type 'a task = 'a Domain.t
 
 let background f = Domain.spawn f

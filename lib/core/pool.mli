@@ -27,9 +27,9 @@ val fork_rngs : Rng.t -> jobs:int -> Rng.t array
     per task: [f rngs.(i) i]. *)
 val map_rng : Rng.t -> domains:int -> jobs:int -> (Rng.t -> int -> 'a) -> 'a array
 
-(** One task on a fresh helper domain. Callers must {!await} the task
-    before anything that forks the process (see
-    [Transport.spawn_daemon]'s no-live-domain-at-fork invariant). *)
+(** One task on a fresh helper domain, joined with {!await}. OCaml 5
+    refuses [Unix.fork] once the process has spawned any domain, so fork
+    daemons ([Transport.spawn_daemon]) before the first task. *)
 type 'a task
 
 val background : (unit -> 'a) -> 'a task

@@ -59,7 +59,7 @@ val neg : public -> ciphertext -> ciphertext
 val sub : public -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Rng.t -> public -> ciphertext -> ciphertext
 
-(** One noise factor [r^{n^2} mod n^3]; precompute with {!Noise_pool}. *)
+(** One noise factor [r^{n^2} mod n^3]; draw from a {!Noise_pool}. *)
 val noise : Rng.t -> public -> Bignum.Nat.t
 
 (** Re-randomize with a precomputed {!noise} factor: one modular

@@ -1,131 +1,24 @@
 open Bignum
 
-(* A pool of precomputed re-randomization noise (r^n mod n^2 for
-   Paillier, r^{n^2} mod n^3 for Damgard-Jurik): the one modular
-   exponentiation of a re-randomization moves off the query path, leaving
-   a single modular multiplication per call.
+(* A stream of re-randomization noise (r^n mod n^2 for Paillier, r^{n^2}
+   mod n^3 for Damgard-Jurik) drawn from its own forked generator.
 
-   Determinism: values are drawn sequentially from the pool's root
-   generator and produced strictly in index order (production is
-   serialized by the [producing] flag), so value [i] is a pure function
-   of the root seed and the stream a protocol run sees does not depend
-   on whether (or how far ahead) the background filler ran. Whoever
-   produces (filler domain or a starved consumer) owns the root
-   generator for the duration of its draw, and results enter the FIFO
-   in index order.
+   Determinism: value [i] is the [i]-th draw from the pool's root
+   generator, so the stream a protocol run sees is a pure function of
+   the creating generator's state. The lock serialises concurrent takers,
+   which then see the stream in lock order.
 
-   The generator runs under a throwaway Obs collector: precomputation
-   cost must not surface in a protocol's counters at a timing-dependent
-   place. Consumption is accounted instead — one [Rerand_pool] bump per
-   [take].
+   The generator runs under a throwaway Obs collector: the exponentiation
+   is the pool's cost, not the protocol's. Consumption is accounted
+   instead — one [Rerand_pool] bump per [take]. *)
 
-   The filler uses a real domain, so the no-live-domain-at-fork invariant
-   applies (see lib/core/pool.ml): [quiesce] every started filler before
-   anything calls [Unix.fork]. Pools start with the filler off; sockets'
-   S2 daemons (which never fork again) start one in [serve_fd]. *)
+type t = { gen : Rng.t -> Nat.t; root : Rng.t; mutex : Mutex.t }
 
-type t = {
-  gen : Rng.t -> Nat.t;
-  root : Rng.t;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  values : Nat.t Queue.t;
-  mutable producing : bool;
-  depth : int; (* filler keeps at least this many values banked *)
-  mutable filler : unit Domain.t option;
-  mutable stop : bool;
-}
-
-let create ?(depth = 64) rng ~label gen =
-  {
-    gen;
-    root = Rng.fork rng ~label;
-    mutex = Mutex.create ();
-    cond = Condition.create ();
-    values = Queue.create ();
-    producing = false;
-    depth;
-    filler = None;
-    stop = false;
-  }
-
-(* Requires the lock held and [producing = false]; computes the next
-   value with the lock released, pushes it, returns with the lock held.
-   The [producing] flag gives the producer exclusive ownership of the
-   root generator while the lock is down. *)
-let produce_locked t =
-  t.producing <- true;
-  Mutex.unlock t.mutex;
-  let v = Obs.with_collector (Obs.Collector.create ()) (fun () -> t.gen t.root) in
-  Mutex.lock t.mutex;
-  Queue.push v t.values;
-  t.producing <- false;
-  Condition.broadcast t.cond
+let create rng ~label gen = { gen; root = Rng.fork rng ~label; mutex = Mutex.create () }
 
 let take t =
   Obs.bump Obs.Metrics.Rerand_pool;
   Mutex.lock t.mutex;
-  let rec next () =
-    if not (Queue.is_empty t.values) then begin
-      let v = Queue.pop t.values in
-      (* below the low-water mark again: wake the filler *)
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex;
-      v
-    end
-    else if t.producing then begin
-      Condition.wait t.cond t.mutex;
-      next ()
-    end
-    else begin
-      produce_locked t;
-      next ()
-    end
-  in
-  next ()
-
-let prefill t n =
-  Mutex.lock t.mutex;
-  while Queue.length t.values < n do
-    if t.producing then Condition.wait t.cond t.mutex else produce_locked t
-  done;
-  Mutex.unlock t.mutex
-
-let banked t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.values in
-  Mutex.unlock t.mutex;
-  n
-
-let filler_loop t =
-  Mutex.lock t.mutex;
-  let rec loop () =
-    if t.stop then Mutex.unlock t.mutex
-    else if Queue.length t.values >= t.depth || t.producing then begin
-      Condition.wait t.cond t.mutex;
-      loop ()
-    end
-    else begin
-      produce_locked t;
-      loop ()
-    end
-  in
-  loop ()
-
-let start_filler t =
-  Mutex.lock t.mutex;
-  match t.filler with
-  | Some _ -> Mutex.unlock t.mutex
-  | None ->
-    t.stop <- false;
-    t.filler <- Some (Domain.spawn (fun () -> filler_loop t));
-    Mutex.unlock t.mutex
-
-let quiesce t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.cond;
-  let task = t.filler in
-  t.filler <- None;
-  Mutex.unlock t.mutex;
-  Option.iter Domain.join task
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.mutex)
+    (fun () -> Obs.with_collector (Obs.Collector.create ()) (fun () -> t.gen t.root))

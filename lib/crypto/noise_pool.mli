@@ -1,40 +1,23 @@
-(** A pool of precomputed re-randomization noise values.
+(** A seeded stream of re-randomization noise values.
 
     A re-randomization multiplies a ciphertext by a fresh encryption of
     zero — one modular exponentiation ([Paillier.noise],
-    [Damgard_jurik.noise]) per call. The pool precomputes those noise
-    values (optionally on a background domain), leaving a single modular
-    multiplication on the query path ({!Paillier.rerandomize_with},
+    [Damgard_jurik.noise]). The pool draws those noise values from its
+    own generator, and the caller applies each with a single modular
+    multiplication ({!Paillier.rerandomize_with},
     {!Damgard_jurik.rerandomize_with}).
 
     Deterministic under a seeded generator: values are drawn
-    sequentially from the pool's root generator, produced and consumed
-    strictly in index order, so the stream is independent of filler
-    scheduling (or of the filler existing at all). Generation runs under
-    a throwaway Obs collector; each {!take} bumps
+    sequentially from the pool's root generator, in [take] order.
+    Generation runs under a throwaway Obs collector; each {!take} bumps
     [Obs.Metrics.Rerand_pool] instead. *)
 
 type t
 
-(** [create ?depth rng ~label gen] — forks the pool's root generator off
-    [rng] (one draw, at creation) and produces values with [gen]. [depth]
-    is the filler's low-water mark (default 64). No filler is started. *)
-val create : ?depth:int -> Rng.t -> label:string -> (Rng.t -> Bignum.Nat.t) -> t
+(** [create rng ~label gen] — forks the pool's root generator off [rng]
+    (one draw, at creation) and produces values with [gen]. *)
+val create : Rng.t -> label:string -> (Rng.t -> Bignum.Nat.t) -> t
 
-(** Next noise value, in strict index order; computed on demand when the
-    pool is empty. *)
+(** Next noise value, in strict index order. Safe to call from several
+    domains (a lock serialises the draws). *)
 val take : t -> Bignum.Nat.t
-
-(** Synchronously bank at least [n] values (e.g. during setup). *)
-val prefill : t -> int -> unit
-
-(** Number of values currently banked. *)
-val banked : t -> int
-
-(** Spawn the background filler domain (idempotent). The
-    no-live-domain-at-fork invariant applies: {!quiesce} before anything
-    calls [Unix.fork] in this process. *)
-val start_filler : t -> unit
-
-(** Stop and join the filler, if running. Banked values stay usable. *)
-val quiesce : t -> unit

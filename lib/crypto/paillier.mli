@@ -78,7 +78,7 @@ val sub : public -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Rng.t -> public -> ciphertext -> ciphertext
 
 (** One noise factor [r^n mod n^2] — what {!encrypt} and {!rerandomize}
-    multiply in; precompute with {!Noise_pool}. *)
+    multiply in; draw from a {!Noise_pool}. *)
 val noise : Rng.t -> public -> Bignum.Nat.t
 
 (** [rerandomize_with pub ~noise c] — re-randomize with a precomputed

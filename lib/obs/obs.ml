@@ -604,6 +604,15 @@ module Registry = struct
     List.map (fun (op, v) -> (prefix ^ Metrics.name op, Counter v)) (Metrics.to_alist m)
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+  let op_counters (snap : snapshot) =
+    List.filter_map
+      (fun (name, m) ->
+        match m with
+        | Counter v when String.starts_with ~prefix:"op_" name ->
+          Some (String.sub name 3 (String.length name - 3), v)
+        | _ -> None)
+      snap
+
   let union (a : snapshot) (b : snapshot) : snapshot =
     List.sort (fun (x, _) (y, _) -> String.compare x y) (a @ b)
 

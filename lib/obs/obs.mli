@@ -176,6 +176,10 @@ module Registry : sig
       {!Metrics.t}. *)
   val metrics_counters : ?prefix:string -> Metrics.t -> snapshot
 
+  (** The inverse of [metrics_counters] under its default prefix: every
+      [op_*] counter, keyed by the rest of its name. *)
+  val op_counters : snapshot -> (string * int) list
+
   (** Concatenate and re-sort two snapshots. *)
   val union : snapshot -> snapshot -> snapshot
 

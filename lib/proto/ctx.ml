@@ -24,7 +24,6 @@ type t = {
 type mode =
   | Inproc
   | Loopback
-  | Socket_fd of Unix.file_descr
   | Mux of Sched.t * int (* shared round scheduler + this query's session id *)
 
 let default_mode () =
@@ -55,22 +54,18 @@ let of_keys ?blind_bits ?(domains = 1) ?mode ?rtt_us rng pub sk =
       Paillier.precompute own_pub);
   let s2_rng = Rng.fork rng ~label:"s2" in
   let keys = Wire.keys_of ~pub ~djpub ~own_pub in
+  let local () =
+    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng:s2_rng
+  in
   let transport =
     match mode with
-    | Socket_fd fd -> Transport.socket keys fd
+    | Inproc -> Transport.inproc keys (local ())
+    | Loopback -> Transport.loopback ?rtt_us keys (local ())
     | Mux (sched, session) ->
       (* [s2_rng] was forked above regardless — the S1 stream must not
          depend on who runs S2 — and the scheduler's backend provisions
          the byte-identical responder on the other side of the frame *)
       Transport.mux keys sched ~session
-    | Inproc | Loopback ->
-      let server =
-        S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng:s2_rng
-      in
-      (match mode with
-      | Inproc -> Transport.inproc keys server
-      | Loopback -> Transport.loopback ?rtt_us keys server
-      | Socket_fd _ | Mux _ -> assert false)
   in
   {
     s1 =
@@ -94,8 +89,8 @@ let create ?blind_bits ?domains ?mode ?rtt_us rng ~bits =
   of_keys ?blind_bits ?domains ?mode ?rtt_us rng pub sk
 
 (* Canonical seeded provisioning, shared verbatim by [S2_server.of_hello]:
-   any reordering here desynchronises a socket daemon's randomness stream
-   from the client's. *)
+   any reordering here desynchronises a daemon's randomness stream from
+   the client's. *)
 let provision ~seed ~key_bits ?rand_bits () =
   let root = Rng.create ~seed in
   let pub, sk = Paillier.keygen ?rand_bits root ~bits:key_bits in
@@ -185,14 +180,13 @@ let rpc_pipeline t ~label ?(chunk = 16) ~prepare n =
 let channel t = Transport.channel t.transport
 let sk t = Transport.secret_key t.transport
 let trace t = Transport.trace t.transport
-let trace_events t = Transport.trace_events t.transport
-let remote_stats t = Transport.remote_stats t.transport
+let trace_events t = Trace.events (trace t)
 let transport_name t = Transport.mode_name t.transport
 
 (* Fork [jobs] sub-contexts up front, in index order: randomness and
    accounting are then a pure function of (state, jobs), independent of
    [t.domains] and of domain scheduling. The S2 halves fork in the same
-   order through the transport (locally or via Fork control frames). *)
+   order through the transport (locally or via Mux_fork ops). *)
 let fork_subs t ~jobs =
   let subs = Array.make jobs t in
   for i = 0 to jobs - 1 do
@@ -219,10 +213,10 @@ let join_subs t subs =
       Obs.Collector.merge_into sub.obs ~into:sink)
     subs
 
-(* The socket and mux transports are one ordered stream each:
-   interleaved frames from several domains would corrupt (or deadlock)
-   them, so parallelism degrades to sequential execution there (index
-   order, same results). *)
+(* The mux transport keeps one outstanding op per query: interleaved
+   submissions from several domains would break the scheduler's ship
+   condition, so parallelism degrades to sequential execution there
+   (index order, same results). *)
 let effective_domains t = if Transport.concurrent t.transport then t.domains else 1
 
 let parallel t ~jobs f =

@@ -5,8 +5,9 @@
     never touches S2 state; every decryption crosses the transport as a
     {!Wire} request and everything S2 learns is appended to its trace on
     the other side. Depending on the transport mode the S2 half runs
-    in-process (Inproc/Loopback) or in a separate daemon (Socket); the
-    protocols are agnostic (see DESIGN.md section 4c). *)
+    in-process (Inproc/Loopback) or behind a round scheduler (Mux), whose
+    backend may be a separate daemon; the protocols are agnostic (see
+    DESIGN.md section 4c). *)
 
 open Crypto
 
@@ -50,16 +51,15 @@ type t = {
 
 (** Transport selection. When omitted, the [TRANSPORT] environment
     variable picks between [inproc] (default) and [loopback] — this is
-    how CI reruns the whole suite through the codec. [Socket_fd] wraps a
-    connection whose [Hello] handshake already happened. [Mux] parks
-    this query's rounds at a shared {!Sched} under a session id from
+    how CI reruns the whole suite through the codec. [Mux] parks this
+    query's rounds at a shared {!Sched} under a session id from
     [Sched.open_query], so concurrent queries' trips coalesce; results,
     traces and per-query op counters stay byte-identical to the
-    dedicated-transport baseline. *)
+    [Inproc] baseline. A scheduler over [Sched.socket_backend] is how a
+    context reaches an S2 daemon. *)
 type mode =
   | Inproc
   | Loopback
-  | Socket_fd of Unix.file_descr
   | Mux of Sched.t * int
 
 (** [create rng ~bits] generates a fresh key pair of modulus width [bits]
@@ -82,8 +82,8 @@ val of_keys :
   t
 
 (** Canonical seeded provisioning: [(pub, sk, ctx_rng, data_rng)]. Pass
-    [ctx_rng] to {!of_keys} and use [data_rng] for dataset encryption. A
-    socket daemon given the same [Wire.hello] replays the first steps
+    [ctx_rng] to {!of_keys} and use [data_rng] for dataset encryption. An
+    S2 daemon given the same [Wire.hello] replays the first steps
     verbatim ([S2_server.of_hello]), so both processes derive identical
     keys and aligned randomness streams. *)
 val provision :
@@ -132,11 +132,8 @@ val sk : t -> Paillier.secret
 
 val trace : t -> Trace.t
 
-(** S2's trace, transport-independent. *)
+(** S2's trace as an event list (local transports only, like {!trace}). *)
 val trace_events : t -> Trace.event list
-
-(** S2-side op counters by name (socket mode; empty locally). *)
-val remote_stats : t -> (string * int) list
 
 val transport_name : t -> string
 
@@ -148,9 +145,9 @@ val transport_name : t -> string
     private channel and a private trace; after the batch the channels and
     traces are merged back into [t] in index order. Results, accounting
     and traces are therefore byte-identical across any [domains] setting —
-    parallelism is pure mechanism. On a socket transport jobs run
-    sequentially (one ordered byte stream). Sub-contexts must not escape
-    [f]. *)
+    parallelism is pure mechanism. On a mux transport jobs run
+    sequentially (one outstanding op per query). Sub-contexts must not
+    escape [f]. *)
 val parallel : t -> jobs:int -> (t -> int -> 'a) -> 'a array
 
 (** [fork_subs t ~jobs] forks the sub-contexts {!parallel} would use and

@@ -26,7 +26,6 @@ let create ~pub ~djpub ~sk ~djsk ~own_pub ~rng =
 
 let trace t = t.trace
 let secret_key t = t.sk
-let noise_pool t = t.pnoise
 
 let fork t ~label =
   let rng = Rng.fork t.rng ~label in
@@ -336,10 +335,9 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
 
    A mux frame interleaves ops from many concurrent client queries, each
    tagged with its session. Sessions provisioned by Mux_open are keyed
-   in their own table: [make ~session] builds the responder exactly as a
-   dedicated connection would (the daemon replays [of_hello]; an
-   in-process scheduler backend replays the baseline [create]), so each
-   session's randomness stream is byte-identical to the uncoalesced
+   in their own table: [make ~session] builds the responder exactly as
+   the query's Inproc context would (an [of_hello] replay), so each
+   session's randomness stream is byte-identical to the in-process
    path. Ops execute strictly in frame order — the scheduler preserved
    each query's program order, and sessions never share rng state, so
    interleaving across sessions cannot perturb any single stream. *)
@@ -388,10 +386,10 @@ let handle_mux_ops st ops =
 
 (* ---------------- request loop over a file descriptor ----------------
 
-   One connection serves one client context and all its parallel forks:
-   sessions are keyed by the 4-byte id in each frame, created/retired by
-   Fork/Join control frames in the exact order the client forks its own
-   halves, so both parties' randomness streams stay aligned. *)
+   One connection is provisioned once by its Hello, then carries mux
+   frames — every query's sessions are opened, forked, joined and closed
+   by Mux_* ops in the exact order the client issues them, so both
+   parties' randomness streams stay aligned — plus Stats_req scrapes. *)
 
 (* Live scrape: the daemon's registry (startup gauges, per-daemon
    telemetry) plus the connection collector's op counters, folded in as
@@ -404,88 +402,55 @@ let scrape_snapshot registry collector =
   Obs.Registry.union reg_part
     (Obs.Registry.metrics_counters (Obs.Collector.metrics collector))
 
-let serve_loop ?registry ?mux fd root collector =
-  let sessions : (int, t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace sessions 0 root;
-  let session_of id =
-    match Hashtbl.find_opt sessions id with
-    | Some s -> s
-    | None -> invalid_arg "S2_server: unknown session"
-  in
-  let running = ref true in
-  while !running do
+let serve_loop ?registry fd keys mux collector =
+  let rec loop () =
     match Wire.read_frame fd with
-    | None -> running := false
-    | Some frame -> (
-      match Wire.frame_kind frame with
-      | Some k when k = 'Q' ->
-        let keys = Wire.keys_of ~pub:root.pub ~djpub:root.djpub ~own_pub:root.own_pub in
-        let session, label, req = Wire.decode_request keys frame in
-        let resp = handle (session_of session) ~label req in
-        Wire.write_frame fd (Wire.encode_response keys resp)
-      | Some k when k = 'M' -> (
-        match mux with
-        | None -> invalid_arg "S2_server: mux not enabled on this connection"
-        | Some st ->
-          let keys = Wire.keys_of ~pub:root.pub ~djpub:root.djpub ~own_pub:root.own_pub in
-          let ops = Wire.decode_mux keys frame in
-          (* daemon side: ops count under the ambient connection
-             collector, same as dedicated-connection traffic *)
-          let replies = handle_mux_ops st (List.map (fun op -> (op, None)) ops) in
-          Wire.write_frame fd (Wire.encode_mux_replies keys replies))
-      | Some k when k = 'C' ->
-        let reply =
-          match Wire.decode_control frame with
-          | Wire.Hello _ -> invalid_arg "S2_server: duplicate Hello"
-          | Wire.Fork { parent; child; label } ->
-            Hashtbl.replace sessions child (fork (session_of parent) ~label);
-            Wire.Ok_ctl
-          | Wire.Join { parent; child } ->
-            join (session_of child) ~into:(session_of parent);
-            Hashtbl.remove sessions child;
-            Wire.Ok_ctl
-          | Wire.Get_trace -> Wire.Trace_events (Trace.events root.trace)
-          | Wire.Get_stats ->
-            let m = Obs.Collector.metrics collector in
-            Wire.Stats
-              (List.map
-                 (fun (op, v) -> (Obs.Metrics.name op, v))
-                 (Obs.Metrics.to_alist m))
-          | Wire.Stats_req -> Wire.Stats_resp (scrape_snapshot registry collector)
-          | Wire.Shutdown ->
-            running := false;
-            Wire.Ok_ctl
-        in
-        Wire.write_frame fd (Wire.encode_control_reply reply)
-      | _ -> invalid_arg "S2_server: unexpected frame kind")
-  done
+    | None -> ()
+    | Some frame ->
+      (match Wire.frame_kind frame with
+      | Some 'M' ->
+        let ops = Wire.decode_mux keys frame in
+        (* daemon side: ops count under the ambient connection collector *)
+        let replies = handle_mux_ops mux (List.map (fun op -> (op, None)) ops) in
+        Wire.write_frame fd (Wire.encode_mux_replies keys replies)
+      | Some 'C' -> (
+        match Wire.decode_control frame with
+        | Wire.Hello _ -> invalid_arg "S2_server: duplicate Hello"
+        | Wire.Stats_req ->
+          Wire.write_frame fd
+            (Wire.encode_control_reply
+               (Wire.Stats_resp (scrape_snapshot registry collector))))
+      | _ -> invalid_arg "S2_server: unexpected frame kind");
+      loop ()
+  in
+  loop ()
+
+(* A Hello is a few dozen bytes and a first-frame Stats_req fewer: cap
+   what an unauthenticated peer can make us allocate. *)
+let first_frame_max = 65536
 
 let serve_fd ?on_ready ?registry fd =
-  match Wire.read_frame fd with
+  match Wire.read_frame ~max:first_frame_max fd with
   | None -> ()
   | Some first -> (
     match Wire.decode_control first with
     | Wire.Hello h ->
       Obs.set_enabled h.Wire.obs;
+      (* the connection-level replay yields the framing keys and warms
+         the per-key tables every later Mux_open reuses *)
       let root, setup_s = Obs.Timer.time (fun () -> of_hello h) in
       Option.iter (fun f -> f setup_s) on_ready;
-      let collector = Obs.Collector.create () in
+      let keys = Wire.keys_of ~pub:root.pub ~djpub:root.djpub ~own_pub:root.own_pub in
       Wire.write_frame fd (Wire.encode_control_reply Wire.Ok_ctl);
-      (* daemon child: no further forks, so a background filler is safe *)
-      Noise_pool.start_filler root.pnoise;
-      Fun.protect
-        ~finally:(fun () -> Noise_pool.quiesce root.pnoise)
-        (fun () ->
-          (* mux sessions replay the client's provisioning per open —
-             the byte-identical twin of a per-query dedicated connection *)
-          let mux = mux_state ~make:(fun ~session:_ -> of_hello h) in
-          Obs.with_collector collector (fun () ->
-              serve_loop ?registry ~mux fd root collector))
+      (* each Mux_open replays the client's provisioning — the
+         byte-identical twin of the query's Inproc responder *)
+      let mux = mux_state ~make:(fun ~session:_ -> of_hello h) in
+      let collector = Obs.Collector.create () in
+      Obs.with_collector collector (fun () -> serve_loop ?registry fd keys mux collector)
     | Wire.Stats_req ->
       (* monitoring connection: no key material, no provisioning — answer
          the daemon-level snapshot and hang up *)
       let snap =
         match registry with Some r -> Obs.Registry.snapshot r | None -> []
       in
-      Wire.write_frame fd (Wire.encode_control_reply (Wire.Stats_resp snap))
-    | _ -> invalid_arg "S2_server: expected Hello")
+      Wire.write_frame fd (Wire.encode_control_reply (Wire.Stats_resp snap)))

@@ -4,7 +4,7 @@
     {!Trace} of everything it decrypts. It never sees S1 state — its whole
     view is the stream of {!Wire.request} frames dispatched to {!handle},
     each carrying the protocol label under which revealed facts are traced.
-    The same handler code serves all three transports, so results, traces
+    The same handler code serves every transport, so results, traces
     and operation counts are byte-identical whether S2 runs in-process or
     as a separate daemon. *)
 
@@ -39,19 +39,14 @@ val join : t -> into:t -> unit
 val trace : t -> Trace.t
 val secret_key : t -> Paillier.secret
 
-(** The server's precomputed Paillier re-randomization noise pool (one
-    per session; forked sessions get their own). Exposed so an embedding
-    can [Noise_pool.prefill] or [start_filler]/[quiesce] it. *)
-val noise_pool : t -> Noise_pool.t
-
 (** {2 Multiplexed sessions}
 
     State behind one coalescing scheduler ({!Sched}): sessions opened by
     [Mux_open] ops, keyed by their correlation tag. [make ~session]
-    provisions a fresh responder exactly as a dedicated connection would
-    — the daemon passes [of_hello]'s replay, an in-process backend the
-    baseline [create] — so every session's randomness stream matches the
-    uncoalesced path byte for byte. *)
+    provisions a fresh responder exactly as the query's [Inproc]
+    context would ([of_hello]'s replay of [Ctx.provision]), so every
+    session's randomness stream matches the in-process path byte for
+    byte. *)
 type mux_state
 
 val mux_state : make:(session:int -> t) -> mux_state
@@ -65,17 +60,20 @@ val handle_mux_ops :
   mux_state -> (Wire.mux_op * Obs.Collector.t option) list -> Wire.mux_reply list
 
 (** Serve one connection: expects a [Hello] control frame, then answers
-    request/control/mux frames until EOF or [Shutdown]. Runs the daemon
-    side of the Socket transport; mux frames ([Sched.socket_backend])
-    demultiplex into per-session responders provisioned by [of_hello]. [on_ready] (if given) is called once after
-    provisioning with the setup wall time in seconds — key replay plus
-    Montgomery-context and fixed-base-comb warmup — so a daemon can log
-    what its first client paid before the first request was served.
+    mux frames ([Sched.socket_backend]) and [Stats_req] frames until
+    EOF. Mux sessions demultiplex into per-session responders, each
+    provisioned by an [of_hello] replay on its [Mux_open]. The first
+    frame is capped at 64 KiB before it is read, so an unauthenticated
+    peer cannot make the daemon allocate more. [on_ready] (if given) is
+    called once after provisioning with the setup wall time in seconds —
+    key replay plus Montgomery-context and fixed-base-comb warmup — so a
+    daemon can log what its first client paid before the first request
+    was served.
 
     [registry] (if given) makes the connection scrapeable: a [Stats_req]
     control frame — mid-session, or as the very first frame from a
     key-less monitoring client — answers with [Stats_resp] carrying the
     registry snapshot (mid-session scrapes also fold in the connection's
-    op counters as [op_*] counter series). *)
+    op counters as [op_*] counter series, [Mux_open] replays included). *)
 val serve_fd :
   ?on_ready:(float -> unit) -> ?registry:Obs.Registry.t -> Unix.file_descr -> unit

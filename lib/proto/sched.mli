@@ -19,9 +19,9 @@
     {b Determinism.} Ops from one query are enqueued in program order
     and answered element-wise in frame order, and S2 demultiplexes into
     per-session responder state ([S2_server.mux_state]), so each
-    session's randomness stream consumes exactly the draws it would on a
-    private connection: per-query results, op counters and traces are
-    byte-identical to the uncoalesced baseline.
+    session's randomness stream consumes exactly the draws it would on
+    the [Inproc] transport: per-query results, op counters and traces
+    are byte-identical to that baseline.
 
     {b Failure.} A backend failure (socket closed, reply-count mismatch,
     decode error) resumes {e every} parked caller with the exception —

@@ -1,26 +1,26 @@
 (** Transport between the S1 driver code and the S2 responder.
 
-    Four implementations of one rpc interface:
+    Three implementations of one rpc interface:
 
     - [Inproc]: S2 runs in-process and requests are dispatched without
       materialising frames; the channel is charged {!Wire}'s closed-form
       frame sizes (pinned to the real encoded lengths by the property
-      tests). The fast path.
+      tests). The fast path and the reference.
     - [Loopback]: every request and response is encoded through {!Wire}
       and decoded on the other side, still in one process — proves each
       protocol survives serialization, and measures real frame lengths.
-    - [Socket]: frames travel over a file descriptor to an S2 daemon in
-      another process (socketpair or TCP). True two-process mode.
     - [Mux]: requests park at a shared round scheduler ({!Sched}) which
       merges every concurrent query's next op into one multiplexed S2
-      trip. The per-query channel is charged the same closed forms as
-      [Inproc] — what a dedicated connection would carry — so per-query
-      accounting stays baseline-identical while the shared trip count
-      drops.
+      trip — in-process, or over a connection to an S2 daemon
+      ([Sched.socket_backend] on a {!spawn_daemon} / {!connect_tcp}
+      fd). This is the only way to reach an out-of-process S2. The
+      per-query channel is charged the same closed forms as [Inproc],
+      so per-query accounting stays baseline-identical while the shared
+      trip count drops.
 
     A seeded query produces byte-identical results, traces and operation
-    counters on all of them (socket-mode S2 ops are counted daemon-side;
-    fetch them with {!remote_stats}). *)
+    counters on all of them (a daemon counts its S2 ops on its side;
+    fetch them with {!stats}). *)
 
 type t
 
@@ -31,10 +31,6 @@ val inproc : Wire.keys -> S2_server.t -> t
     up as wall-clock time on one machine (bench [--rtt]). *)
 val loopback : ?rtt_us:int -> Wire.keys -> S2_server.t -> t
 
-(** Wrap a connected fd whose [Hello] handshake already happened
-    ({!spawn_daemon} / {!connect_tcp}). *)
-val socket : Wire.keys -> Unix.file_descr -> t
-
 (** Park this query's rpcs at a shared {!Sched} under the given mux
     session id (obtained from [Sched.open_query]). Forking allocates
     child sessions from the same scheduler. *)
@@ -43,10 +39,8 @@ val mux : Wire.keys -> Sched.t -> session:int -> t
 val channel : t -> Channel.t
 val keys : t -> Wire.keys
 
-(** False for [Socket] (one ordered byte stream cannot interleave
-    concurrent sessions) and for [Mux] (the scheduler's ship condition
-    assumes one outstanding op per query): [Ctx.parallel] runs
-    sequentially on both. *)
+(** False for [Mux] (the scheduler's ship condition assumes one
+    outstanding op per query): [Ctx.parallel] runs sequentially there. *)
 val concurrent : t -> bool
 
 val mode_name : t -> string
@@ -56,48 +50,37 @@ val mode_name : t -> string
 val rpc : t -> label:string -> Wire.request -> Wire.response
 
 (** Fork a child transport for one parallel task: local transports fork
-    the in-process server; the socket transport opens a child session on
-    the daemon via a [Fork] control frame (control traffic is never
-    charged to the channel). [join_sub] merges the child's channel and
-    S2 trace back; call in task-index order. *)
+    the in-process server; [Mux] opens a child session with a
+    [Mux_fork] op. [join_sub] merges the child's channel and S2 trace
+    back; call in task-index order. *)
 val fork : t -> label:string -> t
 
 val join_sub : t -> into:t -> unit
 
 (** Direct S2 state, for local transports and tests; raises
-    [Invalid_argument] when S2 is remote. *)
+    [Invalid_argument] when S2 is behind a scheduler. *)
 val trace : t -> Trace.t
 
 val secret_key : t -> Crypto.Paillier.secret
 
-(** S2's trace, transport-independent (fetched by control rpc in socket
-    mode). *)
-val trace_events : t -> Trace.event list
-
-(** S2-side operation counters by metric name: empty for local transports
-    (S2 ops already land in the client's collector), the daemon's totals
-    in socket mode. *)
-val remote_stats : t -> (string * int) list
+(** Send one [Stats_req] on a connected fd and return the registry
+    snapshot from its [Stats_resp], skipping (by kind byte, without
+    decoding) a [Server_hello] frame serve-s1 greets connections with.
+    On a provisioned S2 connection the snapshot also carries the
+    connection's S2 op counters as [op_*] series. *)
+val stats : Unix.file_descr -> Obs.Registry.snapshot
 
 (** Key-less live-telemetry scrape: connect to a listening [serve-s1] or
-    [serve-s2] daemon, send one [Stats_req], and return the registry
-    snapshot from its [Stats_resp] — skipping (by kind byte, without
-    decoding) the [Server_hello] frame serve-s1 greets connections with.
-    Needs no key material, so any monitoring client can call it. *)
+    [serve-s2] daemon and ask {!stats} once. Needs no key material, so
+    any monitoring client can call it. *)
 val scrape_stats : Unix.sockaddr -> Obs.Registry.snapshot
 
-(** Politely stop a socket daemon (no-op for local transports). *)
-val shutdown : t -> unit
-
-(** Send the provisioning [Hello] on a fresh connection and await the ack. *)
-val hello : Unix.file_descr -> Wire.hello -> unit
-
 (** Fork a child process serving S2 over a socketpair; returns the
-    connected fd (Hello done) and the child pid. *)
+    connected fd (Hello done) and the child pid. The child exits once
+    the fd is closed; reap it with [Unix.waitpid]. OCaml 5 refuses to
+    fork once the process has spawned any domain (a {!Sched}'s shipper
+    is one), so call this first. *)
 val spawn_daemon : Wire.hello -> Unix.file_descr * int
-
-(** {!shutdown} + reap the daemon process. *)
-val stop_daemon : t -> int -> unit
 
 (** Connect to a standalone [topk_cli serve-s2] daemon over TCP. *)
 val connect_tcp : Unix.sockaddr -> Wire.hello -> Unix.file_descr

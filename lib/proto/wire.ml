@@ -82,20 +82,8 @@ type mux_reply = Mux_ok | Mux_answer of response
 
 type hello = { seed : string; key_bits : int; rand_bits : int option; obs : bool }
 
-type control =
-  | Hello of hello
-  | Fork of { parent : int; child : int; label : string }
-  | Join of { parent : int; child : int }
-  | Get_trace
-  | Get_stats
-  | Stats_req
-  | Shutdown
-
-type control_reply =
-  | Ok_ctl
-  | Trace_events of Trace.event list
-  | Stats of (string * int) list
-  | Stats_resp of Obs.Registry.snapshot
+type control = Hello of hello | Stats_req
+type control_reply = Ok_ctl | Stats_resp of Obs.Registry.snapshot
 
 (* ---------------- pairwise index order for SecDedup ---------------- *)
 
@@ -854,21 +842,13 @@ let response_bytes keys resp = response_header_bytes + response_payload_bytes ke
 
 (* ---------------- control codec ----------------
 
-   Provisioning and orchestration frames: never part of the protocol
+   Provisioning and telemetry frames: never part of the protocol
    bandwidth accounting (the paper's cost model has no analogue of them). *)
 
 let encode_control ctl =
   let buf = Buffer.create 64 in
-  let tag =
-    match ctl with
-    | Hello _ -> 1
-    | Fork _ -> 2
-    | Join _ -> 3
-    | Get_trace -> 4
-    | Get_stats -> 5
-    | Shutdown -> 6
-    | Stats_req -> 7
-  in
+  (* tags 2-6 are retired: reusing one would misparse an older peer *)
+  let tag = match ctl with Hello _ -> 1 | Stats_req -> 7 in
   put_header buf ~kind:kind_control ~tag ~session:0;
   (match ctl with
   | Hello { seed; key_bits; rand_bits; obs } ->
@@ -880,14 +860,7 @@ let encode_control ctl =
       put_bool buf true;
       put_int buf b);
     put_bool buf obs
-  | Fork { parent; child; label } ->
-    put_int buf parent;
-    put_int buf child;
-    put_string buf label
-  | Join { parent; child } ->
-    put_int buf parent;
-    put_int buf child
-  | Get_trace | Get_stats | Stats_req | Shutdown -> ());
+  | Stats_req -> ());
   Buffer.contents buf
 
 let decode_control data =
@@ -901,82 +874,11 @@ let decode_control data =
       let rand_bits = if get_bool r then Some (get_int r) else None in
       let obs = get_bool r in
       Hello { seed; key_bits; rand_bits; obs }
-    | 2 ->
-      let parent = get_int r in
-      let child = get_int r in
-      let label = get_string r in
-      Fork { parent; child; label }
-    | 3 ->
-      let parent = get_int r in
-      let child = get_int r in
-      Join { parent; child }
-    | 4 -> Get_trace
-    | 5 -> Get_stats
-    | 6 -> Shutdown
     | 7 -> Stats_req
     | _ -> invalid_arg "Wire: unknown control tag"
   in
   finish r "control";
   ctl
-
-let put_trace_event buf (e : Trace.event) =
-  match e with
-  | Trace.Equality_bits { protocol; bits } ->
-    Buffer.add_char buf '\001';
-    put_string buf protocol;
-    put_int buf (List.length bits);
-    List.iter (put_bool buf) bits
-  | Trace.Dedup_matrix { protocol; size; equal_pairs } ->
-    Buffer.add_char buf '\002';
-    put_string buf protocol;
-    put_int buf size;
-    put_int buf (List.length equal_pairs);
-    List.iter
-      (fun (i, j) ->
-        put_int buf i;
-        put_int buf j)
-      equal_pairs
-  | Trace.Comparison { protocol; ordering } ->
-    Buffer.add_char buf '\003';
-    put_string buf protocol;
-    if ordering < -1 || ordering > 1 then invalid_arg "Wire: bad ordering";
-    Buffer.add_char buf (Char.chr (ordering + 1))
-  | Trace.Count { protocol; value } ->
-    Buffer.add_char buf '\004';
-    put_string buf protocol;
-    put_int buf value
-
-let get_trace_event r : Trace.event =
-  match get_byte r with
-  | 1 ->
-    let protocol = get_string r in
-    Trace.Equality_bits { protocol; bits = read_list r ~item_width:1 get_bool }
-  | 2 ->
-    let protocol = get_string r in
-    let size = get_int r in
-    Trace.Dedup_matrix
-      { protocol;
-        size;
-        equal_pairs =
-          read_list r ~item_width:8 (fun r ->
-              let i = get_int r in
-              let j = get_int r in
-              (i, j));
-      }
-  | 3 ->
-    let protocol = get_string r in
-    let ordering =
-      match get_byte r with
-      | 0 -> -1
-      | 1 -> 0
-      | 2 -> 1
-      | _ -> invalid_arg "Wire: bad ordering"
-    in
-    Trace.Comparison { protocol; ordering }
-  | 4 ->
-    let protocol = get_string r in
-    Trace.Count { protocol; value = get_int r }
-  | _ -> invalid_arg "Wire: unknown trace event"
 
 (* Registry snapshot payload: count-prefixed entries of
    name | kind byte | kind-specific fields, with 8-byte integer fields
@@ -1039,27 +941,10 @@ let get_snapshot r : Obs.Registry.snapshot =
 
 let encode_control_reply reply =
   let buf = Buffer.create 64 in
-  let tag =
-    match reply with
-    | Ok_ctl -> 1
-    | Trace_events _ -> 2
-    | Stats _ -> 3
-    | Stats_resp _ -> 4
-  in
+  (* tags 2-3 are retired: reusing one would misparse an older peer *)
+  let tag = match reply with Ok_ctl -> 1 | Stats_resp _ -> 4 in
   put_header buf ~kind:kind_control_reply ~tag ~session:0;
-  (match reply with
-  | Ok_ctl -> ()
-  | Trace_events events ->
-    put_int buf (List.length events);
-    List.iter (put_trace_event buf) events
-  | Stats pairs ->
-    put_int buf (List.length pairs);
-    List.iter
-      (fun (name, v) ->
-        put_string buf name;
-        put_int buf v)
-      pairs
-  | Stats_resp snap -> put_snapshot buf snap);
+  (match reply with Ok_ctl -> () | Stats_resp snap -> put_snapshot buf snap);
   Buffer.contents buf
 
 let decode_control_reply data =
@@ -1068,13 +953,6 @@ let decode_control_reply data =
   let reply =
     match tag with
     | 1 -> Ok_ctl
-    | 2 -> Trace_events (read_list r ~item_width:6 get_trace_event)
-    | 3 ->
-      Stats
-        (read_list r ~item_width:8 (fun r ->
-             let name = get_string r in
-             let v = get_int r in
-             (name, v)))
     | 4 -> Stats_resp (get_snapshot r)
     | _ -> invalid_arg "Wire: unknown control reply tag"
   in
@@ -1108,6 +986,11 @@ let encode_client_msg msg =
     put_string buf token);
   Buffer.contents buf
 
+let max_token_bytes = 65536
+
+(* header + length-prefixed token: the largest valid client frame *)
+let max_client_frame = header_size + 4 + max_token_bytes
+
 let decode_client_msg data =
   let r = { data; pos = 0 } in
   let tag, _session = get_header r ~kind:kind_client in
@@ -1115,7 +998,7 @@ let decode_client_msg data =
     match tag with
     | 1 ->
       let token = get_string r in
-      if String.length token > 65536 then invalid_arg "Wire: oversized token";
+      if String.length token > max_token_bytes then invalid_arg "Wire: oversized token";
       Query_req { token }
     | _ -> invalid_arg "Wire: unknown client tag"
   in
@@ -1207,7 +1090,10 @@ let read_exact fd len =
   in
   go 0
 
-let read_frame fd =
+(* The length is checked against [max] before the payload buffer exists,
+   so an unauthenticated peer cannot make us allocate (or wait for) more
+   than the caller's cap with a 4-byte header. *)
+let read_frame ?(max = 0x3fffffff) fd =
   match read_exact fd 4 with
   | None -> None
   | Some hdr ->
@@ -1217,7 +1103,7 @@ let read_frame fd =
       lor (Char.code hdr.[2] lsl 8)
       lor Char.code hdr.[3]
     in
-    if len > 0x3fffffff then invalid_arg "Wire: oversized frame";
+    if len > max then invalid_arg "Wire: oversized frame";
     read_exact fd len
 
 let frame_kind data = if String.length data > 5 then Some data.[5] else None

@@ -103,10 +103,10 @@ type response =
     scheduler ({!Sched}) coalesces ops parked by many concurrent queries
     into a single frame, each op tagged with the session it belongs to.
     [Mux_open] makes S2 provision a fresh responder for the session (the
-    same [of_hello] replay a dedicated connection would get);
-    [Mux_close] retires it; [Mux_fork]/[Mux_join] mirror the control
-    frames of {!control} inside the merged trip; [Mux_req] is one
-    ordinary request routed to its session. *)
+    same [of_hello] replay the connection's [Hello] ran); [Mux_close]
+    retires it; [Mux_fork]/[Mux_join] open and fold back the child
+    session of one parallel task; [Mux_req] is one ordinary request
+    routed to its session. *)
 type mux_op =
   | Mux_open of { session : int }
   | Mux_close of { session : int }
@@ -124,22 +124,18 @@ type mux_reply = Mux_ok | Mux_answer of response
     [Ctx.provision]). *)
 type hello = { seed : string; key_bits : int; rand_bits : int option; obs : bool }
 
+(** Connection-level frames (kind byte ['C']), outside the protocol's
+    bandwidth accounting. [Hello] provisions an S2 connection; every
+    later frame on it is a mux frame or a [Stats_req]. *)
 type control =
   | Hello of hello
-  | Fork of { parent : int; child : int; label : string }
-  | Join of { parent : int; child : int }
-  | Get_trace
-  | Get_stats  (** legacy op-counter totals ({!Stats}); kept for [remote_stats] *)
   | Stats_req
       (** live-telemetry scrape: answered with a full registry snapshot
           ({!Stats_resp}).  Decoding needs no key material, so any
           monitoring client can speak it. *)
-  | Shutdown
 
 type control_reply =
-  | Ok_ctl
-  | Trace_events of Trace.event list
-  | Stats of (string * int) list
+  | Ok_ctl  (** acknowledges a [Hello] *)
   | Stats_resp of Obs.Registry.snapshot
       (** registry snapshot; integer fields travel as 8 bytes (histogram
           sums outgrow the 30-bit collection-length cap), gauges as IEEE
@@ -179,6 +175,11 @@ val decode_mux_replies : keys -> string -> mux_reply list
 
 type client_msg = Query_req of { token : string }
 
+(** The largest valid client frame: a [Query_req] carrying the longest
+    token the decoder accepts (64 KiB), header and length prefix
+    included. serve-s1 caps {!read_frame} with it. *)
+val max_client_frame : int
+
 type server_msg =
   | Server_hello of { n : int; m : int; s : int; key_bits : int }
       (** sent once per connection, before any query: the public shape a
@@ -204,12 +205,16 @@ val request_header_bytes : label:string -> int
 
 val response_header_bytes : int
 
-(** Length-prefixed framing over a file descriptor (Socket transport). The
-    4-byte prefix is transport plumbing, excluded from bandwidth
-    accounting. [read_frame] returns [None] on clean EOF. *)
+(** Length-prefixed framing over a file descriptor (S2 daemon and
+    serve-s1 connections). The 4-byte prefix is transport plumbing,
+    excluded from bandwidth accounting. [read_frame] returns [None] on
+    clean EOF. A prefix announcing more than [max] bytes (default
+    [0x3fffffff]) raises [Invalid_argument] before any payload is read
+    or allocated, so servers pass a small [max] until the peer has
+    authenticated. *)
 val write_frame : Unix.file_descr -> string -> unit
 
-val read_frame : Unix.file_descr -> string option
+val read_frame : ?max:int -> Unix.file_descr -> string option
 
-(** Peek at the kind byte of a raw frame ('Q' request, 'C' control, ...). *)
+(** Peek at the kind byte of a raw frame ('M' mux, 'C' control, ...). *)
 val frame_kind : string -> char option

@@ -7,20 +7,10 @@ type options = {
   variant : variant;
   sort : Enc_sort.strategy;
   halting : [ `All | `KthOnly ];
-  compare : [ `Sign | `Dgk of int ];
   max_depth : int option;
-  domains : int;
 }
 
-let default_options =
-  {
-    variant = Full;
-    sort = Enc_sort.Blinded;
-    halting = `All;
-    compare = `Sign;
-    max_depth = None;
-    domains = 1;
-  }
+let default_options = { variant = Full; sort = Enc_sort.Blinded; halting = `All; max_depth = None }
 
 type result = {
   top : Enc_item.scored list;
@@ -39,24 +29,13 @@ let rec drop n = function [] -> [] | _ :: rest as l -> if n = 0 then l else drop
    10-12), completed with one unseen-object bound per shard that still
    has unseen rows: an unseen object lives in exactly one shard, so its
    best possible score is that shard's bottom-score sum. *)
-let halting_test ctx ~halting ~compare ~k ~sorted ~unseen_bounds =
-  let leq =
-    match compare with
-    | `Sign -> Enc_compare.leq ctx
-    | `Dgk bits ->
-      (* shift by +2 so the sentinel -1 lands at 1 >= 0 in the unsigned
-         domain the bitwise protocol works over *)
-      let pub = ctx.Ctx.s1.Ctx.pub in
-      let two = Paillier.trivial pub Bignum.Nat.two in
-      fun a b ->
-        Enc_compare.leq_dgk ctx ~bits (Paillier.add pub a two) (Paillier.add pub b two)
-  in
+let halting_test ctx ~halting ~k ~sorted ~unseen_bounds =
   if List.length sorted < k then false
   else begin
     let wk = (List.nth sorted (k - 1)).Enc_item.worst in
     let rest = drop k sorted in
-    match (halting, compare) with
-    | `All, `Sign ->
+    match halting with
+    | `All ->
       (* every candidate test and every shard's unseen-bound test in one
          batch round: checkpoint rounds are flat in the shard count *)
       let pairs =
@@ -64,20 +43,15 @@ let halting_test ctx ~halting ~compare ~k ~sorted ~unseen_bounds =
         @ List.map (fun b -> (b, wk)) unseen_bounds
       in
       List.for_all Fun.id (Enc_compare.leq_many ctx pairs)
-    | _ ->
-      let candidates_ok =
-        match halting with
-        | `KthOnly -> (
-          match rest with [] -> true | next :: _ -> leq next.Enc_item.best wk)
-        | `All -> List.for_all (fun (it : Enc_item.scored) -> leq it.Enc_item.best wk) rest
-      in
-      candidates_ok && List.for_all (fun b -> leq b wk) unseen_bounds
+    | `KthOnly ->
+      let leq = Enc_compare.leq ctx in
+      (match rest with [] -> true | next :: _ -> leq next.Enc_item.best wk)
+      && List.for_all (fun b -> leq b wk) unseen_bounds
   end
 
 let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
   let shards = Array.length ers in
   if shards = 0 then invalid_arg "Query.run: no shards";
-  let ctx = Ctx.with_domains ctx (max ctx.Ctx.domains options.domains) in
   (* Collect per-query observability into the context's own collector
      unless an outer harness (bench) already installed one. *)
   Obs.with_default ctx.Ctx.obs @@ fun () ->
@@ -242,8 +216,7 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
       last_sorted := Some sorted;
       halted :=
         d >= n_max - 1
-        || halting_test ctx ~halting:options.halting ~compare:options.compare ~k ~sorted
-             ~unseen_bounds
+        || halting_test ctx ~halting:options.halting ~k ~sorted ~unseen_bounds
     end
     in
     timings := dt :: !timings;

@@ -28,18 +28,12 @@ type options = {
   variant : variant;
   sort : Proto.Enc_sort.strategy;
   halting : [ `All | `KthOnly ];
-  compare : [ `Sign | `Dgk of int ];
-      (** EncCompare instantiation for the halting tests: [`Sign] — the
-          fast blinded-sign protocol; [`Dgk bits] — the DGK/Veugen bitwise
-          protocol (scores must fit in [bits]; the sentinel [-1] is mapped
-          into the unsigned domain by a homomorphic [+2] shift). *)
   max_depth : int option;  (** Cap on scanned depths (benchmarks). *)
-  domains : int;
-      (** Domain-pool width for the per-depth protocol fan-out (see
-          {!Proto.Ctx.parallel}); results and traces are identical for
-          every setting. Effective width is the max of this and the
-          context's own [domains]. *)
 }
+(** The halting tests compare with the blinded-sign EncCompare
+    ({!Proto.Enc_compare.leq_many}). The per-depth fan-out runs on the
+    context's own domain pool ([ctx.domains], see {!Proto.Ctx.parallel});
+    results and traces are identical for every width. *)
 
 val default_options : options
 

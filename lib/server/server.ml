@@ -26,9 +26,7 @@ type config = {
   options : Sectopk.Query.options;
   s2 : s2_mode;
   qlog : Qlog.config;
-  coalesce_window_us : int;
-      (* round-coalescing window; 0 = coalescing off (each query owns its
-         transport, the pre-scheduler baseline) *)
+  coalesce_window_us : int;  (* round-coalescing window; 0 = ship on every wake *)
 }
 
 let default_config =
@@ -132,7 +130,7 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   service : Core.Service.t;
-  sched : Sched.t option;  (* shared round scheduler (coalescing on) *)
+  sched : Sched.t;  (* shared round scheduler: every query's S2 path *)
   sched_fd : Unix.file_descr option ref;
       (* its current S2 connection (Tcp mode); the backend swaps it on
          reconnect, [shutdown] closes whatever is live after Sched.stop *)
@@ -198,27 +196,17 @@ let run_query t tk =
   let pub, sk, ctx_rng, _data_rng =
     Ctx.provision ~seed:t.cfg.seed ~key_bits:t.cfg.key_bits ?rand_bits:t.cfg.rand_bits ()
   in
-  let mode, cleanup =
-    match (t.sched, t.cfg.s2) with
-    | Some sched, _ ->
-      (* coalescing: park this query's rounds at the shared scheduler.
-         The Mux_open makes S2 provision the same per-query responder a
-         dedicated connection would, so results and traces stay
-         byte-identical to the uncoalesced paths below. *)
-      let session = Sched.open_query sched in
-      ( Ctx.Mux (sched, session),
-        fun () -> (try Sched.close_query sched session with _ -> ()) )
-    | None, Local -> (Ctx.Inproc, fun () -> ())
-    | None, Tcp addr ->
-      let hello =
-        { Wire.seed = t.cfg.seed; key_bits = t.cfg.key_bits; rand_bits = t.cfg.rand_bits;
-          obs = false }
+  (* Park this query's rounds at the shared scheduler. The Mux_open makes
+     S2 provision the same responder the Inproc transport would build, so
+     results and traces are byte-identical to the sequential path. *)
+  let session = Sched.open_query t.sched in
+  Fun.protect
+    ~finally:(fun () -> try Sched.close_query t.sched session with _ -> ())
+    (fun () ->
+      let qctx =
+        Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~mode:(Ctx.Mux (t.sched, session)) ctx_rng
+          pub sk
       in
-      let fd = Transport.connect_tcp addr hello in
-      (Ctx.Socket_fd fd, fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      let qctx = Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~mode ctx_rng pub sk in
       let res, shard_stats = Shard.run_with_stats qctx t.ers tk t.cfg.options in
       Obs.Registry.add t.tel.shard_queries_c shard_stats.Shard.shards;
       Obs.Registry.add t.tel.shard_merge_rounds_c shard_stats.Shard.merge_rounds;
@@ -315,7 +303,7 @@ let session t id fd =
   (try
      write t.shape;
      let rec loop () =
-       match Wire.read_frame fd with
+       match Wire.read_frame ~max:Wire.max_client_frame fd with
        | None -> ()
        | Some frame -> (
          let reject msg =
@@ -487,55 +475,47 @@ let start ?(port = 0) cfg index =
   Obs.Registry.set (Obs.Registry.gauge tel.reg "combs_built")
     (float_of_int (Bignum.Fixed_base.cached_count ()));
   Obs.Registry.set tel.shards_g (float_of_int (Array.length stores));
-  (* The shared round scheduler (coalescing on): one per S2 connection.
-     Local mode demultiplexes in-process; Tcp mode opens the single
-     connection every merged frame travels on. *)
+  (* The shared round scheduler, one per S2 connection. Local mode
+     demultiplexes in-process; Tcp mode opens the single connection every
+     merged frame travels on. *)
   let sched, sched_fd =
-    if cfg.coalesce_window_us <= 0 then (None, ref None)
-    else begin
-      let hello =
-        { Wire.seed = cfg.seed; key_bits = cfg.key_bits; rand_bits = cfg.rand_bits;
-          obs = false }
-      in
-      match cfg.s2 with
-      | Local ->
-        let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
-        ( Some
-            (Sched.create ~window_us:cfg.coalesce_window_us ~registry:tel.reg
-               ~backend:(S2_server.handle_mux_ops st) ()),
-          ref None )
-      | Tcp addr ->
-        (* Self-healing shared connection: dial eagerly so startup still
-           fails fast when S2 is down, re-dial (fresh Hello handshake) on
-           the trip after a failure. Raising [Sched.Backend_lost] makes
-           the scheduler fail only the sessions that lived on the dead
-           connection — new queries open fresh sessions on the new one —
-           and the scrapeable [s2_reconnects] counter surfaces every
-           loss. Only the shipper domain calls the backend, so the cell
-           needs no lock. *)
-        let fd_cell = ref (Some (Transport.connect_tcp addr hello)) in
-        let reconnects_c = Obs.Registry.counter tel.reg "s2_reconnects" in
-        let backend ops =
-          let fd =
-            match !fd_cell with
-            | Some fd -> fd
-            | None ->
-              let fd = Transport.connect_tcp addr hello in
-              fd_cell := Some fd;
-              fd
-          in
-          try Sched.socket_backend wkeys fd ops
-          with e ->
-            (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-            fd_cell := None;
-            Obs.Registry.inc reconnects_c;
-            raise (Sched.Backend_lost (Printexc.to_string e))
+    let hello =
+      { Wire.seed = cfg.seed; key_bits = cfg.key_bits; rand_bits = cfg.rand_bits; obs = false }
+    in
+    match cfg.s2 with
+    | Local ->
+      let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+      ( Sched.create ~window_us:cfg.coalesce_window_us ~registry:tel.reg
+          ~backend:(S2_server.handle_mux_ops st) (),
+        ref None )
+    | Tcp addr ->
+      (* Self-healing shared connection: dial eagerly so startup still
+         fails fast when S2 is down, re-dial (fresh Hello handshake) on
+         the trip after a failure. Raising [Sched.Backend_lost] makes
+         the scheduler fail only the sessions that lived on the dead
+         connection — new queries open fresh sessions on the new one —
+         and the scrapeable [s2_reconnects] counter surfaces every
+         loss. Only the shipper domain calls the backend, so the cell
+         needs no lock. *)
+      let fd_cell = ref (Some (Transport.connect_tcp addr hello)) in
+      let reconnects_c = Obs.Registry.counter tel.reg "s2_reconnects" in
+      let backend ops =
+        let fd =
+          match !fd_cell with
+          | Some fd -> fd
+          | None ->
+            let fd = Transport.connect_tcp addr hello in
+            fd_cell := Some fd;
+            fd
         in
-        ( Some
-            (Sched.create ~window_us:cfg.coalesce_window_us ~registry:tel.reg
-               ~backend ()),
-          fd_cell )
-    end
+        try Sched.socket_backend wkeys fd ops
+        with e ->
+          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+          fd_cell := None;
+          Obs.Registry.inc reconnects_c;
+          raise (Sched.Backend_lost (Printexc.to_string e))
+      in
+      (Sched.create ~window_us:cfg.coalesce_window_us ~registry:tel.reg ~backend (), fd_cell)
   in
   let lsock = Unix.socket PF_INET SOCK_STREAM 0 in
   let t =
@@ -586,7 +566,7 @@ let start ?(port = 0) cfg index =
       }
     with e ->
       Unix.close lsock;
-      Option.iter Sched.stop sched;
+      Sched.stop sched;
       (match !sched_fd with
       | Some fd -> ( try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
       | None -> ());
@@ -623,7 +603,7 @@ let shutdown t =
     Mutex.unlock t.lock;
     (* 4. no query is parked any more: retire the round scheduler and its
        S2 connection *)
-    Option.iter Sched.stop t.sched;
+    Sched.stop t.sched;
     (match !(t.sched_fd) with
     | Some fd -> ( try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
     | None -> ());

@@ -6,27 +6,26 @@
     [Query_req]/[Query_resp] pairs. Queries are scheduled onto a
     persistent bounded {!Core.Service} worker pool — admission-queue
     overflow answers a typed [Busy] immediately, never stalls the
-    connection.
+    connection. A length prefix above [Wire.max_client_frame] closes
+    the connection before any payload is read.
 
     Every query runs in a fresh seeded context ({!Proto.Ctx.provision}
     with the server's seed), so each response is byte-identical to what
     the sequential in-process path produces for the same token — the
     property the concurrency tests pin down.
 
-    S2 placement: [Local] runs the key-holder in-process (the Inproc
-    transport); [Tcp addr] dials a serve-s2 daemon once per query and
-    replays provisioning through the Hello handshake.
-
-    Round coalescing: with [coalesce_window_us > 0] (the default)
-    queries do not own private transports — they park each round at a
-    shared {!Proto.Sched} whose shipper merges every concurrent query's
-    next op into one multiplexed S2 trip ([Local] demultiplexes
-    in-process; [Tcp] ships mux frames over a single daemon
-    connection). Per-query results, traces and op counters are
-    byte-identical to the uncoalesced baseline ([coalesce_window_us =
-    0]); only the shared trip count drops — with [q] concurrent queries
-    in lockstep, toward 1/q of the uncoalesced total. The registry
-    gains [parked_queries], [coalesced_rounds] and [rounds_saved]. *)
+    S2 placement and round coalescing: every query parks each round at
+    one shared {!Proto.Sched} whose shipper merges every concurrent
+    query's next op into one multiplexed S2 trip. [Local] demultiplexes
+    in-process; [Tcp addr] dials a serve-s2 daemon once at {!start}
+    (re-dialing after a lost connection), provisions it through the
+    Hello handshake and ships mux frames over that single connection;
+    each query's [Mux_open] makes S2 replay the provisioning for that
+    query's responder. Per-query results, traces and op counters are
+    byte-identical to the sequential Inproc path; only the shared trip
+    count drops — with [q] concurrent queries in lockstep, toward 1/q of
+    the per-query total. The registry gains [parked_queries],
+    [coalesced_rounds] and [rounds_saved]. *)
 
 (** Structured query logging configuration (re-exported — the library's
     main module hides its siblings from the outside). *)
@@ -57,9 +56,9 @@ type config = {
   coalesce_window_us : int;
       (** how long the round scheduler's oldest parked op waits for
           stragglers before a merged trip ships anyway (it ships
-          immediately once every in-flight query is parked); [0]
-          disables coalescing — every query owns a private transport,
-          the pre-scheduler baseline. Default 150. *)
+          immediately once every in-flight query is parked); [0] ships
+          whatever is parked on every wake, so only ops that happen to
+          park together share a trip. Default 150. *)
 }
 
 val default_config : config

@@ -333,29 +333,43 @@ let test_ciphertext_sizes () =
 
 (* ---------------- Noise_pool ---------------- *)
 
-(* Consumption is a pure function of the creating generator's state: the
-   same seed yields the same noise stream whether values are computed on
-   demand, prefilled, or produced by a background filler domain. *)
-let pool_stream ~variant n =
+(* The stream is a pure function of the creating generator: value [i] is
+   the [i]-th [gen] draw from the pool's forked root, and two domains
+   taking concurrently share out exactly that stream between them. *)
+let pool_values n =
   let r = Rng.create ~seed:"test_noise_pool" in
-  let p = Noise_pool.create ~depth:8 r ~label:"p" (fun r -> Paillier.noise r pub) in
-  (match variant with
-  | `On_demand -> ()
-  | `Prefill -> Noise_pool.prefill p n
-  | `Filler ->
-    Noise_pool.start_filler p;
-    (* give the filler a chance to race the consumer *)
-    Domain.cpu_relax ());
-  let out = List.init n (fun _ -> Noise_pool.take p) in
-  Noise_pool.quiesce p;
-  out
+  let p = Noise_pool.create r ~label:"p" (fun r -> Paillier.noise r pub) in
+  (p, List.init n (fun _ -> Noise_pool.take p))
 
 let test_noise_pool_deterministic () =
-  let a = pool_stream ~variant:`On_demand 20 in
-  let b = pool_stream ~variant:`Prefill 20 in
-  let c = pool_stream ~variant:`Filler 20 in
-  List.iteri (fun i x -> Alcotest.check nat (Printf.sprintf "prefill #%d" i) x (List.nth b i)) a;
-  List.iteri (fun i x -> Alcotest.check nat (Printf.sprintf "filler #%d" i) x (List.nth c i)) a
+  let _, a = pool_values 20 in
+  let _, b = pool_values 20 in
+  List.iteri (fun i x -> Alcotest.check nat (Printf.sprintf "replay #%d" i) x (List.nth b i)) a;
+  let root = Rng.fork (Rng.create ~seed:"test_noise_pool") ~label:"p" in
+  List.iteri
+    (fun i x -> Alcotest.check nat (Printf.sprintf "direct draw #%d" i) (Paillier.noise root pub) x)
+    a;
+  let r = Rng.create ~seed:"test_noise_pool" in
+  let p = Noise_pool.create r ~label:"p" (fun r -> Paillier.noise r pub) in
+  let d = Domain.spawn (fun () -> List.init 10 (fun _ -> Noise_pool.take p)) in
+  let mine = List.init 10 (fun _ -> Noise_pool.take p) in
+  let both = List.sort Nat.compare (mine @ Domain.join d) in
+  Alcotest.(check (list nat)) "concurrent takers split the stream" (List.sort Nat.compare a) both
+
+(* generation is the pool's cost, not the protocol's: a take counts one
+   rerand_pool and nothing else *)
+let test_noise_pool_accounting () =
+  let p, _ = pool_values 0 in
+  let prev = Obs.is_enabled () in
+  Obs.set_enabled true;
+  let c = Obs.Collector.create () in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled prev)
+    (fun () -> Obs.with_collector c (fun () -> for _ = 1 to 3 do ignore (Noise_pool.take p) done));
+  Alcotest.(check (list (pair string int))) "op counters" [ ("rerand_pool", 3) ]
+    (List.filter_map
+       (fun (op, v) -> if v > 0 then Some (Obs.Metrics.name op, v) else None)
+       (Obs.Metrics.to_alist (Obs.Collector.metrics c)))
 
 let test_noise_pool_rerandomize () =
   let r = Rng.create ~seed:"test_noise_pool_rr" in
@@ -370,16 +384,6 @@ let test_noise_pool_rerandomize () =
   let dc' = Damgard_jurik.rerandomize_with djpub ~noise:(Noise_pool.take dp) dc in
   Alcotest.(check bool) "dj ciphertext changed" false (Damgard_jurik.equal_ct dc dc');
   Alcotest.check nat "dj plaintext preserved" m (Damgard_jurik.decrypt djsk dc')
-
-let test_noise_pool_banked () =
-  let r = Rng.create ~seed:"test_noise_pool_banked" in
-  let p = Noise_pool.create ~depth:4 r ~label:"p" (fun r -> Paillier.noise r pub) in
-  Alcotest.(check int) "empty at creation" 0 (Noise_pool.banked p);
-  Noise_pool.prefill p 6;
-  Alcotest.(check bool) "prefilled" true (Noise_pool.banked p >= 6);
-  ignore (Noise_pool.take p);
-  Alcotest.(check bool) "take drains" true (Noise_pool.banked p >= 5);
-  Noise_pool.quiesce p (* no filler running: must be a no-op *)
 
 let suite =
   [ ( "sha256",
@@ -415,9 +419,9 @@ let suite =
         prop_paillier_scalar
       ] );
     ( "noise-pool",
-      [ Alcotest.test_case "deterministic across fill modes" `Quick test_noise_pool_deterministic;
+      [ Alcotest.test_case "deterministic stream" `Quick test_noise_pool_deterministic;
         Alcotest.test_case "rerandomize_with" `Quick test_noise_pool_rerandomize;
-        Alcotest.test_case "prefill and banked" `Quick test_noise_pool_banked
+        Alcotest.test_case "one rerand_pool per take" `Quick test_noise_pool_accounting
       ] );
     ( "damgard-jurik",
       [ Alcotest.test_case "roundtrip" `Quick test_dj_roundtrip;

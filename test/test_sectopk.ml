@@ -116,15 +116,6 @@ let test_fig3_network_sort () =
   let ids = List.map (fun (id, _, _) -> id) (Client.real_results ctx key ~ids:(ids_of fig3) res) in
   Alcotest.(check (list string)) "network sort same answer" [ "o2"; "o1" ] ids
 
-let test_fig3_dgk_compare () =
-  (* the DGK bitwise comparison must reproduce answers and halting depth *)
-  let options = { Query.default_options with variant = Query.Elim; compare = `Dgk 16 } in
-  let f = Scoring.sum_of [ 0; 1; 2 ] in
-  let ctx, key, res = run_query ~options fig3 f ~k:2 in
-  let ids = List.map (fun (id, _, _) -> id) (Client.real_results ctx key ~ids:(ids_of fig3) res) in
-  Alcotest.(check (list string)) "same answer under DGK compare" [ "o2"; "o1" ] ids;
-  Alcotest.(check int) "same halting depth" 3 res.Query.halting_depth
-
 let test_fig3_kth_only () =
   let options = { Query.default_options with variant = Query.Elim; halting = `KthOnly } in
   let f = Scoring.sum_of [ 0; 1; 2 ] in
@@ -524,8 +515,7 @@ let suite =
         Alcotest.test_case "Qry_Ba answers Figure 3" `Quick test_fig3_batched;
         Alcotest.test_case "halting depth = 3" `Quick test_fig3_halting_depth;
         Alcotest.test_case "network sort variant" `Quick test_fig3_network_sort;
-        Alcotest.test_case "paper-literal halting" `Quick test_fig3_kth_only;
-        Alcotest.test_case "DGK comparison variant" `Quick test_fig3_dgk_compare
+        Alcotest.test_case "paper-literal halting" `Quick test_fig3_kth_only
       ] );
     ( "secquery-random",
       [ prop_secure_elim;

@@ -40,7 +40,8 @@ let store_dir () =
   Store.build ~dir pub er;
   dir
 
-let cfg workers queue_depth =
+let cfg ?(coalesce_window_us = Server.default_config.Server.coalesce_window_us) workers
+    queue_depth =
   {
     Server.default_config with
     Server.seed;
@@ -48,11 +49,12 @@ let cfg workers queue_depth =
     rand_bits = Some rand_bits;
     workers;
     queue_depth;
+    coalesce_window_us;
   }
 
-let with_server ?(workers = 2) ?(queue_depth = 8) f =
+let with_server ?coalesce_window_us ?(workers = 2) ?(queue_depth = 8) f =
   let st = Store.open_index ~dir:(store_dir ()) pub in
-  let srv = Server.start (cfg workers queue_depth) (Server.Single st) in
+  let srv = Server.start (cfg ?coalesce_window_us workers queue_depth) (Server.Single st) in
   Fun.protect
     ~finally:(fun () ->
       Server.shutdown srv;
@@ -104,7 +106,7 @@ let expected_resp () =
 (* byte identity, via the canonical encoding *)
 let msg_eq a b = Wire.encode_server_msg wkeys a = Wire.encode_server_msg wkeys b
 
-(* decrypt a response's winners, as a real socket-mode client would *)
+(* decrypt a response's winners, as a real remote client would *)
 let ids_of_resp name resp =
   match resp with
   | Wire.Query_resp { top; halting_depth; halted } ->
@@ -216,6 +218,24 @@ let test_concurrent_clients () =
       Alcotest.(check int) "all four served" 4 st.Server.served;
       Alcotest.(check int) "none turned away" 0 st.Server.busy)
 
+(* Window 0 ships whatever is parked on every wake: trips coalesce only
+   by chance, and every response must still be the sequential one. *)
+let test_window_zero () =
+  with_server ~coalesce_window_us:0 ~workers:2 ~queue_depth:8 (fun srv ->
+      let expected = expected_resp () in
+      let port = Server.port srv in
+      with_client port (fun fd -> check_is_expected "sequential" expected (ask fd token));
+      let clients =
+        List.init 4 (fun i ->
+            Domain.spawn (fun () -> with_client port (fun fd -> (i, ask fd token))))
+      in
+      List.iter
+        (fun d ->
+          let i, resp = Domain.join d in
+          check_is_expected (Printf.sprintf "client %d" i) expected resp)
+        clients;
+      Alcotest.(check int) "all five served" 5 (Server.stats srv).Server.served)
+
 let test_overload_returns_busy () =
   (* capacity 1 (one worker, empty queue): 6 simultaneous queries cannot
      all be admitted; the turned-away ones must get Busy immediately and
@@ -265,6 +285,21 @@ let test_malformed_frame_keeps_session () =
       let st = Server.stats srv in
       Alcotest.(check int) "error counted" 1 st.Server.errors;
       Alcotest.(check int) "good query served" 1 st.Server.served)
+
+(* A length prefix above the client-frame cap is refused from the header:
+   that connection closes (no 1 GiB buffer, no wait for the payload)
+   while another client is still answered. The receive timeout turns a
+   server that waits for the payload into a failure, not a hang. *)
+let test_oversized_frame_closes_connection () =
+  with_server (fun srv ->
+      let expected = expected_resp () in
+      let port = Server.port srv in
+      with_client port (fun bad ->
+          Unix.setsockopt_float bad Unix.SO_RCVTIMEO 10.;
+          ignore (Unix.write_substring bad "\x3f\xff\xff\xff" 0 4);
+          Alcotest.(check bool) "connection closed" true (Wire.read_frame bad = None);
+          with_client port (fun fd -> check_is_expected "other client" expected (ask fd token)));
+      Alcotest.(check int) "good query served" 1 (Server.stats srv).Server.served)
 
 (* ---------------- live telemetry ---------------- *)
 
@@ -502,8 +537,11 @@ let suite =
     ( "serving",
       [ Alcotest.test_case "sequential identity" `Slow test_sequential_identity;
         Alcotest.test_case "4 concurrent clients" `Slow test_concurrent_clients;
+        Alcotest.test_case "coalescing window 0" `Slow test_window_zero;
         Alcotest.test_case "overload -> Busy" `Slow test_overload_returns_busy;
         Alcotest.test_case "bad token -> Server_error" `Slow test_bad_token_is_typed_error;
+        Alcotest.test_case "oversized frame closes connection" `Slow
+          test_oversized_frame_closes_connection;
         Alcotest.test_case "malformed frame -> Server_error" `Slow
           test_malformed_frame_keeps_session;
         Alcotest.test_case "live scrape mid-load" `Slow test_live_scrape;

@@ -1,11 +1,13 @@
 (* Cross-transport identity: the same seeded query must return
-   byte-identical results, the same S2 trace, the same channel totals
-   (Loopback vs Socket — both charge real encoded frames; Inproc charges
-   the closed forms, which the Wire tests pin to the same numbers) and
-   the same Obs op-counter totals whether S2 runs in-process (Inproc),
-   through the codec in-process (Loopback) or in a forked daemon over a
-   socketpair (Socket). For the socket run, S2-side counters live in the
-   daemon and come back via [Ctx.remote_stats]. *)
+   byte-identical results, the same channel totals (Loopback charges real
+   encoded frames; Inproc and Mux charge the closed forms, which the Wire
+   tests pin to the same numbers) and the same Obs op-counter totals
+   whether S2 runs in-process (Inproc), through the codec in-process
+   (Loopback) or in a forked daemon reached through the round scheduler
+   over a socketpair ([Sched.socket_backend] — the path serve-s1 takes to
+   serve-s2). The daemon counts its S2 ops on its side; they come back
+   through a Stats_req on the same connection after the scheduler
+   stops. *)
 
 open Bignum
 open Crypto
@@ -27,26 +29,85 @@ type outcome = {
   top : (Nat.t * Nat.t * Nat.t array) list;  (** raw (worst, best, seen) ciphertexts *)
   ids : string list;  (** decrypted result identities *)
   halting_depth : int;
-  trace : Trace.event list;
+  trace : Trace.event list option;  (** S2's trace, when S2 is in this process *)
   bytes : int;
   msgs : int;
   rounds : int;
   ops : (string * int) list;  (** client + S2 op counters, summed by name *)
 }
 
-let merge_ops a b =
+let ops_of (c : Obs.Collector.t) =
+  List.map
+    (fun (op, v) -> (Obs.Metrics.name op, v))
+    (Obs.Metrics.to_alist (Obs.Collector.metrics c))
+
+(* sum [a] and [sign]·[b] by name, dropping zeros *)
+let combine ?(sign = 1) a b =
   let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (name, v) ->
-      Hashtbl.replace tbl name (v + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
-    (a @ b);
+  let add s (name, v) =
+    Hashtbl.replace tbl name ((s * v) + Option.value ~default:0 (Hashtbl.find_opt tbl name))
+  in
+  List.iter (add 1) a;
+  List.iter (add sign) b;
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
   |> List.sort compare
-  |> List.filter (fun (_, v) -> v > 0)
+  |> List.filter (fun (_, v) -> v <> 0)
 
-(* run one seeded Fig. 3 query on a given transport; [pid] set when a
-   daemon child must be reaped afterwards *)
-let run_on ~variant (mode : Ctx.mode) (pid : int option) : outcome =
+let with_obs f =
+  let prev = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) f
+
+(* The framing keys, derived the way Server.start does: a separate
+   provisioning replay, so no query's generator is touched. *)
+let keys () =
+  let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits ~rand_bits () in
+  Transport.keys (Ctx.of_keys ~mode:Ctx.Inproc ctx_rng pub sk).Ctx.transport
+
+(* One daemon for the whole suite, forked before anything spawns a
+   domain: OCaml 5 refuses [Unix.fork] once the process has spawned one,
+   and a scheduler's shipper is a domain. *)
+let daemon_fd, daemon_pid = Transport.spawn_daemon hello
+
+let () =
+  at_exit (fun () ->
+      Unix.close daemon_fd;
+      ignore (Unix.waitpid [] daemon_pid))
+
+(* the daemon's cumulative op counters at the last scrape *)
+let daemon_seen = ref []
+
+(* Run one query [f] against the daemon under a fresh scheduler and a
+   fresh mux session on the shared connection. Once the scheduler has
+   stopped, a Stats_req on the same connection returns the daemon's
+   [op_*] counters; the result carries this query's share of them. *)
+let with_daemon f =
+  let sched = Sched.create ~backend:(Sched.socket_backend (keys ()) daemon_fd) () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Sched.stop sched)
+      (fun () ->
+        let session = Sched.open_query sched in
+        let r = f (Ctx.Mux (sched, session)) in
+        Sched.close_query sched session;
+        r)
+  in
+  let total = Obs.Registry.op_counters (Transport.stats daemon_fd) in
+  let mine = combine ~sign:(-1) total !daemon_seen in
+  daemon_seen := total;
+  (r, mine)
+
+(* Each Mux_open replays the client's provisioning on the daemon, under
+   the connection's collector: the keygen work of one [of_hello], which
+   the in-process paths pay outside any query collector. *)
+let replay_ops () =
+  with_obs (fun () ->
+      let c = Obs.Collector.create () in
+      Obs.with_collector c (fun () -> ignore (S2_server.of_hello hello));
+      ops_of c)
+
+(* run one seeded Fig. 3 query on a given transport *)
+let run_on ~variant (mode : Ctx.mode) : outcome =
   let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
   let ctx = Ctx.of_keys ~blind_bits:48 ~mode ctx_rng pub sk in
   let er, key = Sectopk.Scheme.encrypt ~s:4 data_rng pub fig3 in
@@ -55,21 +116,12 @@ let run_on ~variant (mode : Ctx.mode) (pid : int option) : outcome =
     Sectopk.Query.run ctx er tk { Sectopk.Query.default_options with variant }
   in
   (* identity must be checkable without S2 state: open results with the
-     provisioned secret key, as a socket-mode client would *)
+     provisioned secret key, as a remote-S2 client would *)
   let all_ids = List.init (Relation.n_rows fig3) (fun i -> Relation.object_id fig3 i) in
   let ids =
     List.map (fun (id, _, _) -> id) (Sectopk.Client.real_results ~sk ctx key ~ids:all_ids res)
   in
-  let trace = Ctx.trace_events ctx in
   let chan = Ctx.channel ctx in
-  let ops =
-    merge_ops
-      (List.map
-         (fun (op, v) -> (Obs.Metrics.name op, v))
-         (Obs.Metrics.to_alist (Obs.Collector.metrics ctx.Ctx.obs)))
-      (Ctx.remote_stats ctx)
-  in
-  (match pid with Some pid -> Transport.stop_daemon ctx.Ctx.transport pid | None -> ());
   {
     top =
       List.map
@@ -80,25 +132,19 @@ let run_on ~variant (mode : Ctx.mode) (pid : int option) : outcome =
         res.Sectopk.Query.top;
     ids;
     halting_depth = res.Sectopk.Query.halting_depth;
-    trace;
+    trace = (match mode with Ctx.Mux _ -> None | _ -> Some (Ctx.trace_events ctx));
     bytes = Channel.bytes_total chan;
     msgs = Channel.messages_total chan;
     rounds = Channel.rounds_total chan;
-    ops;
+    ops = combine (ops_of ctx.Ctx.obs) [];
   }
-
-let with_obs f =
-  let prev = Obs.is_enabled () in
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) f
 
 let run_all ~variant () =
   with_obs (fun () ->
-      let inproc = run_on ~variant Ctx.Inproc None in
-      let loopback = run_on ~variant Ctx.Loopback None in
-      let fd, pid = Transport.spawn_daemon hello in
-      let socket = run_on ~variant (Ctx.Socket_fd fd) (Some pid) in
-      (inproc, loopback, socket))
+      let inproc = run_on ~variant Ctx.Inproc in
+      let loopback = run_on ~variant Ctx.Loopback in
+      let daemon, daemon_ops = with_daemon (run_on ~variant) in
+      (inproc, loopback, daemon, daemon_ops))
 
 let nat_triple_eq (w1, b1, s1) (w2, b2, s2) =
   Nat.equal w1 w2 && Nat.equal b1 b2
@@ -110,41 +156,72 @@ let check_identical name (a : outcome) (b : outcome) =
   Alcotest.(check int) (name ^ ": halting depth") a.halting_depth b.halting_depth;
   Alcotest.(check bool) (name ^ ": ciphertexts byte-identical") true
     (List.length a.top = List.length b.top && List.for_all2 nat_triple_eq a.top b.top);
-  Alcotest.(check bool) (name ^ ": S2 trace identical") true (a.trace = b.trace);
   Alcotest.(check int) (name ^ ": bytes") a.bytes b.bytes;
   Alcotest.(check int) (name ^ ": messages") a.msgs b.msgs;
   Alcotest.(check int) (name ^ ": rounds") a.rounds b.rounds;
   Alcotest.(check (list (pair string int))) (name ^ ": obs op totals") a.ops b.ops
 
 let test_variant variant () =
-  let inproc, loopback, socket = run_all ~variant () in
-  Alcotest.(check bool) "trace non-trivial" true (List.length inproc.trace > 3);
+  let inproc, loopback, daemon, daemon_ops = run_all ~variant () in
+  let trace o = Option.value ~default:[] o.trace in
+  Alcotest.(check bool) "trace non-trivial" true (List.length (trace inproc) > 3);
   Alcotest.(check bool) "bytes non-trivial" true (inproc.bytes > 1000);
   check_identical "inproc vs loopback" inproc loopback;
-  check_identical "inproc vs socket" inproc socket
+  Alcotest.(check bool) "inproc vs loopback: S2 trace identical" true
+    (inproc.trace = loopback.trace);
+  (* the daemon's counters, less its one Mux_open replay, are exactly the
+     S2 share of the in-process totals *)
+  let s2_ops = combine ~sign:(-1) daemon_ops (replay_ops ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("daemon counted " ^ name) true (List.mem_assoc name s2_ops))
+    [ "paillier_decrypt"; "dj_decrypt" ];
+  check_identical "inproc vs daemon" inproc { daemon with ops = combine daemon.ops s2_ops }
 
-(* the daemon's S2 op counters must actually come from the other process *)
+(* the daemon's S2 op counters must actually come from the other process,
+   and arrive on the query's own connection *)
 let test_remote_stats () =
   with_obs (fun () ->
       let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits ~rand_bits () in
-      let fd, pid = Transport.spawn_daemon hello in
-      let ctx = Ctx.of_keys ~blind_bits:48 ~mode:(Ctx.Socket_fd fd) ctx_rng pub sk in
-      let a = Paillier.encrypt ctx.Ctx.s1.Ctx.rng pub (Nat.of_int 3) in
-      let b = Paillier.encrypt ctx.Ctx.s1.Ctx.rng pub (Nat.of_int 5) in
-      Alcotest.(check bool) "3 <= 5" true (Enc_compare.leq ctx a b);
-      let stats = Ctx.remote_stats ctx in
-      Alcotest.(check bool) "daemon counted decryptions" true
-        (List.exists (fun (name, v) -> name = "paillier_decrypt" && v > 0) stats);
-      (* local transports have no remote half *)
-      let local = Ctx.of_keys ~blind_bits:48 ~mode:Ctx.Inproc ctx_rng pub sk in
-      Alcotest.(check (list (pair string int))) "local remote_stats empty" []
-        (Ctx.remote_stats local);
-      Transport.stop_daemon ctx.Ctx.transport pid)
+      let client, daemon_ops =
+        with_daemon (fun mode ->
+            let ctx = Ctx.of_keys ~blind_bits:48 ~mode ctx_rng pub sk in
+            Obs.with_collector ctx.Ctx.obs (fun () ->
+                let a = Paillier.encrypt ctx.Ctx.s1.Ctx.rng pub (Nat.of_int 3) in
+                let b = Paillier.encrypt ctx.Ctx.s1.Ctx.rng pub (Nat.of_int 5) in
+                Alcotest.(check bool) "3 <= 5" true (Enc_compare.leq ctx a b));
+            ops_of ctx.Ctx.obs)
+      in
+      Alcotest.(check (option int)) "one Sign_of decrypted by the daemon" (Some 1)
+        (List.assoc_opt "paillier_decrypt" daemon_ops);
+      Alcotest.(check (option int)) "none decrypted by the client" (Some 0)
+        (List.assoc_opt "paillier_decrypt" client))
+
+(* A daemon's first frame is read before the peer has provisioned
+   anything: an oversized length prefix must end the connection from the
+   header alone. The socket is non-blocking, so a daemon that went on to
+   read the payload fails with EAGAIN instead of hanging the suite. *)
+let test_first_frame_cap () =
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close client;
+      Unix.close server)
+    (fun () ->
+      Unix.set_nonblock server;
+      ignore (Unix.write_substring client "\x3f\xff\xff\xff" 0 4);
+      Alcotest.(check bool) "rejected from the header" true
+        (try
+           S2_server.serve_fd server;
+           false
+         with Invalid_argument _ -> true))
 
 let suite =
   [ ( "identity",
       [ Alcotest.test_case "Qry_F inproc/loopback/socket" `Slow (test_variant Sectopk.Query.Full);
         Alcotest.test_case "Qry_E inproc/loopback/socket" `Slow (test_variant Sectopk.Query.Elim) ] );
-    ("daemon", [ Alcotest.test_case "remote stats" `Quick test_remote_stats ]) ]
+    ( "daemon",
+      [ Alcotest.test_case "remote stats" `Quick test_remote_stats;
+        Alcotest.test_case "oversized first frame" `Quick test_first_frame_cap ] ) ]
 
 let () = Alcotest.run "transport" suite

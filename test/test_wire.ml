@@ -1,7 +1,7 @@
 (* Wire codec property tests: every request/response/control constructor
    round-trips through encode/decode, the closed-form frame sizes
    ([Wire.request_bytes]/[response_bytes]) equal the encoded lengths the
-   Loopback/Socket transports charge, and malformed frames (truncated,
+   Loopback transport charges, and malformed frames (truncated,
    overlong, wrong magic/version/kind/tag, random mutations) always raise
    [Invalid_argument] — never any other exception, never a misparse of a
    valid frame into a different shape. *)
@@ -109,12 +109,7 @@ let response_samples : Wire.response list =
 let control_samples : Wire.control list =
   [ Wire.Hello { seed = "abc"; key_bits = 128; rand_bits = Some 96; obs = true };
     Wire.Hello { seed = ""; key_bits = 256; rand_bits = None; obs = false };
-    Wire.Fork { parent = 0; child = 7; label = "par:3" };
-    Wire.Join { parent = 0; child = 7 };
-    Wire.Get_trace;
-    Wire.Get_stats;
-    Wire.Stats_req;
-    Wire.Shutdown ]
+    Wire.Stats_req ]
 
 (* a registry snapshot with every metric kind, including fields past
    put_int's 30-bit cap (counter totals and histogram sums on a
@@ -144,13 +139,6 @@ let server_samples : Wire.server_msg list =
 
 let control_reply_samples : Wire.control_reply list =
   [ Wire.Ok_ctl;
-    Wire.Trace_events
-      [ Trace.Equality_bits { protocol = "SecWorst"; bits = [ true; false ] };
-        Trace.Dedup_matrix { protocol = "SecDedup"; size = 3; equal_pairs = [ (0, 2) ] };
-        Trace.Comparison { protocol = "EncCompare"; ordering = -1 };
-        Trace.Count { protocol = "SecFilter"; value = 4 } ];
-    Wire.Trace_events [];
-    Wire.Stats [ ("paillier_decrypt", 12); ("dj_decrypt", 3) ];
     Wire.Stats_resp snapshot_sample;
     Wire.Stats_resp [] ]
 
@@ -493,6 +481,29 @@ let test_garbage_safety =
           with Invalid_argument _ -> true)
         (decoders s))
 
+(* A 4-byte prefix announcing 0x3fffffff bytes must be refused from the
+   header alone: no payload buffer, no wait for bytes that never come.
+   The read end is non-blocking, so a reader that went on to the payload
+   fails with EAGAIN instead of hanging the suite. *)
+let test_oversized_prefix () =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      Unix.set_nonblock r;
+      ignore (Unix.write_substring w "\x3f\xff\xff\xff" 0 4);
+      let before = Gc.allocated_bytes () in
+      expect_invalid "0x3fffffff over a 64 KiB cap" (fun () -> Wire.read_frame ~max:65536 r);
+      Alcotest.(check bool) "no payload allocation" true
+        (Gc.allocated_bytes () -. before < 65536.);
+      (* a frame within the cap still reads *)
+      let frame = Wire.encode_control Wire.Stats_req in
+      Wire.write_frame w frame;
+      Alcotest.(check (option string)) "frame under the cap" (Some frame)
+        (Wire.read_frame ~max:(String.length frame) r))
+
 let suite =
   [ ( "roundtrip",
       [ Alcotest.test_case "requests" `Quick test_request_roundtrip;
@@ -508,6 +519,7 @@ let suite =
         Alcotest.test_case "nested batch" `Quick test_nested_batch;
         Alcotest.test_case "mux frames" `Quick test_mux_malformed;
         Alcotest.test_case "stats frames" `Quick test_stats_malformed;
+        Alcotest.test_case "oversized length prefix" `Quick test_oversized_prefix;
         QCheck_alcotest.to_alcotest test_mutation_safety;
         QCheck_alcotest.to_alcotest test_garbage_safety ] ) ]
 
