@@ -504,6 +504,39 @@ let test_oversized_prefix () =
       Alcotest.(check (option string)) "frame under the cap" (Some frame)
         (Wire.read_frame ~max:(String.length frame) r))
 
+(* Round trips pass for any self-consistent format, so the bytes are pinned
+   too: one SHA-256 over every sample frame (each length-prefixed) and
+   every closed-form size, compared to the digest of the reference codec.
+   A change here is a change of wire format. *)
+let golden_frames_sha256 = "99b5a6b0a89de95254d48be13f31922d141ca6c2820d99a2fb9f0b39167db929"
+
+let test_golden_frames () =
+  let h = Sha256.init () in
+  let add s =
+    Sha256.update h (Printf.sprintf "%d:" (String.length s));
+    Sha256.update h s
+  in
+  let size n = add (string_of_int n) in
+  List.iteri
+    (fun i (label, req) ->
+      add (Wire.encode_request keys ~session:(i * 3) ~label req);
+      size (Wire.request_bytes keys ~label req))
+    request_samples;
+  List.iter
+    (fun resp ->
+      add (Wire.encode_response keys resp);
+      size (Wire.response_bytes keys resp))
+    response_samples;
+  List.iter (fun c -> add (Wire.encode_control c)) control_samples;
+  List.iter (fun r -> add (Wire.encode_control_reply r)) control_reply_samples;
+  List.iter (fun c -> add (Wire.encode_client_msg c)) client_samples;
+  List.iter (fun m -> add (Wire.encode_server_msg keys m)) server_samples;
+  add (Wire.encode_mux keys mux_op_samples);
+  add (Wire.encode_mux_replies keys mux_reply_samples);
+  add (Wire.encode_mux keys []);
+  add (Wire.encode_mux_replies keys []);
+  Alcotest.(check string) "frame digest" golden_frames_sha256 (Sha256.hex (Sha256.finalize h))
+
 let suite =
   [ ( "roundtrip",
       [ Alcotest.test_case "requests" `Quick test_request_roundtrip;
@@ -511,7 +544,8 @@ let suite =
         Alcotest.test_case "controls" `Quick test_control_roundtrip;
         Alcotest.test_case "client/server msgs" `Quick test_client_server_roundtrip;
         Alcotest.test_case "mux frames" `Quick test_mux_roundtrip;
-        Alcotest.test_case "header constants" `Quick test_header_bytes ] );
+        Alcotest.test_case "header constants" `Quick test_header_bytes;
+        Alcotest.test_case "golden frame digest" `Quick test_golden_frames ] );
     ( "malformed",
       [ Alcotest.test_case "truncated" `Quick test_truncated;
         Alcotest.test_case "overlong" `Quick test_overlong;
