@@ -1,16 +1,5 @@
 open Crypto
 
-let magic = "STKW"
-let version = 1
-
-type keys = {
-  pub : Paillier.public;
-  djpub : Damgard_jurik.public;
-  own_pub : Paillier.public;
-}
-
-let keys_of ~pub ~djpub ~own_pub = { pub; djpub; own_pub }
-
 type dedup_mode = Replace | Eliminate
 
 type tuple = {
@@ -79,11 +68,16 @@ type mux_op =
   | Mux_req of { session : int; label : string; req : request }
 
 type mux_reply = Mux_ok | Mux_answer of response
-
 type hello = { seed : string; key_bits : int; rand_bits : int option; obs : bool }
-
 type control = Hello of hello | Stats_req
 type control_reply = Ok_ctl | Stats_resp of Obs.Registry.snapshot
+type client_msg = Query_req of { token : string }
+
+type server_msg =
+  | Server_hello of { n : int; m : int; s : int; key_bits : int }
+  | Query_resp of { top : Enc_item.scored list; halting_depth : int; halted : bool }
+  | Busy
+  | Server_error of string
 
 (* ---------------- pairwise index order for SecDedup ---------------- *)
 
@@ -96,960 +90,502 @@ let pair_indices l =
   done;
   Array.of_list !acc
 
-(* ---------------- primitive writers / readers ---------------- *)
+(* ---------------- codecs ----------------
 
-let put_int buf v =
-  if v < 0 || v > 0x3fffffff then invalid_arg "Wire: int out of range";
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-(* Telemetry fields (histogram sums, counter totals) outgrow [put_int]'s
-   30-bit cap on a long-lived server, so stats frames carry 8-byte
-   big-endian non-negative integers instead. *)
-let put_i64 buf v =
-  if v < 0 then invalid_arg "Wire: negative int64 field";
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((v lsr (56 - (8 * i))) land 0xff))
-  done
-
-let put_f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (56 - (8 * i))) 0xffL)))
-  done
-
-let put_nat_fixed buf ~width n =
-  let b = Bignum.Nat.to_bytes n in
-  if String.length b > width then invalid_arg "Wire: value wider than field";
-  Buffer.add_string buf (String.make (width - String.length b) '\000');
-  Buffer.add_string buf b
-
-let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
+   A codec describes one field type once: its encoder, its decoder, the
+   closed-form size of a value's encoding, and the smallest encoding of
+   any value of the type. Every frame below is assembled from these
+   primitives and combinators, so a frame's size cannot drift from its
+   encoder, and a collection's count is checked against count x smallest
+   element before any element is allocated. Integers are big-endian.
+   Checks run on decoding (the encoders trust their callers, except where
+   a value has no encoding); every failure raises [Invalid_argument]. *)
 
 type reader = { data : string; mutable pos : int }
 
-let need r n =
-  if n < 0 || r.pos + n > String.length r.data then invalid_arg "Wire: truncated input"
+type 'a codec = {
+  put : Buffer.t -> 'a -> unit;
+  get : reader -> 'a;
+  size : 'a -> int;
+  min : int;
+}
 
-let get_byte r =
-  need r 1;
-  let c = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
+let bad msg = invalid_arg ("Wire: " ^ msg)
+let need r n = if n < 0 || r.pos + n > String.length r.data then bad "truncated input"
 
-let get_int r =
-  need r 4;
-  let v =
-    (Char.code r.data.[r.pos] lsl 24)
-    lor (Char.code r.data.[r.pos + 1] lsl 16)
-    lor (Char.code r.data.[r.pos + 2] lsl 8)
-    lor Char.code r.data.[r.pos + 3]
+(* claim the next [n] bytes and return their offset *)
+let take r n =
+  need r n;
+  let p = r.pos in
+  r.pos <- p + n;
+  p
+
+let fixed n put get = { put; get; size = (fun _ -> n); min = n }
+
+let conv dec enc c =
+  {
+    put = (fun b v -> c.put b (enc v));
+    get = (fun r -> dec (c.get r));
+    size = (fun v -> c.size (enc v));
+    min = c.min;
+  }
+
+let check ok msg c =
+  {
+    c with
+    get =
+      (fun r ->
+        let v = c.get r in
+        if not (ok v) then bad msg;
+        v);
+  }
+
+let unit = fixed 0 (fun _ () -> ()) (fun _ -> ())
+let byte = fixed 1 Buffer.add_uint8 (fun r -> String.get_uint8 r.data (take r 1))
+
+let bool =
+  fixed 1
+    (fun b v -> Buffer.add_uint8 b (Bool.to_int v))
+    (fun r -> match byte.get r with 0 -> false | 1 -> true | _ -> bad "bad boolean")
+
+(* 30-bit non-negative: counts, sessions and small fields *)
+let int =
+  let ok v = v >= 0 && v <= 0x3fffffff in
+  fixed 4
+    (fun b v ->
+      if not (ok v) then bad "int out of range";
+      Buffer.add_int32_be b (Int32.of_int v))
+    (fun r ->
+      let v = Int32.to_int (String.get_int32_be r.data (take r 4)) in
+      if not (ok v) then bad "int out of range";
+      v)
+
+(* Telemetry integers (histogram sums, counter totals) outgrow [int]'s 30
+   bits on a long-lived server: 8 bytes, non-negative. *)
+let i64 =
+  fixed 8
+    (fun b v ->
+      if v < 0 then bad "negative int64 field";
+      Buffer.add_int64_be b (Int64.of_int v))
+    (fun r ->
+      let v = String.get_int64_be r.data (take r 8) in
+      if Int64.shift_right_logical v 62 <> 0L then bad "int64 field out of range";
+      Int64.to_int v)
+
+let f64 =
+  fixed 8
+    (fun b v -> Buffer.add_int64_be b (Int64.bits_of_float v))
+    (fun r ->
+      let v = Int64.float_of_bits (String.get_int64_be r.data (take r 8)) in
+      if Float.is_nan v then bad "NaN float field";
+      v)
+
+let string =
+  {
+    put =
+      (fun b s ->
+        int.put b (String.length s);
+        Buffer.add_string b s);
+    get =
+      (fun r ->
+        let n = int.get r in
+        String.sub r.data (take r n) n);
+    size = (fun s -> 4 + String.length s);
+    min = 4;
+  }
+
+(* a zero-padded fixed-width natural: a ciphertext under a known key *)
+let nat width of_nat to_nat =
+  fixed width
+    (fun b c ->
+      let s = Bignum.Nat.to_bytes (to_nat c) in
+      if String.length s > width then bad "value wider than field";
+      Buffer.add_string b (String.make (width - String.length s) '\000');
+      Buffer.add_string b s)
+    (fun r -> of_nat (Bignum.Nat.of_bytes (String.sub r.data (take r width) width)))
+
+let pair a b =
+  {
+    put =
+      (fun buf (x, y) ->
+        a.put buf x;
+        b.put buf y);
+    get =
+      (fun r ->
+        let x = a.get r in
+        (x, b.get r));
+    size = (fun (x, y) -> a.size x + b.size y);
+    min = a.min + b.min;
+  }
+
+let triple a b c =
+  conv (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z))) (pair a (pair b c))
+
+let quad a b c d =
+  conv
+    (fun ((w, x), (y, z)) -> (w, x, y, z))
+    (fun (w, x, y, z) -> ((w, x), (y, z)))
+    (pair (pair a b) (pair c d))
+
+(* A count, then the elements. The count is bounded by the bytes left
+   (every element takes at least [c.min]) and by [max] where the protocol
+   caps the collection, before the elements are read. *)
+let seq ~length ~iter ~fold ~init ?max c =
+  {
+    put =
+      (fun b v ->
+        int.put b (length v);
+        iter (c.put b) v);
+    get =
+      (fun r ->
+        let n = int.get r in
+        need r (n * Stdlib.max 1 c.min);
+        (match max with Some m when n > m -> bad "collection too large" | _ -> ());
+        init n (fun _ -> c.get r));
+    size = (fun v -> fold (fun acc x -> acc + c.size x) 4 v);
+    min = 4;
+  }
+
+let list ?max c =
+  seq ~length:List.length ~iter:List.iter ~fold:List.fold_left ~init:List.init ?max c
+
+let array ?max c =
+  seq ~length:Array.length ~iter:Array.iter ~fold:Array.fold_left ~init:Array.init ?max c
+
+let option c =
+  {
+    put =
+      (fun b v ->
+        bool.put b (Option.is_some v);
+        Option.iter (c.put b) v);
+    get = (fun r -> if bool.get r then Some (c.get r) else None);
+    size = (fun v -> 1 + Option.fold ~none:0 ~some:c.size v);
+    min = 1;
+  }
+
+(* One case of a tagged variant: its tag byte, its payload codec, and the
+   constructor with its inverse. *)
+type 'a case = Case : int * 'b codec * ('b -> 'a) * ('a -> 'b option) -> 'a case
+
+(* A tag byte naming the case, then [mid], then the case's payload. Frame
+   bodies carry their session (and requests their label) in [mid]. A value
+   that no case projects cannot be encoded and a tag that no case claims
+   cannot be decoded: that is how batches are kept from nesting. *)
+let tagged ~what mid cases =
+  let no_case () = bad ("no " ^ what ^ " tag for this value") in
+  let rec put b m v = function
+    | [] -> no_case ()
+    | Case (tag, c, _, proj) :: rest -> (
+      match proj v with
+      | Some x ->
+        byte.put b tag;
+        mid.put b m;
+        c.put b x
+      | None -> put b m v rest)
   in
-  r.pos <- r.pos + 4;
-  if v > 0x3fffffff then invalid_arg "Wire: int out of range";
+  let rec size m v = function
+    | [] -> no_case ()
+    | Case (_, c, _, proj) :: rest -> (
+      match proj v with Some x -> 1 + mid.size m + c.size x | None -> size m v rest)
+  in
+  let rec get tag r = function
+    | [] -> bad ("unknown " ^ what ^ " tag")
+    | Case (t, c, inj, _) :: rest -> if t = tag then inj (c.get r) else get tag r rest
+  in
+  let case_min acc (Case (_, c, _, _)) = Stdlib.min acc c.min in
+  {
+    put = (fun b (m, v) -> put b m v cases);
+    get =
+      (fun r ->
+        let tag = byte.get r in
+        let m = mid.get r in
+        (m, get tag r cases));
+    size = (fun (m, v) -> size m v cases);
+    min = 1 + mid.min + List.fold_left case_min max_int cases;
+  }
+
+let variant ~what cases = conv snd (fun v -> ((), v)) (tagged ~what unit cases)
+
+(* ---------------- frames ----------------
+
+   "STKW" | version | kind | tag | session (4 bytes), then the payload of
+   the tagged case; requests put a length-prefixed label naming the
+   protocol (for S2's trace and the bandwidth report) before it. Only
+   requests use the session field: other frames write 0 and ignore it. *)
+
+let magic = "STKW"
+let version = 1
+
+let header kind =
+  {
+    put =
+      (fun b () ->
+        Buffer.add_string b magic;
+        Buffer.add_uint8 b version;
+        Buffer.add_char b kind);
+    get =
+      (fun r ->
+        let p = take r 6 in
+        if String.sub r.data p 4 <> magic then bad "bad magic";
+        if String.get_uint8 r.data (p + 4) <> version then bad "unsupported version";
+        if r.data.[p + 5] <> kind then bad "unexpected frame kind");
+    size = (fun () -> 6);
+    min = 6;
+  }
+
+let frame kind ~what mid cases =
+  conv snd (fun v -> ((), v)) (pair (header kind) (tagged ~what mid cases))
+
+let no_session = conv ignore (fun () -> 0) int
+let one c = [ Case (1, c, Fun.id, Option.some) ]
+
+let encode c v =
+  let b = Buffer.create 1024 in
+  c.put b v;
+  Buffer.contents b
+
+let decode c what data =
+  let r = { data; pos = 0 } in
+  let v = c.get r in
+  if r.pos <> String.length data then bad ("trailing bytes in " ^ what);
   v
 
-let get_string r =
-  let len = get_int r in
-  need r len;
-  let s = String.sub r.data r.pos len in
-  r.pos <- r.pos + len;
-  s
-
-let get_i64 r =
-  need r 8;
-  if Char.code r.data.[r.pos] land 0x80 <> 0 then
-    invalid_arg "Wire: int64 field out of range";
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code r.data.[r.pos + i]
-  done;
-  r.pos <- r.pos + 8;
-  if !v < 0 then invalid_arg "Wire: int64 field out of range";
-  !v
-
-let get_f64 r =
-  need r 8;
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
-  r.pos <- r.pos + 8;
-  let v = Int64.float_of_bits !bits in
-  if Float.is_nan v then invalid_arg "Wire: NaN float field";
-  v
-
-let get_nat_fixed r ~width =
-  need r width;
-  let s = String.sub r.data r.pos width in
-  r.pos <- r.pos + width;
-  Bignum.Nat.of_bytes s
-
-let get_bool r =
-  match get_byte r with
-  | 0 -> false
-  | 1 -> true
-  | _ -> invalid_arg "Wire: bad boolean"
-
-(* [get_count] bounds a collection length by the bytes that remain: every
-   element occupies at least [item_width] bytes, so a hostile count cannot
-   trigger a giant allocation before the [need] checks fire. *)
-let get_count r ~item_width =
-  let n = get_int r in
-  need r (n * max 1 item_width);
-  n
-
-(* Every length-prefixed collection decodes through here: the count is
-   bounded by the remaining bytes (via [get_count]) and, when the protocol
-   caps the collection, by [max]; elements are then read in order. *)
-let read_list ?max r ~item_width get_item =
-  let n = get_count r ~item_width in
-  (match max with
-  | Some m when n > m -> invalid_arg "Wire: collection too large"
-  | _ -> ());
-  List.init n (fun _ -> get_item r)
-
-let read_array ?max r ~item_width get_item =
-  Array.of_list (read_list ?max r ~item_width get_item)
-
-(* ---------------- ciphertext fields ---------------- *)
-
-let ct_width keys = Paillier.ciphertext_bytes keys.pub
-let own_width keys = Paillier.ciphertext_bytes keys.own_pub
-let dj_width keys = Damgard_jurik.ciphertext_bytes keys.djpub
-
-let put_ct keys buf c = put_nat_fixed buf ~width:(ct_width keys) (Paillier.to_nat c)
-let put_own keys buf c = put_nat_fixed buf ~width:(own_width keys) (Paillier.to_nat c)
-let put_dj keys buf c = put_nat_fixed buf ~width:(dj_width keys) (Damgard_jurik.to_nat c)
-
-let get_ct keys r = Paillier.of_nat keys.pub (get_nat_fixed r ~width:(ct_width keys))
-let get_own keys r = Paillier.of_nat keys.own_pub (get_nat_fixed r ~width:(own_width keys))
-let get_dj keys r = Damgard_jurik.of_nat keys.djpub (get_nat_fixed r ~width:(dj_width keys))
-
-let put_ct_list keys buf cs =
-  put_int buf (List.length cs);
-  List.iter (put_ct keys buf) cs
-
-let get_ct_list keys r = read_list r ~item_width:(ct_width keys) (get_ct keys)
-
-let put_dj_list keys buf cs =
-  put_int buf (List.length cs);
-  List.iter (put_dj keys buf) cs
-
-let get_dj_list keys r = read_list r ~item_width:(dj_width keys) (get_dj keys)
-
-(* ---------------- compound payloads ---------------- *)
-
-let put_scored keys buf (s : Enc_item.scored) =
-  let cells = Ehl.Ehl_plus.cells s.ehl in
-  put_int buf (Array.length cells);
-  Array.iter (put_ct keys buf) cells;
-  put_ct keys buf s.worst;
-  put_ct keys buf s.best;
-  put_int buf (Array.length s.seen);
-  Array.iter (put_ct keys buf) s.seen
-
-let get_scored keys r : Enc_item.scored =
-  let w = ct_width keys in
-  let cells = read_array ~max:4096 r ~item_width:w (get_ct keys) in
-  if Array.length cells = 0 then invalid_arg "Wire: bad cell count";
-  let worst = get_ct keys r in
-  let best = get_ct keys r in
-  let seen = read_array ~max:4096 r ~item_width:w (get_ct keys) in
-  { ehl = Ehl.Ehl_plus.of_cells cells; worst; best; seen }
-
-let scored_size keys (s : Enc_item.scored) =
-  8 + ((Ehl.Ehl_plus.length s.ehl + 2 + Array.length s.seen) * ct_width keys)
-
-let put_pack keys buf (p : Enc_item.pack) =
-  put_int buf (Array.length p.alphas);
-  Array.iter (put_own keys buf) p.alphas;
-  put_own keys buf p.beta;
-  put_own keys buf p.gamma;
-  put_int buf (Array.length p.sigmas);
-  Array.iter (put_own keys buf) p.sigmas
-
-let get_pack keys r : Enc_item.pack =
-  let w = own_width keys in
-  let alphas = read_array ~max:4096 r ~item_width:w (get_own keys) in
-  if Array.length alphas = 0 then invalid_arg "Wire: bad alpha count";
-  let beta = get_own keys r in
-  let gamma = get_own keys r in
-  let sigmas = read_array ~max:4096 r ~item_width:w (get_own keys) in
-  { alphas; beta; gamma; sigmas }
-
-let pack_size keys (p : Enc_item.pack) =
-  8 + ((Array.length p.alphas + 2 + Array.length p.sigmas) * own_width keys)
-
-let put_tuple keys buf (t : tuple) =
-  put_ct keys buf t.score;
-  put_int buf (Array.length t.attrs);
-  Array.iter (put_ct keys buf) t.attrs;
-  put_int buf (List.length t.r_escrow);
-  List.iter (put_own keys buf) t.r_escrow;
-  put_int buf (Array.length t.a_escrow);
-  Array.iter (put_own keys buf) t.a_escrow
-
-let get_tuple keys r : tuple =
-  let score = get_ct keys r in
-  let attrs = read_array ~max:4096 r ~item_width:(ct_width keys) (get_ct keys) in
-  let r_escrow = read_list ~max:4096 r ~item_width:(own_width keys) (get_own keys) in
-  let a_escrow = read_array ~max:4096 r ~item_width:(own_width keys) (get_own keys) in
-  { score; attrs; r_escrow; a_escrow }
-
-let tuple_size keys (t : tuple) =
-  (ct_width keys * (1 + Array.length t.attrs))
-  + 12
-  + (own_width keys * (List.length t.r_escrow + Array.length t.a_escrow))
-
-(* ---------------- frame header ----------------
-
-   "STKW" | version | kind | tag | session (4 bytes); requests append a
-   length-prefixed label naming the protocol for S2's trace and the
-   bandwidth report. *)
-
-let kind_request = 'Q'
-let kind_response = 'P'
-let kind_control = 'C'
-let kind_control_reply = 'D'
-let kind_mux = 'M'
-let kind_mux_reply = 'N'
-
+(* header, tag and session *)
 let header_size = 11
-let request_header_bytes ~label = header_size + 4 + String.length label
+let request_header_bytes ~label = header_size + string.size label
 let response_header_bytes = header_size
 
-let put_header buf ~kind ~tag ~session =
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf kind;
-  Buffer.add_char buf (Char.chr tag);
-  put_int buf session
+(* ---------------- frames under the session keys ----------------
 
-let get_header r ~kind =
-  need r 4;
-  if String.sub r.data r.pos 4 <> magic then invalid_arg "Wire: bad magic";
-  r.pos <- r.pos + 4;
-  if get_byte r <> version then invalid_arg "Wire: unsupported version";
-  if get_byte r <> Char.code kind then invalid_arg "Wire: unexpected frame kind";
-  let tag = get_byte r in
-  let session = get_int r in
-  (tag, session)
+   Ciphertexts are fixed-width under the shared key, S1's escrow key or
+   the Damgård–Jurik key, so [keys_of] builds every keyed codec once. *)
 
-let finish r what =
-  if r.pos <> String.length r.data then invalid_arg ("Wire: trailing bytes in " ^ what)
+type keys = {
+  request : ((int * string) * request) codec;
+  response : (unit * response) codec;
+  mux : (unit * mux_op list) codec;
+  mux_replies : (unit * mux_reply list) codec;
+  server : (unit * server_msg) codec;
+}
 
-(* ---------------- request codec ---------------- *)
+let keys_of ~pub ~djpub ~own_pub =
+  let paillier pub = nat (Paillier.ciphertext_bytes pub) (Paillier.of_nat pub) Paillier.to_nat in
+  let ct = paillier pub and own = paillier own_pub in
+  let dj =
+    nat (Damgard_jurik.ciphertext_bytes djpub) (Damgard_jurik.of_nat djpub) Damgard_jurik.to_nat
+  in
+  let cts = list ct and capped c = array ~max:4096 c in
+  let nonempty what c = check (fun a -> Array.length a > 0) ("bad " ^ what ^ " count") (capped c) in
+  let scored =
+    conv
+      (fun (cells, worst, best, seen) ->
+        { Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; worst; best; seen })
+      (fun (s : Enc_item.scored) -> (Ehl.Ehl_plus.cells s.ehl, s.worst, s.best, s.seen))
+      (quad (nonempty "cell" ct) ct ct (capped ct))
+  in
+  let pack =
+    conv
+      (fun (alphas, beta, gamma, sigmas) -> { Enc_item.alphas; beta; gamma; sigmas })
+      (fun (p : Enc_item.pack) -> (p.alphas, p.beta, p.gamma, p.sigmas))
+      (quad (nonempty "alpha" own) own own (capped own))
+  in
+  let tuple =
+    conv
+      (fun (score, attrs, r_escrow, a_escrow) -> { score; attrs; r_escrow; a_escrow })
+      (fun t -> (t.score, t.attrs, t.r_escrow, t.a_escrow))
+      (quad ct (capped ct) (list ~max:4096 own) (capped own))
+  in
+  let items = list (pair scored pack) in
+  let mode = conv (fun e -> if e then Eliminate else Replace) (( = ) Eliminate) bool in
+  let bits = check (fun b -> b > 0 && b <= 4096) "bad bit width" int in
+  let requests =
+    [ Case (1, ct, (fun c -> Sign_of c), function Sign_of c -> Some c | _ -> None);
+      Case (2, cts, (fun l -> Equality l), function Equality l -> Some l | _ -> None);
+      Case (3, list cts, (fun l -> Conjunction l), function Conjunction l -> Some l | _ -> None);
+      Case (4, dj, (fun c -> Recover c), function Recover c -> Some c | _ -> None);
+      Case (5, cts, (fun l -> Lift l), function Lift l -> Some l | _ -> None);
+      Case (6, pair bits ct, (fun (bits, z) -> Dgk_low_bits { bits; z }),
+            function Dgk_low_bits { bits; z } -> Some (bits, z) | _ -> None);
+      Case (7, cts, (fun l -> Zero_any l), function Zero_any l -> Some l | _ -> None);
+      Case (8, ct, (fun c -> Zero_test c), function Zero_test c -> Some c | _ -> None);
+      Case (9, pair ct ct, (fun (a, b) -> Mult (a, b)),
+            function Mult (a, b) -> Some (a, b) | _ -> None);
+      Case (10, ct, (fun c -> Lsb c), function Lsb c -> Some c | _ -> None);
+      Case (11, triple mode cts items, (fun (mode, diffs, items) -> Dedup { mode; diffs; items }),
+            function Dedup { mode; diffs; items } -> Some (mode, diffs, items) | _ -> None);
+      Case (12, list dj, (fun l -> Dup_flags l), function Dup_flags l -> Some l | _ -> None);
+      Case (13, pair cts (list scored), (fun (keys, items) -> Sort_items { keys; items }),
+            function Sort_items { keys; items } -> Some (keys, items) | _ -> None);
+      Case (14, quad bool (pair ct ct) scored scored,
+            (fun (descending, (kx, ky), x, y) -> Sort_gate { descending; kx; ky; x; y }),
+            function Sort_gate g -> Some (g.descending, (g.kx, g.ky), g.x, g.y) | _ -> None);
+      Case (15, list tuple, (fun l -> Filter l), function Filter l -> Some l | _ -> None);
+      Case (16, list (triple ct ct (capped ct)), (fun l -> Rank_tuples l),
+            function Rank_tuples l -> Some l | _ -> None);
+      Case (17, cts, (fun l -> Rank_keys l), function Rank_keys l -> Some l | _ -> None);
+      Case (18, cts, (fun l -> Zero_slot l), function Zero_slot l -> Some l | _ -> None) ]
+  in
+  let batch = variant ~what:"batched request" requests in
+  let requests =
+    requests @ [ Case (19, list batch, (fun l -> Batch l), function Batch l -> Some l | _ -> None) ]
+  in
+  let sign =
+    conv (fun b -> b - 1)
+      (fun s -> if s < -1 || s > 1 then bad "bad sign" else s + 1)
+      (check (fun b -> b <= 2) "bad sign" byte)
+  in
+  let responses =
+    [ Case (1, sign, (fun s -> Sign s), function Sign s -> Some s | _ -> None);
+      Case (2, list dj, (fun l -> Bits2 l), function Bits2 l -> Some l | _ -> None);
+      Case (3, ct, (fun c -> Ct c), function Ct c -> Some c | _ -> None);
+      Case (4, pair cts bool, (fun (bit_cts, parity) -> Dgk_bits { bit_cts; parity }),
+            function Dgk_bits { bit_cts; parity } -> Some (bit_cts, parity) | _ -> None);
+      Case (5, bool, (fun b -> Bit b), function Bit b -> Some b | _ -> None);
+      Case (6, list bool, (fun l -> Flags l), function Flags l -> Some l | _ -> None);
+      Case (7, items, (fun l -> Items l), function Items l -> Some l | _ -> None);
+      Case (8, list scored, (fun l -> Sorted l), function Sorted l -> Some l | _ -> None);
+      Case (9, pair scored scored, (fun (x, y) -> Pair (x, y)),
+            function Pair (x, y) -> Some (x, y) | _ -> None);
+      Case (10, list tuple, (fun l -> Tuples l), function Tuples l -> Some l | _ -> None);
+      Case (11, list (pair ct (capped ct)), (fun l -> Ranked l),
+            function Ranked l -> Some l | _ -> None);
+      Case (12, list int, (fun l -> Indices l), function Indices l -> Some l | _ -> None);
+      Case (13, option int, (fun s -> Slot s), function Slot s -> Some s | _ -> None) ]
+  in
+  let batch = variant ~what:"batched response" responses in
+  let responses =
+    responses
+    @ [ Case (14, list batch, (fun l -> Batch_resp l),
+              function Batch_resp l -> Some l | _ -> None) ]
+  in
+  let mux_op =
+    variant ~what:"mux op"
+      [ Case (1, int, (fun session -> Mux_open { session }),
+              function Mux_open { session } -> Some session | _ -> None);
+        Case (2, int, (fun session -> Mux_close { session }),
+              function Mux_close { session } -> Some session | _ -> None);
+        Case (3, triple int int string,
+              (fun (parent, child, label) -> Mux_fork { parent; child; label }),
+              function Mux_fork f -> Some (f.parent, f.child, f.label) | _ -> None);
+        Case (4, pair int int, (fun (parent, child) -> Mux_join { parent; child }),
+              function Mux_join { parent; child } -> Some (parent, child) | _ -> None);
+        Case (5, triple int string (variant ~what:"request" requests),
+              (fun (session, label, req) -> Mux_req { session; label; req }),
+              function Mux_req { session; label; req } -> Some (session, label, req) | _ -> None) ]
+  in
+  let mux_reply =
+    variant ~what:"mux reply"
+      [ Case (1, unit, (fun () -> Mux_ok), function Mux_ok -> Some () | _ -> None);
+        Case (2, variant ~what:"response" responses, (fun r -> Mux_answer r),
+              function Mux_answer r -> Some r | _ -> None) ]
+  in
+  let hello_ok (n, m, s, key_bits) =
+    n > 0 && m > 0 && s > 0 && s <= 64 && key_bits > 0 && key_bits <= 65536
+  in
+  let server =
+    [ Case (1, check hello_ok "bad hello" (quad int int int int),
+            (fun (n, m, s, key_bits) -> Server_hello { n; m; s; key_bits }),
+            function Server_hello { n; m; s; key_bits } -> Some (n, m, s, key_bits) | _ -> None);
+      Case (2, triple int bool (list ~max:4096 scored),
+            (fun (halting_depth, halted, top) -> Query_resp { top; halting_depth; halted }),
+            function Query_resp r -> Some (r.halting_depth, r.halted, r.top) | _ -> None);
+      Case (3, unit, (fun () -> Busy), function Busy -> Some () | _ -> None);
+      Case (4, string, (fun e -> Server_error e), function Server_error e -> Some e | _ -> None) ]
+  in
+  {
+    request = frame 'Q' ~what:"request" (pair int string) requests;
+    response = frame 'P' ~what:"response" no_session responses;
+    mux = frame 'M' ~what:"mux" no_session (one (list mux_op));
+    mux_replies = frame 'N' ~what:"mux replies" no_session (one (list mux_reply));
+    server = frame 'V' ~what:"server" no_session server;
+  }
 
-(* smallest possible serialized [scored]: 1 cell, empty seen vector *)
-let scored_min keys = 8 + (3 * ct_width keys)
-
-let request_tag = function
-  | Sign_of _ -> 1
-  | Equality _ -> 2
-  | Conjunction _ -> 3
-  | Recover _ -> 4
-  | Lift _ -> 5
-  | Dgk_low_bits _ -> 6
-  | Zero_any _ -> 7
-  | Zero_test _ -> 8
-  | Mult _ -> 9
-  | Lsb _ -> 10
-  | Dedup _ -> 11
-  | Dup_flags _ -> 12
-  | Sort_items _ -> 13
-  | Sort_gate _ -> 14
-  | Filter _ -> 15
-  | Rank_tuples _ -> 16
-  | Rank_keys _ -> 17
-  | Zero_slot _ -> 18
-  | Batch _ -> 19
-
-let batch_request_tag = 19
-
-(* A batch element is 1 tag byte plus its payload; the smallest payload is
-   an empty ciphertext list's 4-byte count. *)
-let batch_item_min = 5
-
-let rec put_request_payload keys buf req =
-  match req with
-  | Sign_of c | Zero_test c | Lsb c -> put_ct keys buf c
-  | Equality cs | Lift cs | Zero_any cs | Rank_keys cs | Zero_slot cs ->
-    put_ct_list keys buf cs
-  | Conjunction groups ->
-    put_int buf (List.length groups);
-    List.iter (put_ct_list keys buf) groups
-  | Recover c -> put_dj keys buf c
-  | Dgk_low_bits { bits; z } ->
-    put_int buf bits;
-    put_ct keys buf z
-  | Mult (a, b) ->
-    put_ct keys buf a;
-    put_ct keys buf b
-  | Dedup { mode; diffs; items } ->
-    put_bool buf (mode = Eliminate);
-    put_ct_list keys buf diffs;
-    put_int buf (List.length items);
-    List.iter
-      (fun (it, pk) ->
-        put_scored keys buf it;
-        put_pack keys buf pk)
-      items
-  | Dup_flags cs -> put_dj_list keys buf cs
-  | Sort_items { keys = ks; items } ->
-    put_ct_list keys buf ks;
-    put_int buf (List.length items);
-    List.iter (put_scored keys buf) items
-  | Sort_gate { descending; kx; ky; x; y } ->
-    put_bool buf descending;
-    put_ct keys buf kx;
-    put_ct keys buf ky;
-    put_scored keys buf x;
-    put_scored keys buf y
-  | Filter tuples ->
-    put_int buf (List.length tuples);
-    List.iter (put_tuple keys buf) tuples
-  | Rank_tuples rows ->
-    put_int buf (List.length rows);
-    List.iter
-      (fun (key, score, attrs) ->
-        put_ct keys buf key;
-        put_ct keys buf score;
-        put_int buf (Array.length attrs);
-        Array.iter (put_ct keys buf) attrs)
-      rows
-  | Batch reqs ->
-    put_int buf (List.length reqs);
-    List.iter
-      (fun el ->
-        (match el with Batch _ -> invalid_arg "Wire: nested batch" | _ -> ());
-        Buffer.add_char buf (Char.chr (request_tag el));
-        put_request_payload keys buf el)
-      reqs
-
-let encode_request keys ~session ~label req =
-  let buf = Buffer.create 1024 in
-  put_header buf ~kind:kind_request ~tag:(request_tag req) ~session;
-  put_string buf label;
-  put_request_payload keys buf req;
-  Buffer.contents buf
-
-let get_request_payload keys r ~tag =
-  let w = ct_width keys in
-  match tag with
-  | 1 -> Sign_of (get_ct keys r)
-  | 2 -> Equality (get_ct_list keys r)
-  | 3 -> Conjunction (read_list r ~item_width:4 (get_ct_list keys))
-  | 4 -> Recover (get_dj keys r)
-  | 5 -> Lift (get_ct_list keys r)
-  | 6 ->
-    let bits = get_int r in
-    if bits <= 0 || bits > 4096 then invalid_arg "Wire: bad bit width";
-    Dgk_low_bits { bits; z = get_ct keys r }
-  | 7 -> Zero_any (get_ct_list keys r)
-  | 8 -> Zero_test (get_ct keys r)
-  | 9 ->
-    let a = get_ct keys r in
-    let b = get_ct keys r in
-    Mult (a, b)
-  | 10 -> Lsb (get_ct keys r)
-  | 11 ->
-    let mode = if get_bool r then Eliminate else Replace in
-    let diffs = get_ct_list keys r in
-    let items =
-      read_list r ~item_width:(scored_min keys) (fun r ->
-          let it = get_scored keys r in
-          let pk = get_pack keys r in
-          (it, pk))
-    in
-    Dedup { mode; diffs; items }
-  | 12 -> Dup_flags (get_dj_list keys r)
-  | 13 ->
-    let ks = get_ct_list keys r in
-    let items = read_list r ~item_width:(scored_min keys) (get_scored keys) in
-    Sort_items { keys = ks; items }
-  | 14 ->
-    let descending = get_bool r in
-    let kx = get_ct keys r in
-    let ky = get_ct keys r in
-    let x = get_scored keys r in
-    let y = get_scored keys r in
-    Sort_gate { descending; kx; ky; x; y }
-  | 15 -> Filter (read_list r ~item_width:(w + 12) (get_tuple keys))
-  | 16 ->
-    Rank_tuples
-      (read_list r ~item_width:((2 * w) + 4) (fun r ->
-           let key = get_ct keys r in
-           let score = get_ct keys r in
-           let attrs = read_array ~max:4096 r ~item_width:w (get_ct keys) in
-           (key, score, attrs)))
-  | 17 -> Rank_keys (get_ct_list keys r)
-  | 18 -> Zero_slot (get_ct_list keys r)
-  | _ -> invalid_arg "Wire: unknown request tag"
+let encode_request keys ~session ~label req = encode keys.request ((session, label), req)
 
 let decode_request keys data =
-  let r = { data; pos = 0 } in
-  let tag, session = get_header r ~kind:kind_request in
-  let label = get_string r in
-  let req =
-    if tag = batch_request_tag then
-      Batch
-        (read_list r ~item_width:batch_item_min (fun r ->
-             let t = get_byte r in
-             if t = batch_request_tag then invalid_arg "Wire: nested batch";
-             get_request_payload keys r ~tag:t))
-    else get_request_payload keys r ~tag
-  in
-  finish r "request";
+  let (session, label), req = decode keys.request "request" data in
   (session, label, req)
 
-(* ---------------- response codec ---------------- *)
+let encode_response keys resp = encode keys.response ((), resp)
+let decode_response keys data = snd (decode keys.response "response" data)
+let encode_mux keys ops = encode keys.mux ((), ops)
+let decode_mux keys data = snd (decode keys.mux "mux frame" data)
+let encode_mux_replies keys replies = encode keys.mux_replies ((), replies)
+let decode_mux_replies keys data = snd (decode keys.mux_replies "mux replies" data)
+let encode_server_msg keys msg = encode keys.server ((), msg)
+let decode_server_msg keys data = snd (decode keys.server "server message" data)
 
-let response_tag = function
-  | Sign _ -> 1
-  | Bits2 _ -> 2
-  | Ct _ -> 3
-  | Dgk_bits _ -> 4
-  | Bit _ -> 5
-  | Flags _ -> 6
-  | Items _ -> 7
-  | Sorted _ -> 8
-  | Pair _ -> 9
-  | Tuples _ -> 10
-  | Ranked _ -> 11
-  | Indices _ -> 12
-  | Slot _ -> 13
-  | Batch_resp _ -> 14
+(* Exactly [String.length (encode_* ...)]: the Inproc and Mux transports
+   charge these without materialising the frame. *)
+let request_bytes keys ~label req = keys.request.size ((0, label), req)
+let response_bytes keys resp = keys.response.size ((), resp)
 
-let batch_response_tag = 14
+(* ---------------- key-less frames ----------------
 
-(* 1 tag byte + the 1-byte Sign/Bit payload *)
-let batch_resp_item_min = 2
+   Provisioning, telemetry and the client's query frames need no key
+   material. Control frames stay outside the protocol's bandwidth
+   accounting (the paper's cost model has no analogue of them). Control
+   tags 2-6 and control reply tags 2-3 are retired: reusing one would
+   misparse an older peer. *)
 
-let rec put_response_payload keys buf resp =
-  match resp with
-  | Sign s ->
-    if s < -1 || s > 1 then invalid_arg "Wire: bad sign";
-    Buffer.add_char buf (Char.chr (s + 1))
-  | Bits2 cs -> put_dj_list keys buf cs
-  | Ct c -> put_ct keys buf c
-  | Dgk_bits { bit_cts; parity } ->
-    put_ct_list keys buf bit_cts;
-    put_bool buf parity
-  | Bit b -> put_bool buf b
-  | Flags bs ->
-    put_int buf (List.length bs);
-    List.iter (put_bool buf) bs
-  | Items items ->
-    put_int buf (List.length items);
-    List.iter
-      (fun (it, pk) ->
-        put_scored keys buf it;
-        put_pack keys buf pk)
-      items
-  | Sorted items ->
-    put_int buf (List.length items);
-    List.iter (put_scored keys buf) items
-  | Pair (x, y) ->
-    put_scored keys buf x;
-    put_scored keys buf y
-  | Tuples tuples ->
-    put_int buf (List.length tuples);
-    List.iter (put_tuple keys buf) tuples
-  | Ranked rows ->
-    put_int buf (List.length rows);
-    List.iter
-      (fun (score, attrs) ->
-        put_ct keys buf score;
-        put_int buf (Array.length attrs);
-        Array.iter (put_ct keys buf) attrs)
-      rows
-  | Indices is ->
-    put_int buf (List.length is);
-    List.iter (put_int buf) is
-  | Slot s -> (
-    match s with
-    | None -> put_bool buf false
-    | Some i ->
-      put_bool buf true;
-      put_int buf i)
-  | Batch_resp resps ->
-    put_int buf (List.length resps);
-    List.iter
-      (fun el ->
-        (match el with Batch_resp _ -> invalid_arg "Wire: nested batch" | _ -> ());
-        Buffer.add_char buf (Char.chr (response_tag el));
-        put_response_payload keys buf el)
-      resps
+let hello =
+  conv
+    (fun (seed, key_bits, rand_bits, obs) -> { seed; key_bits; rand_bits; obs })
+    (fun h -> (h.seed, h.key_bits, h.rand_bits, h.obs))
+    (quad string int (option int) bool)
 
-let encode_response keys resp =
-  let buf = Buffer.create 1024 in
-  put_header buf ~kind:kind_response ~tag:(response_tag resp) ~session:0;
-  put_response_payload keys buf resp;
-  Buffer.contents buf
+let control =
+  frame 'C' ~what:"control" no_session
+    [ Case (1, hello, (fun h -> Hello h), function Hello h -> Some h | _ -> None);
+      Case (7, unit, (fun () -> Stats_req), function Stats_req -> Some () | _ -> None) ]
 
-let get_response_payload keys r ~tag =
-  let w = ct_width keys in
-  match tag with
-  | 1 -> (
-    match get_byte r with
-    | 0 -> Sign (-1)
-    | 1 -> Sign 0
-    | 2 -> Sign 1
-    | _ -> invalid_arg "Wire: bad sign")
-  | 2 -> Bits2 (get_dj_list keys r)
-  | 3 -> Ct (get_ct keys r)
-  | 4 ->
-    let bit_cts = get_ct_list keys r in
-    let parity = get_bool r in
-    Dgk_bits { bit_cts; parity }
-  | 5 -> Bit (get_bool r)
-  | 6 -> Flags (read_list r ~item_width:1 get_bool)
-  | 7 ->
-    Items
-      (read_list r ~item_width:(scored_min keys) (fun r ->
-           let it = get_scored keys r in
-           let pk = get_pack keys r in
-           (it, pk)))
-  | 8 -> Sorted (read_list r ~item_width:(scored_min keys) (get_scored keys))
-  | 9 ->
-    let x = get_scored keys r in
-    let y = get_scored keys r in
-    Pair (x, y)
-  | 10 -> Tuples (read_list r ~item_width:(w + 12) (get_tuple keys))
-  | 11 ->
-    Ranked
-      (read_list r ~item_width:(w + 4) (fun r ->
-           let score = get_ct keys r in
-           let attrs = read_array ~max:4096 r ~item_width:w (get_ct keys) in
-           (score, attrs)))
-  | 12 -> Indices (read_list r ~item_width:4 get_int)
-  | 13 -> if get_bool r then Slot (Some (get_int r)) else Slot None
-  | _ -> invalid_arg "Wire: unknown response tag"
+(* A registry snapshot: count-prefixed (name, metric) entries whose
+   integers travel as [i64]. The decoder re-checks what the registry
+   guarantees of a histogram. *)
+let histogram =
+  conv
+    (fun ((hcount, hsum, hmin, hmax), hbuckets) ->
+      { Obs.Registry.hcount; hsum; hmin; hmax; hbuckets })
+    (fun (d : Obs.Registry.histdata) -> ((d.hcount, d.hsum, d.hmin, d.hmax), d.hbuckets))
+    (pair (quad i64 i64 i64 i64) (list (pair i64 i64)))
+  |> check (fun (d : Obs.Registry.histdata) -> d.hcount = 0 || d.hmin <= d.hmax)
+       "histogram min above max"
+  |> check
+       (fun (d : Obs.Registry.histdata) ->
+         d.hcount = List.fold_left (fun acc (_, n) -> acc + n) 0 d.hbuckets)
+       "histogram count disagrees with buckets"
 
-let decode_response keys data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_response in
-  let resp =
-    if tag = batch_response_tag then
-      Batch_resp
-        (read_list r ~item_width:batch_resp_item_min (fun r ->
-             let t = get_byte r in
-             if t = batch_response_tag then invalid_arg "Wire: nested batch";
-             get_response_payload keys r ~tag:t))
-    else get_response_payload keys r ~tag
-  in
-  finish r "response";
-  resp
+let metric : Obs.Registry.metric codec =
+  variant ~what:"metric kind"
+    [ Case (1, i64, (fun v -> Obs.Registry.Counter v), function Counter v -> Some v | _ -> None);
+      Case (2, f64, (fun v -> Obs.Registry.Gauge v), function Gauge v -> Some v | _ -> None);
+      Case (3, histogram, (fun d -> Obs.Registry.Histogram d), function
+        | Histogram d -> Some d
+        | _ -> None) ]
 
-(* ---------------- multiplex codec ----------------
-
-   One frame carrying correlation-tagged ops from many concurrent
-   queries (the round scheduler's merged trip), answered by one frame of
-   element-wise replies in op order. The header session field is unused
-   (each op carries its own session); op/reply tags, counts and payloads
-   are validated exactly like every other codec path, and the reply
-   decoder re-applies the nested-batch rule. *)
-
-let mux_op_tag = function
-  | Mux_open _ -> 1
-  | Mux_close _ -> 2
-  | Mux_fork _ -> 3
-  | Mux_join _ -> 4
-  | Mux_req _ -> 5
-
-(* smallest op: 1 tag byte + a 4-byte session *)
-let mux_op_min = 5
-
-let encode_mux keys ops =
-  let buf = Buffer.create 1024 in
-  put_header buf ~kind:kind_mux ~tag:1 ~session:0;
-  put_int buf (List.length ops);
-  List.iter
-    (fun op ->
-      Buffer.add_char buf (Char.chr (mux_op_tag op));
-      match op with
-      | Mux_open { session } | Mux_close { session } -> put_int buf session
-      | Mux_fork { parent; child; label } ->
-        put_int buf parent;
-        put_int buf child;
-        put_string buf label
-      | Mux_join { parent; child } ->
-        put_int buf parent;
-        put_int buf child
-      | Mux_req { session; label; req } ->
-        put_int buf session;
-        put_string buf label;
-        Buffer.add_char buf (Char.chr (request_tag req));
-        put_request_payload keys buf req)
-    ops;
-  Buffer.contents buf
-
-let decode_mux keys data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_mux in
-  if tag <> 1 then invalid_arg "Wire: unknown mux tag";
-  let ops =
-    read_list r ~item_width:mux_op_min (fun r ->
-        match get_byte r with
-        | 1 -> Mux_open { session = get_int r }
-        | 2 -> Mux_close { session = get_int r }
-        | 3 ->
-          let parent = get_int r in
-          let child = get_int r in
-          let label = get_string r in
-          Mux_fork { parent; child; label }
-        | 4 ->
-          let parent = get_int r in
-          let child = get_int r in
-          Mux_join { parent; child }
-        | 5 ->
-          let session = get_int r in
-          let label = get_string r in
-          let t = get_byte r in
-          let req =
-            if t = batch_request_tag then
-              Batch
-                (read_list r ~item_width:batch_item_min (fun r ->
-                     let t = get_byte r in
-                     if t = batch_request_tag then invalid_arg "Wire: nested batch";
-                     get_request_payload keys r ~tag:t))
-            else get_request_payload keys r ~tag:t
-          in
-          Mux_req { session; label; req }
-        | _ -> invalid_arg "Wire: unknown mux op tag")
-  in
-  finish r "mux frame";
-  ops
-
-let encode_mux_replies keys replies =
-  let buf = Buffer.create 1024 in
-  put_header buf ~kind:kind_mux_reply ~tag:1 ~session:0;
-  put_int buf (List.length replies);
-  List.iter
-    (fun reply ->
-      match reply with
-      | Mux_ok -> Buffer.add_char buf '\001'
-      | Mux_answer resp ->
-        Buffer.add_char buf '\002';
-        Buffer.add_char buf (Char.chr (response_tag resp));
-        put_response_payload keys buf resp)
-    replies;
-  Buffer.contents buf
-
-let decode_mux_replies keys data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_mux_reply in
-  if tag <> 1 then invalid_arg "Wire: unknown mux reply tag";
-  let replies =
-    read_list r ~item_width:1 (fun r ->
-        match get_byte r with
-        | 1 -> Mux_ok
-        | 2 ->
-          let t = get_byte r in
-          let resp =
-            if t = batch_response_tag then
-              Batch_resp
-                (read_list r ~item_width:batch_resp_item_min (fun r ->
-                     let t = get_byte r in
-                     if t = batch_response_tag then invalid_arg "Wire: nested batch";
-                     get_response_payload keys r ~tag:t))
-            else get_response_payload keys r ~tag:t
-          in
-          Mux_answer resp
-        | _ -> invalid_arg "Wire: unknown mux reply kind")
-  in
-  finish r "mux replies";
-  replies
-
-(* ---------------- closed-form frame sizes ----------------
-
-   Exactly [String.length (encode_* ...)], asserted by the property tests:
-   the Inproc transport charges these without materialising the frame. *)
-
-let rec request_payload_bytes keys req =
-  let w = ct_width keys and d = dj_width keys in
-  match req with
-  | Sign_of _ | Zero_test _ | Lsb _ -> w
-  | Equality cs | Lift cs | Zero_any cs | Rank_keys cs | Zero_slot cs ->
-    4 + (List.length cs * w)
-  | Conjunction groups ->
-    4 + List.fold_left (fun acc g -> acc + 4 + (List.length g * w)) 0 groups
-  | Recover _ -> d
-  | Dgk_low_bits _ -> 4 + w
-  | Mult _ -> 2 * w
-  | Dedup { diffs; items; _ } ->
-    1
-    + (4 + (List.length diffs * w))
-    + 4
-    + List.fold_left
-        (fun acc (it, pk) -> acc + scored_size keys it + pack_size keys pk)
-        0 items
-  | Dup_flags cs -> 4 + (List.length cs * d)
-  | Sort_items { keys = ks; items } ->
-    4
-    + (List.length ks * w)
-    + 4
-    + List.fold_left (fun acc it -> acc + scored_size keys it) 0 items
-  | Sort_gate { x; y; _ } -> 1 + (2 * w) + scored_size keys x + scored_size keys y
-  | Filter tuples ->
-    4 + List.fold_left (fun acc t -> acc + tuple_size keys t) 0 tuples
-  | Rank_tuples rows ->
-    4
-    + List.fold_left
-        (fun acc (_, _, attrs) -> acc + (2 * w) + 4 + (Array.length attrs * w))
-        0 rows
-  | Batch reqs ->
-    4 + List.fold_left (fun acc el -> acc + 1 + request_payload_bytes keys el) 0 reqs
-
-let request_bytes keys ~label req =
-  request_header_bytes ~label + request_payload_bytes keys req
-
-let rec response_payload_bytes keys resp =
-  let w = ct_width keys and d = dj_width keys in
-  match resp with
-  | Sign _ | Bit _ -> 1
-  | Bits2 cs -> 4 + (List.length cs * d)
-  | Ct _ -> w
-  | Dgk_bits { bit_cts; _ } -> 4 + (List.length bit_cts * w) + 1
-  | Flags bs -> 4 + List.length bs
-  | Items items ->
-    4
-    + List.fold_left
-        (fun acc (it, pk) -> acc + scored_size keys it + pack_size keys pk)
-        0 items
-  | Sorted items -> 4 + List.fold_left (fun acc it -> acc + scored_size keys it) 0 items
-  | Pair (x, y) -> scored_size keys x + scored_size keys y
-  | Tuples tuples -> 4 + List.fold_left (fun acc t -> acc + tuple_size keys t) 0 tuples
-  | Ranked rows ->
-    4
-    + List.fold_left (fun acc (_, attrs) -> acc + w + 4 + (Array.length attrs * w)) 0 rows
-  | Indices is -> 4 + (4 * List.length is)
-  | Slot None -> 1
-  | Slot (Some _) -> 5
-  | Batch_resp resps ->
-    4 + List.fold_left (fun acc el -> acc + 1 + response_payload_bytes keys el) 0 resps
-
-let response_bytes keys resp = response_header_bytes + response_payload_bytes keys resp
-
-(* ---------------- control codec ----------------
-
-   Provisioning and telemetry frames: never part of the protocol
-   bandwidth accounting (the paper's cost model has no analogue of them). *)
-
-let encode_control ctl =
-  let buf = Buffer.create 64 in
-  (* tags 2-6 are retired: reusing one would misparse an older peer *)
-  let tag = match ctl with Hello _ -> 1 | Stats_req -> 7 in
-  put_header buf ~kind:kind_control ~tag ~session:0;
-  (match ctl with
-  | Hello { seed; key_bits; rand_bits; obs } ->
-    put_string buf seed;
-    put_int buf key_bits;
-    (match rand_bits with
-    | None -> put_bool buf false
-    | Some b ->
-      put_bool buf true;
-      put_int buf b);
-    put_bool buf obs
-  | Stats_req -> ());
-  Buffer.contents buf
-
-let decode_control data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_control in
-  let ctl =
-    match tag with
-    | 1 ->
-      let seed = get_string r in
-      let key_bits = get_int r in
-      let rand_bits = if get_bool r then Some (get_int r) else None in
-      let obs = get_bool r in
-      Hello { seed; key_bits; rand_bits; obs }
-    | 7 -> Stats_req
-    | _ -> invalid_arg "Wire: unknown control tag"
-  in
-  finish r "control";
-  ctl
-
-(* Registry snapshot payload: count-prefixed entries of
-   name | kind byte | kind-specific fields, with 8-byte integer fields
-   ([put_i64]) since histogram sums outgrow [put_int]'s 30-bit cap. *)
-let put_metric buf (m : Obs.Registry.metric) =
-  match m with
-  | Obs.Registry.Counter v ->
-    Buffer.add_char buf '\001';
-    put_i64 buf v
-  | Obs.Registry.Gauge v ->
-    Buffer.add_char buf '\002';
-    put_f64 buf v
-  | Obs.Registry.Histogram d ->
-    Buffer.add_char buf '\003';
-    put_i64 buf d.Obs.Registry.hcount;
-    put_i64 buf d.hsum;
-    put_i64 buf d.hmin;
-    put_i64 buf d.hmax;
-    put_int buf (List.length d.hbuckets);
-    List.iter
-      (fun (upper, n) ->
-        put_i64 buf upper;
-        put_i64 buf n)
-      d.hbuckets
-
-let get_metric r : Obs.Registry.metric =
-  match get_byte r with
-  | 1 -> Obs.Registry.Counter (get_i64 r)
-  | 2 -> Obs.Registry.Gauge (get_f64 r)
-  | 3 ->
-    let hcount = get_i64 r in
-    let hsum = get_i64 r in
-    let hmin = get_i64 r in
-    let hmax = get_i64 r in
-    let hbuckets =
-      read_list r ~item_width:16 (fun r ->
-          let upper = get_i64 r in
-          let n = get_i64 r in
-          (upper, n))
-    in
-    if hcount > 0 && hmin > hmax then invalid_arg "Wire: histogram min above max";
-    if hcount <> List.fold_left (fun acc (_, n) -> acc + n) 0 hbuckets then
-      invalid_arg "Wire: histogram count disagrees with buckets";
-    Obs.Registry.Histogram { hcount; hsum; hmin; hmax; hbuckets }
-  | _ -> invalid_arg "Wire: unknown metric kind"
-
-let put_snapshot buf (snap : Obs.Registry.snapshot) =
-  put_int buf (List.length snap);
-  List.iter
-    (fun (name, m) ->
-      put_string buf name;
-      put_metric buf m)
-    snap
-
-let get_snapshot r : Obs.Registry.snapshot =
-  read_list r ~item_width:13 (fun r ->
-      let name = get_string r in
-      let m = get_metric r in
-      (name, m))
-
-let encode_control_reply reply =
-  let buf = Buffer.create 64 in
-  (* tags 2-3 are retired: reusing one would misparse an older peer *)
-  let tag = match reply with Ok_ctl -> 1 | Stats_resp _ -> 4 in
-  put_header buf ~kind:kind_control_reply ~tag ~session:0;
-  (match reply with Ok_ctl -> () | Stats_resp snap -> put_snapshot buf snap);
-  Buffer.contents buf
-
-let decode_control_reply data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_control_reply in
-  let reply =
-    match tag with
-    | 1 -> Ok_ctl
-    | 4 -> Stats_resp (get_snapshot r)
-    | _ -> invalid_arg "Wire: unknown control reply tag"
-  in
-  finish r "control reply";
-  reply
-
-(* ---------------- client <-> S1 front-end frames ----------------
-
-   The public face of the serving stack (lib/server): a client ships an
-   opaque Sectopk.Codec token blob, S1 answers with the scored top-k
-   (still encrypted — decryption stays client-side), a typed Busy under
-   admission-queue overflow, or a typed error.  Same header discipline
-   as the S1 <-> S2 frames, under their own kind bytes. *)
-
-let kind_client = 'U'
-let kind_server = 'V'
-
-type client_msg = Query_req of { token : string }
-
-type server_msg =
-  | Server_hello of { n : int; m : int; s : int; key_bits : int }
-  | Query_resp of { top : Enc_item.scored list; halting_depth : int; halted : bool }
-  | Busy
-  | Server_error of string
-
-let encode_client_msg msg =
-  let buf = Buffer.create 64 in
-  (match msg with
-  | Query_req { token } ->
-    put_header buf ~kind:kind_client ~tag:1 ~session:0;
-    put_string buf token);
-  Buffer.contents buf
+let control_reply =
+  frame 'D' ~what:"control reply" no_session
+    [ Case (1, unit, (fun () -> Ok_ctl), function Ok_ctl -> Some () | _ -> None);
+      Case (4, list (pair string metric), (fun s -> Stats_resp s), function
+        | Stats_resp s -> Some s
+        | _ -> None) ]
 
 let max_token_bytes = 65536
 
 (* header + length-prefixed token: the largest valid client frame *)
 let max_client_frame = header_size + 4 + max_token_bytes
 
-let decode_client_msg data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_client in
-  let msg =
-    match tag with
-    | 1 ->
-      let token = get_string r in
-      if String.length token > max_token_bytes then invalid_arg "Wire: oversized token";
-      Query_req { token }
-    | _ -> invalid_arg "Wire: unknown client tag"
-  in
-  finish r "client message";
-  msg
+let client =
+  let token = check (fun t -> String.length t <= max_token_bytes) "oversized token" string in
+  frame 'U' ~what:"client" no_session
+    [ Case (1, token, (fun token -> Query_req { token }), fun (Query_req { token }) -> Some token) ]
 
-let encode_server_msg keys msg =
-  let buf = Buffer.create 256 in
-  (match msg with
-  | Server_hello { n; m; s; key_bits } ->
-    put_header buf ~kind:kind_server ~tag:1 ~session:0;
-    put_int buf n;
-    put_int buf m;
-    put_int buf s;
-    put_int buf key_bits
-  | Query_resp { top; halting_depth; halted } ->
-    put_header buf ~kind:kind_server ~tag:2 ~session:0;
-    put_int buf halting_depth;
-    put_bool buf halted;
-    put_int buf (List.length top);
-    List.iter (put_scored keys buf) top
-  | Busy -> put_header buf ~kind:kind_server ~tag:3 ~session:0
-  | Server_error e ->
-    put_header buf ~kind:kind_server ~tag:4 ~session:0;
-    put_string buf e);
-  Buffer.contents buf
-
-let decode_server_msg keys data =
-  let r = { data; pos = 0 } in
-  let tag, _session = get_header r ~kind:kind_server in
-  let msg =
-    match tag with
-    | 1 ->
-      let n = get_int r in
-      let m = get_int r in
-      let s = get_int r in
-      let key_bits = get_int r in
-      if n <= 0 || m <= 0 || s <= 0 || s > 64 || key_bits <= 0 || key_bits > 65536 then
-        invalid_arg "Wire: bad hello";
-      Server_hello { n; m; s; key_bits }
-    | 2 ->
-      let halting_depth = get_int r in
-      let halted = get_bool r in
-      let top = read_list ~max:4096 r ~item_width:(scored_min keys) (get_scored keys) in
-      Query_resp { top; halting_depth; halted }
-    | 3 -> Busy
-    | 4 -> Server_error (get_string r)
-    | _ -> invalid_arg "Wire: unknown server tag"
-  in
-  finish r "server message";
-  msg
+let encode_control ctl = encode control ((), ctl)
+let decode_control data = snd (decode control "control" data)
+let encode_control_reply reply = encode control_reply ((), reply)
+let decode_control_reply data = snd (decode control_reply "control reply" data)
+let encode_client_msg msg = encode client ((), msg)
+let decode_client_msg data = snd (decode client "client message" data)
 
 (* ---------------- length-prefixed framing over a file descriptor ----
 

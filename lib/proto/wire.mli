@@ -21,11 +21,8 @@
 
 open Crypto
 
-type keys = {
-  pub : Paillier.public;
-  djpub : Damgard_jurik.public;
-  own_pub : Paillier.public;
-}
+(** The frame codecs for one key set, built once by {!keys_of}. *)
+type keys
 
 val keys_of :
   pub:Paillier.public ->
