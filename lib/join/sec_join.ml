@@ -23,9 +23,8 @@ let combine (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_
      The blinded diffs are per-pair independent — fan them out. *)
   let diffs =
     Array.to_list
-      (Ctx.parallel ctx ~jobs (fun sub idx ->
+      (Ctx.parallel ctx ~jobs (fun (sub1 : Ctx.s1) idx ->
            let (t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple) = pairs.(idx) in
-           let sub1 = sub.Ctx.s1 in
            let ehl_l, _ = t1.Join_scheme.cells.(tk.Join_scheme.join_left) in
            let ehl_r, _ = t2.Join_scheme.cells.(tk.Join_scheme.join_right) in
            Ehl.Ehl_plus.diff ?blind_bits:sub1.Ctx.blind_bits sub1.Ctx.rng pub ehl_l ehl_r))
@@ -48,10 +47,9 @@ let combine (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_
       pairs
   in
   let selections =
-    Ctx.parallel ctx ~jobs (fun sub idx ->
+    Ctx.parallel ctx ~jobs (fun sub1 idx ->
         let t = ts.(idx) in
         let (t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple) = pairs.(idx) in
-        let sub1 = sub.Ctx.s1 in
         let carried =
           Array.append
             (Array.map snd t1.Join_scheme.cells)

@@ -183,6 +183,14 @@ let trace t = Transport.trace t.transport
 let trace_events t = Trace.events (trace t)
 let transport_name t = Transport.mode_name t.transport
 
+(* S1 state for one forked task: its own generator and DJ noise pool,
+   derived from the parent's generator by index label. *)
+let fork_s1 s1 i =
+  let rng = Rng.fork s1.rng ~label:("par:" ^ string_of_int i) in
+  { s1 with rng; djnoise = make_djnoise rng s1.djpub }
+
+let sink t = match Obs.current () with Some c -> c | None -> t.obs
+
 (* Fork [jobs] sub-contexts up front, in index order: randomness and
    accounting are then a pure function of (state, jobs), independent of
    [t.domains] and of domain scheduling. The S2 halves fork in the same
@@ -190,23 +198,16 @@ let transport_name t = Transport.mode_name t.transport
 let fork_subs t ~jobs =
   let subs = Array.make jobs t in
   for i = 0 to jobs - 1 do
-    let label = "par:" ^ string_of_int i in
-    let sub_rng = Rng.fork t.s1.rng ~label in
-    subs.(i) <-
-      {
-        s1 = { t.s1 with rng = sub_rng; djnoise = make_djnoise sub_rng t.s1.djpub };
-        transport = Transport.fork t.transport ~label;
-        domains = 1;
-        obs = Obs.Collector.create ();
-        batching = t.batching;
-      }
+    let s1 = fork_s1 t.s1 i in
+    let transport = Transport.fork t.transport ~label:("par:" ^ string_of_int i) in
+    subs.(i) <- { s1; transport; domains = 1; obs = Obs.Collector.create (); batching = t.batching }
   done;
   subs
 
 (* Merge the sub-contexts' channels, traces and collectors back into the
    parent, in index order, so accounting is width-independent. *)
 let join_subs t subs =
-  let sink = match Obs.current () with Some c -> c | None -> t.obs in
+  let sink = sink t in
   Array.iter
     (fun sub ->
       Transport.join_sub sub.transport ~into:t.transport;
@@ -215,21 +216,27 @@ let join_subs t subs =
 
 (* The mux transport keeps one outstanding op per query: interleaved
    submissions from several domains would break the scheduler's ship
-   condition, so parallelism degrades to sequential execution there
+   condition, so sub-contexts that make rpcs run one at a time there
    (index order, same results). *)
 let effective_domains t = if Transport.concurrent t.transport then t.domains else 1
 
+(* Tasks are pure S1 work: they get forked S1 state, never a transport,
+   so they need no S2 session and run on [t.domains] under every
+   transport. Each runs under a private collector, merged into the
+   calling domain's current collector in index order, so counters and
+   span trees are width-independent. *)
 let parallel t ~jobs f =
-  let subs = fork_subs t ~jobs in
-  (* Each task runs against its sub-context's private collector; the
-     join merges them into whatever collector is current on the calling
-     domain (the protocol entry point installed it), in index order, so
-     counters and span trees are width-independent. *)
+  let s1s = Array.make jobs t.s1 and obs = Array.make jobs t.obs in
+  for i = 0 to jobs - 1 do
+    s1s.(i) <- fork_s1 t.s1 i;
+    obs.(i) <- Obs.Collector.create ()
+  done;
   let results =
-    Core.Pool.run ~domains:(effective_domains t) ~jobs (fun i ->
-        Obs.with_collector subs.(i).obs (fun () -> f subs.(i) i))
+    Core.Pool.run ~domains:t.domains ~jobs (fun i ->
+        Obs.with_collector obs.(i) (fun () -> f s1s.(i) i))
   in
-  join_subs t subs;
+  let sink = sink t in
+  Array.iter (fun c -> Obs.Collector.merge_into c ~into:sink) obs;
   results
 
 let paillier_ct_bytes t = Paillier.ciphertext_bytes t.s1.pub

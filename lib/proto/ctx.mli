@@ -28,8 +28,8 @@ type s1 = {
   djnoise : Noise_pool.t;
       (** Precomputed DJ re-randomization noise ([r^{n^2} mod n^3]); its
           root generator is forked off [rng] at context construction, and
-          {!parallel} sub-contexts fork their own — same determinism
-          discipline as the generators themselves. *)
+          {!parallel} tasks fork their own — same determinism discipline
+          as the generators themselves. *)
 }
 
 type t = {
@@ -137,35 +137,36 @@ val trace_events : t -> Trace.event list
 
 val transport_name : t -> string
 
-(** [parallel t ~jobs f] evaluates [f sub i] for [i] in [0..jobs-1] on a
+(** [parallel t ~jobs f] evaluates [f s1 i] for [i] in [0..jobs-1] on a
     {!Core.Pool} of [t.domains] domains and returns results in index
-    order. Each [sub] shares the keys of [t] but carries its own
-    deterministically forked generators (S1-side from [s1.rng], S2-side
-    through {!Transport.fork}, by index, before any domain starts), a
-    private channel and a private trace; after the batch the channels and
-    traces are merged back into [t] in index order. Results, accounting
-    and traces are therefore byte-identical across any [domains] setting —
-    parallelism is pure mechanism. On a mux transport jobs run
-    sequentially (one outstanding op per query). Sub-contexts must not
-    escape [f]. *)
-val parallel : t -> jobs:int -> (t -> int -> 'a) -> 'a array
+    order. Tasks are pure S1 work: each [s1] shares the keys of [t] but
+    carries its own generator and DJ noise pool, forked from [s1.rng] by
+    index before any domain starts. No task gets a transport, so none
+    opens an S2 session, and the pool runs at full width on every
+    transport (a mux query pays no scheduler trip for a fork). Each task
+    runs under a private collector, merged into the caller's current
+    collector in index order. Results and accounting are therefore
+    byte-identical across any [domains] setting. *)
+val parallel : t -> jobs:int -> (s1 -> int -> 'a) -> 'a array
 
-(** [fork_subs t ~jobs] forks the sub-contexts {!parallel} would use and
-    returns them without running anything: long-lived coordinators (one
-    sub-context per shard held across a whole depth loop) fork once and
-    reuse, instead of re-forking every round. Fork order, labels and
-    generator derivation are exactly {!parallel}'s, so a fork/use/join
-    cycle is byte-identical to the equivalent [parallel] call. Every
-    array returned by [fork_subs] must eventually be passed to
-    {!join_subs} on the same parent, after which the subs are dead. *)
+(** [fork_subs t ~jobs] forks [jobs] full sub-contexts for callers whose
+    tasks make rpcs: the shard coordinator holds one per shard across its
+    whole depth loop. Sub-context [i] gets S1 state forked exactly as
+    {!parallel}'s task [i], an S2 session forked through the transport
+    (locally, or a [Mux_fork] op), a private channel, trace and
+    collector, and [domains = 1]. Every array returned by [fork_subs]
+    must eventually be passed to {!join_subs} on the same parent, after
+    which the subs are dead. *)
 val fork_subs : t -> jobs:int -> t array
 
 (** Merge forked sub-contexts' channels, traces and collectors back into
     the parent, in index order (see {!fork_subs}). *)
 val join_subs : t -> t array -> unit
 
-(** The pool width {!parallel} actually uses: [t.domains] when the
-    transport supports concurrent sub-sessions, else 1. *)
+(** The pool width for running {!fork_subs} sub-contexts concurrently:
+    [t.domains] when the transport supports concurrent sub-sessions, else
+    1 (a mux query keeps one outstanding op). {!parallel} does not need
+    it: its tasks make no rpcs. *)
 val effective_domains : t -> int
 
 (** Serialized sizes used for channel accounting. *)

@@ -27,8 +27,7 @@ let sort_blinded (ctx : Ctx.t) items =
      pool. The decrypt + plaintext sort + re-randomization happen at S2 in
      a single round trip. *)
   let keys =
-    Ctx.parallel ctx ~jobs (fun sub i ->
-        blind_key sub.Ctx.s1 ~rho ~r arr.(i).Enc_item.worst)
+    Ctx.parallel ctx ~jobs (fun sub1 i -> blind_key sub1 ~rho ~r arr.(i).Enc_item.worst)
   in
   match
     Ctx.rpc ctx ~label:protocol

@@ -68,9 +68,8 @@ let run (ctx : Ctx.t) ~mode items =
     (* Each matrix entry is an independent blinded diff: fan the
        l*(l-1)/2 pairs out on the pool (pure S1 work). *)
     let diffs =
-      Ctx.parallel ctx ~jobs:(Array.length pair_idx) (fun sub idx ->
+      Ctx.parallel ctx ~jobs:(Array.length pair_idx) (fun sub1 idx ->
           let i, j = pair_idx.(idx) in
-          let sub1 = sub.Ctx.s1 in
           Ehl.Ehl_plus.diff ?blind_bits:sub1.blind_bits sub1.rng sub1.pub
             arr.(i).Enc_item.ehl arr.(j).Enc_item.ehl)
     in

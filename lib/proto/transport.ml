@@ -24,9 +24,10 @@ let channel t = t.chan
 let keys t = t.keys
 
 (* Mux keeps the scheduler's one-outstanding-op-per-query invariant — the
-   all-parked ship condition counts queries, not forks — so Ctx.parallel
-   degrades to sequential execution there (results are width-independent
-   by construction, only wall time changes). *)
+   all-parked ship condition counts queries, not forks — so forked
+   sub-contexts that make rpcs (Ctx.fork_subs) run one at a time there
+   (results are width-independent by construction, only wall time
+   changes). *)
 let concurrent t = match t.kind with Mux _ -> false | Inproc _ | Loopback _ -> true
 
 let mode_name t =

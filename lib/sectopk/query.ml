@@ -82,7 +82,7 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
   (* With several shards, each gets a sub-context forked once and held
      across the whole loop: shard-local phases run as concurrent sessions
      over the shared transport (coalesced by the round scheduler under
-     Mux), with Ctx.parallel's fork/collector/join discipline. One shard
+     Mux), with Ctx.fork_subs' fork/collector/join discipline. One shard
      runs on [ctx] itself: no fork, no extra draws or trips. *)
   let subs = if shards = 1 then [| ctx |] else Ctx.fork_subs ctx ~jobs:shards in
   let pool_domains = Ctx.effective_domains ctx in

@@ -218,6 +218,25 @@ let test_single_query () =
         true
         (trips >= base.rounds))
 
+(* Ctx.parallel tasks are pure S1 work that opens no S2 session, so a lone
+   mux query ships exactly one backend trip per channel round between its
+   open and its close: no Mux_fork/Mux_join trips for the fan-outs. *)
+let test_trips_equal_rounds () =
+  let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+  let trips = Atomic.make 0 in
+  let backend ops =
+    Atomic.incr trips;
+    S2_server.handle_mux_ops st ops
+  in
+  let sched = Sched.create ~window_us:0 ~backend () in
+  let session = Sched.open_query sched in
+  let before = Atomic.get trips in
+  let out = run_one ~k:2 (Ctx.Mux (sched, session)) in
+  let during = Atomic.get trips - before in
+  Sched.close_query sched session;
+  Sched.stop sched;
+  Alcotest.(check int) "backend trips = channel rounds" out.rounds during
+
 (* ---------------- scheduler core (no crypto) ---------------- *)
 
 (* Pure echo backend: the reply encodes (session, label), so a slice
@@ -434,7 +453,8 @@ let suite =
   [ ( "coalescing",
       [ Alcotest.test_case "mixed workload equivalence" `Slow test_equivalence_mixed;
         Alcotest.test_case "lockstep trip budget" `Slow test_lockstep_trip_budget;
-        Alcotest.test_case "single query" `Slow test_single_query ] );
+        Alcotest.test_case "single query" `Slow test_single_query;
+        Alcotest.test_case "trips equal rounds" `Quick test_trips_equal_rounds ] );
     ( "scheduler",
       [ QCheck_alcotest.to_alcotest prop_random_orderings;
         Alcotest.test_case "wake pipe flood" `Slow test_wake_pipe_flood;
