@@ -237,17 +237,34 @@ let test_ta_example () =
     (List.map (fun r -> (r.Ta.oid, r.Ta.score)) results);
   Alcotest.(check bool) "random accesses happened" true (stats.Ta.random_accesses > 0)
 
+(* TA halts once the k-th score reaches the threshold, so on a tie at
+   rank k it may keep either tied object while the oracle breaks ties by
+   id. A correct answer has the oracle's score list, distinct ids, and
+   each object's exact score. *)
+let ta_agrees_with_oracle (seed, k, m) =
+  let rel = Synthetic.generate ~seed:(string_of_int seed) ~name:"ta" ~rows:50 ~attrs:m
+              (Synthetic.Uniform { lo = 0; hi = 40 }) in
+  let f = Scoring.sum_of (List.init m Fun.id) in
+  let results, _ = Ta.run (Sorted_lists.of_relation rel) f ~k in
+  let ids = List.map (fun r -> r.Ta.oid) results in
+  List.map (fun r -> r.Ta.score) results = List.map snd (Naive_topk.run rel f ~k)
+  && List.for_all (fun r -> r.Ta.score = Scoring.score f rel r.Ta.oid) results
+  && List.length (List.sort_uniq compare ids) = List.length ids
+
 let prop_ta_matches_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:80 ~name:"TA returns the exact oracle answer"
        QCheck.(triple (int_bound 100_000) (int_range 1 8) (int_range 2 4))
-       (fun (seed, k, m) ->
-         let rel = Synthetic.generate ~seed:(string_of_int seed) ~name:"ta" ~rows:50 ~attrs:m
-                     (Synthetic.Uniform { lo = 0; hi = 40 }) in
-         let f = Scoring.sum_of (List.init m Fun.id) in
-         let sl = Sorted_lists.of_relation rel in
-         let results, _ = Ta.run sl f ~k in
-         List.map (fun r -> (r.Ta.oid, r.Ta.score)) results = Naive_topk.run rel f ~k))
+       ta_agrees_with_oracle)
+
+(* (seed, k, m) cases that tie at rank k: at (78453, 6, 2) TA keeps
+   object 28 and the oracle object 27, both at score 64 *)
+let test_ta_ties_at_rank_k () =
+  List.iter
+    (fun ((seed, k, m) as case) ->
+      Alcotest.(check bool) (Printf.sprintf "(%d, %d, %d)" seed k m) true
+        (ta_agrees_with_oracle case))
+    [ (78453, 6, 2); (12900, 4, 2) ]
 
 let prop_ta_halts_no_later_than_nra =
   (* TA's exact scores let it halt at or before NRA's depth — the price is
@@ -307,6 +324,7 @@ let suite =
     ( "ta",
       [ Alcotest.test_case "exact answers on the example" `Quick test_ta_example;
         Alcotest.test_case "random access accounting" `Quick test_ta_random_access_growth;
+        Alcotest.test_case "ties at rank k" `Quick test_ta_ties_at_rank_k;
         prop_ta_matches_oracle;
         prop_ta_halts_no_later_than_nra
       ] )
