@@ -711,207 +711,6 @@ module Registry = struct
         Buffer.add_string b "]}");
     Buffer.add_char b '}';
     Buffer.contents b
-
-  (* Strict recursive-descent parser for the machine-generated grammar
-     above; any deviation raises [Invalid_argument].  Kept private to the
-     snapshot codec — it is not a general JSON library. *)
-  type jv =
-    | Jobj of (string * jv) list
-    | Jarr of jv list
-    | Jstr of string
-    | Jint of int
-    | Jfloat of float
-
-  let of_json text =
-    let pos = ref 0 in
-    let len = String.length text in
-    let fail msg = invalid_arg ("Obs.Registry.of_json: " ^ msg) in
-    let peek () = if !pos < len then Some text.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect ch =
-      skip_ws ();
-      match peek () with
-      | Some c when c = ch -> advance ()
-      | Some c -> fail (Printf.sprintf "expected %C, found %C" ch c)
-      | None -> fail (Printf.sprintf "expected %C, found end of input" ch)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= len then fail "unterminated string";
-        let c = text.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' ->
-          (if !pos >= len then fail "unterminated escape";
-           let e = text.[!pos] in
-           advance ();
-           match e with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'u' ->
-             if !pos + 4 > len then fail "truncated \\u escape";
-             let hex = String.sub text !pos 4 in
-             pos := !pos + 4;
-             let code =
-               try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-             in
-             if code > 0xff then fail "\\u escape beyond latin-1"
-             else Buffer.add_char b (Char.chr code)
-           | _ -> fail "unknown escape");
-          go ()
-        | c when Char.code c < 0x20 -> fail "control character in string"
-        | c ->
-          Buffer.add_char b c;
-          go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_float = ref false in
-      let rec go () =
-        match peek () with
-        | Some ('0' .. '9' | '-' | '+') ->
-          advance ();
-          go ()
-        | Some ('.' | 'e' | 'E') ->
-          is_float := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if !pos = start then fail "expected a number";
-      let s = String.sub text start (!pos - start) in
-      if !is_float then
-        Jfloat (try float_of_string s with _ -> fail "malformed float")
-      else Jint (try int_of_string s with _ -> fail "malformed integer")
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Jobj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}' in object"
-          in
-          Jobj (members [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Jarr [])
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']' in array"
-          in
-          Jarr (elements [])
-        end
-      | Some '"' -> Jstr (parse_string ())
-      | Some _ -> parse_number ()
-      | None -> fail "unexpected end of input"
-    in
-    let root = parse_value () in
-    skip_ws ();
-    if !pos <> len then fail "trailing garbage after snapshot";
-    let as_int = function
-      | Jint v -> v
-      | _ -> fail "expected an integer"
-    in
-    let as_float = function
-      | Jint v -> float_of_int v
-      | Jfloat v -> v
-      | _ -> fail "expected a number"
-    in
-    let field obj k =
-      match List.assoc_opt k obj with
-      | Some v -> v
-      | None -> fail (Printf.sprintf "missing field %S" k)
-    in
-    match root with
-    | Jobj sections ->
-      let take kind conv =
-        match List.assoc_opt kind sections with
-        | Some (Jobj entries) -> List.map (fun (name, v) -> (name, conv v)) entries
-        | Some _ -> fail (Printf.sprintf "%S is not an object" kind)
-        | None -> fail (Printf.sprintf "missing section %S" kind)
-      in
-      let hist v =
-        match v with
-        | Jobj fields ->
-          let buckets =
-            match field fields "buckets" with
-            | Jarr pairs ->
-              List.map
-                (function
-                  | Jarr [ u; n ] -> (as_int u, as_int n)
-                  | _ -> fail "bucket entries must be [upper, count] pairs")
-                pairs
-            | _ -> fail "\"buckets\" is not an array"
-          in
-          let d =
-            {
-              hcount = as_int (field fields "count");
-              hsum = as_int (field fields "sum");
-              hmin = as_int (field fields "min");
-              hmax = as_int (field fields "max");
-              hbuckets = buckets;
-            }
-          in
-          if d.hcount < 0 || d.hsum < 0 then fail "negative histogram totals";
-          if d.hcount <> List.fold_left (fun acc (_, n) -> acc + n) 0 buckets then
-            fail "histogram count disagrees with bucket counts";
-          Histogram d
-        | _ -> fail "histogram entries must be objects"
-      in
-      union
-        (take "counters" (fun v -> Counter (as_int v)))
-        (union
-           (take "gauges" (fun v -> Gauge (as_float v)))
-           (take "histograms" hist))
-    | _ -> fail "snapshot must be a JSON object"
 end
 
 (* ---- closed-form cost model -------------------------------------------- *)

@@ -192,12 +192,10 @@ module Registry : sig
       [_bucket{le="..."}] series plus [_sum]/[_count] per histogram. *)
   val to_prometheus : snapshot -> string
 
+  (** JSON exposition: [{"counters":{..},"gauges":{..},"histograms":{..}}],
+      one object per section keyed by metric name; a histogram is
+      [{"count","sum","min","max","buckets":[[upper,n],..]}]. *)
   val to_json : snapshot -> string
-
-  (** Strict parser for {!to_json} output; raises [Invalid_argument] on
-      any malformed input (including histogram bucket counts that do not
-      sum to [count]). *)
-  val of_json : string -> snapshot
 end
 
 val set_enabled : bool -> unit
