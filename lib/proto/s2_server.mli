@@ -30,9 +30,9 @@ val of_hello : Wire.hello -> t
 (** Answer one request; the label names the protocol for trace purposes. *)
 val handle : t -> label:string -> Wire.request -> Wire.response
 
-(** Fork a child session for one parallel task (fresh rng fork + empty
+(** Fork a child session for one sub-context (fresh rng fork + empty
     trace, shared keys); [join] folds the child's trace back in call
-    order. Mirrors [Ctx.parallel]'s S1-side forks one-to-one. *)
+    order. Mirrors [Ctx.fork_subs]' S1-side forks one-to-one. *)
 val fork : t -> label:string -> t
 
 val join : t -> into:t -> unit

@@ -40,7 +40,8 @@ val channel : t -> Channel.t
 val keys : t -> Wire.keys
 
 (** False for [Mux] (the scheduler's ship condition assumes one
-    outstanding op per query): [Ctx.parallel] runs sequentially there. *)
+    outstanding op per query): forked sub-contexts that make rpcs
+    ([Ctx.fork_subs]) run one at a time there. *)
 val concurrent : t -> bool
 
 val mode_name : t -> string
@@ -49,10 +50,10 @@ val mode_name : t -> string
     channel at their encoded length under the request's protocol label. *)
 val rpc : t -> label:string -> Wire.request -> Wire.response
 
-(** Fork a child transport for one parallel task: local transports fork
-    the in-process server; [Mux] opens a child session with a
-    [Mux_fork] op. [join_sub] merges the child's channel and S2 trace
-    back; call in task-index order. *)
+(** Fork a child transport for one sub-context ([Ctx.fork_subs]): local
+    transports fork the in-process server; [Mux] opens a child session
+    with a [Mux_fork] op. [join_sub] merges the child's channel and S2
+    trace back; call in index order. *)
 val fork : t -> label:string -> t
 
 val join_sub : t -> into:t -> unit

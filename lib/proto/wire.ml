@@ -375,7 +375,11 @@ let keys_of ~pub ~djpub ~own_pub =
     nat (Damgard_jurik.ciphertext_bytes djpub) (Damgard_jurik.of_nat djpub) Damgard_jurik.to_nat
   in
   let cts = list ct and capped c = array ~max:4096 c in
-  let nonempty what c = check (fun a -> Array.length a > 0) ("bad " ^ what ^ " count") (capped c) in
+  (* a non-empty capped array: its smallest encoding holds one element *)
+  let nonempty what c =
+    let ok a = Array.length a > 0 in
+    { (check ok ("bad " ^ what ^ " count") (capped c)) with min = 4 + c.min }
+  in
   let scored =
     conv
       (fun (cells, worst, best, seen) ->
@@ -559,16 +563,14 @@ let metric : Obs.Registry.metric codec =
   variant ~what:"metric kind"
     [ Case (1, i64, (fun v -> Obs.Registry.Counter v), function Counter v -> Some v | _ -> None);
       Case (2, f64, (fun v -> Obs.Registry.Gauge v), function Gauge v -> Some v | _ -> None);
-      Case (3, histogram, (fun d -> Obs.Registry.Histogram d), function
-        | Histogram d -> Some d
-        | _ -> None) ]
+      Case (3, histogram, (fun d -> Obs.Registry.Histogram d),
+            function Histogram d -> Some d | _ -> None) ]
 
 let control_reply =
   frame 'D' ~what:"control reply" no_session
     [ Case (1, unit, (fun () -> Ok_ctl), function Ok_ctl -> Some () | _ -> None);
-      Case (4, list (pair string metric), (fun s -> Stats_resp s), function
-        | Stats_resp s -> Some s
-        | _ -> None) ]
+      Case (4, list (pair string metric), (fun s -> Stats_resp s),
+            function Stats_resp s -> Some s | _ -> None) ]
 
 let max_token_bytes = 65536
 

@@ -1,4 +1,5 @@
-(** Tagged, versioned binary codec for every S1 <-> S2 message.
+(** Tagged, versioned binary codec for every S1 <-> S2 message, and for
+    the client <-> S1 front-end frames.
 
     Frame layout (big-endian throughout, following {!Sectopk.Codec}'s
     fixed-width conventions):
@@ -9,12 +10,22 @@
     then the tag-specific payload
     v}
 
+    Each frame is described once, by a private codec layer: a codec
+    gives a field type's encoder, its decoder, the closed-form size of a
+    value's encoding and its smallest encoding. Primitives (30-bit int,
+    8-byte int and float, bool, length-prefixed string, fixed-width
+    ciphertext) and combinators (tuples, capped lists and arrays,
+    option, tagged-variant cases) build every frame kind. Hence
+    {!request_bytes}/{!response_bytes} — what the Inproc and Mux
+    transports charge without materialising a frame — cannot drift from
+    the encoders; every collection count is checked against count x
+    smallest element before anything is allocated; and a [Batch] cannot
+    nest, since the batch element codec has no batch case.
+
     Ciphertexts are zero-padded fixed-width naturals: [ciphertext_bytes pub]
     for values under the shared key, [ciphertext_bytes own_pub] for S1's
-    escrow key, [ciphertext_bytes djpub] for Damgård–Jurik values — so every
-    frame length is a closed form of the key sizes and the collection
-    lengths ({!request_bytes}/{!response_bytes}), which is what the Inproc
-    transport charges without materialising the frame.
+    escrow key, [ciphertext_bytes djpub] for Damgård–Jurik values, so
+    the keyed codecs live in {!keys}, built once by {!keys_of}.
 
     All decoders validate magic, version, kind, tag, field bounds and
     trailing bytes; every failure raises [Invalid_argument]. *)
@@ -102,8 +113,8 @@ type response =
     [Mux_open] makes S2 provision a fresh responder for the session (the
     same [of_hello] replay the connection's [Hello] ran); [Mux_close]
     retires it; [Mux_fork]/[Mux_join] open and fold back the child
-    session of one parallel task; [Mux_req] is one ordinary request
-    routed to its session. *)
+    session of one forked sub-context ([Ctx.fork_subs], one per shard);
+    [Mux_req] is one ordinary request routed to its session. *)
 type mux_op =
   | Mux_open of { session : int }
   | Mux_close of { session : int }
@@ -191,7 +202,7 @@ val encode_server_msg : keys -> server_msg -> string
 val decode_server_msg : keys -> string -> server_msg
 
 (** Closed-form frame sizes, equal to [String.length (encode_* ...)]
-    (asserted by the Wire property tests). *)
+    by construction (and pinned by the Wire property tests). *)
 val request_bytes : keys -> label:string -> request -> int
 
 val response_bytes : keys -> response -> int

@@ -59,9 +59,9 @@ let scenario ~k ~pub ~sk ~data_rng ctx =
    between baseline and coalesced runs; the per-query collector wraps the
    scenario exactly (provisioning and S2 setup stay outside on both
    paths). Returns the outcome and the S2 trace source. *)
-let run_one ~k mode =
+let run_one ?domains ~k mode =
   let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
-  let ctx = Ctx.of_keys ~blind_bits:48 ~mode ctx_rng pub sk in
+  let ctx = Ctx.of_keys ~blind_bits:48 ?domains ~mode ctx_rng pub sk in
   let repr = Obs.with_collector ctx.Ctx.obs (fun () -> scenario ~k ~pub ~sk ~data_rng ctx) in
   {
     repr;
@@ -220,8 +220,10 @@ let test_single_query () =
 
 (* Ctx.parallel tasks are pure S1 work that opens no S2 session, so a lone
    mux query ships exactly one backend trip per channel round between its
-   open and its close: no Mux_fork/Mux_join trips for the fan-outs. *)
+   open and its close: no Mux_fork/Mux_join trips for the fan-outs. They
+   run on the full pool under Mux too, with the Inproc answer. *)
 let test_trips_equal_rounds () =
+  let base, _ = baseline ~k:2 in
   let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
   let trips = Atomic.make 0 in
   let backend ops =
@@ -231,10 +233,11 @@ let test_trips_equal_rounds () =
   let sched = Sched.create ~window_us:0 ~backend () in
   let session = Sched.open_query sched in
   let before = Atomic.get trips in
-  let out = run_one ~k:2 (Ctx.Mux (sched, session)) in
+  let out = run_one ~domains:2 ~k:2 (Ctx.Mux (sched, session)) in
   let during = Atomic.get trips - before in
   Sched.close_query sched session;
   Sched.stop sched;
+  Alcotest.(check (list string)) "results byte-identical" base.repr out.repr;
   Alcotest.(check int) "backend trips = channel rounds" out.rounds during
 
 (* ---------------- scheduler core (no crypto) ---------------- *)
