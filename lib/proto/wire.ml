@@ -351,9 +351,9 @@ let decode c what data =
   v
 
 (* header, tag and session *)
-let header_size = 11
-let request_header_bytes ~label = header_size + string.size label
-let response_header_bytes = header_size
+let frame_header_bytes = 11
+let request_header_bytes ~label = frame_header_bytes + string.size label
+let response_header_bytes = frame_header_bytes
 
 (* ---------------- frames under the session keys ----------------
 
@@ -575,7 +575,7 @@ let control_reply =
 let max_token_bytes = 65536
 
 (* header + length-prefixed token: the largest valid client frame *)
-let max_client_frame = header_size + 4 + max_token_bytes
+let max_client_frame = frame_header_bytes + 4 + max_token_bytes
 
 let client =
   let token = check (fun t -> String.length t <= max_token_bytes) "oversized token" string in
