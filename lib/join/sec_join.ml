@@ -23,7 +23,7 @@ let combine (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_
      The blinded diffs are per-pair independent — fan them out. *)
   let diffs =
     Array.to_list
-      (Ctx.parallel ctx ~jobs (fun (sub1 : Ctx.s1) idx ->
+      (Ctx.parallel ctx ~jobs (fun sub1 idx ->
            let (t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple) = pairs.(idx) in
            let ehl_l, _ = t1.Join_scheme.cells.(tk.Join_scheme.join_left) in
            let ehl_r, _ = t2.Join_scheme.cells.(tk.Join_scheme.join_right) in
