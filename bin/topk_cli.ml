@@ -183,8 +183,9 @@ let demo_cmd =
    Each connection gets its own domain: a coalescing serve-s1 holds one
    scheduler connection open for its whole lifetime, so a sequential
    accept loop would lock out every later client (a second S1, a stats
-   scrape). Responder state stays per-connection; the registry is the
-   only thing shared, and it locks internally. *)
+   scrape). A connection that finds no free domain is closed, and the
+   loop keeps accepting. Responder state stays per-connection; the
+   registry is the only thing shared, and it locks internally. *)
 let serve_s2 port once =
   let stop = ref false in
   let on_signal = Sys.Signal_handle (fun _ -> stop := true) in
@@ -241,12 +242,22 @@ let serve_s2 port once =
         (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         Obs.Registry.inc connections_c;
         Format.printf "S2: connection accepted@.%!";
-        Mutex.lock doms_lock;
-        let id = !next_id in
-        incr next_id;
-        let d = Domain.spawn (fun () -> serve_conn id fd) in
-        conns := (id, d) :: !conns;
-        Mutex.unlock doms_lock;
+        let spawned =
+          Mutex.protect doms_lock (fun () ->
+              let id = !next_id in
+              incr next_id;
+              match Domain.spawn (fun () -> serve_conn id fd) with
+              | d ->
+                conns := (id, d) :: !conns;
+                true
+              | exception Failure _ -> false)
+        in
+        if not spawned then begin
+          (* every domain slot of the runtime is taken: drop this
+             connection and keep serving the others *)
+          Format.eprintf "S2: connection refused: no free domain@.";
+          try Unix.close fd with Unix.Unix_error _ -> ()
+        end;
         let finished =
           Mutex.lock doms_lock;
           let r = !reaped in
@@ -536,6 +547,10 @@ let query_client s1_addr key_file k m seed bits =
               exit 4
             | Some frame -> Proto.Wire.decode_server_msg wkeys frame
           in
+          let busy () =
+            Format.printf "server busy — retry later@.";
+            exit 3
+          in
           match read_msg () with
           | Proto.Wire.Server_hello { n; m = m_total; s = _; key_bits } ->
             if key_bits <> bits then begin
@@ -558,15 +573,14 @@ let query_client s1_addr key_file k m seed bits =
               List.iter
                 (fun (id, w, b) -> Format.printf "  %-6s score in [%d, %d]@." id w b)
                 reals
-            | Proto.Wire.Busy ->
-              Format.printf "server busy — retry later@.";
-              exit 3
+            | Proto.Wire.Busy -> busy ()
             | Proto.Wire.Server_error e ->
               Format.eprintf "server error: %s@." e;
               exit 4
             | Proto.Wire.Server_hello _ ->
               Format.eprintf "query: unexpected second hello@.";
               exit 4)
+          | Proto.Wire.Busy -> (* no session domain free on serve-s1 *) busy ()
           | _ ->
             Format.eprintf "query: expected a server hello@.";
             exit 4))

@@ -125,6 +125,59 @@ grep -q '^parked_queries ' "$work/stats-s1-conc.prom" ||
   { echo "parked_queries gauge missing from the scrape" >&2; exit 1; }
 echo "== scrape: served=5, $coalesced coalesced trips shipped =="
 
+echo "== 5b. domain exhaustion: 130 idle connections to each daemon =="
+# Both daemons spawn a domain per connection, and the OCaml 5 runtime
+# caps a process at 128 live domains. The connections past the cap are
+# turned away (serve-s1 answers Busy, serve-s2 closes them); both
+# daemons keep serving once the flood is gone.
+python3 - "$s1_port" "$s2_port" <<'EOF'
+import socket, sys, time
+
+def turned_away(s):
+    # the daemon closed it: end of stream after any Busy frame
+    s.setblocking(False)
+    try:
+        while s.recv(4096):
+            pass
+        return True
+    except BlockingIOError:
+        return False
+
+for name, port in zip(("serve-s1", "serve-s2"), sys.argv[1:]):
+    held = [socket.create_connection(("127.0.0.1", int(port)), timeout=10)
+            for _ in range(130)]
+    time.sleep(1)
+    away = sum(turned_away(s) for s in held)
+    for s in held:
+        s.close()
+    print(f"{name}: {away} of 130 idle connections turned away")
+    if away == 0:
+        sys.exit(f"{name} answered none of the connections past the domain cap")
+EOF
+# the flood's session domains exit once they read end of stream; until
+# then a query may still be told Busy (exit 3)
+for _ in $(seq 1 20); do
+  rc=0
+  "$cli" query --s1 "127.0.0.1:$s1_port" --key "$work/client.key" \
+    -k 3 -m $attrs --seed $seed >"$work/query-flood.out" 2>&1 || rc=$?
+  [ "$rc" -ne 3 ] && break
+  sleep 0.5
+done
+[ "$rc" -eq 0 ] || { echo "query after the flood failed ($rc)" >&2; cat "$work/query-flood.out" >&2; exit 1; }
+cat "$work/query-flood.out"
+dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port" --prom >"$work/stats-s1-flood.prom"
+dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s2_port" --prom >"$work/stats-s2-flood.prom"
+sh tools/check_stats.sh "$work/stats-s1-flood.prom"
+sh tools/check_stats.sh "$work/stats-s2-flood.prom" connections comb_warmup_seconds combs_built
+served=$(awk '$1 == "served" { print $2 }' "$work/stats-s1-flood.prom")
+[ "$served" = "6" ] || { echo "expected served=6 after the flood, got '$served'" >&2; exit 1; }
+busy=$(awk '$1 == "busy" { print $2 }' "$work/stats-s1-flood.prom")
+[ -n "$busy" ] && [ "$busy" -gt 0 ] ||
+  { echo "expected the turned-away connections in busy, got '$busy'" >&2; exit 1; }
+grep -q "connection refused: no free domain" "$work/s2.log" ||
+  { echo "serve-s2 did not report a refused connection" >&2; exit 1; }
+echo "== both daemons survived the flood: served=6, busy=$busy =="
+
 echo "== 6. reference: in-process demo, same seed =="
 dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs \
   --seed $seed | tee "$work/demo.out"
@@ -132,11 +185,11 @@ dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs \
 grep "score in" "$work/query.out" >"$work/query.scores"
 grep "score in" "$work/demo.out" >"$work/demo.scores"
 diff "$work/query.scores" "$work/demo.scores"
-for i in 1 2 3 4; do
-  grep "score in" "$work/query-conc$i.out" >"$work/query-conc$i.scores"
-  diff "$work/query-conc$i.scores" "$work/demo.scores"
+for run in conc1 conc2 conc3 conc4 flood; do
+  grep "score in" "$work/query-$run.out" >"$work/query-$run.scores"
+  diff "$work/query-$run.scores" "$work/demo.scores"
 done
-echo "== served results (sequential and concurrent) are byte-identical to the in-process demo =="
+echo "== served results (sequential, concurrent, after the flood) are byte-identical to the in-process demo =="
 
 echo "== 7. graceful drain (SIGTERM) =="
 kill -TERM "$s1_pid"

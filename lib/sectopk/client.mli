@@ -7,7 +7,12 @@
     [~sk] explicitly — e.g. the one [Ctx.provision] returned. Object ids
     are recovered through the client's EHL+ hash dictionary
     ({!Scheme.make_resolver}); SecDedup sentinel items decrypt to
-    [id = None] with scores [-1] and are filtered by {!real_results}. *)
+    [id = None] with scores [-1] and are filtered by {!real_results}.
+
+    Cost: three Paillier decryptions and one table lookup per returned
+    item. The first answer a process opens for a given key, modulus and
+    id list also builds the dictionary, at one PRF per id; every later
+    answer reuses it. *)
 
 type opened = {
   id : string option;

@@ -82,9 +82,16 @@ type token = { attrs : (int * int) list;  (** (permuted list index, weight) *) k
 (** [token key ~m_total scoring ~k] — the client side of [Token]. *)
 val token : secret_key -> m_total:int -> Scoring.t -> k:int -> token
 
-(** [make_resolver key ~pub ~ids] builds the client-side dictionary that
+(** [make_resolver key ~pub ~ids] returns the client-side dictionary that
     maps a decrypted EHL+ first-cell value [HMAC(kappa_1, id) mod n] back
     to the object id — how an authorized client resolves returned items.
-    SecDedup garbage items (random cells) resolve to [None]. *)
+    SecDedup garbage items (random cells) and unknown values resolve to
+    [None].
+
+    Cost: the first call for a given [kappa_1], modulus [n] and id list
+    evaluates |[ids]| PRFs; later calls with equal values (compared by
+    content, so a re-provisioned [pub] or a rebuilt list still matches)
+    evaluate none and reuse the same table. The process keeps the four
+    most recently used dictionaries, and any domain may call this. *)
 val make_resolver :
   secret_key -> pub:Paillier.public -> ids:string list -> Bignum.Nat.t -> string option

@@ -2,7 +2,8 @@
    bounded Core.Service worker pool.  See server.mli for the contract.
 
    Concurrency shape: the listener domain accepts and spawns one session
-   domain per connection; a session reads one Query_req at a time,
+   domain per connection (answering Busy and closing when the runtime has
+   no domain left to spawn); a session reads one Query_req at a time,
    submits the query as a job, and blocks on an ivar for the response —
    so frames on one connection never interleave.  Overload is decided at
    submission ([`Busy] written immediately).  Shutdown drains in order:
@@ -419,21 +420,34 @@ let listener_loop t =
         (match Unix.accept t.lsock with
         | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
         | fd, _ ->
+          (* the session cannot retire before the lock is released, so
+             it joins the tables only once its domain exists *)
           let accepted =
             locked t (fun () ->
-                if t.draining then false
+                if t.draining then `Draining
                 else begin
                   let id = t.next_conn in
                   t.next_conn <- id + 1;
-                  t.conns <- (id, fd) :: t.conns;
-                  Obs.Registry.set t.tel.open_sessions_g
-                    (float_of_int (List.length t.conns));
-                  let d = Domain.spawn (fun () -> session t id fd) in
-                  t.sessions <- (id, d) :: t.sessions;
-                  true
+                  match Domain.spawn (fun () -> session t id fd) with
+                  | d ->
+                    t.conns <- (id, fd) :: t.conns;
+                    t.sessions <- (id, d) :: t.sessions;
+                    Obs.Registry.set t.tel.open_sessions_g
+                      (float_of_int (List.length t.conns));
+                    `Spawned
+                  | exception Failure _ -> `No_domain
                 end)
           in
-          if not accepted then Unix.close fd);
+          match accepted with
+          | `Spawned -> ()
+          | `Draining -> Unix.close fd
+          | `No_domain ->
+            (* every domain slot of the runtime is taken: turn this
+               connection away with a typed Busy and keep accepting *)
+            Obs.Registry.inc t.tel.busy_c;
+            (try Wire.write_frame fd (Wire.encode_server_msg t.wkeys Wire.Busy)
+             with Unix.Unix_error (_, _, _) -> ());
+            Unix.close fd);
         (* join finished sessions so a long-running server does not
            accumulate dead domain handles *)
         let finished = locked t (fun () -> let r = t.reaped in t.reaped <- []; r) in

@@ -6,8 +6,11 @@
     [Query_req]/[Query_resp] pairs. Queries are scheduled onto a
     persistent bounded {!Core.Service} worker pool — admission-queue
     overflow answers a typed [Busy] immediately, never stalls the
-    connection. A length prefix above [Wire.max_client_frame] closes
-    the connection before any payload is read.
+    connection. A connection that arrives when the runtime has no free
+    domain for its session is answered [Busy] in place of the hello and
+    closed; the listener keeps accepting. A length prefix above
+    [Wire.max_client_frame] closes the connection before any payload is
+    read.
 
     Every query runs in a fresh seeded context ({!Proto.Ctx.provision}
     with the server's seed), so each response is byte-identical to what

@@ -84,6 +84,65 @@ let test_resolver () =
   Alcotest.(check (option string)) "resolves" (Some "o3") (resolver h);
   Alcotest.(check (option string)) "unknown -> None" None (resolver Bignum.Nat.one)
 
+(* PRF evaluations [f] makes on this domain, under an enabled collector *)
+let count_prfs f =
+  let prev = Obs.is_enabled () in
+  Obs.set_enabled true;
+  let c = Obs.Collector.create () in
+  let v =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled prev) (fun () -> Obs.with_collector c f)
+  in
+  (v, Obs.Metrics.get (Obs.Collector.metrics c) Obs.Metrics.Prf_eval)
+
+let test_resolver_built_once () =
+  (* aligned 64x3: row i scores 64 - i everywhere, so the top k are o0..o(k-1) *)
+  let rows = 64 in
+  let rel = Relation.create ~name:"aligned" (Array.init rows (fun i -> Array.make 3 (rows - i))) in
+  (* two provisionings of one seed, as a client re-provisioning per query:
+     distinct public-key records whose moduli are equal by content *)
+  let provision () = Proto.Ctx.provision ~seed:"resolver-reuse" ~key_bits:128 ~rand_bits:96 () in
+  let pub1, sk1, rng1, _ = provision () and pub2, sk2, rng2, _ = provision () in
+  let answer (pub, sk, ctx_rng) (er, key) ~k =
+    let ctx = Proto.Ctx.of_keys ~blind_bits:48 ctx_rng pub sk in
+    let tk = Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k in
+    (ctx, Query.run ctx er tk { Query.default_options with variant = Query.Elim })
+  in
+  (* every open passes a freshly built id list *)
+  let open_ids key (ctx, res) =
+    List.map (fun (id, _, _) -> id) (Client.real_results ctx key ~ids:(ids_of rel) res)
+  in
+  let client1 = (pub1, sk1, rng1) and client2 = (pub2, sk2, rng2) in
+  let enc label = Scheme.encrypt ~s:4 (Rng.fork rng ~label) pub1 rel in
+  let ((_, key_a) as db_a) = enc "reuse-a" in
+  let first = answer client1 db_a ~k:3 in
+  let ids, prfs = count_prfs (fun () -> open_ids key_a first) in
+  Alcotest.(check int) "first open: one PRF per row" rows prfs;
+  Alcotest.(check (list string)) "first answer" [ "o0"; "o1"; "o2" ] ids;
+  let ids, prfs = count_prfs (fun () -> open_ids key_a (answer client2 db_a ~k:2)) in
+  Alcotest.(check int) "second open: no PRF" 0 prfs;
+  Alcotest.(check (list string)) "second answer" [ "o0"; "o1" ] ids;
+  let ctx, res = first in
+  Alcotest.(check (list (option string)))
+    "winner missing from the ids -> None"
+    [ None; Some "o1"; Some "o2" ]
+    (List.map
+       (fun (o : Client.opened) -> o.Client.id)
+       (Client.open_result ctx key_a ~ids:(List.tl (ids_of rel)) res));
+  let ((_, key_b) as db_b) = enc "reuse-b" in
+  let ids, prfs = count_prfs (fun () -> open_ids key_b (answer client1 db_b ~k:3)) in
+  Alcotest.(check int) "second key: its own dictionary" rows prfs;
+  Alcotest.(check (list string)) "second key's answer" [ "o0"; "o1"; "o2" ] ids;
+  (* two domains race to build a third key's dictionary, then share it *)
+  let ((_, key_c) as db_c) = enc "reuse-c" in
+  let answers = Array.map (fun k -> answer client1 db_c ~k) [| 1; 2; 3 |] in
+  let open_50 () = List.init 50 (fun i -> open_ids key_c answers.(i mod 3)) in
+  let d1 = Domain.spawn open_50 and d2 = Domain.spawn open_50 in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let sequential = open_50 () in
+  Alcotest.(check (list string)) "sequential answers" [ "o0"; "o1"; "o2" ] (List.nth sequential 2);
+  Alcotest.(check (list (list string))) "domain 1 = sequential" sequential r1;
+  Alcotest.(check (list (list string))) "domain 2 = sequential" sequential r2
+
 (* ---------------- SecQuery on Figure 3 ---------------- *)
 
 let check_fig3_answer variant () =
@@ -507,6 +566,7 @@ let suite =
         Alcotest.test_case "token permutation" `Quick test_token_permutation;
         Alcotest.test_case "token attribute subset" `Quick test_token_attribute_subset;
         Alcotest.test_case "id resolver" `Quick test_resolver;
+        Alcotest.test_case "id dictionary built once" `Quick test_resolver_built_once;
         Alcotest.test_case "parallel encryption" `Quick test_parallel_encrypt
       ] );
     ( "secquery-fig3",

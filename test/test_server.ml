@@ -522,6 +522,47 @@ let test_sharded_server () =
       Alcotest.(check (float 0.)) "combs_built flat across shard counts" !combs_sharded
         (snap_gauge snap "combs_built"))
 
+(* Run [f] while idle domains hold every free domain slot of this process
+   (the runtime caps live domains), then release and join them. *)
+let with_domains_exhausted f =
+  let gate = Gate.create () in
+  let rec fill held =
+    match Domain.spawn (fun () -> Gate.wait gate) with
+    | d -> fill (d :: held)
+    | exception Failure _ -> held
+  in
+  let held = fill [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Gate.open_ gate;
+      List.iter Domain.join held)
+    f
+
+(* A connection that arrives while no domain slot is free is answered
+   (Busy, or end of stream) instead of killing the listener; once slots
+   free up the same server serves a query and a scrape. The receive
+   timeout turns a dead listener into a failure, not a hang. *)
+let test_domain_exhaustion () =
+  with_server (fun srv ->
+      let expected = expected_resp () in
+      let port = Server.port srv in
+      with_domains_exhausted (fun () ->
+          let fd = connect port in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+              match Wire.read_frame fd with
+              | None -> ()
+              | Some frame -> (
+                match Wire.decode_server_msg wkeys frame with
+                | Wire.Busy -> ()
+                | _ -> Alcotest.fail "expected Busy or end of stream")));
+      with_client port (fun fd -> check_is_expected "after exhaustion" expected (ask fd token));
+      let snap = scrape port in
+      Alcotest.(check int) "served" 1 (snap_counter snap "served");
+      Alcotest.(check int) "refusal counted as busy" 1 (snap_counter snap "busy"))
+
 let test_shutdown_closes_port () =
   let st = Store.open_index ~dir:(store_dir ()) pub in
   let srv = Server.start (cfg 2 8) (Server.Single st) in
@@ -555,6 +596,7 @@ let suite =
         Alcotest.test_case "live scrape mid-load" `Slow test_live_scrape;
         Alcotest.test_case "query log + sampled traces" `Slow test_query_log_and_traces;
         Alcotest.test_case "2-shard serving" `Slow test_sharded_server;
+        Alcotest.test_case "domain exhaustion -> Busy, then serves" `Slow test_domain_exhaustion;
         Alcotest.test_case "shutdown closes port" `Slow test_shutdown_closes_port ] ) ]
 
 let () = Alcotest.run "server" suite
