@@ -187,6 +187,9 @@ let demo_cmd =
    loop keeps accepting. Responder state stays per-connection; the
    registry is the only thing shared, and it locks internally. *)
 let serve_s2 port once =
+  (* a write to a peer that has gone must fail that connection with
+     EPIPE, not kill the daemon with SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let stop = ref false in
   let on_signal = Sys.Signal_handle (fun _ -> stop := true) in
   Sys.set_signal Sys.sigterm on_signal;
@@ -412,6 +415,8 @@ let build_index_cmd =
 
 let serve_s1 store_dir port seed bits variant workers queue_depth s2_addr metrics log_json
     slow_query_ms trace_sample trace_dir coalesce_window_us =
+  (* as in serve-s2: a vanished peer is an EPIPE, not a SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   or_file_error (fun () ->
       let qlog =
         { Server.Qlog.log_json; slow_query_ms; trace_sample; trace_dir }

@@ -176,6 +176,13 @@ busy=$(awk '$1 == "busy" { print $2 }' "$work/stats-s1-flood.prom")
   { echo "expected the turned-away connections in busy, got '$busy'" >&2; exit 1; }
 grep -q "connection refused: no free domain" "$work/s2.log" ||
   { echo "serve-s2 did not report a refused connection" >&2; exit 1; }
+# a peer that resets before a daemon writes to it must cost only its own
+# connection (EPIPE), so both daemons ignore SIGPIPE: bit 13 of SigIgn
+for pid in "$s1_pid" "$s2_pid"; do
+  [ -r "/proc/$pid/status" ] || continue
+  ign=$(awk '$1 == "SigIgn:" { print $2 }' "/proc/$pid/status")
+  [ $(( 0x$ign >> 12 & 1 )) -eq 1 ] || { echo "daemon $pid does not ignore SIGPIPE" >&2; exit 1; }
+done
 echo "== both daemons survived the flood: served=6, busy=$busy =="
 
 echo "== 6. reference: in-process demo, same seed =="

@@ -128,13 +128,12 @@ let token key ~m_total scoring ~k =
   { attrs = List.map (fun (a, w) -> (Prp.apply prp a, w)) (Scoring.weights scoring); k }
 
 (* The id dictionary costs one PRF per id, which on a 4096-row index is
-   more than S1 spends executing a shallow query, so a process builds it
-   once per (kappa_1, n, ids) and keeps the [dictionaries_kept] most
-   recently used, most recent first. As with the comb cache in
-   lib/bignum/fixed_base.ml, a dictionary is built outside the lock and
-   never changed once published, so client domains share it through
-   [Hashtbl.find_opt] alone. Entries match by content: callers provision
-   a fresh [pub] and rebuild [ids] per answer. *)
+   more than S1 spends executing a shallow query, so a process keeps the
+   last dictionary it built, for one (kappa_1, n, ids), and rebuilds only
+   when one of them changes. A dictionary is built before it is published
+   and never changed after, so client domains share it through
+   [Hashtbl.find_opt] alone. It matches by content: callers provision a
+   fresh [pub] and rebuild [ids] per answer. *)
 type dictionary = {
   k1 : Prf.key;
   modulus : Bignum.Nat.t;
@@ -142,35 +141,19 @@ type dictionary = {
   table : (Bignum.Nat.t, string) Hashtbl.t;
 }
 
-let dictionaries_kept = 4
-let dictionaries : dictionary list ref = ref []
-let dictionaries_lock = Mutex.create ()
-
-(* Under the lock: the matching dictionary, moved to the front. *)
-let find_dictionary k1 modulus ids =
-  let same d =
-    String.equal d.k1 k1 && Bignum.Nat.equal d.modulus modulus
-    && (d.ids == ids || List.equal String.equal d.ids ids)
-  in
-  match List.partition same !dictionaries with
-  | d :: _, rest ->
-    dictionaries := d :: rest;
-    Some d.table
-  | [], _ -> None
+let last_dictionary : dictionary option Atomic.t = Atomic.make None
 
 let dictionary k1 modulus ids =
-  match Mutex.protect dictionaries_lock (fun () -> find_dictionary k1 modulus ids) with
-  | Some table -> table
-  | None ->
+  match Atomic.get last_dictionary with
+  | Some d
+    when String.equal d.k1 k1 && Bignum.Nat.equal d.modulus modulus
+         && (d.ids == ids || List.equal String.equal d.ids ids) ->
+    d.table
+  | _ ->
     let table = Hashtbl.create (List.length ids) in
     List.iter (fun id -> Hashtbl.replace table (Prf.to_nat_mod ~key:k1 id ~m:modulus) id) ids;
-    Mutex.protect dictionaries_lock (fun () ->
-        match find_dictionary k1 modulus ids with
-        | Some published -> published (* another domain built it meanwhile *)
-        | None ->
-          let d = { k1; modulus; ids; table } in
-          dictionaries := List.filteri (fun i _ -> i < dictionaries_kept) (d :: !dictionaries);
-          table)
+    Atomic.set last_dictionary (Some { k1; modulus; ids; table });
+    table
 
 let make_resolver key ~pub ~ids =
   let table = dictionary (List.hd key.ehl_keys) pub.Paillier.n ids in

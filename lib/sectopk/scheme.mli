@@ -91,7 +91,7 @@ val token : secret_key -> m_total:int -> Scoring.t -> k:int -> token
     Cost: the first call for a given [kappa_1], modulus [n] and id list
     evaluates |[ids]| PRFs; later calls with equal values (compared by
     content, so a re-provisioned [pub] or a rebuilt list still matches)
-    evaluate none and reuse the same table. The process keeps the four
-    most recently used dictionaries, and any domain may call this. *)
+    evaluate none and reuse the same table. The process keeps only the
+    last dictionary it built, and any domain may call this. *)
 val make_resolver :
   secret_key -> pub:Paillier.public -> ids:string list -> Bignum.Nat.t -> string option
