@@ -198,6 +198,7 @@ let serve_s2 port once =
      frame on a fresh connection ('topk_cli stats') *)
   let reg = Obs.Registry.create () in
   let connections_c = Obs.Registry.counter reg "connections" in
+  let accept_errors_c = Obs.Registry.counter reg "accept_errors" in
   let warmup_g = Obs.Registry.gauge reg "comb_warmup_seconds" in
   let combs_g = Obs.Registry.gauge reg "combs_built" in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -239,9 +240,10 @@ let serve_s2 port once =
   in
   let rec loop () =
     if not !stop then
-      match Unix.accept sock with
+      match Proto.Transport.accept ~errors:accept_errors_c sock with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop () (* re-check the flag *)
-      | fd, _peer ->
+      | None -> loop ()
+      | Some (fd, _peer) ->
         (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         Obs.Registry.inc connections_c;
         Format.printf "S2: connection accepted@.%!";

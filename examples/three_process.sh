@@ -33,10 +33,14 @@ work=$(mktemp -d)
 s1_pid=""
 s2_pid=""
 sh_pid=""
+e1_pid=""
+e2_pid=""
 cleanup() {
   [ -n "$s1_pid" ] && kill "$s1_pid" 2>/dev/null || true
   [ -n "$s2_pid" ] && kill "$s2_pid" 2>/dev/null || true
   [ -n "$sh_pid" ] && kill "$sh_pid" 2>/dev/null || true
+  [ -n "$e1_pid" ] && kill "$e1_pid" 2>/dev/null || true
+  [ -n "$e2_pid" ] && kill "$e2_pid" 2>/dev/null || true
   rm -rf "$work"
 }
 trap cleanup EXIT INT TERM
@@ -185,6 +189,56 @@ for pid in "$s1_pid" "$s2_pid"; do
 done
 echo "== both daemons survived the flood: served=6, busy=$busy =="
 
+echo "== 5c. descriptor exhaustion: a fresh daemon pair under a low ulimit -n =="
+# Past the descriptor limit accept fails with EMFILE. Both daemons must
+# count it in accept_errors, back off and keep accepting, so once the
+# flood has closed they serve a query and both scrapes.
+(ulimit -n 16; exec "$cli" serve-s2 --port 0) >"$work/e2.log" 2>&1 &
+e2_pid=$!
+e2_port=$(wait_for_port "$work/e2.log")
+(ulimit -n 24; exec "$cli" serve-s1 --store "$work/index" --seed $seed --port 0 \
+  --s2 "127.0.0.1:$e2_port") >"$work/e1.log" 2>&1 &
+e1_pid=$!
+e1_port=$(wait_for_port "$work/e1.log")
+python3 - "$e1_port" 30 "$e2_port" 20 <<'EOF'
+import socket, sys, time
+
+args = sys.argv[1:]
+for port, n in zip(args[0::2], args[1::2]):
+    held = []
+    for _ in range(int(n)):
+        try:
+            # past the listen backlog a connect may never complete
+            held.append(socket.create_connection(("127.0.0.1", int(port)), timeout=1))
+        except OSError:
+            pass
+    time.sleep(1)
+    for s in held:
+        s.close()
+    print(f"port {port}: held {len(held)} of {n} connections")
+EOF
+for _ in $(seq 1 20); do
+  rc=0
+  "$cli" query --s1 "127.0.0.1:$e1_port" --key "$work/client.key" \
+    -k 3 -m $attrs --seed $seed >"$work/query-emfile.out" 2>&1 || rc=$?
+  [ "$rc" -ne 3 ] && break
+  sleep 0.5
+done
+[ "$rc" -eq 0 ] ||
+  { echo "query after the descriptor flood failed ($rc)" >&2; cat "$work/query-emfile.out" >&2; exit 1; }
+"$cli" stats "127.0.0.1:$e1_port" --prom >"$work/stats-e1.prom"
+"$cli" stats "127.0.0.1:$e2_port" --prom >"$work/stats-e2.prom"
+for f in stats-e1 stats-e2; do
+  errs=$(awk '$1 == "accept_errors" { print $2 }' "$work/$f.prom")
+  [ -n "$errs" ] && [ "$errs" -gt 0 ] ||
+    { echo "$f: expected accept_errors > 0, got '$errs'" >&2; exit 1; }
+done
+kill -TERM "$e1_pid" "$e2_pid"
+wait "$e1_pid" "$e2_pid" || true
+e1_pid=""
+e2_pid=""
+echo "== both daemons kept accepting past EMFILE and served a query =="
+
 echo "== 6. reference: in-process demo, same seed =="
 dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs \
   --seed $seed | tee "$work/demo.out"
@@ -192,11 +246,11 @@ dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs \
 grep "score in" "$work/query.out" >"$work/query.scores"
 grep "score in" "$work/demo.out" >"$work/demo.scores"
 diff "$work/query.scores" "$work/demo.scores"
-for run in conc1 conc2 conc3 conc4 flood; do
+for run in conc1 conc2 conc3 conc4 flood emfile; do
   grep "score in" "$work/query-$run.out" >"$work/query-$run.scores"
   diff "$work/query-$run.scores" "$work/demo.scores"
 done
-echo "== served results (sequential, concurrent, after the flood) are byte-identical to the in-process demo =="
+echo "== served results (sequential, concurrent, after both floods) are byte-identical to the in-process demo =="
 
 echo "== 7. graceful drain (SIGTERM) =="
 kill -TERM "$s1_pid"

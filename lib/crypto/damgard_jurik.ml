@@ -69,19 +69,28 @@ let g_pow pub x =
   let t2 = Nat.rem (Nat.mul (Nat.rem binom pub.n) pub.n2) pub.n3 in
   Modular.add (Modular.add Nat.one t1 ~m:pub.n3) t2 ~m:pub.n3
 
-let noise rng pub =
+(* The draw and the exponentiation of the noise, as in Paillier. *)
+let draw_noise rng pub =
   match pub.rand_bits with
-  | None -> Modular.pow (Rng.unit_mod rng pub.n) pub.n2 ~m:pub.n3
+  | None -> Rng.unit_mod rng pub.n
+  | Some b -> Nat.succ (Rng.nat_bits rng b)
+
+let noise_of pub draw =
+  match pub.rand_bits with
+  | None -> Modular.pow draw pub.n2 ~m:pub.n3
   | Some b -> begin
-    let rho = Nat.succ (Rng.nat_bits rng b) in
     match Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1) with
-    | Some fb -> Fixed_base.pow fb rho
-    | None -> Modular.pow pub.h2 rho ~m:pub.n3
+    | Some fb -> Fixed_base.pow fb draw
+    | None -> Modular.pow pub.h2 draw ~m:pub.n3
   end
 
-let encrypt rng pub x =
+let noise rng pub = noise_of pub (draw_noise rng pub)
+
+let encrypt_with pub ~noise x =
   Obs.bump Obs.Metrics.Dj_enc;
-  Modular.mul (g_pow pub x) (noise rng pub) ~m:pub.n3
+  Modular.mul (g_pow pub x) noise ~m:pub.n3
+
+let encrypt rng pub x = encrypt_with pub ~noise:(noise rng pub) x
 
 let trivial pub x = g_pow pub x
 

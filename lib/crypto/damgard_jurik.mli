@@ -59,8 +59,20 @@ val neg : public -> ciphertext -> ciphertext
 val sub : public -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Rng.t -> public -> ciphertext -> ciphertext
 
-(** One noise factor [r^{n^2} mod n^3]; draw from a {!Noise_pool}. *)
+(** One noise factor [r^{n^2} mod n^3]; draw from a {!Noise_pool}.
+    [noise rng pub] is [noise_of pub (draw_noise rng pub)]. *)
 val noise : Rng.t -> public -> Bignum.Nat.t
+
+(** The random half of {!noise}, as {!Paillier.draw_noise}. *)
+val draw_noise : Rng.t -> public -> Bignum.Nat.t
+
+(** The deterministic half of {!noise}, as {!Paillier.noise_of}. *)
+val noise_of : public -> Bignum.Nat.t -> Bignum.Nat.t
+
+(** [encrypt_with pub ~noise x] encrypts with a precomputed {!noise}
+    factor — byte-identical to {!encrypt} when the factor came from the
+    same rng position. *)
+val encrypt_with : public -> noise:Bignum.Nat.t -> Nat.t -> ciphertext
 
 (** Re-randomize with a precomputed {!noise} factor: one modular
     multiplication. *)

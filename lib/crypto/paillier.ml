@@ -64,16 +64,27 @@ let secret_params sk = (sk.p, sk.q, sk.lambda)
 
 let with_rand_bits pub rb = { pub with rand_bits = rb }
 
-let noise rng pub =
+(* Noise in two halves: the draw that picks it and the exponentiation
+   that turns the draw into r^n mod n^2 (or h^rho under shortened noise).
+   A fan-out draws on the calling domain in sequential order and
+   exponentiates anywhere. *)
+let draw_noise rng pub =
   match pub.rand_bits with
-  | None -> Modular.pow (Rng.unit_mod rng pub.n) pub.n ~m:pub.n2
-  | Some b -> begin
+  | None -> Rng.unit_mod rng pub.n
+  | Some b ->
     (* rho = rand_bits-bit value + 1, so the comb needs b+1 bits *)
-    let rho = Nat.succ (Rng.nat_bits rng b) in
+    Nat.succ (Rng.nat_bits rng b)
+
+let noise_of pub draw =
+  match pub.rand_bits with
+  | None -> Modular.pow draw pub.n ~m:pub.n2
+  | Some b -> begin
     match Fixed_base.cached ~base:pub.h ~m:pub.n2 ~max_bits:(b + 1) with
-    | Some fb -> Fixed_base.pow fb rho
-    | None -> Modular.pow pub.h rho ~m:pub.n2
+    | Some fb -> Fixed_base.pow fb draw
+    | None -> Modular.pow pub.h draw ~m:pub.n2
   end
+
+let noise rng pub = noise_of pub (draw_noise rng pub)
 
 let encrypt rng pub m =
   Obs.bump Obs.Metrics.Paillier_enc;

@@ -78,8 +78,17 @@ val sub : public -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Rng.t -> public -> ciphertext -> ciphertext
 
 (** One noise factor [r^n mod n^2] — what {!encrypt} and {!rerandomize}
-    multiply in; draw from a {!Noise_pool}. *)
+    multiply in; draw from a {!Noise_pool}. [noise rng pub] is
+    [noise_of pub (draw_noise rng pub)]. *)
 val noise : Rng.t -> public -> Bignum.Nat.t
+
+(** The random half of {!noise}: every draw it makes from [rng] ([r], or
+    [rho] under shortened noise), and nothing else. *)
+val draw_noise : Rng.t -> public -> Bignum.Nat.t
+
+(** The deterministic half of {!noise}: the exponentiation of a draw.
+    Safe on any domain; a fan-out draws first, in sequential order. *)
+val noise_of : public -> Bignum.Nat.t -> Bignum.Nat.t
 
 (** [rerandomize_with pub ~noise c] — re-randomize with a precomputed
     {!noise} factor: a single modular multiplication. *)

@@ -18,6 +18,15 @@ val encode : Rng.t -> Paillier.public -> keys:Prf.key list -> string -> t
     an encryption of a random element. *)
 val diff : ?blind_bits:int -> Rng.t -> Paillier.public -> t -> t -> Paillier.ciphertext
 
+(** The two halves of {!diff}: [diff ?blind_bits rng pub a b] is
+    [diff_with pub ~blinds:(draw_blinds ?blind_bits rng pub a) a b].
+    [draw_blinds] makes every draw (one blind per cell, in cell order,
+    a unit of [Z_n] or a [blind_bits]-bit value); [diff_with] is the
+    deterministic multi-exponentiation, safe to fan out. *)
+val draw_blinds : ?blind_bits:int -> Rng.t -> Paillier.public -> t -> Bignum.Nat.t array
+
+val diff_with : Paillier.public -> blinds:Bignum.Nat.t array -> t -> t -> Paillier.ciphertext
+
 (** The ⊙ operation (Section 5, "Notation"): blockwise product with a
     vector of encryptions — [mask pub e encs] multiplies cell [i] by
     [encs.(i)], homomorphically adding [alpha_i] to the hidden hash value.

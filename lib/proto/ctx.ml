@@ -123,27 +123,14 @@ let rpc_batch t ~label reqs =
         (List.length resps) (List.length reqs) label
     | _ -> Proto_error.fail "Ctx.rpc_batch: expected batch response under %s" label)
 
-(* Double-buffered batching: while chunk [i] is in flight on a helper
-   domain, the caller's domain prepares chunk [i+1]. [prepare] runs
-   strictly in index order on the calling domain, so the S1 randomness
-   stream is identical to sequential execution; chunks are sent one at a
-   time, so the S2 stream is too. Each chunk's rpc runs under a private
-   collector merged back in chunk order — on both the overlapped and the
-   sequential path — keeping reports independent of [t.domains]. *)
+(* Double-buffered batching: while chunk [i] is in flight on a borrowed
+   crew worker, the caller's domain prepares chunk [i+1]. [prepare] runs
+   strictly in index order on the calling domain, under its collector, so
+   the S1 randomness stream is identical to sequential execution; chunks
+   are sent one at a time, so the S2 stream is too. *)
 let rpc_pipeline t ~label ?(chunk = 16) ~prepare n =
   if chunk <= 0 then invalid_arg "Ctx.rpc_pipeline: chunk <= 0";
-  let sink = match Obs.current () with Some c -> c | None -> t.obs in
   let overlap = t.domains > 1 && Transport.concurrent t.transport in
-  let send reqs =
-    let c = Obs.Collector.create () in
-    let resps = Obs.with_collector c (fun () -> rpc_batch t ~label reqs) in
-    (c, resps)
-  in
-  let out = ref [] in
-  let merge (c, resps) =
-    Obs.Collector.merge_into c ~into:sink;
-    out := resps :: !out
-  in
   let idx = ref 0 in
   let next_chunk () =
     if !idx >= n then None
@@ -160,23 +147,22 @@ let rpc_pipeline t ~label ?(chunk = 16) ~prepare n =
       Some (List.rev !reqs)
     end
   in
-  let rec loop pending =
-    match pending with
-    | None -> ()
+  let rec loop out = function
+    | None -> List.concat (List.rev out)
     | Some reqs ->
       if overlap then begin
-        let inflight = Core.Pool.background (fun () -> send reqs) in
-        let nxt = next_chunk () in
-        merge (Core.Pool.await inflight);
-        loop nxt
+        let resps, nxt =
+          Core.Pool.overlap ~domains:t.domains (fun () -> rpc_batch t ~label reqs) next_chunk
+        in
+        loop (resps :: out) nxt
       end
       else begin
-        merge (send reqs);
-        loop (next_chunk ())
+        let resps = rpc_batch t ~label reqs in
+        loop (resps :: out) (next_chunk ())
       end
   in
-  loop (next_chunk ());
-  List.concat (List.rev !out)
+  loop [] (next_chunk ())
+
 let channel t = Transport.channel t.transport
 let sk t = Transport.secret_key t.transport
 let trace t = Transport.trace t.transport
@@ -220,24 +206,18 @@ let join_subs t subs =
    (index order, same results). *)
 let effective_domains t = if Transport.concurrent t.transport then t.domains else 1
 
+let map t ~jobs f = Core.Pool.run ~domains:t.domains ~jobs f
+
 (* Tasks are pure S1 work: they get forked S1 state, never a transport,
    so they need no S2 session and run on [t.domains] under every
-   transport. Each runs under a private collector, merged into the
-   calling domain's current collector in index order, so counters and
-   span trees are width-independent. *)
+   transport. Forking happens here, in index order, before any task
+   starts; [map] merges the tasks' collectors. *)
 let parallel t ~jobs f =
-  let s1s = Array.make jobs t.s1 and obs = Array.make jobs t.obs in
+  let s1s = Array.make jobs t.s1 in
   for i = 0 to jobs - 1 do
-    s1s.(i) <- fork_s1 t.s1 i;
-    obs.(i) <- Obs.Collector.create ()
+    s1s.(i) <- fork_s1 t.s1 i
   done;
-  let results =
-    Core.Pool.run ~domains:t.domains ~jobs (fun i ->
-        Obs.with_collector obs.(i) (fun () -> f s1s.(i) i))
-  in
-  let sink = sink t in
-  Array.iter (fun c -> Obs.Collector.merge_into c ~into:sink) obs;
-  results
+  map t ~jobs (fun i -> f s1s.(i) i)
 
 let paillier_ct_bytes t = Paillier.ciphertext_bytes t.s1.pub
 let dj_ct_bytes t = Damgard_jurik.ciphertext_bytes t.s1.djpub

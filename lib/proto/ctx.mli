@@ -35,7 +35,9 @@ type s1 = {
 type t = {
   s1 : s1;
   transport : Transport.t;
-  domains : int;  (** Width of the {!Core.Pool} used by {!parallel}. *)
+  domains : int;
+      (** Width of the {!Core.Pool} fan-outs made through {!map} and
+          {!parallel}. *)
   obs : Obs.Collector.t;
       (** Default observability sink for this context: protocol entry
           points install it as the current collector unless an outer
@@ -113,13 +115,13 @@ val rpc : t -> label:string -> Wire.request -> Wire.response
 val rpc_batch : t -> label:string -> Wire.request list -> Wire.response list
 
 (** [rpc_pipeline t ~label ~prepare n] evaluates [prepare i] for [i] in
-    [0..n-1] (strictly in order, on the calling domain) and ships the
-    requests in chunks of [chunk] (default 16) via {!rpc_batch},
-    overlapping the preparation of chunk [i+1] with chunk [i]'s in-flight
-    round trip on a helper domain when [t.domains > 1] and the transport
-    allows it. Responses come back in request order. Results, traces and
-    op counters are identical to the sequential path by the same
-    discipline as {!parallel}. *)
+    [0..n-1] (strictly in order, on the calling domain, under its
+    collector) and ships the requests in chunks of [chunk] (default 16)
+    via {!rpc_batch}. When [t.domains > 1] and the transport allows it,
+    chunk [i]'s round trip runs on a borrowed crew worker
+    ({!Core.Pool.overlap}) while the caller prepares chunk [i+1].
+    Responses come back in request order. Results, traces and op
+    counters are identical to the sequential path. *)
 val rpc_pipeline :
   t -> label:string -> ?chunk:int -> prepare:(int -> Wire.request) -> int -> Wire.response list
 
@@ -137,16 +139,23 @@ val trace_events : t -> Trace.event list
 
 val transport_name : t -> string
 
-(** [parallel t ~jobs f] evaluates [f s1 i] for [i] in [0..jobs-1] on a
-    {!Core.Pool} of [t.domains] domains and returns results in index
-    order. Tasks are pure S1 work: each [s1] shares the keys of [t] but
-    carries its own generator and DJ noise pool, forked from [s1.rng] by
-    index before any domain starts. No task gets a transport, so none
-    opens an S2 session, and the pool runs at full width on every
-    transport (a mux query pays no scheduler trip for a fork). Each task
-    runs under a private collector, merged into the caller's current
-    collector in index order. Results and accounting are therefore
-    byte-identical across any [domains] setting. *)
+(** [map t ~jobs f] is [Core.Pool.run ~domains:t.domains ~jobs f]: the
+    fan-out of deterministic S1 work. [f] must draw no randomness — the
+    caller draws every blind and noise exponent in sequential order
+    first — so results are byte-identical at every width. Each chunk of
+    items runs under its own collector, merged into the caller's current
+    collector in chunk order. *)
+val map : t -> jobs:int -> (int -> 'a) -> 'a array
+
+(** [parallel t ~jobs f] evaluates [f s1 i] for [i] in [0..jobs-1]
+    through {!map} and returns results in index order. Tasks are pure S1
+    work: each [s1] shares the keys of [t] but carries its own generator
+    and DJ noise pool, forked from [s1.rng] by index before any task
+    starts, so a task may draw randomness. No task gets a transport, so
+    none opens an S2 session, and the fan-out runs at full width on
+    every transport (a mux query pays no scheduler trip for a fork).
+    Results and accounting are byte-identical across any [domains]
+    setting. *)
 val parallel : t -> jobs:int -> (s1 -> int -> 'a) -> 'a array
 
 (** [fork_subs t ~jobs] forks [jobs] full sub-contexts for callers whose

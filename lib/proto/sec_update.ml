@@ -24,18 +24,25 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
     ignore (Rng.shuffle s1.rng olds);
     ignore (Rng.shuffle s1.rng news);
     let n_old = Array.length olds and n_new = Array.length news in
-    (* one equality round for the whole |gamma| x |T| grid *)
-    let diffs = ref [] in
+    (* one equality round for the whole |gamma| x |T| grid, row-major.
+       The blinds are drawn here, in the grid's historical (reverse)
+       order; the multi-exponentiations fan out. *)
+    let blinds = ref [] in
     for i = n_new - 1 downto 0 do
-      for j = n_old - 1 downto 0 do
-        let d =
-          Ehl.Ehl_plus.diff ?blind_bits:s1.blind_bits s1.rng s1.pub news.(i).Enc_item.ehl
-            olds.(j).Enc_item.ehl
-        in
-        diffs := d :: !diffs
+      for _ = n_old - 1 downto 0 do
+        blinds :=
+          Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub
+            news.(i).Enc_item.ehl
+          :: !blinds
       done
     done;
-    let ts = Array.of_list (Gadgets.equality_round ctx ~protocol !diffs) in
+    let blinds = Array.of_list !blinds in
+    let diffs =
+      Ctx.map ctx ~jobs:(n_new * n_old) (fun c ->
+          Ehl.Ehl_plus.diff_with s1.pub ~blinds:blinds.(c)
+            news.(c / n_old).Enc_item.ehl olds.(c mod n_old).Enc_item.ehl)
+    in
+    let ts = Array.of_list (Gadgets.equality_round ctx ~protocol (Array.to_list diffs)) in
     let t_of i j = ts.((i * n_old) + j) in
     let zero = Gadgets.enc_zero s1 in
     (* --- old entries: W'_j = W_j + sum_i t_ij * W_i, seen vectors
@@ -43,13 +50,16 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
        are all independent E2 accumulators: every RecoverEnc of the whole
        T-list travels in one batch round. Best scores are not carried:
        SecRefresh rewrites them from worst and seen before any read. *)
+    let e2_one = Damgard_jurik.trivial dj Nat.one in
+    (* E2(1 - sum_i t_ij) per entry: a DJ negation each, deterministic *)
+    let no_matches =
+      Ctx.map ctx ~jobs:n_old (fun j ->
+          Damgard_jurik.sub dj e2_one (e2_sum dj (List.init n_new (fun i -> t_of i j))))
+    in
     let selections =
       Array.mapi
         (fun j (old : Enc_item.scored) ->
-          let col = List.init n_new (fun i -> t_of i j) in
-          let sum_t = e2_sum dj col in
-          let e2_one = Damgard_jurik.trivial dj Nat.one in
-          let no_match = Damgard_jurik.sub dj e2_one sum_t in
+          let no_match = no_matches.(j) in
           (* each selection is sum_i t_ij * x_i (+ no_match * default): the
              multi-exponentiation spec is handed to RecoverEnc, which folds
              its blinding into the same simultaneous pass *)

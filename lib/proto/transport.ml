@@ -189,3 +189,17 @@ let connect_tcp addr h =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   hello fd h;
   fd
+
+(* Accept failures that leave the listening socket usable: the process or
+   the system is out of descriptors or kernel memory, and closing
+   connections frees them. The pending connection keeps the socket
+   readable, so back off instead of spinning. *)
+let accept_backoff_s = 0.05
+
+let accept ~errors sock =
+  match Unix.accept sock with
+  | conn -> Some conn
+  | exception Unix.Unix_error ((Unix.EMFILE | ENFILE | ENOBUFS | ENOMEM), _, _) ->
+    Obs.Registry.inc errors;
+    Unix.sleepf accept_backoff_s;
+    None

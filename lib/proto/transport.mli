@@ -85,3 +85,12 @@ val spawn_daemon : Wire.hello -> Unix.file_descr * int
 
 (** Connect to a standalone [topk_cli serve-s2] daemon over TCP. *)
 val connect_tcp : Unix.sockaddr -> Wire.hello -> Unix.file_descr
+
+(** [accept ~errors sock] is [Some (Unix.accept sock)], or [None] when the
+    accept failed for want of descriptors or kernel memory (EMFILE,
+    ENFILE, ENOBUFS, ENOMEM): the failure is counted in [errors] and the
+    call sleeps briefly, since the pending connection keeps [sock]
+    readable. The daemons' accept loops then keep accepting. Other
+    errors are raised. *)
+val accept :
+  errors:Obs.Registry.counter -> Unix.file_descr -> (Unix.file_descr * Unix.sockaddr) option

@@ -31,9 +31,10 @@ type options = {
   max_depth : int option;  (** Cap on scanned depths (benchmarks). *)
 }
 (** The halting tests compare with the blinded-sign EncCompare
-    ({!Proto.Enc_compare.leq_many}). The per-depth fan-out runs on the
-    context's own domain pool ([ctx.domains], see {!Proto.Ctx.parallel});
-    results and traces are identical for every width. *)
+    ({!Proto.Enc_compare.leq_many}). The per-depth fan-outs run at the
+    context's width ([ctx.domains], see {!Proto.Ctx.map} and
+    {!Proto.Ctx.parallel}); results and traces are identical for every
+    width. *)
 
 val default_options : options
 

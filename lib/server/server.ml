@@ -1,15 +1,17 @@
 (* The S1 serving front-end: listener -> per-connection sessions ->
-   bounded Core.Service worker pool.  See server.mli for the contract.
+   bounded Core.Service crew.  See server.mli for the contract.
 
    Concurrency shape: the listener domain accepts and spawns one session
    domain per connection (answering Busy and closing when the runtime has
-   no domain left to spawn); a session reads one Query_req at a time,
-   submits the query as a job, and blocks on an ivar for the response —
-   so frames on one connection never interleave.  Overload is decided at
-   submission ([`Busy] written immediately).  Shutdown drains in order:
-   listener first, then the worker pool (in-flight queries complete and
-   their responses are written), then idle sessions are unblocked by
-   shutting their sockets down. *)
+   no domain left to spawn, backing off when accept finds no descriptor);
+   a session reads one Query_req at a time, submits the query as a job,
+   and blocks on an ivar for the response — so frames on one connection
+   never interleave.  Overload is decided at submission ([`Busy] written
+   immediately).  A running query's fan-outs borrow the crew's parked
+   workers, so the crew is the process's only pool of compute domains.
+   Shutdown drains in order: listener first, then the worker pool
+   (in-flight queries complete and their responses are written), then
+   idle sessions are unblocked by shutting their sockets down. *)
 
 open Proto
 module Qlog = Qlog
@@ -75,6 +77,7 @@ type telemetry = {
   shards_g : Obs.Registry.gauge;  (* shard count of the served index *)
   shard_queries_c : Obs.Registry.counter;  (* shard depth loops driven *)
   shard_merge_rounds_c : Obs.Registry.counter;  (* coordinator checkpoint merges *)
+  accept_errors_c : Obs.Registry.counter;  (* accepts refused for want of descriptors *)
 }
 
 let make_telemetry () =
@@ -96,6 +99,7 @@ let make_telemetry () =
     shards_g = Obs.Registry.gauge reg "shards";
     shard_queries_c = Obs.Registry.counter reg "shard_queries";
     shard_merge_rounds_c = Obs.Registry.counter reg "shard_merge_rounds";
+    accept_errors_c = Obs.Registry.counter reg "accept_errors";
   }
 
 (* A write-once cell: the session parks on it while its query runs on a
@@ -204,9 +208,11 @@ let run_query t tk =
   Fun.protect
     ~finally:(fun () -> try Sched.close_query t.sched session with _ -> ())
     (fun () ->
+      (* at the crew's width: the query's fan-outs borrow whichever
+         other workers are parked (Core.Pool) *)
       let qctx =
-        Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~mode:(Ctx.Mux (t.sched, session)) ctx_rng
-          pub sk
+        Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~domains:t.cfg.workers
+          ~mode:(Ctx.Mux (t.sched, session)) ctx_rng pub sk
       in
       let res, shard_stats = Shard.run_with_stats qctx t.ers tk t.cfg.options in
       Obs.Registry.add t.tel.shard_queries_c shard_stats.Shard.shards;
@@ -417,9 +423,10 @@ let listener_loop t =
     | ready, _, _ ->
       if List.mem t.wake_r ready then () (* drain requested *)
       else begin
-        (match Unix.accept t.lsock with
+        (match Transport.accept ~errors:t.tel.accept_errors_c t.lsock with
         | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
-        | fd, _ ->
+        | None -> ()
+        | Some (fd, _) ->
           (* the session cannot retire before the lock is released, so
              it joins the tables only once its domain exists *)
           let accepted =

@@ -4,11 +4,16 @@
     connection gets a session that speaks the {!Proto.Wire} client
     frames: a [Server_hello] announcing the index shape, then
     [Query_req]/[Query_resp] pairs. Queries are scheduled onto a
-    persistent bounded {!Core.Service} worker pool — admission-queue
-    overflow answers a typed [Busy] immediately, never stalls the
-    connection. A connection that arrives when the runtime has no free
+    persistent bounded {!Core.Service} crew of [workers] domains —
+    admission-queue overflow answers a typed [Busy] immediately, never
+    stalls the connection. Each query's context has width [workers]:
+    its fan-outs ({!Core.Pool}) borrow the other workers while they are
+    parked idle, and run inline while they serve queries. A connection that arrives when the runtime has no free
     domain for its session is answered [Busy] in place of the hello and
-    closed; the listener keeps accepting. A length prefix above
+    closed; the listener keeps accepting. So it does when [accept] fails
+    for want of descriptors or kernel memory: the failure is counted in
+    [accept_errors] and the listener backs off briefly
+    ({!Proto.Transport.accept}). A length prefix above
     [Wire.max_client_frame] closes the connection before any payload is
     read.
 
@@ -89,7 +94,7 @@ val start : ?port:int -> config -> index -> t
 val port : t -> int
 val stats : t -> stats
 
-(** Live telemetry: counters ([served]/[busy]/[errors]), load gauges
+(** Live telemetry: counters ([served]/[busy]/[errors]/[accept_errors]), load gauges
     ([queue_depth], [in_flight_queries], [open_sessions],
     [worker_utilization]) and per-query histograms ([queue_wait_us],
     [exec_us], [query_rounds], [query_bytes], [query_depth]).

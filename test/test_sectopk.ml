@@ -559,6 +559,64 @@ let test_domains_deterministic () =
     (Proto.Channel.rounds_total (Proto.Ctx.channel ctx1))
     (Proto.Channel.rounds_total (Proto.Ctx.channel ctx4))
 
+(* Qry_F, Qry_E and Qry_Ba(3) at k = 3 on a 24x3 uniform relation, hashed
+   into one SHA-256: every top-k ciphertext (worst, best, seen, EHL
+   cells), the halting depth, S2's trace, and the channel's bytes and
+   rounds. The digest is committed, so it pins the answer bytes across
+   pool widths and across changes to where randomness is drawn. *)
+let answer_digest domains =
+  let rel =
+    Synthetic.generate ~seed:"answer-digest" ~name:"u24" ~rows:24 ~attrs:3
+      (Synthetic.Uniform { lo = 0; hi = 30 })
+  in
+  let rng = Rng.create ~seed:"answer-digest" in
+  let pub, sk = Paillier.keygen ~rand_bits:96 rng ~bits:128 in
+  let er, key = Scheme.encrypt ~s:4 (Rng.fork rng ~label:"enc") pub rel in
+  let h = Sha256.init () in
+  let add s = Sha256.update h (s ^ ";") in
+  let add_nat c = add (Bignum.Nat.to_string c) in
+  List.iter
+    (fun (label, variant) ->
+      let ctx = Proto.Ctx.of_keys ~blind_bits:48 ~domains (Rng.fork rng ~label) pub sk in
+      let tk = Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:3 in
+      let res = Query.run ctx er tk { Query.default_options with variant } in
+      add label;
+      List.iter
+        (fun (it : Proto.Enc_item.scored) ->
+          add_nat (Paillier.to_nat it.worst);
+          add_nat (Paillier.to_nat it.best);
+          Array.iter (fun c -> add_nat (Paillier.to_nat c)) it.seen;
+          Array.iter (fun c -> add_nat (Paillier.to_nat c)) (Ehl.Ehl_plus.cells it.ehl))
+        res.Query.top;
+      add (string_of_int res.Query.halting_depth);
+      List.iter
+        (fun (ev : Proto.Trace.event) ->
+          add
+            (match ev with
+            | Equality_bits { protocol; bits } ->
+              protocol ^ ":eq:" ^ String.concat "" (List.map (fun b -> if b then "1" else "0") bits)
+            | Dedup_matrix { protocol; size; equal_pairs } ->
+              Printf.sprintf "%s:dedup:%d:%s" protocol size
+                (String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) equal_pairs))
+            | Comparison { protocol; ordering } -> Printf.sprintf "%s:cmp:%d" protocol ordering
+            | Count { protocol; value } -> Printf.sprintf "%s:count:%d" protocol value))
+        (Proto.Ctx.trace_events ctx);
+      let ch = Proto.Ctx.channel ctx in
+      add (string_of_int (Proto.Channel.bytes_total ch));
+      add (string_of_int (Proto.Channel.rounds_total ch)))
+    [ ("full", Query.Full); ("elim", Query.Elim); ("batched", Query.Batched 3) ];
+  Sha256.hex (Sha256.finalize h)
+
+let committed_answer_digest = "c010c0d46076be9c8da2c5532790943163bfacba3dc2a393ad8c502f30527041"
+
+let test_answer_digest () =
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "digest at width %d" domains)
+        committed_answer_digest (answer_digest domains))
+    [ 1; 2; 4 ]
+
 let suite =
   [ ( "scheme",
       [ Alcotest.test_case "encrypt shape" `Quick test_encrypt_shape;
@@ -589,6 +647,7 @@ let suite =
         Alcotest.test_case "adaptive queries on one DB" `Quick test_adaptive_queries_same_db;
         Alcotest.test_case "Qry_F hides uniqueness pattern" `Quick test_full_variant_hides_uniqueness;
         Alcotest.test_case "domain pool is deterministic" `Quick test_domains_deterministic;
+        Alcotest.test_case "answer digest at widths 1, 2 and 4" `Quick test_answer_digest;
         prop_halting_depth_matches_nra
       ] );
     ("bandwidth", [ Alcotest.test_case "channel accounting" `Quick test_bandwidth_recorded ]);

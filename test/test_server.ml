@@ -4,7 +4,9 @@
    (never a hang, never a wrong answer), malformed frames get
    [Server_error] without killing the connection, and shutdown drains
    cleanly.  The bounded worker pool itself ([Core.Service]) is driven
-   deterministically with gate-controlled jobs. *)
+   deterministically with gate-controlled jobs, and the fan-outs that
+   borrow its workers ([Core.Pool]) with rendezvous items that time out
+   instead of hanging. *)
 
 open Dataset
 open Topk
@@ -186,6 +188,142 @@ let test_service_swallows_exceptions () =
   ignore (Core.Service.submit svc (fun () -> Atomic.incr ran));
   Core.Service.drain svc;
   Alcotest.(check int) "worker survived the crash" 1 (Atomic.get ran)
+
+(* ---------------- the crew: fan-outs on service workers ---------------- *)
+
+(* Poll [cond] until it holds or [seconds] pass; whether it held. A
+   missing borrow then fails a check instead of hanging the suite. *)
+let await ?(seconds = 5.) cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () = cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ())) in
+  go ()
+
+let self () = (Domain.self () :> int)
+
+let submit_ok svc job =
+  Alcotest.(check bool) "job admitted" true (Core.Service.submit svc job = `Accepted)
+
+(* Items 0 and 8 open chunks 0 and 1 of a 64-item fan-out; each waits for
+   the other to arrive, so both must run at once on two domains. *)
+let rendezvous () =
+  let arrived = [| Atomic.make false; Atomic.make false |] in
+  fun i ->
+    let me = if i = 0 then 0 else 1 in
+    Atomic.set arrived.(me) true;
+    await (fun () -> Atomic.get arrived.(1 - me))
+
+let test_fanout_borrows_parked_worker () =
+  let svc = Core.Service.create ~domains:2 ~queue_depth:4 in
+  let meet = rendezvous () and met = Atomic.make true in
+  let ran_on = Array.make 64 (-1) and result = Atomic.make None in
+  submit_ok svc (fun () ->
+      let r =
+        Core.Pool.run ~domains:2 ~jobs:64 (fun i ->
+            ran_on.(i) <- self ();
+            if (i = 0 || i = 8) && not (meet i) then Atomic.set met false;
+            i * i)
+      in
+      Atomic.set result (Some r));
+  let completed = await (fun () -> Atomic.get result <> None) in
+  Core.Service.drain svc;
+  Alcotest.(check bool) "fan-out completed" true completed;
+  Alcotest.(check (array int)) "results in index order" (Array.init 64 (fun i -> i * i))
+    (Option.get (Atomic.get result));
+  Alcotest.(check bool) "chunks 0 and 1 ran at once" true (Atomic.get met);
+  Alcotest.(check int) "two domains ran the items" 2
+    (List.length (List.sort_uniq compare (Array.to_list ran_on)))
+
+let test_fanout_inline_when_crew_busy () =
+  let svc = Core.Service.create ~domains:2 ~queue_depth:4 in
+  let started = Gate.create () and release = Gate.create () in
+  submit_ok svc (fun () ->
+      Gate.open_ started;
+      Gate.wait release);
+  Gate.wait started;
+  let caller = Atomic.make (-1) and ran_on = Array.make 64 (-1) and result = Atomic.make None in
+  submit_ok svc (fun () ->
+      Atomic.set caller (self ());
+      let r =
+        Core.Pool.run ~domains:2 ~jobs:64 (fun i ->
+            ran_on.(i) <- self ();
+            i + 1)
+      in
+      Atomic.set result (Some r));
+  (* the other worker is still blocked: the fan-out must finish alone *)
+  let completed = await (fun () -> Atomic.get result <> None) in
+  Gate.open_ release;
+  Core.Service.drain svc;
+  Alcotest.(check bool) "completed before the block was released" true completed;
+  Alcotest.(check (array int)) "results" (Array.init 64 (fun i -> i + 1))
+    (Option.get (Atomic.get result));
+  Alcotest.(check bool) "every item ran on the caller" true
+    (Array.for_all (fun d -> d = Atomic.get caller) ran_on)
+
+let test_fanout_exception_after_started_items () =
+  let svc = Core.Service.create ~domains:2 ~queue_depth:4 in
+  let meet = rendezvous () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 and slow_done = Atomic.make false in
+  let outcome = Atomic.make None in
+  let item i =
+    Atomic.incr started;
+    Fun.protect
+      ~finally:(fun () -> Atomic.incr finished)
+      (fun () ->
+        match i with
+        | 0 ->
+          ignore (meet 0);
+          failwith "item 0"
+        | 8 ->
+          ignore (meet 8);
+          (* still running when item 0 raises *)
+          Unix.sleepf 0.2;
+          Atomic.set slow_done true
+        | _ -> ())
+  in
+  submit_ok svc (fun () ->
+      let r =
+        match Core.Pool.run ~domains:2 ~jobs:64 item with
+        | _ -> `Returned
+        | exception Failure msg ->
+          `Raised (msg, Atomic.get slow_done, Atomic.get started = Atomic.get finished)
+      in
+      Atomic.set outcome (Some r));
+  Alcotest.(check bool) "fan-out returned" true (await (fun () -> Atomic.get outcome <> None));
+  (match Option.get (Atomic.get outcome) with
+  | `Raised (msg, slow_done, all_finished) ->
+    Alcotest.(check string) "the item's exception" "item 0" msg;
+    Alcotest.(check bool) "raised after the slow item finished" true slow_done;
+    Alcotest.(check bool) "every started item had finished" true all_finished
+  | `Returned -> Alcotest.fail "the exception was lost");
+  let later = Atomic.make false in
+  submit_ok svc (fun () -> Atomic.set later true);
+  Alcotest.(check bool) "the service runs later jobs" true (await (fun () -> Atomic.get later));
+  Core.Service.drain svc
+
+(* One worker runs a job, the other helps it; with no queue slot a new job
+   is still admitted, and runs once the helper's chunk ends. *)
+let test_help_is_not_admission () =
+  let svc = Core.Service.create ~domains:2 ~queue_depth:0 in
+  let meet = rendezvous () and caller = Atomic.make (-1) in
+  let helping = Atomic.make false and release = Gate.create () in
+  let fanned = Atomic.make false and later = Atomic.make false in
+  submit_ok svc (fun () ->
+      Atomic.set caller (self ());
+      ignore
+        (Core.Pool.run ~domains:2 ~jobs:64 (fun i ->
+             if (i = 0 || i = 8) && meet i && self () <> Atomic.get caller then begin
+               Atomic.set helping true;
+               Gate.wait release
+             end));
+      Atomic.set fanned true);
+  let borrowed = await (fun () -> Atomic.get helping) in
+  let verdict = Core.Service.submit svc (fun () -> Atomic.set later true) in
+  Gate.open_ release;
+  Alcotest.(check bool) "a parked worker was borrowed" true borrowed;
+  Alcotest.(check bool) "admitted while the other worker helps" true (verdict = `Accepted);
+  Alcotest.(check bool) "the admitted job ran" true (await (fun () -> Atomic.get later));
+  Alcotest.(check bool) "the fan-out finished" true (await (fun () -> Atomic.get fanned));
+  Core.Service.drain svc
 
 (* ---------------- the served path ---------------- *)
 
@@ -563,6 +701,16 @@ let test_domain_exhaustion () =
       Alcotest.(check int) "served" 1 (snap_counter snap "served");
       Alcotest.(check int) "refusal counted as busy" 1 (snap_counter snap "busy"))
 
+(* A Qry_F query on a connection opened before every domain slot was
+   taken: its fan-outs borrow the server's other worker, so it needs no
+   new domain and returns the expected answer. *)
+let test_query_with_domains_exhausted () =
+  with_server (fun srv ->
+      let expected = expected_resp () in
+      with_client (Server.port srv) (fun fd ->
+          let resp = with_domains_exhausted (fun () -> ask fd token) in
+          check_is_expected "query with every domain slot held" expected resp))
+
 let test_shutdown_closes_port () =
   let st = Store.open_index ~dir:(store_dir ()) pub in
   let srv = Server.start (cfg 2 8) (Server.Single st) in
@@ -583,6 +731,14 @@ let suite =
       [ Alcotest.test_case "deterministic overflow" `Quick test_service_busy;
         Alcotest.test_case "runs everything admitted" `Quick test_service_runs_everything;
         Alcotest.test_case "survives job crashes" `Quick test_service_swallows_exceptions ] );
+    ( "crew",
+      [ Alcotest.test_case "fan-out borrows a parked worker" `Quick
+          test_fanout_borrows_parked_worker;
+        Alcotest.test_case "fan-out runs inline when the crew is busy" `Quick
+          test_fanout_inline_when_crew_busy;
+        Alcotest.test_case "exception after every started item" `Quick
+          test_fanout_exception_after_started_items;
+        Alcotest.test_case "help never answers Busy" `Quick test_help_is_not_admission ] );
     ( "serving",
       [ Alcotest.test_case "sequential identity" `Slow test_sequential_identity;
         Alcotest.test_case "4 concurrent clients" `Slow test_concurrent_clients;
@@ -597,6 +753,8 @@ let suite =
         Alcotest.test_case "query log + sampled traces" `Slow test_query_log_and_traces;
         Alcotest.test_case "2-shard serving" `Slow test_sharded_server;
         Alcotest.test_case "domain exhaustion -> Busy, then serves" `Slow test_domain_exhaustion;
+        Alcotest.test_case "Qry_F with every domain slot held" `Slow
+          test_query_with_domains_exhausted;
         Alcotest.test_case "shutdown closes port" `Slow test_shutdown_closes_port ] ) ]
 
 let () = Alcotest.run "server" suite

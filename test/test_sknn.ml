@@ -84,6 +84,28 @@ let test_traffic_is_linear_in_nm () =
   let sm_bytes = 3 * 8 * 3 * ct in
   Alcotest.(check bool) "traffic >= 3*n*m ciphertexts" true (d.Proto.Channel.bytes >= sm_bytes)
 
+(* At width 2 a borrowed crew worker ships chunk i of the distance
+   pipeline while the caller prepares chunk i+1; the neighbours, bytes and
+   rounds must equal the sequential width-1 run's. *)
+let test_pipeline_width_two () =
+  let go domains =
+    let rng = Rng.create ~seed:"knn-width" in
+    let pub, sk = Paillier.keygen ~rand_bits:96 rng ~bits:128 in
+    let ctx = Proto.Ctx.of_keys ~blind_bits:48 ~domains (Rng.fork rng ~label:"ctx") pub sk in
+    let rel =
+      Synthetic.generate ~seed:"knn-width" ~name:"knnw" ~rows:20 ~attrs:3
+        (Synthetic.Uniform { lo = 0; hi = 50 })
+    in
+    let db = Sknn.encrypt_db (Rng.fork rng ~label:"db") pub rel in
+    let got = Sknn.query ctx db ~point:[| 25; 25; 25 |] ~k:3 in
+    let ch = Proto.Ctx.channel ctx in
+    (got, Proto.Channel.bytes_total ch, Proto.Channel.rounds_total ch)
+  in
+  let n1, bytes1, rounds1 = go 1 and n2, bytes2, rounds2 = go 2 in
+  Alcotest.(check (list int)) "neighbours" n1 n2;
+  Alcotest.(check int) "bytes" bytes1 bytes2;
+  Alcotest.(check int) "rounds" rounds1 rounds2
+
 let test_db_size () =
   let rel = Synthetic.generate ~seed:"sz" ~name:"knnsz" ~rows:10 ~attrs:4
       (Synthetic.Uniform { lo = 0; hi = 9 }) in
@@ -165,7 +187,8 @@ let suite =
       [ Alcotest.test_case "small example" `Quick test_knn_small;
         prop_knn_oracle;
         Alcotest.test_case "O(nm) traffic" `Quick test_traffic_is_linear_in_nm;
-        Alcotest.test_case "db size" `Quick test_db_size
+        Alcotest.test_case "db size" `Quick test_db_size;
+        Alcotest.test_case "width-2 pipeline = width 1" `Quick test_pipeline_width_two
       ] )
   ]
 
