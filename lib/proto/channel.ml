@@ -32,16 +32,6 @@ let bytes_by_label t =
             never leak into reports or test expectations *)
          match compare b a with 0 -> compare la lb | c -> c)
 
-let merge_into src ~into =
-  into.bytes <- into.bytes + src.bytes;
-  into.messages <- into.messages + src.messages;
-  into.rounds <- into.rounds + src.rounds;
-  Hashtbl.iter
-    (fun label bytes ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt into.by_label label) in
-      Hashtbl.replace into.by_label label (prev + bytes))
-    src.by_label
-
 let reset t =
   t.bytes <- 0;
   t.messages <- 0;

@@ -22,13 +22,6 @@ val rounds_total : t -> int
 (** Bytes grouped by protocol label, descending. *)
 val bytes_by_label : t -> (string * int) list
 
-(** [merge_into src ~into] folds the counters of [src] into [into]
-    (leaving [src] untouched). Sub-channels of parallel protocol batches
-    are merged back in task-index order, so totals equal — and are as
-    deterministic as — a serial run. Summing [rounds] is the conservative
-    accounting choice: it ignores that parallel round trips overlap. *)
-val merge_into : t -> into:t -> unit
-
 (** Zero all counters. *)
 val reset : t -> unit
 

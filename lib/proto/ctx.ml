@@ -175,37 +175,6 @@ let fork_s1 s1 i =
   let rng = Rng.fork s1.rng ~label:("par:" ^ string_of_int i) in
   { s1 with rng; djnoise = make_djnoise rng s1.djpub }
 
-let sink t = match Obs.current () with Some c -> c | None -> t.obs
-
-(* Fork [jobs] sub-contexts up front, in index order: randomness and
-   accounting are then a pure function of (state, jobs), independent of
-   [t.domains] and of domain scheduling. The S2 halves fork in the same
-   order through the transport (locally or via Mux_fork ops). *)
-let fork_subs t ~jobs =
-  let subs = Array.make jobs t in
-  for i = 0 to jobs - 1 do
-    let s1 = fork_s1 t.s1 i in
-    let transport = Transport.fork t.transport ~label:("par:" ^ string_of_int i) in
-    subs.(i) <- { s1; transport; domains = 1; obs = Obs.Collector.create (); batching = t.batching }
-  done;
-  subs
-
-(* Merge the sub-contexts' channels, traces and collectors back into the
-   parent, in index order, so accounting is width-independent. *)
-let join_subs t subs =
-  let sink = sink t in
-  Array.iter
-    (fun sub ->
-      Transport.join_sub sub.transport ~into:t.transport;
-      Obs.Collector.merge_into sub.obs ~into:sink)
-    subs
-
-(* The mux transport keeps one outstanding op per query: interleaved
-   submissions from several domains would break the scheduler's ship
-   condition, so sub-contexts that make rpcs run one at a time there
-   (index order, same results). *)
-let effective_domains t = if Transport.concurrent t.transport then t.domains else 1
-
 let map t ~jobs f = Core.Pool.run ~domains:t.domains ~jobs f
 
 (* Tasks are pure S1 work: they get forked S1 state, never a transport,

@@ -158,26 +158,6 @@ val map : t -> jobs:int -> (int -> 'a) -> 'a array
     setting. *)
 val parallel : t -> jobs:int -> (s1 -> int -> 'a) -> 'a array
 
-(** [fork_subs t ~jobs] forks [jobs] full sub-contexts for callers whose
-    tasks make rpcs: the shard coordinator holds one per shard across its
-    whole depth loop. Sub-context [i] gets S1 state forked exactly as
-    {!parallel}'s task [i], an S2 session forked through the transport
-    (locally, or a [Mux_fork] op), a private channel, trace and
-    collector, and [domains = 1]. Every array returned by [fork_subs]
-    must eventually be passed to {!join_subs} on the same parent, after
-    which the subs are dead. *)
-val fork_subs : t -> jobs:int -> t array
-
-(** Merge forked sub-contexts' channels, traces and collectors back into
-    the parent, in index order (see {!fork_subs}). *)
-val join_subs : t -> t array -> unit
-
-(** The pool width for running {!fork_subs} sub-contexts concurrently:
-    [t.domains] when the transport supports concurrent sub-sessions, else
-    1 (a mux query keeps one outstanding op). {!parallel} does not need
-    it: its tasks make no rpcs. *)
-val effective_domains : t -> int
-
 (** Serialized sizes used for channel accounting. *)
 val paillier_ct_bytes : t -> int
 

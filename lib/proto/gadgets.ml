@@ -6,14 +6,19 @@ let blind_scalar (s1 : Ctx.s1) =
   | None -> Rng.unit_mod s1.rng s1.pub.Paillier.n
   | Some bits -> Nat.succ (Rng.nat_bits s1.rng bits)
 
-(* One batched equality test: S2 decrypts each blinded difference and
-   returns E2(1)/E2(0) per entry. The rpc happens even for an empty batch:
-   the protocol's round (and S2's empty Equality_bits trace entry) exists
-   either way. *)
-let equality_round (ctx : Ctx.t) ~protocol diffs =
-  match Ctx.rpc ctx ~label:protocol (Wire.Equality diffs) with
-  | Wire.Bits2 replies -> replies
-  | _ -> failwith "Gadgets.equality_round: unexpected response"
+(* One equality round over several independent blocks: one [Equality]
+   request per block, all in one batch, so S2 never sees two blocks'
+   differences in one request. A single block is a plain rpc (the
+   singleton batch delegates). A block with no differences still sends
+   its request: the protocol's round (and S2's empty Equality_bits
+   trace entry) exists either way. *)
+let equality_round_many (ctx : Ctx.t) ~protocol blocks =
+  List.map
+    (function
+      | Wire.Bits2 ts -> ts | _ -> failwith "Gadgets.equality_round: unexpected response")
+    (Ctx.rpc_batch ctx ~label:protocol (List.map (fun diffs -> Wire.Equality diffs) blocks))
+
+let equality_round ctx ~protocol diffs = List.hd (equality_round_many ctx ~protocol [ diffs ])
 
 let conjunction_round (ctx : Ctx.t) ~protocol groups =
   match Ctx.rpc ctx ~label:protocol (Wire.Conjunction groups) with
@@ -122,13 +127,33 @@ let select_recover_many (ctx : Ctx.t) ~protocol choices =
       let t, if_one, if_zero = choices.(i) in
       [ (t, if_one); (Damgard_jurik.sub dj e2_one t, if_zero) ])
 
+let pass_through blocks ~pass f =
+  let outs =
+    ref (match List.filter (fun b -> Option.is_none (pass b)) blocks with [] -> [] | live -> f live)
+  in
+  List.map
+    (fun b ->
+      match (pass b, !outs) with
+      | Some out, _ -> out
+      | None, out :: rest ->
+        outs := rest;
+        out
+      | None, [] -> invalid_arg "Gadgets.pass_through: too few results")
+    blocks
+
+let chunks sizes arr =
+  snd (List.fold_left_map (fun off n -> (off + n, Array.to_list (Array.sub arr off n))) 0 sizes)
+
 (* Both halves of the lift fan out: the blinding and DJ-noise draws are
-   made on the calling domain in item order, the encryptions and the DJ
-   subtraction (a negation, i.e. a full exponentiation) anywhere. *)
-let lift (ctx : Ctx.t) ~protocol cts =
+   made on the calling domain in item order, block after block, the
+   encryptions and the DJ subtraction (a negation, i.e. a full
+   exponentiation) anywhere. Each block travels as its own [Lift] request
+   of one batch. *)
+let lift_many (ctx : Ctx.t) ~protocol blocks =
   let s1 = ctx.Ctx.s1 in
   let pub = s1.pub and dj = s1.djpub in
-  let cts = Array.of_list cts in
+  let sizes = List.map List.length blocks in
+  let cts = Array.of_list (List.concat blocks) in
   let jobs = Array.length cts in
   (* blinding below n/2 so that bit + r never wraps mod n (a wrap would
      corrupt the value when the blinding is stripped in the wider DJ
@@ -146,13 +171,19 @@ let lift (ctx : Ctx.t) ~protocol cts =
   in
   (* S2 re-encrypts the (blinded, uniform) plaintexts under DJ *)
   let lifted =
-    match Ctx.rpc ctx ~label:protocol (Wire.Lift (Array.to_list blinded)) with
-    | Wire.Bits2 lifted when List.length lifted = jobs -> Array.of_list lifted
-    | _ -> failwith "Gadgets.lift: unexpected response"
+    List.map2
+      (fun n resp ->
+        match resp with
+        | Wire.Bits2 lifted when List.length lifted = n -> lifted
+        | _ -> failwith "Gadgets.lift_many: unexpected response")
+      sizes
+      (Ctx.rpc_batch ctx ~label:protocol
+         (List.map (fun b -> Wire.Lift b) (chunks sizes blinded)))
+    |> List.concat |> Array.of_list
   in
   (* S1 strips the blinding inside the DJ layer *)
   let dj_noise = draw_each jobs (fun _ -> Damgard_jurik.draw_noise s1.rng dj) in
-  Array.to_list
+  chunks sizes
     (Ctx.map ctx ~jobs (fun i ->
          let r, _ = draws.(i) in
          Damgard_jurik.sub dj lifted.(i)

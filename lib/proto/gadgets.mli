@@ -26,6 +26,13 @@ val blind_scalar : Ctx.s1 -> Nat.t
 val equality_round :
   Ctx.t -> protocol:string -> Paillier.ciphertext list -> Damgard_jurik.ciphertext list
 
+(** [equality_round_many ctx ~protocol blocks] — one round for several
+    independent blocks of differences: one [Equality] request per block,
+    all in one {!Ctx.rpc_batch}, so no request mixes two blocks. Returns
+    the per-block bits; a single block frames as {!equality_round}. *)
+val equality_round_many :
+  Ctx.t -> protocol:string -> Paillier.ciphertext list list -> Damgard_jurik.ciphertext list list
+
 (** [select s1 ~t ~if_one ~if_zero] is
     [E2(t)^if_one * (E2(1) * E2(t)^-1)^if_zero] — evaluates to
     [E2(if_one)] when [t = 1] and [E2(if_zero)] when [t = 0]. Purely
@@ -87,12 +94,30 @@ val select_recover_many :
 val conjunction_round :
   Ctx.t -> protocol:string -> Paillier.ciphertext list list -> Damgard_jurik.ciphertext list
 
-(** [lift ctx ~protocol cts] converts Paillier ciphertexts into DJ
-    ciphertexts of the same plaintexts, in one batched round: S1 blinds
-    each [Enc(v)] additively, S2 decrypts and returns [E2(v + r)], S1
-    strips the blinding in the DJ layer. S2 sees only uniform values. *)
-val lift :
-  Ctx.t -> protocol:string -> Paillier.ciphertext list -> Damgard_jurik.ciphertext list
+(** [lift_many ctx ~protocol blocks] converts Paillier ciphertexts into
+    DJ ciphertexts of the same plaintexts, in one batched round: S1
+    blinds each [Enc(v)] additively, S2 decrypts and returns [E2(v + r)],
+    S1 strips the blinding in the DJ layer. S2 sees only uniform values.
+    Each block travels as its own [Lift] request of the batch and comes
+    back as its own list; the draws are made in block order, so a single
+    block frames and draws exactly as a one-request lift. *)
+val lift_many :
+  Ctx.t ->
+  protocol:string ->
+  Paillier.ciphertext list list ->
+  Damgard_jurik.ciphertext list list
+
+(** [pass_through blocks ~pass f] runs a phase over per-shard blocks:
+    a block for which [pass] returns [Some out] passes through as [out]
+    and costs nothing; [f] runs once, on the remaining blocks in order
+    (and not at all when none remain), and its results are put back in
+    their blocks' places. *)
+val pass_through : 'a list -> pass:('a -> 'b option) -> ('a list -> 'b list) -> 'b list
+
+(** [chunks sizes arr] cuts [arr] into consecutive lists of the given
+    sizes: the per-block view of a fan-out or batch that ran over the
+    concatenation of several blocks. *)
+val chunks : int list -> 'a array -> 'a list list
 
 (** A fresh Paillier encryption of zero by S1 (the [Enc(0)] leg of the
     select gadget). *)

@@ -30,9 +30,12 @@ val of_hello : Wire.hello -> t
 (** Answer one request; the label names the protocol for trace purposes. *)
 val handle : t -> label:string -> Wire.request -> Wire.response
 
-(** Fork a child session for one sub-context (fresh rng fork + empty
-    trace, shared keys); [join] folds the child's trace back in call
-    order. Mirrors [Ctx.fork_subs]' S1-side forks one-to-one. *)
+(** Fork a child session (fresh rng fork + empty trace, shared keys);
+    [join] folds the child's trace back in call order. They answer the
+    [Mux_fork]/[Mux_join] ops, which no S1 code sends any more: the
+    sharded depth loop batches every shard into the query's own
+    session. They stay while [benchmark/harness/traced.ml] matches those
+    ops. *)
 val fork : t -> label:string -> t
 
 val join : t -> into:t -> unit

@@ -67,9 +67,9 @@ val create :
   unit ->
   t
 
-(** Allocate a fresh session id without shipping anything (transport
-    forks pair this with a [Mux_fork] op). Ids are unique per scheduler,
-    starting at 1. *)
+(** Allocate a fresh session id without shipping anything (for a child
+    session opened by a [Mux_fork] op, which no S1 code sends any more).
+    Ids are unique per scheduler, starting at 1. *)
 val alloc_session : t -> int
 
 (** Register a query: allocates a session id, ships [Mux_open] (S2

@@ -53,37 +53,43 @@ let unmask_item (s1 : Ctx.s1) (it : Enc_item.scored) (pack : Enc_item.pack) =
         it.Enc_item.seen;
   }
 
-let run (ctx : Ctx.t) ~mode items =
+let run_many (ctx : Ctx.t) ~mode blocks =
   Obs.span protocol @@ fun () ->
-  match items with
-  | [] -> []
-  | _ ->
-    let s1 = ctx.Ctx.s1 in
-    let l = List.length items in
-    let arr = Array.of_list items in
-    (* --- S1: permute, build the pairwise matrix on the permuted order,
-       mask every item --- *)
-    ignore (Rng.shuffle s1.rng arr);
-    let pair_idx = Wire.pair_indices l in
-    (* Each matrix entry is an independent blinded diff: fan the
-       l*(l-1)/2 pairs out on the pool (pure S1 work). *)
-    let diffs =
-      Ctx.parallel ctx ~jobs:(Array.length pair_idx) (fun sub1 idx ->
-          let i, j = pair_idx.(idx) in
-          Ehl.Ehl_plus.diff ?blind_bits:sub1.blind_bits sub1.rng sub1.pub
-            arr.(i).Enc_item.ehl arr.(j).Enc_item.ehl)
-    in
-    let masked = Array.map (mask_item s1) arr in
-    (* --- one round trip: S2 decrypts the matrix, replaces or drops
-       duplicates, layers its own masks and a second permutation --- *)
-    let out =
-      match
-        Ctx.rpc ctx ~label:protocol
-          (Wire.Dedup
-             { mode; diffs = Array.to_list diffs; items = Array.to_list masked })
-      with
-      | Wire.Items out -> out
-      | _ -> failwith "Sec_dedup.run: unexpected response"
-    in
-    (* --- S1: strip the accumulated masks --- *)
-    List.map (fun (it, pack) -> unmask_item s1 it pack) out
+  let s1 = ctx.Ctx.s1 in
+  Gadgets.pass_through blocks
+    ~pass:(function [] -> Some [] | _ :: _ -> None)
+    (fun live ->
+      (* --- S1: permute each block, build its pairwise matrix on the
+         permuted order, mask every item; block after block --- *)
+      let arrs = List.map Array.of_list live in
+      List.iter (fun arr -> ignore (Rng.shuffle s1.rng arr)) arrs;
+      let pairs =
+        List.map
+          (fun arr ->
+            Array.map (fun (i, j) -> (arr.(i), arr.(j))) (Wire.pair_indices (Array.length arr)))
+          arrs
+      in
+      (* Each matrix entry is an independent blinded diff: fan the pairs
+         of every block out on the pool together (pure S1 work). *)
+      let all_pairs = Array.concat pairs in
+      let diffs =
+        Gadgets.chunks (List.map Array.length pairs)
+          (Ctx.parallel ctx ~jobs:(Array.length all_pairs) (fun sub1 idx ->
+               let a, b = all_pairs.(idx) in
+               Ehl.Ehl_plus.diff ?blind_bits:sub1.blind_bits sub1.rng sub1.pub a.Enc_item.ehl
+                 b.Enc_item.ehl))
+      in
+      let masked = List.map (fun arr -> Array.to_list (Array.map (mask_item s1) arr)) arrs in
+      (* --- one round trip, one Dedup request per block: S2 decrypts
+         each matrix, replaces or drops duplicates, layers its own masks
+         and a second permutation --- *)
+      let outs =
+        List.map
+          (function Wire.Items out -> out | _ -> failwith "Sec_dedup.run_many: unexpected response")
+          (Ctx.rpc_batch ctx ~label:protocol
+             (List.map2 (fun diffs items -> Wire.Dedup { mode; diffs; items }) diffs masked))
+      in
+      (* --- S1: strip the accumulated masks --- *)
+      List.map (List.map (fun (it, pack) -> unmask_item s1 it pack)) outs)
+
+let run ctx ~mode items = List.hd (run_many ctx ~mode [ items ])

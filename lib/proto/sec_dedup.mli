@@ -25,3 +25,11 @@ type mode = Wire.dedup_mode = Replace | Eliminate
     are those of one of the duplicates (callers must ensure duplicates
     agree, which SecWorst guarantees). *)
 val run : Ctx.t -> mode:mode -> Enc_item.scored list -> Enc_item.scored list
+
+(** [run_many ctx ~mode blocks] de-duplicates several independent blocks
+    (one per shard) in one round: one [Dedup] request per block, all in
+    one batch, so S2 sees each block's own matrix and never a
+    cross-block pair. Permutations, masks and the matrix are drawn block
+    after block; {!run} is [run_many] on one block. An empty block passes
+    through and sends nothing. Results are per block, in order. *)
+val run_many : Ctx.t -> mode:mode -> Enc_item.scored list list -> Enc_item.scored list list

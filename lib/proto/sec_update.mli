@@ -38,3 +38,19 @@ val run :
   t_list:Enc_item.scored list ->
   gamma:Enc_item.scored list ->
   Enc_item.scored list
+
+(** [run_many ctx ~mode blocks] merges several independent [(t_list,
+    gamma)] blocks (one per shard) in the rounds of one block: one
+    equality round carrying an [Equality] request per block, one recover
+    round for every block's T-list, and one Replace-select round or one
+    round of per-block [Dup_flags] requests. The grid stays
+    block-diagonal: each block is permuted and blinded on its own and S2
+    never sees a cross-block pair. Draws are made block after block, so
+    one block is exactly {!run}. A block with an empty side passes
+    through (as its other side) and sends nothing. Results are per
+    block, in order. *)
+val run_many :
+  Ctx.t ->
+  mode:Sec_dedup.mode ->
+  (Enc_item.scored list * Enc_item.scored list) list ->
+  Enc_item.scored list list

@@ -33,12 +33,7 @@ let run_many ?seen (ctx : Ctx.t) (queries : (Enc_item.entry * Enc_item.entry lis
       queries
   in
   let ts_per_query =
-    List.map
-      (function
-        | Wire.Bits2 ts -> ts
-        | _ -> failwith "Sec_worst.run_many: unexpected response")
-      (Ctx.rpc_batch ctx ~label:protocol
-         (List.map (fun (_, _, _, diffs) -> Wire.Equality diffs) prepped))
+    Gadgets.equality_round_many ctx ~protocol (List.map (fun (_, _, _, diffs) -> diffs) prepped)
   in
   (* undo S1's own permutation on the indicators: perm maps new -> old *)
   let unpermuted_per_query =

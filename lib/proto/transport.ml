@@ -24,8 +24,8 @@ let channel t = t.chan
 let keys t = t.keys
 
 (* Mux keeps the scheduler's one-outstanding-op-per-query invariant — the
-   all-parked ship condition counts queries, not forks — so forked
-   sub-contexts that make rpcs (Ctx.fork_subs) run one at a time there
+   all-parked ship condition counts queries — so a query never has two
+   rpcs in flight there: Ctx.rpc_pipeline ships its chunks one at a time
    (results are width-independent by construction, only wall time
    changes). *)
 let concurrent t = match t.kind with Mux _ -> false | Inproc _ | Loopback _ -> true
@@ -73,37 +73,6 @@ let rpc t ~label req =
       Channel.round_trip t.chan;
       resp
     | Wire.Mux_ok -> raise (Proto_error.Proto_error "Transport: unexpected mux reply"))
-
-(* ---------------- parallel forks ---------------- *)
-
-let fork t ~label =
-  match t.kind with
-  | Inproc server ->
-    { t with chan = Channel.create (); kind = Inproc (S2_server.fork server ~label) }
-  | Loopback server ->
-    { t with chan = Channel.create (); kind = Loopback (S2_server.fork server ~label) }
-  | Mux { sched; session } ->
-    let child = Sched.alloc_session sched in
-    (match Sched.submit sched (Wire.Mux_fork { parent = session; child; label }) with
-    | Wire.Mux_ok -> ()
-    | Wire.Mux_answer _ ->
-      raise (Proto_error.Proto_error "Transport: unexpected mux reply to fork"));
-    { t with chan = Channel.create (); kind = Mux { sched; session = child } }
-
-let join_sub sub ~into =
-  Channel.merge_into sub.chan ~into:into.chan;
-  match (sub.kind, into.kind) with
-  | Inproc child, Inproc parent | Loopback child, Loopback parent ->
-    S2_server.join child ~into:parent
-  | Mux child, Mux parent -> (
-    match
-      Sched.submit child.sched
-        (Wire.Mux_join { parent = parent.session; child = child.session })
-    with
-    | Wire.Mux_ok -> ()
-    | Wire.Mux_answer _ ->
-      raise (Proto_error.Proto_error "Transport: unexpected mux reply to join"))
-  | _ -> invalid_arg "Transport.join_sub: mismatched transports"
 
 (* ---------------- S2-side introspection ---------------- *)
 

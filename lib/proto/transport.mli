@@ -32,16 +32,15 @@ val inproc : Wire.keys -> S2_server.t -> t
 val loopback : ?rtt_us:int -> Wire.keys -> S2_server.t -> t
 
 (** Park this query's rpcs at a shared {!Sched} under the given mux
-    session id (obtained from [Sched.open_query]). Forking allocates
-    child sessions from the same scheduler. *)
+    session id (obtained from [Sched.open_query]). *)
 val mux : Wire.keys -> Sched.t -> session:int -> t
 
 val channel : t -> Channel.t
 val keys : t -> Wire.keys
 
 (** False for [Mux] (the scheduler's ship condition assumes one
-    outstanding op per query): forked sub-contexts that make rpcs
-    ([Ctx.fork_subs]) run one at a time there. *)
+    outstanding op per query): [Ctx.rpc_pipeline] overlaps a chunk's
+    round trip with preparing the next only where this is true. *)
 val concurrent : t -> bool
 
 val mode_name : t -> string
@@ -49,14 +48,6 @@ val mode_name : t -> string
 (** One request/response round trip. Both frames are charged to the
     channel at their encoded length under the request's protocol label. *)
 val rpc : t -> label:string -> Wire.request -> Wire.response
-
-(** Fork a child transport for one sub-context ([Ctx.fork_subs]): local
-    transports fork the in-process server; [Mux] opens a child session
-    with a [Mux_fork] op. [join_sub] merges the child's channel and S2
-    trace back; call in index order. *)
-val fork : t -> label:string -> t
-
-val join_sub : t -> into:t -> unit
 
 (** Direct S2 state, for local transports and tests; raises
     [Invalid_argument] when S2 is behind a scheduler. *)

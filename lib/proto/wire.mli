@@ -112,9 +112,11 @@ type response =
     into a single frame, each op tagged with the session it belongs to.
     [Mux_open] makes S2 provision a fresh responder for the session (the
     same [of_hello] replay the connection's [Hello] ran); [Mux_close]
-    retires it; [Mux_fork]/[Mux_join] open and fold back the child
-    session of one forked sub-context ([Ctx.fork_subs], one per shard);
-    [Mux_req] is one ordinary request routed to its session. *)
+    retires it; [Mux_fork]/[Mux_join] open and fold back a child
+    session (no S1 code sends them any more: a sharded query batches
+    every shard into its own session; they stay while
+    [benchmark/harness/traced.ml] matches them); [Mux_req] is one
+    ordinary request routed to its session. *)
 type mux_op =
   | Mux_open of { session : int }
   | Mux_close of { session : int }

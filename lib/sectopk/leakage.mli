@@ -5,14 +5,21 @@
     [L1_Query = (QP, D_q)]: the query pattern and halting depth visible to
     S1. [L2_Query = {EP^d}]: the per-depth equality patterns visible to
     S2 (under S1's random permutations). SecDupElim additionally reveals
-    the uniqueness pattern UP^d. *)
+    the uniqueness pattern UP^d. Over a sharded index S1 also learns the
+    shard sizes, and each phase's patterns come one per live shard: a
+    batched round carries one request per shard, each with that shard's
+    own grid or matrix, so S2 never sees a cross-shard pair. *)
 
 (** Query pattern: [qp tokens] is the repetition matrix — entry [(i, j)],
     [j <= i], is [true] iff query [i] equals query [j] (Section 9). *)
 val query_pattern : Scheme.token list -> bool array array
 
 type profile = {
-  equality_rounds : int;  (** number of equality rounds S2 served *)
+  equality_rounds : int;
+      (** number of equality requests S2 served: one per SecWorst
+          instance, per SecUpdate block and per join test. A batched
+          round carries several, so this is not the transport's round
+          count. *)
   equality_bits : int list list;
       (** per round, the positions of the 1-bits (the EP pattern, already
           permuted by S1) *)

@@ -79,30 +79,17 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
   let t_lists = Array.make shards [] in
   let merge_rounds = ref 0 in
   let timings = ref [] in
-  (* With several shards, each gets a sub-context forked once and held
-     across the whole loop: shard-local phases run as concurrent sessions
-     over the shared transport (coalesced by the round scheduler under
-     Mux), with Ctx.fork_subs' fork/collector/join discipline. One shard
-     runs on [ctx] itself: no fork, no extra draws or trips. *)
-  let subs = if shards = 1 then [| ctx |] else Ctx.fork_subs ctx ~jobs:shards in
-  let pool_domains = Ctx.effective_domains ctx in
-  let on_shards js f =
-    if shards = 1 then Array.map (f ctx) js
-    else
-      Core.Pool.run ~domains:pool_domains ~jobs:(Array.length js) (fun p ->
-          let j = js.(p) in
-          Obs.with_collector subs.(j).Ctx.obs (fun () -> f subs.(j) j))
-  in
   (* SecRefresh: rewrite every candidate's best score as its worst score
      plus the bottoms of the lists it is unseen in (DESIGN §3a.1). This is
-     the only producer of [best] that any reader sees. *)
+     the only producer of [best] that any reader sees. One block per
+     shard with candidates, all in the rounds of one. *)
   let refresh () =
-    let js = Array.of_list (List.filter (fun j -> t_lists.(j) <> []) (List.init shards Fun.id)) in
-    Array.iter2
+    let js = List.filter (fun j -> t_lists.(j) <> []) (List.init shards Fun.id) in
+    List.iter2
       (fun j t -> t_lists.(j) <- t)
       js
-      (on_shards js (fun sub j ->
-           Sec_refresh.run sub ~items:t_lists.(j) ~bottoms:(Array.map Option.get bottoms.(j))))
+      (Sec_refresh.run_many ctx
+         (List.map (fun j -> (t_lists.(j), Array.map Option.get bottoms.(j))) js))
   in
   let sort_all () = Enc_sort.sort ctx ~strategy:options.sort (List.concat (Array.to_list t_lists)) in
   let weighted_entry j li w depth =
@@ -114,7 +101,6 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
   (* the sorted merge of the last checkpoint, if it ran at the last depth *)
   let last_sorted = ref None in
   let depth = ref 0 in
-  Fun.protect ~finally:(fun () -> if shards > 1 then Ctx.join_subs ctx subs) @@ fun () ->
   while (not !halted) && !depth < limit do
     let d = !depth in
     let (), dt =
@@ -178,18 +164,19 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
               { Enc_item.ehl = row.(i).Enc_item.ehl; worst; best = worst; seen })
             indices)
       rows;
-    (* Phase 2 — shard-local dedup + merge into the shard's running list.
-       The row partition makes the SecUpdate grid block-diagonal:
+    (* Phase 2 — shard-local dedup + merge into the shard's running list,
+       one block per live shard and one round per step whatever the shard
+       count. The row partition makes the SecUpdate grid block-diagonal:
        cross-shard pairs encode distinct objects by construction and never
        meet, so the per-depth O(|T|·|gamma|) work divides by the shard
        count. *)
-    let live = Array.of_list (List.map fst rows) in
-    Array.iter2
+    let live = List.map fst rows in
+    let gammas = Sec_dedup.run_many ctx ~mode:dedup_mode (List.map (fun j -> scored.(j)) live) in
+    List.iter2
       (fun j t -> t_lists.(j) <- t)
       live
-      (on_shards live (fun sub j ->
-           let gamma = Sec_dedup.run sub ~mode:dedup_mode scored.(j) in
-           Sec_update.run sub ~mode:dedup_mode ~t_list:t_lists.(j) ~gamma));
+      (Sec_update.run_many ctx ~mode:dedup_mode
+         (List.map2 (fun j gamma -> (t_lists.(j), gamma)) live gammas));
     (* Phase 3 — checkpoint: refresh every shard's upper bounds against
        its own bottoms, then one global merge: sort the concatenation and
        run one NRA test with a per-shard unseen bound. Exhausted shards

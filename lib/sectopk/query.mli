@@ -56,14 +56,17 @@ val run_sharded :
     sets). It also returns the number of halting checkpoints it ran.
 
     All shards advance through a {e global depth barrier}: at depth [d]
-    every live shard contributes its depth-[d] row, and the per-list
+    every live shard contributes its depth-[d] row, and every phase of
+    the depth sends one frame covering every live shard. The per-list
     SecWorst instances of the whole fleet share one Equality and one
-    Recover batch, so rounds per depth stay flat as shards grow. Dedup
-    and the running-list merge stay shard-local: the SecUpdate grid is
-    block-diagonal, because cross-shard pairs encode distinct objects by
-    construction. Each checkpoint sorts the {e concatenation} of the
-    shard lists and runs one NRA bound test with a per-shard unseen
-    bound.
+    Recover batch; SecDedup, SecUpdate and SecRefresh run once over one
+    block per shard ({!Proto.Sec_dedup.run_many} and its siblings). So
+    the rounds of a depth do not depend on the shard count. Dedup and
+    the running-list merge stay shard-local: each block is permuted and
+    masked on its own, and the SecUpdate grid is block-diagonal, because
+    cross-shard pairs encode distinct objects by construction. Each
+    checkpoint sorts the {e concatenation} of the shard lists and runs
+    one NRA bound test with a per-shard unseen bound.
 
     An unseen object lives in exactly one shard, so its best possible
     score is bounded by that shard's bottom-score sum. A shard scanned to
@@ -73,12 +76,12 @@ val run_sharded :
     rows. That is why the barrier is global and only the bound test is
     per-shard.
 
-    With several shards, each gets a long-lived forked sub-context
-    (session) over [ctx]'s transport. One shard runs on [ctx] itself, with
-    no fork. Leakage beyond SecQuery's own per-depth pattern (now per
-    shard): the per-shard row counts (public in the shard map) and the
-    depth at which each shard is exhausted, which those counts
-    determine.
+    Every phase runs on [ctx] itself, at any shard count: one S2
+    session, one generator. With one shard every block list is a
+    singleton, which frames and draws exactly as the unsharded phases.
+    Leakage beyond SecQuery's own per-depth pattern (now per shard): the
+    per-shard row counts (public in the shard map) and the depth at
+    which each shard is exhausted, which those counts determine.
 
     @raise Invalid_argument on an empty shard array, an empty token, or
     shards that disagree on the attribute count. *)

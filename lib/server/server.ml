@@ -484,8 +484,8 @@ let start ?(port = 0) cfg index =
   in
   (* One global comb warm-up for the whole serving set: Ctx.of_keys
      builds the process-wide fixed-base tables here, and every per-query
-     (and per-shard session) context after this hits the cache —
-     [combs_built] must stay flat as the shard count grows. *)
+     context after this hits the cache — [combs_built] must stay flat
+     as the shard count grows. *)
   let kctx, warm_s =
     Obs.Timer.time (fun () ->
         Ctx.of_keys ~blind_bits:cfg.blind_bits ~mode:Ctx.Inproc ctx_rng pub sk)

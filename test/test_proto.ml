@@ -84,7 +84,7 @@ let test_select_recover () =
 
 let test_lift () =
   let cts = [ enc 0; enc 1; enc 42 ] in
-  let lifted = Gadgets.lift ctx ~protocol:"test" cts in
+  let lifted = List.concat (Gadgets.lift_many ctx ~protocol:"test" [ cts ]) in
   (* check through the select gadget: lifted bits drive correct selection *)
   List.iter2
     (fun l orig ->
@@ -364,6 +364,83 @@ let test_sec_refresh_example_8_2 () =
   let out = Sec_refresh.run ctx ~items:[ it ] ~bottoms:[| enc 8; enc 7; enc 3 |] in
   Alcotest.(check int) "Fig 3b upper bound for X4" 23 (dec (List.hd out).Enc_item.best)
 
+(* ---------------- per-shard blocks ---------------- *)
+
+(* Each phase's run_many over several blocks (one per shard) costs the
+   rounds of one block, and every block decrypts to what a run of its own
+   gives: the same objects, worst, best and seen values, and the same
+   survivors. An empty block (or an empty side) passes through. *)
+
+let rounds_of f =
+  let before = Channel.rounds_total (Ctx.channel ctx) in
+  let out = f () in
+  (out, Channel.rounds_total (Ctx.channel ctx) - before)
+
+let contents items =
+  List.map
+    (fun (it : Enc_item.scored) ->
+      let id, w, b = opened it in
+      let seen = Array.to_list (Array.map (fun c -> string_of_int (dec c)) it.Enc_item.seen) in
+      Printf.sprintf "%s worst %d best %d seen [%s]" (Option.value id ~default:"sentinel") w b
+        (String.concat ";" seen))
+    items
+  |> List.sort compare
+
+let blocks_t = Alcotest.(list (list string))
+
+let test_dedup_many () =
+  List.iter
+    (fun (mode, mname) ->
+      let b1 = [ scored "o1" 10 20; scored "o2" 8 20; scored "o1" 10 20; scored "o3" 5 20 ] in
+      let b2 = [ scored "o4" 7 9; scored "o5" 2 3; scored "o4" 7 9 ] in
+      let outs, rounds = rounds_of (fun () -> Sec_dedup.run_many ctx ~mode [ b1; []; b2 ]) in
+      Alcotest.(check int) (mname ^ ": one round") 1 rounds;
+      Alcotest.check blocks_t (mname ^ ": as single-block runs")
+        [ contents (Sec_dedup.run ctx ~mode b1); []; contents (Sec_dedup.run ctx ~mode b2) ]
+        (List.map contents outs))
+    [ (Sec_dedup.Replace, "replace"); (Sec_dedup.Eliminate, "eliminate") ]
+
+let test_update_many () =
+  List.iter
+    (fun (mode, mname) ->
+      let t1 = [ scored "o1" 10 26; scored "o2" 9 20 ] in
+      let g1 = [ scored ~seen:[| 0; 1 |] "o2" 4 18; scored "o3" 3 17 ] in
+      let t2 = [ scored "o4" 5 10 ] in
+      let g2 = [ scored ~seen:[| 0; 1 |] "o4" 6 22; scored ~seen:[| 0; 1 |] "o5" 1 2 ] in
+      let g3 = [ scored "o6" 1 2 ] in
+      let outs, rounds =
+        rounds_of (fun () -> Sec_update.run_many ctx ~mode [ (t1, g1); ([], g3); (t2, g2) ])
+      in
+      Alcotest.(check int) (mname ^ ": three rounds") 3 rounds;
+      Alcotest.(check bool) (mname ^ ": empty T passes gamma through") true (List.nth outs 1 == g3);
+      Alcotest.check blocks_t (mname ^ ": as single-block runs")
+        [ contents (Sec_update.run ctx ~mode ~t_list:t1 ~gamma:g1);
+          contents g3;
+          contents (Sec_update.run ctx ~mode ~t_list:t2 ~gamma:g2) ]
+        (List.map contents outs))
+    [ (Sec_dedup.Replace, "replace"); (Sec_dedup.Eliminate, "eliminate") ]
+
+let test_refresh_many () =
+  let items1 = [ scored ~seen:[| 1; 0 |] "o1" 12 999; scored ~seen:[| 0; 0 |] "o2" 3 999 ] in
+  let bottoms1 = [| enc 9; enc 4 |] in
+  let items2 = [ scored ~seen:[| 0; 1 |] "o3" 5 999 ] in
+  let bottoms2 = [| enc 7; enc 2 |] in
+  let outs, rounds =
+    rounds_of (fun () ->
+        Sec_refresh.run_many ctx [ (items1, bottoms1); ([], bottoms1); (items2, bottoms2) ])
+  in
+  Alcotest.(check int) "two rounds" 2 rounds;
+  Alcotest.check blocks_t "as single-block runs"
+    [ contents (Sec_refresh.run ctx ~items:items1 ~bottoms:bottoms1);
+      [];
+      contents (Sec_refresh.run ctx ~items:items2 ~bottoms:bottoms2) ]
+    (List.map contents outs);
+  Alcotest.check blocks_t "B = W + unseen bottoms"
+    [ [ "o1 worst 12 best 16 seen [1;0]"; "o2 worst 3 best 16 seen [0;0]" ];
+      [];
+      [ "o3 worst 5 best 12 seen [0;1]" ] ]
+    (List.map contents outs)
+
 (* ---------------- latency model ---------------- *)
 
 let test_latency_model () =
@@ -435,6 +512,11 @@ let suite =
         Alcotest.test_case "all seen -> B = W" `Quick test_sec_refresh_all_seen;
         Alcotest.test_case "sentinel stays -1" `Quick test_sec_refresh_sentinel;
         Alcotest.test_case "paper Example 8.2" `Quick test_sec_refresh_example_8_2
+      ] );
+    ( "blocks",
+      [ Alcotest.test_case "sec-dedup run_many: one round" `Quick test_dedup_many;
+        Alcotest.test_case "sec-update run_many: three rounds" `Quick test_update_many;
+        Alcotest.test_case "sec-refresh run_many: two rounds" `Quick test_refresh_many
       ] );
     ("latency", [ Alcotest.test_case "50 Mbps link model" `Quick test_latency_model ]);
     ("trace", [ Alcotest.test_case "records events" `Quick test_trace_records ])

@@ -197,7 +197,7 @@ let test_lockstep_trip_budget () =
       let base, _ = baseline ~k:2 in
       (* the single-client trip budget: a lone query at window 0 ships
          every parked op alone, so its trip count is exactly the
-         per-query op count (rpc rounds + fork/join/open/close) *)
+         per-query op count (rpc rounds + open/close) *)
       let _, snap1 = run_coalesced ~window_us:0 [| 2 |] in
       let single_trips = counter_of snap1 "coalesced_rounds" in
       let results, snap = run_coalesced ~window_us:200_000 [| 2; 2; 2; 2 |] in
@@ -228,24 +228,52 @@ let test_single_query () =
 (* Ctx.parallel tasks are pure S1 work that opens no S2 session, so a lone
    mux query ships exactly one backend trip per channel round between its
    open and its close: no Mux_fork/Mux_join trips for the fan-outs. They
-   run on the full pool under Mux too, with the Inproc answer. *)
+   run on the full pool under Mux too, with the Inproc answer. A 2-shard
+   query batches every shard's blocks into its own session, so it ships
+   no fork or join either. *)
 let test_trips_equal_rounds () =
   let base, _ = baseline ~k:2 in
   let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
-  let trips = Atomic.make 0 in
+  let trips = Atomic.make 0 and forks = Atomic.make 0 in
   let backend ops =
     Atomic.incr trips;
+    List.iter
+      (function
+        | (Wire.Mux_fork _ | Wire.Mux_join _), _ -> Atomic.incr forks
+        | _ -> ())
+      ops;
     S2_server.handle_mux_ops st ops
   in
   let sched = Sched.create ~window_us:0 ~backend () in
-  let session = Sched.open_query sched in
-  let before = Atomic.get trips in
-  let out = run_one ~domains:2 ~k:2 (Ctx.Mux (sched, session)) in
-  let during = Atomic.get trips - before in
-  Sched.close_query sched session;
-  Sched.stop sched;
+  let lone f =
+    let session = Sched.open_query sched in
+    let before = Atomic.get trips in
+    let out = f (Ctx.Mux (sched, session)) in
+    let during = Atomic.get trips - before in
+    Sched.close_query sched session;
+    (out, during)
+  in
+  let out, during = lone (run_one ~domains:2 ~k:2) in
   Alcotest.(check (list string)) "results byte-identical" base.repr out.repr;
-  Alcotest.(check int) "backend trips = channel rounds" out.rounds during
+  Alcotest.(check int) "backend trips = channel rounds" out.rounds during;
+  let (ids, rounds), during =
+    lone (fun mode ->
+        let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
+        let ctx = Ctx.of_keys ~blind_bits:48 ~domains:2 ~mode ctx_rng pub sk in
+        let ers, key = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards:2 data_rng pub fig3 in
+        let tk = Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2 in
+        let res, _ = Sectopk.Query.run_sharded ctx ers tk Sectopk.Query.default_options in
+        let all_ids = List.init (Relation.n_rows fig3) (Relation.object_id fig3) in
+        let reals = Sectopk.Client.real_results ~sk ctx key ~ids:all_ids res in
+        (List.map (fun (id, _, _) -> id) reals, Channel.rounds_total (Ctx.channel ctx)))
+  in
+  Sched.stop sched;
+  Alcotest.(check int) "2 shards: backend trips = channel rounds" rounds during;
+  Alcotest.(check int) "no Mux_fork or Mux_join shipped" 0 (Atomic.get forks);
+  Alcotest.(check bool) "2 shards: valid top-2" true
+    (List.length ids = 2
+    && Nra.valid_answer fig3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2
+       (List.map (fun id -> int_of_string (String.sub id 1 (String.length id - 1))) ids))
 
 (* ---------------- scheduler core (no crypto) ---------------- *)
 

@@ -3,8 +3,11 @@
    counters); multi-shard answers are valid top-k per the plaintext NRA
    oracle in every variant, including random partitions (QCheck) and
    forced exhaustion; best-effort answers at a depth cap bracket the exact
-   scores; the sharded store round-trips byte-identically and every
-   shard-map corruption class is rejected with its typed error. *)
+   scores; a query's rounds do not depend on the shard count; a QCheck
+   configuration matrix (shards x transport x variant x domains x k)
+   always halts with a valid top-k; the sharded store round-trips
+   byte-identically and every shard-map corruption class is rejected
+   with its typed error. *)
 
 open Bignum
 open Crypto
@@ -222,6 +225,110 @@ let prop_random_partition =
       in
       List.length ids = k && Nra.valid_answer rel scoring ~k (List.map oid_of_id ids))
 
+(* ---------------- rounds flat in the shard count ---------------- *)
+
+let variants =
+  Sectopk.Query.[ (Full, "full"); (Elim, "elim"); (Batched 2, "batched 2") ]
+
+let rel24 =
+  Synthetic.generate ~seed:"shard-rel" ~name:"shardrounds" ~rows:24 ~attrs:3
+    (Synthetic.Uniform { lo = 0; hi = 50 })
+
+(* Every phase of a depth sends one frame covering every live shard, so
+   a query's channel rounds do not depend on the shard count: at 2, 3
+   and 4 shards they equal the 1-shard rounds, for every variant and
+   depth cap. A query that halts before its cap scans fewer depths, so
+   every run here must stop at the cap (no shard is exhausted by depth 4
+   either: 24 rows give each of 4 shards 6). *)
+let test_rounds_flat () =
+  let rounds ~shards =
+    let pub, sk, ctx_rng, data_rng = provision () in
+    let ctx = Ctx.of_keys ~blind_bits:48 ctx_rng pub sk in
+    let ers, key = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards data_rng pub rel24 in
+    let tk = Sectopk.Scheme.token key ~m_total:3 scoring ~k:2 in
+    List.concat_map
+      (fun (variant, vname) ->
+        List.map
+          (fun d ->
+            let name = Printf.sprintf "%s, max_depth %d" vname d in
+            let before = Channel.rounds_total (Ctx.channel ctx) in
+            let options = { Sectopk.Query.default_options with variant; max_depth = Some d } in
+            let res = Shard.run ctx ers tk options in
+            Alcotest.(check (pair int bool))
+              (Printf.sprintf "%d shards, %s: stopped at the cap" shards name)
+              (d, false)
+              (res.Sectopk.Query.halting_depth, res.Sectopk.Query.halted);
+            (name, Channel.rounds_total (Ctx.channel ctx) - before))
+          [ 1; 2; 3; 4 ])
+      variants
+  in
+  let one = rounds ~shards:1 in
+  List.iter
+    (fun shards ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%d shards: rounds = 1-shard rounds" shards)
+        one (rounds ~shards))
+    [ 2; 3; 4 ]
+
+(* ---------------- configuration matrix ---------------- *)
+
+let hello = { Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false }
+
+(* [f mode] on a fresh transport of the given kind: a Mux query gets its
+   own scheduler over an in-process backend that replays [hello] *)
+let with_transport transport f =
+  match transport with
+  | `Inproc -> f Ctx.Inproc
+  | `Loopback -> f Ctx.Loopback
+  | `Mux window_us ->
+    let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+    let sched = Sched.create ~window_us ~backend:(S2_server.handle_mux_ops st) () in
+    let session = Sched.open_query sched in
+    Fun.protect
+      ~finally:(fun () ->
+        Sched.close_query sched session;
+        Sched.stop sched)
+      (fun () -> f (Ctx.Mux (sched, session)))
+
+let transports = [| `Inproc; `Loopback; `Mux 0; `Mux 2_000 |]
+let transport_name = function
+  | `Inproc -> "inproc"
+  | `Loopback -> "loopback"
+  | `Mux w -> Printf.sprintf "mux %d us" w
+
+(* shards x transport x variant x domains x k: every answer halts and is
+   a valid top-k per the plaintext NRA oracle *)
+let prop_config_matrix =
+  QCheck.Test.make ~name:"configuration matrix halts with valid top-k" ~count:16
+    QCheck.(
+      pair
+        (triple (int_range 1 3) (int_range 0 (Array.length transports - 1))
+           (int_range 0 (List.length variants - 1)))
+        (pair (int_range 1 2) (int_range 1 3)))
+    (fun ((shards, ti, vi), (domains, k)) ->
+      let transport = transports.(ti) and variant, vname = List.nth variants vi in
+      let name =
+        Printf.sprintf "%d shards, %s, %s, %d domains, k=%d" shards (transport_name transport)
+          vname domains k
+      in
+      let pub, sk, ctx_rng, data_rng = provision () in
+      let ers, key = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards data_rng pub rel in
+      let tk = Sectopk.Scheme.token key ~m_total:3 scoring ~k in
+      with_transport transport (fun mode ->
+          let ctx = Ctx.of_keys ~blind_bits:48 ~domains ~mode ctx_rng pub sk in
+          let res = Shard.run ctx ers tk { Sectopk.Query.default_options with variant } in
+          let ids =
+            List.map (fun (id, _, _) -> id)
+              (Sectopk.Client.real_results ~sk ctx key ~ids:all_ids res)
+          in
+          if
+            res.Sectopk.Query.halted
+            && List.length ids = k
+            && Nra.valid_answer rel scoring ~k (List.map oid_of_id ids)
+          then true
+          else QCheck.Test.fail_reportf "%s: halted %b, ids [%s]" name res.Sectopk.Query.halted
+              (String.concat "; " ids)))
+
 (* ---------------- sharded store ---------------- *)
 
 let read_file path =
@@ -346,7 +453,9 @@ let suite =
         Alcotest.test_case "exhaustion" `Slow test_sharded_exhaustion;
         Alcotest.test_case "max_depth cap" `Slow test_sharded_max_depth;
         Alcotest.test_case "best-effort bounds" `Slow test_best_effort_bounds;
-        QCheck_alcotest.to_alcotest ~long:true prop_random_partition ] );
+        QCheck_alcotest.to_alcotest ~long:true prop_random_partition;
+        Alcotest.test_case "rounds flat in the shard count" `Slow test_rounds_flat;
+        QCheck_alcotest.to_alcotest ~long:true prop_config_matrix ] );
     ( "store",
       [ Alcotest.test_case "roundtrip" `Slow test_store_roundtrip;
         Alcotest.test_case "map corruption" `Quick test_store_map_corruption;

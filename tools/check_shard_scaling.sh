@@ -6,8 +6,9 @@
 #   sh tools/check_shard_scaling.sh [BENCH_shard.json] [min_ratio_x10]
 #
 # The win is algorithmic, not parallel hardware (the bench may run on
-# one core): sharding cuts the depth loop to ~D/s iterations while the
-# per-depth fleet stays 2 SecWorst rounds, shrinking SecUpdate's grid
+# one core): sharding cuts the depth loop to ~D/s iterations while
+# every phase of a depth stays one round for the whole fleet (each
+# shard is a block of the phase's run_many), shrinking SecUpdate's grid
 # walks and the checkpoint work (sort, refresh and bound test over a
 # T that grows with depth) superlinearly.  Anyone who reintroduces a
 # per-shard exchange, breaks the concatenated run_many batching, or
@@ -18,7 +19,7 @@
 # seeded data and randomness, so the gate gives the same verdict on any
 # host, while the wall-clock speedup of the same runs spread from 1.8x
 # to 3.9x on a 2-vCPU host whose speed drifts.  The measured ratio is
-# 8535121 / 2814612 = 3.03x, and the floor is that, rounded down to a
+# 8535121 / 2805104 = 3.04x, and the floor is that, rounded down to a
 # tenth.  Regenerate with
 #   dune exec bench/main.exe -- --only shard --json .
 set -eu
