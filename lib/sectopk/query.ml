@@ -82,14 +82,17 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
   (* SecRefresh: rewrite every candidate's best score as its worst score
      plus the bottoms of the lists it is unseen in (DESIGN §3a.1). This is
      the only producer of [best] that any reader sees. One block per
-     shard with candidates, all in the rounds of one. *)
+     shard with candidates, all in the rounds of one; no call at all
+     (and no span) when no shard has a candidate. *)
   let refresh () =
-    let js = List.filter (fun j -> t_lists.(j) <> []) (List.init shards Fun.id) in
-    List.iter2
-      (fun j t -> t_lists.(j) <- t)
-      js
-      (Sec_refresh.run_many ctx
-         (List.map (fun j -> (t_lists.(j), Array.map Option.get bottoms.(j))) js))
+    match List.filter (fun j -> t_lists.(j) <> []) (List.init shards Fun.id) with
+    | [] -> ()
+    | js ->
+      List.iter2
+        (fun j t -> t_lists.(j) <- t)
+        js
+        (Sec_refresh.run_many ctx
+           (List.map (fun j -> (t_lists.(j), Array.map Option.get bottoms.(j))) js))
   in
   let sort_all () = Enc_sort.sort ctx ~strategy:options.sort (List.concat (Array.to_list t_lists)) in
   let weighted_entry j li w depth =

@@ -67,6 +67,7 @@ type outcome = {
   halted : bool;
   trace : Trace.event list;
   ops : (string * int) list;
+  spans : (string * int) list;
 }
 
 let outcome_of ctx sk key (res : Sectopk.Query.result) =
@@ -89,6 +90,9 @@ let outcome_of ctx sk key (res : Sectopk.Query.result) =
         (fun (op, v) -> if v = 0 then None else Some (Obs.Metrics.name op, v))
         (Obs.Metrics.to_alist (Obs.Collector.metrics ctx.Ctx.obs))
       |> List.sort compare;
+    spans =
+      List.map (fun (r : Obs.Report.row) -> (r.Obs.Report.rname, r.Obs.Report.calls))
+        (Obs.Report.rows ctx.Ctx.obs);
   }
 
 let nat_triple_eq (w1, b1, s1) (w2, b2, s2) =
@@ -102,7 +106,8 @@ let check_identical name (a : outcome) (b : outcome) =
   Alcotest.(check bool) (name ^ ": ciphertexts byte-identical") true
     (List.length a.top = List.length b.top && List.for_all2 nat_triple_eq a.top b.top);
   Alcotest.(check bool) (name ^ ": S2 trace identical") true (a.trace = b.trace);
-  Alcotest.(check (list (pair string int))) (name ^ ": crypto op totals") a.ops b.ops
+  Alcotest.(check (list (pair string int))) (name ^ ": crypto op totals") a.ops b.ops;
+  Alcotest.(check (list (pair string int))) (name ^ ": span calls") a.spans b.spans
 
 let scoring = Scoring.sum_of [ 0; 1; 2 ]
 
@@ -134,7 +139,16 @@ let test_shards1_identity () =
       (* Full variant: a checkpoint at every depth from the first with
          |T| >= k, i.e. every depth (T grows by m = 3 per depth) *)
       Alcotest.(check int) "one checkpoint per depth" sharded.halting_depth
-        stats.Shard.merge_rounds)
+        stats.Shard.merge_rounds;
+      (* capped before the first depth: no candidate anywhere, so the
+         final refresh makes no call and opens no span; the query is one
+         sort of the empty list *)
+      let options = { Sectopk.Query.default_options with max_depth = Some 0 } in
+      let reference = run_unsharded options ~k:2 in
+      let sharded, _ = run_sharded options ~shards:1 ~k:2 in
+      check_identical "max_depth 0: unsharded vs 1-shard" reference sharded;
+      Alcotest.(check (list (pair string int)))
+        "max_depth 0: span calls" [ ("SecQuery", 1); ("EncSort", 1) ] sharded.spans)
 
 (* ---------------- multi-shard vs plaintext oracle ---------------- *)
 

@@ -4,7 +4,7 @@
 # exits 0 (every answer passed the NRA oracle) and its rounds_per_query
 # equals the pinned value.
 #
-#   sh tools/check_wan_rounds.sh [expected_rounds_per_query]
+#   sh tools/check_wan_rounds.sh
 #
 # Rounds are a pure function of the seed: at seed 1 the pass serves 38
 # queries in 818 rounds, 21.52631579 per query. Every phase of a depth
@@ -12,10 +12,11 @@
 # per-depth rounds of one shard. A per-shard session fork, or an extra
 # per-shard round, coming back anywhere on the serve-s1 -> proxy ->
 # serve-s2 path moves this count (the per-shard sessions read
-# 33.68421053), and no unit test drives that path.
+# 33.68421053), and no unit test drives that path. A change that moves
+# wan's rounds on purpose edits the pin below.
 set -eu
 
-expected=${1:-21.52631579}
+expected=21.52631579
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
 
