@@ -13,7 +13,8 @@ open Bignum
 open Crypto
 open Bench_util
 
-let djpub = Damgard_jurik.public_of_paillier pub
+let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk)
+let djsk = Option.get djsk
 
 (* min-of-trials per-op nanoseconds *)
 let time_ns f =
@@ -43,18 +44,15 @@ let modulus_of_bits bits =
   let m = Nat.add m (Nat.shift_left Nat.one (bits - 1)) in
   if Nat.is_even m then Nat.succ m else m
 
-(* per-width Montgomery mul and modexp (256-bit exponent) datapoints *)
+(* per-width modular mul and modexp (256-bit exponent) datapoints *)
 let width_tests () =
   List.concat_map
     (fun bits ->
       let m = modulus_of_bits bits in
-      let ctx = Option.get (Modular.mont_ctx m) in
-      let a = Montgomery.to_mont ctx (Rng.nat_below rng m) in
-      let b = Montgomery.to_mont ctx (Rng.nat_below rng m) in
+      let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
       let e = Rng.nat_bits rng 256 in
       let x = Rng.nat_below rng m in
-      [ ( Printf.sprintf "mont_mul_%d" bits,
-          fun () -> ignore (Montgomery.mul_resident ctx a b) );
+      [ (Printf.sprintf "mont_mul_%d" bits, fun () -> ignore (Modular.mul a b ~m));
         ( Printf.sprintf "modexp_%d_256b_exp" bits,
           fun () -> ignore (Modular.pow x e ~m) ) ])
     [ 1024; 2048; 3072 ]
@@ -77,11 +75,20 @@ let tests () =
   let keys = Prf.gen_keys rng ehl_s in
   let ehl_a = Ehl.Ehl_plus.encode rng pub ~keys "a" in
   let ehl_b = Ehl.Ehl_plus.encode rng pub ~keys "b" in
+  (* the comb alone, at a fixed draw *)
+  let rho = Paillier.draw_noise rng pub and rho2 = Damgard_jurik.draw_noise rng djpub in
   [ ("paillier_encrypt", fun () -> ignore (Paillier.encrypt rng pub x));
     ("paillier_decrypt", fun () -> ignore (Paillier.decrypt sk c));
     ("paillier_add", fun () -> ignore (Paillier.add pub c c));
     ("paillier_rerandomize", fun () -> ignore (Paillier.rerandomize rng pub c));
+    ("paillier_noise", fun () -> ignore (Paillier.noise_of pub rho));
+    ( "mont_mul_n2",
+      let m = pub.Paillier.n2 in
+      let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
+      fun () -> ignore (Modular.mul a b ~m) );
     ("dj_encrypt", fun () -> ignore (Damgard_jurik.encrypt rng djpub x));
+    ("dj_decrypt", fun () -> ignore (Damgard_jurik.decrypt djsk e2));
+    ("dj_noise", fun () -> ignore (Damgard_jurik.noise_of djpub rho2));
     ("dj_scalar_mul_ct", fun () -> ignore (Damgard_jurik.scalar_mul_ct djpub e2 c));
     ("ehl_plus_diff", fun () -> ignore (Ehl.Ehl_plus.diff ~blind_bits rng pub ehl_a ehl_b));
     ( "sha256_1kb",

@@ -4,52 +4,32 @@
    m — Paillier/DJ noise generation raises the fixed n-th residue h on
    every encrypt and rerandomize — precompute
 
-     tables.(i).(d-1) = g^(d * 16^i) mod m   (d in 1..15)
+     comb.(i).(d) = g^(d * 16^i) mod m   (d in 1..15)
 
    once, after which g^e costs one Montgomery multiplication per nonzero
    4-bit digit of e (~ max_bits/4 on average), instead of the ~max_bits
-   square-and-multiply passes of a generic modexp. All table entries and
-   intermediates stay Montgomery-resident; a single conversion happens on
-   the way out. *)
+   square-and-multiply passes of a generic modexp. The rows are stored as
+   the half-limb splits the multiplication reads, and a [pow] chains its
+   products on one workspace ({!Montgomery.comb_pow}). *)
 
 let window = 4
-let digits = (1 lsl window) - 1
 
 type t = {
   ctx : Montgomery.ctx;
   max_bits : int;
-  tables : Montgomery.residue array array;
+  comb : Montgomery.comb;
 }
 
 let create ctx ~base ~max_bits =
   if max_bits <= 0 then invalid_arg "Fixed_base.create: max_bits <= 0";
-  let nwin = (max_bits + window - 1) / window in
-  let tables =
-    Array.make nwin [||]
-  in
-  (* g_i = base^(16^i): advance by [window] squarings between rows *)
-  let g_i = ref (Montgomery.to_mont ctx base) in
-  for i = 0 to nwin - 1 do
-    let row = Array.make digits !g_i in
-    for d = 1 to digits - 1 do
-      row.(d) <- Montgomery.mul_resident ctx row.(d - 1) !g_i
-    done;
-    tables.(i) <- row;
-    if i < nwin - 1 then
-      for _ = 1 to window do
-        g_i := Montgomery.mul_resident ctx !g_i !g_i
-      done
-  done;
-  { ctx; max_bits; tables }
-
-let max_bits t = t.max_bits
-let modulus t = Montgomery.modulus t.ctx
+  let rows = (max_bits + window - 1) / window in
+  { ctx; max_bits; comb = Montgomery.comb ctx base ~rows }
 
 (* Combs are cached per (base, modulus) with a bounded LRU policy: the
    steady state only ever combs a handful of noise bases (h mod n^2,
    h2 mod n^3 per key pair), but a long-lived server handling many
    sessions would otherwise accumulate a comb per client key, and a comb
-   is large (~max_bits/4 * 15 residues). Each hit stamps the entry with
+   is large (~max_bits/4 * 15 split residues). Each hit stamps the entry with
    a monotonically increasing tick; insertion beyond [capacity] evicts
    the least-recently used entry. Guarded by a mutex for the domain
    pool; a comb is immutable once built, so sharing across domains is
@@ -126,23 +106,4 @@ let pow t e =
   Obs.bump Obs.Metrics.Modexp_fixed_base;
   if Nat.bit_length e > t.max_bits then
     invalid_arg "Fixed_base.pow: exponent exceeds the precomputed width";
-  if Nat.is_zero e then Nat.rem Nat.one (Montgomery.modulus t.ctx)
-  else begin
-    let acc = ref None in
-    for i = 0 to Array.length t.tables - 1 do
-      let base_bit = window * i in
-      let bit j = if Nat.nth_bit e (base_bit + j) then 1 lsl j else 0 in
-      let d = bit 0 lor bit 1 lor bit 2 lor bit 3 in
-      if d <> 0 then begin
-        let entry = t.tables.(i).(d - 1) in
-        acc :=
-          Some
-            (match !acc with
-            | None -> entry
-            | Some r -> Montgomery.mul_resident t.ctx r entry)
-      end
-    done;
-    match !acc with
-    | None -> Nat.rem Nat.one (Montgomery.modulus t.ctx) (* unreachable: e <> 0 *)
-    | Some r -> Montgomery.from_mont t.ctx r
-  end
+  Montgomery.comb_pow t.ctx t.comb e

@@ -36,11 +36,6 @@ val cached_count : unit -> int
     {!cached} calls rebuild on demand. *)
 val reset : unit -> unit
 
-(** Widest supported exponent, in bits. *)
-val max_bits : t -> int
-
-val modulus : t -> Nat.t
-
-(** [pow t e] is [base^e mod m]. Raises [Invalid_argument] if
-    [Nat.bit_length e > max_bits t]. *)
+(** [pow t e] is [base^e mod m]. Raises [Invalid_argument] if [e] is
+    wider than the [max_bits] the comb was built for. *)
 val pow : t -> Nat.t -> Nat.t

@@ -16,12 +16,12 @@ let pow_binary b e ~m =
   !r
 
 (* Montgomery contexts are cached per modulus: the whole system works with
-   a handful of moduli (n, n^2, n^3 for two key pairs). The shared table
-   is guarded by a mutex for parallel protocol execution (Core.Pool), but
-   taking a lock and hashing a limb array on every ciphertext add/modexp
-   is measurable, so each domain keeps a small local memo in front of it,
-   checked by physical equality first (the hot moduli are long-lived
-   values threaded everywhere by reference). *)
+   a handful of moduli (n, n^2, n^3 for two key pairs, plus the prime
+   powers p, p^2, p^3 and q, q^2, q^3 of a key holder's CRT decryption).
+   The shared table is guarded by a mutex for parallel protocol execution
+   (Core.Pool), but taking a lock and hashing a limb array on every
+   ciphertext add/modexp is measurable, so each domain keeps a small
+   local memo in front of it. *)
 let mont_cache : (Nat.t, Montgomery.ctx option) Hashtbl.t = Hashtbl.create 8
 
 let mont_lock = Mutex.create ()
@@ -29,33 +29,42 @@ let mont_lock = Mutex.create ()
 let mont_memo : (Nat.t * Montgomery.ctx option) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let mont_memo_max = 8
+let mont_memo_max = 16
+
+(* Memo lookups are top-level functions, not closures, so a hit
+   allocates nothing. The whole memo is searched by physical equality
+   first (the hot moduli are long-lived values threaded everywhere by
+   reference), then by value. *)
+let rec memo_phys m = function
+  | [] -> raise_notrace Not_found
+  | (m', c) :: tl -> if m' == m then c else memo_phys m tl
+
+let rec memo_equal m = function
+  | [] -> raise_notrace Not_found
+  | (m', c) :: tl -> if Nat.equal m' m then c else memo_equal m tl
 
 let mont_ctx m =
   let memo = Domain.DLS.get mont_memo in
-  let rec find = function
-    | [] -> None
-    | (m', c) :: _ when m' == m -> Some c
-    | (m', c) :: _ when Nat.equal m' m -> Some c
-    | _ :: tl -> find tl
-  in
-  match find !memo with
-  | Some c -> c
-  | None ->
-    Mutex.lock mont_lock;
-    let c =
-      match Hashtbl.find_opt mont_cache m with
-      | Some c -> c
-      | None ->
-        if Hashtbl.length mont_cache > 64 then Hashtbl.reset mont_cache;
-        let c = Montgomery.create m in
-        Hashtbl.add mont_cache m c;
-        c
-    in
-    Mutex.unlock mont_lock;
-    let keep = List.filteri (fun i _ -> i < mont_memo_max - 1) !memo in
-    memo := (m, c) :: keep;
-    c
+  match memo_phys m !memo with
+  | c -> c
+  | exception Not_found -> (
+    match memo_equal m !memo with
+    | c -> c
+    | exception Not_found ->
+      Mutex.lock mont_lock;
+      let c =
+        match Hashtbl.find_opt mont_cache m with
+        | Some c -> c
+        | None ->
+          if Hashtbl.length mont_cache > 64 then Hashtbl.reset mont_cache;
+          let c = Montgomery.create m in
+          Hashtbl.add mont_cache m c;
+          c
+      in
+      Mutex.unlock mont_lock;
+      let keep = List.filteri (fun i _ -> i < mont_memo_max - 1) !memo in
+      memo := (m, c) :: keep;
+      c)
 
 (* Ciphertext adds ([Paillier.add]) funnel through here on every depth of
    every protocol; the cached Montgomery context replaces the Knuth trial
@@ -75,19 +84,14 @@ let pow b e ~m =
 
 (* Simultaneous multi-exponentiation: prod_i b_i^e_i mod m in one
    interleaved-window pass, sharing the squaring chain across all bases
-   (see [Montgomery.multi_pow_resident]). Counts as a single modexp —
+   (see [Montgomery.multi_pow]). Counts as a single modexp —
    which it is, cost-wise. *)
 let multi_pow pairs ~m =
   Obs.bump Obs.Metrics.Modexp;
   if Nat.is_one m then Nat.zero
   else begin
     match mont_ctx m with
-    | Some ctx ->
-      pairs
-      |> List.map (fun (b, e) -> (Montgomery.to_mont ctx b, e))
-      |> Array.of_list
-      |> Montgomery.multi_pow_resident ctx
-      |> Montgomery.from_mont ctx
+    | Some ctx -> Montgomery.multi_pow ctx pairs
     | None ->
       List.fold_left
         (fun acc (b, e) -> mul_plain acc (pow_binary b e ~m) ~m)

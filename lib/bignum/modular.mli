@@ -10,7 +10,7 @@ val add : Nat.t -> Nat.t -> m:Nat.t -> Nat.t
 val sub : Nat.t -> Nat.t -> m:Nat.t -> Nat.t
 
 (** [mul a b ~m] is [(a * b) mod m] — through the cached Montgomery
-    context when [m] is odd (two divisionless CIOS passes), schoolbook
+    context when [m] is odd (two divisionless Montgomery passes), schoolbook
     multiply-and-reduce otherwise. *)
 val mul : Nat.t -> Nat.t -> m:Nat.t -> Nat.t
 
@@ -26,8 +26,8 @@ val multi_pow : (Nat.t * Nat.t) list -> m:Nat.t -> Nat.t
 
 (** [mont_ctx m] is the process-wide cached Montgomery context for [m]
     ([None] when [m] is even or too small). The cache is domain-safe;
-    callers chaining resident operations ({!Montgomery.residue},
-    {!Fixed_base}) fetch the context once through here. *)
+    callers of the {!Montgomery} kernels directly ({!Fixed_base}) fetch
+    the context once through here. *)
 val mont_ctx : Nat.t -> Montgomery.ctx option
 
 (** [inv a ~m] is the multiplicative inverse of [a] modulo [m]. Raises

@@ -23,8 +23,8 @@
    Reduction is the separated product-scanning (SPS) form: the full
    2k-limb product goes to a scratch vector, then a second column scan
    derives the Montgomery quotient digits mu_i and accumulates mu*n.
-   One reduction implementation serves both [mont_mul] and the dedicated
-   [mont_sqr] (square columns compute each off-diagonal product once and
+   One reduction implementation serves both the multiplication and the
+   dedicated squaring (square columns compute each off-diagonal product once and
    double it — ~25% fewer half-limb multiplies, and squarings are ~3/4
    of every exponentiation).
 
@@ -33,7 +33,13 @@
    so the column and product state (i, c, s0, s1, carry) never touches
    the stack; a split is ONE interleaved array [l0; h0; l1; h1; ...] so
    a scan keeps two array pointers live instead of four and each
-   product's halves share a cache line. *)
+   product's halves share a cache line.
+
+   Allocation: every public function makes one workspace (the product,
+   the operand and quotient splits, the operand's limbs), chains all of
+   its multiplications through it, and copies the result out into a
+   fresh [Nat.t]. Nothing inside a loop allocates, and no workspace
+   outlives its call, so the domains of a fan-out never share one. *)
 
 let base_bits = 52
 let base = 1 lsl base_bits
@@ -42,7 +48,8 @@ let hbits = 26
 let hmask = (1 lsl hbits) - 1
 
 (* Half-limb splits of a k-limb operand, interleaved: element 2i is the
-   low 26 bits of limb i, element 2i+1 the high 26. *)
+   low 26 bits of limb i, element 2i+1 the high 26. Every operand a
+   product scan reads is in this form. *)
 type split = int array
 
 type ctx = {
@@ -51,71 +58,65 @@ type ctx = {
   nsp : split; (* half-limb splits of n *)
   k : int;
   n0' : int; (* -m^-1 mod 2^52 *)
-  r2 : int array; (* R^2 mod m, padded to k limbs *)
-  r2sp : split;
-  one_mont : int array; (* R mod m = to_mont 1 *)
-  onesp : split; (* splits of the k-limb vector 1, for conversion out *)
+  r2sp : split; (* splits of R^2 mod m, for conversion in *)
+  onesp : split; (* splits of the plain 1, for conversion out *)
 }
 
-(* A value < m held in Montgomery form (a*R mod m) as a k+2-limb vector
-   whose top two limbs are zero. Residues are tied to the ctx that made
-   them. *)
-type residue = int array
-
-(* Per-call working state, reused across chained operations: the
-   2k+1-limb double-wide product, the splits of the scanned operand, and
-   the quotient-digit splits of the reduction pass. Not shared across
-   domains — each exponentiation allocates its own. *)
-type scratch = {
+(* One call's working state. The chained operand lives in [xsp] (its
+   splits, which the next product reads) and [t] (its limbs, which the
+   reduction writes); every multiplication reads xsp and overwrites
+   both. *)
+type workspace = {
   w : int array; (* 2k+1 limbs: the full product before reduction *)
-  xsp : int array; (* interleaved splits of the scanned (left) operand *)
-  qsp : int array; (* interleaved splits of the quotient digits mu_i *)
+  xsp : split; (* splits of the chained operand *)
+  qsp : split; (* splits of the quotient digits mu_i *)
+  t : int array; (* k+1 limbs: the chained operand; limb k is the overflow *)
 }
 
-let make_scratch k =
-  { w = Array.make ((2 * k) + 1) 0; xsp = Array.make (2 * k) 0; qsp = Array.make (2 * k) 0 }
+let workspace k =
+  {
+    w = Array.make ((2 * k) + 1) 0;
+    xsp = Array.make (2 * k) 0;
+    qsp = Array.make (2 * k) 0;
+    t = Array.make (k + 1) 0;
+  }
 
-let split_into k (a : int array) (sp : int array) =
+let split_into k (a : int array) (sp : split) =
   for i = 0 to k - 1 do
     let x = Array.unsafe_get a i in
     Array.unsafe_set sp (2 * i) (x land hmask);
     Array.unsafe_set sp ((2 * i) + 1) (x lsr hbits)
   done
 
-let make_split k (a : int array) : split =
-  let sp = Array.make (2 * k) 0 in
-  split_into k a sp;
-  sp
+(* The splits of a value below 2^(52k), read from its limbs in place. *)
+let split_nat k (a : Nat.t) (sp : split) =
+  for i = 0 to k - 1 do
+    let x = Nat.limb a i in
+    Array.unsafe_set sp (2 * i) (x land hmask);
+    Array.unsafe_set sp ((2 * i) + 1) (x lsr hbits)
+  done
 
-let pad k a =
-  let r = Array.make k 0 in
-  Array.blit a 0 r 0 (Array.length a);
-  r
+(* x >= y on limbs i down to 0. Top-level rather than a local closure,
+   which would allocate on every reduction. *)
+let rec geq_from (x : int array) (y : int array) i =
+  if i < 0 then true else if x.(i) <> y.(i) then x.(i) > y.(i) else geq_from x y (i - 1)
 
-(* x >= y as k-limb vectors *)
-let geq k x y =
-  let rec go i = if i < 0 then true else if x.(i) <> y.(i) then x.(i) > y.(i) else go (i - 1) in
-  go (k - 1)
-
-(* conditional subtraction: the reduction bound gives t < 2m with the
-   overflow bit in t.(k); one subtraction of m normalizes *)
-let reduce_once ctx (t : int array) =
+(* t <- t - m; the caller has checked t >= m *)
+let sub_modulus ctx (t : int array) =
   let k = ctx.k in
-  if t.(k) <> 0 || geq k t ctx.n then begin
-    let borrow = ref 0 in
-    for i = 0 to k - 1 do
-      let d = t.(i) - ctx.n.(i) - !borrow in
-      if d < 0 then begin
-        t.(i) <- d + base;
-        borrow := 1
-      end
-      else begin
-        t.(i) <- d;
-        borrow := 0
-      end
-    done;
-    t.(k) <- t.(k) - !borrow
-  end
+  let borrow = ref 0 in
+  for i = 0 to k - 1 do
+    let d = t.(i) - ctx.n.(i) - !borrow in
+    if d < 0 then begin
+      t.(i) <- d + base;
+      borrow := 1
+    end
+    else begin
+      t.(i) <- d;
+      borrow := 0
+    end
+  done;
+  t.(k) <- t.(k) - !borrow
 
 (* Column scan of x * b into w: i walks the products (i, c-i) of column
    c, accumulating plos in s0 and phis in s1; at column end the limb is
@@ -144,21 +145,10 @@ let rec mul_scan xsp bsp w km1 cmax c i hi s0 s1 =
     end
   end
 
-(* sc.w <- a * b; [a]'s splits land in sc.xsp. *)
-let comba_mul ctx sc (a : int array) (b : split) =
+(* ws.w <- x * b, both given by their splits. *)
+let comba_mul ctx ws (x : split) (b : split) =
   let k = ctx.k in
-  let w = sc.w and xsp = sc.xsp in
-  split_into k a xsp;
-  let carry = mul_scan xsp b w (k - 1) ((2 * k) - 2) 0 0 0 0 0 in
-  w.((2 * k) - 1) <- carry land mask;
-  w.(2 * k) <- carry lsr base_bits
-
-(* sc.w <- x * b with [x] given directly by its splits — e.g. sc.xsp as
-   left there by the previous [comba_reduce] of a chained operation, or
-   a window-table entry. *)
-let comba_mul_sp ctx sc (x : split) (b : split) =
-  let k = ctx.k in
-  let w = sc.w in
+  let w = ws.w in
   let carry = mul_scan x b w (k - 1) ((2 * k) - 2) 0 0 0 0 0 in
   w.((2 * k) - 1) <- carry land mask;
   w.(2 * k) <- carry lsr base_bits
@@ -199,10 +189,10 @@ let rec sqr_scan xsp w km1 cmax c i hi s0 s1 =
     end
   end
 
-(* sc.w <- x * x with [x] given directly by its splits. *)
-let comba_sqr_sp ctx sc (x : split) =
+(* ws.w <- x * x with [x] given by its splits. *)
+let comba_sqr ctx ws (x : split) =
   let k = ctx.k in
-  let w = sc.w in
+  let w = ws.w in
   let carry = sqr_scan x w (k - 1) ((2 * k) - 2) 0 0 (-1) 0 0 in
   w.((2 * k) - 1) <- carry land mask;
   w.(2 * k) <- carry lsr base_bits
@@ -266,40 +256,36 @@ let rec red_hi_scan qsp nsp w t xsp kk c i s0 s1 =
     else red_hi_scan qsp nsp w t xsp kk c (c - kk + 1) (carry + Array.unsafe_get w c) 0
   end
 
-(* t <- sc.w * R^-1 mod m: SPS Montgomery reduction of the double-wide
-   product. [t] has k+2 limbs and may alias the operand that produced
-   sc.w. *)
-let comba_reduce ctx sc (t : int array) =
+(* ws.t <- ws.w * R^-1 mod m (SPS Montgomery reduction of the
+   double-wide product), with its splits in ws.xsp. The bound gives
+   t < 2m with the overflow bit in t.(k); one subtraction normalizes. *)
+let comba_reduce ctx ws =
   let k = ctx.k in
-  let w = sc.w and qsp = sc.qsp in
+  let w = ws.w and qsp = ws.qsp and t = ws.t in
   let carry = red_lo_scan qsp ctx.nsp w ctx.n0' k 0 0 w.(0) 0 in
-  let carry = red_hi_scan qsp ctx.nsp w t sc.xsp k k 1 (carry + w.(k)) 0 in
+  let carry = red_hi_scan qsp ctx.nsp w t ws.xsp k k 1 (carry + w.(k)) 0 in
   t.(k) <- carry + w.(2 * k);
-  t.(k + 1) <- 0;
-  if t.(k) <> 0 || geq k t ctx.n then begin
+  if t.(k) <> 0 || geq_from t ctx.n (k - 1) then begin
     (* rare conditional subtract invalidates the emitted splits *)
-    reduce_once ctx t;
-    split_into k t sc.xsp
+    sub_modulus ctx t;
+    split_into k t ws.xsp
   end
 
-(* t <- mont(a, b) = a*b*R^-1 mod m; [a] and [t] are k(+2)-limb vectors
-   (t may alias a), [b] is given by its half-limb splits. *)
-let mont_mul ctx sc (t : int array) (a : int array) (b : split) =
-  comba_mul ctx sc a b;
-  comba_reduce ctx sc t
+(* The chained operand times [b] (given by its splits). The product scan
+   has consumed ws.xsp before [comba_reduce] rewrites it. *)
+let mont_mul_chained ctx ws (b : split) =
+  comba_mul ctx ws ws.xsp b;
+  comba_reduce ctx ws
 
-(* Chained forms: the operand is whatever the last comba_reduce through
-   [sc] produced (its splits are still in sc.xsp), so the splitting pass
-   is skipped. Used by the exponentiation ladders, where every operation
-   feeds the next. [comba_reduce] writes sc.xsp only after the product
-   scan has consumed it, so aliasing x with sc.xsp is safe. *)
-let mont_mul_chained ctx sc (t : int array) (b : split) =
-  comba_mul_sp ctx sc sc.xsp b;
-  comba_reduce ctx sc t
+let mont_sqr_chained ctx ws =
+  comba_sqr ctx ws ws.xsp;
+  comba_reduce ctx ws
 
-let mont_sqr_chained ctx sc (t : int array) =
-  comba_sqr_sp ctx sc sc.xsp;
-  comba_reduce ctx sc t
+(* Multiply the chained operand by [x], or, while the product so far is
+   still the empty one ([fresh]), just load [x]: exponentiations start
+   from their first nonzero digit rather than from 1. *)
+let acc_mul ctx ws fresh (x : split) =
+  if fresh then Array.blit x 0 ws.xsp 0 (2 * ctx.k) else mont_mul_chained ctx ws x
 
 (* Column accumulators hold up to k doubled plos (< 2^54 each) plus an
    inter-column carry; k = 128 keeps everything below 2^61 < 2^62. *)
@@ -308,159 +294,155 @@ let max_limbs = 128
 let create m =
   if Nat.is_zero m || Nat.is_even m || Nat.compare m (Nat.of_int 3) < 0 then None
   else begin
-    let n = Nat.limbs m in
-    let k = Array.length n in
+    let k = Nat.limb_count m in
     if k > max_limbs then None
     else begin
       (* n0' = -n^{-1} mod 2^52 by Newton-Hensel lifting *)
-      let n0 = n.(0) in
+      let n0 = Nat.limb m 0 in
       let inv = ref 1 in
       for _ = 1 to 6 do
         inv := !inv * (2 - (n0 * !inv)) land mask
       done;
       let n0' = (base - !inv) land mask in
-      let r2 = Nat.rem (Nat.shift_left Nat.one (2 * base_bits * k)) m in
-      let r1 = Nat.rem (Nat.shift_left Nat.one (base_bits * k)) m in
-      let one_plain = Array.make k 0 in
-      one_plain.(0) <- 1;
-      let r2 = pad k (Nat.limbs r2) in
+      let split_of x =
+        let sp = Array.make (2 * k) 0 in
+        split_nat k x sp;
+        sp
+      in
       Some
         {
           m;
-          n;
-          nsp = make_split k n;
+          n = Nat.limbs m;
+          nsp = split_of m;
           k;
           n0';
-          r2;
-          r2sp = make_split k r2;
-          one_mont = pad k (Nat.limbs r1);
-          onesp = make_split k one_plain;
+          r2sp = split_of (Nat.rem (Nat.shift_left Nat.one (2 * base_bits * k)) m);
+          onesp = split_of Nat.one;
         }
     end
   end
 
-let modulus ctx = ctx.m
-
-(* First k limbs -> Nat; both sides use base-2^52 little-endian limbs. *)
-let of_limbs k (t : int array) = Nat.of_limbs (Array.sub t 0 k)
-
-(* ---------------- Montgomery-resident operations ----------------
-
-   Chained products and exponentiations convert once on the way in, once
-   on the way out, and pay exactly one reduction pass (no division, no
-   re-padding) per intermediate operation. *)
+(* ---------------- conversions through a workspace ---------------- *)
 
 let reduced ctx a = if Nat.compare a ctx.m < 0 then a else Nat.rem a ctx.m
 
-let to_mont ctx a =
-  let t = Array.make (ctx.k + 2) 0 in
-  mont_mul ctx (make_scratch ctx.k) t (pad ctx.k (Nat.limbs (reduced ctx a))) ctx.r2sp;
-  t
+(* The chained operand <- a*R mod m. *)
+let load ctx ws a =
+  split_nat ctx.k (reduced ctx a) ws.xsp;
+  mont_mul_chained ctx ws ctx.r2sp
 
-let from_mont ctx (r : residue) =
-  let t = Array.make (ctx.k + 2) 0 in
-  mont_mul ctx (make_scratch ctx.k) t r ctx.onesp;
-  of_limbs ctx.k t
+(* The chained operand out of Montgomery form, as a fresh value. *)
+let unload ctx ws =
+  mont_mul_chained ctx ws ctx.onesp;
+  Nat.of_limb_prefix ws.t ctx.k
 
-let one_mont ctx : residue = pad (ctx.k + 2) ctx.one_mont
+(* 4-bit window digit [i] read straight out of the exponent's limbs: 52
+   is a multiple of 4, so a window never straddles a limb. *)
+let digit e i =
+  let bit = 4 * i in
+  let limb = bit / base_bits in
+  (Nat.limb e limb lsr (bit - (limb * base_bits))) land 15
 
-let mul_resident ctx (a : residue) (b : residue) : residue =
-  let t = Array.make (ctx.k + 2) 0 in
-  mont_mul ctx (make_scratch ctx.k) t a (make_split ctx.k b);
-  t
-
-(* 4-bit window table b^1..b^15 with the splits the inner loop wants;
-   entry 0 is unused. Even entries are squarings of entry i/2 (cheaper
-   than a general multiply); every entry is captured straight from the
-   reduction's split output. *)
-let window_table ctx sc (b : residue) : split array =
-  let k = ctx.k in
+(* Window table x^1..x^15 of the chained operand x, as splits; entry 0
+   is unused. Even entries are squarings of entry i/2 (cheaper than a
+   general multiply); every entry is captured straight from the
+   reduction's split output. Leaves x^15 chained. *)
+let window_table ctx ws : split array =
   let tbl = Array.make 16 ctx.onesp in
-  tbl.(1) <- make_split k b;
-  let t = Array.make (k + 2) 0 in
+  tbl.(1) <- Array.copy ws.xsp;
   for i = 2 to 15 do
-    if i land 1 = 0 then comba_sqr_sp ctx sc tbl.(i / 2)
-    else comba_mul_sp ctx sc tbl.(i - 1) tbl.(1);
-    comba_reduce ctx sc t;
-    tbl.(i) <- Array.copy sc.xsp
+    if i land 1 = 0 then comba_sqr ctx ws tbl.(i / 2) else comba_mul ctx ws tbl.(i - 1) tbl.(1);
+    comba_reduce ctx ws;
+    tbl.(i) <- Array.copy ws.xsp
   done;
   tbl
 
-(* 4-bit window digits read straight out of the exponent's limb vector:
-   52 is a multiple of 4, so a window never straddles a limb. *)
-let digit (el : int array) w =
-  let bit = 4 * w in
-  let limb = bit / base_bits in
-  if limb >= Array.length el then 0 else (el.(limb) lsr (bit - (limb * base_bits))) land 15
+(* ---------------- public kernels ---------------- *)
 
-let pow_resident ctx (b : residue) e : residue =
+(* a * b mod m in two reductions: mont(a, b) = ab/R, then
+   mont(ab/R, R^2) = ab. Both operands are split from their limbs; b's
+   splits borrow qsp, which the product scan reads in full before the
+   reduction derives its quotient digits there. *)
+let mul ctx a b =
   let k = ctx.k in
-  if Nat.is_zero e then one_mont ctx
-  else begin
-    let sc = make_scratch k in
-    let cur = Array.make (k + 2) 0 in
-    let table = window_table ctx sc b in
-    let el = Nat.limbs e in
-    let nbits = Nat.bit_length e in
-    let nwin = (nbits + 3) / 4 in
-    Array.blit ctx.one_mont 0 cur 0 k;
-    split_into k ctx.one_mont sc.xsp;
-    for w = nwin - 1 downto 0 do
-      if w <> nwin - 1 then
-        for _ = 1 to 4 do
-          mont_sqr_chained ctx sc cur
-        done;
-      let idx = digit el w in
-      if idx <> 0 then mont_mul_chained ctx sc cur table.(idx)
-    done;
-    cur
-  end
+  let ws = workspace k in
+  split_nat k (reduced ctx a) ws.xsp;
+  split_nat k (reduced ctx b) ws.qsp;
+  comba_mul ctx ws ws.xsp ws.qsp;
+  comba_reduce ctx ws;
+  mont_mul_chained ctx ws ctx.r2sp;
+  Nat.of_limb_prefix ws.t k
 
 (* Simultaneous multi-exponentiation (interleaved 4-bit windows): one
    shared run of squarings for all bases, each base's window table
    multiplied in at its own digits. For p bases of w windows this costs
    4*w squarings (instead of p*4*w) plus the same table/window products
    as separate exponentiations. *)
-let multi_pow_resident ctx (pairs : (residue * Nat.t) array) : residue =
-  let k = ctx.k in
-  let np = Array.length pairs in
+let multi_pow ctx pairs =
+  let pairs = Array.of_list pairs in
   let maxbits = Array.fold_left (fun acc (_, e) -> max acc (Nat.bit_length e)) 0 pairs in
-  if np = 0 || maxbits = 0 then one_mont ctx
+  if maxbits = 0 then Nat.one
   else begin
-    let sc = make_scratch k in
-    let cur = Array.make (k + 2) 0 in
+    let ws = workspace ctx.k in
     let tables =
-      Array.map (fun (b, e) -> if Nat.is_zero e then [||] else window_table ctx sc b) pairs
+      Array.map
+        (fun (b, e) ->
+          if Nat.is_zero e then [||]
+          else begin
+            load ctx ws b;
+            window_table ctx ws
+          end)
+        pairs
     in
-    let els = Array.map (fun (_, e) -> Nat.limbs e) pairs in
-    let nwin = (maxbits + 3) / 4 in
-    Array.blit ctx.one_mont 0 cur 0 k;
-    split_into k ctx.one_mont sc.xsp;
-    for w = nwin - 1 downto 0 do
-      if w <> nwin - 1 then
+    let fresh = ref true in
+    for i = ((maxbits + 3) / 4) - 1 downto 0 do
+      if not !fresh then
         for _ = 1 to 4 do
-          mont_sqr_chained ctx sc cur
+          mont_sqr_chained ctx ws
         done;
-      for p = 0 to np - 1 do
-        let idx = digit els.(p) w in
-        if idx <> 0 then mont_mul_chained ctx sc cur tables.(p).(idx)
+      for p = 0 to Array.length pairs - 1 do
+        let d = digit (snd pairs.(p)) i in
+        if d <> 0 then begin
+          acc_mul ctx ws !fresh tables.(p).(d);
+          fresh := false
+        end
       done
     done;
-    cur
+    unload ctx ws
   end
 
-(* a * b mod m in two reductions: mont(a, R^2) = aR, then mont(aR, b) = ab.
-   Operands already below m skip the trial division entirely. *)
-let mul ctx a b =
-  let k = ctx.k in
-  let sc = make_scratch k in
-  let a' = pad k (Nat.limbs (reduced ctx a)) in
-  let b' = pad k (Nat.limbs (reduced ctx b)) in
-  let am = Array.make (k + 2) 0 in
-  mont_mul ctx sc am a' ctx.r2sp;
-  mont_mul_chained ctx sc am (make_split k b');
-  of_limbs k am
+(* 4-bit fixed windows: a multi-exponentiation of one base. *)
+let pow ctx b e = multi_pow ctx [ (b, e) ]
 
-let pow ctx b e =
-  if Nat.is_zero e then Nat.rem Nat.one ctx.m
-  else from_mont ctx (pow_resident ctx (to_mont ctx b) e)
+(* ---------------- fixed-base combs ---------------- *)
+
+type comb = split array array
+
+(* Row i is the window table of base^(16^i); row i+1's base is the
+   square of row i's 8th entry. *)
+let comb ctx base ~rows =
+  let ws = workspace ctx.k in
+  load ctx ws base;
+  let c = Array.make rows [||] in
+  for i = 0 to rows - 1 do
+    if i > 0 then begin
+      comba_sqr ctx ws c.(i - 1).(8);
+      comba_reduce ctx ws
+    end;
+    c.(i) <- window_table ctx ws
+  done;
+  c
+
+(* One chained multiplication per nonzero digit, starting from the
+   lowest one's entry. *)
+let comb_pow ctx (c : comb) e =
+  let ws = workspace ctx.k in
+  let fresh = ref true in
+  for i = 0 to Array.length c - 1 do
+    let d = digit e i in
+    if d <> 0 then begin
+      acc_mul ctx ws !fresh c.(i).(d);
+      fresh := false
+    end
+  done;
+  if !fresh then Nat.one else unload ctx ws

@@ -47,6 +47,7 @@ let is_one (x : t) = Array.length x = 1 && x.(0) = 1
 let is_even (x : t) = Array.length x = 0 || x.(0) land 1 = 0
 let limb_count (x : t) = Array.length x
 let limbs (x : t) = Array.copy x
+let limb (x : t) i = if i < Array.length x then x.(i) else 0
 
 (* Strip most-significant zero limbs. *)
 let normalize (a : int array) : t =
@@ -54,7 +55,13 @@ let normalize (a : int array) : t =
   while !n > 0 && a.(!n - 1) = 0 do decr n done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
-let of_limbs (a : int array) : t = normalize (Array.copy a)
+(* One copy of the significant limbs among the first [len]. *)
+let of_limb_prefix (a : int array) len : t =
+  let n = ref len in
+  while !n > 0 && a.(!n - 1) = 0 do decr n done;
+  Array.sub a 0 !n
+
+let of_limbs (a : int array) : t = of_limb_prefix a (Array.length a)
 
 let of_int n : t =
   if n < 0 then invalid_arg "Nat.of_int: negative";
@@ -97,17 +104,16 @@ let to_int x =
 
 let equal (a : t) (b : t) = a = b
 
+(* Top-level, not a local closure: the Montgomery kernels compare every
+   operand against the modulus, and a closure would allocate each time. *)
+let rec compare_from (a : t) (b : t) i =
+  if i < 0 then 0
+  else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+  else compare_from a b (i - 1)
+
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else begin
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
-  end
+  if la <> lb then Int.compare la lb else compare_from a b (la - 1)
 
 let add (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in

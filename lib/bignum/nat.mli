@@ -86,7 +86,17 @@ val limb_count : t -> int
 (** Base-2^52 limbs, least significant first (for white-box tests). *)
 val limbs : t -> int array
 
+(** [limb x i] is base-2^52 limb [i] of [x] (least significant first),
+    and [0] past the top: the Montgomery kernels read operands and
+    exponents through it without copying them. *)
+val limb : t -> int -> int
+
 (** [of_limbs a] builds a value from base-2^52 limbs, least significant
-    first. Trusts every element to be in [[0, 2^52)]; the fast
-    Montgomery <-> Nat bridge (both sides share the limb format). *)
+    first. Trusts every element to be in [[0, 2^52)]. The result never
+    shares [a]. *)
 val of_limbs : int array -> t
+
+(** [of_limb_prefix a len] is [of_limbs] of the first [len] limbs of [a],
+    built with a single copy: how a Montgomery kernel copies its result
+    out of its workspace (both sides share the limb format). *)
+val of_limb_prefix : int array -> int -> t

@@ -8,21 +8,23 @@ type public = {
   rand_bits : int option;
 }
 
-(* CRT exponentiation state: the order of Z_{p^3}^* is p^2*(p-1), so
-   c^d mod p^3 = c^(d mod p^2*(p-1)) mod p^3 — half-size modulus, and the
-   reduced exponent is half the width of d. *)
-type crt = {
+(* DJN CRT decryption state for one prime p of n = pq, with q the other
+   (Damgård, Jurik and Nielsen, "A generalization of Paillier's public-key
+   system with applications to electronic voting", 2010). *)
+type half = {
+  p : Nat.t;
+  p2 : Nat.t;
   p3 : Nat.t;
-  q3 : Nat.t;
-  dp : Nat.t;
-  dq : Nat.t;
-  p3_inv_q3 : Nat.t; (* (p^3)^-1 mod q^3, for Garner recombination *)
+  pm1 : Nat.t; (* p - 1: the exponent that kills the noise mod p^3 *)
+  q_inv : Nat.t; (* q^-1 mod p *)
+  q2 : Nat.t; (* q^2 mod p *)
+  scale : Nat.t; (* (q(p-1))^-1 mod p^2 *)
 }
 
 type secret = {
-  pub : public;
-  d : Nat.t; (* d = 1 mod n^2, d = 0 mod lambda *)
-  crt : crt option;
+  hp : half;
+  hq : half;
+  p2_inv_q2 : Nat.t; (* (p^2)^-1 mod q^2, for Garner recombination *)
 }
 
 type ciphertext = Nat.t
@@ -44,18 +46,26 @@ let public_of_paillier (ppub : Paillier.public) =
   let h2 = Modular.pow base n2 ~m:n3 in
   { n; n2; n3; h2; rand_bits = ppub.Paillier.rand_bits }
 
+let half p q =
+  let p2 = Nat.mul p p in
+  {
+    p;
+    p2;
+    p3 = Nat.mul p2 p;
+    pm1 = Nat.pred p;
+    q_inv = Modular.inv (Nat.rem q p) ~m:p;
+    q2 = Nat.rem (Nat.mul q q) p;
+    scale = Modular.inv (Nat.rem (Nat.mul q (Nat.pred p)) p2) ~m:p2;
+  }
+
 let of_paillier ppub psk =
   let pub = public_of_paillier ppub in
   let sk =
     Option.map
       (fun sk ->
-        let p, q, lambda = Paillier.secret_params sk in
-        let d = Modular.crt2 (Nat.one, pub.n2) (Nat.zero, lambda) in
-        let p3 = Nat.mul (Nat.mul p p) p and q3 = Nat.mul (Nat.mul q q) q in
-        let dp = Nat.rem d (Nat.mul (Nat.mul p p) (Nat.pred p)) in
-        let dq = Nat.rem d (Nat.mul (Nat.mul q q) (Nat.pred q)) in
-        let p3_inv_q3 = Modular.inv (Nat.rem p3 q3) ~m:q3 in
-        { pub; d; crt = Some { p3; q3; dp; dq; p3_inv_q3 } })
+        let p, q, _ = Paillier.secret_params sk in
+        let hp = half p q and hq = half q p in
+        { hp; hq; p2_inv_q2 = Modular.inv (Nat.rem hp.p2 hq.p2) ~m:hq.p2 })
       psk
   in
   (pub, sk)
@@ -96,30 +106,36 @@ let trivial pub x = g_pow pub x
 
 let encrypt_layered rng pub inner = encrypt rng pub (Paillier.to_nat inner)
 
-(* c^d mod n^3, via the CRT halves when the factorization is known. *)
-let pow_d sk c =
-  match sk.crt with
-  | None -> Modular.pow c sk.d ~m:sk.pub.n3
-  | Some { p3; q3; dp; dq; p3_inv_q3 } ->
-    let up = Modular.pow (Nat.rem c p3) dp ~m:p3 in
-    let uq = Modular.pow (Nat.rem c q3) dq ~m:q3 in
-    (* Garner: u = up + p^3 * ((uq - up) * (p^3)^-1 mod q^3) *)
-    let k = Modular.mul (Modular.sub uq (Nat.rem up q3) ~m:q3) p3_inv_q3 ~m:q3 in
-    Nat.add up (Nat.mul p3 k)
+(* m mod p^2 from one CRT half. With c = (1+n)^m * r^(n^2) mod n^3, the
+   n^2-th residue has order dividing p-1 mod p^3, so u = c^(p-1) mod p^3
+   = (1+pq)^x with x = m(p-1), and the binomial series stops at the p^2
+   term:
+
+     u = 1 + x*pq + C(x,2)*p^2*q^2  (mod p^3)
+     t = (u-1)/p = x*q + p*C(x,2)*q^2  (mod p^2)
+
+   so x0 = x mod p = t*q^-1 mod p fixes C(x,2) mod p = C(x0,2) mod p,
+   and x*q = t - p*(C(x0,2)*q^2 mod p) mod p^2 gives
+   m = x*q * (q(p-1))^-1 mod p^2. A unit has u = 1 mod p; u = 0 exactly
+   when p divides c. *)
+let decrypt_half h c =
+  let u = Modular.pow (Nat.rem c h.p3) h.pm1 ~m:h.p3 in
+  if Nat.is_zero u then invalid_arg "Damgard_jurik.decrypt: ciphertext is not a unit";
+  let t = Nat.div (Nat.pred u) h.p in
+  let x0 = Modular.mul (Nat.rem t h.p) h.q_inv ~m:h.p in
+  let binom =
+    Nat.rem (Nat.shift_right (Nat.mul x0 (if Nat.is_zero x0 then Nat.zero else Nat.pred x0)) 1) h.p
+  in
+  let xq = Modular.sub t (Nat.mul h.p (Modular.mul binom h.q2 ~m:h.p)) ~m:h.p2 in
+  Modular.mul xq h.scale ~m:h.p2
 
 let decrypt sk c =
   Obs.bump Obs.Metrics.Dj_dec;
-  let pub = sk.pub in
-  (* c^d = (1+n)^m mod n^3; recover m = m0 + n*m1 digit by digit. *)
-  let u = pow_d sk c in
-  let t = Nat.div (Nat.pred u) pub.n in
-  (* t = m + C(m,2)*n (mod n^2) *)
-  let t = Nat.rem t pub.n2 in
-  let m0 = Nat.rem t pub.n in
-  let binom = Nat.rem (Nat.shift_right (Nat.mul m0 (if Nat.is_zero m0 then Nat.zero else Nat.pred m0)) 1) pub.n in
-  let hi = Nat.div (Nat.sub t m0) pub.n in
-  let m1 = Modular.sub (Nat.rem hi pub.n) binom ~m:pub.n in
-  Nat.add m0 (Nat.mul pub.n m1)
+  let mp = decrypt_half sk.hp c and mq = decrypt_half sk.hq c in
+  (* Garner: m = mp + p^2 * ((mq - mp) * (p^2)^-1 mod q^2) *)
+  let q2 = sk.hq.p2 in
+  let k = Modular.mul (Modular.sub mq (Nat.rem mp q2) ~m:q2) sk.p2_inv_q2 ~m:q2 in
+  Nat.add mp (Nat.mul sk.hp.p2 k)
 
 let decrypt_layered sk ppub c = Paillier.of_nat ppub (decrypt sk c)
 let add pub a b = Modular.mul a b ~m:pub.n3

@@ -34,6 +34,10 @@ val encrypt : Rng.t -> public -> Nat.t -> ciphertext
 (** Encrypt a Paillier ciphertext as the DJ plaintext (layered). *)
 val encrypt_layered : Rng.t -> public -> Paillier.ciphertext -> ciphertext
 
+(** CRT decryption with exponents [p-1] and [q-1] (Damgård, Jurik and
+    Nielsen). Raises [Invalid_argument "Damgard_jurik.decrypt:
+    ciphertext is not a unit"] when [p] or [q] divides the ciphertext
+    (no encryption is such a value). *)
 val decrypt : secret -> ciphertext -> Nat.t
 
 (** Decrypt the outer DJ layer, recovering the inner Paillier ciphertext. *)

@@ -101,11 +101,13 @@ let encrypt_int rng pub m =
    r^(p*(p-1)) = 1 mod p^2 and p | n), and the binomial series truncates
    to 1 + m*(p-1)*n mod p^2, so L_p(c^(p-1)) * hp = m mod p. Half-size
    moduli with half-size exponents, recombined by CRT — ~4x cheaper than
-   one lambda-exponentiation mod n^2. *)
+   one lambda-exponentiation mod n^2. A unit has u = 1 mod p; u = 0
+   exactly when p divides c. *)
 let decrypt sk c =
   Obs.bump Obs.Metrics.Paillier_dec;
   let half p2 pm1 hp p =
     let u = Modular.pow (Nat.rem c p2) pm1 ~m:p2 in
+    if Nat.is_zero u then invalid_arg "Paillier.decrypt: ciphertext is not a unit";
     Modular.mul (Nat.div (Nat.pred u) p) hp ~m:p
   in
   let mp = half sk.p2 sk.pm1 sk.hp sk.p in

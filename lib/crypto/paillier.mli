@@ -47,6 +47,10 @@ val secret_params : secret -> Nat.t * Nat.t * Nat.t
 val encrypt : Rng.t -> public -> Nat.t -> ciphertext
 
 val encrypt_int : Rng.t -> public -> int -> ciphertext
+
+(** CRT decryption. Raises [Invalid_argument "Paillier.decrypt:
+    ciphertext is not a unit"] when [p] or [q] divides the ciphertext
+    (no encryption is such a value). *)
 val decrypt : secret -> ciphertext -> Nat.t
 
 (** Decrypts and maps residues above [n/2] to negative integers (the

@@ -297,6 +297,21 @@ let prop_crt =
 
 (* ---------------- Montgomery ---------------- *)
 
+(* naive square-and-multiply over Nat.rem: the reference for every
+   Montgomery and comb kernel *)
+let pow_ref b e m =
+  let acc = ref (Nat.rem Nat.one m) and base = ref (Nat.rem b m) in
+  for i = 0 to Nat.bit_length e - 1 do
+    if Nat.nth_bit e i then acc := Nat.rem (Nat.mul !acc !base) m;
+    base := Nat.rem (Nat.mul !base !base) m
+  done;
+  !acc
+
+(* an odd modulus of exactly [bits] bits (top bit set) *)
+let odd_modulus rng bits =
+  let m = Nat.add (gen_nat_of_bits rng (bits - 1)) (Nat.shift_left Nat.one (bits - 1)) in
+  if Nat.is_even m then Nat.succ m else m
+
 let prop_montgomery_pow =
   qtest ~count:150 "Montgomery pow = naive square-and-multiply" arb_bits_pair
     (fun (seed, bm, be) ->
@@ -310,16 +325,7 @@ let prop_montgomery_pow =
         | Some ctx ->
           let b = Nat.rem (gen_nat_of_bits rng (max 1 bm)) m in
           let e = gen_nat_of_bits rng (max 1 (be / 2)) in
-          (* naive reference *)
-          let reference =
-            let acc = ref Nat.one and base = ref (Nat.rem b m) in
-            for i = 0 to Nat.bit_length e - 1 do
-              if Nat.nth_bit e i then acc := Nat.rem (Nat.mul !acc !base) m;
-              base := Nat.rem (Nat.mul !base !base) m
-            done;
-            !acc
-          in
-          Nat.equal (Montgomery.pow ctx b e) reference
+          Nat.equal (Montgomery.pow ctx b e) (pow_ref b e m)
       end)
 
 let prop_montgomery_mul =
@@ -338,8 +344,8 @@ let prop_montgomery_mul =
           Nat.equal (Montgomery.mul ctx a b) (Nat.rem (Nat.mul a b) m)
       end)
 
-let prop_residue_chain =
-  qtest ~count:150 "resident chain (to/pow/mul/from) = plain modular ops" arb_bits_pair
+let prop_unreduced_chain =
+  qtest ~count:150 "mul and pow on operands >= m, chained = Nat.rem" arb_bits_pair
     (fun (seed, bm, bb) ->
       let rng = splitmix seed in
       let m = gen_nat_of_bits rng (max 3 bm) in
@@ -349,18 +355,44 @@ let prop_residue_chain =
         match Montgomery.create m with
         | None -> QCheck.assume_fail ()
         | Some ctx ->
-          let a = Nat.rem (gen_nat_of_bits rng (max 1 bm)) m in
-          let b = Nat.rem (gen_nat_of_bits rng (max 1 bb)) m in
+          (* a in [m, 2m), b up to twice m's width *)
+          let a = Nat.add m (Nat.rem (gen_nat_of_bits rng (max 1 bm)) m) in
+          let b = gen_nat_of_bits rng ((2 * Nat.bit_length m) - (bb mod 8)) in
           let e = gen_nat_of_bits rng 64 in
-          Nat.equal (Montgomery.from_mont ctx (Montgomery.to_mont ctx a)) a
-          &&
-          let ra = Montgomery.to_mont ctx a and rb = Montgomery.to_mont ctx b in
-          let chain =
-            Montgomery.from_mont ctx
-              (Montgomery.mul_resident ctx (Montgomery.pow_resident ctx ra e) rb)
-          in
-          Nat.equal chain (Modular.mul (Modular.pow a e ~m) b ~m)
+          Nat.equal (Montgomery.mul ctx a b) (Nat.rem (Nat.mul a b) m)
+          && Nat.equal (Montgomery.pow ctx a e) (pow_ref a e m)
+          && Nat.equal
+               (Montgomery.mul ctx (Montgomery.pow ctx a e) b)
+               (Nat.rem (Nat.mul (pow_ref a e m) b) m)
       end)
+
+let test_one_limb () =
+  let rng = splitmix 52 in
+  List.iter
+    (fun m ->
+      let ctx = Option.get (Montgomery.create m) in
+      let operands =
+        [ Nat.zero; Nat.one; Nat.pred m; m; Nat.succ m; Nat.of_int ((1 lsl 52) - 1);
+          gen_nat_of_bits rng 52; gen_nat_of_bits rng 130 ]
+      in
+      let exps = [ Nat.zero; Nat.one; Nat.two; Nat.of_int 9; gen_nat_of_bits rng 64 ] in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.check nat
+                (Printf.sprintf "%s * %s mod %s" (Nat.to_string a) (Nat.to_string b) (Nat.to_string m))
+                (Nat.rem (Nat.mul a b) m) (Montgomery.mul ctx a b))
+            operands;
+          List.iter
+            (fun e ->
+              Alcotest.check nat
+                (Printf.sprintf "%s^%s mod %s" (Nat.to_string a) (Nat.to_string e) (Nat.to_string m))
+                (pow_ref a e m) (Montgomery.pow ctx a e))
+            exps)
+        operands)
+    [ Nat.of_int 3; Nat.of_int 5; Nat.of_int 1_000_000_007; Nat.of_int ((1 lsl 52) - 1);
+      odd_modulus rng 52 ]
 
 let prop_of_limbs =
   qtest ~count:200 "Nat.of_limbs inverts Nat.limbs" arb_bits_pair (fun (seed, ba, _) ->
@@ -382,9 +414,91 @@ let prop_fixed_base =
           let g = Nat.rem (gen_nat_of_bits rng (max 1 bm)) m in
           let bits = max 1 (be / 3) in
           let fb = Fixed_base.create ctx ~base:g ~max_bits:bits in
-          let e = gen_nat_of_bits rng bits in
-          Nat.equal (Fixed_base.pow fb e) (Modular.pow g e ~m)
+          let full = Nat.pred (Nat.shift_left Nat.one bits) in
+          List.for_all
+            (fun e -> Nat.equal (Fixed_base.pow fb e) (pow_ref g e m))
+            [ gen_nat_of_bits rng bits; Nat.zero; Nat.one; full ]
       end)
+
+(* Odd moduli of every limb count from 1 to 10; per comb width, the
+   exponents 0, 1, 2^max_bits - 1 and one whose only nonzero digit is
+   the top one. *)
+let test_fixed_base_limb_counts () =
+  let rng = splitmix 1024 in
+  for limbs = 1 to 10 do
+    let m = odd_modulus rng (52 * limbs) in
+    let ctx = Option.get (Montgomery.create m) in
+    let g = Nat.rem (gen_nat_of_bits rng (52 * limbs)) m in
+    List.iter
+      (fun max_bits ->
+        let fb = Fixed_base.create ctx ~base:g ~max_bits in
+        let top = 4 * ((max_bits - 1) / 4) in
+        let full = Nat.pred (Nat.shift_left Nat.one max_bits) in
+        List.iter
+          (fun e ->
+            Alcotest.check nat
+              (Printf.sprintf "%d limbs, %d bits, e = %s" limbs max_bits (Nat.to_hex e))
+              (pow_ref g e m) (Fixed_base.pow fb e))
+          [ Nat.zero; Nat.one; full; Nat.shift_left (Nat.shift_right full top) top;
+            Nat.shift_left Nat.one top; gen_nat_of_bits rng max_bits ])
+      [ 1; 4; 5; 64; 97; 52 * limbs ]
+  done
+
+(* Comb, mul and pow on two domains at once, on different moduli, give
+   the sequential results: no kernel shares a workspace across calls. *)
+let test_two_domains () =
+  let rng = splitmix 77 in
+  let job bits =
+    let m = odd_modulus rng bits in
+    let ctx = Option.get (Modular.mont_ctx m) in
+    let fb = Fixed_base.create ctx ~base:(gen_nat_of_bits rng (bits - 1)) ~max_bits:97 in
+    let inputs =
+      List.init 300 (fun _ ->
+          (gen_nat_of_bits rng bits, gen_nat_of_bits rng bits, gen_nat_of_bits rng 97))
+    in
+    fun () ->
+      List.map
+        (fun (a, b, e) -> (Fixed_base.pow fb e, Montgomery.mul ctx a b, Montgomery.pow ctx a e))
+        inputs
+  in
+  let run1 = job 256 and run2 = job 384 in
+  let seq1 = run1 () and seq2 = run2 () in
+  let d = Domain.spawn run1 in
+  let par2 = run2 () in
+  let par1 = Domain.join d in
+  let same = List.equal (fun (a, b, c) (a', b', c') -> Nat.equal a a' && Nat.equal b b' && Nat.equal c c') in
+  Alcotest.(check bool) "domain 1 = sequential" true (same seq1 par1);
+  Alcotest.(check bool) "domain 2 = sequential" true (same seq2 par2)
+
+(* Minor-heap words per call, after one warm-up call. Counted by the
+   runtime, so exact on any host. *)
+let words_per_call n f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The kernels allocate their workspace, tables and result, never per
+   digit or per bit. A comb pow used to allocate about 1,660 words
+   (arrays per nonzero digit), and a modexp about 800 words at a 64-bit
+   exponent but 3,650 at a 512-bit one (a closure per reduction). *)
+let test_kernel_allocation () =
+  let rng = splitmix 256 in
+  let m = odd_modulus rng 256 in
+  let ctx = Option.get (Modular.mont_ctx m) in
+  let g = gen_nat_of_bits rng 255 in
+  let fb = Fixed_base.create ctx ~base:g ~max_bits:97 in
+  let e97 = Nat.add (gen_nat_of_bits rng 96) (Nat.shift_left Nat.one 96) in
+  let comb = words_per_call 200 (fun () -> Fixed_base.pow fb e97) in
+  if comb > 200. then Alcotest.failf "comb pow allocates %.0f words per call (bound 200)" comb;
+  let e64 = Nat.add (gen_nat_of_bits rng 63) (Nat.shift_left Nat.one 63) in
+  let e512 = Nat.add (gen_nat_of_bits rng 511) (Nat.shift_left Nat.one 511) in
+  let p64 = words_per_call 50 (fun () -> Modular.pow g e64 ~m) in
+  let p512 = words_per_call 50 (fun () -> Modular.pow g e512 ~m) in
+  if abs_float (p512 -. p64) > 50. then
+    Alcotest.failf "modexp allocates %.0f words at a 64-bit exponent, %.0f at 512 bits" p64 p512
 
 (* ---------------- Nat vs Nat_ref differential ----------------
 
@@ -539,7 +653,6 @@ let test_montgomery_edges () =
   Alcotest.check nat "b^0 = 1" Nat.one (Montgomery.pow ctx (Nat.of_int 17) Nat.zero);
   Alcotest.check nat "0^e = 0" Nat.zero (Montgomery.pow ctx Nat.zero (Nat.of_int 5));
   Alcotest.check nat "1^e = 1" Nat.one (Montgomery.pow ctx Nat.one (Nat.of_int 99));
-  Alcotest.check nat "modulus value kept" m (Montgomery.modulus ctx);
   Alcotest.(check bool) "even modulus rejected" true (Montgomery.create (Nat.of_int 10) = None)
 
 (* ---------------- Prime ---------------- *)
@@ -633,12 +746,16 @@ let suite =
         prop_crt
       ] );
     ( "montgomery",
-      [ prop_montgomery_pow; prop_montgomery_mul; prop_residue_chain; prop_of_limbs;
+      [ prop_montgomery_pow; prop_montgomery_mul; prop_unreduced_chain; prop_of_limbs;
         prop_fixed_base;
         prop_multi_pow;
         prop_inv_many;
         Alcotest.test_case "edge cases" `Quick test_montgomery_edges;
-        Alcotest.test_case "fixed-base comb cache" `Quick test_fixed_base_cache
+        Alcotest.test_case "one-limb moduli" `Quick test_one_limb;
+        Alcotest.test_case "fixed-base comb cache" `Quick test_fixed_base_cache;
+        Alcotest.test_case "fixed-base comb at 1-10 limbs" `Quick test_fixed_base_limb_counts;
+        Alcotest.test_case "kernels on two domains" `Quick test_two_domains;
+        Alcotest.test_case "kernel allocation per call" `Quick test_kernel_allocation
       ] );
     ( "nat-differential",
       [ Alcotest.test_case "ops vs base-2^26 reference" `Quick test_differential_ops;

@@ -298,32 +298,67 @@ let test_paillier_shortened_noise_comb () =
     Alcotest.check nat "rerandomize preserves" m (Paillier.decrypt sk c')
   done
 
-let test_dj_crt_matches_classic () =
+(* The textbook decryption c^d mod n^3 with d = 1 mod n^2, d = 0 mod
+   lambda, read off digit by digit: the reference the DJN CRT halves
+   must match. *)
+let dj_classic pub sk c =
   let _, _, lambda = Paillier.secret_params sk in
-  let n = djpub.Damgard_jurik.n
-  and n2 = djpub.Damgard_jurik.n2
-  and n3 = djpub.Damgard_jurik.n3 in
+  let n = pub.Damgard_jurik.n and n2 = pub.Damgard_jurik.n2 and n3 = pub.Damgard_jurik.n3 in
   let d = Modular.crt2 (Nat.one, n2) (Nat.zero, lambda) in
-  let classic c =
-    let u = Modular.pow (Damgard_jurik.to_nat c) d ~m:n3 in
-    let t = Nat.rem (Nat.div (Nat.pred u) n) n2 in
-    let m0 = Nat.rem t n in
-    let binom =
-      Nat.rem
-        (Nat.shift_right (Nat.mul m0 (if Nat.is_zero m0 then Nat.zero else Nat.pred m0)) 1)
-        n
-    in
-    let hi = Nat.div (Nat.sub t m0) n in
-    let m1 = Modular.sub (Nat.rem hi n) binom ~m:n in
-    Nat.add m0 (Nat.mul n m1)
+  let u = Modular.pow (Damgard_jurik.to_nat c) d ~m:n3 in
+  let t = Nat.rem (Nat.div (Nat.pred u) n) n2 in
+  let m0 = Nat.rem t n in
+  let binom =
+    Nat.rem (Nat.shift_right (Nat.mul m0 (if Nat.is_zero m0 then Nat.zero else Nat.pred m0)) 1) n
+  in
+  let hi = Nat.div (Nat.sub t m0) n in
+  let m1 = Modular.sub (Nat.rem hi n) binom ~m:n in
+  Nat.add m0 (Nat.mul n m1)
+
+let check_dj_crt label rng pub sk =
+  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
+  let djsk = Option.get djsk in
+  let n = djpub.Damgard_jurik.n and n2 = djpub.Damgard_jurik.n2 in
+  let check what m c =
+    let got = Damgard_jurik.decrypt djsk c in
+    Alcotest.check nat (Printf.sprintf "%s: %s = classic" label what) (dj_classic djpub sk c) got;
+    Alcotest.check nat (Printf.sprintf "%s: %s = m" label what) m got
   in
   for i = 0 to 19 do
     let m = Rng.nat_below rng n2 in
-    let c = Damgard_jurik.encrypt rng djpub m in
-    Alcotest.check nat
-      (Printf.sprintf "dj crt = classic #%d" i)
-      (classic c) (Damgard_jurik.decrypt djsk c)
-  done
+    check (Printf.sprintf "random #%d" i) m (Damgard_jurik.encrypt rng djpub m)
+  done;
+  List.iter
+    (fun (name, m) ->
+      check (name ^ " encrypted") m (Damgard_jurik.encrypt rng djpub m);
+      check (name ^ " trivial") m (Damgard_jurik.trivial djpub m))
+    [ ("0", Nat.zero); ("1", Nat.one); ("n-1", Nat.pred n); ("n", n); ("n+1", Nat.succ n);
+      ("n^2-1", Nat.pred n2) ]
+
+let test_dj_crt_matches_classic () =
+  check_dj_crt "128-bit" rng pub sk;
+  let rng256 = Rng.create ~seed:"test_crypto 256" in
+  let pub256, sk256 = Paillier.keygen ~rand_bits:96 rng256 ~bits:256 in
+  check_dj_crt "256-bit" rng256 pub256 sk256
+
+(* Ciphertexts that p or q divides are not units; no encryption is one.
+   Both decryptions name the error rather than returning a wrong
+   plaintext or failing inside Nat. *)
+let test_non_unit_ciphertexts () =
+  let p, q, _ = Paillier.secret_params sk in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.check_raises ("paillier " ^ name)
+        (Invalid_argument "Paillier.decrypt: ciphertext is not a unit") (fun () ->
+          ignore (Paillier.decrypt sk (Paillier.of_nat pub c)));
+      let c2 = Damgard_jurik.of_nat djpub c in
+      Alcotest.check_raises ("dj " ^ name)
+        (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
+          ignore (Damgard_jurik.decrypt djsk c2));
+      Alcotest.check_raises ("dj layered " ^ name)
+        (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
+          ignore (Damgard_jurik.decrypt_layered djsk pub c2)))
+    [ ("0", Nat.zero); ("p", p); ("q", q); ("3p", Nat.mul_int p 3) ]
 
 let test_ciphertext_sizes () =
   Alcotest.(check bool) "paillier ct is 2x plaintext width" true
@@ -430,6 +465,7 @@ let suite =
         Alcotest.test_case "layered select gadget" `Quick test_dj_layered_select;
         Alcotest.test_case "rerandomize" `Quick test_dj_rerandomize;
         Alcotest.test_case "CRT decrypt = classic" `Quick test_dj_crt_matches_classic;
+        Alcotest.test_case "non-unit ciphertexts rejected" `Quick test_non_unit_ciphertexts;
         Alcotest.test_case "ciphertext sizes" `Quick test_ciphertext_sizes
       ] )
   ]

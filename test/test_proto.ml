@@ -82,6 +82,20 @@ let test_select_recover () =
   Alcotest.(check int) "select zero" 222
     (dec (Gadgets.select_recover ctx ~protocol:"test" ~t:t0 ~if_one:a ~if_zero:b))
 
+(* A Recover of a non-unit (here p, which no encryption can be) raises a
+   named error in S2's handler instead of answering a wrong ciphertext;
+   serve-s2 closes such a connection, and S1 sees a typed error. *)
+let test_recover_non_unit () =
+  let p, _, _ = Paillier.secret_params sk in
+  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
+  let s2 =
+    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
+      ~rng:(Rng.create ~seed:"test_proto s2")
+  in
+  Alcotest.check_raises "named error"
+    (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
+      ignore (S2_server.handle s2 ~label:"test" (Wire.Recover (Damgard_jurik.of_nat djpub p))))
+
 let test_lift () =
   let cts = [ enc 0; enc 1; enc 42 ] in
   let lifted = List.concat (Gadgets.lift_many ctx ~protocol:"test" [ cts ]) in
@@ -468,7 +482,8 @@ let suite =
   [ ("channel", [ Alcotest.test_case "accounting" `Quick test_channel ]);
     ( "gadgets",
       [ Alcotest.test_case "recover_enc" `Quick test_recover_enc;
-        Alcotest.test_case "select_recover" `Quick test_select_recover
+        Alcotest.test_case "select_recover" `Quick test_select_recover;
+        Alcotest.test_case "recover of a non-unit" `Quick test_recover_non_unit
       ] );
     ( "gadgets-extra",
       [ Alcotest.test_case "lift Paillier -> DJ" `Quick test_lift;
