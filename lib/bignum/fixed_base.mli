@@ -9,7 +9,7 @@
 type t
 
 (** [create ctx ~base ~max_bits] precomputes the comb for exponents up to
-    [max_bits] bits wide. Cost: ~[max_bits * 19 / 4] Montgomery
+    [max_bits] bits wide. Cost: ~[max_bits * 15 / 4] Montgomery
     multiplications, paid once per (base, modulus) pair. *)
 val create : Montgomery.ctx -> base:Nat.t -> max_bits:int -> t
 
