@@ -25,9 +25,10 @@ let create ctx ~base ~max_bits =
   let rows = (max_bits + window - 1) / window in
   { ctx; max_bits; comb = Montgomery.comb ctx base ~rows }
 
-(* Combs are cached per (base, modulus) with a bounded LRU policy: the
-   steady state only ever combs a handful of noise bases (h mod n^2,
-   h2 mod n^3 per key pair), but a long-lived server handling many
+(* Combs are cached per (base, exponent, modulus) with a bounded LRU
+   policy: the steady state only ever combs a handful of noise bases
+   (h mod n^2 and h2 mod n^3 per key pair, and the negated-noise powers
+   h^(n-1) and h2^(n^2-1)), but a long-lived server handling many
    sessions would otherwise accumulate a comb per client key, and a comb
    is large (~max_bits/4 * 15 split residues). Each hit stamps the entry with
    a monotonically increasing tick; insertion beyond [capacity] evicts
@@ -37,7 +38,7 @@ let create ctx ~base ~max_bits =
 
 type entry = { fb : t; mutable tick : int }
 
-let cache : (Nat.t * Nat.t, entry) Hashtbl.t = Hashtbl.create 8
+let cache : (Nat.t * Nat.t option * Nat.t, entry) Hashtbl.t = Hashtbl.create 8
 
 let cache_lock = Mutex.create ()
 
@@ -82,25 +83,32 @@ let cached_count () =
   Mutex.unlock cache_lock;
   n
 
-let cached ~base ~m ~max_bits:wanted =
+(* the comb for base^exp (base when [exp] is [None]); the power is
+   derived only when the comb is built *)
+let lookup ~base ~exp ~m ~max_bits:wanted =
   match Modular.mont_ctx m with
   | None -> None
   | Some ctx ->
     Mutex.lock cache_lock;
     incr clock;
+    let key = (base, exp, m) in
     let fb =
-      match Hashtbl.find_opt cache (base, m) with
+      match Hashtbl.find_opt cache key with
       | Some e when wanted <= e.fb.max_bits ->
         e.tick <- !clock;
         e.fb
       | _ ->
+        let base = match exp with None -> base | Some e -> Modular.pow base e ~m in
         let fb = create ctx ~base ~max_bits:wanted in
-        Hashtbl.replace cache (base, m) { fb; tick = !clock };
+        Hashtbl.replace cache key { fb; tick = !clock };
         evict_lru ();
         fb
     in
     Mutex.unlock cache_lock;
     Some fb
+
+let cached ~base ~m ~max_bits = lookup ~base ~exp:None ~m ~max_bits
+let cached_power ~base ~exp ~m ~max_bits = lookup ~base ~exp:(Some exp) ~m ~max_bits
 
 let pow t e =
   Obs.bump Obs.Metrics.Modexp_fixed_base;

@@ -102,6 +102,21 @@ let encrypt_with pub ~noise x =
 
 let encrypt rng pub x = encrypt_with pub ~noise:(noise rng pub) x
 
+(* As [Paillier.encrypt_neg_with]: (g^x * h2^rho)^(n^2-1)
+   = g^(-x) * (h2^(n^2-1))^rho mod n^3, since g = 1+n has order n^2. *)
+let encrypt_neg_with pub ~draw x =
+  Obs.bump Obs.Metrics.Dj_enc;
+  let neg = Nat.pred pub.n2 in
+  match pub.rand_bits with
+  | None -> Modular.pow (Modular.mul (g_pow pub x) (noise_of pub draw) ~m:pub.n3) neg ~m:pub.n3
+  | Some b ->
+    let noise =
+      match Fixed_base.cached_power ~base:pub.h2 ~exp:neg ~m:pub.n3 ~max_bits:(b + 1) with
+      | Some fb -> Fixed_base.pow fb draw
+      | None -> Modular.pow (Modular.pow pub.h2 draw ~m:pub.n3) neg ~m:pub.n3
+    in
+    Modular.mul (g_pow pub (Modular.sub Nat.zero (Nat.rem x pub.n2) ~m:pub.n2)) noise ~m:pub.n3
+
 let trivial pub x = g_pow pub x
 
 let encrypt_layered rng pub inner = encrypt rng pub (Paillier.to_nat inner)
@@ -155,15 +170,6 @@ let scalar_mul_many pub pairs =
   Obs.add Obs.Metrics.Dj_mul (List.length pairs);
   Modular.multi_pow (List.map (fun (c, k) -> (c, Nat.rem k pub.n2)) pairs) ~m:pub.n3
 
-let scalar_mul_ct_many pub pairs =
-  scalar_mul_many pub (List.map (fun (c, inner) -> (c, Paillier.to_nat inner)) pairs)
-
-let neg pub c =
-  Obs.bump Obs.Metrics.Dj_mul;
-  Modular.pow c (Nat.pred pub.n2) ~m:pub.n3
-
-let sub pub a b = add pub a (neg pub b)
-
 let rerandomize rng pub c =
   Obs.bump Obs.Metrics.Dj_rerand;
   Modular.mul c (noise rng pub) ~m:pub.n3
@@ -174,12 +180,15 @@ let rerandomize_with pub ~noise c =
   Modular.mul c noise ~m:pub.n3
 
 (* Counterpart of [Paillier.precompute] for the layer-2 key: Montgomery
-   context for n^3 plus the comb for h2 under shortened noise. *)
+   context for n^3 plus the combs for h2 and h2^(n^2-1) under shortened
+   noise. *)
 let precompute pub =
   ignore (Modular.mul Nat.one Nat.one ~m:pub.n3);
   match pub.rand_bits with
   | None -> ()
-  | Some b -> ignore (Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1))
+  | Some b ->
+    ignore (Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1));
+    ignore (Fixed_base.cached_power ~base:pub.h2 ~exp:(Nat.pred pub.n2) ~m:pub.n3 ~max_bits:(b + 1))
 
 let to_nat c = c
 

@@ -56,11 +56,6 @@ val scalar_mul_ct : public -> ciphertext -> Paillier.ciphertext -> ciphertext
     bytes as the fold). Counts one Dj_mul per pair. *)
 val scalar_mul_many : public -> (ciphertext * Nat.t) list -> ciphertext
 
-(** {!scalar_mul_many} with layered Paillier ciphertexts as scalars. *)
-val scalar_mul_ct_many : public -> (ciphertext * Paillier.ciphertext) list -> ciphertext
-
-val neg : public -> ciphertext -> ciphertext
-val sub : public -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Rng.t -> public -> ciphertext -> ciphertext
 
 (** One noise factor [r^{n^2} mod n^3]; draw from a {!Noise_pool}.
@@ -78,6 +73,14 @@ val noise_of : public -> Bignum.Nat.t -> Bignum.Nat.t
     same rng position. *)
 val encrypt_with : public -> noise:Bignum.Nat.t -> Nat.t -> ciphertext
 
+(** [encrypt_neg_with pub ~draw x] is bit-identical to
+    [encrypt_with pub ~noise:(noise_of pub draw) x] raised to [n^2-1],
+    the encryption of [-x] that strips [x] from a DJ ciphertext. As
+    {!Paillier.encrypt_neg_with}: the comb of [h2^(n^2-1)] under
+    shortened noise, the full exponentiation under textbook noise.
+    Counts as one encryption. *)
+val encrypt_neg_with : public -> draw:Bignum.Nat.t -> Nat.t -> ciphertext
+
 (** Re-randomize with a precomputed {!noise} factor: one modular
     multiplication. *)
 val rerandomize_with : public -> noise:Bignum.Nat.t -> ciphertext -> ciphertext
@@ -88,8 +91,8 @@ val rerandomize_with : public -> noise:Bignum.Nat.t -> ciphertext -> ciphertext
 val trivial : public -> Bignum.Nat.t -> ciphertext
 
 (** Counterpart of {!Paillier.precompute} for the layer-2 key: the
-    Montgomery context for [n^3] plus the comb for [h2] under shortened
-    noise. Idempotent. *)
+    Montgomery context for [n^3] plus the combs for [h2] and
+    [h2^(n^2-1)] under shortened noise. Idempotent. *)
 val precompute : public -> unit
 
 val to_nat : ciphertext -> Nat.t

@@ -161,16 +161,35 @@ let encrypt_with pub ~noise m =
   Obs.bump Obs.Metrics.Paillier_enc;
   Modular.mul (trivial pub m) noise ~m:pub.n2
 
+(* [neg (encrypt_with pub ~noise:(noise_of pub draw) m)] without the
+   negation: (g^m * h^rho)^(n-1) = g^(-m) * (h^(n-1))^rho mod n^2, and
+   h^(n-1) has a comb of its own. Textbook noise r^n has no fixed base,
+   so it keeps the exponentiation. *)
+let encrypt_neg_with pub ~draw m =
+  Obs.bump Obs.Metrics.Paillier_enc;
+  let neg = Nat.pred pub.n in
+  match pub.rand_bits with
+  | None -> Modular.pow (Modular.mul (trivial pub m) (noise_of pub draw) ~m:pub.n2) neg ~m:pub.n2
+  | Some b ->
+    let noise =
+      match Fixed_base.cached_power ~base:pub.h ~exp:neg ~m:pub.n2 ~max_bits:(b + 1) with
+      | Some fb -> Fixed_base.pow fb draw
+      | None -> Modular.pow (Modular.pow pub.h draw ~m:pub.n2) neg ~m:pub.n2
+    in
+    Modular.mul (trivial pub (Modular.sub Nat.zero (Nat.rem m pub.n) ~m:pub.n)) noise ~m:pub.n2
+
 (* Build the per-key tables before the first encryption: the Montgomery
    contexts for n and n^2 and, under shortened noise, the fixed-base
-   comb for h. Servers call this at startup so no query pays the
-   one-time cost. *)
+   combs for h and h^(n-1). Servers call this at startup so no query
+   pays the one-time cost. *)
 let precompute pub =
   ignore (Modular.mul Nat.one Nat.one ~m:pub.n);
   ignore (Modular.mul Nat.one Nat.one ~m:pub.n2);
   match pub.rand_bits with
   | None -> ()
-  | Some b -> ignore (Fixed_base.cached ~base:pub.h ~m:pub.n2 ~max_bits:(b + 1))
+  | Some b ->
+    ignore (Fixed_base.cached ~base:pub.h ~m:pub.n2 ~max_bits:(b + 1));
+    ignore (Fixed_base.cached_power ~base:pub.h ~exp:(Nat.pred pub.n) ~m:pub.n2 ~max_bits:(b + 1))
 let to_nat c = c
 
 let of_nat pub c =

@@ -103,10 +103,19 @@ val rerandomize_with : public -> noise:Bignum.Nat.t -> ciphertext -> ciphertext
     same rng position, at the cost of one modular multiplication. *)
 val encrypt_with : public -> noise:Bignum.Nat.t -> Nat.t -> ciphertext
 
+(** [encrypt_neg_with pub ~draw m] is bit-identical to
+    [neg pub (encrypt_with pub ~noise:(noise_of pub draw) m)], the
+    negation of the encryption of [m] that [draw] picks. Under shortened
+    noise it costs one exponentiation on the comb of [h^(n-1)] and one
+    modular multiplication instead of a full-width exponentiation; under
+    textbook noise it falls back to the negation. Counts as one
+    encryption. *)
+val encrypt_neg_with : public -> draw:Bignum.Nat.t -> Nat.t -> ciphertext
+
 (** Build the per-key tables ahead of the first encryption: Montgomery
     contexts for [n] and [n^2] and, under shortened noise, the
-    fixed-base comb for [h]. Idempotent; servers call it at startup so
-    no query pays the one-time cost. *)
+    fixed-base combs for [h] and [h^(n-1)]. Idempotent; servers call it
+    at startup so no query pays the one-time cost. *)
 val precompute : public -> unit
 
 (** Deterministic trivial encryption with randomness 1 — only for tests and

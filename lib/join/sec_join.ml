@@ -32,45 +32,39 @@ let combine (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_
   let ts = Array.of_list (Gadgets.equality_round ctx ~protocol diffs) in
   let zero = Gadgets.enc_zero s1 in
   (* tuple fan-out: every pair needs 1 + |attrs| selections, each a DJ
-     exponentiation — the heaviest loop of the join. The (pure) selects
-     stay fanned out on the pool; every RecoverEnc of the whole grid
-     travels in a single batch round. *)
-  let totals =
-    Array.map
-      (fun ((t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple)) ->
+     exponentiation — the heaviest loop of the join. Every select and
+     RecoverEnc of the whole grid is one select_recover_many round. *)
+  let per_pair =
+    List.map2
+      (fun t ((t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple)) ->
         let _, score_l = t1.Join_scheme.cells.(tk.Join_scheme.score_left) in
         let _, score_r = t2.Join_scheme.cells.(tk.Join_scheme.score_right) in
         (* s = t * (score_l + score_r + 1): the +1 keeps all-zero scores
            of genuine matches alive through SecFilter *)
-        Paillier.add pub (Paillier.add pub score_l score_r)
-          (Paillier.encrypt s1.Ctx.rng pub Nat.one))
-      pairs
-  in
-  let selections =
-    Ctx.parallel ctx ~jobs (fun sub1 idx ->
-        let t = ts.(idx) in
-        let (t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple) = pairs.(idx) in
+        let total =
+          Paillier.add pub (Paillier.add pub score_l score_r)
+            (Paillier.encrypt s1.Ctx.rng pub Nat.one)
+        in
         let carried =
           Array.append
             (Array.map snd t1.Join_scheme.cells)
             (Array.map snd t2.Join_scheme.cells)
         in
-        Array.append
-          [| Gadgets.select sub1 ~t ~if_one:totals.(idx) ~if_zero:zero |]
-          (Array.map (fun x -> Gadgets.select sub1 ~t ~if_one:x ~if_zero:zero) carried))
+        (t, total, zero) :: Array.to_list (Array.map (fun x -> (t, x, zero)) carried))
+      (Array.to_list ts) (Array.to_list pairs)
   in
-  let flat = List.concat_map Array.to_list (Array.to_list selections) in
-  let picked = Array.of_list (Gadgets.recover_enc_many ctx ~protocol flat) in
+  let picked =
+    Array.of_list (Gadgets.select_recover_many ctx ~protocol (List.concat per_pair))
+  in
   let cursor = ref 0 in
-  Array.to_list
-    (Array.map
-       (fun sel ->
-         let width = Array.length sel in
-         let score = picked.(!cursor) in
-         let attrs = Array.init (width - 1) (fun a -> picked.(!cursor + 1 + a)) in
-         cursor := !cursor + width;
-         { score; attrs })
-       selections)
+  List.map
+    (fun choices ->
+      let width = List.length choices in
+      let score = picked.(!cursor) in
+      let attrs = Array.init (width - 1) (fun a -> picked.(!cursor + 1 + a)) in
+      cursor := !cursor + width;
+      { score; attrs })
+    per_pair
 
 let filter_protocol = "SecFilter"
 

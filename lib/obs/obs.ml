@@ -787,7 +787,11 @@ module Cost_model = struct
 
   (* SecWorst (Alg. 4) against [others] candidate lists: an EHL+ diff
      (2 scalar_muls per cell) per other batched into one equality round,
-     then every select+recover in one batch round. *)
+     then every select+recover in one batch round. A select+recover is
+     one DJ exponentiation of a single term with the blinding folded in
+     (2 scalar_muls: the term and the absorbed blinding) and two
+     Paillier encryptions (the blinding Enc(r) and the Enc(-r) that
+     strips it). *)
   let sec_worst p ~others:j =
     let label = "SecWorst" in
     let rec_b, rec_m, rec_r =
@@ -796,12 +800,12 @@ module Cost_model = struct
         (List.init j (fun _ -> p.ct))
     in
     { zero with
-      penc = j;
+      penc = 2 * j;
       pdec = j;
-      pmul = (2 * p.cells * j) + j;
+      pmul = 2 * p.cells * j;
       djenc = j;
       djdec = j;
-      djmul = 4 * j;
+      djmul = 2 * j;
       bytes = req p ~label (4 + (j * p.ct)) + resp p (4 + (j * p.dj_ct)) + rec_b;
       msgs = 2 + rec_m;
       rounds = 1 + rec_r }
@@ -810,7 +814,8 @@ module Cost_model = struct
      non-keeper duplicates: pairwise EHL+ diffs and masked items travel in
      one Dedup rpc (1 mode byte, count-prefixed matrix and item lists);
      S2 decrypts the matrix, re-masks (and in Replace mode synthesises
-     replacements), S1 unmasks the survivors. *)
+     replacements), S1 unmasks the survivors with one encryption per
+     component (of the negated mask: no scalar_mul). *)
   let sec_dedup p ~mode ~items:l ~dups:d =
     if l = 0 then zero
     else begin
@@ -820,7 +825,7 @@ module Cost_model = struct
       let kept = l - d in
       let out = match mode with `Replace -> l | `Eliminate -> kept in
       { zero with
-        pmul = (2 * p.cells * pairs) + (out * (2 + p.seen));
+        pmul = 2 * p.cells * pairs;
         pdec = pairs + (out * cell);
         penc =
           (2 * cell * l)
@@ -869,12 +874,12 @@ module Cost_model = struct
         (List.map
            (fun j ->
              { zero with
-               penc = j;
+               penc = 2 * j;
                pdec = j;
-               pmul = (2 * p.cells * j) + j;
+               pmul = 2 * p.cells * j;
                djenc = j;
                djdec = j;
-               djmul = 4 * j })
+               djmul = 2 * j })
            others)
     in
     let eq_b, eq_m, eq_r =

@@ -6,11 +6,18 @@
       S2 decrypts them to bits [t_i] and returns them doubly encrypted as
       [E2(t_i)];
     - the {e select gadget}: from [E2(t)] with [t] a bit, S1 locally
-      computes [E2(t * Enc(a) + (1-t) * Enc(b))] — an oblivious choice
-      between two inner Paillier ciphertexts;
+      computes [E2(t * Enc(a) + (1-t) * Enc(b)) = E2(Enc(b)) *
+      E2(t)^(Enc(a) - Enc(b))] — an oblivious choice between two inner
+      Paillier ciphertexts, one exponentiation of [E2(t)];
     - {e RecoverEnc} (Algorithm 5): stripping the outer DJ layer with S2's
       help, under additive blinding so S2 learns nothing about the inner
-      plaintext. *)
+      plaintext.
+
+    A select is never computed on its own: {!select_recover_many} and
+    {!recover_enc_specs} fold RecoverEnc's blinding into the select's
+    exponentiation and strip it with an encryption of its negation from
+    the same noise draw, so S1 runs no full-width negation on this
+    path. *)
 
 open Bignum
 open Crypto
@@ -33,52 +40,27 @@ val equality_round :
 val equality_round_many :
   Ctx.t -> protocol:string -> Paillier.ciphertext list list -> Damgard_jurik.ciphertext list list
 
-(** [select s1 ~t ~if_one ~if_zero] is
-    [E2(t)^if_one * (E2(1) * E2(t)^-1)^if_zero] — evaluates to
-    [E2(if_one)] when [t = 1] and [E2(if_zero)] when [t = 0]. Purely
-    local to S1. *)
-val select :
-  Ctx.s1 ->
-  t:Damgard_jurik.ciphertext ->
-  if_one:Paillier.ciphertext ->
-  if_zero:Paillier.ciphertext ->
-  Damgard_jurik.ciphertext
+(** One E2 accumulator [E2(offset + sum_i k_i * x_i)] over terms
+    [(c_i, k_i)] with [c_i = E2(x_i)]. The offset and the [k_i] are DJ
+    plaintexts (elements of [Z_{n^2}]): Paillier ciphertexts and their
+    differences mod [n^2]. *)
+type spec = { offset : Nat.t; terms : (Damgard_jurik.ciphertext * Nat.t) list }
 
-(** RecoverEnc (Algorithm 5): converts [E2(Enc(c))] to a fresh [Enc(c)].
-    S1 blinds with [E2(Enc(c))^Enc(r)], S2 strips the outer layer and
-    returns [Enc(c + r)], S1 removes [r] homomorphically. *)
-val recover_enc : Ctx.t -> protocol:string -> Damgard_jurik.ciphertext -> Paillier.ciphertext
+(** RecoverEnc (Algorithm 5) of every spec, in one {!Ctx.rpc_batch}
+    round: a spec whose DJ plaintext is [Enc(m)] comes back as a fresh
+    encryption of [m]. S1 blinds with a fresh [e = Enc(r)], sending
+    [trivial(offset * e) * prod c_i^(k_i * e)] (one simultaneous
+    exponentiation per spec); S2 strips the outer layer and returns
+    [Enc(m) * e = Enc(m + r)]; S1 multiplies in the encryption of [-r]
+    from [e]'s own noise draw. The blindings are drawn in list order.
+    Counts one Dj_mul per term plus one for the absorbed blinding, and
+    two Paillier encryptions per spec. *)
+val recover_enc_specs : Ctx.t -> protocol:string -> spec list -> Paillier.ciphertext list
 
-(** [select_recover ctx ~protocol ~t ~if_one ~if_zero] — the select gadget
-    followed by RecoverEnc; the workhorse of SecWorst/SecUpdate/SecRefresh. *)
-val select_recover :
-  Ctx.t ->
-  protocol:string ->
-  t:Damgard_jurik.ciphertext ->
-  if_one:Paillier.ciphertext ->
-  if_zero:Paillier.ciphertext ->
-  Paillier.ciphertext
-
-(** Batched {!recover_enc}: one {!Ctx.rpc_batch} round for the whole
-    list, element blinding drawn in list order (identical randomness to
-    running {!recover_enc} per element). *)
-val recover_enc_many :
-  Ctx.t -> protocol:string -> Damgard_jurik.ciphertext list -> Paillier.ciphertext list
-
-(** Batched RecoverEnc over multi-exponentiation specs: each spec is the
-    pair list of one E2 accumulator [Enc2(sum_i k_i * x_i)] (layered
-    Paillier scalars), evaluated together with the RecoverEnc blinding in
-    a single simultaneous exponentiation per spec —
-    [(prod c_i^{k_i})^e = prod c_i^{k_i * e}], so the blinding is free.
-    One Dj_mul is counted per pair plus one for the absorbed blinding,
-    matching the unfused accumulate-then-recover op count. *)
-val recover_enc_specs :
-  Ctx.t ->
-  protocol:string ->
-  (Damgard_jurik.ciphertext * Paillier.ciphertext) list list ->
-  Paillier.ciphertext list
-
-(** Batched {!select_recover} over [(t, if_one, if_zero)] choices. *)
+(** The select gadget followed by RecoverEnc over [(t, if_one, if_zero)]
+    choices: the spec with offset [if_zero] and the one term
+    [(t, if_one - if_zero)]. The workhorse of SecWorst, SecUpdate,
+    SecRefresh and SecJoin. *)
 val select_recover_many :
   Ctx.t ->
   protocol:string ->

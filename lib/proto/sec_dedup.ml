@@ -35,22 +35,26 @@ let mask_item (s1 : Ctx.s1) (it : Enc_item.scored) =
   in
   (masked, pack)
 
+(* Scores and seen bits are unmasked by multiplying in an encryption of
+   the negated mask, drawn as [Paillier.encrypt] would draw it: the
+   ciphertexts [Paillier.sub] gave, without its negation. *)
 let unmask_item (s1 : Ctx.s1) (it : Enc_item.scored) (pack : Enc_item.pack) =
   let n = s1.pub.Paillier.n in
   let dec c = Nat.rem (Paillier.decrypt s1.own_sk c) n in
   let alphas = Array.map dec pack.Enc_item.alphas in
   let beta = dec pack.Enc_item.beta and gamma = dec pack.Enc_item.gamma in
   let sigmas = Array.map dec pack.Enc_item.sigmas in
+  let strip c m =
+    Paillier.add s1.pub c
+      (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
+  in
   {
     Enc_item.ehl =
       Ehl.Ehl_plus.mask s1.pub it.Enc_item.ehl
         (Array.map (fun a -> Paillier.encrypt s1.rng s1.pub (Nat.sub n (Nat.rem a n))) alphas);
-    worst = Paillier.sub s1.pub it.Enc_item.worst (Paillier.encrypt s1.rng s1.pub beta);
-    best = Paillier.sub s1.pub it.Enc_item.best (Paillier.encrypt s1.rng s1.pub gamma);
-    seen =
-      Array.mapi
-        (fun l u -> Paillier.sub s1.pub u (Paillier.encrypt s1.rng s1.pub sigmas.(l)))
-        it.Enc_item.seen;
+    worst = strip it.Enc_item.worst beta;
+    best = strip it.Enc_item.best gamma;
+    seen = Array.mapi (fun l u -> strip u sigmas.(l)) it.Enc_item.seen;
   }
 
 let run_many (ctx : Ctx.t) ~mode blocks =

@@ -72,32 +72,30 @@ let run_many (ctx : Ctx.t) ~mode blocks =
       in
       let grids = List.map2 (fun g ts -> (g, Array.of_list ts)) grids ts in
       let t_of (g, ts) i j = ts.((i * Array.length g.olds) + j) in
-      let zero = Gadgets.enc_zero s1 in
+      let zero = Paillier.to_nat (Gadgets.enc_zero s1) in
+      let n2 = s1.pub.Paillier.n2 in
       (* --- old entries: W'_j = W_j + sum_i t_ij * W_i, seen vectors
          merged. The per-entry selections (worst delta, per-slot seen
          merge) are all independent E2 accumulators: every RecoverEnc of
          every block's T-list travels in one batch round. Best scores are
          not carried: SecRefresh rewrites them from worst and seen before
          any read. *)
-      let e2_one = Damgard_jurik.trivial dj Nat.one in
-      (* E2(1 - sum_i t_ij) per entry: a DJ negation each, deterministic *)
       let olds = across grids (fun (g, _) -> Array.length g.olds) in
-      let no_matches =
-        Ctx.map ctx ~jobs:(Array.length olds) (fun x ->
-            let ((g, _) as gt), j = olds.(x) in
-            Damgard_jurik.sub dj e2_one
-              (e2_sum dj (List.init (Array.length g.news) (fun i -> t_of gt i j))))
-      in
       let selections =
-        Array.mapi
-          (fun x (((g, _) as gt), j) ->
+        Array.map
+          (fun (((g, _) as gt), j) ->
             let old = g.olds.(j) in
-            let no_match = no_matches.(x) in
-            (* each selection is sum_i t_ij * x_i (+ no_match * default):
-               the multi-exponentiation spec is handed to RecoverEnc, which
-               folds its blinding into the same simultaneous pass *)
+            (* each selection is default + sum_i t_ij * (x_i - default):
+               x_i when t_ij = 1, the default when no t_ij is (at most one
+               is). RecoverEnc folds its blinding into the same
+               simultaneous pass *)
             let select default xs =
-              (no_match, default) :: List.init (Array.length g.news) (fun i -> (t_of gt i j, xs i))
+              {
+                Gadgets.offset = default;
+                terms =
+                  List.init (Array.length g.news) (fun i ->
+                      (t_of gt i j, Modular.sub (Paillier.to_nat (xs i)) default ~m:n2));
+              }
             in
             let w_sel = select zero (fun i -> g.news.(i).Enc_item.worst) in
             (* seen-vector merge: u'_{j,l} = u_{j,l} + sum_i t_ij * u_{i,l}
@@ -146,7 +144,7 @@ let run_many (ctx : Ctx.t) ~mode blocks =
           (* obliviously rewrite matched copies into sentinel garbage; the
              per-cell/score/seen choices of every appended item of every
              block are independent, so the whole fan-out is one
-             select_recover batch *)
+             select_recover_many batch *)
           let z = Ctx.sentinel_z s1 in
           let n = s1.pub.Paillier.n in
           let choices =

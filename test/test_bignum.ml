@@ -640,6 +640,14 @@ let test_fixed_base_cache () =
         Alcotest.check nat "rebuilt comb correct"
           (Modular.pow (Nat.of_int 2) e ~m)
           (Fixed_base.pow fb e));
+      (* a power's comb is its own entry beside its base's *)
+      (match Fixed_base.cached_power ~base:(Nat.of_int 2) ~exp:(Nat.of_int 5) ~m ~max_bits:16 with
+      | None -> Alcotest.fail "comb expected for odd modulus"
+      | Some fb ->
+        let e = Nat.of_int 54321 in
+        Alcotest.check nat "power comb = (base^exp)^e"
+          (Modular.pow (Modular.pow (Nat.of_int 2) (Nat.of_int 5) ~m) e ~m)
+          (Fixed_base.pow fb e));
       Alcotest.(check bool) "even modulus has no ctx" true
         (Fixed_base.cached ~base:(Nat.of_int 3) ~m:(Nat.of_int 100) ~max_bits:8 = None);
       Alcotest.check_raises "capacity must be positive"

@@ -236,24 +236,78 @@ let test_dj_layered () =
 
 let test_dj_layered_select () =
   (* The select gadget used by SecWorst/SecUpdate:
-     E2(t)^Enc(x) * (E2(1) * E2(t)^-1)^Enc(0) = E2(t*Enc(x) + (1-t)*Enc(0)) *)
+     E2(Enc(0)) * E2(t)^(Enc(x) - Enc(0)) = E2(t*Enc(x) + (1-t)*Enc(0)) *)
   let x = Nat.of_int 777 in
   let enc_x = Paillier.encrypt rng pub x in
   let enc_0 = Paillier.encrypt rng pub Nat.zero in
   let check_select t expected =
     let e2_t = Damgard_jurik.encrypt rng djpub (Nat.of_int t) in
-    let e2_1 = Damgard_jurik.encrypt rng djpub Nat.one in
-    let one_minus_t = Damgard_jurik.add djpub e2_1 (Damgard_jurik.neg djpub e2_t) in
+    let x0 = Paillier.to_nat enc_0 in
     let sel =
       Damgard_jurik.add djpub
-        (Damgard_jurik.scalar_mul_ct djpub e2_t enc_x)
-        (Damgard_jurik.scalar_mul_ct djpub one_minus_t enc_0)
+        (Damgard_jurik.encrypt rng djpub x0)
+        (Damgard_jurik.scalar_mul djpub e2_t
+           (Modular.sub (Paillier.to_nat enc_x) x0 ~m:djpub.Damgard_jurik.n2))
     in
     let inner = Damgard_jurik.decrypt_layered djsk pub sel in
     Alcotest.check nat (Printf.sprintf "select t=%d" t) expected (Paillier.decrypt sk inner)
   in
   check_select 1 x;
   check_select 0 Nat.zero
+
+(* [encrypt_neg_with] must be the negation of [encrypt_with] from the
+   same draw, bit for bit: c^(n-1) mod n^2 for Paillier, c^(n^2-1) mod
+   n^3 for DJ, under shortened and textbook noise, at the plaintext
+   edges and at the draws 1, 2^96 and random. *)
+let neg_draws pub =
+  [ ("1", Nat.one); ("2^96", Nat.shift_left Nat.one 96); ("random", Paillier.draw_noise rng pub) ]
+
+let test_paillier_encrypt_neg_with () =
+  List.iter
+    (fun (policy, pub) ->
+      let n = pub.Paillier.n and n2 = pub.Paillier.n2 in
+      List.iter
+        (fun (draw_name, draw) ->
+          List.iter
+            (fun (m_name, m) ->
+              let reference =
+                Modular.pow
+                  (Paillier.to_nat (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub draw) m))
+                  (Nat.pred n) ~m:n2
+              in
+              Alcotest.check nat
+                (Printf.sprintf "%s, draw %s, m = %s" policy draw_name m_name)
+                reference
+                (Paillier.to_nat (Paillier.encrypt_neg_with pub ~draw m)))
+            [ ("0", Nat.zero); ("1", Nat.one); ("n-1", Nat.pred n); ("random", Rng.nat_below rng n) ])
+        (neg_draws pub))
+    [ ("rand_bits 96", Paillier.with_rand_bits pub (Some 96)); ("textbook", Paillier.with_rand_bits pub None) ]
+
+let test_dj_encrypt_neg_with () =
+  List.iter
+    (fun (policy, ppub) ->
+      let djpub = Damgard_jurik.public_of_paillier ppub in
+      let n2 = djpub.Damgard_jurik.n2 and n3 = djpub.Damgard_jurik.n3 in
+      List.iter
+        (fun (draw_name, draw) ->
+          List.iter
+            (fun (m_name, m) ->
+              let reference =
+                Modular.pow
+                  (Damgard_jurik.to_nat
+                     (Damgard_jurik.encrypt_with djpub ~noise:(Damgard_jurik.noise_of djpub draw) m))
+                  (Nat.pred n2) ~m:n3
+              in
+              let got = Damgard_jurik.encrypt_neg_with djpub ~draw m in
+              Alcotest.check nat
+                (Printf.sprintf "%s, draw %s, m = %s" policy draw_name m_name)
+                reference (Damgard_jurik.to_nat got);
+              Alcotest.check nat
+                (Printf.sprintf "%s, draw %s, m = %s decrypts to -m" policy draw_name m_name)
+                (Modular.sub Nat.zero m ~m:n2) (Damgard_jurik.decrypt djsk got))
+            [ ("0", Nat.zero); ("1", Nat.one); ("n^2-1", Nat.pred n2); ("random", Rng.nat_below rng n2) ])
+        (neg_draws ppub))
+    [ ("rand_bits 96", Paillier.with_rand_bits pub (Some 96)); ("textbook", Paillier.with_rand_bits pub None) ]
 
 let test_dj_rerandomize () =
   let c = Damgard_jurik.encrypt rng djpub (Nat.of_int 31337) in
@@ -450,6 +504,8 @@ let suite =
         Alcotest.test_case "trivial encryption" `Quick test_paillier_trivial;
         Alcotest.test_case "CRT decrypt = classic" `Quick test_paillier_crt_matches_classic;
         Alcotest.test_case "shortened-noise comb" `Quick test_paillier_shortened_noise_comb;
+        Alcotest.test_case "encrypt_neg_with = negated encrypt_with" `Quick
+          test_paillier_encrypt_neg_with;
         prop_paillier_add;
         prop_paillier_scalar
       ] );
@@ -463,6 +519,8 @@ let suite =
         Alcotest.test_case "homomorphic" `Quick test_dj_homomorphic;
         Alcotest.test_case "layered identity" `Quick test_dj_layered;
         Alcotest.test_case "layered select gadget" `Quick test_dj_layered_select;
+        Alcotest.test_case "encrypt_neg_with = negated encrypt_with" `Quick
+          test_dj_encrypt_neg_with;
         Alcotest.test_case "rerandomize" `Quick test_dj_rerandomize;
         Alcotest.test_case "CRT decrypt = classic" `Quick test_dj_crt_matches_classic;
         Alcotest.test_case "non-unit ciphertexts rejected" `Quick test_non_unit_ciphertexts;

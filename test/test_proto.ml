@@ -64,23 +64,136 @@ let test_channel () =
   Channel.reset ch;
   Alcotest.(check int) "reset" 0 (Channel.bytes_total ch)
 
-(* ---------------- recover_enc + select ---------------- *)
+(* ---------------- RecoverEnc + select ---------------- *)
+
+let nat_of = Paillier.to_nat
+
+(* E2(t) from a real S2 equality round: t = 1 exactly for a zero *)
+let bits ctx vs =
+  Gadgets.equality_round ctx ~protocol:"test"
+    (List.map (fun v -> Paillier.trivial ctx.Ctx.s1.Ctx.pub (Nat.of_int v)) vs)
+
+let select_one ctx t if_one if_zero =
+  List.hd (Gadgets.select_recover_many ctx ~protocol:"test" [ (t, if_one, if_zero) ])
 
 let test_recover_enc () =
   let inner = enc 12345 in
   let e2 = Damgard_jurik.encrypt_layered rng s1.Ctx.djpub inner in
-  let recovered = Gadgets.recover_enc ctx ~protocol:"test" e2 in
-  Alcotest.(check int) "roundtrip" 12345 (dec recovered);
-  Alcotest.(check bool) "fresh ciphertext" false (Paillier.equal_ct inner recovered)
+  match
+    Gadgets.recover_enc_specs ctx ~protocol:"test"
+      [ { Gadgets.offset = Nat.zero; terms = [ (e2, Nat.one) ] };
+        { Gadgets.offset = nat_of inner; terms = [] } ]
+  with
+  | [ recovered; offset_only ] ->
+    Alcotest.(check int) "roundtrip" 12345 (dec recovered);
+    Alcotest.(check bool) "fresh ciphertext" false (Paillier.equal_ct inner recovered);
+    Alcotest.(check int) "offset alone" 12345 (dec offset_only);
+    Alcotest.(check bool) "offset re-randomised" false (Paillier.equal_ct inner offset_only)
+  | _ -> Alcotest.fail "one result per spec"
 
 let test_select_recover () =
   let a = enc 111 and b = enc 222 in
   let t1 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.one in
   let t0 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.zero in
-  Alcotest.(check int) "select one" 111
-    (dec (Gadgets.select_recover ctx ~protocol:"test" ~t:t1 ~if_one:a ~if_zero:b));
-  Alcotest.(check int) "select zero" 222
-    (dec (Gadgets.select_recover ctx ~protocol:"test" ~t:t0 ~if_one:a ~if_zero:b))
+  Alcotest.(check (list int)) "select one, select zero" [ 111; 222 ]
+    (List.map dec (Gadgets.select_recover_many ctx ~protocol:"test" [ (t1, a, b); (t0, a, b) ]))
+
+(* The one-exponentiation select E2(x0) * t^(x1 - x0) against the
+   two-base reference t^x1 * (E2(1) * t^(n^2-1))^x0, with t from a real
+   S2 equality round: both decrypt to the same Z_{n^2} value. Run
+   through RecoverEnc on two identically seeded contexts, the gadget
+   and the reference spec give the same Paillier ciphertexts bit for
+   bit, so S2 decrypted the same values. *)
+let test_select_reference () =
+  let fresh () = Ctx.create ~blind_bits:48 (Rng.create ~seed:"test_proto select") ~bits:128 in
+  let a = fresh () and b = fresh () in
+  let pub = a.Ctx.s1.Ctx.pub and dj = a.Ctx.s1.Ctx.djpub in
+  let n2 = pub.Paillier.n2 and n3 = dj.Damgard_jurik.n3 in
+  let djsk = Option.get (snd (Damgard_jurik.of_paillier pub (Some (Ctx.sk a)))) in
+  let erng = Rng.create ~seed:"test_proto select values" in
+  let c = Paillier.encrypt erng pub (Nat.of_int 7) and d = Paillier.encrypt erng pub (Nat.of_int 9) in
+  let lo, hi = if Nat.compare (nat_of c) (nat_of d) < 0 then (c, d) else (d, c) in
+  (* (x1, x0): equal, x1 < x0 and x1 > x0 as integers, x0 = enc_zero *)
+  let cases = [ (c, c); (lo, hi); (hi, lo); (c, Gadgets.enc_zero a.Ctx.s1) ] in
+  let ts_a = bits a [ 0; 5 ] and ts_b = bits b [ 0; 5 ] in
+  let one_minus t =
+    Modular.mul
+      (Damgard_jurik.to_nat (Damgard_jurik.trivial dj Nat.one))
+      (Modular.pow (Damgard_jurik.to_nat t) (Nat.pred n2) ~m:n3)
+      ~m:n3
+  in
+  List.iter2
+    (fun t bit ->
+      List.iter
+        (fun (x1, x0) ->
+          let reference =
+            Modular.multi_pow
+              [ (Damgard_jurik.to_nat t, nat_of x1); (one_minus t, nat_of x0) ]
+              ~m:n3
+          in
+          let select =
+            Modular.mul
+              (Damgard_jurik.to_nat (Damgard_jurik.trivial dj (nat_of x0)))
+              (Modular.pow (Damgard_jurik.to_nat t) (Modular.sub (nat_of x1) (nat_of x0) ~m:n2) ~m:n3)
+              ~m:n3
+          in
+          let value c = Damgard_jurik.decrypt djsk (Damgard_jurik.of_nat dj c) in
+          Alcotest.(check string) "same Z_{n^2} value" (Nat.to_string (value reference))
+            (Nat.to_string (value select));
+          Alcotest.(check string) "the chosen ciphertext"
+            (Nat.to_string (nat_of (if bit then x1 else x0)))
+            (Nat.to_string (value select)))
+        cases)
+    ts_a [ true; false ];
+  let gadget =
+    Gadgets.select_recover_many a ~protocol:"test"
+      (List.concat_map (fun t -> List.map (fun (x1, x0) -> (t, x1, x0)) cases) ts_a)
+  in
+  let reference =
+    Gadgets.recover_enc_specs b ~protocol:"test"
+      (List.concat_map
+         (fun t ->
+           List.map
+             (fun (x1, x0) ->
+               {
+                 Gadgets.offset = Nat.zero;
+                 terms = [ (t, nat_of x1); (Damgard_jurik.of_nat dj (one_minus t), nat_of x0) ];
+               })
+             cases)
+         ts_b)
+  in
+  Alcotest.(check (list string)) "bit-identical RecoverEnc outputs"
+    (List.map (fun c -> Nat.to_string (nat_of c)) reference)
+    (List.map (fun c -> Nat.to_string (nat_of c)) gadget);
+  let sk = Ctx.sk a in
+  Alcotest.(check (list int)) "plaintexts"
+    (List.concat_map
+       (fun bit ->
+         List.map
+           (fun (x1, x0) -> Nat.to_int (Paillier.decrypt sk (if bit then x1 else x0)))
+           cases)
+       [ true; false ])
+    (List.map (fun c -> Nat.to_int (Paillier.decrypt sk c)) gadget)
+
+(* SecUpdate's old-entry form: default + sum_i t_i * (x_i - default)
+   recovers the default when every t is 0 and x_i when only t_i is 1 *)
+let test_offset_spec () =
+  let n2 = pub.Paillier.n2 in
+  let xs = [ enc 11; enc 22; enc 33 ] in
+  let spec default ts =
+    {
+      Gadgets.offset = nat_of default;
+      terms = List.map2 (fun t x -> (t, Modular.sub (nat_of x) (nat_of default) ~m:n2)) ts xs;
+    }
+  in
+  let none = bits ctx [ 3; 5; 4 ] and second = bits ctx [ 3; 0; 4 ] in
+  List.iter
+    (fun (name, default, v) ->
+      Alcotest.(check (list int)) name [ v; 22 ]
+        (List.map dec
+           (Gadgets.recover_enc_specs ctx ~protocol:"test"
+              [ spec default none; spec default second ])))
+    [ ("default enc_zero", Gadgets.enc_zero s1, 0); ("default 9", enc 9, 9) ]
 
 (* A Recover of a non-unit (here p, which no encryption can be) raises a
    named error in S2's handler instead of answering a wrong ciphertext;
@@ -104,9 +217,7 @@ let test_lift () =
     (fun l orig ->
       let v = dec orig in
       if v = 0 || v = 1 then begin
-        let r =
-          Gadgets.select_recover ctx ~protocol:"test" ~t:l ~if_one:(enc 7) ~if_zero:(enc 9)
-        in
+        let r = select_one ctx l (enc 7) (enc 9) in
         Alcotest.(check int) "lifted bit selects" (if v = 1 then 7 else 9) (dec r)
       end)
     lifted cts
@@ -117,9 +228,9 @@ let test_conjunction_round () =
   let groups = [ [ zero (); zero () ]; [ zero (); nonzero () ]; [ nonzero () ]; [ zero () ] ] in
   let ts = Gadgets.conjunction_round ctx ~protocol:"test" groups in
   let selected =
-    List.map
-      (fun t -> dec (Gadgets.select_recover ctx ~protocol:"test" ~t ~if_one:(enc 1) ~if_zero:(enc 0)))
-      ts
+    List.map dec
+      (Gadgets.select_recover_many ctx ~protocol:"test"
+         (List.map (fun t -> (t, enc 1, enc 0)) ts))
   in
   Alcotest.(check (list int)) "conjunction verdicts" [ 1; 0; 0; 1 ] selected
 
@@ -483,6 +594,8 @@ let suite =
     ( "gadgets",
       [ Alcotest.test_case "recover_enc" `Quick test_recover_enc;
         Alcotest.test_case "select_recover" `Quick test_select_recover;
+        Alcotest.test_case "select = two-base reference" `Quick test_select_reference;
+        Alcotest.test_case "offset spec selects at most one term" `Quick test_offset_spec;
         Alcotest.test_case "recover of a non-unit" `Quick test_recover_non_unit
       ] );
     ( "gadgets-extra",
