@@ -36,8 +36,8 @@ let mask_item (s1 : Ctx.s1) (it : Enc_item.scored) =
   (masked, pack)
 
 (* Scores and seen bits are unmasked by multiplying in an encryption of
-   the negated mask, drawn as [Paillier.encrypt] would draw it: the
-   ciphertexts [Paillier.sub] gave, without its negation. *)
+   the negated mask, drawn as [Paillier.encrypt] draws: the ciphertext
+   of [Paillier.sub c (encrypt mask)], without a negation. *)
 let unmask_item (s1 : Ctx.s1) (it : Enc_item.scored) (pack : Enc_item.pack) =
   let n = s1.pub.Paillier.n in
   let dec c = Nat.rem (Paillier.decrypt s1.own_sk c) n in
