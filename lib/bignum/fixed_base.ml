@@ -84,7 +84,8 @@ let cached_count () =
   n
 
 (* the comb for base^exp (base when [exp] is [None]); the power is
-   derived only when the comb is built *)
+   derived only when the comb is built, uncounted like the comb itself,
+   so no op counter depends on the cache's history *)
 let lookup ~base ~exp ~m ~max_bits:wanted =
   match Modular.mont_ctx m with
   | None -> None
@@ -98,7 +99,7 @@ let lookup ~base ~exp ~m ~max_bits:wanted =
         e.tick <- !clock;
         e.fb
       | _ ->
-        let base = match exp with None -> base | Some e -> Modular.pow base e ~m in
+        let base = match exp with None -> base | Some e -> Montgomery.pow ctx base e in
         let fb = create ctx ~base ~max_bits:wanted in
         Hashtbl.replace cache key { fb; tick = !clock };
         evict_lru ();

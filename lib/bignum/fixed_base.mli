@@ -26,7 +26,8 @@ val cached : base:Nat.t -> m:Nat.t -> max_bits:int -> t option
 (** [cached_power ~base ~exp ~m ~max_bits] is {!cached} for
     [base^exp mod m], cached under [(base, exp, m)]: the power is
     derived once, when the comb is built, so a caller never holds or
-    recomputes it. A key's negated-noise comb is [h^(n-1)] mod [n^2]. *)
+    recomputes it; like the build, the derivation bumps no op counter.
+    A key's negated-noise comb is [h^(n-1)] mod [n^2]. *)
 val cached_power : base:Nat.t -> exp:Nat.t -> m:Nat.t -> max_bits:int -> t option
 
 (** Bound the comb cache to [n] entries (default 32), evicting

@@ -180,15 +180,13 @@ let rerandomize_with pub ~noise c =
   Modular.mul c noise ~m:pub.n3
 
 (* Counterpart of [Paillier.precompute] for the layer-2 key: Montgomery
-   context for n^3 plus the combs for h2 and h2^(n^2-1) under shortened
-   noise. *)
+   context for n^3 plus the comb for h2 under shortened noise; the comb
+   for h2^(n^2-1) is built by the first [encrypt_neg_with]. *)
 let precompute pub =
   ignore (Modular.mul Nat.one Nat.one ~m:pub.n3);
   match pub.rand_bits with
   | None -> ()
-  | Some b ->
-    ignore (Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1));
-    ignore (Fixed_base.cached_power ~base:pub.h2 ~exp:(Nat.pred pub.n2) ~m:pub.n3 ~max_bits:(b + 1))
+  | Some b -> ignore (Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1))
 
 let to_nat c = c
 

@@ -91,8 +91,9 @@ val rerandomize_with : public -> noise:Bignum.Nat.t -> ciphertext -> ciphertext
 val trivial : public -> Bignum.Nat.t -> ciphertext
 
 (** Counterpart of {!Paillier.precompute} for the layer-2 key: the
-    Montgomery context for [n^3] plus the combs for [h2] and
-    [h2^(n^2-1)] under shortened noise. Idempotent. *)
+    Montgomery context for [n^3] plus the comb for [h2] under shortened
+    noise. Idempotent. The comb for [h2^(n^2-1)] is built by the first
+    {!encrypt_neg_with}. *)
 val precompute : public -> unit
 
 val to_nat : ciphertext -> Nat.t

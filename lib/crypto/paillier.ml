@@ -180,16 +180,15 @@ let encrypt_neg_with pub ~draw m =
 
 (* Build the per-key tables before the first encryption: the Montgomery
    contexts for n and n^2 and, under shortened noise, the fixed-base
-   combs for h and h^(n-1). Servers call this at startup so no query
-   pays the one-time cost. *)
+   comb for h. Servers call this at startup so no query pays the
+   one-time cost. The comb for h^(n-1) is left to the first
+   [encrypt_neg_with]: only S1 strips, and only under the client key. *)
 let precompute pub =
   ignore (Modular.mul Nat.one Nat.one ~m:pub.n);
   ignore (Modular.mul Nat.one Nat.one ~m:pub.n2);
   match pub.rand_bits with
   | None -> ()
-  | Some b ->
-    ignore (Fixed_base.cached ~base:pub.h ~m:pub.n2 ~max_bits:(b + 1));
-    ignore (Fixed_base.cached_power ~base:pub.h ~exp:(Nat.pred pub.n) ~m:pub.n2 ~max_bits:(b + 1))
+  | Some b -> ignore (Fixed_base.cached ~base:pub.h ~m:pub.n2 ~max_bits:(b + 1))
 let to_nat c = c
 
 let of_nat pub c =

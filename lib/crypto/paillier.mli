@@ -114,8 +114,10 @@ val encrypt_neg_with : public -> draw:Bignum.Nat.t -> Nat.t -> ciphertext
 
 (** Build the per-key tables ahead of the first encryption: Montgomery
     contexts for [n] and [n^2] and, under shortened noise, the
-    fixed-base combs for [h] and [h^(n-1)]. Idempotent; servers call it
-    at startup so no query pays the one-time cost. *)
+    fixed-base comb for [h]. Idempotent; servers call it at startup so
+    no query pays the one-time cost. The comb for [h^(n-1)] is built by
+    the first {!encrypt_neg_with} under the key, so a process that never
+    strips never builds it. *)
 val precompute : public -> unit
 
 (** Deterministic trivial encryption with randomness 1 — only for tests and

@@ -108,7 +108,8 @@ let filter (ctx : Ctx.t) tuples =
       | Wire.Tuples out -> out
       | _ -> failwith "Sec_join.filter: unexpected response"
     in
-    (* --- S1: strip both layers of blinding --- *)
+    (* --- S1: strip both layers of blinding; the additive one with
+       encryptions of the negated blinds (Gadgets.strip) --- *)
     List.map
       (fun (t : Wire.tuple) ->
         let r_total =
@@ -119,10 +120,7 @@ let filter (ctx : Ctx.t) tuples =
         let rs_total = Array.map (fun c -> Nat.rem (Paillier.decrypt s1.Ctx.own_sk c) n) t.Wire.a_escrow in
         {
           score = Paillier.scalar_mul pub t.Wire.score r_total;
-          attrs =
-            Array.mapi
-              (fun i x -> Paillier.sub pub x (Paillier.encrypt s1.Ctx.rng pub rs_total.(i)))
-              t.Wire.attrs;
+          attrs = Array.mapi (fun i x -> Gadgets.strip s1 x rs_total.(i)) t.Wire.attrs;
         })
       out
 
@@ -160,12 +158,7 @@ let top_k ctx e1 e2 tk =
   let surviving = filter ctx combined in
   (* remove the +1 score offset added by [combine] *)
   let s1 = ctx.Ctx.s1 in
-  let unoffset =
-    List.map
-      (fun t ->
-        { t with score = Paillier.sub s1.Ctx.pub t.score (Paillier.encrypt s1.Ctx.rng s1.Ctx.pub Nat.one) })
-      surviving
-  in
+  let unoffset = List.map (fun t -> { t with score = Gadgets.strip s1 t.score Nat.one }) surviving in
   take tk.Join_scheme.k (sort_desc ctx unoffset)
 
 (* ---------------- multi-way join (Section 12's L-relation sketch) ----
@@ -263,12 +256,7 @@ let top_k_multi ctx rels spec =
   let combined = combine_multi ctx rels spec in
   let surviving = filter ctx combined in
   let s1 = ctx.Ctx.s1 in
-  let unoffset =
-    List.map
-      (fun t ->
-        { t with score = Paillier.sub s1.Ctx.pub t.score (Paillier.encrypt s1.Ctx.rng s1.Ctx.pub Nat.one) })
-      surviving
-  in
+  let unoffset = List.map (fun t -> { t with score = Gadgets.strip s1 t.score Nat.one }) surviving in
   take spec.k (sort_desc ctx unoffset)
 
 (* ---------------- rank-join over pre-sorted relations ----------------
@@ -385,12 +373,7 @@ let top_k_sorted_stats (ctx : Ctx.t) e1 e2 (tk : Join_scheme.token) =
     incr d
   done;
   let surviving = filter ctx !matched in
-  let unoffset =
-    List.map
-      (fun t ->
-        { t with score = Paillier.sub pub t.score (Paillier.encrypt s1.Ctx.rng pub Nat.one) })
-      surviving
-  in
+  let unoffset = List.map (fun t -> { t with score = Gadgets.strip s1 t.score Nat.one }) surviving in
   ( take tk.Join_scheme.k (sort_desc ctx unoffset),
     { pairs_explored = !explored; pairs_total = n1 * n2; halted_early = !halted } )
 

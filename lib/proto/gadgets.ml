@@ -149,6 +149,9 @@ let lift_many (ctx : Ctx.t) ~protocol blocks =
          let r, _ = draws.(i) in
          Damgard_jurik.add dj lifted.(i) (Damgard_jurik.encrypt_neg_with dj ~draw:dj_noise.(i) r)))
 
+let strip (s1 : Ctx.s1) c m =
+  Paillier.add s1.pub c (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
+
 let enc_zero (s1 : Ctx.s1) = ignore s1.rng; Paillier.trivial s1.pub Nat.zero
 
 let enc_int (s1 : Ctx.s1) v =

@@ -101,6 +101,13 @@ val pass_through : 'a list -> pass:('a -> 'b option) -> ('a list -> 'b list) -> 
     concatenation of several blocks. *)
 val chunks : int list -> 'a array -> 'a list list
 
+(** [strip s1 c m] is [c] minus a fresh encryption of [m] by S1:
+    bit-identical to [Paillier.sub c (Paillier.encrypt s1.rng m)] and
+    drawing the same noise, but the encryption of [-m] comes from
+    {!Paillier.encrypt_neg_with}, so no full-width negation runs.
+    Counts one Paillier encryption. *)
+val strip : Ctx.s1 -> Paillier.ciphertext -> Nat.t -> Paillier.ciphertext
+
 (** A fresh Paillier encryption of zero by S1 (the [Enc(0)] leg of the
     select gadget). *)
 val enc_zero : Ctx.s1 -> Paillier.ciphertext

@@ -35,8 +35,7 @@ let mask_item (s1 : Ctx.s1) (it : Enc_item.scored) =
   in
   (masked, pack)
 
-(* Scores and seen bits are unmasked by multiplying in an encryption of
-   the negated mask, drawn as [Paillier.encrypt] draws: the ciphertext
+(* Scores and seen bits are unmasked by [Gadgets.strip]: the ciphertext
    of [Paillier.sub c (encrypt mask)], without a negation. *)
 let unmask_item (s1 : Ctx.s1) (it : Enc_item.scored) (pack : Enc_item.pack) =
   let n = s1.pub.Paillier.n in
@@ -44,10 +43,7 @@ let unmask_item (s1 : Ctx.s1) (it : Enc_item.scored) (pack : Enc_item.pack) =
   let alphas = Array.map dec pack.Enc_item.alphas in
   let beta = dec pack.Enc_item.beta and gamma = dec pack.Enc_item.gamma in
   let sigmas = Array.map dec pack.Enc_item.sigmas in
-  let strip c m =
-    Paillier.add s1.pub c
-      (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
-  in
+  let strip = Gadgets.strip s1 in
   {
     Enc_item.ehl =
       Ehl.Ehl_plus.mask s1.pub it.Enc_item.ehl

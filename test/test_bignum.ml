@@ -648,6 +648,20 @@ let test_fixed_base_cache () =
         Alcotest.check nat "power comb = (base^exp)^e"
           (Modular.pow (Modular.pow (Nat.of_int 2) (Nat.of_int 5) ~m) e ~m)
           (Fixed_base.pow fb e));
+      (* a build counts no op, derived power included, so the op counts
+         of a run do not depend on what the cache held before it *)
+      let c = Obs.Collector.create () in
+      let prev = Obs.is_enabled () in
+      Obs.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Obs.set_enabled prev)
+        (fun () ->
+          Obs.with_collector c (fun () ->
+              ignore
+                (Fixed_base.cached_power ~base:(Nat.of_int 3) ~exp:(Nat.of_int 65537) ~m
+                   ~max_bits:16)));
+      Alcotest.(check bool) "a power comb build counts nothing" true
+        (Obs.Metrics.is_zero (Obs.Collector.metrics c));
       Alcotest.(check bool) "even modulus has no ctx" true
         (Fixed_base.cached ~base:(Nat.of_int 3) ~m:(Nat.of_int 100) ~max_bits:8 = None);
       Alcotest.check_raises "capacity must be positive"
