@@ -108,8 +108,7 @@ let filter (ctx : Ctx.t) tuples =
       | Wire.Tuples out -> out
       | _ -> failwith "Sec_join.filter: unexpected response"
     in
-    (* --- S1: strip both layers of blinding; the additive one with
-       encryptions of the negated blinds (Gadgets.strip) --- *)
+    (* --- S1: strip both layers of blinding --- *)
     List.map
       (fun (t : Wire.tuple) ->
         let r_total =

@@ -86,9 +86,11 @@ type t
 
 (** [start ~port config index] binds 127.0.0.1:[port] ([port = 0] for
     ephemeral — read it back with {!port}), spawns the listener and the
-    worker pool, and returns immediately. Fixed-base comb tables are
-    warmed once here for the whole serving set (the [comb_warmup_seconds]
-    and [combs_built] gauges), never per shard or per query. *)
+    worker pool, and returns immediately. The noise combs are warmed
+    once here for the whole serving set (the [comb_warmup_seconds] and
+    [combs_built] gauges), never per shard or per query; the two
+    negated-noise combs S1's strips use are built by the first query,
+    once per process. *)
 val start : ?port:int -> config -> index -> t
 
 val port : t -> int
