@@ -589,6 +589,27 @@ let test_trace_records () =
   ignore (Enc_compare.leq ctx (enc 1) (enc 2));
   Alcotest.(check int) "one event recorded" (before + 1) (Trace.length (Ctx.trace ctx))
 
+(* [Gadgets.strip] is [Paillier.sub c (encrypt m)] bit for bit and draws
+   the same noise: one S1 per form on identically seeded streams, under
+   shortened and textbook noise. *)
+let test_strip () =
+  List.iter
+    (fun (policy, pub) ->
+      let s1_at () = { s1 with Ctx.pub; rng = Rng.create ~seed:"test_proto strip" } in
+      let a = s1_at () and b = s1_at () in
+      List.iter
+        (fun m ->
+          let c = enc 42 in
+          let got = Gadgets.strip a c (Nat.of_int m) in
+          let want = Paillier.sub pub c (Paillier.encrypt b.Ctx.rng pub (Nat.of_int m)) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, m = %d: same ciphertext" policy m)
+            (Nat.to_string (nat_of want)) (Nat.to_string (nat_of got));
+          Alcotest.(check int) (Printf.sprintf "%s, m = %d: 42 - m" policy m) (42 - m) (dec got))
+        [ 0; 1; 40 ])
+    [ ("rand_bits 96", Paillier.with_rand_bits pub (Some 96));
+      ("textbook", Paillier.with_rand_bits pub None) ]
+
 let suite =
   [ ("channel", [ Alcotest.test_case "accounting" `Quick test_channel ]);
     ( "gadgets",
@@ -596,7 +617,8 @@ let suite =
         Alcotest.test_case "select_recover" `Quick test_select_recover;
         Alcotest.test_case "select = two-base reference" `Quick test_select_reference;
         Alcotest.test_case "offset spec selects at most one term" `Quick test_offset_spec;
-        Alcotest.test_case "recover of a non-unit" `Quick test_recover_non_unit
+        Alcotest.test_case "recover of a non-unit" `Quick test_recover_non_unit;
+        Alcotest.test_case "strip = sub of a fresh encryption" `Quick test_strip
       ] );
     ( "gadgets-extra",
       [ Alcotest.test_case "lift Paillier -> DJ" `Quick test_lift;
