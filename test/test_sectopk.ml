@@ -517,6 +517,24 @@ let test_codec_garbage_safety =
     QCheck.(string_gen_of_size Gen.small_nat Gen.char)
     (fun s -> List.for_all (fun (_, f) -> only_invalid f) (codec_decoders s))
 
+(* A SHA-256 over key and token blobs, generated and hand-built (the
+   largest 32-bit weight included): any byte that moves fails here
+   (mirrors test_wire's frame digest). *)
+let golden_blobs_sha256 = "467468184a3f045d9482e317bfa4857356dfb430683b863dc055de4e94e26d5b"
+
+let test_codec_golden_blobs () =
+  let _, key = Scheme.encrypt ~s:4 (Rng.create ~seed:"codec-golden") pub fig3 in
+  let h = Sha256.init () in
+  let add s =
+    Sha256.update h (Printf.sprintf "%d:" (String.length s));
+    Sha256.update h s
+  in
+  add (Codec.encode_secret_key key);
+  add (Codec.encode_secret_key { Scheme.prp_key = "p"; ehl_keys = [ "a"; "bc" ]; s = 2 });
+  add (Codec.encode_token (Scheme.token key ~m_total:3 (Scoring.create [ (0, 2); (2, 5) ]) ~k:7));
+  add (Codec.encode_token { Scheme.k = 1; attrs = [ (0, 0xffffffff); (3, 1) ] });
+  Alcotest.(check string) "blob digest" golden_blobs_sha256 (Sha256.hex (Sha256.finalize h))
+
 (* ---------------- domain-pool determinism ---------------- *)
 
 let test_domains_deterministic () =
@@ -659,6 +677,7 @@ let suite =
         Alcotest.test_case "rejects malformed input" `Quick test_codec_rejects_garbage;
         Alcotest.test_case "truncation sweep" `Quick test_codec_truncation_sweep;
         Alcotest.test_case "overlong input" `Quick test_codec_overlong;
+        Alcotest.test_case "golden blob digest" `Quick test_codec_golden_blobs;
         QCheck_alcotest.to_alcotest test_codec_mutation_safety;
         QCheck_alcotest.to_alcotest test_codec_garbage_safety
       ] );

@@ -420,6 +420,54 @@ let test_append_row_validation () =
     (fun () -> Store.append_row st ~entries:bad_pos);
   Store.close st
 
+(* ---------------- golden bytes ---------------- *)
+
+(* Every file under [dir] as a path relative to it, sorted. *)
+let rec files_under dir rel =
+  Sys.readdir (Filename.concat dir rel)
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let rel = Filename.concat rel name in
+         if Sys.is_directory (Filename.concat dir rel) then files_under dir rel else [ rel ])
+
+(* A SHA-256 over the name and bytes of every file a single store with
+   two appended rows and a 2-shard store publish, so any byte that moves
+   in any on-disk format fails here (mirrors test_wire's frame digest). *)
+let golden_files_sha256 = "482be8ea0ef2576334ce7f2828a7da219325d5998fdcb09cc4f20be8b88fbba0"
+
+let test_golden_files () =
+  let h = Sha256.init () in
+  let add s =
+    Sha256.update h (Printf.sprintf "%d:" (String.length s));
+    Sha256.update h s
+  in
+  let add_dir dir =
+    List.iter
+      (fun f ->
+        add f;
+        add (read_file (Filename.concat dir f)))
+      (files_under dir "")
+  in
+  let rng = Rng.create ~seed:"store-golden" in
+  let keys = Prf.gen_keys rng 4 in
+  let entry oid v =
+    {
+      Enc_item.ehl = Ehl.Ehl_plus.encode rng pub ~keys oid;
+      score = Paillier.encrypt rng pub (Nat.of_int v);
+    }
+  in
+  let dir = build_store () in
+  let st = Store.open_index ~dir pub in
+  Store.append_row st ~entries:[| (0, entry "o5" 11); (2, entry "o5" 9); (5, entry "o5" 7) |];
+  Store.append_row st ~entries:[| (6, entry "o6" 1); (0, entry "o6" 12); (3, entry "o6" 4) |];
+  Store.close st;
+  add_dir dir;
+  let ers, _ = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards:2 rng pub fig3 in
+  let sdir = fresh_dir () in
+  Store.Sharded.build ~dir:sdir pub ers;
+  add_dir sdir;
+  Alcotest.(check string) "file digest" golden_files_sha256 (Sha256.hex (Sha256.finalize h))
+
 (* ---------------- CSV ingestion ---------------- *)
 
 let expect_csv_error name ~line f =
@@ -494,6 +542,7 @@ let suite =
       [ Alcotest.test_case "append + replay" `Quick test_append_row_replay;
         Alcotest.test_case "corrupt log record" `Quick test_corrupt_log_record;
         Alcotest.test_case "validation" `Quick test_append_row_validation ] );
+    ("format", [ Alcotest.test_case "golden file digest" `Quick test_golden_files ]);
     ( "csv",
       [ Alcotest.test_case "well-formed" `Quick test_csv_good;
         Alcotest.test_case "malformed rows" `Quick test_csv_malformed;
