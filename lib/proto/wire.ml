@@ -1,4 +1,5 @@
 open Crypto
+open Codec
 
 type dedup_mode = Replace | Eliminate
 
@@ -90,222 +91,6 @@ let pair_indices l =
   done;
   Array.of_list !acc
 
-(* ---------------- codecs ----------------
-
-   A codec describes one field type once: its encoder, its decoder, the
-   closed-form size of a value's encoding, and the smallest encoding of
-   any value of the type. Every frame below is assembled from these
-   primitives and combinators, so a frame's size cannot drift from its
-   encoder, and a collection's count is checked against count x smallest
-   element before any element is allocated. Integers are big-endian.
-   Checks run on decoding (the encoders trust their callers, except where
-   a value has no encoding); every failure raises [Invalid_argument]. *)
-
-type reader = { data : string; mutable pos : int }
-
-type 'a codec = {
-  put : Buffer.t -> 'a -> unit;
-  get : reader -> 'a;
-  size : 'a -> int;
-  min : int;
-}
-
-let bad msg = invalid_arg ("Wire: " ^ msg)
-let need r n = if n < 0 || r.pos + n > String.length r.data then bad "truncated input"
-
-(* claim the next [n] bytes and return their offset *)
-let take r n =
-  need r n;
-  let p = r.pos in
-  r.pos <- p + n;
-  p
-
-let fixed n put get = { put; get; size = (fun _ -> n); min = n }
-
-let conv dec enc c =
-  {
-    put = (fun b v -> c.put b (enc v));
-    get = (fun r -> dec (c.get r));
-    size = (fun v -> c.size (enc v));
-    min = c.min;
-  }
-
-let check ok msg c =
-  {
-    c with
-    get =
-      (fun r ->
-        let v = c.get r in
-        if not (ok v) then bad msg;
-        v);
-  }
-
-let unit = fixed 0 (fun _ () -> ()) (fun _ -> ())
-let byte = fixed 1 Buffer.add_uint8 (fun r -> String.get_uint8 r.data (take r 1))
-
-let bool =
-  fixed 1
-    (fun b v -> Buffer.add_uint8 b (Bool.to_int v))
-    (fun r -> match byte.get r with 0 -> false | 1 -> true | _ -> bad "bad boolean")
-
-(* 30-bit non-negative: counts, sessions and small fields *)
-let int =
-  let ok v = v >= 0 && v <= 0x3fffffff in
-  fixed 4
-    (fun b v ->
-      if not (ok v) then bad "int out of range";
-      Buffer.add_int32_be b (Int32.of_int v))
-    (fun r ->
-      let v = Int32.to_int (String.get_int32_be r.data (take r 4)) in
-      if not (ok v) then bad "int out of range";
-      v)
-
-(* Telemetry integers (histogram sums, counter totals) outgrow [int]'s 30
-   bits on a long-lived server: 8 bytes, non-negative. *)
-let i64 =
-  fixed 8
-    (fun b v ->
-      if v < 0 then bad "negative int64 field";
-      Buffer.add_int64_be b (Int64.of_int v))
-    (fun r ->
-      let v = String.get_int64_be r.data (take r 8) in
-      if Int64.shift_right_logical v 62 <> 0L then bad "int64 field out of range";
-      Int64.to_int v)
-
-let f64 =
-  fixed 8
-    (fun b v -> Buffer.add_int64_be b (Int64.bits_of_float v))
-    (fun r ->
-      let v = Int64.float_of_bits (String.get_int64_be r.data (take r 8)) in
-      if Float.is_nan v then bad "NaN float field";
-      v)
-
-let string =
-  {
-    put =
-      (fun b s ->
-        int.put b (String.length s);
-        Buffer.add_string b s);
-    get =
-      (fun r ->
-        let n = int.get r in
-        String.sub r.data (take r n) n);
-    size = (fun s -> 4 + String.length s);
-    min = 4;
-  }
-
-(* a zero-padded fixed-width natural: a ciphertext under a known key *)
-let nat width of_nat to_nat =
-  fixed width
-    (fun b c ->
-      let s = Bignum.Nat.to_bytes (to_nat c) in
-      if String.length s > width then bad "value wider than field";
-      Buffer.add_string b (String.make (width - String.length s) '\000');
-      Buffer.add_string b s)
-    (fun r -> of_nat (Bignum.Nat.of_bytes (String.sub r.data (take r width) width)))
-
-let pair a b =
-  {
-    put =
-      (fun buf (x, y) ->
-        a.put buf x;
-        b.put buf y);
-    get =
-      (fun r ->
-        let x = a.get r in
-        (x, b.get r));
-    size = (fun (x, y) -> a.size x + b.size y);
-    min = a.min + b.min;
-  }
-
-let triple a b c =
-  conv (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z))) (pair a (pair b c))
-
-let quad a b c d =
-  conv
-    (fun ((w, x), (y, z)) -> (w, x, y, z))
-    (fun (w, x, y, z) -> ((w, x), (y, z)))
-    (pair (pair a b) (pair c d))
-
-(* A count, then the elements. The count is bounded by the bytes left
-   (every element takes at least [c.min]) and by [max] where the protocol
-   caps the collection, before the elements are read. *)
-let seq ~length ~iter ~fold ~init ?max c =
-  {
-    put =
-      (fun b v ->
-        int.put b (length v);
-        iter (c.put b) v);
-    get =
-      (fun r ->
-        let n = int.get r in
-        need r (n * Stdlib.max 1 c.min);
-        (match max with Some m when n > m -> bad "collection too large" | _ -> ());
-        init n (fun _ -> c.get r));
-    size = (fun v -> fold (fun acc x -> acc + c.size x) 4 v);
-    min = 4;
-  }
-
-let list ?max c =
-  seq ~length:List.length ~iter:List.iter ~fold:List.fold_left ~init:List.init ?max c
-
-let array ?max c =
-  seq ~length:Array.length ~iter:Array.iter ~fold:Array.fold_left ~init:Array.init ?max c
-
-let option c =
-  {
-    put =
-      (fun b v ->
-        bool.put b (Option.is_some v);
-        Option.iter (c.put b) v);
-    get = (fun r -> if bool.get r then Some (c.get r) else None);
-    size = (fun v -> 1 + Option.fold ~none:0 ~some:c.size v);
-    min = 1;
-  }
-
-(* One case of a tagged variant: its tag byte, its payload codec, and the
-   constructor with its inverse. *)
-type 'a case = Case : int * 'b codec * ('b -> 'a) * ('a -> 'b option) -> 'a case
-
-(* A tag byte naming the case, then [mid], then the case's payload. Frame
-   bodies carry their session (and requests their label) in [mid]. A value
-   that no case projects cannot be encoded and a tag that no case claims
-   cannot be decoded: that is how batches are kept from nesting. *)
-let tagged ~what mid cases =
-  let no_case () = bad ("no " ^ what ^ " tag for this value") in
-  let rec put b m v = function
-    | [] -> no_case ()
-    | Case (tag, c, _, proj) :: rest -> (
-      match proj v with
-      | Some x ->
-        byte.put b tag;
-        mid.put b m;
-        c.put b x
-      | None -> put b m v rest)
-  in
-  let rec size m v = function
-    | [] -> no_case ()
-    | Case (_, c, _, proj) :: rest -> (
-      match proj v with Some x -> 1 + mid.size m + c.size x | None -> size m v rest)
-  in
-  let rec get tag r = function
-    | [] -> bad ("unknown " ^ what ^ " tag")
-    | Case (t, c, inj, _) :: rest -> if t = tag then inj (c.get r) else get tag r rest
-  in
-  let case_min acc (Case (_, c, _, _)) = Stdlib.min acc c.min in
-  {
-    put = (fun b (m, v) -> put b m v cases);
-    get =
-      (fun r ->
-        let tag = byte.get r in
-        let m = mid.get r in
-        (m, get tag r cases));
-    size = (fun (m, v) -> size m v cases);
-    min = 1 + mid.min + List.fold_left case_min max_int cases;
-  }
-
-let variant ~what cases = conv snd (fun v -> ((), v)) (tagged ~what unit cases)
-
 (* ---------------- frames ----------------
 
    "STKW" | version | kind | tag | session (4 bytes), then the payload of
@@ -313,42 +98,20 @@ let variant ~what cases = conv snd (fun v -> ((), v)) (tagged ~what unit cases)
    protocol (for S2's trace and the bandwidth report) before it. Only
    requests use the session field: other frames write 0 and ignore it. *)
 
-let magic = "STKW"
 let version = 1
 
-let header kind =
-  {
-    put =
-      (fun b () ->
-        Buffer.add_string b magic;
-        Buffer.add_uint8 b version;
-        Buffer.add_char b kind);
-    get =
-      (fun r ->
-        let p = take r 6 in
-        if String.sub r.data p 4 <> magic then bad "bad magic";
-        if String.get_uint8 r.data (p + 4) <> version then bad "unsupported version";
-        if r.data.[p + 5] <> kind then bad "unexpected frame kind");
-    size = (fun () -> 6);
-    min = 6;
-  }
-
 let frame kind ~what mid cases =
-  conv snd (fun v -> ((), v)) (pair (header kind) (tagged ~what mid cases))
+  let expect v msg = check (( = ) v) msg byte in
+  magic "STKW"
+    (conv
+       (fun (_, _, v) -> v)
+       (fun v -> (version, Char.code kind, v))
+       (triple (expect version "unsupported version")
+          (expect (Char.code kind) "unexpected frame kind")
+          (tagged ~what mid cases)))
 
 let no_session = conv ignore (fun () -> 0) int
 let one c = [ Case (1, c, Fun.id, Option.some) ]
-
-let encode c v =
-  let b = Buffer.create 1024 in
-  c.put b v;
-  Buffer.contents b
-
-let decode c what data =
-  let r = { data; pos = 0 } in
-  let v = c.get r in
-  if r.pos <> String.length data then bad ("trailing bytes in " ^ what);
-  v
 
 (* header, tag and session *)
 let frame_header_bytes = 11
@@ -361,11 +124,11 @@ let response_header_bytes = frame_header_bytes
    the Damgård–Jurik key, so [keys_of] builds every keyed codec once. *)
 
 type keys = {
-  request : ((int * string) * request) codec;
-  response : (unit * response) codec;
-  mux : (unit * mux_op list) codec;
-  mux_replies : (unit * mux_reply list) codec;
-  server : (unit * server_msg) codec;
+  request : ((int * string) * request) Codec.t;
+  response : (unit * response) Codec.t;
+  mux : (unit * mux_op list) Codec.t;
+  mux_replies : (unit * mux_reply list) Codec.t;
+  server : (unit * server_msg) Codec.t;
 }
 
 let keys_of ~pub ~djpub ~own_pub =
@@ -435,7 +198,7 @@ let keys_of ~pub ~djpub ~own_pub =
   in
   let sign =
     conv (fun b -> b - 1)
-      (fun s -> if s < -1 || s > 1 then bad "bad sign" else s + 1)
+      (fun s -> if s < -1 || s > 1 then invalid_arg "Wire: bad sign" else s + 1)
       (check (fun b -> b <= 2) "bad sign" byte)
   in
   let responses =
@@ -559,7 +322,7 @@ let histogram =
          d.hcount = List.fold_left (fun acc (_, n) -> acc + n) 0 d.hbuckets)
        "histogram count disagrees with buckets"
 
-let metric : Obs.Registry.metric codec =
+let metric : Obs.Registry.metric Codec.t =
   variant ~what:"metric kind"
     [ Case (1, i64, (fun v -> Obs.Registry.Counter v), function Counter v -> Some v | _ -> None);
       Case (2, f64, (fun v -> Obs.Registry.Gauge v), function Gauge v -> Some v | _ -> None);

@@ -1,170 +1,24 @@
-open Crypto
+open Proto.Codec
 
-let magic = "STK1"
+(* Each blob is "STK1", a kind byte, then its fields. *)
 
-(* primitive writers: 4-byte big-endian ints, length-prefixed strings,
-   fixed-width naturals *)
+let secret_key =
+  magic "STK1K"
+    (conv
+       (fun (prp_key, ehl_keys) -> { Scheme.prp_key; ehl_keys; s = List.length ehl_keys })
+       (fun (k : Scheme.secret_key) -> (k.prp_key, k.ehl_keys))
+       (pair string (check (( <> ) []) "bad s" (list ~max:64 string))))
 
-let put_int buf v =
-  if v < 0 then invalid_arg "Codec: negative int";
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+let token =
+  magic "STK1T"
+    (conv
+       (fun (k, attrs) -> { Scheme.k; attrs })
+       (fun (t : Scheme.token) -> (t.k, t.attrs))
+       (pair
+          (check (fun k -> k > 0) "bad token" u32)
+          (check (( <> ) []) "bad token" (list ~max:4096 (pair u32 u32)))))
 
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let put_nat_fixed buf ~width n =
-  let b = Bignum.Nat.to_bytes n in
-  if String.length b > width then invalid_arg "Codec: value wider than field";
-  Buffer.add_string buf (String.make (width - String.length b) '\000');
-  Buffer.add_string buf b
-
-type reader = { data : string; mutable pos : int }
-
-let need r n =
-  if r.pos + n > String.length r.data then invalid_arg "Codec: truncated input"
-
-let get_int r =
-  need r 4;
-  let v =
-    (Char.code r.data.[r.pos] lsl 24)
-    lor (Char.code r.data.[r.pos + 1] lsl 16)
-    lor (Char.code r.data.[r.pos + 2] lsl 8)
-    lor Char.code r.data.[r.pos + 3]
-  in
-  r.pos <- r.pos + 4;
-  v
-
-let get_string r =
-  let len = get_int r in
-  need r len;
-  let s = String.sub r.data r.pos len in
-  r.pos <- r.pos + len;
-  s
-
-let get_nat_fixed r ~width =
-  need r width;
-  let s = String.sub r.data r.pos width in
-  r.pos <- r.pos + width;
-  Bignum.Nat.of_bytes s
-
-let check_magic r =
-  need r 4;
-  if String.sub r.data r.pos 4 <> magic then invalid_arg "Codec: bad magic";
-  r.pos <- r.pos + 4
-
-(* ---------------- encrypted relation ---------------- *)
-
-let encode_relation pub er =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf 'R';
-  let n = Scheme.n_rows er and m = Scheme.n_attrs er in
-  let width = Paillier.ciphertext_bytes pub in
-  put_int buf n;
-  put_int buf m;
-  put_int buf width;
-  let s =
-    let e = Scheme.entry er ~list:0 ~depth:0 in
-    Ehl.Ehl_plus.length e.Proto.Enc_item.ehl
-  in
-  put_int buf s;
-  for list = 0 to m - 1 do
-    for depth = 0 to n - 1 do
-      let e = Scheme.entry er ~list ~depth in
-      Array.iter
-        (fun c -> put_nat_fixed buf ~width (Paillier.to_nat c))
-        (Ehl.Ehl_plus.cells e.Proto.Enc_item.ehl);
-      put_nat_fixed buf ~width (Paillier.to_nat e.Proto.Enc_item.score)
-    done
-  done;
-  Buffer.contents buf
-
-let decode_relation pub data =
-  let r = { data; pos = 0 } in
-  check_magic r;
-  need r 1;
-  if r.data.[r.pos] <> 'R' then invalid_arg "Codec: not a relation blob";
-  r.pos <- r.pos + 1;
-  let n = get_int r in
-  let m = get_int r in
-  let width = get_int r in
-  if width <> Paillier.ciphertext_bytes pub then invalid_arg "Codec: key size mismatch";
-  let s = get_int r in
-  if n <= 0 || m <= 0 || s <= 0 || s > 64 then invalid_arg "Codec: bad dimensions";
-  (* the declared dimensions must account for the payload exactly, before
-     any allocation is sized from them (guards against a hostile header
-     demanding gigabytes) *)
-  let remaining = String.length data - r.pos in
-  let rec_bytes = (s + 1) * width in
-  if
-    n > remaining || m > remaining
-    || remaining mod rec_bytes <> 0
-    || remaining / rec_bytes <> n * m
-  then invalid_arg "Codec: dimensions disagree with payload";
-  let lists =
-    Array.init m (fun _ ->
-        Array.init n (fun _ ->
-            let cells =
-              Array.init s (fun _ -> Paillier.of_nat pub (get_nat_fixed r ~width))
-            in
-            let score = Paillier.of_nat pub (get_nat_fixed r ~width) in
-            (Ehl.Ehl_plus.of_cells cells, score)))
-  in
-  if r.pos <> String.length data then invalid_arg "Codec: trailing bytes";
-  Scheme.of_lists lists
-
-(* ---------------- secret key ---------------- *)
-
-let encode_secret_key (k : Scheme.secret_key) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf 'K';
-  put_string buf k.Scheme.prp_key;
-  put_int buf k.Scheme.s;
-  List.iter (put_string buf) k.Scheme.ehl_keys;
-  Buffer.contents buf
-
-let decode_secret_key data =
-  let r = { data; pos = 0 } in
-  check_magic r;
-  need r 1;
-  if r.data.[r.pos] <> 'K' then invalid_arg "Codec: not a key blob";
-  r.pos <- r.pos + 1;
-  let prp_key = get_string r in
-  let s = get_int r in
-  if s <= 0 || s > 64 then invalid_arg "Codec: bad s";
-  let ehl_keys = List.init s (fun _ -> get_string r) in
-  if r.pos <> String.length data then invalid_arg "Codec: trailing bytes";
-  { Scheme.prp_key; ehl_keys; s }
-
-(* ---------------- token ---------------- *)
-
-let encode_token (t : Scheme.token) =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf 'T';
-  put_int buf t.Scheme.k;
-  put_int buf (List.length t.Scheme.attrs);
-  List.iter
-    (fun (l, w) ->
-      put_int buf l;
-      put_int buf w)
-    t.Scheme.attrs;
-  Buffer.contents buf
-
-let decode_token data =
-  let r = { data; pos = 0 } in
-  check_magic r;
-  need r 1;
-  if r.data.[r.pos] <> 'T' then invalid_arg "Codec: not a token blob";
-  r.pos <- r.pos + 1;
-  let k = get_int r in
-  let len = get_int r in
-  if k <= 0 || len <= 0 || len > 4096 then invalid_arg "Codec: bad token";
-  let attrs = List.init len (fun _ -> let l = get_int r in let w = get_int r in (l, w)) in
-  if r.pos <> String.length data then invalid_arg "Codec: trailing bytes";
-  { Scheme.k; attrs }
+let encode_secret_key k = encode secret_key k
+let decode_secret_key data = decode secret_key "secret key" data
+let encode_token t = encode token t
+let decode_token data = decode token "token" data

@@ -1,15 +1,10 @@
-(** Serialization of the scheme's persistent artifacts: the encrypted
-    relation the data owner uploads to S1, the client key material, and
-    tokens. Fixed-width big-endian ciphertexts under a small tagged
-    header; [decode_*] validates sizes and ranges and raises
+(** Serialization of the client's persistent artifacts: its key material
+    and its query tokens. Each blob is ["STK1"], a kind byte, then its
+    fields, described once as {!Proto.Codec} values: strings are
+    length-prefixed and integers are 4-byte big-endian, the full
+    unsigned 32-bit range (an integer beyond it is refused on encoding,
+    never truncated). [decode_*] validates sizes and ranges and raises
     [Invalid_argument] on malformed input. *)
-
-open Crypto
-
-(** [encode_relation pub er] — the on-the-wire form of the encrypted DB. *)
-val encode_relation : Paillier.public -> Scheme.encrypted_relation -> string
-
-val decode_relation : Paillier.public -> string -> Scheme.encrypted_relation
 
 (** Client key material (the PRP key and the EHL PRF keys; Paillier keys
     travel separately through the key-management channel). *)

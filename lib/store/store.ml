@@ -11,6 +11,7 @@
      relation it was built from. *)
 
 open Crypto
+module C = Proto.Codec
 
 type error =
   | Missing of string
@@ -42,56 +43,42 @@ let manifest_name = "MANIFEST"
 let segment_name ~gen list = Printf.sprintf "seg_%d_%d.stk" gen list
 let log_name ~gen = Printf.sprintf "updates_%d.log" gen
 
-(* ---- binary primitives ------------------------------------------------- *)
+(* ---- sealed bytes ------------------------------------------------------
 
-let put_u32 buf v =
-  if v < 0 || v > 0xffffffff then invalid_arg "Store: u32 out of range";
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+   Every file (and a segment's header) opens with its magic and the
+   version byte and ends with a CRC-32 over everything before it. Opening
+   checks magic and version with their typed errors, then the CRC, and
+   only then decodes the bytes the CRC covers, so a codec failure there
+   is [Corrupt]. *)
 
-let u32_at file data pos =
-  if pos + 4 > String.length data then err (Truncated file);
-  (Char.code data.[pos] lsl 24)
-  lor (Char.code data.[pos + 1] lsl 16)
-  lor (Char.code data.[pos + 2] lsl 8)
-  lor Char.code data.[pos + 3]
+let versioned magic c = C.magic (magic ^ String.make 1 (Char.chr version)) c
 
-type reader = { file : string; data : string; mutable pos : int }
+let decode ~file c data =
+  try C.decode c "file" data with Invalid_argument msg -> err (Corrupt (file ^ ": " ^ msg))
 
-let need r n = if r.pos + n > String.length r.data then err (Truncated r.file)
+let check_prologue ~file magic data =
+  let len = String.length data in
+  if len < 4 then err (Truncated file);
+  if String.sub data 0 4 <> magic then err (Bad_magic file);
+  if len < 5 then err (Truncated file);
+  let v = Char.code data.[4] in
+  if v <> version then err (Bad_version { file; version = v })
 
-let get_u32 r =
-  let v = u32_at r.file r.data r.pos in
-  r.pos <- r.pos + 4;
-  v
+(* [body], then its CRC-32 *)
+let sealed body = body ^ C.encode C.u32 (Crc32.string body)
 
-let get_bytes r n =
-  need r n;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+(* the bytes before [data]'s trailing CRC-32, once it matches them *)
+let checked ~file ~what data =
+  let len = String.length data in
+  let body = String.sub data 0 (len - 4) in
+  if Crc32.string body <> decode ~file C.u32 (String.sub data (len - 4) 4) then
+    err (Corrupt (Printf.sprintf "%s: %s checksum mismatch" file what));
+  body
 
-let put_nat_fixed buf ~width n =
-  let b = Bignum.Nat.to_bytes n in
-  if String.length b > width then invalid_arg "Store: value wider than field";
-  Buffer.add_string buf (String.make (width - String.length b) '\000');
-  Buffer.add_string buf b
-
-(* Record layout (Codec's relation cell order): s EHL+ cells, then the
-   score; each a big-endian natural padded to the ciphertext width. *)
-let encode_entry buf ~width (e : Proto.Enc_item.entry) =
-  Array.iter
-    (fun c -> put_nat_fixed buf ~width (Paillier.to_nat c))
-    (Ehl.Ehl_plus.cells e.Proto.Enc_item.ehl);
-  put_nat_fixed buf ~width (Paillier.to_nat e.Proto.Enc_item.score)
-
-let decode_entry pub ~s ~width data pos =
-  let nat i = Bignum.Nat.of_bytes (String.sub data (pos + (i * width)) width) in
-  let cells = Array.init s (fun i -> Paillier.of_nat pub (nat i)) in
-  let score = Paillier.of_nat pub (nat s) in
-  { Proto.Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; score }
+let unseal ~file ~what magic c data =
+  check_prologue ~file magic data;
+  if String.length data < 9 then err (Truncated file);
+  decode ~file c (checked ~file ~what data)
 
 (* ---- file helpers ------------------------------------------------------ *)
 
@@ -148,9 +135,21 @@ let fsync_dir dir =
 
 let file_size path = try (Unix.stat path).st_size with Unix.Unix_error (_, _, _) -> 0
 
+(* ---- records ----------------------------------------------------------- *)
+
+(* One entry: its s EHL+ cells, then its score, each a ciphertext
+   zero-padded to the key's width. Fixed-width, so [min] is its size. *)
+let record pub ~s =
+  let ct = C.nat (Paillier.ciphertext_bytes pub) (Paillier.of_nat pub) Paillier.to_nat in
+  C.conv
+    (fun (cells, score) -> { Proto.Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; score })
+    (fun (e : Proto.Enc_item.entry) -> (Ehl.Ehl_plus.cells e.ehl, e.score))
+    C.(pair (array_n s ct) ct)
+
 (* ---- manifest ---------------------------------------------------------- *)
 
 let fingerprint pub = Sha256.digest (Bignum.Nat.to_bytes pub.Paillier.n)
+let fingerprint_field = C.(check (fun fp -> String.length fp <= 64) "bad fingerprint length" string)
 
 type manifest = {
   man_gen : int;
@@ -164,98 +163,71 @@ type manifest = {
   man_seg_crcs : int array;
 }
 
-let encode_manifest m =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf manifest_magic;
-  Buffer.add_char buf (Char.chr version);
-  put_u32 buf m.man_gen;
-  put_u32 buf m.man_key_bits;
-  put_u32 buf m.man_width;
-  put_u32 buf m.man_n;
-  put_u32 buf m.man_m;
-  put_u32 buf m.man_s;
-  put_u32 buf m.man_brec;
-  put_u32 buf (String.length m.man_fp);
-  Buffer.add_string buf m.man_fp;
-  Array.iter (put_u32 buf) m.man_seg_crcs;
-  let body = Buffer.contents buf in
-  put_u32 buf (Crc32.string body);
-  Buffer.contents buf
+(* gen | key_bits | width, n | m | s | brec, the fingerprint, then each
+   segment's header CRC *)
+let manifest =
+  C.(
+    versioned manifest_magic
+      (quad (triple u32 u32 u32) (quad u32 u32 u32 u32) fingerprint_field (rest u32))
+    |> conv
+         (fun ( (man_gen, man_key_bits, man_width),
+                (man_n, man_m, man_s, man_brec),
+                man_fp,
+                man_seg_crcs ) ->
+           { man_gen; man_key_bits; man_width; man_n; man_m; man_s; man_brec; man_fp; man_seg_crcs })
+         (fun m ->
+           ( (m.man_gen, m.man_key_bits, m.man_width),
+             (m.man_n, m.man_m, m.man_s, m.man_brec),
+             m.man_fp,
+             m.man_seg_crcs ))
+    |> check
+         (fun m ->
+           m.man_n > 0 && m.man_m > 0 && m.man_s > 0 && m.man_s <= 64 && m.man_brec > 0
+           && m.man_width > 0)
+         "bad dimensions"
+    |> check
+         (fun m -> Array.length m.man_seg_crcs = m.man_m)
+         "segment table disagrees with attribute count")
 
-let parse_manifest ~file data =
-  let len = String.length data in
-  if len < 4 then err (Truncated file);
-  if String.sub data 0 4 <> manifest_magic then err (Bad_magic file);
-  if len < 5 then err (Truncated file);
-  let v = Char.code data.[4] in
-  if v <> version then err (Bad_version { file; version = v });
-  if len < 9 then err (Truncated file);
-  (* whole-file checksum first, so any flipped byte reports as Corrupt
-     rather than as whatever structural confusion it causes downstream *)
-  let stored = u32_at file data (len - 4) in
-  if Crc32.sub data ~pos:0 ~len:(len - 4) <> stored then
-    err (Corrupt (file ^ ": manifest checksum mismatch"));
-  let r = { file; data = String.sub data 0 (len - 4); pos = 5 } in
-  let man_gen = get_u32 r in
-  let man_key_bits = get_u32 r in
-  let man_width = get_u32 r in
-  let man_n = get_u32 r in
-  let man_m = get_u32 r in
-  let man_s = get_u32 r in
-  let man_brec = get_u32 r in
-  if man_n <= 0 || man_m <= 0 || man_s <= 0 || man_s > 64 || man_brec <= 0 || man_width <= 0
-  then err (Corrupt (file ^ ": bad dimensions"));
-  let fp_len = get_u32 r in
-  if fp_len > 64 then err (Corrupt (file ^ ": bad fingerprint length"));
-  let man_fp = get_bytes r fp_len in
-  (* the CRC table must account for the rest of the file exactly, before
-     any allocation is sized from [man_m] *)
-  if String.length r.data - r.pos <> 4 * man_m then
-    err (Corrupt (file ^ ": segment table disagrees with attribute count"));
-  let man_seg_crcs = Array.init man_m (fun _ -> get_u32 r) in
-  if r.pos <> String.length r.data then err (Corrupt (file ^ ": trailing bytes"));
-  { man_gen; man_key_bits; man_width; man_n; man_m; man_s; man_brec; man_fp; man_seg_crcs }
+let parse_manifest ~file data = unseal ~file ~what:"manifest" manifest_magic manifest data
 
 let read_manifest ~dir =
   let path = Filename.concat dir manifest_name in
   parse_manifest ~file:path (read_whole_file path)
 
-let check_key ~file pub m =
-  if m.man_key_bits <> pub.Paillier.key_bits then
+(* a manifest's or a shard map's key binding against the opening key *)
+let check_key ~file pub ~key_bits ~width ~fp =
+  if key_bits <> pub.Paillier.key_bits then
     err
       (Key_mismatch
-         (Printf.sprintf "%s: built for a %d-bit key, opened with %d bits" file m.man_key_bits
+         (Printf.sprintf "%s: built for a %d-bit key, opened with %d bits" file key_bits
             pub.Paillier.key_bits));
-  if m.man_width <> Paillier.ciphertext_bytes pub then
+  if width <> Paillier.ciphertext_bytes pub then
     err (Key_mismatch (file ^ ": ciphertext width differs"));
-  if not (String.equal m.man_fp (fingerprint pub)) then
+  if not (String.equal fp (fingerprint pub)) then
     err (Key_mismatch (file ^ ": public-key fingerprint differs"))
 
 (* ---- segments ---------------------------------------------------------- *)
 
-(* Fixed part of a segment header, before the per-block CRC table. *)
-let seg_prefix_bytes = 4 + 1 + (6 * 4)
+(* gen | list | n, rec_bytes | brec | nblocks, then the per-block CRC
+   table; the header's CRC and then the body of records follow *)
+let seg_header =
+  C.(versioned segment_magic (pair (pair (triple u32 u32 u32) (triple u32 u32 u32)) (rest u32)))
+
+(* the header before its block table *)
+let seg_prefix_bytes = seg_header.C.min
 
 let encode_segment ~gen ~list ~n ~rec_bytes ~brec body =
   let nblocks = (n + brec - 1) / brec in
-  let buf = Buffer.create (seg_prefix_bytes + (4 * nblocks) + 4) in
-  Buffer.add_string buf segment_magic;
-  Buffer.add_char buf (Char.chr version);
-  put_u32 buf gen;
-  put_u32 buf list;
-  put_u32 buf n;
-  put_u32 buf rec_bytes;
-  put_u32 buf brec;
-  put_u32 buf nblocks;
-  for b = 0 to nblocks - 1 do
+  let block_crc b =
     let first = b * brec in
-    let count = min brec (n - first) in
-    put_u32 buf (Crc32.sub body ~pos:(first * rec_bytes) ~len:(count * rec_bytes))
-  done;
-  let header = Buffer.contents buf in
+    Crc32.sub body ~pos:(first * rec_bytes) ~len:(min brec (n - first) * rec_bytes)
+  in
+  let header =
+    C.encode seg_header (((gen, list, n), (rec_bytes, brec, nblocks)), Array.init nblocks block_crc)
+  in
   let hcrc = Crc32.string header in
-  put_u32 buf hcrc;
-  (Buffer.contents buf ^ body, hcrc)
+  (String.concat "" [ header; C.encode C.u32 hcrc; body ], hcrc)
 
 type seg = {
   seg_fd : Unix.file_descr;
@@ -266,10 +238,10 @@ type seg = {
 
 (* Open one segment file and validate its header against the manifest
    (which carries the expected header CRC, binding the published
-   manifest to these exact segment bytes). *)
-let open_segment ~dir man ~list =
-  let name = segment_name ~gen:man.man_gen list in
-  let path = Filename.concat dir name in
+   manifest to these exact segment bytes). The block count is checked
+   against the manifest before the table it sizes is read. *)
+let open_segment ~dir man ~list ~rec_bytes =
+  let path = Filename.concat dir (segment_name ~gen:man.man_gen list) in
   let fd =
     try Unix.openfile path [ O_RDONLY ] 0
     with Unix.Unix_error (ENOENT, _, _) -> err (Missing path)
@@ -278,31 +250,19 @@ let open_segment ~dir man ~list =
     let size = (Unix.fstat fd).st_size in
     if size < seg_prefix_bytes then err (Truncated path);
     let prefix = really_read fd path seg_prefix_bytes in
-    if String.sub prefix 0 4 <> segment_magic then err (Bad_magic path);
-    let v = Char.code prefix.[4] in
-    if v <> version then err (Bad_version { file = path; version = v });
-    let r = { file = path; data = prefix; pos = 5 } in
-    let gen = get_u32 r in
-    let list' = get_u32 r in
-    let n = get_u32 r in
-    let rec_bytes = get_u32 r in
-    let brec = get_u32 r in
-    let nblocks = get_u32 r in
+    check_prologue ~file:path segment_magic prefix;
+    let ((gen, list', n), (rec_bytes', brec, nblocks)), _ = decode ~file:path seg_header prefix in
     if gen <> man.man_gen || list' <> list then err (Corrupt (path ^ ": wrong generation or list"));
     if n <> man.man_n || brec <> man.man_brec then err (Corrupt (path ^ ": dimensions disagree with manifest"));
-    if rec_bytes <> (man.man_s + 1) * man.man_width then err (Corrupt (path ^ ": record width disagrees with manifest"));
+    if rec_bytes' <> rec_bytes then err (Corrupt (path ^ ": record width disagrees with manifest"));
     if nblocks <> (n + brec - 1) / brec then err (Corrupt (path ^ ": bad block count"));
-    let table_bytes = 4 * nblocks in
-    if size < seg_prefix_bytes + table_bytes + 4 then err (Truncated path);
-    let table = really_read fd path (table_bytes + 4) in
-    let header = prefix ^ String.sub table 0 table_bytes in
-    let hcrc = u32_at path table table_bytes in
-    if Crc32.string header <> hcrc then err (Corrupt (path ^ ": header checksum mismatch"));
-    if hcrc <> man.man_seg_crcs.(list) then
+    let header_bytes = seg_prefix_bytes + (4 * nblocks) + 4 in
+    if size < header_bytes then err (Truncated path);
+    let header = prefix ^ really_read fd path (header_bytes - seg_prefix_bytes) in
+    let _, block_crcs = unseal ~file:path ~what:"header" segment_magic seg_header header in
+    if Crc32.sub header ~pos:0 ~len:(header_bytes - 4) <> man.man_seg_crcs.(list) then
       err (Corrupt (path ^ ": header does not match the published manifest"));
-    let header_bytes = seg_prefix_bytes + table_bytes + 4 in
     if size <> header_bytes + (n * rec_bytes) then err (Truncated path);
-    let block_crcs = Array.init nblocks (fun b -> u32_at path table (4 * b)) in
     { seg_fd = fd; seg_file = path; seg_header_bytes = header_bytes; seg_block_crcs = block_crcs }
   with
   | seg -> seg
@@ -312,91 +272,54 @@ let open_segment ~dir man ~list =
 
 (* ---- update log -------------------------------------------------------- *)
 
-let log_header_bytes = 4 + 1 + 4 + 4
+(* the generation *)
+let log_header = versioned log_magic C.u32
+let log_header_bytes = log_header.C.min + 4
 
-let encode_log_header ~gen =
-  let buf = Buffer.create log_header_bytes in
-  Buffer.add_string buf log_magic;
-  Buffer.add_char buf (Char.chr version);
-  put_u32 buf gen;
-  put_u32 buf (Crc32.string (Buffer.contents buf));
-  Buffer.contents buf
+(* A record's payload: its sequence number, then one (position, entry)
+   splice per list. Fixed-width, so every record has the same length. *)
+let log_payload ~m record = C.(pair u32 (array_n m (pair u32 record)))
 
-let log_payload_bytes ~m ~rec_bytes = 4 + (m * (4 + rec_bytes))
-
-let encode_log_record ~seq ~rec_bytes ~width entries =
-  let buf = Buffer.create 256 in
-  put_u32 buf 0 (* patched below: payload length *);
-  put_u32 buf seq;
-  Array.iter
-    (fun (pos, e) ->
-      put_u32 buf pos;
-      encode_entry buf ~width e)
-    entries;
-  let payload_len = Buffer.length buf - 4 in
-  assert (payload_len = log_payload_bytes ~m:(Array.length entries) ~rec_bytes);
-  let body = Buffer.to_bytes buf in
-  Bytes.set body 0 (Char.chr ((payload_len lsr 24) land 0xff));
-  Bytes.set body 1 (Char.chr ((payload_len lsr 16) land 0xff));
-  Bytes.set body 2 (Char.chr ((payload_len lsr 8) land 0xff));
-  Bytes.set body 3 (Char.chr (payload_len land 0xff));
-  let body = Bytes.unsafe_to_string body in
-  let buf2 = Buffer.create (String.length body + 4) in
-  Buffer.add_string buf2 body;
-  put_u32 buf2 (Crc32.sub body ~pos:4 ~len:payload_len);
-  Buffer.contents buf2
+(* the payload's length, the payload, its CRC-32 *)
+let encode_log_record log v =
+  let payload = C.encode log v in
+  C.encode C.u32 (String.length payload) ^ sealed payload
 
 (* Replay: complete checksummed records apply in order; a torn tail (a
    crash mid-append) is tolerated and ignored; a complete record with a
-   bad checksum or bad structure is a typed error.  Returns the records
-   and the byte offset of the end of the valid prefix, so the caller can
+   bad length, checksum or structure is a typed error. A record is
+   complete when a whole record's bytes follow its length field, counted
+   by that field or by the fixed length: a damaged length cannot pass
+   acknowledged records off as a torn tail. Returns the records and the
+   byte offset of the end of the valid prefix, so the caller can
    truncate a torn tail before appending (the log fd is O_APPEND: a new
    record written after surviving garbage would be unreachable on the
    next replay). *)
-let replay_log ~file data ~gen ~m ~s ~width pub =
+let replay_log ~file data ~gen log =
+  check_prologue ~file log_magic data;
   let len = String.length data in
-  if len < 4 then err (Truncated file);
-  if String.sub data 0 4 <> log_magic then err (Bad_magic file);
-  if len < 5 then err (Truncated file);
-  let v = Char.code data.[4] in
-  if v <> version then err (Bad_version { file; version = v });
   if len < log_header_bytes then err (Truncated file);
-  if u32_at file data 9 <> Crc32.sub data ~pos:0 ~len:9 then
-    err (Corrupt (file ^ ": log header checksum mismatch"));
-  if u32_at file data 5 <> gen then err (Corrupt (file ^ ": log generation disagrees with manifest"));
-  let rec_bytes = (s + 1) * width in
-  let expect = log_payload_bytes ~m ~rec_bytes in
-  let records = ref [] in
-  let count = ref 0 in
-  let pos = ref log_header_bytes in
-  let torn = ref false in
-  while (not !torn) && !pos < len do
-    if !pos + 4 > len then torn := true
-    else begin
-      let payload_len = u32_at file data !pos in
-      if !pos + 4 + payload_len + 4 > len then torn := true
-      else if payload_len <> expect then err (Corrupt (file ^ ": bad record length"))
+  let header = String.sub data 0 log_header_bytes in
+  if unseal ~file ~what:"log header" log_magic log_header header <> gen then
+    err (Corrupt (file ^ ": log generation disagrees with manifest"));
+  let expect = log.C.min in
+  let rec go pos count acc =
+    let torn () = (List.rev acc, pos) in
+    let left = len - pos in
+    if left < 4 then torn ()
+    else
+      let stated = decode ~file C.u32 (String.sub data pos 4) in
+      if left < 8 + min stated expect then torn ()
+      else if stated <> expect then err (Corrupt (file ^ ": bad record length"))
       else begin
-        let crc = u32_at file data (!pos + 4 + payload_len) in
-        if Crc32.sub data ~pos:(!pos + 4) ~len:payload_len <> crc then
-          err (Corrupt (Printf.sprintf "%s: record %d checksum mismatch" file !count));
-        let r = { file; data; pos = !pos + 4 } in
-        let seq = get_u32 r in
-        if seq <> !count then err (Corrupt (file ^ ": record out of sequence"));
-        let entries =
-          Array.init m (fun _ ->
-              let p = get_u32 r in
-              let e = decode_entry pub ~s ~width data r.pos in
-              r.pos <- r.pos + rec_bytes;
-              (p, e))
-        in
-        records := entries :: !records;
-        incr count;
-        pos := !pos + 4 + payload_len + 4
+        let sealed_payload = String.sub data (pos + 4) (expect + 4) in
+        let what = Printf.sprintf "record %d" count in
+        let seq, entries = decode ~file log (checked ~file ~what sealed_payload) in
+        if seq <> count then err (Corrupt (file ^ ": record out of sequence"));
+        go (pos + 8 + expect) (count + 1) (entries :: acc)
       end
-    end
-  done;
-  (List.rev !records, !pos)
+  in
+  go log_header_bytes 0 []
 
 (* ---- handle ------------------------------------------------------------ *)
 
@@ -406,14 +329,13 @@ type cached = { entries : Proto.Enc_item.entry array; mutable last_use : int }
 
 type t = {
   dir : string;
-  pub : Paillier.public;
   gen : int;
   base_n : int;
   m : int;
   s : int;
-  width : int;
-  rec_bytes : int;
   brec : int;
+  record : Proto.Enc_item.entry C.t;
+  log : (int * (int * Proto.Enc_item.entry) array) C.t;
   segs : seg array;
   log_fd : Unix.file_descr;
   log_path : string;
@@ -431,67 +353,78 @@ let insert_slot arr pos v =
   let len = Array.length arr in
   Array.init (len + 1) (fun i -> if i < pos then arr.(i) else if i = pos then v else arr.(i - 1))
 
-let apply_update t entries ~upd_index ~file =
+(* splice the next update-log record into every list's overlay *)
+let apply_update t entries ~file =
+  let upd_index = t.log_count in
   Array.iteri
     (fun list (pos, _) ->
       let arr = t.overlay.(list) in
       if pos < 0 || pos > Array.length arr then
         err (Corrupt (Printf.sprintf "%s: record %d position out of range" file upd_index));
       t.overlay.(list) <- insert_slot arr pos (Upd upd_index))
-    entries
+    entries;
+  t.updates <- Array.append t.updates [| Array.map snd entries |];
+  t.log_count <- upd_index + 1
 
 let open_index ?(cache_blocks = 64) ~dir pub =
   if cache_blocks <= 0 then invalid_arg "Store.open_index: cache_blocks <= 0";
   if not (Sys.file_exists dir && Sys.is_directory dir) then err (Missing dir);
   let man = read_manifest ~dir in
-  check_key ~file:(Filename.concat dir manifest_name) pub man;
-  let segs = Array.init man.man_m (fun list -> open_segment ~dir man ~list) in
-  let log_path = Filename.concat dir (log_name ~gen:man.man_gen) in
-  let log_data = read_whole_file log_path in
-  let records, valid_end =
-    replay_log ~file:log_path log_data ~gen:man.man_gen ~m:man.man_m ~s:man.man_s
-      ~width:man.man_width pub
-  in
-  let log_fd = Unix.openfile log_path [ O_WRONLY; O_APPEND ] 0o644 in
-  (* drop any torn tail now, so appends land at the end of the valid
-     prefix instead of after garbage that would shadow them on replay *)
-  if valid_end < String.length log_data then begin
-    (try Unix.ftruncate log_fd valid_end
-     with e -> Unix.close log_fd; raise e);
-    Unix.fsync log_fd
-  end;
-  let t =
-    {
-      dir;
-      pub;
-      gen = man.man_gen;
-      base_n = man.man_n;
-      m = man.man_m;
-      s = man.man_s;
-      width = man.man_width;
-      rec_bytes = (man.man_s + 1) * man.man_width;
-      brec = man.man_brec;
-      segs;
-      log_fd;
-      log_path;
-      log_count = 0;
-      updates = [||];
-      overlay = Array.init man.man_m (fun _ -> Array.init man.man_n (fun i -> Base i));
-      cache = Hashtbl.create 64;
-      cache_cap = cache_blocks;
-      tick = 0;
-      lock = Mutex.create ();
-      closed = false;
-    }
-  in
-  List.iter
-    (fun entries ->
-      let upd_index = t.log_count in
-      apply_update t entries ~upd_index ~file:log_path;
-      t.updates <- Array.append t.updates [| Array.map snd entries |];
-      t.log_count <- upd_index + 1)
-    records;
-  t
+  check_key ~file:(Filename.concat dir manifest_name) pub ~key_bits:man.man_key_bits
+    ~width:man.man_width ~fp:man.man_fp;
+  let record = record pub ~s:man.man_s in
+  let log = log_payload ~m:man.man_m record in
+  (* every descriptor opened below is closed again if the open fails *)
+  let fds = ref [] in
+  let track fd = fds := fd :: !fds in
+  match
+    let segs =
+      Array.init man.man_m (fun list ->
+          let seg = open_segment ~dir man ~list ~rec_bytes:record.C.min in
+          track seg.seg_fd;
+          seg)
+    in
+    let log_path = Filename.concat dir (log_name ~gen:man.man_gen) in
+    let log_data = read_whole_file log_path in
+    let records, valid_end = replay_log ~file:log_path log_data ~gen:man.man_gen log in
+    let log_fd = Unix.openfile log_path [ O_WRONLY; O_APPEND ] 0o644 in
+    track log_fd;
+    (* drop any torn tail now, so appends land at the end of the valid
+       prefix instead of after garbage that would shadow them on replay *)
+    if valid_end < String.length log_data then begin
+      Unix.ftruncate log_fd valid_end;
+      Unix.fsync log_fd
+    end;
+    let t =
+      {
+        dir;
+        gen = man.man_gen;
+        base_n = man.man_n;
+        m = man.man_m;
+        s = man.man_s;
+        brec = man.man_brec;
+        record;
+        log;
+        segs;
+        log_fd;
+        log_path;
+        log_count = 0;
+        updates = [||];
+        overlay = Array.init man.man_m (fun _ -> Array.init man.man_n (fun i -> Base i));
+        cache = Hashtbl.create 64;
+        cache_cap = cache_blocks;
+        tick = 0;
+        lock = Mutex.create ();
+        closed = false;
+      }
+    in
+    List.iter (fun entries -> apply_update t entries ~file:log_path) records;
+    t
+  with
+  | t -> t
+  | exception e ->
+    List.iter Unix.close !fds;
+    raise e
 
 let close t =
   Mutex.lock t.lock;
@@ -536,15 +469,15 @@ let evict_if_needed t =
 let load_block t list block =
   let first = block * t.brec in
   let count = min t.brec (t.base_n - first) in
-  let nbytes = count * t.rec_bytes in
+  let rec_bytes = t.record.C.min in
   let seg = t.segs.(list) in
-  let off = seg.seg_header_bytes + (first * t.rec_bytes) in
+  let off = seg.seg_header_bytes + (first * rec_bytes) in
   ignore (Unix.lseek seg.seg_fd off SEEK_SET);
-  let data = really_read seg.seg_fd seg.seg_file nbytes in
+  let data = really_read seg.seg_fd seg.seg_file (count * rec_bytes) in
   if Crc32.string data <> seg.seg_block_crcs.(block) then
     err (Corrupt (Printf.sprintf "%s: block %d checksum mismatch" seg.seg_file block));
-  Obs.add Obs.Metrics.Store_read_bytes nbytes;
-  Array.init count (fun i -> decode_entry t.pub ~s:t.s ~width:t.width data (i * t.rec_bytes))
+  Obs.add Obs.Metrics.Store_read_bytes (count * rec_bytes);
+  decode ~file:seg.seg_file (C.array_n count t.record) data
 
 let block_entries t list block =
   t.tick <- t.tick + 1;
@@ -592,13 +525,9 @@ let append_row t ~entries =
         (fun (pos, _) ->
           if pos < 0 || pos > n_rows t then invalid_arg "Store.append_row: position out of range")
         entries;
-      let seq = t.log_count in
-      let frame = encode_log_record ~seq ~rec_bytes:t.rec_bytes ~width:t.width entries in
-      write_all t.log_fd frame;
+      write_all t.log_fd (encode_log_record t.log (t.log_count, entries));
       Unix.fsync t.log_fd;
-      apply_update t entries ~upd_index:seq ~file:t.log_path;
-      t.updates <- Array.append t.updates [| Array.map snd entries |];
-      t.log_count <- seq + 1)
+      apply_update t entries ~file:t.log_path)
 
 let verify t =
   let nblocks = (t.base_n + t.brec - 1) / t.brec in
@@ -619,11 +548,11 @@ let build ?(block_records = 16) ~dir pub er =
   if block_records <= 0 then invalid_arg "Store.build: block_records <= 0";
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ());
   let n = Sectopk.Scheme.n_rows er and m = Sectopk.Scheme.n_attrs er in
-  let width = Paillier.ciphertext_bytes pub in
   let s =
     Ehl.Ehl_plus.length (Sectopk.Scheme.entry er ~list:0 ~depth:0).Proto.Enc_item.ehl
   in
-  let rec_bytes = (s + 1) * width in
+  let record = record pub ~s in
+  let rec_bytes = record.C.min in
   (* supersede whatever generation is currently published (leniently: a
      damaged manifest means nothing is published, start at 1) *)
   let gen = 1 + (match read_manifest ~dir with m -> m.man_gen | exception _ -> 0) in
@@ -631,7 +560,7 @@ let build ?(block_records = 16) ~dir pub er =
     Array.init m (fun list ->
         let body = Buffer.create (n * rec_bytes) in
         for depth = 0 to n - 1 do
-          encode_entry body ~width (Sectopk.Scheme.entry er ~list ~depth)
+          record.C.put body (Sectopk.Scheme.entry er ~list ~depth)
         done;
         let file, hcrc =
           encode_segment ~gen ~list ~n ~rec_bytes ~brec:block_records (Buffer.contents body)
@@ -639,13 +568,13 @@ let build ?(block_records = 16) ~dir pub er =
         write_file_atomic ~dir (segment_name ~gen list) file;
         hcrc)
   in
-  write_file_atomic ~dir (log_name ~gen) (encode_log_header ~gen);
-  let manifest =
-    encode_manifest
+  write_file_atomic ~dir (log_name ~gen) (sealed (C.encode log_header gen));
+  let man_bytes =
+    C.encode manifest
       {
         man_gen = gen;
         man_key_bits = pub.Paillier.key_bits;
-        man_width = width;
+        man_width = Paillier.ciphertext_bytes pub;
         man_n = n;
         man_m = m;
         man_s = s;
@@ -659,7 +588,7 @@ let build ?(block_records = 16) ~dir pub er =
      manifest must never point at files a crash could un-publish *)
   fsync_dir dir;
   (* the commit point: everything above is durable before this rename *)
-  write_file_atomic ~dir manifest_name manifest;
+  write_file_atomic ~dir manifest_name (sealed man_bytes);
   fsync_dir dir
 
 (* ---- sharded indexes --------------------------------------------------- *)
@@ -688,74 +617,37 @@ module Sharded = struct
     sm_shards : map_entry array;
   }
 
-  let encode_map m =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf map_magic;
-    Buffer.add_char buf (Char.chr version);
-    put_u32 buf (Array.length m.sm_shards);
-    put_u32 buf m.sm_key_bits;
-    put_u32 buf m.sm_width;
-    put_u32 buf (String.length m.sm_fp);
-    Buffer.add_string buf m.sm_fp;
-    Array.iter
-      (fun e ->
-        put_u32 buf e.sm_rows;
-        put_u32 buf e.sm_gen;
-        put_u32 buf e.sm_man_crc)
-      m.sm_shards;
-    let body = Buffer.contents buf in
-    put_u32 buf (Crc32.string body);
-    Buffer.contents buf
-
-  let parse_map ~file data =
-    let len = String.length data in
-    if len < 4 then err (Truncated file);
-    if String.sub data 0 4 <> map_magic then err (Bad_magic file);
-    if len < 5 then err (Truncated file);
-    let v = Char.code data.[4] in
-    if v <> version then err (Bad_version { file; version = v });
-    if len < 9 then err (Truncated file);
-    (* whole-file checksum first: a flipped byte is always [Corrupt] *)
-    let stored = u32_at file data (len - 4) in
-    if Crc32.sub data ~pos:0 ~len:(len - 4) <> stored then
-      err (Corrupt (file ^ ": shard map checksum mismatch"));
-    let r = { file; data = String.sub data 0 (len - 4); pos = 5 } in
-    let count = get_u32 r in
-    if count <= 0 || count > 4096 then err (Corrupt (file ^ ": bad shard count"));
-    let sm_key_bits = get_u32 r in
-    let sm_width = get_u32 r in
-    let fp_len = get_u32 r in
-    if fp_len > 64 then err (Corrupt (file ^ ": bad fingerprint length"));
-    let sm_fp = get_bytes r fp_len in
-    if String.length r.data - r.pos <> 12 * count then
-      err (Corrupt (file ^ ": shard table disagrees with shard count"));
-    let sm_shards =
-      Array.init count (fun _ ->
-          let sm_rows = get_u32 r in
-          let sm_gen = get_u32 r in
-          let sm_man_crc = get_u32 r in
-          if sm_rows <= 0 then err (Corrupt (file ^ ": empty shard"));
-          { sm_rows; sm_gen; sm_man_crc })
+  (* shard count | key_bits | width, the fingerprint, then one rows |
+     gen | manifest CRC per shard *)
+  let map =
+    let shard =
+      C.(
+        conv
+          (fun (sm_rows, sm_gen, sm_man_crc) -> { sm_rows; sm_gen; sm_man_crc })
+          (fun e -> (e.sm_rows, e.sm_gen, e.sm_man_crc))
+          (triple u32 u32 u32))
     in
-    { sm_key_bits; sm_width; sm_fp; sm_shards }
+    C.(
+      versioned map_magic (pair (triple u32 u32 u32) (pair fingerprint_field (rest shard)))
+      |> check
+           (fun ((count, _, _), (_, shards)) -> count = Array.length shards)
+           "shard table disagrees with shard count"
+      |> conv
+           (fun ((_, sm_key_bits, sm_width), (sm_fp, sm_shards)) ->
+             { sm_key_bits; sm_width; sm_fp; sm_shards })
+           (fun m ->
+             ((Array.length m.sm_shards, m.sm_key_bits, m.sm_width), (m.sm_fp, m.sm_shards)))
+      |> check
+           (fun m -> Array.length m.sm_shards > 0 && Array.length m.sm_shards <= 4096)
+           "bad shard count"
+      |> check (fun m -> Array.for_all (fun e -> e.sm_rows > 0) m.sm_shards) "empty shard")
 
   let read_map ~dir =
     let path = Filename.concat dir map_name in
-    parse_map ~file:path (read_whole_file path)
+    unseal ~file:path ~what:"shard map" map_magic map (read_whole_file path)
 
   let is_sharded ~dir = Sys.file_exists (Filename.concat dir map_name)
   let shard_count ~dir = Array.length (read_map ~dir).sm_shards
-
-  let check_map_key ~file pub m =
-    if m.sm_key_bits <> pub.Paillier.key_bits then
-      err
-        (Key_mismatch
-           (Printf.sprintf "%s: built for a %d-bit key, opened with %d bits" file
-              m.sm_key_bits pub.Paillier.key_bits));
-    if m.sm_width <> Paillier.ciphertext_bytes pub then
-      err (Key_mismatch (file ^ ": ciphertext width differs"));
-    if not (String.equal m.sm_fp (fingerprint pub)) then
-      err (Key_mismatch (file ^ ": public-key fingerprint differs"))
 
   let build ?block_records ~dir pub ers =
     if Array.length ers = 0 then invalid_arg "Store.Sharded.build: no shards";
@@ -773,8 +665,8 @@ module Sharded = struct
           { sm_rows = man.man_n; sm_gen = man.man_gen; sm_man_crc = Crc32.string man_data })
         ers
     in
-    let map =
-      encode_map
+    let map_bytes =
+      C.encode map
         {
           sm_key_bits = pub.Paillier.key_bits;
           sm_width = Paillier.ciphertext_bytes pub;
@@ -785,14 +677,14 @@ module Sharded = struct
     (* ... and the SHARDMAP rename publishes the set as a whole, only
        after every shard's manifest is durable *)
     fsync_dir dir;
-    write_file_atomic ~dir map_name map;
+    write_file_atomic ~dir map_name (sealed map_bytes);
     fsync_dir dir
 
   let open_index ?cache_blocks ~dir pub =
     if not (Sys.file_exists dir && Sys.is_directory dir) then err (Missing dir);
     let map_path = Filename.concat dir map_name in
     let map = read_map ~dir in
-    check_map_key ~file:map_path pub map;
+    check_key ~file:map_path pub ~key_bits:map.sm_key_bits ~width:map.sm_width ~fp:map.sm_fp;
     let opened = ref [] in
     try
       let stores =

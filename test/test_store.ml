@@ -49,6 +49,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let file_size_of path = (Unix.stat path).Unix.st_size
+
 let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
@@ -266,6 +268,31 @@ let test_missing_dir () =
     (function Store.Missing _ -> true | _ -> false)
     (fun () -> Store.open_index ~dir:(fresh_dir ()) pub)
 
+(* A failed open closes every descriptor it opened: segments already
+   open when the log or a later segment fails, and the segments of a
+   failing shard under a sharded open. *)
+let test_failed_open_closes_fds () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let bad_log = build_store () in
+  flip_byte (Filename.concat bad_log "updates_1.log") 0;
+  let no_last_seg = build_store () in
+  Sys.remove (Filename.concat no_last_seg "seg_1_2.stk");
+  let sharded = fresh_dir () in
+  let ers, _ = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards:2 (Rng.create ~seed:"fds") pub fig3 in
+  Store.Sharded.build ~dir:sharded pub ers;
+  flip_byte (Filename.concat sharded "shard_1/updates_1.log") 0;
+  let before = open_fds () in
+  for _ = 1 to 10 do
+    expect_error "bad log magic" (function Store.Bad_magic _ -> true | _ -> false) (fun () ->
+        Store.open_index ~dir:bad_log pub);
+    expect_error "last segment missing" (function Store.Missing _ -> true | _ -> false) (fun () ->
+        Store.open_index ~dir:no_last_seg pub);
+    expect_error "second shard's log" (function Store.Bad_magic _ -> true | _ -> false) (fun () ->
+        Store.Sharded.open_index ~dir:sharded pub)
+  done;
+  Alcotest.(check int) "open descriptors after 30 failed opens" before (open_fds ())
+
 (* ---------------- cache behaviour ---------------- *)
 
 let counter_of c name =
@@ -468,6 +495,77 @@ let test_golden_files () =
   add_dir sdir;
   Alcotest.(check string) "file digest" golden_files_sha256 (Sha256.hex (Sha256.finalize h))
 
+(* ---------------- verdict sweep ---------------- *)
+
+(* Open and verify: the pending updates of every handle, or the typed
+   error. Any other exception escapes and fails the test. *)
+let open_verify open_ =
+  match open_ () with
+  | exception Store.Error e -> Error e
+  | sts ->
+    Fun.protect
+      ~finally:(fun () -> Array.iter Store.close sts)
+      (fun () ->
+        match Array.iter Store.verify sts with
+        | () -> Ok (Array.map Store.pending_updates sts)
+        | exception Store.Error e -> Error e)
+
+(* Flip one bit of every byte of [file], then cut it at every length;
+   each damaged copy must be a [Store.Error] from open or verify, except
+   a cut that [cut_opens] maps to the pending updates it must open with. *)
+let sweep ~dir ~file ~open_ ~cut_opens =
+  let path = Filename.concat dir file in
+  let pristine = read_file path in
+  let len = String.length pristine in
+  let case what bytes expected =
+    write_file path bytes;
+    let verdict = open_verify open_ in
+    write_file path pristine;
+    match (verdict, expected) with
+    | Error _, None -> ()
+    | Ok pending, Some n when pending = [| n |] -> ()
+    | Ok pending, _ ->
+      Alcotest.failf "%s %s: opened with %d pending updates" file what
+        (Array.fold_left ( + ) 0 pending)
+    | Error e, _ -> Alcotest.failf "%s %s: %s" file what (Store.error_message e)
+  in
+  for i = 0 to len - 1 do
+    let b = Bytes.of_string pristine in
+    Bytes.set b i (Char.chr (Char.code pristine.[i] lxor (1 lsl (i mod 8))));
+    case (Printf.sprintf "bit %d flipped" ((8 * i) + (i mod 8))) (Bytes.to_string b) None
+  done;
+  for cut = 0 to len - 1 do
+    case (Printf.sprintf "cut at %d" cut) (String.sub pristine 0 cut) (cut_opens cut)
+  done
+
+let test_verdict_sweep () =
+  let dir = build_store () in
+  let log = Filename.concat dir "updates_1.log" in
+  (* log sizes after 0, 1, 2 and 3 appended records *)
+  let sizes = ref [ file_size_of log ] in
+  let st = Store.open_index ~dir pub in
+  for r = 1 to 3 do
+    Store.append_row st
+      ~entries:[| (0, new_entry "o9" r); (r, new_entry "o9" r); (5, new_entry "o9" r) |];
+    sizes := file_size_of log :: !sizes
+  done;
+  Store.close st;
+  let sizes = List.rev !sizes in
+  let single () = [| Store.open_index ~dir pub |] in
+  let never _ = None in
+  sweep ~dir ~file:"MANIFEST" ~open_:single ~cut_opens:never;
+  sweep ~dir ~file:"seg_1_1.stk" ~open_:single ~cut_opens:never;
+  (* a cut log opens with exactly the records wholly before the cut *)
+  sweep ~dir ~file:"updates_1.log" ~open_:single ~cut_opens:(fun cut ->
+      if cut < List.hd sizes then None
+      else Some (List.length (List.filter (fun s -> s <= cut) (List.tl sizes))));
+  let sdir = fresh_dir () in
+  let ers, _ = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards:2 (Rng.create ~seed:"sweep") pub fig3 in
+  Store.Sharded.build ~dir:sdir pub ers;
+  let sharded () = Store.Sharded.open_index ~dir:sdir pub in
+  sweep ~dir:sdir ~file:"SHARDMAP" ~open_:sharded ~cut_opens:never;
+  sweep ~dir:sdir ~file:"shard_1/MANIFEST" ~open_:sharded ~cut_opens:never
+
 (* ---------------- CSV ingestion ---------------- *)
 
 let expect_csv_error name ~line f =
@@ -535,14 +633,18 @@ let suite =
         Alcotest.test_case "corrupt segment header" `Quick test_corrupt_segment_header;
         Alcotest.test_case "corrupt segment body" `Quick test_corrupt_segment_body;
         Alcotest.test_case "key mismatch" `Quick test_key_mismatch;
-        Alcotest.test_case "missing directory" `Quick test_missing_dir ] );
+        Alcotest.test_case "missing directory" `Quick test_missing_dir;
+        Alcotest.test_case "failed opens close their descriptors" `Quick
+          test_failed_open_closes_fds ] );
     ( "cache",
       [ Alcotest.test_case "lazy reads, counters, eviction" `Quick test_cache_counters ] );
     ( "updates",
       [ Alcotest.test_case "append + replay" `Quick test_append_row_replay;
         Alcotest.test_case "corrupt log record" `Quick test_corrupt_log_record;
         Alcotest.test_case "validation" `Quick test_append_row_validation ] );
-    ("format", [ Alcotest.test_case "golden file digest" `Quick test_golden_files ]);
+    ( "format",
+      [ Alcotest.test_case "golden file digest" `Quick test_golden_files;
+        Alcotest.test_case "verdict sweep" `Quick test_verdict_sweep ] );
     ( "csv",
       [ Alcotest.test_case "well-formed" `Quick test_csv_good;
         Alcotest.test_case "malformed rows" `Quick test_csv_malformed;
