@@ -11,8 +11,8 @@
 # this script asserts exactly that, scrapes live telemetry from both
 # daemons mid-run (asserting `served` equals the queries issued), then
 # drains both daemons with SIGTERM. Also exercises the corruption path:
-# a flipped byte in the published index must be rejected with a typed
-# error (exit 4).
+# a flipped byte in a manifest, a segment header or body, an update-log
+# header or a shard map must be rejected with a typed error (exit 4).
 #
 # Telemetry outputs (Prometheus exposition, JSON snapshot, the query
 # log, one sampled Chrome trace) are copied into ./artifacts when that
@@ -275,27 +275,41 @@ open(path, "wb").write(bytes(b))
 EOF
 }
 
+# $1: store dir; $2: what was damaged; the rest goes to index-info
+expect_rejected() {
+  dir=$1
+  what=$2
+  shift 2
+  set +e
+  dune exec bin/topk_cli.exe -- index-info --store "$dir" --seed $seed "$@" 2>"$work/corrupt.err"
+  rc=$?
+  set -e
+  [ "$rc" -eq 4 ] || { echo "$what: expected exit 4, got $rc" >&2; cat "$work/corrupt.err" >&2; exit 1; }
+  grep "store error" "$work/corrupt.err"
+  echo "== $what rejected with exit 4 =="
+}
+
+build_fresh() {
+  dune exec bin/topk_cli.exe -- build-index --rows $rows --attrs $attrs --seed $seed \
+    --store "$1" >/dev/null
+}
+
 # a flip in the manifest is caught at open
 flip_byte "$work/index/MANIFEST" 20
-set +e
-dune exec bin/topk_cli.exe -- index-info --store "$work/index" --seed $seed 2>"$work/corrupt.err"
-rc=$?
-set -e
-[ "$rc" -eq 4 ] || { echo "expected exit 4, got $rc" >&2; cat "$work/corrupt.err" >&2; exit 1; }
-grep "store error" "$work/corrupt.err"
-echo "== corrupted manifest rejected with exit 4 =="
+expect_rejected "$work/index" "corrupted manifest"
 
 # a flip in a segment body is caught by the block checksum sweep
-dune exec bin/topk_cli.exe -- build-index --rows $rows --attrs $attrs --seed $seed \
-  --store "$work/index2" >/dev/null
+build_fresh "$work/index2"
 flip_byte "$work/index2/seg_1_0.stk" -1
-set +e
-dune exec bin/topk_cli.exe -- index-info --store "$work/index2" --seed $seed --verify 2>"$work/corrupt2.err"
-rc=$?
-set -e
-[ "$rc" -eq 4 ] || { echo "expected exit 4, got $rc" >&2; cat "$work/corrupt2.err" >&2; exit 1; }
-grep "store error" "$work/corrupt2.err"
-echo "== corrupted segment block rejected with exit 4 =="
+expect_rejected "$work/index2" "corrupted segment block" --verify
+
+# flips in a segment header and in the update-log header are caught at open
+build_fresh "$work/index3"
+flip_byte "$work/index3/seg_1_0.stk" 6
+expect_rejected "$work/index3" "corrupted segment header"
+build_fresh "$work/index4"
+flip_byte "$work/index4/updates_1.log" 6
+expect_rejected "$work/index4" "corrupted update-log header"
 
 echo "== 9. sharded leg: the same data over 2 shards behind one front-end =="
 dune exec bin/topk_cli.exe -- build-index --rows $rows --attrs $attrs --seed $seed \
@@ -341,5 +355,9 @@ kill -TERM "$sh_pid"
 wait "$sh_pid"
 sh_pid=""
 grep "S1: drained" "$work/s1-sh.log"
+
+# a flip in the shard map is caught at open
+flip_byte "$work/index-sh/SHARDMAP" 10
+expect_rejected "$work/index-sh" "corrupted shard map"
 
 echo "three-process e2e passed"

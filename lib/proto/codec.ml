@@ -1,12 +1,4 @@
-(* A codec describes one field type once: its encoder, its decoder, the
-   closed-form size of a value's encoding, and the smallest encoding of
-   any value of the type. Every byte format in the system (Wire's frames,
-   Sectopk.Codec's blobs, the store's files) is assembled from these
-   primitives and combinators, so a format's size cannot drift from its
-   encoder, and a collection's count is checked against count x smallest
-   element before any element is allocated. Integers are big-endian.
-   Checks run on decoding (the encoders trust their callers, except where
-   a value has no encoding); every failure raises [Invalid_argument]. *)
+(* The codec layer every byte format is built from; see codec.mli. *)
 
 type reader = { data : string; mutable pos : int }
 
@@ -173,9 +165,9 @@ let array_n n c =
   }
 
 (* Elements up to the end of the input, for a table whose count is
-   implied by the bytes; only the last field of a format can be one. *)
+   implied by the bytes; only the last field of a format can be one,
+   and its elements take at least one byte. *)
 let rest c =
-  if c.min = 0 then invalid_arg "Codec.rest: elements must take bytes";
   {
     put = (fun b a -> Array.iter (c.put b) a);
     get =

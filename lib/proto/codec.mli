@@ -61,7 +61,8 @@ val quad : 'a t -> 'b t -> 'c t -> 'd t -> ('a * 'b * 'c * 'd) t
 val array_n : int -> 'a t -> 'a array t
 
 (** [rest c] — elements up to the end of the input, for a table whose
-    count the format implies; the last field of a format only. *)
+    count the format implies; the last field of a format only, with
+    elements of at least one byte. *)
 val rest : 'a t -> 'a array t
 
 (** An [int] count, then the elements; a count above [max] is refused. *)

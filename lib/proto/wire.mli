@@ -1,8 +1,7 @@
 (** Tagged, versioned binary codec for every S1 <-> S2 message, and for
     the client <-> S1 front-end frames.
 
-    Frame layout (big-endian throughout, following {!Sectopk.Codec}'s
-    fixed-width conventions):
+    Frame layout (big-endian throughout):
 
     {v
     "STKW" | version | kind | tag | session       -- 11-byte header
@@ -10,17 +9,17 @@
     then the tag-specific payload
     v}
 
-    Each frame is described once, by a private codec layer: a codec
-    gives a field type's encoder, its decoder, the closed-form size of a
-    value's encoding and its smallest encoding. Primitives (30-bit int,
-    8-byte int and float, bool, length-prefixed string, fixed-width
-    ciphertext) and combinators (tuples, capped lists and arrays,
-    option, tagged-variant cases) build every frame kind. Hence
-    {!request_bytes}/{!response_bytes} — what the Inproc and Mux
-    transports charge without materialising a frame — cannot drift from
-    the encoders; every collection count is checked against count x
-    smallest element before anything is allocated; and a [Batch] cannot
-    nest, since the batch element codec has no batch case.
+    Each frame is described once, as a value of the shared codec layer
+    {!Codec}: a codec gives a field type's encoder, its decoder, the
+    closed-form size of a value's encoding and its smallest encoding.
+    Primitives (30-bit int, 8-byte int and float, bool, length-prefixed
+    string, fixed-width ciphertext) and combinators (tuples, capped
+    lists and arrays, option, tagged-variant cases) build every frame
+    kind. Hence {!request_bytes}/{!response_bytes} — what the Inproc and
+    Mux transports charge without materialising a frame — cannot drift
+    from the encoders; every collection count is checked against count
+    x smallest element before anything is allocated; and a [Batch]
+    cannot nest, since the batch element codec has no batch case.
 
     Ciphertexts are zero-padded fixed-width naturals: [ciphertext_bytes pub]
     for values under the shared key, [ciphertext_bytes own_pub] for S1's

@@ -223,9 +223,8 @@ let encode_segment ~gen ~list ~n ~rec_bytes ~brec body =
     let first = b * brec in
     Crc32.sub body ~pos:(first * rec_bytes) ~len:(min brec (n - first) * rec_bytes)
   in
-  let header =
-    C.encode seg_header (((gen, list, n), (rec_bytes, brec, nblocks)), Array.init nblocks block_crc)
-  in
+  let fields = ((gen, list, n), (rec_bytes, brec, nblocks)) in
+  let header = C.encode seg_header (fields, Array.init nblocks block_crc) in
   let hcrc = Crc32.string header in
   (String.concat "" [ header; C.encode C.u32 hcrc; body ], hcrc)
 
@@ -272,7 +271,7 @@ let open_segment ~dir man ~list ~rec_bytes =
 
 (* ---- update log -------------------------------------------------------- *)
 
-(* the generation *)
+(* the log's header holds its generation *)
 let log_header = versioned log_magic C.u32
 let log_header_bytes = log_header.C.min + 4
 
@@ -304,12 +303,13 @@ let replay_log ~file data ~gen log =
     err (Corrupt (file ^ ": log generation disagrees with manifest"));
   let expect = log.C.min in
   let rec go pos count acc =
-    let torn () = (List.rev acc, pos) in
+    (* the end of the log, or a torn tail from [pos] on *)
+    let stop () = (List.rev acc, pos) in
     let left = len - pos in
-    if left < 4 then torn ()
+    if left < 4 then stop ()
     else
       let stated = decode ~file C.u32 (String.sub data pos 4) in
-      if left < 8 + min stated expect then torn ()
+      if left < 8 + min stated expect then stop ()
       else if stated <> expect then err (Corrupt (file ^ ": bad record length"))
       else begin
         let sealed_payload = String.sub data (pos + 4) (expect + 4) in

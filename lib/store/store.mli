@@ -10,10 +10,15 @@
     single commit point — a crash at any earlier instant leaves the
     previous generation fully readable.
 
-    Record bytes follow {!Sectopk.Codec}'s relation layout: [s] EHL+
-    cells then the score, each a big-endian natural padded to the
-    ciphertext width of the Paillier key, so store-backed entries are
-    byte-identical to the in-memory path.
+    Every file is described once, as a {!Proto.Codec} value. A record is
+    [s] EHL+ cells then the score, each a big-endian natural padded to
+    the ciphertext width of the Paillier key, so store-backed entries
+    are byte-identical to the in-memory path. Every file ends with a
+    CRC-32 that is checked, after its magic and version, before
+    anything it covers is decoded. An update-log record whose length
+    field disagrees with the fixed record length is [Corrupt] whenever
+    a whole record's bytes follow; only a shorter tail is a torn
+    append, dropped on open.
 
     Reads are lazy: segment bodies are mapped into an LRU block cache
     ({!Obs.Metrics.Store_read_bytes} / [Cache_hit] / [Cache_miss]); each
@@ -50,8 +55,8 @@ val build : ?block_records:int -> dir:string -> Paillier.public -> Sectopk.Schem
 (** [open_index ~dir pub] validates the manifest and every segment
     header, replays the update log, and returns a lazily reading handle.
     Raises {!Error} on missing, truncated, corrupted or key-mismatched
-    files. [cache_blocks] bounds the LRU block cache (default 64
-    blocks). *)
+    files, after closing every file it opened. [cache_blocks] bounds the
+    LRU block cache (default 64 blocks). *)
 val open_index : ?cache_blocks:int -> dir:string -> Paillier.public -> t
 
 val close : t -> unit

@@ -396,10 +396,10 @@ let test_codec_token_roundtrip () =
 (* Token integers are full-range u32: one that does not fit is refused
    on encoding rather than truncated into a different scoring function. *)
 let test_codec_u32_range () =
-  let tk w = { Scheme.k = 2; attrs = [ (0, w); (1, 1 lsl 32) ] } in
+  let token w = { Scheme.k = 2; attrs = [ (0, w); (1, 1) ] } in
   Alcotest.(check bool) "weight 2^32 refused" true
-    (try ignore (Codec.encode_token (tk 1)); false with Invalid_argument _ -> true);
-  let top = { Scheme.k = 2; attrs = [ (0, (1 lsl 32) - 1); (1, 1) ] } in
+    (try ignore (Codec.encode_token (token (1 lsl 32))); false with Invalid_argument _ -> true);
+  let top = token ((1 lsl 32) - 1) in
   Alcotest.(check (list (pair int int))) "weight 2^32 - 1 round-trips" top.Scheme.attrs
     (Codec.decode_token (Codec.encode_token top)).Scheme.attrs
 
