@@ -94,6 +94,27 @@ let tests () =
     ( "sha256_1kb",
       let buf = String.make 1024 'x' in
       fun () -> ignore (Sha256.digest buf) );
+    (* the byte paths under every DRBG draw, PRF evaluation and stored
+       ciphertext *)
+    ( "hmac_32b",
+      let key = Rng.bytes rng 32 and msg = Rng.bytes rng 32 in
+      fun () -> ignore (Hmac.mac ~key msg) );
+    ( "drbg_generate_256b",
+      let d = Drbg.create ~seed:"micro" in
+      fun () -> ignore (Drbg.generate d 256) );
+    ( "rng_fork_48b",
+      let parent = Rng.create ~seed:"micro" in
+      fun () ->
+        let f = Rng.fork parent ~label:"micro" in
+        for _ = 1 to 4 do
+          ignore (Sys.opaque_identity (Rng.bytes f 12))
+        done );
+    ( "prf_to_nat_mod",
+      let key = List.hd keys in
+      fun () -> ignore (Prf.to_nat_mod ~key "object-42" ~m:pub.Paillier.n) );
+    ( "nat_to_bytes_ct",
+      let v = Paillier.to_nat c in
+      fun () -> ignore (Nat.to_bytes v) );
     ( "modexp_n3_256b_exp",
       fun () ->
         ignore

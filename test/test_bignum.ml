@@ -581,6 +581,45 @@ let test_differential_pow () =
         [ 0; 1; 2; 3; 7 ])
     [ 1; 26; 52; 53; 104 ]
 
+(* [Nat.to_bytes] against the reference's bit-by-bit serialization,
+   reached through decimal so that neither side feeds the other: zero,
+   one, and a random value, a power of two and an all-ones value at
+   every bit length around each 52-bit limb boundary up to 768 bits.
+   [Proto.Codec.nat]'s fixed-width field must equal the zero-padded
+   form and refuse a field one byte too narrow. *)
+let test_differential_bytes () =
+  let rng = splitmix 768 in
+  let widths = 0 :: 768 :: List.concat_map (fun k -> [ (52 * k) - 1; 52 * k; (52 * k) + 1 ]) (List.init 14 succ) in
+  let values w =
+    if w = 0 then [ Nat.zero ]
+    else
+      let top = Nat.shift_left Nat.one (w - 1) in
+      [ top; Nat.pred (Nat.shift_left Nat.one w); Nat.add top (gen_nat_of_bits rng (w - 1)) ]
+  in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun x ->
+          let want = Nat_ref.to_bytes (Nat_ref.of_string (Nat.to_string x)) in
+          let len = String.length want in
+          Alcotest.(check string) (Printf.sprintf "to_bytes at %d bits" w) want (Nat.to_bytes x);
+          List.iter
+            (fun pad ->
+              let field = Proto.Codec.nat (len + pad) Fun.id Fun.id in
+              Alcotest.(check string)
+                (Printf.sprintf "%d-byte field at %d bits" (len + pad) w)
+                (String.make pad '\000' ^ want)
+                (Proto.Codec.encode field x))
+            [ 0; 1; 7 ];
+          if len > 0 then
+            Alcotest.check_raises
+              (Printf.sprintf "%d-byte field refuses %d bits" (len - 1) w)
+              (Invalid_argument "Codec: value wider than field")
+              (fun () -> ignore (Proto.Codec.encode (Proto.Codec.nat (len - 1) Fun.id Fun.id) x)))
+        (values w))
+    widths;
+  Alcotest.(check string) "one" "\001" (Nat.to_bytes Nat.one)
+
 (* ---------------- multi_pow / inv_many properties ---------------- *)
 
 let prop_multi_pow =
@@ -782,7 +821,8 @@ let suite =
     ( "nat-differential",
       [ Alcotest.test_case "ops vs base-2^26 reference" `Quick test_differential_ops;
         Alcotest.test_case "awkward divisors" `Quick test_differential_divisors;
-        Alcotest.test_case "pow" `Quick test_differential_pow
+        Alcotest.test_case "pow" `Quick test_differential_pow;
+        Alcotest.test_case "to_bytes vs bit-by-bit reference" `Quick test_differential_bytes
       ] );
     ( "prime",
       [ Alcotest.test_case "small primes" `Quick test_small_primes;

@@ -137,6 +137,85 @@ let test_prp_bijection () =
   Alcotest.(check bool) "keyed deterministic" true
     (List.for_all (fun i -> Prp.apply p i = Prp.apply p2 i) (List.init 100 Fun.id))
 
+(* ---------------- byte paths ---------------- *)
+
+(* [n] bytes that differ by length and position *)
+let bytes_of n salt = String.init n (fun i -> Char.chr (((i * 7) + (n * salt)) land 0xff))
+
+(* SHA-256 at every length across both padding cases; HMAC with empty,
+   short, block-sized and longer-than-a-block keys on messages around the
+   pad boundary; DRBG outputs across the 32-byte block edges with a
+   reseed between them; the generator's draws across refills, its
+   integer draws and a fork; and PRF outputs whose expansion runs past
+   ten counter blocks. Integers enter as decimal, so the digest does
+   not lean on the byte serialization it helps to pin. *)
+let golden_byte_paths_sha256 = "bd1ea11ce2bce642b99885653640e7cc3ed5e8d8911a2600461125d3cf75776b"
+
+let test_golden_byte_paths () =
+  let h = Sha256.init () in
+  let add s =
+    Sha256.update h (Printf.sprintf "%d:" (String.length s));
+    Sha256.update h s
+  in
+  let add_nat x = add (Nat.to_string x) in
+  for n = 0 to 130 do
+    add (Sha256.digest (bytes_of n 1))
+  done;
+  add (Sha256.digest (bytes_of 1000 1));
+  List.iter
+    (fun kl ->
+      let key = bytes_of kl 3 in
+      List.iter (fun ml -> add (Hmac.mac ~key (bytes_of ml 5))) [ 0; 1; 32; 55; 56; 63; 64; 65; 200 ])
+    [ 0; 20; 32; 64; 65; 131 ];
+  let d = Drbg.create ~seed:"golden" in
+  List.iteri
+    (fun i n ->
+      add (Drbg.generate d n);
+      Drbg.reseed d (string_of_int i))
+    [ 0; 1; 31; 32; 33; 64; 255; 256; 257; 1000 ];
+  let r = Rng.create ~seed:"golden" in
+  List.iter (fun n -> add (Rng.bytes r n)) [ 1; 12; 7; 32; 12; 100; 3; 256; 12; 300; 5 ];
+  add_nat (Rng.nat_bits r 96);
+  add_nat (Rng.nat_below r (Nat.of_string "123456789123456789123456789"));
+  add_nat (Rng.unit_mod r pub.Paillier.n);
+  let f = Rng.fork r ~label:"golden" in
+  List.iter (fun n -> add (Rng.bytes f n)) [ 12; 12; 12; 12; 40 ];
+  add (Rng.bytes r 12);
+  let big = Nat.add (Nat.shift_left Nat.one 1299) (Nat.of_int 12345) in
+  List.iter
+    (fun key ->
+      List.iter
+        (fun msg ->
+          List.iter
+            (fun m -> add_nat (Prf.to_nat_mod ~key msg ~m))
+            [ Nat.of_int 1_000_003; pub.Paillier.n; big ];
+          List.iter
+            (fun buckets -> add (string_of_int (Prf.to_index ~key msg ~buckets)))
+            [ 1; 23; 1000 ])
+        [ ""; "object-42"; bytes_of 100 7 ])
+    [ "k"; bytes_of 32 9; bytes_of 100 11 ];
+  Alcotest.(check string) "byte-path digest" golden_byte_paths_sha256 (Sha256.hex (Sha256.finalize h))
+
+(* Each domain hashes on its own state: two domains running DRBG, HMAC,
+   SHA-256 and PRF streams at once produce what each produces alone. *)
+let test_hash_two_domains () =
+  let stream seed () =
+    let d = Drbg.create ~seed in
+    List.init 150 (fun i ->
+        let s = Drbg.generate d (1 + (i * 37 mod 300)) in
+        let ctx = Sha256.init () in
+        Sha256.update ctx s;
+        Sha256.update ctx (string_of_int i);
+        let m = Prf.to_nat_mod ~key:seed s ~m:pub.Paillier.n in
+        Hmac.mac ~key:(bytes_of (i mod 80) 3) s ^ Sha256.finalize ctx ^ Nat.to_string m)
+  in
+  let seq_a = stream "a" () and seq_b = stream "b" () in
+  let d = Domain.spawn (stream "b") in
+  let par_a = stream "a" () in
+  let par_b = Domain.join d in
+  Alcotest.(check (list string)) "domain a" seq_a par_a;
+  Alcotest.(check (list string)) "domain b" seq_b par_b
+
 (* ---------------- Paillier ---------------- *)
 
 let test_paillier_roundtrip () =
@@ -492,6 +571,10 @@ let suite =
       [ Alcotest.test_case "prf stable and keyed" `Quick test_prf_stable_and_keyed;
         Alcotest.test_case "prf index range" `Quick test_prf_to_index;
         Alcotest.test_case "prp bijection" `Quick test_prp_bijection
+      ] );
+    ( "byte-paths",
+      [ Alcotest.test_case "golden byte-path digest" `Quick test_golden_byte_paths;
+        Alcotest.test_case "hashing on two domains" `Quick test_hash_two_domains
       ] );
     ( "paillier",
       [ Alcotest.test_case "roundtrip" `Quick test_paillier_roundtrip;
