@@ -474,19 +474,37 @@ let pow (b : t) (e : int) : t =
   in
   go one b e
 
-let to_bytes (x : t) : string =
-  let bits = bit_length x in
-  let nbytes = (bits + 7) / 8 in
-  let buf = Bytes.make nbytes '\000' in
-  for i = 0 to nbytes - 1 do
-    (* byte i counted from the least-significant end *)
-    let b = ref 0 in
-    for k = 0 to 7 do
-      if nth_bit x ((8 * i) + k) then b := !b lor (1 lsl k)
-    done;
-    Bytes.set buf (nbytes - 1 - i) (Char.chr !b)
+let byte_length x = (bit_length x + 7) / 8
+
+(* Limbs enter an accumulator from the top down and each whole byte
+   leaves it as soon as it forms. [held] counts the accumulator's bits
+   still to emit; it starts at the zero bits above the top limb up to the
+   top byte's boundary, or below zero by the top limb's zero bits above
+   that boundary. Under 8 bits stay held between limbs, so the
+   accumulator never exceeds 59 bits. *)
+let put_fixed b ~width (x : t) =
+  let nbytes = byte_length x in
+  if nbytes > width then invalid_arg "Nat.put_fixed: value wider than field";
+  for _ = 1 to width - nbytes do
+    Buffer.add_char b '\000'
   done;
-  Bytes.to_string buf
+  let n = Array.length x in
+  let acc = ref 0 and held = ref ((8 * nbytes) - (base_bits * n)) in
+  for i = n - 1 downto 0 do
+    acc := (!acc lsl base_bits) lor Array.unsafe_get x i;
+    held := !held + base_bits;
+    while !held >= 8 do
+      held := !held - 8;
+      Buffer.add_uint8 b ((!acc lsr !held) land 0xff)
+    done;
+    acc := !acc land ((1 lsl !held) - 1)
+  done
+
+let to_bytes (x : t) : string =
+  let n = byte_length x in
+  let b = Buffer.create n in
+  put_fixed b ~width:n x;
+  Buffer.contents b
 
 let of_bytes (s : string) : t =
   let n = String.length s in

@@ -69,6 +69,15 @@ val pow : t -> int -> t
     [to_bytes zero = ""]. *)
 val to_bytes : t -> string
 
+(** Bytes of [to_bytes x]: [(bit_length x + 7) / 8]. *)
+val byte_length : t -> int
+
+(** [put_fixed b ~width x] appends [x] big-endian to [b] as exactly
+    [width] bytes, zero-padded in front: a fixed-width field written
+    straight into an encoder's buffer. Raises [Invalid_argument] if
+    [byte_length x > width]. *)
+val put_fixed : Buffer.t -> width:int -> t -> unit
+
 val of_bytes : string -> t
 
 (** Decimal conversion. [of_string] accepts optional leading [+] and

@@ -4,3 +4,12 @@
 val mac : key:string -> string -> string
 
 val mac_hex : key:string -> string -> string
+
+(** A key with both pad blocks already compressed: each tag under it
+    saves the two compressions [mac] spends on the pads. Immutable. *)
+type key
+
+val prepare : string -> key
+
+(** [mac_with (prepare key) msg = mac ~key msg]. *)
+val mac_with : key -> string -> string

@@ -1,5 +1,9 @@
-(* SHA-256 on 32-bit words carried in native ints, masked to 32 bits after
-   every arithmetic step. *)
+(* SHA-256 on 32-bit words carried in native ints. Rotations and sums
+   leave garbage above bit 31, which never reaches the low 32 bits (xor
+   and or are bitwise, carries only move up), so each new state word is
+   masked once. Whole blocks are compressed straight from the caller's
+   bytes; only a partial block is copied into the context's buffer, and
+   the padding is written there too. *)
 
 let size = 32
 let block_size = 64
@@ -20,7 +24,7 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
+  buf : Bytes.t; (* the partial block, then the padding *)
   mutable buf_len : int;
   mutable total : int; (* total bytes hashed *)
   w : int array; (* message schedule scratch *)
@@ -31,65 +35,65 @@ let init () =
     h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
          0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.make block_size '\000';
+    buf = Bytes.create block_size;
     buf_len = 0;
     total = 0;
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+let copy c = { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 64 0 }
 
-let compress ctx block off =
+(* The 64-byte block at [off] of [blk] into [ctx.h]; allocates nothing. *)
+let compress ctx blk off =
   let w = ctx.w in
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get block (off + (4 * t))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * t) + 3))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be blk (off + (4 * t))) land m32)
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) in
+    let s1 = ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land m32)
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
+    let ev = !e and av = !a in
+    let s1 = ((ev lsr 6) lor (ev lsl 26)) lxor ((ev lsr 11) lor (ev lsl 21)) lxor ((ev lsr 25) lor (ev lsl 7)) in
+    let ch = (ev land !f) lxor (lnot ev land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = ((av lsr 2) lor (av lsl 30)) lxor ((av lsr 13) lor (av lsl 19)) lxor ((av lsr 22) lor (av lsl 10)) in
+    let maj = (av land !b) lor (!c land (av lor !b)) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := ev;
     e := (!d + t1) land m32;
     d := !c;
     c := !b;
-    b := !a;
-    a := (t1 + t2) land m32
+    b := av;
+    a := (t1 + s0 + maj) land m32
   done;
-  h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !b) land m32;
-  h.(2) <- (h.(2) + !c) land m32;
-  h.(3) <- (h.(3) + !d) land m32;
-  h.(4) <- (h.(4) + !e) land m32;
-  h.(5) <- (h.(5) + !f) land m32;
-  h.(6) <- (h.(6) + !g) land m32;
-  h.(7) <- (h.(7) + !hh) land m32
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land m32);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land m32);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land m32);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land m32);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land m32);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land m32);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land m32);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land m32)
 
 let update ctx s =
-  let len = String.length s in
+  let len = String.length s and src = Bytes.unsafe_of_string s in
   ctx.total <- ctx.total + len;
   let pos = ref 0 in
-  (* fill a partial buffer first *)
+  (* complete a partial block first *)
   if ctx.buf_len > 0 then begin
-    let need = block_size - ctx.buf_len in
-    let take = min need len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    let take = min (block_size - ctx.buf_len) len in
+    Bytes.blit src 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = block_size then begin
@@ -98,38 +102,31 @@ let update ctx s =
     end
   end;
   while len - !pos >= block_size do
-    Bytes.blit_string s !pos ctx.buf 0 block_size;
-    compress ctx ctx.buf 0;
+    compress ctx src !pos;
     pos := !pos + block_size
   done;
   if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len (len - !pos);
+    Bytes.blit src !pos ctx.buf ctx.buf_len (len - !pos);
     ctx.buf_len <- ctx.buf_len + (len - !pos)
   end
 
+(* 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length *)
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  (* append 0x80, pad with zeros to 56 mod 64, then 64-bit big-endian length *)
-  let pad_len =
-    let r = (ctx.total + 1) mod block_size in
-    if r <= 56 then 56 - r else block_size + 56 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail (1 + pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  update ctx (Bytes.to_string tail);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= block_size - 8 then begin
+    Bytes.fill buf (n + 1) (block_size - n - 1) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 (block_size - 8) '\000'
+  end
+  else Bytes.fill buf (n + 1) (block_size - 9 - n) '\000';
+  Bytes.set_int64_be buf (block_size - 8) (Int64.of_int (8 * ctx.total));
+  compress ctx buf 0;
   let out = Bytes.create size in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

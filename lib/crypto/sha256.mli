@@ -11,6 +11,10 @@ val update : ctx -> string -> unit
 (** Finalize; the context must not be reused afterwards. *)
 val finalize : ctx -> string
 
+(** An independent context in the same state: HMAC absorbs each key pad
+    once and resumes from a copy for every message. *)
+val copy : ctx -> ctx
+
 (** One-shot digest of a full message. *)
 val digest : string -> string
 

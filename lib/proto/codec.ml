@@ -103,10 +103,9 @@ let string =
 let nat width of_nat to_nat =
   fixed width
     (fun b c ->
-      let s = Bignum.Nat.to_bytes (to_nat c) in
-      if String.length s > width then bad "value wider than field";
-      Buffer.add_string b (String.make (width - String.length s) '\000');
-      Buffer.add_string b s)
+      let v = to_nat c in
+      if Bignum.Nat.byte_length v > width then bad "value wider than field";
+      Bignum.Nat.put_fixed b ~width v)
     (fun r -> of_nat (Bignum.Nat.of_bytes (String.sub r.data (take r width) width)))
 
 let magic m c =
