@@ -30,15 +30,8 @@ let wkeys =
 
 let token = Sectopk.Codec.encode_token (Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2)
 
-let counter = ref 0
-
 let store_dir () =
-  incr counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "test_server_%d_%d" (Unix.getpid ()) !counter)
-  in
+  let dir = Tmp_dirs.fresh "test_server" in
   Store.build ~dir pub er;
   dir
 
@@ -601,12 +594,7 @@ let test_sharded_server () =
     Sectopk.Codec.encode_token
       (Sectopk.Scheme.token key2 ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2)
   in
-  incr counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "test_server_sh_%d_%d" (Unix.getpid ()) !counter)
-  in
+  let dir = Tmp_dirs.fresh "test_server_sh" in
   Store.Sharded.build ~dir pub ers;
   let stores = Store.Sharded.open_index ~dir pub in
   let srv = Server.start (cfg 2 8) (Server.Sharded stores) in

@@ -27,13 +27,7 @@ let all_ids = List.init (Relation.n_rows rel) (fun i -> Relation.object_id rel i
 let oid_of_id id = int_of_string (String.sub id 1 (String.length id - 1))
 let provision () = Ctx.provision ~seed ~key_bits ~rand_bits ()
 
-let counter = ref 0
-
-let fresh_dir () =
-  incr counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "test_shard_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir () = Tmp_dirs.fresh "test_shard"
 
 let with_obs f =
   let prev = Obs.is_enabled () in

@@ -25,13 +25,7 @@ let fig3 =
 let pub, _sk, _ctx_rng0, data_rng0 = Ctx.provision ~seed ~key_bits ~rand_bits ()
 let er, key = Sectopk.Scheme.encrypt ~s:4 data_rng0 pub fig3
 
-let counter = ref 0
-
-let fresh_dir () =
-  incr counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "test_store_%d_%d" (Unix.getpid ()) !counter)
+let fresh_dir () = Tmp_dirs.fresh "test_store"
 
 let build_store ?block_records () =
   let dir = fresh_dir () in
