@@ -43,6 +43,9 @@ let init () =
 
 let copy c = { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 64 0 }
 
+(* a rotation whose bits above 31 are left for the caller's mask *)
+let rot x n = (x lsr n) lor (x lsl (32 - n))
+
 (* The 64-byte block at [off] of [blk] into [ctx.h]; allocates nothing. *)
 let compress ctx blk off =
   let w = ctx.w in
@@ -51,8 +54,8 @@ let compress ctx blk off =
   done;
   for t = 16 to 63 do
     let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
-    let s0 = ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) in
-    let s1 = ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10) in
+    let s0 = rot x 7 lxor rot x 18 lxor (x lsr 3) in
+    let s1 = rot y 17 lxor rot y 19 lxor (y lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land m32)
   done;
@@ -63,10 +66,10 @@ let compress ctx blk off =
   let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
   for t = 0 to 63 do
     let ev = !e and av = !a in
-    let s1 = ((ev lsr 6) lor (ev lsl 26)) lxor ((ev lsr 11) lor (ev lsl 21)) lxor ((ev lsr 25) lor (ev lsl 7)) in
+    let s1 = rot ev 6 lxor rot ev 11 lxor rot ev 25 in
     let ch = (ev land !f) lxor (lnot ev land !g) in
     let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
-    let s0 = ((av lsr 2) lor (av lsl 30)) lxor ((av lsr 13) lor (av lsl 19)) lxor ((av lsr 22) lor (av lsl 10)) in
+    let s0 = rot av 2 lxor rot av 13 lxor rot av 22 in
     let maj = (av land !b) lor (!c land (av lor !b)) in
     hh := !g;
     g := !f;
