@@ -686,10 +686,9 @@ let index_info store_dir seed bits verify =
         let st = Store.open_index ~dir:store_dir pub in
         if verify then Store.verify st;
         Format.printf
-          "generation %d: %d rows x %d lists, s=%d, %d records/block, %d pending updates, %d KB \
-           on disk%s@."
+          "generation %d: %d rows x %d lists, s=%d, %d records/block, %d KB on disk%s@."
           (Store.generation st) (Store.n_rows st) (Store.n_attrs st) (Store.cells st)
-          (Store.block_records st) (Store.pending_updates st)
+          (Store.block_records st)
           (Store.disk_bytes st / 1024)
           (if verify then ", all blocks verified" else "");
         Store.close st)

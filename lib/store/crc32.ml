@@ -1,6 +1,6 @@
 (* CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.  Used to
    checksum every on-disk store artifact: manifest, segment headers,
-   segment blocks and update-log records. *)
+   segment blocks and the shard map. *)
 
 let table =
   lazy
@@ -11,16 +11,13 @@ let table =
          done;
          !c))
 
-let update crc s ~pos ~len =
+let sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Crc32.sub";
   let table = Lazy.force table in
-  let crc = ref (crc lxor 0xffffffff) in
+  let crc = ref 0xffffffff in
   for i = pos to pos + len - 1 do
     crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
   done;
   !crc lxor 0xffffffff
-
-let sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Crc32.sub";
-  update 0 s ~pos ~len
 
 let string s = sub s ~pos:0 ~len:(String.length s)

@@ -5,7 +5,3 @@ val string : string -> int
 
 (** [sub s ~pos ~len] — CRC of the substring. *)
 val sub : string -> pos:int -> len:int -> int
-
-(** [update crc s ~pos ~len] — streaming continuation: feeding a string
-    in chunks gives the same value as one [string] call. *)
-val update : int -> string -> pos:int -> len:int -> int

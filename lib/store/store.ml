@@ -1,6 +1,6 @@
 (* Durable on-disk encrypted index: versioned manifest + per-list segment
-   files + append-only update log.  See store.mli and DESIGN.md §4e for
-   the format; the invariants that matter are
+   files.  See store.mli and DESIGN.md §4e for the format; the invariants
+   that matter are
 
    - the MANIFEST rename is the only commit point (crash safety),
    - every artifact is CRC-checksummed and every failure is a typed
@@ -33,15 +33,11 @@ let error_message = function
   | Corrupt msg -> Printf.sprintf "corrupt store: %s" msg
   | Key_mismatch msg -> Printf.sprintf "key mismatch: %s" msg
 
-let pp_error fmt e = Format.pp_print_string fmt (error_message e)
-
 let version = 1
 let manifest_magic = "STKM"
 let segment_magic = "STKS"
-let log_magic = "STKL"
 let manifest_name = "MANIFEST"
 let segment_name ~gen list = Printf.sprintf "seg_%d_%d.stk" gen list
-let log_name ~gen = Printf.sprintf "updates_%d.log" gen
 
 (* ---- sealed bytes ------------------------------------------------------
 
@@ -67,18 +63,16 @@ let check_prologue ~file magic data =
 (* [body], then its CRC-32 *)
 let sealed body = body ^ C.encode C.u32 (Crc32.string body)
 
-(* the bytes before [data]'s trailing CRC-32, once it matches them *)
-let checked ~file ~what data =
+(* the value the bytes before [data]'s trailing CRC-32 decode to, once
+   its prologue and that CRC check *)
+let unseal ~file ~what magic c data =
+  check_prologue ~file magic data;
   let len = String.length data in
+  if len < 9 then err (Truncated file);
   let body = String.sub data 0 (len - 4) in
   if Crc32.string body <> decode ~file C.u32 (String.sub data (len - 4) 4) then
     err (Corrupt (Printf.sprintf "%s: %s checksum mismatch" file what));
-  body
-
-let unseal ~file ~what magic c data =
-  check_prologue ~file magic data;
-  if String.length data < 9 then err (Truncated file);
-  decode ~file c (checked ~file ~what data)
+  decode ~file c body
 
 (* ---- file helpers ------------------------------------------------------ *)
 
@@ -269,102 +263,25 @@ let open_segment ~dir man ~list ~rec_bytes =
     Unix.close fd;
     raise e
 
-(* ---- update log -------------------------------------------------------- *)
-
-(* the log's header holds its generation *)
-let log_header = versioned log_magic C.u32
-let log_header_bytes = log_header.C.min + 4
-
-(* A record's payload: its sequence number, then one (position, entry)
-   splice per list. Fixed-width, so every record has the same length. *)
-let log_payload ~m record = C.(pair u32 (array_n m (pair u32 record)))
-
-(* the payload's length, the payload, its CRC-32 *)
-let encode_log_record log v =
-  let payload = C.encode log v in
-  C.encode C.u32 (String.length payload) ^ sealed payload
-
-(* Replay: complete checksummed records apply in order; a torn tail (a
-   crash mid-append) is tolerated and ignored; a complete record with a
-   bad length, checksum or structure is a typed error. A record is
-   complete when a whole record's bytes follow its length field, counted
-   by that field or by the fixed length: a damaged length cannot pass
-   acknowledged records off as a torn tail. Returns the records and the
-   byte offset of the end of the valid prefix, so the caller can
-   truncate a torn tail before appending (the log fd is O_APPEND: a new
-   record written after surviving garbage would be unreachable on the
-   next replay). *)
-let replay_log ~file data ~gen log =
-  check_prologue ~file log_magic data;
-  let len = String.length data in
-  if len < log_header_bytes then err (Truncated file);
-  let header = String.sub data 0 log_header_bytes in
-  if unseal ~file ~what:"log header" log_magic log_header header <> gen then
-    err (Corrupt (file ^ ": log generation disagrees with manifest"));
-  let expect = log.C.min in
-  let rec go pos count acc =
-    (* the end of the log, or a torn tail from [pos] on *)
-    let stop () = (List.rev acc, pos) in
-    let left = len - pos in
-    if left < 4 then stop ()
-    else
-      let stated = decode ~file C.u32 (String.sub data pos 4) in
-      if left < 8 + min stated expect then stop ()
-      else if stated <> expect then err (Corrupt (file ^ ": bad record length"))
-      else begin
-        let sealed_payload = String.sub data (pos + 4) (expect + 4) in
-        let what = Printf.sprintf "record %d" count in
-        let seq, entries = decode ~file log (checked ~file ~what sealed_payload) in
-        if seq <> count then err (Corrupt (file ^ ": record out of sequence"));
-        go (pos + 8 + expect) (count + 1) (entries :: acc)
-      end
-  in
-  go log_header_bytes 0 []
-
 (* ---- handle ------------------------------------------------------------ *)
-
-type slot = Base of int | Upd of int
 
 type cached = { entries : Proto.Enc_item.entry array; mutable last_use : int }
 
 type t = {
   dir : string;
   gen : int;
-  base_n : int;
+  n : int;
   m : int;
   s : int;
   brec : int;
   record : Proto.Enc_item.entry C.t;
-  log : (int * (int * Proto.Enc_item.entry) array) C.t;
   segs : seg array;
-  log_fd : Unix.file_descr;
-  log_path : string;
-  mutable log_count : int;
-  mutable updates : Proto.Enc_item.entry array array;  (* updates.(r).(list) *)
-  mutable overlay : slot array array;  (* overlay.(list).(depth) *)
   cache : (int * int, cached) Hashtbl.t;  (* (list, block) -> decoded records *)
   cache_cap : int;
   mutable tick : int;
   lock : Mutex.t;
   mutable closed : bool;
 }
-
-let insert_slot arr pos v =
-  let len = Array.length arr in
-  Array.init (len + 1) (fun i -> if i < pos then arr.(i) else if i = pos then v else arr.(i - 1))
-
-(* splice the next update-log record into every list's overlay *)
-let apply_update t entries ~file =
-  let upd_index = t.log_count in
-  Array.iteri
-    (fun list (pos, _) ->
-      let arr = t.overlay.(list) in
-      if pos < 0 || pos > Array.length arr then
-        err (Corrupt (Printf.sprintf "%s: record %d position out of range" file upd_index));
-      t.overlay.(list) <- insert_slot arr pos (Upd upd_index))
-    entries;
-  t.updates <- Array.append t.updates [| Array.map snd entries |];
-  t.log_count <- upd_index + 1
 
 let open_index ?(cache_blocks = 64) ~dir pub =
   if cache_blocks <= 0 then invalid_arg "Store.open_index: cache_blocks <= 0";
@@ -373,57 +290,32 @@ let open_index ?(cache_blocks = 64) ~dir pub =
   check_key ~file:(Filename.concat dir manifest_name) pub ~key_bits:man.man_key_bits
     ~width:man.man_width ~fp:man.man_fp;
   let record = record pub ~s:man.man_s in
-  let log = log_payload ~m:man.man_m record in
-  (* every descriptor opened below is closed again if the open fails *)
-  let fds = ref [] in
-  let track fd = fds := fd :: !fds in
+  (* every segment opened below is closed again if a later one fails *)
+  let opened = ref [] in
   match
-    let segs =
-      Array.init man.man_m (fun list ->
-          let seg = open_segment ~dir man ~list ~rec_bytes:record.C.min in
-          track seg.seg_fd;
-          seg)
-    in
-    let log_path = Filename.concat dir (log_name ~gen:man.man_gen) in
-    let log_data = read_whole_file log_path in
-    let records, valid_end = replay_log ~file:log_path log_data ~gen:man.man_gen log in
-    let log_fd = Unix.openfile log_path [ O_WRONLY; O_APPEND ] 0o644 in
-    track log_fd;
-    (* drop any torn tail now, so appends land at the end of the valid
-       prefix instead of after garbage that would shadow them on replay *)
-    if valid_end < String.length log_data then begin
-      Unix.ftruncate log_fd valid_end;
-      Unix.fsync log_fd
-    end;
-    let t =
-      {
-        dir;
-        gen = man.man_gen;
-        base_n = man.man_n;
-        m = man.man_m;
-        s = man.man_s;
-        brec = man.man_brec;
-        record;
-        log;
-        segs;
-        log_fd;
-        log_path;
-        log_count = 0;
-        updates = [||];
-        overlay = Array.init man.man_m (fun _ -> Array.init man.man_n (fun i -> Base i));
-        cache = Hashtbl.create 64;
-        cache_cap = cache_blocks;
-        tick = 0;
-        lock = Mutex.create ();
-        closed = false;
-      }
-    in
-    List.iter (fun entries -> apply_update t entries ~file:log_path) records;
-    t
+    Array.init man.man_m (fun list ->
+        let seg = open_segment ~dir man ~list ~rec_bytes:record.C.min in
+        opened := seg :: !opened;
+        seg)
   with
-  | t -> t
+  | segs ->
+    {
+      dir;
+      gen = man.man_gen;
+      n = man.man_n;
+      m = man.man_m;
+      s = man.man_s;
+      brec = man.man_brec;
+      record;
+      segs;
+      cache = Hashtbl.create 64;
+      cache_cap = cache_blocks;
+      tick = 0;
+      lock = Mutex.create ();
+      closed = false;
+    }
   | exception e ->
-    List.iter Unix.close !fds;
+    List.iter (fun seg -> Unix.close seg.seg_fd) !opened;
     raise e
 
 let close t =
@@ -434,21 +326,18 @@ let close t =
       if not t.closed then begin
         t.closed <- true;
         Array.iter (fun s -> Unix.close s.seg_fd) t.segs;
-        Unix.close t.log_fd;
         Hashtbl.reset t.cache
       end)
 
 let check_open t what = if t.closed then invalid_arg ("Store." ^ what ^ ": store is closed")
-let n_rows t = t.base_n + t.log_count
+let n_rows t = t.n
 let n_attrs t = t.m
 let cells t = t.s
 let generation t = t.gen
 let block_records t = t.brec
-let pending_updates t = t.log_count
 
 let disk_bytes t =
   file_size (Filename.concat t.dir manifest_name)
-  + file_size t.log_path
   + Array.fold_left (fun acc s -> acc + file_size s.seg_file) 0 t.segs
 
 (* Evict the least-recently-used block when over capacity (linear scan:
@@ -468,7 +357,7 @@ let evict_if_needed t =
 (* Load one block through the checksum table; caller holds [t.lock]. *)
 let load_block t list block =
   let first = block * t.brec in
-  let count = min t.brec (t.base_n - first) in
+  let count = min t.brec (t.n - first) in
   let rec_bytes = t.record.C.min in
   let seg = t.segs.(list) in
   let off = seg.seg_header_bytes + (first * rec_bytes) in
@@ -500,37 +389,16 @@ let entry t ~list ~depth =
     (fun () ->
       check_open t "entry";
       if list < 0 || list >= t.m then invalid_arg "Store.entry: list out of range";
-      if depth < 0 || depth >= Array.length t.overlay.(list) then
-        invalid_arg "Store.entry: depth out of range";
-      match t.overlay.(list).(depth) with
-      | Upd r -> t.updates.(r).(list)
-      | Base i ->
-        let block = i / t.brec in
-        (block_entries t list block).(i mod t.brec))
+      if depth < 0 || depth >= t.n then invalid_arg "Store.entry: depth out of range";
+      (block_entries t list (depth / t.brec)).(depth mod t.brec))
 
 let relation t =
   Sectopk.Scheme.of_fetch ~n:(n_rows t) ~m:t.m (fun list depth ->
       let e = entry t ~list ~depth in
       (e.Proto.Enc_item.ehl, e.Proto.Enc_item.score))
 
-let append_row t ~entries =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      check_open t "append_row";
-      if Array.length entries <> t.m then
-        invalid_arg "Store.append_row: one (position, entry) per list required";
-      Array.iter
-        (fun (pos, _) ->
-          if pos < 0 || pos > n_rows t then invalid_arg "Store.append_row: position out of range")
-        entries;
-      write_all t.log_fd (encode_log_record t.log (t.log_count, entries));
-      Unix.fsync t.log_fd;
-      apply_update t entries ~file:t.log_path)
-
 let verify t =
-  let nblocks = (t.base_n + t.brec - 1) / t.brec in
+  let nblocks = (t.n + t.brec - 1) / t.brec in
   for list = 0 to t.m - 1 do
     for block = 0 to nblocks - 1 do
       Mutex.lock t.lock;
@@ -568,7 +436,6 @@ let build ?(block_records = 16) ~dir pub er =
         write_file_atomic ~dir (segment_name ~gen list) file;
         hcrc)
   in
-  write_file_atomic ~dir (log_name ~gen) (sealed (C.encode log_header gen));
   let man_bytes =
     C.encode manifest
       {
@@ -583,9 +450,9 @@ let build ?(block_records = 16) ~dir pub er =
         man_seg_crcs = seg_crcs;
       }
   in
-  (* POSIX does not order rename durability, so persist the segment and
-     log renames before the manifest rename can possibly land — the
-     manifest must never point at files a crash could un-publish *)
+  (* POSIX does not order rename durability, so persist the segment
+     renames before the manifest rename can possibly land — the manifest
+     must never point at files a crash could un-publish *)
   fsync_dir dir;
   (* the commit point: everything above is durable before this rename *)
   write_file_atomic ~dir manifest_name (sealed man_bytes);
@@ -700,7 +567,7 @@ module Sharded = struct
               err (Corrupt (man_path ^ ": shard manifest does not match the published shard map"));
             let st = open_index ?cache_blocks ~dir:sdir pub in
             opened := st :: !opened;
-            if st.base_n <> e.sm_rows || st.gen <> e.sm_gen then
+            if st.n <> e.sm_rows || st.gen <> e.sm_gen then
               err (Corrupt (man_path ^ ": shard shape disagrees with the shard map"));
             st)
           map.sm_shards

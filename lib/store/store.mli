@@ -1,24 +1,21 @@
 (** Durable on-disk encrypted index.
 
     A store directory holds one published generation of the encrypted
-    relation: a checksummed [MANIFEST], one segment file per permuted
+    relation: a checksummed [MANIFEST] and one segment file per permuted
     sorted list (fixed-width ciphertext records in depth order, so a list
-    prefix of depth [d] is served without reading the rest of the file),
-    and an append-only update log whose records are replayed on open.
-    Publication is atomic: every file of a new generation is written to a
-    temp name, fsynced and renamed, and the [rename] of [MANIFEST] is the
-    single commit point — a crash at any earlier instant leaves the
-    previous generation fully readable.
+    prefix of depth [d] is served without reading the rest of the file).
+    Files the manifest does not name are ignored. Publication is atomic:
+    every file of a new generation is written to a temp name, fsynced and
+    renamed, and the [rename] of [MANIFEST] is the single commit point — a
+    crash at any earlier instant leaves the previous generation fully
+    readable.
 
     Every file is described once, as a {!Proto.Codec} value. A record is
     [s] EHL+ cells then the score, each a big-endian natural padded to
     the ciphertext width of the Paillier key, so store-backed entries
     are byte-identical to the in-memory path. Every file ends with a
     CRC-32 that is checked, after its magic and version, before
-    anything it covers is decoded. An update-log record whose length
-    field disagrees with the fixed record length is [Corrupt] whenever
-    a whole record's bytes follow; only a shorter tail is a torn
-    append, dropped on open.
+    anything it covers is decoded.
 
     Reads are lazy: segment bodies are mapped into an LRU block cache
     ({!Obs.Metrics.Store_read_bytes} / [Cache_hit] / [Cache_miss]); each
@@ -41,7 +38,6 @@ type error =
 exception Error of error
 
 val error_message : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 type t
 
@@ -53,7 +49,7 @@ type t
 val build : ?block_records:int -> dir:string -> Paillier.public -> Sectopk.Scheme.encrypted_relation -> unit
 
 (** [open_index ~dir pub] validates the manifest and every segment
-    header, replays the update log, and returns a lazily reading handle.
+    header and returns a lazily reading handle.
     Raises {!Error} on missing, truncated, corrupted or key-mismatched
     files, after closing every file it opened. [cache_blocks] bounds the
     LRU block cache (default 64 blocks). *)
@@ -61,7 +57,7 @@ val open_index : ?cache_blocks:int -> dir:string -> Paillier.public -> t
 
 val close : t -> unit
 
-(** Rows served, including update-log rows replayed on open. *)
+(** Rows per list, as the manifest records them. *)
 val n_rows : t -> int
 
 val n_attrs : t -> int
@@ -72,29 +68,20 @@ val cells : t -> int
 val generation : t -> int
 val block_records : t -> int
 
-(** Bytes on disk across manifest, segments and update log. *)
+(** Bytes on disk across manifest and segments. *)
 val disk_bytes : t -> int
-
-(** Update-log records currently applied. *)
-val pending_updates : t -> int
 
 (** [entry t ~list ~depth] — the store-backed equivalent of
     {!Sectopk.Scheme.entry}; loads (and caches) the containing block on
     demand. Raises {!Error} [(Corrupt _)] if the block fails its
-    checksum. Safe to call from multiple domains. *)
+    checksum, and [Invalid_argument] for a list or depth outside the
+    index or a closed store. Safe to call from multiple domains. *)
 val entry : t -> list:int -> depth:int -> Proto.Enc_item.entry
 
 (** The lazily backed relation: {!Sectopk.Query.run} over this value
     must be byte-identical to running over the in-memory relation it was
     built from. *)
 val relation : t -> Sectopk.Scheme.encrypted_relation
-
-(** [append_row t ~entries] durably appends one SecUpdate-shaped delta to
-    the update log and applies it in memory: [entries.(l) = (pos, e)]
-    inserts entry [e] at position [pos] of permuted list [l] (positions
-    are w.r.t. the list as already updated by earlier deltas, the shape
-    Proto.Sec_update emits). One entry per list is required. *)
-val append_row : t -> entries:(int * Proto.Enc_item.entry) array -> unit
 
 (** [verify t] force-reads every block of every segment through the
     checksum path (cold blocks only; cached blocks were already

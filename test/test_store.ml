@@ -2,9 +2,9 @@
    with the in-memory path (results, S2 trace, crypto op-counters, on
    both local transports), publication is crash-safe (the MANIFEST
    rename is the only commit point), every corruption class is rejected
-   with its typed error, the LRU block cache is lazy and counted, the
-   update log replays SecUpdate-shaped deltas, and CSV ingestion accepts
-   UCI-shaped files while rejecting malformed rows with line numbers. *)
+   with its typed error, the LRU block cache is lazy and counted, and CSV
+   ingestion accepts UCI-shaped files while rejecting malformed rows with
+   line numbers. *)
 
 open Bignum
 open Crypto
@@ -43,8 +43,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let file_size_of path = (Unix.stat path).Unix.st_size
-
 let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
@@ -60,10 +58,6 @@ let flip_byte path pos =
 let chop_byte path =
   let s = read_file path in
   write_file path (String.sub s 0 (String.length s - 1))
-
-let append_bytes path s =
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
 
 let expect_error name pred f =
   match f () with
@@ -186,7 +180,6 @@ let test_crash_leaves_previous_generation () =
      unrenamed manifest temp must not affect the published generation *)
   write_file (Filename.concat dir "MANIFEST.tmp") "partial garbage";
   write_file (Filename.concat dir "seg_2_0.stk") "STKS half-written";
-  write_file (Filename.concat dir "updates_2.log") "torn";
   let st = Store.open_index ~dir pub in
   Alcotest.(check int) "old generation still published" 1 (Store.generation st);
   Store.verify st;
@@ -274,27 +267,27 @@ let test_missing_dir () =
     (fun () -> Store.open_index ~dir:(fresh_dir ()) pub)
 
 (* A failed open closes every descriptor it opened: segments already
-   open when the log or a later segment fails, and the segments of a
-   failing shard under a sharded open. *)
+   open when the last segment fails, and the segments of a failing shard
+   under a sharded open. *)
 let test_failed_open_closes_fds () =
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
-  let bad_log = build_store () in
-  flip_byte (Filename.concat bad_log "updates_1.log") 0;
+  let bad_last_seg = build_store () in
+  flip_byte (Filename.concat bad_last_seg "seg_1_2.stk") 0;
   let no_last_seg = build_store () in
   Sys.remove (Filename.concat no_last_seg "seg_1_2.stk");
   let sharded = fresh_dir () in
   let ers, _ = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards:2 (Rng.create ~seed:"fds") pub fig3 in
   Store.Sharded.build ~dir:sharded pub ers;
-  flip_byte (Filename.concat sharded "shard_1/updates_1.log") 0;
+  flip_byte (Filename.concat sharded "shard_1/seg_1_2.stk") 0;
   let before = open_fds () in
   for _ = 1 to 10 do
-    expect_error "bad log magic" (function Store.Bad_magic _ -> true | _ -> false) (fun () ->
-        Store.open_index ~dir:bad_log pub);
+    expect_error "bad last segment magic" (function Store.Bad_magic _ -> true | _ -> false)
+      (fun () -> Store.open_index ~dir:bad_last_seg pub);
     expect_error "last segment missing" (function Store.Missing _ -> true | _ -> false) (fun () ->
         Store.open_index ~dir:no_last_seg pub);
-    expect_error "second shard's log" (function Store.Bad_magic _ -> true | _ -> false) (fun () ->
-        Store.Sharded.open_index ~dir:sharded pub)
+    expect_error "second shard's last segment" (function Store.Bad_magic _ -> true | _ -> false)
+      (fun () -> Store.Sharded.open_index ~dir:sharded pub)
   done;
   Alcotest.(check int) "open descriptors after 30 failed opens" before (open_fds ())
 
@@ -329,129 +322,6 @@ let test_cache_counters () =
           Alcotest.(check bool) "eviction causes a re-miss" true (counter_of c "cache_miss" > 5));
       Store.close st)
 
-(* ---------------- update log ---------------- *)
-
-let upd_rng = Rng.create ~seed:"store-updates"
-let prf_keys = Prf.gen_keys upd_rng 4
-
-let new_entry oid v =
-  {
-    Enc_item.ehl = Ehl.Ehl_plus.encode upd_rng pub ~keys:prf_keys oid;
-    score = Paillier.encrypt upd_rng pub (Nat.of_int v);
-  }
-
-let entry_eq (a : Enc_item.entry) (b : Enc_item.entry) =
-  Nat.equal (a.score :> Nat.t) (b.score :> Nat.t)
-  && Array.for_all2
-       (fun (x : Paillier.ciphertext) (y : Paillier.ciphertext) ->
-         Nat.equal (x :> Nat.t) (y :> Nat.t))
-       (Ehl.Ehl_plus.cells a.ehl) (Ehl.Ehl_plus.cells b.ehl)
-
-(* splice [e] into position [pos] of the expected column *)
-let splice col pos e =
-  Array.init
-    (Array.length col + 1)
-    (fun i -> if i < pos then col.(i) else if i = pos then e else col.(i - 1))
-
-let check_against_expected name st expected =
-  Array.iteri
-    (fun list col ->
-      Array.iteri
-        (fun depth e ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s (%d,%d)" name list depth)
-            true
-            (entry_eq e (Store.entry st ~list ~depth)))
-        col)
-    expected
-
-let base_columns () =
-  Array.init 3 (fun list -> Array.init 5 (fun depth -> Sectopk.Scheme.entry er ~list ~depth))
-
-let test_append_row_replay () =
-  let dir = build_store ~block_records:2 () in
-  let st = Store.open_index ~dir pub in
-  let row1 = [| (0, new_entry "o5" 11); (2, new_entry "o5" 9); (5, new_entry "o5" 7) |] in
-  let row2 = [| (6, new_entry "o6" 1); (0, new_entry "o6" 12); (3, new_entry "o6" 4) |] in
-  Store.append_row st ~entries:row1;
-  Alcotest.(check int) "rows after first delta" 6 (Store.n_rows st);
-  Store.append_row st ~entries:row2;
-  Alcotest.(check int) "rows after second delta" 7 (Store.n_rows st);
-  Alcotest.(check int) "pending updates" 2 (Store.pending_updates st);
-  let expected =
-    Array.mapi
-      (fun l col ->
-        let p1, e1 = row1.(l) and p2, e2 = row2.(l) in
-        splice (splice col p1 e1) p2 e2)
-      (base_columns ())
-  in
-  check_against_expected "in-memory overlay" st expected;
-  Store.close st;
-  (* replay on open must reconstruct the same spliced lists *)
-  let st = Store.open_index ~dir pub in
-  Alcotest.(check int) "rows after replay" 7 (Store.n_rows st);
-  Alcotest.(check int) "pending after replay" 2 (Store.pending_updates st);
-  check_against_expected "replayed overlay" st expected;
-  Alcotest.(check int) "relation view sees the deltas" 7
-    (Sectopk.Scheme.n_rows (Store.relation st));
-  Store.close st;
-  (* a torn tail (crash mid-append) is tolerated: the complete prefix
-     replays, the partial record is ignored *)
-  append_bytes (Filename.concat dir "updates_1.log") "\x00\x00\x01\x00torn";
-  let st = Store.open_index ~dir pub in
-  Alcotest.(check int) "torn tail tolerated" 2 (Store.pending_updates st);
-  check_against_expected "overlay after torn tail" st expected;
-  (* an append after recovery must land at the end of the valid prefix
-     (open truncates the torn bytes), so the acknowledged record is
-     still there on the next replay instead of hiding behind garbage *)
-  let row3 = [| (1, new_entry "o7" 6); (4, new_entry "o7" 2); (0, new_entry "o7" 13) |] in
-  Store.append_row st ~entries:row3;
-  Alcotest.(check int) "rows after post-recovery delta" 8 (Store.n_rows st);
-  Store.close st;
-  let st = Store.open_index ~dir pub in
-  Alcotest.(check int) "post-recovery append replays" 3 (Store.pending_updates st);
-  let expected3 =
-    Array.mapi
-      (fun l col ->
-        let p, e = row3.(l) in
-        splice col p e)
-      expected
-  in
-  check_against_expected "overlay after post-recovery append" st expected3;
-  Store.close st
-
-let test_corrupt_log_record () =
-  let dir = build_store () in
-  let st = Store.open_index ~dir pub in
-  Store.append_row st
-    ~entries:[| (0, new_entry "o5" 3); (1, new_entry "o5" 3); (2, new_entry "o5" 3) |];
-  Store.close st;
-  (* a complete record whose checksum does not match is damage, not a
-     torn write — it must be rejected, not skipped *)
-  append_bytes (Filename.concat dir "updates_1.log") "\x00\x00\x00\x04ABCD\xde\xad\xbe\xef";
-  expect_error "bad log record checksum" is_corrupt (fun () -> Store.open_index ~dir pub);
-  (* so must a flipped byte inside the real record *)
-  let dir2 = build_store () in
-  let st = Store.open_index ~dir:dir2 pub in
-  Store.append_row st
-    ~entries:[| (0, new_entry "o5" 3); (1, new_entry "o5" 3); (2, new_entry "o5" 3) |];
-  Store.close st;
-  flip_byte (Filename.concat dir2 "updates_1.log") (-5);
-  expect_error "flipped log byte" is_corrupt (fun () -> Store.open_index ~dir:dir2 pub)
-
-let test_append_row_validation () =
-  let dir = build_store () in
-  let st = Store.open_index ~dir pub in
-  let bad_arity = [| (0, new_entry "x" 1) |] in
-  Alcotest.check_raises "one entry per list"
-    (Invalid_argument "Store.append_row: one (position, entry) per list required")
-    (fun () -> Store.append_row st ~entries:bad_arity);
-  let bad_pos = [| (0, new_entry "x" 1); (9, new_entry "x" 1); (0, new_entry "x" 1) |] in
-  Alcotest.check_raises "position bound"
-    (Invalid_argument "Store.append_row: position out of range")
-    (fun () -> Store.append_row st ~entries:bad_pos);
-  Store.close st
-
 (* ---------------- golden bytes ---------------- *)
 
 (* Every file under [dir] as a path relative to it, sorted. *)
@@ -463,9 +333,8 @@ let rec files_under dir rel =
          if Sys.is_directory (Filename.concat dir rel) then files_under dir rel else [ rel ])
 
 (* A SHA-256 over the name and bytes of every file a single store and a
-   2-shard store publish, update logs aside, so any byte that moves in
-   the MANIFEST, segment or SHARDMAP format fails here (mirrors
-   test_wire's frame digest). *)
+   2-shard store publish, so any byte that moves in the MANIFEST, segment
+   or SHARDMAP format fails here (mirrors test_wire's frame digest). *)
 let golden_files_sha256 = "2d1cc30ff51c4a2788906743885b15608def0026bb3aa4ea02e2f33f593d8bb4"
 
 let test_golden_files () =
@@ -477,10 +346,8 @@ let test_golden_files () =
   let add_dir dir =
     List.iter
       (fun f ->
-        if not (Filename.check_suffix f ".log") then begin
-          add f;
-          add (read_file (Filename.concat dir f))
-        end)
+        add f;
+        add (read_file (Filename.concat dir f)))
       (files_under dir "")
   in
   add_dir (build_store ());
@@ -494,8 +361,8 @@ let test_golden_files () =
 
 (* ---------------- verdict sweep ---------------- *)
 
-(* Open and verify: the pending updates of every handle, or the typed
-   error. Any other exception escapes and fails the test. *)
+(* Open and verify every handle: [Ok ()], or the typed error. Any other
+   exception escapes and fails the test. *)
 let open_verify open_ =
   match open_ () with
   | exception Store.Error e -> Error e
@@ -504,64 +371,41 @@ let open_verify open_ =
       ~finally:(fun () -> Array.iter Store.close sts)
       (fun () ->
         match Array.iter Store.verify sts with
-        | () -> Ok (Array.map Store.pending_updates sts)
+        | () -> Ok ()
         | exception Store.Error e -> Error e)
 
 (* Flip one bit of every byte of [file], then cut it at every length;
-   each damaged copy must be a [Store.Error] from open or verify, except
-   a cut that [cut_opens] maps to the pending updates it must open with. *)
-let sweep ~dir ~file ~open_ ~cut_opens =
+   each damaged copy must be a [Store.Error] from open or verify. *)
+let sweep ~dir ~file ~open_ =
   let path = Filename.concat dir file in
   let pristine = read_file path in
   let len = String.length pristine in
-  let case what bytes expected =
+  let case what bytes =
     write_file path bytes;
     let verdict = open_verify open_ in
     write_file path pristine;
-    match (verdict, expected) with
-    | Error _, None -> ()
-    | Ok pending, Some n when pending = [| n |] -> ()
-    | Ok pending, _ ->
-      Alcotest.failf "%s %s: opened with %d pending updates" file what
-        (Array.fold_left ( + ) 0 pending)
-    | Error e, _ -> Alcotest.failf "%s %s: %s" file what (Store.error_message e)
+    if Result.is_ok verdict then Alcotest.failf "%s %s: opened and verified" file what
   in
   for i = 0 to len - 1 do
     let b = Bytes.of_string pristine in
     Bytes.set b i (Char.chr (Char.code pristine.[i] lxor (1 lsl (i mod 8))));
-    case (Printf.sprintf "bit %d flipped" ((8 * i) + (i mod 8))) (Bytes.to_string b) None
+    case (Printf.sprintf "bit %d flipped" ((8 * i) + (i mod 8))) (Bytes.to_string b)
   done;
   for cut = 0 to len - 1 do
-    case (Printf.sprintf "cut at %d" cut) (String.sub pristine 0 cut) (cut_opens cut)
+    case (Printf.sprintf "cut at %d" cut) (String.sub pristine 0 cut)
   done
 
 let test_verdict_sweep () =
   let dir = build_store () in
-  let log = Filename.concat dir "updates_1.log" in
-  (* log sizes after 0, 1, 2 and 3 appended records *)
-  let sizes = ref [ file_size_of log ] in
-  let st = Store.open_index ~dir pub in
-  for r = 1 to 3 do
-    Store.append_row st
-      ~entries:[| (0, new_entry "o9" r); (r, new_entry "o9" r); (5, new_entry "o9" r) |];
-    sizes := file_size_of log :: !sizes
-  done;
-  Store.close st;
-  let sizes = List.rev !sizes in
   let single () = [| Store.open_index ~dir pub |] in
-  let never _ = None in
-  sweep ~dir ~file:"MANIFEST" ~open_:single ~cut_opens:never;
-  sweep ~dir ~file:"seg_1_1.stk" ~open_:single ~cut_opens:never;
-  (* a cut log opens with exactly the records wholly before the cut *)
-  sweep ~dir ~file:"updates_1.log" ~open_:single ~cut_opens:(fun cut ->
-      if cut < List.hd sizes then None
-      else Some (List.length (List.filter (fun s -> s <= cut) (List.tl sizes))));
+  sweep ~dir ~file:"MANIFEST" ~open_:single;
+  sweep ~dir ~file:"seg_1_1.stk" ~open_:single;
   let sdir = fresh_dir () in
   let ers, _ = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards:2 (Rng.create ~seed:"sweep") pub fig3 in
   Store.Sharded.build ~dir:sdir pub ers;
   let sharded () = Store.Sharded.open_index ~dir:sdir pub in
-  sweep ~dir:sdir ~file:"SHARDMAP" ~open_:sharded ~cut_opens:never;
-  sweep ~dir:sdir ~file:"shard_1/MANIFEST" ~open_:sharded ~cut_opens:never
+  sweep ~dir:sdir ~file:"SHARDMAP" ~open_:sharded;
+  sweep ~dir:sdir ~file:"shard_1/MANIFEST" ~open_:sharded
 
 (* ---------------- CSV ingestion ---------------- *)
 
@@ -635,10 +479,6 @@ let suite =
           test_failed_open_closes_fds ] );
     ( "cache",
       [ Alcotest.test_case "lazy reads, counters, eviction" `Quick test_cache_counters ] );
-    ( "updates",
-      [ Alcotest.test_case "append + replay" `Quick test_append_row_replay;
-        Alcotest.test_case "corrupt log record" `Quick test_corrupt_log_record;
-        Alcotest.test_case "validation" `Quick test_append_row_validation ] );
     ( "format",
       [ Alcotest.test_case "golden file digest" `Quick test_golden_files;
         Alcotest.test_case "verdict sweep" `Quick test_verdict_sweep ] );
