@@ -5,7 +5,6 @@ let make sign mag = if Nat.is_zero mag then { sign = 0; mag = Nat.zero } else { 
 
 let zero = { sign = 0; mag = Nat.zero }
 let one = { sign = 1; mag = Nat.one }
-let minus_one = { sign = -1; mag = Nat.one }
 let of_nat n = make 1 n
 let of_int n = if n >= 0 then make 1 (Nat.of_int n) else make (-1) (Nat.of_int (-n))
 let to_nat x = x.mag

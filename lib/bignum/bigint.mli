@@ -4,7 +4,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 val of_nat : Nat.t -> t
 val of_int : int -> t
 

@@ -59,7 +59,6 @@ let keygen ?rand_bits rng ~bits =
   (pub,
    { pub; p; q; lambda; mu; p2 = Nat.mul p p; q2 = Nat.mul q q; pm1; qm1; hp; hq; p_inv_q })
 
-let public_of_secret sk = sk.pub
 let secret_params sk = (sk.p, sk.q, sk.lambda)
 
 let with_rand_bits pub rb = { pub with rand_bits = rb }
@@ -198,4 +197,3 @@ let of_nat pub c =
 let ciphertext_bytes pub = (Nat.bit_length pub.n2 + 7) / 8
 let plaintext_bytes pub = (Nat.bit_length pub.n + 7) / 8
 let equal_ct = Nat.equal
-let pp_ct = Nat.pp

@@ -38,8 +38,6 @@ val keygen : ?rand_bits:int -> Rng.t -> bits:int -> public * secret
     embedded public too). *)
 val with_rand_bits : public -> int option -> public
 
-val public_of_secret : secret -> public
-
 (** Exposes [p], [q], [lambda] for the Damgård–Jurik extension. *)
 val secret_params : secret -> Nat.t * Nat.t * Nat.t
 
@@ -136,4 +134,3 @@ val ciphertext_bytes : public -> int
 val plaintext_bytes : public -> int
 
 val equal_ct : ciphertext -> ciphertext -> bool
-val pp_ct : Format.formatter -> ciphertext -> unit

@@ -570,10 +570,7 @@ module Registry = struct
   let counter_value c = locked c.creg (fun () -> !(c.c))
   let set g v = locked g.greg (fun () -> g.g := v)
   let add_gauge g v = locked g.greg (fun () -> g.g := !(g.g) +. v)
-  let gauge_value g = locked g.greg (fun () -> !(g.g))
   let observe h v = locked h.hreg (fun () -> Hist.record h.h v)
-  let observe_seconds h s = locked h.hreg (fun () -> Hist.record_seconds h.h s)
-  let hist_count h = locked h.hreg (fun () -> Hist.count h.h)
 
   let histdata_of_hist h =
     {

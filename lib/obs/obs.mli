@@ -48,7 +48,6 @@ module Span : sig
   val name : t -> string
   val seconds : t -> float
   val ops : t -> Metrics.t
-  val children : t -> t list
 end
 
 module Collector : sig
@@ -163,11 +162,8 @@ module Registry : sig
 
   val set : gauge -> float -> unit
   val add_gauge : gauge -> float -> unit
-  val gauge_value : gauge -> float
 
   val observe : histogram -> int -> unit
-  val observe_seconds : histogram -> float -> unit
-  val hist_count : histogram -> int
 
   val snapshot : t -> snapshot
 

@@ -35,5 +35,3 @@ val diff : snapshot -> snapshot -> snapshot
     [bandwidth_mbps] plus [rtt_ms] per round trip (the paper assumes a
     50 Mbps inter-cloud link). *)
 val latency_seconds : ?rtt_ms:float -> bandwidth_mbps:float -> t -> float
-
-val latency_of_snapshot : ?rtt_ms:float -> bandwidth_mbps:float -> snapshot -> float

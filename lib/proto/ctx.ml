@@ -98,7 +98,6 @@ let provision ~seed ~key_bits ?rand_bits () =
   let data_rng = Rng.fork root ~label:"data" in
   (pub, sk, ctx_rng, data_rng)
 
-let with_domains t domains = { t with domains }
 let with_batching t batching = { t with batching }
 
 let rpc t ~label req = Transport.rpc t.transport ~label req
@@ -188,6 +187,4 @@ let parallel t ~jobs f =
   done;
   map t ~jobs (fun i -> f s1s.(i) i)
 
-let paillier_ct_bytes t = Paillier.ciphertext_bytes t.s1.pub
-let dj_ct_bytes t = Damgard_jurik.ciphertext_bytes t.s1.djpub
 let sentinel_z (s1 : s1) = Bignum.Nat.pred s1.pub.Paillier.n

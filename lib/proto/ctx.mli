@@ -95,8 +95,6 @@ val provision :
   unit ->
   Paillier.public * Paillier.secret * Rng.t * Rng.t
 
-val with_domains : t -> int -> t
-
 (** Toggle batching (see the [batching] field). *)
 val with_batching : t -> bool -> t
 
@@ -157,11 +155,6 @@ val map : t -> jobs:int -> (int -> 'a) -> 'a array
     Results and accounting are byte-identical across any [domains]
     setting. *)
 val parallel : t -> jobs:int -> (s1 -> int -> 'a) -> 'a array
-
-(** Serialized sizes used for channel accounting. *)
-val paillier_ct_bytes : t -> int
-
-val dj_ct_bytes : t -> int
 
 (** The sentinel "never in top-k" worst score [Z = n - 1] (= -1 in the
     signed encoding), as in SecDedup. *)

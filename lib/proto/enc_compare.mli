@@ -16,12 +16,6 @@ open Crypto
     [n/2] are negative — the sentinel [Z] compares below every score). *)
 val leq : Ctx.t -> Paillier.ciphertext -> Paillier.ciphertext -> bool
 
-(** [signs_of ctx vs] — vectorized sign test: the signs of the
-    signed-decoded plaintexts of [vs] (already blinded by the caller),
-    fetched in one batch round. One [Comparison] trace event per element,
-    in index order. *)
-val signs_of : Ctx.t -> Paillier.ciphertext array -> int array
-
 (** [leq_many ctx pairs] is [List.map (fun (a, b) -> leq ctx a b) pairs]
     in a single round: identical coins, blinding draws and trace events,
     one batch frame. *)

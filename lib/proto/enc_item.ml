@@ -9,13 +9,6 @@ type scored = {
   seen : Paillier.ciphertext array;
 }
 
-let entry_bytes pub (e : entry) =
-  Ehl.Ehl_plus.size_bytes pub e.ehl + Paillier.ciphertext_bytes pub
-
-let scored_bytes pub (s : scored) =
-  Ehl.Ehl_plus.size_bytes pub s.ehl
-  + ((2 + Array.length s.seen) * Paillier.ciphertext_bytes pub)
-
 (* Blinding escrow travelling with a masked item through SecDedup: the
    masks S1 (and later S2) applied, encrypted under S1's personal pk' so
    only S1 can strip them. Mirrors the field layout of [scored]. *)
@@ -25,17 +18,6 @@ type pack = {
   gamma : Paillier.ciphertext;
   sigmas : Paillier.ciphertext array;
 }
-
-let pack_bytes own_pub (p : pack) =
-  (Array.length p.alphas + 2 + Array.length p.sigmas) * Paillier.ciphertext_bytes own_pub
-
-let rerandomize_scored rng pub (s : scored) =
-  {
-    ehl = Ehl.Ehl_plus.rerandomize rng pub s.ehl;
-    worst = Paillier.rerandomize rng pub s.worst;
-    best = Paillier.rerandomize rng pub s.best;
-    seen = Array.map (Paillier.rerandomize rng pub) s.seen;
-  }
 
 (* Pool-backed variant: noise factors are consumed in field order (ehl
    cells, worst, best, seen left to right), one modular mul each. *)

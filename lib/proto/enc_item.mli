@@ -32,13 +32,6 @@ type pack = {
   sigmas : Paillier.ciphertext array;
 }
 
-val entry_bytes : Paillier.public -> entry -> int
-val scored_bytes : Paillier.public -> scored -> int
-val pack_bytes : Paillier.public -> pack -> int
-
-(** Fresh randomness on all components. *)
-val rerandomize_scored : Rng.t -> Paillier.public -> scored -> scored
-
 (** Pool-backed re-randomization: one precomputed noise factor (and one
     modular mul) per ciphertext, consumed in field order. *)
 val rerandomize_scored_with :

@@ -153,7 +153,3 @@ let strip (s1 : Ctx.s1) c m =
   Paillier.add s1.pub c (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
 
 let enc_zero (s1 : Ctx.s1) = ignore s1.rng; Paillier.trivial s1.pub Nat.zero
-
-let enc_int (s1 : Ctx.s1) v =
-  if v < 0 then invalid_arg "Gadgets.enc_int: negative";
-  Paillier.encrypt s1.rng s1.pub (Nat.of_int v)

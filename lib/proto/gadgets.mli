@@ -111,6 +111,3 @@ val strip : Ctx.s1 -> Paillier.ciphertext -> Nat.t -> Paillier.ciphertext
 (** A fresh Paillier encryption of zero by S1 (the [Enc(0)] leg of the
     select gadget). *)
 val enc_zero : Ctx.s1 -> Paillier.ciphertext
-
-(** Encryption of an [int] score by S1 (non-negative). *)
-val enc_int : Ctx.s1 -> int -> Paillier.ciphertext

@@ -5,7 +5,7 @@ open Topk
 type secret_key = { prp_key : string; ehl_keys : Prf.key list; s : int }
 
 (* The server-side ER is exposed through a fetch function so that callers
-   never see the backing representation: [of_lists] wraps in-memory
+   never see the backing representation: [encrypt] wraps in-memory
    arrays, while lib/store provides a lazy block-cached fetch over the
    on-disk segment files.  Both must serve byte-identical entries. *)
 type encrypted_relation = {
@@ -107,14 +107,6 @@ let size_bytes pub er =
     done
   done;
   !acc
-
-let of_lists lists =
-  let m = Array.length lists in
-  if m = 0 then invalid_arg "Scheme.of_lists: no lists";
-  let n = Array.length lists.(0) in
-  if n = 0 then invalid_arg "Scheme.of_lists: empty lists";
-  Array.iter (fun l -> if Array.length l <> n then invalid_arg "Scheme.of_lists: ragged") lists;
-  { fetch = (fun list depth -> lists.(list).(depth)); n; m }
 
 let of_fetch ~n ~m fetch =
   if n <= 0 || m <= 0 then invalid_arg "Scheme.of_fetch: bad dimensions";

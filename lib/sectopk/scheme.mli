@@ -65,11 +65,6 @@ val entry : encrypted_relation -> list:int -> depth:int -> Proto.Enc_item.entry
 (** Total serialized size in bytes (Fig. 7b/8b). *)
 val size_bytes : Paillier.public -> encrypted_relation -> int
 
-(** Rebuild a relation from raw permuted lists (deserialization);
-    [lists.(i).(d)] is list [i]'s entry at depth [d]. All lists must have
-    equal positive length. *)
-val of_lists : (Ehl.Ehl_plus.t * Paillier.ciphertext) array array -> encrypted_relation
-
 (** [of_fetch ~n ~m fetch] wraps an entry provider — [fetch list depth]
     must return the permuted list's entry at that depth, byte-identical
     to what an in-memory relation would hold. Backing for lazily loaded
