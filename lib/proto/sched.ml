@@ -11,27 +11,6 @@
    self-pipe + [Unix.select]: submissions write a wake byte, the shipper
    selects with the remaining-window timeout. *)
 
-module Ivar = struct
-  type 'a t = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  let fill t v =
-    Mutex.lock t.m;
-    t.v <- Some v;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  let read t =
-    Mutex.lock t.m;
-    while t.v = None do
-      Condition.wait t.c t.m
-    done;
-    let v = Option.get t.v in
-    Mutex.unlock t.m;
-    v
-end
-
 (* Each parked entry remembers the collector that was current on the
    submitting domain: a local (in-process) backend installs it around
    the op so S2-side crypto ops land in the query's own report, exactly
@@ -42,7 +21,7 @@ type backend = (Wire.mux_op * Obs.Collector.t option) list -> Wire.mux_reply lis
 type entry = {
   op : Wire.mux_op;
   col : Obs.Collector.t option;
-  cell : (Wire.mux_reply, exn) result Ivar.t;
+  cell : (Wire.mux_reply, exn) result Core.Ivar.t;
   at : float; (* submission time, drives the window timer *)
 }
 
@@ -133,7 +112,7 @@ let ship t batch =
   let fresh, stale =
     List.partition (fun e -> List.for_all (Hashtbl.mem t.live) (op_uses e.op)) batch
   in
-  List.iter (fun e -> Ivar.fill e.cell (Error stale_error)) stale;
+  List.iter (fun e -> Core.Ivar.fill e.cell (Error stale_error)) stale;
   if fresh <> [] then begin
     let replies =
       try Ok (t.backend (List.map (fun e -> (e.op, e.col)) fresh)) with e -> Error e
@@ -149,15 +128,15 @@ let ship t batch =
           (match op_opens e.op with Some s -> Hashtbl.replace t.live s () | None -> ());
           match op_retires e.op with Some s -> Hashtbl.remove t.live s | None -> ())
         fresh;
-      List.iter2 (fun e r -> Ivar.fill e.cell (Ok r)) fresh rs
+      List.iter2 (fun e r -> Core.Ivar.fill e.cell (Ok r)) fresh rs
     | Ok _ ->
       let e = Proto_error.Proto_error "Sched: mux reply count mismatch" in
-      List.iter (fun en -> Ivar.fill en.cell (Error e)) fresh
+      List.iter (fun en -> Core.Ivar.fill en.cell (Error e)) fresh
     | Error (Backend_lost reason) ->
       Hashtbl.reset t.live;
       let e = Proto_error.Proto_error ("Sched: S2 connection lost: " ^ reason) in
-      List.iter (fun en -> Ivar.fill en.cell (Error e)) fresh
-    | Error e -> List.iter (fun en -> Ivar.fill en.cell (Error e)) fresh
+      List.iter (fun en -> Core.Ivar.fill en.cell (Error e)) fresh
+    | Error e -> List.iter (fun en -> Core.Ivar.fill en.cell (Error e)) fresh
   end
 
 (* Ship policy: immediately once every registered query is parked (one
@@ -225,7 +204,7 @@ let create ?(window_us = 150) ?(rtt_us = 0) ?registry ~backend () =
   t
 
 let enqueue t op =
-  let cell = Ivar.create () in
+  let cell = Core.Ivar.create () in
   let col = Obs.current () in
   locked t (fun () ->
       if t.stopping then raise (Proto_error.Proto_error "Sched: scheduler stopped");
@@ -234,7 +213,7 @@ let enqueue t op =
       wake t);
   cell
 
-let await cell = match Ivar.read cell with Ok r -> r | Error e -> raise e
+let await cell = match Core.Ivar.read cell with Ok r -> r | Error e -> raise e
 
 let submit t op = await (enqueue t op)
 
@@ -251,7 +230,7 @@ let alloc_session t =
    all-parked check can never see the new query registered but its open
    not yet parked (or vice versa). *)
 let open_query t =
-  let cell = Ivar.create () in
+  let cell = Core.Ivar.create () in
   let col = Obs.current () in
   let session =
     locked t (fun () ->
@@ -275,7 +254,7 @@ let open_query t =
   session
 
 let close_query t session =
-  let cell = Ivar.create () in
+  let cell = Core.Ivar.create () in
   let col = Obs.current () in
   locked t (fun () ->
       if t.stopping then raise (Proto_error.Proto_error "Sched: scheduler stopped");

@@ -102,29 +102,6 @@ let make_telemetry () =
     accept_errors_c = Obs.Registry.counter reg "accept_errors";
   }
 
-(* A write-once cell: the session parks on it while its query runs on a
-   worker domain. *)
-module Ivar = struct
-  type 'a t = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  let fill t v =
-    Mutex.lock t.m;
-    t.v <- Some v;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  let read t =
-    Mutex.lock t.m;
-    while t.v = None do
-      Condition.wait t.c t.m
-    done;
-    let v = Option.get t.v in
-    Mutex.unlock t.m;
-    v
-end
-
 type t = {
   cfg : config;
   ers : Sectopk.Scheme.encrypted_relation array;  (* one per shard *)
@@ -295,7 +272,7 @@ let job t tk ~conn ~seq ~submitted cell =
   locked t (fun () ->
       t.running <- t.running - 1;
       update_load_gauges t);
-  Ivar.fill cell resp
+  Core.Ivar.fill cell resp
 
 (* ---- sessions (one domain per connection) ------------------------------ *)
 
@@ -361,7 +338,7 @@ let session t id fd =
                reject msg;
                loop ()
              | tk ->
-               let cell = Ivar.create () in
+               let cell = Core.Ivar.create () in
                let submitted = Unix.gettimeofday () in
                let admitted =
                  locked t (fun () ->
@@ -396,7 +373,7 @@ let session t id fd =
                    };
                  write Wire.Busy
                | `Accepted ->
-                 let resp = Ivar.read cell in
+                 let resp = Core.Ivar.read cell in
                  Fun.protect ~finally:(fun () -> settle t) (fun () -> write resp));
                if not t.draining then loop ())))
      in
