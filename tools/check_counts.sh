@@ -5,7 +5,8 @@
 #   sh tools/check_counts.sh FRESH_DIR [COMMITTED_DIR]
 #
 # Compared fields:
-#   BENCH_fig12.json, BENCH_shard.json  .ops and every result's bytes
+#   BENCH_fig12.json, BENCH_shard.json, .ops and every result's bytes
+#   BENCH_store.json
 #   BENCH_concurrency.json              single_client_rounds and every
 #                                       row's rounds_per_query
 # These are pure functions of the benches' seeded data and randomness,
@@ -13,7 +14,7 @@
 # either a regression, or a change whose committed JSON was never
 # regenerated. The ceiling gates (check_rounds.sh, check_shard_scaling.sh)
 # pass both. Wall-clock fields are never compared. Regenerate with
-#   dune exec bench/main.exe -- --only fig12 --json .   (and shard, concurrency)
+#   dune exec bench/main.exe -- --only fig12 --json .   (and shard, store, concurrency)
 set -eu
 
 fresh=${1:?usage: check_counts.sh FRESH_DIR [COMMITTED_DIR]}
@@ -45,6 +46,8 @@ check BENCH_fig12.json '.ops'
 check BENCH_fig12.json '[.results[] | {name, bytes}]'
 check BENCH_shard.json '.ops'
 check BENCH_shard.json '[.results[] | {name, bytes}]'
+check BENCH_store.json '.ops'
+check BENCH_store.json '[.results[] | {name, bytes}]'
 check BENCH_concurrency.json '.single_client_rounds'
 check BENCH_concurrency.json '[.results[] | {clients, rounds_per_query}]'
 
