@@ -94,7 +94,9 @@ let run_point ~coalescing ~rtt_us ~baseline n =
   let sched =
     if not coalescing then None
     else begin
-      let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+      (* one derivation per point, as serve-s2 derives once per connection *)
+      let start = S2_server.provision hello in
+      let st = S2_server.mux_state ~make:(fun ~session:_ -> start ()) in
       Some (Sched.create ~window_us ~rtt_us ~registry:reg ~backend:(S2_server.handle_mux_ops st) ())
     end
   in

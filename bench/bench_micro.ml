@@ -125,16 +125,49 @@ let tests () =
   ]
   @ width_tests () @ multi_pow_tests ()
 
+(* Per-query key set-up, two ways: a whole provisioning per query on S1
+   ([ctx_provision_of_keys]) and its replay on S2 at each Mux_open
+   ([s2_of_hello]), against a start from copies of state derived once
+   ([ctx_of_derived], [s2_session]), as the daemons run. The S1 rows
+   build Mux contexts, as serve-s1 does, so they start no local S2.
+   Keygen's prime search depends on the seed: this is the benchmark's. *)
+let setup_tests sched =
+  let open Proto in
+  let seed = "benchmark-keys" in
+  let provision () = Ctx.provision ~seed ~key_bits ~rand_bits () in
+  let mode = Ctx.Mux (sched, 1) in
+  let derived =
+    let pub, sk, ctx_rng, _ = provision () in
+    Ctx.derive ctx_rng pub sk
+  in
+  let hello = { Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false } in
+  let start = S2_server.provision hello in
+  [ ( "ctx_provision_of_keys",
+      fun () ->
+        let pub, sk, ctx_rng, _ = provision () in
+        ignore (Ctx.of_keys ~blind_bits ~mode ctx_rng pub sk) );
+    ("ctx_of_derived", fun () -> ignore (Ctx.of_derived ~blind_bits ~mode derived));
+    ("s2_of_hello", fun () -> ignore (S2_server.of_hello hello));
+    ("s2_session", fun () -> ignore (start ())) ]
+
 let run () =
   header "micro: crypto substrate op costs (ns/op, min of 9 trials)";
-  let rows =
-    List.map
-      (fun (name, f) ->
-        let name = "crypto/" ^ name in
-        let ns = time_ns f in
-        row "%-30s %12.2f us/op@." name (ns /. 1000.);
-        (name, ns /. 1e9, 0))
-      (tests ())
+  let measure (name, f) =
+    let name = "crypto/" ^ name in
+    let ns = time_ns f in
+    row "%-30s %12.2f us/op@." name (ns /. 1000.);
+    (name, ns /. 1e9, 0)
   in
-  let rows = List.sort compare rows in
+  let rows = List.map measure (tests ()) in
+  (* a Mux context needs a scheduler; its shipper domain lives only
+     while the set-up rows run, and no row ships a trip *)
+  let sched =
+    Proto.Sched.create ~backend:(fun _ -> invalid_arg "micro: no trips") ()
+  in
+  let setup =
+    Fun.protect
+      ~finally:(fun () -> Proto.Sched.stop sched)
+      (fun () -> List.map measure (setup_tests sched))
+  in
+  let rows = List.sort compare (rows @ setup) in
   emit_json ~id:"micro" rows

@@ -66,12 +66,7 @@ let parse_addr s =
    over the connection, with this query parked on it as one mux
    session. [stop] retires the scheduler, scrapes the daemon's op
    counters on the same connection and hangs up. *)
-let remote_s2 ~seed ~bits fd pid =
-  (* the framing keys, derived the way Server.start does: a second
-     provisioning replay, so the query's own generator is untouched *)
-  let pub, sk, krng, _ = Proto.Ctx.provision ~seed ~key_bits:bits ~rand_bits:96 () in
-  let kctx = Proto.Ctx.of_keys ~mode:Proto.Ctx.Inproc krng pub sk in
-  let keys = Proto.Transport.keys kctx.Proto.Ctx.transport in
+let remote_s2 keys fd pid =
   let sched = Proto.Sched.create ~backend:(Proto.Sched.socket_backend keys fd) () in
   let session = Proto.Sched.open_query sched in
   let stop () =
@@ -88,16 +83,18 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
   if metrics || trace_out <> None then Obs.set_enabled true;
   let rel = make_rel ~seed ~rows ~attrs ~dist in
   let pub, sk, ctx_rng, data_rng = Proto.Ctx.provision ~seed ~key_bits:bits ~rand_bits:96 () in
+  let derived = Proto.Ctx.derive ctx_rng pub sk in
   let hello =
     { Proto.Wire.seed; key_bits = bits; rand_bits = Some 96; obs = Obs.is_enabled () }
   in
   let mode, stop_s2 =
     match (s2_addr, transport) with
     | Some addr, _ ->
-      remote_s2 ~seed ~bits (Proto.Transport.connect_tcp (parse_addr addr) hello) None
+      remote_s2 (Proto.Ctx.keys derived)
+        (Proto.Transport.connect_tcp (parse_addr addr) hello) None
     | None, Some "socket" ->
       let fd, pid = Proto.Transport.spawn_daemon hello in
-      remote_s2 ~seed ~bits fd (Some pid)
+      remote_s2 (Proto.Ctx.keys derived) fd (Some pid)
     | None, Some "inproc" -> (Some Proto.Ctx.Inproc, fun () -> [])
     | None, Some "loopback" -> (Some Proto.Ctx.Loopback, fun () -> [])
     | None, Some other -> invalid_arg ("unknown transport: " ^ other)
@@ -110,7 +107,7 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
     (Sectopk.Scheme.size_bytes pub er / 1024);
   let scoring = Scoring.sum_of (List.init (min m attrs) Fun.id) in
   let token = Sectopk.Scheme.token key ~m_total:attrs scoring ~k in
-  let ctx = Proto.Ctx.of_keys ~blind_bits:48 ~domains ?mode ctx_rng pub sk in
+  let ctx = Proto.Ctx.of_derived ~blind_bits:48 ~domains ?mode derived in
   Format.printf "transport: %s@." (Proto.Ctx.transport_name ctx);
   let res, query_s =
     Obs.Timer.time (fun () ->

@@ -26,6 +26,9 @@ let create ~seed =
 
 let reseed t entropy = update t entropy
 
+(* K and V are immutable strings: sharing them is copying the state *)
+let copy t = { k = t.k; v = t.v }
+
 let generate t n =
   let kk = Hmac.prepare t.k in
   let out = Bytes.create n in

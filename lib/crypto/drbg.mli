@@ -12,3 +12,8 @@ val generate : t -> int -> string
 
 (** Mix additional entropy into the state. *)
 val reseed : t -> string -> unit
+
+(** An independent generator in the same state: it produces the bytes
+    [t] would produce next, and draws on either leave the other's
+    stream unchanged. Reads [t] without changing it. *)
+val copy : t -> t

@@ -97,3 +97,7 @@ let shuffle t arr =
   perm
 
 let fork t ~label = of_drbg (Drbg.create ~seed:(bytes t 32 ^ "fork:" ^ label))
+
+(* the whole state: the buffered bytes, the position in them and the
+   refill size all shape the stream *)
+let copy t = { d = Drbg.copy t.d; buf = t.buf; pos = t.pos; chunk = t.chunk }

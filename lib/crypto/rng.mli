@@ -35,3 +35,9 @@ val shuffle : t -> 'a array -> int array
 (** Fresh child generator whose stream is independent of later draws from
     the parent (forked via a domain-separation label). *)
 val fork : t -> label:string -> t
+
+(** An independent generator in the same state: it delivers the bytes
+    [t] would deliver next, and draws on either leave the other's
+    stream unchanged. Reads [t] without changing it, so domains may copy
+    one generator that nothing draws from without a lock. *)
+val copy : t -> t

@@ -1,5 +1,21 @@
 open Crypto
 
+(* Everything a query context starts from that does not change between
+   queries. The generators are never drawn from: each context starts
+   from copies, so it sees exactly the streams a fresh derivation would
+   hand it. Defined ahead of [s1], whose labels take precedence. *)
+type derived = {
+  pub : Paillier.public;
+  sk : Paillier.secret;
+  djpub : Damgard_jurik.public;
+  djsk : Damgard_jurik.secret;
+  own_pub : Paillier.public;
+  own_sk : Paillier.secret;
+  s1_rng : Rng.t;
+  s2_rng : Rng.t;
+  keys : Wire.keys;
+}
+
 type s1 = {
   pub : Paillier.public;
   djpub : Damgard_jurik.public;
@@ -32,14 +48,13 @@ let default_mode () =
   | Some "inproc" | None -> Inproc
   | Some other -> invalid_arg ("Ctx: unknown TRANSPORT " ^ other)
 
-let of_keys ?blind_bits ?(domains = 1) ?mode ?rtt_us rng pub sk =
-  let mode = match mode with Some m -> m | None -> default_mode () in
+let derive rng pub sk =
   let djpub, djsk_opt = Damgard_jurik.of_paillier pub (Some sk) in
   let s1_rng = Rng.fork rng ~label:"s1" in
   (* S1's personal key inherits the noise policy of the main key so the
      escrow-pack encryptions also run off a fixed-base comb; keygen's
      draw sequence does not depend on [rand_bits], and
-     [S2_server.of_hello] applies the same policy when it replays this
+     [S2_server.provision] applies the same policy when it replays this
      derivation. *)
   let own_pub, own_sk =
     Paillier.keygen ?rand_bits:pub.Paillier.rand_bits s1_rng
@@ -53,30 +68,37 @@ let of_keys ?blind_bits ?(domains = 1) ?mode ?rtt_us rng pub sk =
       Damgard_jurik.precompute djpub;
       Paillier.precompute own_pub);
   let s2_rng = Rng.fork rng ~label:"s2" in
-  let keys = Wire.keys_of ~pub ~djpub ~own_pub in
+  let djsk = Option.get djsk_opt and keys = Wire.keys_of ~pub ~djpub ~own_pub in
+  ({ pub; sk; djpub; djsk; own_pub; own_sk; s1_rng; s2_rng; keys } : derived)
+
+let keys (d : derived) = d.keys
+
+let of_derived ?blind_bits ?(domains = 1) ?mode ?rtt_us (d : derived) =
+  let mode = match mode with Some m -> m | None -> default_mode () in
   let local () =
-    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng:s2_rng
+    S2_server.create ~pub:d.pub ~djpub:d.djpub ~sk:d.sk ~djsk:d.djsk
+      ~own_pub:d.own_pub ~rng:(Rng.copy d.s2_rng)
   in
   let transport =
     match mode with
-    | Inproc -> Transport.inproc keys (local ())
-    | Loopback -> Transport.loopback ?rtt_us keys (local ())
+    | Inproc -> Transport.inproc d.keys (local ())
+    | Loopback -> Transport.loopback ?rtt_us d.keys (local ())
     | Mux (sched, session) ->
-      (* [s2_rng] was forked above regardless — the S1 stream must not
-         depend on who runs S2 — and the scheduler's backend provisions
-         the byte-identical responder on the other side of the frame *)
-      Transport.mux keys sched ~session
+      (* the scheduler's backend starts the byte-identical responder on
+         the other side of the frame *)
+      Transport.mux d.keys sched ~session
   in
+  let rng = Rng.copy d.s1_rng in
   {
     s1 =
       {
-        pub;
-        djpub;
-        rng = s1_rng;
+        pub = d.pub;
+        djpub = d.djpub;
+        rng;
         blind_bits;
-        own_pub;
-        own_sk;
-        djnoise = make_djnoise s1_rng djpub;
+        own_pub = d.own_pub;
+        own_sk = d.own_sk;
+        djnoise = make_djnoise rng d.djpub;
       };
     transport;
     domains;
@@ -84,11 +106,14 @@ let of_keys ?blind_bits ?(domains = 1) ?mode ?rtt_us rng pub sk =
     batching = true;
   }
 
+let of_keys ?blind_bits ?domains ?mode ?rtt_us rng pub sk =
+  of_derived ?blind_bits ?domains ?mode ?rtt_us (derive rng pub sk)
+
 let create ?blind_bits ?domains ?mode ?rtt_us rng ~bits =
   let pub, sk = Paillier.keygen rng ~bits in
   of_keys ?blind_bits ?domains ?mode ?rtt_us rng pub sk
 
-(* Canonical seeded provisioning, shared verbatim by [S2_server.of_hello]:
+(* Canonical seeded provisioning, shared verbatim by [S2_server.provision]:
    any reordering here desynchronises a daemon's randomness stream from
    the client's. *)
 let provision ~seed ~key_bits ?rand_bits () =

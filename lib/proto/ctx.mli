@@ -70,9 +70,31 @@ type mode =
 val create :
   ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> Rng.t -> bits:int -> t
 
-(** Rebuild a context around existing keys (e.g. the data owner's).
-    [rtt_us] is the simulated per-round latency of the Loopback transport
-    (ignored by the others). *)
+(** What a query context starts from and never changes: the key pairs,
+    the Damgård–Jurik keys, the framing keys and the state of the "s1"
+    and "s2" generators. The per-key tables are warmed when it is
+    derived. A server derives it once and starts every query from it. *)
+type derived
+
+(** [derive rng pub sk] derives S1's and S2's states from [rng] (two
+    forks, "s1" and "s2"), S1's personal key pair from the "s1"
+    generator, and the DJ keys from [sk]. *)
+val derive : Rng.t -> Paillier.public -> Paillier.secret -> derived
+
+(** The framing keys of every context started from it. *)
+val keys : derived -> Wire.keys
+
+(** A context that starts from copies of the derived generators: its
+    results, traces and op counters are those of [of_keys] on the
+    generator the value was derived from. The derived value is only
+    read, so domains may start contexts from one value at once.
+    [rtt_us] is the simulated per-round latency of the Loopback
+    transport (ignored by the others). *)
+val of_derived :
+  ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> derived -> t
+
+(** [of_keys rng pub sk] is [of_derived (derive rng pub sk)]: a context
+    around existing keys (e.g. the data owner's). *)
 val of_keys :
   ?blind_bits:int ->
   ?domains:int ->
@@ -84,10 +106,10 @@ val of_keys :
   t
 
 (** Canonical seeded provisioning: [(pub, sk, ctx_rng, data_rng)]. Pass
-    [ctx_rng] to {!of_keys} and use [data_rng] for dataset encryption. An
-    S2 daemon given the same [Wire.hello] replays the first steps
-    verbatim ([S2_server.of_hello]), so both processes derive identical
-    keys and aligned randomness streams. *)
+    [ctx_rng] to {!derive} (or {!of_keys}) and use [data_rng] for dataset
+    encryption. An S2 daemon given the same [Wire.hello] replays these
+    steps and {!derive} verbatim ([S2_server.provision]), so both
+    processes derive identical keys and aligned randomness streams. *)
 val provision :
   seed:string ->
   key_bits:int ->

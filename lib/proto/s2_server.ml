@@ -15,14 +15,7 @@ type t = {
 let make_pool rng pub = Noise_pool.create rng ~label:"noise" (fun r -> Paillier.noise r pub)
 
 let create ~pub ~djpub ~sk ~djsk ~own_pub ~rng =
-  let pnoise = make_pool rng pub in
-  (* warm the per-key tables (Montgomery contexts, fixed-base combs)
-     before the first request *)
-  Obs.span "comb_warmup" (fun () ->
-      Paillier.precompute pub;
-      Damgard_jurik.precompute djpub;
-      Paillier.precompute own_pub);
-  { pub; djpub; sk; djsk; own_pub; rng; trace = Trace.create (); pnoise }
+  { pub; djpub; sk; djsk; own_pub; rng; trace = Trace.create (); pnoise = make_pool rng pub }
 
 let trace t = t.trace
 let secret_key t = t.sk
@@ -34,22 +27,33 @@ let join sub ~into = Trace.append_into sub.trace ~into:into.trace
 
 (* Rebuild key material and the S2 randomness stream from the client's
    provisioning parameters, consuming the seeded root generator in exactly
-   the order [Ctx.provision] does. Demo/test provisioning only: a real
-   deployment would ship keys out-of-band (the replay also derives S1's
-   personal key pair, whose secret half S2 must never use). *)
-let of_hello (h : Wire.hello) =
+   the order [Ctx.provision] and [Ctx.derive] do. Demo/test provisioning
+   only: a real deployment would ship keys out-of-band (the replay also
+   derives S1's personal key pair, whose secret half S2 must never use).
+   The derived "s2" generator is never drawn from: each responder starts
+   from a copy, the state a fresh replay reaches. *)
+let provision (h : Wire.hello) =
   let root = Rng.create ~seed:h.seed in
   let pub, sk = Paillier.keygen ?rand_bits:h.rand_bits root ~bits:h.key_bits in
   let ctx_rng = Rng.fork root ~label:"ctx" in
   let djpub, djsk_opt = Damgard_jurik.of_paillier pub (Some sk) in
+  let djsk = Option.get djsk_opt in
   let s1_rng = Rng.fork ctx_rng ~label:"s1" in
-  (* same noise policy as [Ctx.of_keys] gives this key — the two
+  (* same noise policy as [Ctx.derive] gives this key — the two
      derivations must stay in lockstep *)
   let own_pub, _own_sk =
     Paillier.keygen ?rand_bits:h.rand_bits s1_rng ~bits:(pub.Paillier.key_bits + 16)
   in
   let rng = Rng.fork ctx_rng ~label:"s2" in
-  create ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng
+  (* warm the per-key tables (Montgomery contexts, fixed-base combs)
+     before the first request *)
+  Obs.span "comb_warmup" (fun () ->
+      Paillier.precompute pub;
+      Damgard_jurik.precompute djpub;
+      Paillier.precompute own_pub);
+  fun () -> create ~pub ~djpub ~sk ~djsk ~own_pub ~rng:(Rng.copy rng)
+
+let of_hello h = provision h ()
 
 (* ---------------- per-request handlers ----------------
 
@@ -334,9 +338,9 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
 (* ---------------- multiplexed frames ----------------
 
    A mux frame interleaves ops from many concurrent client queries, each
-   tagged with its session. Sessions provisioned by Mux_open are keyed
-   in their own table: [make ~session] builds the responder exactly as
-   the query's Inproc context would (an [of_hello] replay), so each
+   tagged with its session. Sessions opened by Mux_open are keyed in
+   their own table: [make ~session] starts the responder exactly as the
+   query's Inproc context would (a [provision] maker's copy), so each
    session's randomness stream is byte-identical to the in-process
    path. Ops execute strictly in frame order — the scheduler preserved
    each query's program order, and sessions never share rng state, so
@@ -386,7 +390,7 @@ let handle_mux_ops st ops =
 
 (* ---------------- request loop over a file descriptor ----------------
 
-   One connection is provisioned once by its Hello, then carries mux
+   One connection derives its keys once, from its Hello, then carries mux
    frames — every query's sessions are opened, forked, joined and closed
    by Mux_* ops in the exact order the client issues them, so both
    parties' randomness streams stay aligned — plus Stats_req scrapes. *)
@@ -436,15 +440,19 @@ let serve_fd ?on_ready ?registry fd =
     match Wire.decode_control first with
     | Wire.Hello h ->
       Obs.set_enabled h.Wire.obs;
-      (* the connection-level replay yields the framing keys and warms
-         the per-key tables every later Mux_open reuses *)
-      let root, setup_s = Obs.Timer.time (fun () -> of_hello h) in
+      (* the connection derives once: the framing keys, the warmed
+         per-key tables and the generator state every session starts
+         from *)
+      let make, setup_s = Obs.Timer.time (fun () -> provision h) in
       Option.iter (fun f -> f setup_s) on_ready;
-      let keys = Wire.keys_of ~pub:root.pub ~djpub:root.djpub ~own_pub:root.own_pub in
+      let keys =
+        let s = make () in
+        Wire.keys_of ~pub:s.pub ~djpub:s.djpub ~own_pub:s.own_pub
+      in
       Wire.write_frame fd (Wire.encode_control_reply Wire.Ok_ctl);
-      (* each Mux_open replays the client's provisioning — the
-         byte-identical twin of the query's Inproc responder *)
-      let mux = mux_state ~make:(fun ~session:_ -> of_hello h) in
+      (* each Mux_open starts the byte-identical twin of the query's
+         Inproc responder from a copy *)
+      let mux = mux_state ~make:(fun ~session:_ -> make ()) in
       let collector = Obs.Collector.create () in
       Obs.with_collector collector (fun () -> serve_loop ?registry fd keys mux collector)
     | Wire.Stats_req ->

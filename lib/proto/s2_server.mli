@@ -12,6 +12,9 @@ open Crypto
 
 type t
 
+(** A responder over the given keys that draws from [rng] and starts
+    with an empty trace. It builds no per-key tables: whoever derived
+    the keys warms them ({!provision}, [Ctx.derive]). *)
 val create :
   pub:Paillier.public ->
   djpub:Damgard_jurik.public ->
@@ -21,10 +24,18 @@ val create :
   rng:Rng.t ->
   t
 
-(** Rebuild S2 state from the client's provisioning parameters, replaying
-    the seeded generator in the exact order [Ctx.provision] consumes it
-    (keygen, then the "ctx"/"s1"/"s2" forks). Demo/test provisioning: real
+(** [provision h] derives S2's state from the client's provisioning
+    parameters once, replaying the seeded generator in the exact order
+    [Ctx.provision] and [Ctx.derive] consume it (keygen, then the
+    "ctx"/"s1"/"s2" forks), and warms the per-key tables. Each call of
+    the returned maker starts a fresh responder from a copy of the
+    derived "s2" generator: the state a fresh replay reaches, so every
+    responder draws the same stream. The maker only reads the derived
+    state, so domains may call it at once. Demo/test provisioning: real
     deployments ship keys out-of-band. *)
+val provision : Wire.hello -> unit -> t
+
+(** [of_hello h] is [provision h ()]. *)
 val of_hello : Wire.hello -> t
 
 (** Answer one request; the label names the protocol for trace purposes. *)
@@ -46,10 +57,10 @@ val secret_key : t -> Paillier.secret
 
     State behind one coalescing scheduler ({!Sched}): sessions opened by
     [Mux_open] ops, keyed by their correlation tag. [make ~session]
-    provisions a fresh responder exactly as the query's [Inproc]
-    context would ([of_hello]'s replay of [Ctx.provision]), so every
-    session's randomness stream matches the in-process path byte for
-    byte. *)
+    starts the session's responder exactly as the query's [Inproc]
+    context would (a {!provision} maker, or an [of_hello] replay), so
+    every session's randomness stream matches the in-process path byte
+    for byte. *)
 type mux_state
 
 val mux_state : make:(session:int -> t) -> mux_state
@@ -64,8 +75,9 @@ val handle_mux_ops :
 
 (** Serve one connection: expects a [Hello] control frame, then answers
     mux frames ([Sched.socket_backend]) and [Stats_req] frames until
-    EOF. Mux sessions demultiplex into per-session responders, each
-    provisioned by an [of_hello] replay on its [Mux_open]. The first
+    EOF. The [Hello] derives the connection's keys once ({!provision});
+    mux sessions demultiplex into per-session responders, each started
+    from a copy of that derived state on its [Mux_open]. The first
     frame is capped at 64 KiB before it is read, so an unauthenticated
     peer cannot make the daemon allocate more. [on_ready] (if given) is
     called once after provisioning with the setup wall time in seconds —
@@ -77,6 +89,7 @@ val handle_mux_ops :
     control frame — mid-session, or as the very first frame from a
     key-less monitoring client — answers with [Stats_resp] carrying the
     registry snapshot (mid-session scrapes also fold in the connection's
-    op counters as [op_*] counter series, [Mux_open] replays included). *)
+    op counters as [op_*] counter series: the sessions' requests only,
+    since a [Mux_open] copies state and counts no op). *)
 val serve_fd :
   ?on_ready:(float -> unit) -> ?registry:Obs.Registry.t -> Unix.file_descr -> unit

@@ -109,8 +109,9 @@ type response =
 (** One element of a multiplexed frame (kind byte ['M']): the round
     scheduler ({!Sched}) coalesces ops parked by many concurrent queries
     into a single frame, each op tagged with the session it belongs to.
-    [Mux_open] makes S2 provision a fresh responder for the session (the
-    same [of_hello] replay the connection's [Hello] ran); [Mux_close]
+    [Mux_open] makes S2 start a fresh responder for the session from a
+    copy of the state the connection's [Hello] derived once
+    ([S2_server.provision]); [Mux_close]
     retires it; [Mux_fork]/[Mux_join] open and fold back a child
     session (no S1 code sends them any more: a sharded query batches
     every shard into its own session; they stay while

@@ -106,7 +106,7 @@ type t = {
   cfg : config;
   ers : Sectopk.Scheme.encrypted_relation array;  (* one per shard *)
   shape : Wire.server_msg;  (* the Server_hello sent to every client *)
-  wkeys : Wire.keys;
+  derived : Ctx.derived;  (* what every query's context starts from *)
   lsock : Unix.file_descr;
   lport : int;
   wake_r : Unix.file_descr;
@@ -175,21 +175,19 @@ let update_load_gauges t =
 type query_meta = { depth : int; halted : bool; rounds : int; bytes : int }
 
 let run_query t tk =
-  let pub, sk, ctx_rng, _data_rng =
-    Ctx.provision ~seed:t.cfg.seed ~key_bits:t.cfg.key_bits ?rand_bits:t.cfg.rand_bits ()
-  in
   (* Park this query's rounds at the shared scheduler. The Mux_open makes
-     S2 provision the same responder the Inproc transport would build, so
+     S2 start the same responder the Inproc transport would build, so
      results and traces are byte-identical to the sequential path. *)
   let session = Sched.open_query t.sched in
   Fun.protect
     ~finally:(fun () -> try Sched.close_query t.sched session with _ -> ())
     (fun () ->
-      (* at the crew's width: the query's fan-outs borrow whichever
-         other workers are parked (Core.Pool) *)
+      (* from copies of the derived generators: the state a fresh
+         provision reaches. At the crew's width: the query's fan-outs
+         borrow whichever other workers are parked (Core.Pool) *)
       let qctx =
-        Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~domains:t.cfg.workers
-          ~mode:(Ctx.Mux (t.sched, session)) ctx_rng pub sk
+        Ctx.of_derived ~blind_bits:t.cfg.blind_bits ~domains:t.cfg.workers
+          ~mode:(Ctx.Mux (t.sched, session)) t.derived
       in
       let res, shard_stats = Shard.run_with_stats qctx t.ers tk t.cfg.options in
       Obs.Registry.add t.tel.shard_queries_c shard_stats.Shard.shards;
@@ -283,7 +281,7 @@ let settle t =
       if t.pending = 0 then Condition.broadcast t.settled)
 
 let session t id fd =
-  let write msg = Wire.write_frame fd (Wire.encode_server_msg t.wkeys msg) in
+  let write msg = Wire.write_frame fd (Wire.encode_server_msg (Ctx.keys t.derived) msg) in
   (try
      write t.shape;
      let rec loop () =
@@ -429,7 +427,7 @@ let listener_loop t =
             (* every domain slot of the runtime is taken: turn this
                connection away with a typed Busy and keep accepting *)
             Obs.Registry.inc t.tel.busy_c;
-            (try Wire.write_frame fd (Wire.encode_server_msg t.wkeys Wire.Busy)
+            (try Wire.write_frame fd (Wire.encode_server_msg (Ctx.keys t.derived) Wire.Busy)
              with Unix.Unix_error (_, _, _) -> ());
             Unix.close fd);
         (* join finished sessions so a long-running server does not
@@ -453,21 +451,15 @@ let start ?(port = 0) cfg index =
       if Store.n_attrs st <> Store.n_attrs stores.(0) || Store.cells st <> Store.cells stores.(0)
       then invalid_arg "Server.start: shards disagree on index shape")
     stores;
-  (* One provisioning replay up front: yields the Wire keys for framing
-     and cross-checks that the store was built under this seed's key
-     (open_index already verified the fingerprint against [pub]). *)
+  (* Keys are derived once per process: every query starts from copies
+     of this state (open_index already verified the store's fingerprint
+     against [pub]). The derivation also runs the one global comb
+     warm-up for the whole serving set, and every query after it hits
+     the cache — [combs_built] must stay flat as the shard count grows. *)
   let pub, sk, ctx_rng, _ =
     Ctx.provision ~seed:cfg.seed ~key_bits:cfg.key_bits ?rand_bits:cfg.rand_bits ()
   in
-  (* One global comb warm-up for the whole serving set: Ctx.of_keys
-     builds the process-wide fixed-base tables here, and every per-query
-     context after this hits the cache — [combs_built] must stay flat
-     as the shard count grows. *)
-  let kctx, warm_s =
-    Obs.Timer.time (fun () ->
-        Ctx.of_keys ~blind_bits:cfg.blind_bits ~mode:Ctx.Inproc ctx_rng pub sk)
-  in
-  let wkeys = Transport.keys kctx.Ctx.transport in
+  let derived, warm_s = Obs.Timer.time (fun () -> Ctx.derive ctx_rng pub sk) in
   let tel = make_telemetry () in
   Obs.Registry.set (Obs.Registry.gauge tel.reg "comb_warmup_seconds") warm_s;
   Obs.Registry.set (Obs.Registry.gauge tel.reg "combs_built")
@@ -482,7 +474,9 @@ let start ?(port = 0) cfg index =
     in
     match cfg.s2 with
     | Local ->
-      let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+      (* derived once, as serve-s2 derives once per connection *)
+      let make = S2_server.provision hello in
+      let st = S2_server.mux_state ~make:(fun ~session:_ -> make ()) in
       ( Sched.create ~window_us:cfg.coalesce_window_us ~registry:tel.reg
           ~backend:(S2_server.handle_mux_ops st) (),
         ref None )
@@ -506,7 +500,7 @@ let start ?(port = 0) cfg index =
             fd_cell := Some fd;
             fd
         in
-        try Sched.socket_backend wkeys fd ops
+        try Sched.socket_backend (Ctx.keys derived) fd ops
         with e ->
           (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
           fd_cell := None;
@@ -539,7 +533,7 @@ let start ?(port = 0) cfg index =
               s = Store.cells stores.(0);
               key_bits = cfg.key_bits;
             };
-        wkeys;
+        derived;
         lsock;
         lport;
         wake_r;

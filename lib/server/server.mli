@@ -17,10 +17,12 @@
     [Wire.max_client_frame] closes the connection before any payload is
     read.
 
-    Every query runs in a fresh seeded context ({!Proto.Ctx.provision}
-    with the server's seed), so each response is byte-identical to what
-    the sequential in-process path produces for the same token — the
-    property the concurrency tests pin down.
+    Keys are derived once, at {!start} ({!Proto.Ctx.provision} with the
+    server's seed, then {!Proto.Ctx.derive}). Every query's context
+    starts from copies of that derived state ({!Proto.Ctx.of_derived}):
+    the state a fresh seeded provision reaches, so each response is
+    byte-identical to what the sequential in-process path produces for
+    the same token — the property the concurrency tests pin down.
 
     S2 placement and round coalescing: every query parks each round at
     one shared {!Proto.Sched} whose shipper merges every concurrent
@@ -28,12 +30,14 @@
     in-process; [Tcp addr] dials a serve-s2 daemon once at {!start}
     (re-dialing after a lost connection), provisions it through the
     Hello handshake and ships mux frames over that single connection;
-    each query's [Mux_open] makes S2 replay the provisioning for that
-    query's responder. Per-query results, traces and op counters are
-    byte-identical to the sequential Inproc path; only the shared trip
-    count drops — with [q] concurrent queries in lockstep, toward 1/q of
-    the per-query total. The registry gains [parked_queries],
-    [coalesced_rounds] and [rounds_saved]. *)
+    each query's [Mux_open] makes S2 start that query's responder from
+    a copy of the state the connection derived once
+    ({!Proto.S2_server.provision}, which [Local] runs once at {!start}).
+    Per-query results, traces and op counters are byte-identical to the
+    sequential Inproc path; only the shared trip count drops — with [q]
+    concurrent queries in lockstep, toward 1/q of the per-query total.
+    The registry gains [parked_queries], [coalesced_rounds] and
+    [rounds_saved]. *)
 
 (** Structured query logging configuration (re-exported — the library's
     main module hides its siblings from the outside). *)
@@ -85,12 +89,12 @@ type stats = {
 type t
 
 (** [start ~port config index] binds 127.0.0.1:[port] ([port = 0] for
-    ephemeral — read it back with {!port}), spawns the listener and the
-    worker pool, and returns immediately. The noise combs are warmed
-    once here for the whole serving set (the [comb_warmup_seconds] and
-    [combs_built] gauges), never per shard or per query; the two
-    negated-noise combs S1's strips use are built by the first query,
-    once per process. *)
+    ephemeral — read it back with {!port}), derives the keys, spawns the
+    listener and the worker pool, and returns immediately. The noise
+    combs are warmed once here, by the derivation, for the whole serving
+    set (the [comb_warmup_seconds] and [combs_built] gauges), never per
+    shard or per query; the two negated-noise combs S1's strips use are
+    built by the first query, once per process. *)
 val start : ?port:int -> config -> index -> t
 
 val port : t -> int

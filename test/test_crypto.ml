@@ -106,6 +106,46 @@ let test_rng_fork_independent () =
   let f1' = Rng.fork r' ~label:"a" in
   Alcotest.(check string) "fork deterministic" x (Rng.bytes f1' 16)
 
+(* A copy continues its original's stream from wherever it stands. The
+   reference is a generator replayed from the seed, so draws on the
+   copy must leave the original's stream unchanged and the other way
+   round. *)
+let check_copy ~create ~draw ~copy ~disturb cases =
+  List.iter
+    (fun (name, draws) ->
+      let at () =
+        let g = create () in
+        List.iter (fun n -> ignore (draw g n)) draws;
+        g
+      in
+      let next = draw (at ()) 1000 in
+      let g = at () in
+      let c = copy g and c' = copy g in
+      disturb c';
+      Alcotest.(check string) (name ^ ": original after draws on a copy") next (draw g 1000);
+      Alcotest.(check string) (name ^ ": copy after draws on the original") next (draw c 1000))
+    cases
+
+let test_rng_copy () =
+  check_copy
+    ~create:(fun () -> Rng.create ~seed:"copy")
+    ~draw:Rng.bytes ~copy:Rng.copy
+    ~disturb:(fun g -> ignore (Rng.bytes g 517))
+    [ ("fresh", []);
+      ("mid-buffer, after an odd-sized draw", [ 13 ]);
+      (* past 32 + 64 + 128 bytes the refill size is [max_chunk] *)
+      ("refill size at its maximum", [ 7; 300; 901 ]) ]
+
+let test_drbg_copy () =
+  check_copy
+    ~create:(fun () -> Drbg.create ~seed:"copy")
+    ~draw:Drbg.generate ~copy:Drbg.copy
+    ~disturb:(fun d ->
+      ignore (Drbg.generate d 517);
+      Drbg.reseed d "more entropy";
+      ignore (Drbg.generate d 33))
+    [ ("fresh", []); ("after odd-sized draws", [ 13; 64; 1 ]) ]
+
 (* ---------------- PRF / PRP ---------------- *)
 
 let test_prf_stable_and_keyed () =
@@ -565,7 +605,9 @@ let suite =
         Alcotest.test_case "bounds" `Quick test_rng_bounds;
         Alcotest.test_case "unit_mod coprime" `Quick test_rng_unit_mod;
         Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_perm;
-        Alcotest.test_case "fork deterministic" `Quick test_rng_fork_independent
+        Alcotest.test_case "fork deterministic" `Quick test_rng_fork_independent;
+        Alcotest.test_case "Rng.copy" `Quick test_rng_copy;
+        Alcotest.test_case "Drbg.copy" `Quick test_drbg_copy
       ] );
     ( "prf-prp",
       [ Alcotest.test_case "prf stable and keyed" `Quick test_prf_stable_and_keyed;

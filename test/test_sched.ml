@@ -76,10 +76,10 @@ let run_one ?domains ~k mode =
     rounds = Channel.rounds_total (Ctx.channel ctx);
   }
 
-(* A coalescing harness: local in-process backend whose [make] replays
-   the client's provisioning (what the daemon does per Mux_open) and
-   records each root responder so the test can read per-session traces
-   afterwards. *)
+(* A coalescing harness: local in-process backend whose [make] starts
+   each session from a copy of one derivation of the client's
+   provisioning (what the daemon does per Mux_open) and records each
+   root responder so the test can read per-session traces afterwards. *)
 type harness = {
   sched : Sched.t;
   reg : Obs.Registry.t;
@@ -90,8 +90,9 @@ type harness = {
 let make_harness ~window_us =
   let roots = Hashtbl.create 8 in
   let roots_lock = Mutex.create () in
+  let start = S2_server.provision hello in
   let make ~session =
-    let s = S2_server.of_hello hello in
+    let s = start () in
     Mutex.lock roots_lock;
     Hashtbl.replace roots session s;
     Mutex.unlock roots_lock;
@@ -233,7 +234,8 @@ let test_single_query () =
    no fork or join either. *)
 let test_trips_equal_rounds () =
   let base, _ = baseline ~k:2 in
-  let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+  let start = S2_server.provision hello in
+  let st = S2_server.mux_state ~make:(fun ~session:_ -> start ()) in
   let trips = Atomic.make 0 and forks = Atomic.make 0 in
   let backend ops =
     Atomic.incr trips;

@@ -24,9 +24,7 @@ let fig3 =
 let pub, sk, ctx_rng0, data_rng0 = Ctx.provision ~seed ~key_bits ~rand_bits ()
 let er, key = Sectopk.Scheme.encrypt ~s:4 data_rng0 pub fig3
 
-let wkeys =
-  let kctx = Ctx.of_keys ~blind_bits:48 ~mode:Ctx.Inproc ctx_rng0 pub sk in
-  Transport.keys kctx.Ctx.transport
+let wkeys = Ctx.keys (Ctx.derive ctx_rng0 pub sk)
 
 let token = Sectopk.Codec.encode_token (Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2)
 
@@ -348,6 +346,42 @@ let test_concurrent_clients () =
       let st = Server.stats srv in
       Alcotest.(check int) "all four served" 4 st.Server.served;
       Alcotest.(check int) "none turned away" 0 st.Server.busy)
+
+(* Keys are derived once per process, not once per query: with Obs on,
+   two served queries count exactly twice the crypto ops of one
+   in-process query whose context was built outside its collector. The
+   store and its cache count only on the served side. *)
+let test_served_ops () =
+  let prev_obs = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled prev_obs)
+    (fun () ->
+      let inproc =
+        let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits ~rand_bits () in
+        let ctx = Ctx.of_keys ~blind_bits:48 ~mode:Ctx.Inproc ctx_rng pub sk in
+        let c = Obs.Collector.create () in
+        Obs.with_collector c (fun () ->
+            ignore
+              (Sectopk.Query.run ctx er (Sectopk.Codec.decode_token token)
+                 Sectopk.Query.default_options));
+        Obs.Collector.metrics c
+      in
+      let served =
+        with_server (fun srv ->
+            with_client (Server.port srv) (fun fd ->
+                ignore (ask fd token);
+                ignore (ask fd token));
+            Obs.Collector.metrics (Server.obs srv))
+      in
+      Alcotest.(check bool) "the query decrypts" true
+        (Obs.Metrics.get inproc Obs.Metrics.Paillier_dec > 0);
+      List.iter
+        (fun (op, v) ->
+          match op with
+          | Obs.Metrics.Store_read_bytes | Cache_hit | Cache_miss -> ()
+          | op -> Alcotest.(check int) (Obs.Metrics.name op) (2 * v) (Obs.Metrics.get served op))
+        (Obs.Metrics.to_alist inproc))
 
 (* Window 0 ships whatever is parked on every wake: trips coalesce only
    by chance, and every response must still be the sequential one. *)
@@ -730,6 +764,7 @@ let suite =
     ( "serving",
       [ Alcotest.test_case "sequential identity" `Slow test_sequential_identity;
         Alcotest.test_case "4 concurrent clients" `Slow test_concurrent_clients;
+        Alcotest.test_case "served ops" `Slow test_served_ops;
         Alcotest.test_case "coalescing window 0" `Slow test_window_zero;
         Alcotest.test_case "overload -> Busy" `Slow test_overload_returns_busy;
         Alcotest.test_case "bad token -> Server_error" `Slow test_bad_token_is_typed_error;

@@ -58,11 +58,11 @@ let with_obs f =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled prev) f
 
-(* The framing keys, derived the way Server.start does: a separate
-   provisioning replay, so no query's generator is touched. *)
+(* The framing keys, from a derivation of their own (as Server.start
+   derives once), so no query's generator is touched. *)
 let keys () =
   let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits ~rand_bits () in
-  Transport.keys (Ctx.of_keys ~mode:Ctx.Inproc ctx_rng pub sk).Ctx.transport
+  Ctx.keys (Ctx.derive ctx_rng pub sk)
 
 (* One daemon for the whole suite, forked before anything spawns a
    domain: OCaml 5 refuses [Unix.fork] once the process has spawned one,
@@ -96,15 +96,6 @@ let with_daemon f =
   let mine = combine ~sign:(-1) total !daemon_seen in
   daemon_seen := total;
   (r, mine)
-
-(* Each Mux_open replays the client's provisioning on the daemon, under
-   the connection's collector: the keygen work of one [of_hello], which
-   the in-process paths pay outside any query collector. *)
-let replay_ops () =
-  with_obs (fun () ->
-      let c = Obs.Collector.create () in
-      Obs.with_collector c (fun () -> ignore (S2_server.of_hello hello));
-      ops_of c)
 
 (* run one seeded Fig. 3 query on a given transport *)
 let run_on ~variant (mode : Ctx.mode) : outcome =
@@ -169,14 +160,14 @@ let test_variant variant () =
   check_identical "inproc vs loopback" inproc loopback;
   Alcotest.(check bool) "inproc vs loopback: S2 trace identical" true
     (inproc.trace = loopback.trace);
-  (* the daemon's counters, less its one Mux_open replay, are exactly the
-     S2 share of the in-process totals *)
-  let s2_ops = combine ~sign:(-1) daemon_ops (replay_ops ()) in
+  (* the daemon derived its keys once, at Hello, outside the connection's
+     collector, and a Mux_open only copies state: its counters are
+     exactly the S2 share of the in-process totals *)
   List.iter
     (fun name ->
-      Alcotest.(check bool) ("daemon counted " ^ name) true (List.mem_assoc name s2_ops))
+      Alcotest.(check bool) ("daemon counted " ^ name) true (List.mem_assoc name daemon_ops))
     [ "paillier_decrypt"; "dj_decrypt" ];
-  check_identical "inproc vs daemon" inproc { daemon with ops = combine daemon.ops s2_ops }
+  check_identical "inproc vs daemon" inproc { daemon with ops = combine daemon.ops daemon_ops }
 
 (* the daemon's S2 op counters must actually come from the other process,
    and arrive on the query's own connection *)
