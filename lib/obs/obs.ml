@@ -766,10 +766,12 @@ module Cost_model = struct
       let sum = List.fold_left (fun acc pl -> acc + 1 + pl) 4 in
       (req p ~label (sum req_payloads) + resp p (sum resp_payloads), 2, 1)
 
-  (* Serialized scored item (count prefixes + fixed-width ciphertexts)
-     and its escrow pack under S1's own key. *)
+  (* Serialized scored item (count prefixes + fixed-width ciphertexts);
+     SecDedup's masked item (no best score) and its escrow pack under
+     S1's own key. *)
   let scored_b p = 8 + ((p.cells + 2 + p.seen) * p.ct)
-  let pack_b p = 8 + ((p.cells + 2 + p.seen) * p.own_ct)
+  let masked_b p = 8 + ((p.cells + 1 + p.seen) * p.ct)
+  let pack_b p = 8 + ((p.cells + 1 + p.seen) * p.own_ct)
 
   (* EncCompare (blinded sign test): one homomorphic subtraction plus a
      blinding scalar_mul on S1, one signed decryption on S2; the rpc ships
@@ -817,8 +819,8 @@ module Cost_model = struct
     if l = 0 then zero
     else begin
       let pairs = l * (l - 1) / 2 in
-      let cell = p.cells + 2 + p.seen in
-      let item_b = scored_b p + pack_b p in
+      let cell = p.cells + 1 + p.seen in
+      let item_b = masked_b p + pack_b p in
       let kept = l - d in
       let out = match mode with `Replace -> l | `Eliminate -> kept in
       { zero with

@@ -2,6 +2,14 @@ open Crypto
 
 type entry = { ehl : Ehl.Ehl_plus.t; score : Paillier.ciphertext }
 
+(* Defined ahead of [scored], so an unannotated field access still
+   means a [scored]. *)
+type masked = {
+  ehl : Ehl.Ehl_plus.t;
+  worst : Paillier.ciphertext;
+  seen : Paillier.ciphertext array;
+}
+
 type scored = {
   ehl : Ehl.Ehl_plus.t;
   worst : Paillier.ciphertext;
@@ -11,11 +19,10 @@ type scored = {
 
 (* Blinding escrow travelling with a masked item through SecDedup: the
    masks S1 (and later S2) applied, encrypted under S1's personal pk' so
-   only S1 can strip them. Mirrors the field layout of [scored]. *)
+   only S1 can strip them. Mirrors the field layout of [masked]. *)
 type pack = {
   alphas : Paillier.ciphertext array;
   beta : Paillier.ciphertext;
-  gamma : Paillier.ciphertext;
   sigmas : Paillier.ciphertext array;
 }
 

@@ -9,6 +9,17 @@ open Crypto
 
 type entry = { ehl : Ehl.Ehl_plus.t; score : Paillier.ciphertext }
 
+(** A candidate as it travels through SecDedup (Algorithm 7): a [scored]
+    item without [best]. Every new candidate starts with [best = worst]
+    and SecRefresh rewrites [best] before anything reads it, so S1 sets
+    [best := worst] when it unmasks instead of masking a value nobody
+    reads. *)
+type masked = {
+  ehl : Ehl.Ehl_plus.t;
+  worst : Paillier.ciphertext;
+  seen : Paillier.ciphertext array;
+}
+
 type scored = {
   ehl : Ehl.Ehl_plus.t;
   worst : Paillier.ciphertext;
@@ -21,14 +32,13 @@ type scored = {
           (the per-depth upper-bound updates visible in Figure 3). *)
 }
 
-(** Blinding escrow attached to a masked item in SecDedup (Algorithm 7):
-    one mask per EHL cell, worst, best and seen slot, each encrypted under
-    S1's personal key [pk'] so S2 can layer its own masks homomorphically
-    without reading them. *)
+(** Blinding escrow attached to a {!masked} item in SecDedup
+    (Algorithm 7): one mask per EHL cell, worst and seen slot, each
+    encrypted under S1's personal key [pk'] so S2 can layer its own masks
+    homomorphically without reading them. *)
 type pack = {
   alphas : Paillier.ciphertext array;
   beta : Paillier.ciphertext;
-  gamma : Paillier.ciphertext;
   sigmas : Paillier.ciphertext array;
 }
 

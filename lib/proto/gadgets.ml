@@ -105,50 +105,6 @@ let pass_through blocks ~pass f =
 let chunks sizes arr =
   snd (List.fold_left_map (fun off n -> (off + n, Array.to_list (Array.sub arr off n))) 0 sizes)
 
-(* Both halves of the lift fan out: the blinding and DJ-noise draws are
-   made on the calling domain in item order, block after block, the
-   encryptions anywhere. The strip multiplies by the DJ encryption of -r
-   from the drawn noise, off the negated-noise comb. Each block travels
-   as its own [Lift] request of one batch. *)
-let lift_many (ctx : Ctx.t) ~protocol blocks =
-  let s1 = ctx.Ctx.s1 in
-  let pub = s1.pub and dj = s1.djpub in
-  let sizes = List.map List.length blocks in
-  let cts = Array.of_list (List.concat blocks) in
-  let jobs = Array.length cts in
-  (* blinding below n/2 so that bit + r never wraps mod n (a wrap would
-     corrupt the value when the blinding is stripped in the wider DJ
-     plaintext space) *)
-  let half = Nat.shift_right pub.Paillier.n 1 in
-  let draws =
-    draw_each jobs (fun _ ->
-        let r = Rng.nat_below s1.rng half in
-        (r, Paillier.draw_noise s1.rng pub))
-  in
-  let blinded =
-    Ctx.map ctx ~jobs (fun i ->
-        let r, noise = draws.(i) in
-        Paillier.add pub cts.(i) (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub noise) r))
-  in
-  (* S2 re-encrypts the (blinded, uniform) plaintexts under DJ *)
-  let lifted =
-    List.map2
-      (fun n resp ->
-        match resp with
-        | Wire.Bits2 lifted when List.length lifted = n -> lifted
-        | _ -> failwith "Gadgets.lift_many: unexpected response")
-      sizes
-      (Ctx.rpc_batch ctx ~label:protocol
-         (List.map (fun b -> Wire.Lift b) (chunks sizes blinded)))
-    |> List.concat |> Array.of_list
-  in
-  (* S1 strips the blinding inside the DJ layer *)
-  let dj_noise = draw_each jobs (fun _ -> Damgard_jurik.draw_noise s1.rng dj) in
-  chunks sizes
-    (Ctx.map ctx ~jobs (fun i ->
-         let r, _ = draws.(i) in
-         Damgard_jurik.add dj lifted.(i) (Damgard_jurik.encrypt_neg_with dj ~draw:dj_noise.(i) r)))
-
 let strip (s1 : Ctx.s1) c m =
   Paillier.add s1.pub c (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
 

@@ -59,8 +59,8 @@ val recover_enc_specs : Ctx.t -> protocol:string -> spec list -> Paillier.cipher
 
 (** The select gadget followed by RecoverEnc over [(t, if_one, if_zero)]
     choices: the spec with offset [if_zero] and the one term
-    [(t, if_one - if_zero)]. The workhorse of SecWorst, SecUpdate,
-    SecRefresh and SecJoin. *)
+    [(t, if_one - if_zero)]. The workhorse of SecWorst, SecUpdate and
+    SecJoin. *)
 val select_recover_many :
   Ctx.t ->
   protocol:string ->
@@ -75,19 +75,6 @@ val select_recover_many :
     individual equalities. *)
 val conjunction_round :
   Ctx.t -> protocol:string -> Paillier.ciphertext list list -> Damgard_jurik.ciphertext list
-
-(** [lift_many ctx ~protocol blocks] converts Paillier ciphertexts into
-    DJ ciphertexts of the same plaintexts, in one batched round: S1
-    blinds each [Enc(v)] additively, S2 decrypts and returns [E2(v + r)],
-    S1 strips the blinding in the DJ layer. S2 sees only uniform values.
-    Each block travels as its own [Lift] request of the batch and comes
-    back as its own list; the draws are made in block order, so a single
-    block frames and draws exactly as a one-request lift. *)
-val lift_many :
-  Ctx.t ->
-  protocol:string ->
-  Paillier.ciphertext list list ->
-  Damgard_jurik.ciphertext list list
 
 (** [pass_through blocks ~pass f] runs a phase over per-shard blocks:
     a block for which [pass] returns [Some out] passes through as [out]

@@ -66,25 +66,23 @@ let dj_bit rng t b =
 
 (* S2 layers its own randomness on a masked SecDedup item and updates the
    escrow pack under S1's personal key accordingly (Algorithm 7). *)
-let dedup_remask t (it : Enc_item.scored) (pack : Enc_item.pack) =
+let dedup_remask t (it : Enc_item.masked) (pack : Enc_item.pack) =
   let n = t.pub.Paillier.n in
   let own_pub = t.own_pub in
-  let cells = Ehl.Ehl_plus.length it.Enc_item.ehl in
+  let cells = Ehl.Ehl_plus.length it.ehl in
   let alphas' = Array.init cells (fun _ -> Rng.nat_below t.rng n) in
   let beta' = Rng.nat_below t.rng n in
-  let gamma' = Rng.nat_below t.rng n in
-  let sigmas' = Array.map (fun _ -> Rng.nat_below t.rng n) it.Enc_item.seen in
-  let it' : Enc_item.scored =
+  let sigmas' = Array.map (fun _ -> Rng.nat_below t.rng n) it.seen in
+  let it' : Enc_item.masked =
     {
       ehl =
-        Ehl.Ehl_plus.mask t.pub it.Enc_item.ehl
+        Ehl.Ehl_plus.mask t.pub it.ehl
           (Array.map (fun a -> Paillier.encrypt t.rng t.pub a) alphas');
-      worst = Paillier.add t.pub it.Enc_item.worst (Paillier.encrypt t.rng t.pub beta');
-      best = Paillier.add t.pub it.Enc_item.best (Paillier.encrypt t.rng t.pub gamma');
+      worst = Paillier.add t.pub it.worst (Paillier.encrypt t.rng t.pub beta');
       seen =
         Array.mapi
           (fun l u -> Paillier.add t.pub u (Paillier.encrypt t.rng t.pub sigmas'.(l)))
-          it.Enc_item.seen;
+          it.seen;
     }
   in
   let pack' : Enc_item.pack =
@@ -94,7 +92,6 @@ let dedup_remask t (it : Enc_item.scored) (pack : Enc_item.pack) =
           (fun c a -> Paillier.add own_pub a (Paillier.encrypt t.rng own_pub alphas'.(c)))
           pack.Enc_item.alphas;
       beta = Paillier.add own_pub pack.Enc_item.beta (Paillier.encrypt t.rng own_pub beta');
-      gamma = Paillier.add own_pub pack.Enc_item.gamma (Paillier.encrypt t.rng own_pub gamma');
       sigmas =
         Array.mapi
           (fun l a -> Paillier.add own_pub a (Paillier.encrypt t.rng own_pub sigmas'.(l)))
@@ -103,22 +100,21 @@ let dedup_remask t (it : Enc_item.scored) (pack : Enc_item.pack) =
   in
   (it', pack')
 
-(* A replacement for a duplicate: random cells and worst/best = Z + mask,
+(* A replacement for a duplicate: random cells and worst = Z + mask,
    with the mask disclosed to S1 via its personal key. *)
 let dedup_replacement t ~cells ~m_seen =
   let n = t.pub.Paillier.n in
   let own_pub = t.own_pub in
   let z = Nat.pred n in
-  let beta = Rng.nat_below t.rng n and gamma = Rng.nat_below t.rng n in
+  let beta = Rng.nat_below t.rng n in
   let alphas = Array.init cells (fun _ -> Rng.nat_below t.rng n) in
   let sigmas = Array.init m_seen (fun _ -> Rng.nat_below t.rng n) in
-  let it : Enc_item.scored =
+  let it : Enc_item.masked =
     {
       ehl =
         Ehl.Ehl_plus.of_cells
           (Array.init cells (fun _ -> Paillier.encrypt t.rng t.pub (Rng.nat_below t.rng n)));
       worst = Paillier.encrypt t.rng t.pub (Modular.add z beta ~m:n);
-      best = Paillier.encrypt t.rng t.pub (Modular.add z gamma ~m:n);
       (* all-ones seen vector: the sentinel's best score stays -1 under
          the checkpoint refresh *)
       seen =
@@ -130,7 +126,6 @@ let dedup_replacement t ~cells ~m_seen =
     {
       alphas = Array.map (fun a -> Paillier.encrypt t.rng own_pub a) alphas;
       beta = Paillier.encrypt t.rng own_pub beta;
-      gamma = Paillier.encrypt t.rng own_pub gamma;
       sigmas = Array.map (fun a -> Paillier.encrypt t.rng own_pub a) sigmas;
     }
   in
@@ -158,10 +153,26 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
     Wire.Bits2 (List.map (dj_bit t.rng t) bits)
   | Wire.Recover c -> Wire.Ct (Damgard_jurik.decrypt_layered t.djsk t.pub c)
-  | Wire.Lift cs ->
-    (* re-encrypt the (blinded, uniform) plaintexts under DJ *)
-    Wire.Bits2
-      (List.map (fun c -> Damgard_jurik.encrypt t.rng t.djpub (Paillier.decrypt t.sk c)) cs)
+  | Wire.Refresh { bottoms; bits } ->
+    (* SecRefresh: every plaintext here is uniform — masked bottoms and
+       coin-flipped seen bits — so nothing is recorded. Pair i (item
+       major) answers Enc(b_i * v_(i mod m)), a fresh encryption. *)
+    let m = List.length bottoms in
+    if m = 0 || List.length bits mod m <> 0 then invalid_arg "S2_server: ragged refresh block";
+    let vs = Array.of_list (List.map (Paillier.decrypt t.sk) bottoms) in
+    let bs =
+      List.map
+        (fun c ->
+          let b = Paillier.decrypt t.sk c in
+          if Nat.is_zero b then false
+          else if Nat.is_one b then true
+          else invalid_arg "S2_server: refresh bit is not a bit")
+        bits
+    in
+    Wire.Cts
+      (List.mapi
+         (fun i b -> Paillier.encrypt t.rng t.pub (if b then vs.(i mod m) else Nat.zero))
+         bs)
   | Wire.Dgk_low_bits { bits; z } ->
     let zv = Paillier.decrypt t.sk z in
     let z_bits = List.init bits (fun i -> if Nat.nth_bit zv i then 1 else 0) in
@@ -198,7 +209,7 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     let masked = Array.of_list items in
     let cells, m_seen =
       match items with
-      | (it, _) :: _ -> (Ehl.Ehl_plus.length it.Enc_item.ehl, Array.length it.Enc_item.seen)
+      | ((it : Enc_item.masked), _) :: _ -> (Ehl.Ehl_plus.length it.ehl, Array.length it.seen)
       | [] -> (0, 0)
     in
     let processed =

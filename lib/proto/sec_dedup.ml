@@ -10,15 +10,13 @@ let mask_item (s1 : Ctx.s1) (it : Enc_item.scored) =
   let cells = Ehl.Ehl_plus.length it.Enc_item.ehl in
   let alphas = Array.init cells (fun _ -> Rng.nat_below s1.rng n) in
   let beta = Rng.nat_below s1.rng n in
-  let gamma = Rng.nat_below s1.rng n in
   let sigmas = Array.map (fun _ -> Rng.nat_below s1.rng n) it.Enc_item.seen in
-  let masked : Enc_item.scored =
+  let masked : Enc_item.masked =
     {
       ehl =
         Ehl.Ehl_plus.mask s1.pub it.Enc_item.ehl
           (Array.map (fun a -> Paillier.encrypt s1.rng s1.pub a) alphas);
       worst = Paillier.add s1.pub it.Enc_item.worst (Paillier.encrypt s1.rng s1.pub beta);
-      best = Paillier.add s1.pub it.Enc_item.best (Paillier.encrypt s1.rng s1.pub gamma);
       seen =
         Array.mapi
           (fun l u -> Paillier.add s1.pub u (Paillier.encrypt s1.rng s1.pub sigmas.(l)))
@@ -29,28 +27,30 @@ let mask_item (s1 : Ctx.s1) (it : Enc_item.scored) =
     {
       alphas = Array.map (fun a -> Paillier.encrypt s1.rng s1.own_pub a) alphas;
       beta = Paillier.encrypt s1.rng s1.own_pub beta;
-      gamma = Paillier.encrypt s1.rng s1.own_pub gamma;
       sigmas = Array.map (fun a -> Paillier.encrypt s1.rng s1.own_pub a) sigmas;
     }
   in
   (masked, pack)
 
 (* Scores and seen bits are unmasked by [Gadgets.strip]: the ciphertext
-   of [Paillier.sub c (encrypt mask)], without a negation. *)
-let unmask_item (s1 : Ctx.s1) (it : Enc_item.scored) (pack : Enc_item.pack) =
+   of [Paillier.sub c (encrypt mask)], without a negation. A new
+   candidate's best score is its worst score until the next SecRefresh
+   rewrites it. *)
+let unmask_item (s1 : Ctx.s1) (it : Enc_item.masked) (pack : Enc_item.pack) =
   let n = s1.pub.Paillier.n in
   let dec c = Nat.rem (Paillier.decrypt s1.own_sk c) n in
   let alphas = Array.map dec pack.Enc_item.alphas in
-  let beta = dec pack.Enc_item.beta and gamma = dec pack.Enc_item.gamma in
+  let beta = dec pack.Enc_item.beta in
   let sigmas = Array.map dec pack.Enc_item.sigmas in
   let strip = Gadgets.strip s1 in
+  let worst = strip it.worst beta in
   {
     Enc_item.ehl =
-      Ehl.Ehl_plus.mask s1.pub it.Enc_item.ehl
+      Ehl.Ehl_plus.mask s1.pub it.ehl
         (Array.map (fun a -> Paillier.encrypt s1.rng s1.pub (Nat.sub n (Nat.rem a n))) alphas);
-    worst = strip it.Enc_item.worst beta;
-    best = strip it.Enc_item.best gamma;
-    seen = Array.mapi (fun l u -> strip u sigmas.(l)) it.Enc_item.seen;
+    worst;
+    best = worst;
+    seen = Array.mapi (fun l u -> strip u sigmas.(l)) it.seen;
   }
 
 let run_many (ctx : Ctx.t) ~mode blocks =

@@ -7,10 +7,16 @@
     bottom_l] — exactly the NRA definition, since [W] is the sum of the
     known (weighted) scores.
 
-    The seen indicators live in [T] as Paillier bits; they are lifted to
-    the DJ layer in one batched blinded round ({!Gadgets.lift_many}) and
-    each per-list bottom is then included or suppressed with a select
-    gadget.
+    One Paillier round per block, in which S2 decrypts only uniform
+    values. S1 masks each list's bottom with a fresh [rho_l] uniform over
+    [Z_n] and sends every seen bit [s] XOR a fresh coin [c], as [Enc(s)]
+    or [Enc(1 - s) = (1 + n) * s^-1], rerandomized. S2 decrypts
+    [v_l = b_l + rho_l] and the bit [b = s XOR c] and answers
+    [r = Enc(b * v_l)], a fresh encryption. S1 strips the masks:
+    [(1 - s) * b_l = r - (1 - s) * rho_l] after a flip and
+    [b_l - r + s * rho_l] otherwise, one [m]-term multi-exponentiation
+    per item. S2 sees [m] values uniform on [Z_n] and [|T| * m] bits
+    uniform on [{0, 1}] per block and records nothing (DESIGN §3a.14).
     Sentinel items carry all-ones indicators, so their refreshed bound
     stays [W = -1] and they keep sinking in the sort. *)
 
@@ -27,11 +33,13 @@ val run :
   Enc_item.scored list
 
 (** [run_many ctx blocks] refreshes several independent [(items,
-    bottoms)] blocks (one per shard) in the two rounds of one block: one
-    lift round carrying a [Lift] request per block, then one recover
-    round for every block's selections. Draws are made block after block;
-    a block with no items passes through and sends nothing. Results are
-    per block, in order. *)
+    bottoms)] blocks (one per shard) in one round: one [Refresh] request
+    per block, all in one batch. Every draw is made on the calling
+    domain, block after block (per list a mask and its noise, then per
+    pair a coin and a noise draw); only deterministic work fans out. A
+    block with no items passes through and sends nothing. Results are
+    per block, in order. Raises {!Proto_error.Proto_error} when a reply
+    is not one ciphertext per pair. *)
 val run_many :
   Ctx.t ->
   (Enc_item.scored list * Paillier.ciphertext array) list ->

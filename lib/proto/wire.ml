@@ -15,7 +15,6 @@ type request =
   | Equality of Paillier.ciphertext list
   | Conjunction of Paillier.ciphertext list list
   | Recover of Damgard_jurik.ciphertext
-  | Lift of Paillier.ciphertext list
   | Dgk_low_bits of { bits : int; z : Paillier.ciphertext }
   | Zero_any of Paillier.ciphertext list
   | Zero_test of Paillier.ciphertext
@@ -24,7 +23,7 @@ type request =
   | Dedup of {
       mode : dedup_mode;
       diffs : Paillier.ciphertext list;
-      items : (Enc_item.scored * Enc_item.pack) list;
+      items : (Enc_item.masked * Enc_item.pack) list;
     }
   | Dup_flags of Damgard_jurik.ciphertext list
   | Sort_items of { keys : Paillier.ciphertext list; items : Enc_item.scored list }
@@ -39,6 +38,7 @@ type request =
   | Rank_tuples of (Paillier.ciphertext * Paillier.ciphertext * Paillier.ciphertext array) list
   | Rank_keys of Paillier.ciphertext list
   | Zero_slot of Paillier.ciphertext list
+  | Refresh of { bottoms : Paillier.ciphertext list; bits : Paillier.ciphertext list }
   | Batch of request list
 
 type response =
@@ -48,13 +48,14 @@ type response =
   | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
   | Bit of bool
   | Flags of bool list
-  | Items of (Enc_item.scored * Enc_item.pack) list
+  | Items of (Enc_item.masked * Enc_item.pack) list
   | Sorted of Enc_item.scored list
   | Pair of Enc_item.scored * Enc_item.scored
   | Tuples of tuple list
   | Ranked of (Paillier.ciphertext * Paillier.ciphertext array) list
   | Indices of int list
   | Slot of int option
+  | Cts of Paillier.ciphertext list
   | Batch_resp of response list
 
 (* One element of a multiplexed frame: the round scheduler coalesces ops
@@ -150,11 +151,17 @@ let keys_of ~pub ~djpub ~own_pub =
       (fun (s : Enc_item.scored) -> (Ehl.Ehl_plus.cells s.ehl, s.worst, s.best, s.seen))
       (quad (nonempty "cell" ct) ct ct (capped ct))
   in
+  let masked =
+    conv
+      (fun (cells, worst, seen) -> { Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; worst; seen })
+      (fun (s : Enc_item.masked) -> (Ehl.Ehl_plus.cells s.ehl, s.worst, s.seen))
+      (triple (nonempty "cell" ct) ct (capped ct))
+  in
   let pack =
     conv
-      (fun (alphas, beta, gamma, sigmas) -> { Enc_item.alphas; beta; gamma; sigmas })
-      (fun (p : Enc_item.pack) -> (p.alphas, p.beta, p.gamma, p.sigmas))
-      (quad (nonempty "alpha" own) own own (capped own))
+      (fun (alphas, beta, sigmas) -> { Enc_item.alphas; beta; sigmas })
+      (fun (p : Enc_item.pack) -> (p.alphas, p.beta, p.sigmas))
+      (triple (nonempty "alpha" own) own (capped own))
   in
   let tuple =
     conv
@@ -162,15 +169,16 @@ let keys_of ~pub ~djpub ~own_pub =
       (fun t -> (t.score, t.attrs, t.r_escrow, t.a_escrow))
       (quad ct (capped ct) (list ~max:4096 own) (capped own))
   in
-  let items = list (pair scored pack) in
+  let items = list (pair masked pack) in
   let mode = conv (fun e -> if e then Eliminate else Replace) (( = ) Eliminate) bool in
   let bits = check (fun b -> b > 0 && b <= 4096) "bad bit width" int in
+  (* request tag 5 (SecRefresh's Damgård–Jurik lift) is retired: reusing
+     it would misparse an older peer *)
   let requests =
     [ Case (1, ct, (fun c -> Sign_of c), function Sign_of c -> Some c | _ -> None);
       Case (2, cts, (fun l -> Equality l), function Equality l -> Some l | _ -> None);
       Case (3, list cts, (fun l -> Conjunction l), function Conjunction l -> Some l | _ -> None);
       Case (4, dj, (fun c -> Recover c), function Recover c -> Some c | _ -> None);
-      Case (5, cts, (fun l -> Lift l), function Lift l -> Some l | _ -> None);
       Case (6, pair bits ct, (fun (bits, z) -> Dgk_low_bits { bits; z }),
             function Dgk_low_bits { bits; z } -> Some (bits, z) | _ -> None);
       Case (7, cts, (fun l -> Zero_any l), function Zero_any l -> Some l | _ -> None);
@@ -190,7 +198,9 @@ let keys_of ~pub ~djpub ~own_pub =
       Case (16, list (triple ct ct (capped ct)), (fun l -> Rank_tuples l),
             function Rank_tuples l -> Some l | _ -> None);
       Case (17, cts, (fun l -> Rank_keys l), function Rank_keys l -> Some l | _ -> None);
-      Case (18, cts, (fun l -> Zero_slot l), function Zero_slot l -> Some l | _ -> None) ]
+      Case (18, cts, (fun l -> Zero_slot l), function Zero_slot l -> Some l | _ -> None);
+      Case (20, pair cts cts, (fun (bottoms, bits) -> Refresh { bottoms; bits }),
+            function Refresh { bottoms; bits } -> Some (bottoms, bits) | _ -> None) ]
   in
   let batch = variant ~what:"batched request" requests in
   let requests =
@@ -217,7 +227,8 @@ let keys_of ~pub ~djpub ~own_pub =
       Case (11, list (pair ct (capped ct)), (fun l -> Ranked l),
             function Ranked l -> Some l | _ -> None);
       Case (12, list int, (fun l -> Indices l), function Indices l -> Some l | _ -> None);
-      Case (13, option int, (fun s -> Slot s), function Slot s -> Some s | _ -> None) ]
+      Case (13, option int, (fun s -> Slot s), function Slot s -> Some s | _ -> None);
+      Case (15, cts, (fun l -> Cts l), function Cts l -> Some l | _ -> None) ]
   in
   let batch = variant ~what:"batched response" responses in
   let responses =

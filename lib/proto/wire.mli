@@ -56,7 +56,6 @@ type request =
   | Equality of Paillier.ciphertext list  (** SecWorst/SecUpdate/SecJoin *)
   | Conjunction of Paillier.ciphertext list list  (** multi-way join predicate *)
   | Recover of Damgard_jurik.ciphertext  (** RecoverEnc: strip the outer layer *)
-  | Lift of Paillier.ciphertext list  (** SecRefresh: Enc -> E2 *)
   | Dgk_low_bits of { bits : int; z : Paillier.ciphertext }
       (** DGK: bitwise decomposition of the blinded difference *)
   | Zero_any of Paillier.ciphertext list  (** DGK: any c_i = 0? (traced) *)
@@ -66,7 +65,7 @@ type request =
   | Dedup of {
       mode : dedup_mode;
       diffs : Paillier.ciphertext list;  (** pairwise blinded EHL diffs, {!pair_indices} order *)
-      items : (Enc_item.scored * Enc_item.pack) list;  (** masked items + escrows *)
+      items : (Enc_item.masked * Enc_item.pack) list;  (** masked items + escrows *)
     }
   | Dup_flags of Damgard_jurik.ciphertext list  (** SecUpdate eliminate: reveal matches *)
   | Sort_items of { keys : Paillier.ciphertext list; items : Enc_item.scored list }
@@ -83,6 +82,10 @@ type request =
       (** blinded descending sort of joined tuples: (key, score, attrs) *)
   | Rank_keys of Paillier.ciphertext list  (** SKNN: ascending rank of blinded keys *)
   | Zero_slot of Paillier.ciphertext list  (** SKNN SMIN: first zero slot *)
+  | Refresh of { bottoms : Paillier.ciphertext list; bits : Paillier.ciphertext list }
+      (** SecRefresh: one block's masked bottoms [Enc(b_l + rho_l)] and its
+          coin-flipped seen bits, item-major ([|bits| = |T| * m]); answered
+          by [Cts] *)
   | Batch of request list
       (** independent requests shipped as one frame (one round); nesting a
           [Batch] inside a [Batch] raises [Invalid_argument] in both the
@@ -95,13 +98,16 @@ type response =
   | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
   | Bit of bool
   | Flags of bool list
-  | Items of (Enc_item.scored * Enc_item.pack) list
+  | Items of (Enc_item.masked * Enc_item.pack) list
   | Sorted of Enc_item.scored list
   | Pair of Enc_item.scored * Enc_item.scored
   | Tuples of tuple list
   | Ranked of (Paillier.ciphertext * Paillier.ciphertext array) list
   | Indices of int list
   | Slot of int option
+  | Cts of Paillier.ciphertext list
+      (** SecRefresh: one fresh [Enc(b * v_l)] per (item, list) pair of a
+          [Refresh], in its bits' order *)
   | Batch_resp of response list
       (** element-wise responses to a [Batch], in request order; nesting
           rejected like [Batch] *)

@@ -13,6 +13,8 @@
    (b) masked values: the values SecRefresh hands S2 to decrypt, and
        RecoverEnc's inner plaintexts, are never below 2^64 and their
        top-byte histograms agree between the two relations;
+   (c) bits: whatever the seen bits, the bits S2 decrypts in a Refresh
+       request read about half ones;
    (d) linkability: no ciphertext of a SecRefresh request appears in any
        other request or reply of its session, nor (1 + n) * c^-1 of one
        (the complement S2 could compute itself). *)
@@ -33,6 +35,9 @@ let refresh_label = "SecRefresh"
 let scored_cts (it : Enc_item.scored) =
   Array.to_list (Ehl.Ehl_plus.cells it.ehl) @ [ it.worst; it.best ] @ Array.to_list it.seen
 
+let masked_cts (it : Enc_item.masked) =
+  Array.to_list (Ehl.Ehl_plus.cells it.ehl) @ [ it.worst ] @ Array.to_list it.seen
+
 (* One request element: its kind, its element counts and every
    ciphertext under the shared key it carries (escrows under S1's own
    key and Damgård–Jurik values excluded). *)
@@ -42,7 +47,6 @@ let describe (req : Wire.request) =
   | Wire.Equality l -> ("Equality", [ List.length l ], l)
   | Wire.Conjunction g -> ("Conjunction", List.map List.length g, List.concat g)
   | Wire.Recover _ -> ("Recover", [ 1 ], [])
-  | Wire.Lift l -> ("Lift", [ List.length l ], l)
   | Wire.Dgk_low_bits { bits; z } -> ("Dgk_low_bits", [ bits ], [ z ])
   | Wire.Zero_any l -> ("Zero_any", [ List.length l ], l)
   | Wire.Zero_test c -> ("Zero_test", [ 1 ], [ c ])
@@ -51,7 +55,7 @@ let describe (req : Wire.request) =
   | Wire.Dedup { diffs; items; _ } ->
     ( "Dedup",
       [ List.length diffs; List.length items ],
-      diffs @ List.concat_map (fun (it, _) -> scored_cts it) items )
+      diffs @ List.concat_map (fun (it, _) -> masked_cts it) items )
   | Wire.Dup_flags l -> ("Dup_flags", [ List.length l ], [])
   | Wire.Sort_items { keys; items } ->
     ("Sort_items", [ List.length keys ], keys @ List.concat_map scored_cts items)
@@ -67,14 +71,17 @@ let describe (req : Wire.request) =
       List.concat_map (fun (k, s, a) -> k :: s :: Array.to_list a) l )
   | Wire.Rank_keys l -> ("Rank_keys", [ List.length l ], l)
   | Wire.Zero_slot l -> ("Zero_slot", [ List.length l ], l)
+  | Wire.Refresh { bottoms; bits } ->
+    ("Refresh", [ List.length bottoms; List.length bits ], bottoms @ bits)
   | Wire.Batch _ -> invalid_arg "describe: batches are flattened first"
 
 let rec reply_cts (resp : Wire.response) =
   match resp with
   | Wire.Sign _ | Wire.Bits2 _ | Wire.Bit _ | Wire.Flags _ | Wire.Indices _ | Wire.Slot _ -> []
   | Wire.Ct c -> [ c ]
+  | Wire.Cts l -> l
   | Wire.Dgk_bits { bit_cts; _ } -> bit_cts
-  | Wire.Items l -> List.concat_map (fun (it, _) -> scored_cts it) l
+  | Wire.Items l -> List.concat_map (fun (it, _) -> masked_cts it) l
   | Wire.Sorted l -> List.concat_map scored_cts l
   | Wire.Pair (x, y) -> scored_cts x @ scored_cts y
   | Wire.Tuples l -> List.concat_map (fun (t : Wire.tuple) -> t.score :: Array.to_list t.attrs) l
@@ -186,13 +193,19 @@ let test_shape () =
 
 (* ---------------- (b) masked values ---------------- *)
 
-(* The values SecRefresh makes S2 decrypt, paired with the modulus. *)
+(* A Refresh element's masked bottoms b_l + rho_l and its bits, as S2
+   reads them. *)
+let refresh_parts e =
+  match (e.kind, e.counts) with
+  | "Refresh", [ m; _ ] ->
+    let plain = List.map (fun c -> c.plain) e.req in
+    (List.filteri (fun i _ -> i < m) plain, List.filteri (fun i _ -> i >= m) plain)
+  | _ -> ([], [])
+
+(* The values SecRefresh makes S2 decrypt that are not bits. *)
 let refresh_masked s =
   List.concat_map
-    (fun r ->
-      List.concat_map
-        (fun e -> match e.kind with "Lift" -> List.map (fun c -> c.plain) e.req | _ -> [])
-        r.elements)
+    (fun r -> List.concat_map (fun e -> fst (refresh_parts e)) r.elements)
     (refresh_records s)
 
 (* RecoverEnc's inner plaintexts m + r: the replies to Recover. *)
@@ -286,6 +299,61 @@ let test_recover_inner () =
   let (_, ia), (_, ib) = Lazy.force samples in
   check_uniform "RecoverEnc inner plaintexts" ia ib
 
+(* ---------------- (c) bits ---------------- *)
+
+(* Sec_refresh.run_many driven directly: four blocks of 25 items over
+   m = 4 lists whose seen bits are all [s]. The refreshed bounds must be
+   right, and the 400 bits S2 decrypts must read 40-60% ones. *)
+let test_bits () =
+  List.iter
+    (fun s ->
+      let seed = Printf.sprintf "test_audit bits %d" s in
+      let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
+      let derived = Ctx.derive ctx_rng pub sk in
+      let hello = { Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false } in
+      let r = recorder ~sk ~keys:(Ctx.keys derived) hello in
+      let id = Sched.open_query r.sched in
+      let ctx = Ctx.of_derived ~blind_bits:48 ~mode:(Ctx.Mux (r.sched, id)) derived in
+      let enc v = Paillier.encrypt data_rng pub (Nat.of_int v) in
+      let keys = Prf.gen_keys data_rng 4 in
+      let m = 4 in
+      let blocks =
+        List.init 4 (fun b ->
+            ( List.init 25 (fun i ->
+                  {
+                    Enc_item.ehl =
+                      Ehl.Ehl_plus.encode data_rng pub ~keys (Printf.sprintf "o%d.%d" b i);
+                    worst = enc i;
+                    best = enc 0;
+                    seen = Array.init m (fun _ -> enc s);
+                  }),
+              Array.init m (fun l -> enc (10 * (l + 1))) ))
+      in
+      let out = Sec_refresh.run_many ctx blocks in
+      Sched.close_query r.sched id;
+      Sched.stop r.sched;
+      let unseen = if s = 0 then 100 else 0 in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "seen %d: B = W + unseen bottoms" s)
+        (List.init 4 (fun _ -> List.init 25 (fun i -> i + unseen)))
+        (List.map
+           (List.map (fun (it : Enc_item.scored) -> Nat.to_int (Paillier.decrypt sk it.best)))
+           out);
+      let bits =
+        List.concat_map
+          (fun r -> List.concat_map (fun e -> snd (refresh_parts e)) r.elements)
+          (List.filter (fun r -> r.label = refresh_label) !(r.records))
+      in
+      let ones = List.length (List.filter Nat.is_one bits) in
+      Alcotest.(check int)
+        (Printf.sprintf "seen %d: S2 decrypts 400 bits" s)
+        400 (List.length bits);
+      Alcotest.(check bool)
+        (Printf.sprintf "seen %d: %d of 400 bits read 1 (40-60%% allowed)" s ones)
+        true
+        (ones >= 160 && ones <= 240))
+    [ 1; 0 ]
+
 (* ---------------- (d) linkability ---------------- *)
 
 (* Every SecRefresh request ciphertext occurs once in its session's
@@ -332,9 +400,10 @@ let test_unlinkable () =
 
 let () =
   Alcotest.run "audit"
-    [ ( "sec-refresh",
+    [ ( "sec-refresh-view",
         [ Alcotest.test_case "(a) same shape for a relation and its x10 scaling" `Quick test_shape;
           Alcotest.test_case "(b) masked values uniform" `Quick test_masked;
           Alcotest.test_case "(b) RecoverEnc inner plaintexts uniform" `Quick test_recover_inner;
+          Alcotest.test_case "(c) decrypted bits are coin flips" `Quick test_bits;
           Alcotest.test_case "(d) no ciphertext links to another message" `Quick test_unlinkable
         ] ) ]

@@ -73,9 +73,6 @@ let bits ctx vs =
   Gadgets.equality_round ctx ~protocol:"test"
     (List.map (fun v -> Paillier.trivial ctx.Ctx.s1.Ctx.pub (Nat.of_int v)) vs)
 
-let select_one ctx t if_one if_zero =
-  List.hd (Gadgets.select_recover_many ctx ~protocol:"test" [ (t, if_one, if_zero) ])
-
 let test_recover_enc () =
   let inner = enc 12345 in
   let e2 = Damgard_jurik.encrypt_layered rng s1.Ctx.djpub inner in
@@ -209,19 +206,6 @@ let test_recover_non_unit () =
     (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
       ignore (S2_server.handle s2 ~label:"test" (Wire.Recover (Damgard_jurik.of_nat djpub p))))
 
-let test_lift () =
-  let cts = [ enc 0; enc 1; enc 42 ] in
-  let lifted = List.concat (Gadgets.lift_many ctx ~protocol:"test" [ cts ]) in
-  (* check through the select gadget: lifted bits drive correct selection *)
-  List.iter2
-    (fun l orig ->
-      let v = dec orig in
-      if v = 0 || v = 1 then begin
-        let r = select_one ctx l (enc 7) (enc 9) in
-        Alcotest.(check int) "lifted bit selects" (if v = 1 then 7 else 9) (dec r)
-      end)
-    lifted cts
-
 let test_conjunction_round () =
   let zero () = Paillier.encrypt rng pub Nat.zero in
   let nonzero () = enc 5 in
@@ -267,8 +251,9 @@ let test_sec_dedup_replace () =
       Alcotest.(check int) "sentinel worst = -1" (-1) w;
       Alcotest.(check int) "sentinel best = -1" (-1) b)
     garbage;
-  Alcotest.(check bool) "kept scores intact" true
-    (List.sort compare reals = [ ("o1", 10, 20); ("o2", 8, 20); ("o3", 5, 20) ])
+  (* a new candidate's best score is its worst until SecRefresh runs *)
+  Alcotest.(check bool) "kept scores intact, best = worst" true
+    (List.sort compare reals = [ ("o1", 10, 10); ("o2", 8, 8); ("o3", 5, 5) ])
 
 let test_sec_dedup_eliminate () =
   let items = [ scored "o1" 10 20; scored "o2" 8 20; scored "o1" 10 20; scored "o1" 10 20 ] in
@@ -282,7 +267,8 @@ let test_sec_dedup_no_dupes () =
   let items = [ scored "o1" 1 2; scored "o2" 3 4 ] in
   let out = Sec_dedup.run ctx ~mode:Sec_dedup.Replace items in
   let reals = List.map opened out |> List.filter_map (fun (id, w, b) -> Option.map (fun i -> (i, w, b)) id) in
-  Alcotest.(check bool) "all kept" true (List.sort compare reals = [ ("o1", 1, 2); ("o2", 3, 4) ])
+  Alcotest.(check bool) "all kept, best = worst" true
+    (List.sort compare reals = [ ("o1", 1, 1); ("o2", 3, 3) ])
 
 let test_sec_dedup_empty () =
   Alcotest.(check int) "empty ok" 0 (List.length (Sec_dedup.run ctx ~mode:Sec_dedup.Replace []))
@@ -489,6 +475,127 @@ let test_sec_refresh_example_8_2 () =
   let out = Sec_refresh.run ctx ~items:[ it ] ~bottoms:[| enc 8; enc 7; enc 3 |] in
   Alcotest.(check int) "Fig 3b upper bound for X4" 23 (dec (List.hd out).Enc_item.best)
 
+(* One block of t items over m lists: one round, two messages, m + t*m
+   Paillier decryptions (all S2's) and no Damgård–Jurik operation. *)
+let test_sec_refresh_counts () =
+  let t = 3 and m = 2 in
+  let items = List.init t (fun i -> scored ~seen:[| i mod 2; 0 |] ("o" ^ string_of_int i) i 0) in
+  let bottoms = [| enc 9; enc 4 |] in
+  let col = Obs.Collector.create () in
+  let prev = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled prev)
+    (fun () -> Obs.with_collector col (fun () -> ignore (Sec_refresh.run ctx ~items ~bottoms)));
+  let got = Obs.Metrics.get (Obs.Collector.metrics col) in
+  Alcotest.(check int) "rounds" 1 (got Obs.Metrics.Rounds);
+  Alcotest.(check int) "messages" 2 (got Obs.Metrics.Msgs);
+  Alcotest.(check int) "Paillier decryptions" (m + (t * m)) (got Obs.Metrics.Paillier_dec);
+  List.iter
+    (fun op -> Alcotest.(check int) (Obs.Metrics.name op) 0 (got op))
+    Obs.Metrics.[ Dj_enc; Dj_dec; Dj_mul; Dj_rerand ]
+
+(* B = W + sum of the bottoms of the unseen lists, for random seen bits,
+   1-6 items over 1-4 lists, at widths 1 and 2; a sentinel (W = -1, all
+   seen) stays at -1. *)
+let prop_sec_refresh =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun m ->
+      pair
+        (list_size (int_range 1 6)
+           (pair (opt (int_bound 100)) (array_size (return m) bool)))
+        (array_size (return m) (int_bound 50)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:12 ~name:"sec-refresh: B = W + unseen bottoms (widths 1, 2)"
+       (QCheck.make gen)
+       (fun (rows, bottoms) ->
+         let m = Array.length bottoms in
+         let items =
+           List.mapi
+             (fun i (w, seen) ->
+               match w with
+               | Some w ->
+                 scored ~seen:(Array.map Bool.to_int seen) ("o" ^ string_of_int i) w 0
+               | None ->
+                 {
+                   Enc_item.ehl = Ehl.Ehl_plus.encode rng pub ~keys "g";
+                   worst = Paillier.encrypt rng pub (Ctx.sentinel_z s1);
+                   best = enc 0;
+                   seen = Array.init m (fun _ -> enc 1);
+                 })
+             rows
+         in
+         let want =
+           List.map
+             (fun (w, seen) ->
+               match w with
+               | Some w ->
+                 string_of_int
+                   (Array.fold_left ( + ) w
+                      (Array.mapi (fun l b -> if seen.(l) then 0 else b) bottoms))
+               | None -> "-1")
+             rows
+         in
+         List.for_all
+           (fun domains ->
+             let out =
+               Sec_refresh.run { ctx with Ctx.domains } ~items ~bottoms:(Array.map enc bottoms)
+             in
+             List.map (fun (it : Enc_item.scored) -> dec_signed it.best) out = want)
+           [ 1; 2 ]))
+
+(* S2 refuses a bit that decrypts outside {0, 1} and a block whose bit
+   count is not a multiple of its list count, as Dedup refuses a wrong
+   pair count. *)
+let test_sec_refresh_refusals () =
+  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
+  let s2 =
+    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
+      ~rng:(Rng.create ~seed:"test_proto s2")
+  in
+  let refresh bottoms bits =
+    S2_server.handle s2 ~label:"SecRefresh" (Wire.Refresh { bottoms; bits })
+  in
+  Alcotest.check_raises "a non-bit" (Invalid_argument "S2_server: refresh bit is not a bit")
+    (fun () -> ignore (refresh [ enc 5 ] [ enc 1; enc 2 ]));
+  Alcotest.check_raises "a ragged block" (Invalid_argument "S2_server: ragged refresh block")
+    (fun () -> ignore (refresh [ enc 5; enc 6 ] [ enc 1; enc 0; enc 1 ]));
+  Alcotest.check_raises "no lists" (Invalid_argument "S2_server: ragged refresh block")
+    (fun () -> ignore (refresh [] []))
+
+(* S1 raises a typed Proto_error when S2 answers a Refresh with the wrong
+   number of ciphertexts (the rpc_batch desync pattern). *)
+let test_sec_refresh_desync () =
+  let backend ops =
+    List.map
+      (fun (op, _) ->
+        match op with
+        | Wire.Mux_req { req = Wire.Refresh _; _ } -> Wire.Mux_answer (Wire.Cts [ enc 1 ])
+        | Wire.Mux_req _ -> Wire.Mux_answer (Wire.Bit true)
+        | _ -> Wire.Mux_ok)
+      ops
+  in
+  let sched = Sched.create ~window_us:0 ~backend () in
+  let session = Sched.open_query sched in
+  let pub, sk, ctx_rng, _ =
+    Ctx.provision ~seed:"test_proto desync" ~key_bits:128 ~rand_bits:96 ()
+  in
+  let mctx = Ctx.of_keys ~blind_bits:48 ~mode:(Ctx.Mux (sched, session)) ctx_rng pub sk in
+  let enc v = Paillier.encrypt rng pub (Nat.of_int v) in
+  let it =
+    { Enc_item.ehl = Ehl.Ehl_plus.encode rng pub ~keys "o1"; worst = enc 3; best = enc 0;
+      seen = [| enc 1; enc 0 |] }
+  in
+  Alcotest.(check bool) "Proto_error on a short Cts" true
+    (try
+       ignore (Sec_refresh.run mctx ~items:[ it ] ~bottoms:[| enc 9; enc 4 |]);
+       false
+     with Proto_error.Proto_error _ -> true);
+  Sched.close_query sched session;
+  Sched.stop sched
+
 (* ---------------- per-shard blocks ---------------- *)
 
 (* Each phase's run_many over several blocks (one per shard) costs the
@@ -554,7 +661,7 @@ let test_refresh_many () =
     rounds_of (fun () ->
         Sec_refresh.run_many ctx [ (items1, bottoms1); ([], bottoms1); (items2, bottoms2) ])
   in
-  Alcotest.(check int) "two rounds" 2 rounds;
+  Alcotest.(check int) "one round" 1 rounds;
   Alcotest.check blocks_t "as single-block runs"
     [ contents (Sec_refresh.run ctx ~items:items1 ~bottoms:bottoms1);
       [];
@@ -621,8 +728,7 @@ let suite =
         Alcotest.test_case "strip = sub of a fresh encryption" `Quick test_strip
       ] );
     ( "gadgets-extra",
-      [ Alcotest.test_case "lift Paillier -> DJ" `Quick test_lift;
-        Alcotest.test_case "conjunction round" `Quick test_conjunction_round
+      [ Alcotest.test_case "conjunction round" `Quick test_conjunction_round
       ] );
     ( "sec-worst",
       [ Alcotest.test_case "paper Example 8.1" `Quick test_sec_worst_no_match;
@@ -661,12 +767,17 @@ let suite =
       [ Alcotest.test_case "adds unseen bottoms" `Quick test_sec_refresh;
         Alcotest.test_case "all seen -> B = W" `Quick test_sec_refresh_all_seen;
         Alcotest.test_case "sentinel stays -1" `Quick test_sec_refresh_sentinel;
-        Alcotest.test_case "paper Example 8.2" `Quick test_sec_refresh_example_8_2
+        Alcotest.test_case "paper Example 8.2" `Quick test_sec_refresh_example_8_2;
+        Alcotest.test_case "one block: exact counts" `Quick test_sec_refresh_counts;
+        prop_sec_refresh;
+        Alcotest.test_case "S2 refuses a non-bit and a ragged block" `Quick
+          test_sec_refresh_refusals;
+        Alcotest.test_case "short Cts reply is a Proto_error" `Quick test_sec_refresh_desync
       ] );
     ( "blocks",
       [ Alcotest.test_case "sec-dedup run_many: one round" `Quick test_dedup_many;
         Alcotest.test_case "sec-update run_many: three rounds" `Quick test_update_many;
-        Alcotest.test_case "sec-refresh run_many: two rounds" `Quick test_refresh_many
+        Alcotest.test_case "sec-refresh run_many: one round" `Quick test_refresh_many
       ] );
     ("latency", [ Alcotest.test_case "50 Mbps link model" `Quick test_latency_model ]);
     ("trace", [ Alcotest.test_case "records events" `Quick test_trace_records ])

@@ -29,11 +29,18 @@ let scored oid =
     seen = [| ct 1; ct 0 |];
   }
 
+(* a SecDedup item: no best score *)
+let masked oid =
+  {
+    Enc_item.ehl = Ehl.Ehl_plus.encode rng pub ~keys:prf_keys oid;
+    worst = ct 3;
+    seen = [| ct 1; ct 0 |];
+  }
+
 let pack () =
   {
     Enc_item.alphas = [| own 11; own 12; own 13; own 14 |];
     beta = own 21;
-    gamma = own 22;
     sigmas = [| own 31; own 32 |];
   }
 
@@ -46,7 +53,7 @@ let tuple () =
   }
 
 (* One sample per constructor (plus empty-collection corners), covering
-   all 18 requests and 13 responses. *)
+   all 18 requests and 14 responses. *)
 let request_samples : (string * Wire.request) list =
   [ ("EncCompare", Wire.Sign_of (ct 42));
     ("SecWorst", Wire.Equality [ ct 1; ct 2; ct 3 ]);
@@ -54,7 +61,6 @@ let request_samples : (string * Wire.request) list =
     ("SecJoin", Wire.Conjunction [ [ ct 1 ]; [ ct 2; ct 3 ] ]);
     ("SecJoin", Wire.Conjunction []);
     ("SecBest", Wire.Recover (dj 5));
-    ("SecRefresh", Wire.Lift [ ct 4; ct 5 ]);
     ("EncCompareDGK", Wire.Dgk_low_bits { bits = 16; z = ct 77 });
     ("EncCompareDGK", Wire.Zero_any [ ct 0; ct 6 ]);
     ("EncCompareDGK", Wire.Zero_test (ct 6));
@@ -65,7 +71,7 @@ let request_samples : (string * Wire.request) list =
         {
           mode = Wire.Replace;
           diffs = [ ct 1 ];
-          items = [ (scored "o1", pack ()); (scored "o2", pack ()) ];
+          items = [ (masked "o1", pack ()); (masked "o2", pack ()) ];
         } );
     ("SecDedup", Wire.Dedup { mode = Wire.Eliminate; diffs = []; items = [] });
     ("SecDupElim", Wire.Dup_flags [ dj 0; dj 1 ]);
@@ -77,6 +83,8 @@ let request_samples : (string * Wire.request) list =
     ("EncSort", Wire.Rank_tuples [ (ct 1, ct 2, [| ct 3; ct 4 |]) ]);
     ("SkNN", Wire.Rank_keys [ ct 5; ct 6 ]);
     ("SkNN", Wire.Zero_slot [ ct 0; ct 1 ]);
+    ("SecRefresh", Wire.Refresh { bottoms = [ ct 4; ct 5 ]; bits = [ ct 1; ct 0; ct 0; ct 1 ] });
+    ("SecRefresh", Wire.Refresh { bottoms = []; bits = [] });
     ( "EncSort",
       Wire.Batch
         [ Wire.Sign_of (ct 1);
@@ -95,7 +103,7 @@ let response_samples : Wire.response list =
     Wire.Bit false;
     Wire.Flags [ true; false; true ];
     Wire.Flags [];
-    Wire.Items [ (scored "o1", pack ()) ];
+    Wire.Items [ (masked "o1", pack ()) ];
     Wire.Sorted [ scored "o1"; scored "o2" ];
     Wire.Pair (scored "oa", scored "ob");
     Wire.Tuples [ tuple () ];
@@ -103,6 +111,8 @@ let response_samples : Wire.response list =
     Wire.Indices [ 0; 5; 2 ];
     Wire.Slot None;
     Wire.Slot (Some 3);
+    Wire.Cts [ ct 4; ct 0 ];
+    Wire.Cts [];
     Wire.Batch_resp [ Wire.Sign 1; Wire.Bits2 [ dj 0 ]; Wire.Ct (ct 7); Wire.Bit true ];
     Wire.Batch_resp [] ]
 
@@ -508,7 +518,7 @@ let test_oversized_prefix () =
    too: one SHA-256 over every sample frame (each length-prefixed) and
    every closed-form size, compared to the digest of the reference codec.
    A change here is a change of wire format. *)
-let golden_frames_sha256 = "99b5a6b0a89de95254d48be13f31922d141ca6c2820d99a2fb9f0b39167db929"
+let golden_frames_sha256 = "bf5a288fc0bfb4146a63e53a514ec167868a3f0526a09394a3b1420de9d9ce42"
 
 let test_golden_frames () =
   let h = Sha256.init () in

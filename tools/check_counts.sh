@@ -9,12 +9,13 @@
 #   BENCH_store.json
 #   BENCH_concurrency.json              single_client_rounds and every
 #                                       row's rounds_per_query
+#   BENCH_micro.json                    .ops (one untimed call per row)
 # These are pure functions of the benches' seeded data and randomness,
 # so a difference means the protocol, the codec or the accounting moved:
 # either a regression, or a change whose committed JSON was never
 # regenerated. The ceiling gates (check_rounds.sh, check_shard_scaling.sh)
 # pass both. Wall-clock fields are never compared. Regenerate with
-#   dune exec bench/main.exe -- --only fig12 --json .   (and shard, store, concurrency)
+#   dune exec bench/main.exe -- --only fig12 --json .   (and shard, store, concurrency, micro)
 set -eu
 
 fresh=${1:?usage: check_counts.sh FRESH_DIR [COMMITTED_DIR]}
@@ -50,6 +51,7 @@ check BENCH_store.json '.ops'
 check BENCH_store.json '[.results[] | {name, bytes}]'
 check BENCH_concurrency.json '.single_client_rounds'
 check BENCH_concurrency.json '[.results[] | {clients, rounds_per_query}]'
+check BENCH_micro.json '.ops'
 
 if [ "$status" -ne 0 ]; then
   echo "check_counts: exact counts moved; regenerate the committed JSON only if the change is intended" >&2

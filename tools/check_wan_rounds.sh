@@ -7,16 +7,17 @@
 #   sh tools/check_wan_rounds.sh
 #
 # Rounds are a pure function of the seed: at seed 1 the pass serves 38
-# queries in 818 rounds, 21.52631579 per query. Every phase of a depth
+# queries in 750 rounds, 19.73684211 per query. Every phase of a depth
 # sends one frame covering every live shard, so a 2-shard query pays the
 # per-depth rounds of one shard. A per-shard session fork, or an extra
 # per-shard round, coming back anywhere on the serve-s1 -> proxy ->
 # serve-s2 path moves this count (the per-shard sessions read
-# 33.68421053), and no unit test drives that path. A change that moves
-# wan's rounds on purpose edits the pin below.
+# 33.68421053 when a depth cost two SecRefresh rounds), and no unit test
+# drives that path. A change that moves wan's rounds on purpose edits the
+# pin below.
 set -eu
 
-expected=21.52631579
+expected=19.73684211
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
 
