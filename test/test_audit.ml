@@ -1,4 +1,5 @@
-(* Leakage audit of S2's potential view for SecRefresh.
+(* Leakage audit of S2's potential view for SecRefresh, SecWorst,
+   SecDedup and SecUpdate.
 
    A recording round-scheduler backend sits in front of
    [S2_server.handle_mux_ops]. The test holds [sk], so for every request
@@ -7,12 +8,13 @@
    that the request or its reply carries, decrypted: everything S2 could
    read, not only what its handler decrypts. The checks:
 
-   (a) shape: a relation and its x10 scaling give SecRefresh requests of
-       identical kinds, counts and sizes, under Full and Elim, with 1 and
-       2 shards;
+   (a) shape: a relation and its x10 scaling give SecRefresh, SecWorst,
+       SecDedup and SecUpdate requests of identical kinds, counts and
+       sizes, under Full and Elim, with 1 and 2 shards;
    (b) masked values: the values SecRefresh hands S2 to decrypt, and
-       RecoverEnc's inner plaintexts, are never below 2^64 and their
-       top-byte histograms agree between the two relations;
+       RecoverEnc's inner plaintexts (from SecJoin, the one protocol that
+       still recovers), are never below 2^64 and their top-byte
+       histograms agree between the two relations;
    (c) bits: whatever the seen bits, the bits S2 decrypts in a Refresh
        request read about half ones;
    (d) linkability: no ciphertext of a SecRefresh request appears in any
@@ -164,7 +166,8 @@ let run_session ~seed ~variant ~shards rel =
     answer_ok = Nra.valid_answer rel scoring ~k:2 answer;
   }
 
-let refresh_records s = List.filter (fun r -> r.label = refresh_label) s.records
+let records_of labels s = List.filter (fun r -> List.mem r.label labels) s.records
+let refresh_records = records_of [ refresh_label ]
 
 let configs =
   [ ("Full, 1 shard", Query.Full, 1);
@@ -174,22 +177,36 @@ let configs =
 
 (* ---------------- (a) shape ---------------- *)
 
-let shape s =
+let shape label s =
   List.map
     (fun r -> (r.bytes, List.map (fun e -> (e.kind, e.counts)) r.elements))
-    (refresh_records s)
+    (records_of [ label ] s)
 
-let test_shape () =
+(* Every protocol in [labels] sends the same requests for [rel_a] and
+   [rel_b]; each of [ran] sends at least one. *)
+let check_shapes ~labels ~ran =
   List.iter
     (fun (name, variant, shards) ->
       let run rel = run_session ~seed:"test_audit shape" ~variant ~shards rel in
       let a = run rel_a and b = run rel_b in
       Alcotest.(check bool) (name ^ ": answers valid") true (a.answer_ok && b.answer_ok);
-      Alcotest.(check bool) (name ^ ": SecRefresh ran") true (shape a <> []);
-      Alcotest.(check (list (pair int (list (pair string (list int))))))
-        (name ^ ": same SecRefresh kinds, counts and sizes")
-        (shape a) (shape b))
+      List.iter
+        (fun label -> Alcotest.(check bool) (name ^ ": " ^ label ^ " ran") true (shape label a <> []))
+        ran;
+      List.iter
+        (fun label ->
+          Alcotest.(check (list (pair int (list (pair string (list int))))))
+            (Printf.sprintf "%s: same %s kinds, counts and sizes" name label)
+            (shape label a) (shape label b))
+        labels)
     configs
+
+let test_shape () = check_shapes ~labels:[ refresh_label ] ~ran:[ refresh_label ]
+
+(* SecUpdate's Eliminate flags travelled under their own label until
+   SecUpdate answered them in its own request; both are compared. *)
+let pick_labels = [ "SecWorst"; "SecDedup"; "SecUpdate" ]
+let test_pick_shape () = check_shapes ~labels:("SecDupElim" :: pick_labels) ~ran:pick_labels
 
 (* ---------------- (b) masked values ---------------- *)
 
@@ -216,6 +233,27 @@ let recover_inner s =
         (fun e -> if e.kind = "Recover" then List.map (fun c -> c.plain) e.reply else [])
         r.elements)
     s.records
+
+(* SecJoin's combine step through a fresh recorder: a 4 x 3 join whose
+   12 pairs each recover a score and four carried attributes. [scale]
+   multiplies every value, so the two relations share their equality
+   pattern. *)
+let run_join_session ~seed ~scale =
+  let rel name rows = Relation.create ~name (Array.map (Array.map (( * ) scale)) rows) in
+  let r1 = rel "r1" [| [| 1; 10 |]; [| 2; 20 |]; [| 3; 30 |]; [| 2; 5 |] |] in
+  let r2 = rel "r2" [| [| 2; 100 |]; [| 3; 50 |]; [| 9; 7 |] |] in
+  let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
+  let derived = Ctx.derive ctx_rng pub sk in
+  let hello = { Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false } in
+  let r = recorder ~sk ~keys:(Ctx.keys derived) hello in
+  let id = Sched.open_query r.sched in
+  let ctx = Ctx.of_derived ~blind_bits:48 ~mode:(Ctx.Mux (r.sched, id)) derived in
+  let (e1, e2), key = Join.Join_scheme.encrypt_pair ~s:4 data_rng pub r1 r2 in
+  let tk = Join.Join_scheme.token key ~m1:2 ~m2:2 ~join:(0, 0) ~score:(1, 1) ~k:2 in
+  ignore (Join.Sec_join.combine ctx e1 e2 tk);
+  Sched.close_query r.sched id;
+  Sched.stop r.sched;
+  { n = pub.Paillier.n; records = List.rev !(r.records); answer_ok = true }
 
 let bins = 16
 
@@ -245,29 +283,38 @@ let chi2_bound = 37.70
 let min_samples = 200
 let two64 = Nat.shift_left Nat.one 64
 
-(* Sessions at fresh seeds per relation, until each role has at least
-   [min_samples] values per relation. *)
-let collect rel =
-  let rec go i masked inner =
-    if List.length masked >= min_samples && List.length inner >= min_samples then (masked, inner)
-    else begin
-      let sessions =
-        List.map
-          (fun (_, variant, shards) ->
-            run_session
-              ~seed:(Printf.sprintf "test_audit %s %d" (Relation.name rel) i)
-              ~variant ~shards rel)
-          configs
-      in
-      let tag s vs = List.map (fun v -> (s.n, v)) vs in
-      go (i + 1)
-        (masked @ List.concat_map (fun s -> tag s (refresh_masked s)) sessions)
-        (inner @ List.concat_map (fun s -> tag s (recover_inner s)) sessions)
-    end
-  in
-  go 0 [] []
+(* Values of one role, tagged with their session's n, from sessions
+   [session 0], [session 1], ... until there are at least [min_samples]
+   or [max_sessions] rounds have run: a role no session produces comes
+   back short and fails its test instead of looping. *)
+let max_sessions = 12
 
-let samples = lazy (collect rel_a, collect rel_b)
+let collect role session =
+  let rec go i acc =
+    if List.length acc >= min_samples || i = max_sessions then acc
+    else
+      go (i + 1)
+        (acc @ List.concat_map (fun s -> List.map (fun v -> (s.n, v)) (role s)) (session i))
+  in
+  go 0 []
+
+(* one query per configuration at seed [i] *)
+let query_sessions rel i =
+  List.map
+    (fun (_, variant, shards) ->
+      run_session ~seed:(Printf.sprintf "test_audit %s %d" (Relation.name rel) i) ~variant ~shards rel)
+    configs
+
+let join_session scale i =
+  [ run_join_session ~seed:(Printf.sprintf "test_audit join %d %d" scale i) ~scale ]
+
+let refresh_samples =
+  lazy
+    ( collect refresh_masked (query_sessions rel_a),
+      collect refresh_masked (query_sessions rel_b) )
+
+let recover_samples =
+  lazy (collect recover_inner (join_session 1), collect recover_inner (join_session 10))
 
 let check_uniform role a b =
   let hist vs =
@@ -292,12 +339,12 @@ let check_uniform role a b =
     true (x <= chi2_bound)
 
 let test_masked () =
-  let (ma, _), (mb, _) = Lazy.force samples in
+  let ma, mb = Lazy.force refresh_samples in
   check_uniform "SecRefresh masked values" ma mb
 
 let test_recover_inner () =
-  let (_, ia), (_, ib) = Lazy.force samples in
-  check_uniform "RecoverEnc inner plaintexts" ia ib
+  let ia, ib = Lazy.force recover_samples in
+  check_uniform "RecoverEnc inner plaintexts (SecJoin)" ia ib
 
 (* ---------------- (c) bits ---------------- *)
 
@@ -406,4 +453,8 @@ let () =
           Alcotest.test_case "(b) RecoverEnc inner plaintexts uniform" `Quick test_recover_inner;
           Alcotest.test_case "(c) decrypted bits are coin flips" `Quick test_bits;
           Alcotest.test_case "(d) no ciphertext links to another message" `Quick test_unlinkable
+        ] );
+      ( "pick-view",
+        [ Alcotest.test_case "(a) SecWorst, SecDedup and SecUpdate keep their shape" `Quick
+            test_pick_shape
         ] ) ]
