@@ -3,7 +3,8 @@
     One shared abstraction for every data-parallel batch in the system:
     relation encryption, the per-shard fan-out of the query loop,
     [Ctx.parallel]'s tasks (SecDedup, EncSort, SecJoin) and the
-    deterministic exponentiations of SecUpdate, RecoverEnc and lift.
+    deterministic exponentiations of the picks, SecRefresh and
+    RecoverEnc.
 
     No call spawns a domain. A fan-out borrows workers of the crew the
     calling domain belongs to ({!Service.current}: serve-s1's query

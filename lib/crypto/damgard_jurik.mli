@@ -4,7 +4,8 @@
     Paillier ciphertext is an element of [Z_{n^2}], a DJ ciphertext can
     carry a Paillier ciphertext as its plaintext — the "layered"
     encryption [E2(Enc(m))] the paper builds RecoverEnc, SecWorst, SecBest
-    and SecUpdate on. The single homomorphic property the construction
+    and SecUpdate on; here only SecJoin still uses it (the SecTopK
+    phases pick in Paillier alone, DESIGN §3a items 14 and 15). The single homomorphic property the construction
     relies on (Section 3.3) is
 
     [scalar_mul (enc2 x) y ~ enc2 (x * y mod n^2)]

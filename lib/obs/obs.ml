@@ -784,58 +784,60 @@ module Cost_model = struct
       msgs = 2;
       rounds = 1 }
 
-  (* SecWorst (Alg. 4) against [others] candidate lists: an EHL+ diff
-     (2 scalar_muls per cell) per other batched into one equality round,
-     then every select+recover in one batch round. A select+recover is
-     one DJ exponentiation of a single term with the blinding folded in
-     (2 scalar_muls: the term and the absorbed blinding) and two
-     Paillier encryptions (the blinding Enc(r) and the Enc(-r) that
-     strips it). *)
-  let sec_worst p ~others:j =
-    let label = "SecWorst" in
-    let rec_b, rec_m, rec_r =
-      batch_cost p ~label
-        (List.init j (fun _ -> p.dj_ct))
-        (List.init j (fun _ -> p.ct))
-    in
-    { zero with
-      penc = 2 * j;
-      pdec = j;
-      pmul = 2 * p.cells * j;
-      djenc = j;
-      djdec = j;
-      djmul = 2 * j;
-      bytes = req p ~label (4 + (j * p.ct)) + resp p (4 + (j * p.dj_ct)) + rec_b;
-      msgs = 2 + rec_m;
-      rounds = 1 + rec_r }
+  (* SecWorst (Alg. 4) against [others] candidate lists, one pick: per
+     other an EHL+ diff (2 scalar_muls per cell) and a masked score (one
+     encryption of its mask) out; S2 decrypts both and answers the
+     masked sum and one Enc(t) per other; S1 removes the masks with one
+     multi-exponentiation (a scalar_mul per other). *)
+  let sec_worst_ops p j =
+    { zero with penc = 1 + (2 * j); pdec = 2 * j; pmul = (2 * p.cells * j) + j }
 
-  (* SecDedup (Alg. 6/7) over [items] candidates of which [dups] are
-     non-keeper duplicates: pairwise EHL+ diffs and masked items travel in
-     one Dedup rpc (1 mode byte, count-prefixed matrix and item lists);
-     S2 decrypts the matrix, re-masks (and in Replace mode synthesises
-     replacements), S1 unmasks the survivors with one encryption per
-     component (of the negated mask: no scalar_mul). *)
+  let sec_worst_req j p = 4 + (j * p.ct) + 4 + (j * p.ct)
+  let sec_worst_resp j p = 4 + ((1 + j) * p.ct)
+
+  let sec_worst p ~others:j =
+    { (sec_worst_ops p j) with
+      bytes = req p ~label:"SecWorst" (sec_worst_req j p) + resp p (sec_worst_resp j p);
+      msgs = 2;
+      rounds = 1 }
+
+  (* SecDedup over [items] candidates of which [dups] are non-keeper
+     duplicates, one rpc carrying the count-prefixed pairwise EHL+ diffs
+     (2 scalar_muls per cell each).
+     - Replace, a pick: every field (cells, worst, seen) masked (one
+       encryption each); S2 decrypts the matrix and every field and
+       answers Enc(d) and Enc(d * u) per field; S1 rewrites each field
+       with one scalar_mul. Independent of [dups].
+     - Eliminate (Alg. 6/7): masked items with escrow packs; S2 re-masks
+       the survivors, S1 unmasks them with one encryption per component
+       (of the negated mask: no scalar_mul). *)
   let sec_dedup p ~mode ~items:l ~dups:d =
     if l = 0 then zero
     else begin
       let pairs = l * (l - 1) / 2 in
       let cell = p.cells + 1 + p.seen in
-      let item_b = masked_b p + pack_b p in
-      let kept = l - d in
-      let out = match mode with `Replace -> l | `Eliminate -> kept in
-      { zero with
-        pmul = 2 * p.cells * pairs;
-        pdec = pairs + (out * cell);
-        penc =
-          (2 * cell * l)
-          + (2 * cell * kept)
-          + (match mode with `Replace -> 2 * cell * d | `Eliminate -> 0)
-          + (out * cell);
-        bytes =
-          req p ~label:"SecDedup" (1 + (4 + (pairs * p.ct)) + (4 + (l * item_b)))
-          + resp p (4 + (out * item_b));
-        msgs = 2;
-        rounds = 1 }
+      let diffs_b = 4 + (pairs * p.ct) in
+      match mode with
+      | `Replace ->
+        { zero with
+          pmul = (2 * p.cells * pairs) + (l * cell);
+          pdec = pairs + (l * cell);
+          penc = (l * cell) + (l * (1 + cell));
+          bytes =
+            req p ~label:"SecDedup" (diffs_b + 4 + (l * (4 + (cell * p.ct))))
+            + resp p (4 + (l * (1 + cell) * p.ct));
+          msgs = 2;
+          rounds = 1 }
+      | `Eliminate ->
+        let item_b = masked_b p + pack_b p in
+        let kept = l - d in
+        { zero with
+          pmul = 2 * p.cells * pairs;
+          pdec = pairs + (kept * cell);
+          penc = (2 * cell * l) + (2 * cell * kept) + (kept * cell);
+          bytes = req p ~label:"SecDedup" (diffs_b + 4 + (l * item_b)) + resp p (4 + (kept * item_b));
+          msgs = 2;
+          rounds = 1 }
     end
 
   let add a b =
@@ -861,41 +863,18 @@ module Cost_model = struct
     end
 
   (* Sec_worst.run_many over instances with [others] candidate-list
-     widths: per-instance crypto is the sum of the singleton bodies, but
-     every instance's equality payload shares one batch and every
-     instance's recoveries share another — two rounds total however many
-     instances (lists x shards) one depth carries. Reduces to [sec_worst]
-     at a single instance. *)
+     widths: per-instance crypto is the sum of the singleton bodies, and
+     every instance's pick shares one batch: one round however many
+     instances (lists x shards) one depth carries. Reduces to
+     [sec_worst] at a single instance. *)
   let sec_worst_many p ~others =
-    let label = "SecWorst" in
-    let ops =
-      sum
-        (List.map
-           (fun j ->
-             { zero with
-               penc = 2 * j;
-               pdec = j;
-               pmul = 2 * p.cells * j;
-               djenc = j;
-               djdec = j;
-               djmul = 2 * j })
-           others)
+    let ops = sum (List.map (sec_worst_ops p) others) in
+    let bytes, msgs, rounds =
+      batch_cost p ~label:"SecWorst"
+        (List.map (fun j -> sec_worst_req j p) others)
+        (List.map (fun j -> sec_worst_resp j p) others)
     in
-    let eq_b, eq_m, eq_r =
-      batch_cost p ~label
-        (List.map (fun j -> 4 + (j * p.ct)) others)
-        (List.map (fun j -> 4 + (j * p.dj_ct)) others)
-    in
-    let rec_elems = List.concat_map (fun j -> List.init j (fun _ -> ())) others in
-    let rc_b, rc_m, rc_r =
-      batch_cost p ~label
-        (List.map (fun () -> p.dj_ct) rec_elems)
-        (List.map (fun () -> p.ct) rec_elems)
-    in
-    { ops with
-      bytes = ops.bytes + eq_b + rc_b;
-      msgs = ops.msgs + eq_m + rc_m;
-      rounds = ops.rounds + eq_r + rc_r }
+    { ops with bytes; msgs; rounds }
 
   (* EncSort, blinded strategy, over [items] scored candidates: blind +
      encrypt + signed-decrypt per item, full re-randomization on return

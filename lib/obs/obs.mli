@@ -297,10 +297,10 @@ module Cost_model : sig
 
   (** [Sec_worst.run_many] over one instance per element of [others]
       (its candidate-list width): crypto ops are the sum of the singleton
-      bodies, while all equality payloads share one batch and all
-      recoveries another — two rounds regardless of instance count, which
-      is what keeps the sharded depth loop's round count flat. Equals
-      {!sec_worst} at a single instance. *)
+      bodies, while every instance's pick shares one batch — one round
+      regardless of instance count, which is what keeps the sharded
+      depth loop's round count flat. Equals {!sec_worst} at a single
+      instance. *)
   val sec_worst_many : params -> others:int list -> counts
 
   (** One halting checkpoint ({!shard_merge}[ ~items ~k ~bounds]

@@ -23,11 +23,7 @@ type s1 = {
   blind_bits : int option;
   own_pub : Paillier.public;
   own_sk : Paillier.secret;
-  djnoise : Noise_pool.t;
 }
-
-let make_djnoise rng djpub =
-  Noise_pool.create rng ~label:"djnoise" (fun r -> Damgard_jurik.noise r djpub)
 
 type t = {
   s1 : s1;
@@ -88,17 +84,15 @@ let of_derived ?blind_bits ?(domains = 1) ?mode ?rtt_us (d : derived) =
          the other side of the frame *)
       Transport.mux d.keys sched ~session
   in
-  let rng = Rng.copy d.s1_rng in
   {
     s1 =
       {
         pub = d.pub;
         djpub = d.djpub;
-        rng;
+        rng = Rng.copy d.s1_rng;
         blind_bits;
         own_pub = d.own_pub;
         own_sk = d.own_sk;
-        djnoise = make_djnoise rng d.djpub;
       };
     transport;
     domains;
@@ -193,11 +187,9 @@ let trace t = Transport.trace t.transport
 let trace_events t = Trace.events (trace t)
 let transport_name t = Transport.mode_name t.transport
 
-(* S1 state for one forked task: its own generator and DJ noise pool,
-   derived from the parent's generator by index label. *)
-let fork_s1 s1 i =
-  let rng = Rng.fork s1.rng ~label:("par:" ^ string_of_int i) in
-  { s1 with rng; djnoise = make_djnoise rng s1.djpub }
+(* S1 state for one forked task: its own generator, derived from the
+   parent's generator by index label. *)
+let fork_s1 s1 i = { s1 with rng = Rng.fork s1.rng ~label:("par:" ^ string_of_int i) }
 
 let map t ~jobs f = Core.Pool.run ~domains:t.domains ~jobs f
 

@@ -25,11 +25,6 @@ type s1 = {
           homomorphically without reading it. Its modulus is wider than
           the main one so blinding sums survive unreduced. *)
   own_sk : Paillier.secret;
-  djnoise : Noise_pool.t;
-      (** Precomputed DJ re-randomization noise ([r^{n^2} mod n^3]); its
-          root generator is forked off [rng] at context construction, and
-          {!parallel} tasks fork their own — same determinism discipline
-          as the generators themselves. *)
 }
 
 type t = {
@@ -169,9 +164,9 @@ val map : t -> jobs:int -> (int -> 'a) -> 'a array
 
 (** [parallel t ~jobs f] evaluates [f s1 i] for [i] in [0..jobs-1]
     through {!map} and returns results in index order. Tasks are pure S1
-    work: each [s1] shares the keys of [t] but carries its own generator
-    and DJ noise pool, forked from [s1.rng] by index before any task
-    starts, so a task may draw randomness. No task gets a transport, so
+    work: each [s1] shares the keys of [t] but carries its own generator,
+    forked from [s1.rng] by index before any task starts, so a task may
+    draw randomness. No task gets a transport, so
     none opens an S2 session, and the fan-out runs at full width on
     every transport (a mux query pays no scheduler trip for a fork).
     Results and accounting are byte-identical across any [domains]

@@ -6,26 +6,15 @@ let blind_scalar (s1 : Ctx.s1) =
   | None -> Rng.unit_mod s1.rng s1.pub.Paillier.n
   | Some bits -> Nat.succ (Rng.nat_bits s1.rng bits)
 
-(* One equality round over several independent blocks: one [Equality]
-   request per block, all in one batch, so S2 never sees two blocks'
-   differences in one request. A single block is a plain rpc (the
-   singleton batch delegates). A block with no differences still sends
-   its request: the protocol's round (and S2's empty Equality_bits
-   trace entry) exists either way. *)
-let equality_round_many (ctx : Ctx.t) ~protocol blocks =
-  List.map
-    (function
-      | Wire.Bits2 ts -> ts | _ -> failwith "Gadgets.equality_round: unexpected response")
-    (Ctx.rpc_batch ctx ~label:protocol (List.map (fun diffs -> Wire.Equality diffs) blocks))
-
-let equality_round ctx ~protocol diffs = List.hd (equality_round_many ctx ~protocol [ diffs ])
+let equality_round (ctx : Ctx.t) ~protocol diffs =
+  match Ctx.rpc ctx ~label:protocol (Wire.Equality diffs) with
+  | Wire.Bits2 ts -> ts
+  | _ -> failwith "Gadgets.equality_round: unexpected response"
 
 let conjunction_round (ctx : Ctx.t) ~protocol groups =
   match Ctx.rpc ctx ~label:protocol (Wire.Conjunction groups) with
   | Wire.Bits2 replies -> replies
   | _ -> failwith "Gadgets.conjunction_round: unexpected response"
-
-type spec = { offset : Nat.t; terms : (Damgard_jurik.ciphertext * Nat.t) list }
 
 (* [f 0], ..., [f (n-1)] in index order: the calls draw randomness, so
    the order is part of the determinism contract. *)
@@ -33,19 +22,22 @@ let draw_each n f =
   let rec go i acc = if i = n then Array.of_list (List.rev acc) else go (i + 1) (f i :: acc) in
   go 0 []
 
-(* Batched RecoverEnc over [jobs] specs; [spec i] builds one and draws
-   nothing. A spec is E2(d + sum_i k_i * x_i) for c_i = E2(x_i), and the
-   RecoverEnc blinding e = Enc(r) multiplies the plaintext, so the
-   blinded ciphertext is trivial(d * e) * prod c_i^(k_i * e): one
-   simultaneous exponentiation over the terms, the blinding folded in.
-   Each spec's blinding [r] and its encryption noise are drawn on the
-   calling domain, in index order; building the specs, the blinding
+(* The select gadget and RecoverEnc, batched over [(t, if_one, if_zero)]
+   choices. E2(t * x1 + (1 - t) * x0) = E2(x0) * t^(x1 - x0), the
+   difference taken mod n^2, and the RecoverEnc blinding e = Enc(r)
+   multiplies the plaintext, so the blinded ciphertext is
+   trivial(x0 * e) * t^((x1 - x0) * e): one exponentiation, the
+   blinding folded in. Each choice's blinding [r] and its encryption
+   noise are drawn on the calling domain, in index order; the blinding
    exponentiations and, after the batch round, the unblinding (an
    encryption of -r from the same draw, off the negated-noise comb) fan
    out over the context's width. *)
-let recover_specs (ctx : Ctx.t) ~protocol ~jobs spec =
+let select_recover_many (ctx : Ctx.t) ~protocol choices =
   let s1 = ctx.Ctx.s1 in
   let pub = s1.pub and dj = s1.djpub in
+  let n2 = pub.Paillier.n2 in
+  let choices = Array.of_list choices in
+  let jobs = Array.length choices in
   let draws =
     draw_each jobs (fun _ ->
         let r = Rng.nat_below s1.rng pub.Paillier.n in
@@ -55,12 +47,14 @@ let recover_specs (ctx : Ctx.t) ~protocol ~jobs spec =
     Ctx.map ctx ~jobs (fun i ->
         let r, noise = draws.(i) in
         let e = Paillier.to_nat (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub noise) r) in
-        let { offset; terms } = spec i in
+        let t, if_one, if_zero = choices.(i) in
+        let x0 = Paillier.to_nat if_zero in
         (* account for the blinding exponentiation the fold absorbs *)
         Obs.bump Obs.Metrics.Dj_mul;
         Damgard_jurik.add dj
-          (Damgard_jurik.trivial dj (Nat.mul offset e))
-          (Damgard_jurik.scalar_mul_many dj (List.map (fun (c, k) -> (c, Nat.mul k e)) terms)))
+          (Damgard_jurik.trivial dj (Nat.mul x0 e))
+          (Damgard_jurik.scalar_mul_many dj
+             [ (t, Nat.mul (Modular.sub (Paillier.to_nat if_one) x0 ~m:n2) e) ]))
   in
   let resps =
     Array.of_list
@@ -72,21 +66,7 @@ let recover_specs (ctx : Ctx.t) ~protocol ~jobs spec =
          | Wire.Ct inner ->
            let r, noise = draws.(i) in
            Paillier.add pub inner (Paillier.encrypt_neg_with pub ~draw:noise r)
-         | _ -> failwith "Gadgets.recover_enc_specs: unexpected response"))
-
-let recover_enc_specs ctx ~protocol specs =
-  let specs = Array.of_list specs in
-  recover_specs ctx ~protocol ~jobs:(Array.length specs) (fun i -> specs.(i))
-
-(* E2(t * x1 + (1 - t) * x0) = E2(x0) * t^(x1 - x0): one term, the
-   difference taken mod n^2 *)
-let select_recover_many (ctx : Ctx.t) ~protocol choices =
-  let n2 = ctx.Ctx.s1.pub.Paillier.n2 in
-  let choices = Array.of_list choices in
-  recover_specs ctx ~protocol ~jobs:(Array.length choices) (fun i ->
-      let t, if_one, if_zero = choices.(i) in
-      let x0 = Paillier.to_nat if_zero in
-      { offset = x0; terms = [ (t, Modular.sub (Paillier.to_nat if_one) x0 ~m:n2) ] })
+         | _ -> failwith "Gadgets.select_recover_many: unexpected response"))
 
 let pass_through blocks ~pass f =
   let outs =
@@ -109,3 +89,57 @@ let strip (s1 : Ctx.s1) c m =
   Paillier.add s1.pub c (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
 
 let enc_zero (s1 : Ctx.s1) = ignore s1.rng; Paillier.trivial s1.pub Nat.zero
+
+(* ---------------- picks ---------------- *)
+
+let draw_mask (s1 : Ctx.s1) =
+  let rho = Rng.nat_below s1.rng s1.pub.Paillier.n in
+  (rho, Paillier.draw_noise s1.rng s1.pub)
+
+let masked pub c (rho, noise) =
+  Paillier.add pub c (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub noise) rho)
+
+let item_fields (it : Enc_item.scored) =
+  (it.worst :: Array.to_list it.seen) @ Array.to_list (Ehl.Ehl_plus.cells it.ehl)
+
+type replace_draws = { masks : (Nat.t * Nat.t) array; garbage : Nat.t array }
+
+let draw_replace (s1 : Ctx.s1) (it : Enc_item.scored) =
+  let masks = Array.of_list (List.map (fun _ -> draw_mask s1) (item_fields it)) in
+  let n = s1.pub.Paillier.n in
+  let cells = Array.map (fun _ -> Rng.nat_below s1.rng n) (Ehl.Ehl_plus.cells it.ehl) in
+  { masks; garbage = Array.concat [ [| Ctx.sentinel_z s1 |]; Array.map (fun _ -> Nat.one) it.seen; cells ] }
+
+let mask_fields pub it draws =
+  List.filteri (fun f _ -> f < Array.length draws.masks) (item_fields it)
+  |> List.mapi (fun f c -> masked pub c draws.masks.(f))
+
+(* x' = x * Enc(d * u)^-1 * Enc(d)^(rho + g) = (1 - d) * x + d * g, for
+   u = x + rho, field by field in [item_fields] order *)
+let replace_item pub (it : Enc_item.scored) draws reply =
+  let fields = item_fields it in
+  let d, dus =
+    match reply with
+    | d :: dus when List.length dus = List.length fields -> (d, dus)
+    | _ ->
+      Proto_error.fail "Gadgets.replace_item: %d ciphertexts for %d fields" (List.length reply)
+        (List.length fields)
+  in
+  let invs = Modular.inv_many (List.map Paillier.to_nat dus) ~m:pub.Paillier.n2 in
+  let fields =
+    Array.of_list
+      (List.mapi
+         (fun f (x, inv) ->
+           Paillier.add pub
+             (Paillier.add pub x (Paillier.of_nat pub inv))
+             (Paillier.scalar_mul pub d (Nat.add (fst draws.masks.(f)) draws.garbage.(f))))
+         (List.combine fields invs))
+  in
+  let m = Array.length it.seen in
+  let worst = fields.(0) in
+  {
+    Enc_item.ehl = Ehl.Ehl_plus.of_cells (Array.sub fields (1 + m) (Array.length fields - 1 - m));
+    worst;
+    best = worst;
+    seen = Array.sub fields 1 m;
+  }

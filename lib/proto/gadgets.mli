@@ -1,23 +1,24 @@
 (** Shared sub-protocol building blocks.
 
-    Three idioms recur in every SecTopK sub-protocol:
+    Two families of idioms:
 
-    - the {e equality round}: S1 sends permuted blinded EHL differences,
-      S2 decrypts them to bits [t_i] and returns them doubly encrypted as
-      [E2(t_i)];
-    - the {e select gadget}: from [E2(t)] with [t] a bit, S1 locally
-      computes [E2(t * Enc(a) + (1-t) * Enc(b)) = E2(Enc(b)) *
-      E2(t)^(Enc(a) - Enc(b))] — an oblivious choice between two inner
-      Paillier ciphertexts, one exponentiation of [E2(t)];
-    - {e RecoverEnc} (Algorithm 5): stripping the outer DJ layer with S2's
-      help, under additive blinding so S2 learns nothing about the inner
-      plaintext.
-
-    A select is never computed on its own: {!select_recover_many} and
-    {!recover_enc_specs} fold RecoverEnc's blinding into the select's
-    exponentiation and strip it with an encryption of its negation from
-    the same noise draw, so S1 runs no full-width negation on this
-    path. *)
+    - The paper's, which SecJoin still runs: the {e equality round} (S1
+      sends permuted blinded EHL differences, S2 decrypts them to bits
+      [t_i] and returns them doubly encrypted as [E2(t_i)]), the
+      {e select gadget} ([E2(t * Enc(a) + (1-t) * Enc(b)) = E2(Enc(b)) *
+      E2(t)^(Enc(a) - Enc(b))], one exponentiation of [E2(t)]) and
+      {e RecoverEnc} (Algorithm 5: stripping the outer DJ layer with
+      S2's help, under additive blinding). A select is never computed on
+      its own: {!select_recover_many} folds RecoverEnc's blinding into
+      the select's exponentiation and strips it with an encryption of
+      its negation from the same noise draw.
+    - The {e pick}, which SecWorst, SecUpdate and SecDedup's Replace
+      mode run instead (DESIGN §3a item 15): S1 sends each value a
+      select would choose as [Enc(x + rho)], [rho] fresh and uniform on
+      [Z_n]; S2, which decrypts the equality bits anyway, decrypts the
+      uniform [u = x + rho] and answers fresh [Enc(t)] and [Enc(t * u)];
+      S1 removes [rho] with exponentiations by [n - rho]. One Paillier
+      round, no Damgård–Jurik operation. *)
 
 open Bignum
 open Crypto
@@ -33,34 +34,16 @@ val blind_scalar : Ctx.s1 -> Nat.t
 val equality_round :
   Ctx.t -> protocol:string -> Paillier.ciphertext list -> Damgard_jurik.ciphertext list
 
-(** [equality_round_many ctx ~protocol blocks] — one round for several
-    independent blocks of differences: one [Equality] request per block,
-    all in one {!Ctx.rpc_batch}, so no request mixes two blocks. Returns
-    the per-block bits; a single block frames as {!equality_round}. *)
-val equality_round_many :
-  Ctx.t -> protocol:string -> Paillier.ciphertext list list -> Damgard_jurik.ciphertext list list
-
-(** One E2 accumulator [E2(offset + sum_i k_i * x_i)] over terms
-    [(c_i, k_i)] with [c_i = E2(x_i)]. The offset and the [k_i] are DJ
-    plaintexts (elements of [Z_{n^2}]): Paillier ciphertexts and their
-    differences mod [n^2]. *)
-type spec = { offset : Nat.t; terms : (Damgard_jurik.ciphertext * Nat.t) list }
-
-(** RecoverEnc (Algorithm 5) of every spec, in one {!Ctx.rpc_batch}
-    round: a spec whose DJ plaintext is [Enc(m)] comes back as a fresh
-    encryption of [m]. S1 blinds with a fresh [e = Enc(r)], sending
-    [trivial(offset * e) * prod c_i^(k_i * e)] (one simultaneous
-    exponentiation per spec); S2 strips the outer layer and returns
+(** The select gadget followed by RecoverEnc (Algorithm 5) over
+    [(t, if_one, if_zero)] choices, in one {!Ctx.rpc_batch} round: each
+    comes back as a fresh Paillier encryption of the chosen plaintext.
+    S1 blinds with a fresh [e = Enc(r)], sending
+    [trivial(if_zero * e) * t^((if_one - if_zero) * e)] (one
+    exponentiation per choice); S2 strips the outer layer and returns
     [Enc(m) * e = Enc(m + r)]; S1 multiplies in the encryption of [-r]
     from [e]'s own noise draw. The blindings are drawn in list order.
-    Counts one Dj_mul per term plus one for the absorbed blinding, and
-    two Paillier encryptions per spec. *)
-val recover_enc_specs : Ctx.t -> protocol:string -> spec list -> Paillier.ciphertext list
-
-(** The select gadget followed by RecoverEnc over [(t, if_one, if_zero)]
-    choices: the spec with offset [if_zero] and the one term
-    [(t, if_one - if_zero)]. The workhorse of SecWorst, SecUpdate and
-    SecJoin. *)
+    Counts two Dj_mul (the term and the absorbed blinding) and two
+    Paillier encryptions per choice. SecJoin's selects. *)
 val select_recover_many :
   Ctx.t ->
   protocol:string ->
@@ -98,3 +81,42 @@ val strip : Ctx.s1 -> Paillier.ciphertext -> Nat.t -> Paillier.ciphertext
 (** A fresh Paillier encryption of zero by S1 (the [Enc(0)] leg of the
     select gadget). *)
 val enc_zero : Ctx.s1 -> Paillier.ciphertext
+
+(** {2 Picks} *)
+
+(** A mask [rho] uniform on all of [Z_n] and the noise draw of its
+    encryption, both from S1's generator. Never [blind_bits]-short: S2
+    decrypts [x + rho]. *)
+val draw_mask : Ctx.s1 -> Nat.t * Nat.t
+
+(** [masked pub c (rho, noise)] is [c * Enc(rho)], the encryption made
+    from the drawn noise: pure, so it may fan out. Counts one Paillier
+    encryption. *)
+val masked : Paillier.public -> Paillier.ciphertext -> Nat.t * Nat.t -> Paillier.ciphertext
+
+(** The fields of a candidate that a Replace pick rewrites, in wire
+    order: worst, the seen slots, the EHL cells. *)
+val item_fields : Enc_item.scored -> Paillier.ciphertext list
+
+(** S1's draws for rewriting one candidate by a Replace pick: a mask
+    ({!draw_mask}) per field in {!item_fields} order, then the garbage
+    each field takes if S2 marks the candidate: the sentinel
+    [Z = n - 1] for worst, 1 for each seen slot (so the refreshed best
+    stays [-1]), and a fresh uniform value for each EHL cell. *)
+type replace_draws = { masks : (Nat.t * Nat.t) array; garbage : Nat.t array }
+
+val draw_replace : Ctx.s1 -> Enc_item.scored -> replace_draws
+
+(** The candidate's first [|masks|] fields, in {!item_fields} order,
+    each masked by its draw: what S2 decrypts. Pure. *)
+val mask_fields : Paillier.public -> Enc_item.scored -> replace_draws -> Paillier.ciphertext list
+
+(** [replace_item pub it draws reply] rewrites every field [x] of [it]
+    from S2's [reply = Enc(d) :: Enc(d * u_f) per field] to
+    [x * Enc(d * u)^-1 * Enc(d)^(rho + g)], which decrypts to [x] when
+    [d] is 0 and to the garbage [g] when it is 1 ([u = x + rho]). The
+    result's [best] is its [worst]. Pure: one [Modular.inv_many] and one
+    Paillier scalar multiplication per field. Raises [Proto_error] on a
+    reply of the wrong length. *)
+val replace_item :
+  Paillier.public -> Enc_item.scored -> replace_draws -> Paillier.ciphertext list -> Enc_item.scored

@@ -100,36 +100,47 @@ let dedup_remask t (it : Enc_item.masked) (pack : Enc_item.pack) =
   in
   (it', pack')
 
-(* A replacement for a duplicate: random cells and worst = Z + mask,
-   with the mask disclosed to S1 via its personal key. *)
-let dedup_replacement t ~cells ~m_seen =
-  let n = t.pub.Paillier.n in
-  let own_pub = t.own_pub in
-  let z = Nat.pred n in
-  let beta = Rng.nat_below t.rng n in
-  let alphas = Array.init cells (fun _ -> Rng.nat_below t.rng n) in
-  let sigmas = Array.init m_seen (fun _ -> Rng.nat_below t.rng n) in
-  let it : Enc_item.masked =
-    {
-      ehl =
-        Ehl.Ehl_plus.of_cells
-          (Array.init cells (fun _ -> Paillier.encrypt t.rng t.pub (Rng.nat_below t.rng n)));
-      worst = Paillier.encrypt t.rng t.pub (Modular.add z beta ~m:n);
-      (* all-ones seen vector: the sentinel's best score stays -1 under
-         the checkpoint refresh *)
-      seen =
-        Array.init m_seen (fun l ->
-            Paillier.encrypt t.rng t.pub (Modular.add Nat.one sigmas.(l) ~m:n));
-    }
-  in
-  let pack : Enc_item.pack =
-    {
-      alphas = Array.map (fun a -> Paillier.encrypt t.rng own_pub a) alphas;
-      beta = Paillier.encrypt t.rng own_pub beta;
-      sigmas = Array.map (fun a -> Paillier.encrypt t.rng own_pub a) sigmas;
-    }
-  in
-  (it, pack)
+(* ---- picks ----
+
+   S1 masks every value a pick selects with a fresh rho uniform on Z_n,
+   so each masked plaintext S2 decrypts is uniform; the equality bits
+   that drive the selects are recorded, as for an [Equality] request,
+   and every answer is a fresh encryption. *)
+
+let enc t v = Paillier.encrypt t.rng t.pub v
+let enc_bit t b = enc t (if b then Nat.one else Nat.zero)
+let eq_bits t diffs = List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) diffs
+
+let decrypt_rows t rows =
+  Array.of_list (List.map (fun r -> Array.of_list (List.map (Paillier.decrypt t.sk) r)) rows)
+
+(* the common length of [rows], which must all have it *)
+let width what rows =
+  match rows with
+  | [] -> 0
+  | r :: rest ->
+    let w = List.length r in
+    if List.exists (fun r -> List.length r <> w) rest then invalid_arg ("S2_server: ragged " ^ what);
+    w
+
+(* S2's view of a pairwise dedup matrix: it decrypts every diff, records
+   the equal pairs, and keeps the highest index of every duplicate
+   group; [true] marks the others. *)
+let duplicates t ~label ~size diffs =
+  let pair_idx = Wire.pair_indices size in
+  if List.length diffs <> Array.length pair_idx then
+    invalid_arg "S2_server: dedup pair count mismatch";
+  let pair_eq = Array.of_list (eq_bits t diffs) in
+  let equal_pairs = Array.to_list pair_idx |> List.filteri (fun idx _ -> pair_eq.(idx)) in
+  Trace.record t.trace (Trace.Dedup_matrix { protocol = label; size; equal_pairs });
+  let duplicate = Array.make size false in
+  List.iter (fun (i, _) -> duplicate.(i) <- true) equal_pairs;
+  duplicate
+
+(* Replace mode's answer for one item: Enc(d), then Enc(d * u) per field. *)
+let replace_answer t d us =
+  let ed = enc_bit t d in
+  ed :: Array.to_list (Array.map (fun u -> enc t (if d then u else Nat.zero)) us)
 
 let rec handle t ~label (req : Wire.request) : Wire.response =
   match req with
@@ -191,53 +202,75 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
   | Wire.Lsb c ->
     let y = Paillier.decrypt t.sk c in
     Wire.Ct (Paillier.encrypt t.rng t.pub (if Nat.is_even y then Nat.zero else Nat.one))
-  | Wire.Dedup { mode; diffs; items } ->
-    let l = List.length items in
-    let pair_idx = Wire.pair_indices l in
-    if List.length diffs <> Array.length pair_idx then
-      invalid_arg "S2_server: dedup pair count mismatch";
-    let pair_eq =
-      Array.of_list (List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) diffs)
+  | Wire.Dedup { diffs; items } ->
+    let duplicate = duplicates t ~label ~size:(List.length items) diffs in
+    let kept =
+      List.filteri (fun i _ -> not duplicate.(i)) items
+      |> List.map (fun (it, pack) -> dedup_remask t it pack)
     in
-    let equal_pairs =
-      Array.to_list pair_idx |> List.filteri (fun idx _ -> pair_eq.(idx))
-    in
-    Trace.record t.trace (Trace.Dedup_matrix { protocol = label; size = l; equal_pairs });
-    (* keep the highest index of every duplicate group, mark the rest *)
-    let duplicate = Array.make (max l 1) false in
-    List.iter (fun (i, _) -> duplicate.(i) <- true) equal_pairs;
-    let masked = Array.of_list items in
-    let cells, m_seen =
-      match items with
-      | ((it : Enc_item.masked), _) :: _ -> (Ehl.Ehl_plus.length it.ehl, Array.length it.seen)
-      | [] -> (0, 0)
-    in
-    let processed =
-      Array.to_list
-        (Array.mapi
-           (fun i (it, pack) ->
-             if duplicate.(i) then
-               match mode with
-               | Wire.Replace -> Some (dedup_replacement t ~cells ~m_seen)
-               | Wire.Eliminate -> None
-             else Some (dedup_remask t it pack))
-           masked)
-      |> List.filter_map Fun.id
-    in
-    (match mode with
-    | Wire.Eliminate ->
-      Trace.record t.trace
-        (Trace.Count { protocol = "SecDupElim"; value = List.length processed })
-    | Wire.Replace -> ());
+    Trace.record t.trace (Trace.Count { protocol = "SecDupElim"; value = List.length kept });
     (* second permutation before the items travel back *)
-    let out = Array.of_list processed in
+    let out = Array.of_list kept in
     ignore (Rng.shuffle t.rng out);
     Wire.Items (Array.to_list out)
-  | Wire.Dup_flags cs ->
-    let flags = List.map (fun c -> not (Nat.is_zero (Damgard_jurik.decrypt t.djsk c))) cs in
-    let kept = List.length (List.filter not flags) in
-    Trace.record t.trace (Trace.Count { protocol = label; value = kept });
-    Wire.Flags flags
+  | Wire.Dedup_pick { diffs; items } ->
+    ignore (width "dedup pick item" items);
+    let duplicate = duplicates t ~label ~size:(List.length items) diffs in
+    let us = decrypt_rows t items in
+    Wire.Cts
+      (List.concat (List.init (Array.length us) (fun i -> replace_answer t duplicate.(i) us.(i))))
+  | Wire.Worst_pick { diffs; scores } ->
+    if List.length scores <> List.length diffs then
+      invalid_arg "S2_server: worst pick count mismatch";
+    let bits = eq_bits t diffs in
+    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
+    let n = t.pub.Paillier.n in
+    let sum =
+      List.fold_left2
+        (fun acc b c ->
+          let u = Paillier.decrypt t.sk c in
+          if b then Modular.add acc u ~m:n else acc)
+        Nat.zero bits scores
+    in
+    let sum = enc t sum in
+    Wire.Cts (sum :: List.map (enc_bit t) bits)
+  | Wire.Update_pick { mode; diffs; merged; cells } ->
+    let rows = List.length merged in
+    let fields = width "update pick fields" merged in
+    if rows = 0 || List.length diffs mod rows <> 0 then invalid_arg "S2_server: ragged update grid";
+    ignore (width "update pick cells" cells);
+    (match mode with
+    | Wire.Replace when List.length cells = rows -> ()
+    | Wire.Eliminate when cells = [] -> ()
+    | _ -> invalid_arg "S2_server: ragged update pick cells");
+    let cols = List.length diffs / rows in
+    let bits = eq_bits t diffs in
+    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
+    let tb = Array.of_list bits in
+    let us = decrypt_rows t merged and cs = decrypt_rows t cells in
+    let n = t.pub.Paillier.n in
+    (* old entry j, merged field f: sum_i t_ij * u_if *)
+    let sums =
+      List.init (cols * fields) (fun x ->
+          let j = x / fields and f = x mod fields in
+          let acc = ref Nat.zero in
+          for i = 0 to rows - 1 do
+            if tb.((i * cols) + j) then acc := Modular.add !acc us.(i).(f) ~m:n
+          done;
+          enc t !acc)
+    in
+    let ts = List.map (enc_bit t) bits in
+    let matched = Array.init rows (fun i -> Array.exists Fun.id (Array.sub tb (i * cols) cols)) in
+    (match mode with
+    | Wire.Replace ->
+      let news =
+        List.init rows (fun i -> replace_answer t matched.(i) (Array.append us.(i) cs.(i)))
+      in
+      Wire.Picked { cts = sums @ ts @ List.concat news; flags = [] }
+    | Wire.Eliminate ->
+      let kept = Array.fold_left (fun k d -> if d then k else k + 1) 0 matched in
+      Trace.record t.trace (Trace.Count { protocol = "SecDupElim"; value = kept });
+      Wire.Picked { cts = sums @ ts; flags = Array.to_list matched })
   | Wire.Sort_items { keys; items } ->
     if List.length keys <> List.length items then
       invalid_arg "S2_server: sort key/item count mismatch";

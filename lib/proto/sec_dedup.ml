@@ -53,14 +53,64 @@ let unmask_item (s1 : Ctx.s1) (it : Enc_item.masked) (pack : Enc_item.pack) =
     seen = Array.mapi (fun l u -> strip u sigmas.(l)) it.seen;
   }
 
+(* Replace mode (a pick, DESIGN §3a item 15): per block one Dedup_pick
+   carrying the matrix and every item's fields masked by fresh uniform
+   rhos; S2 answers Enc(d) and Enc(d * u) per field, d marking a
+   non-kept duplicate, and S1 rewrites every item in place: a kept item
+   and a garbage one are both products with S2's fresh encryptions. All
+   draws are made on the calling domain, block after block: per item
+   its masks, then its garbage cells. *)
+let replace (ctx : Ctx.t) arrs diffs =
+  let s1 = ctx.Ctx.s1 in
+  let pub = s1.pub in
+  let draws = List.map (Array.map (Gadgets.draw_replace s1)) arrs in
+  let items = Array.concat arrs and flat = Array.concat draws in
+  let masked =
+    Ctx.map ctx ~jobs:(Array.length items) (fun x -> Gadgets.mask_fields pub items.(x) flat.(x))
+  in
+  let sizes = List.map Array.length arrs in
+  (* per item: Enc(d), then Enc(d * u) per field *)
+  let replies =
+    List.map2
+      (fun arr resp ->
+        let widths = List.map (fun it -> 1 + List.length (Gadgets.item_fields it)) (Array.to_list arr) in
+        let want = List.fold_left ( + ) 0 widths in
+        match resp with
+        | Wire.Cts cts when List.length cts = want -> Gadgets.chunks widths (Array.of_list cts)
+        | Wire.Cts cts ->
+          Proto_error.fail "Sec_dedup.run_many: %d ciphertexts for %d" (List.length cts) want
+        | _ -> Proto_error.fail "Sec_dedup.run_many: expected Cts")
+      arrs
+      (Ctx.rpc_batch ctx ~label:protocol
+         (List.map2 (fun diffs items -> Wire.Dedup_pick { diffs; items }) diffs
+            (Gadgets.chunks sizes masked)))
+    |> List.concat |> Array.of_list
+  in
+  Gadgets.chunks sizes
+    (Ctx.map ctx ~jobs:(Array.length items) (fun x ->
+         Gadgets.replace_item pub items.(x) flat.(x) replies.(x)))
+
+(* Eliminate mode (SecDupElim): per block one Dedup carrying the matrix
+   and the masked items with their escrows; S2 drops the duplicates,
+   re-masks and permutes the rest, and S1 strips the accumulated masks. *)
+let eliminate (ctx : Ctx.t) arrs diffs =
+  let s1 = ctx.Ctx.s1 in
+  let masked = List.map (fun arr -> Array.to_list (Array.map (mask_item s1) arr)) arrs in
+  List.map
+    (function
+      | Wire.Items out -> List.map (fun (it, pack) -> unmask_item s1 it pack) out
+      | _ -> Proto_error.fail "Sec_dedup.run_many: expected Items")
+    (Ctx.rpc_batch ctx ~label:protocol
+       (List.map2 (fun diffs items -> Wire.Dedup { diffs; items }) diffs masked))
+
 let run_many (ctx : Ctx.t) ~mode blocks =
   Obs.span protocol @@ fun () ->
   let s1 = ctx.Ctx.s1 in
   Gadgets.pass_through blocks
     ~pass:(function [] -> Some [] | _ :: _ -> None)
     (fun live ->
-      (* --- S1: permute each block, build its pairwise matrix on the
-         permuted order, mask every item; block after block --- *)
+      (* --- S1: permute each block and build its pairwise matrix on the
+         permuted order --- *)
       let arrs = List.map Array.of_list live in
       List.iter (fun arr -> ignore (Rng.shuffle s1.rng arr)) arrs;
       let pairs =
@@ -79,17 +129,6 @@ let run_many (ctx : Ctx.t) ~mode blocks =
                Ehl.Ehl_plus.diff ?blind_bits:sub1.blind_bits sub1.rng sub1.pub a.Enc_item.ehl
                  b.Enc_item.ehl))
       in
-      let masked = List.map (fun arr -> Array.to_list (Array.map (mask_item s1) arr)) arrs in
-      (* --- one round trip, one Dedup request per block: S2 decrypts
-         each matrix, replaces or drops duplicates, layers its own masks
-         and a second permutation --- *)
-      let outs =
-        List.map
-          (function Wire.Items out -> out | _ -> failwith "Sec_dedup.run_many: unexpected response")
-          (Ctx.rpc_batch ctx ~label:protocol
-             (List.map2 (fun diffs items -> Wire.Dedup { mode; diffs; items }) diffs masked))
-      in
-      (* --- S1: strip the accumulated masks --- *)
-      List.map (List.map (fun (it, pack) -> unmask_item s1 it pack)) outs)
+      match mode with Replace -> replace ctx arrs diffs | Eliminate -> eliminate ctx arrs diffs)
 
 let run ctx ~mode items = List.hd (run_many ctx ~mode [ items ])

@@ -2,20 +2,23 @@
     (Section 10.1).
 
     S1 holds scored items [Q]; after the protocol it holds a fresh list in
-    which no two items encode the same object. In [Replace] mode (the
-    fully-private SecDedup) every duplicate is substituted by an item with
-    a random object id and worst/best scores equal to the sentinel
-    [Z = n - 1] (= [-1] in the signed encoding), so the list length — and
-    hence everything S1 sees — is unchanged. In [Eliminate] mode
-    (SecDupElim) S2 simply drops the duplicates, which is faster and
-    shrinks all downstream work but additionally reveals the number of
-    distinct objects (the uniqueness pattern UP^d).
+    which no two items encode the same object. Both modes send S2 the
+    pairwise blinded EHL differences of S1's permuted items, and S2
+    keeps the highest index of every duplicate group.
 
-    Blinding discipline: S1 masks every component and encrypts the mask
-    under its personal key [pk'] so S2 can neither read the items nor
-    link the returned list to the submitted one; S2 layers its own masks
-    (and a second permutation) on top so S1 cannot tell which items were
-    replaced. *)
+    - [Replace] (the fully-private SecDedup) is a pick (DESIGN §3a item
+      15): S1 sends every field masked by a fresh uniform [rho]; S2
+      answers [Enc(d)] and [Enc(d * u)] per field, [d] marking a
+      non-kept duplicate, and S1 rewrites each item in place into
+      itself or into garbage — random EHL cells, worst [Z = n - 1]
+      (= [-1] signed) and an all-ones seen vector — so the list length,
+      and everything S1 sees, is unchanged.
+    - [Eliminate] (SecDupElim) keeps Algorithm 7's masked path: S1 masks
+      every component and escrows the masks under its personal key
+      [pk']; S2 drops the duplicates, layers its own masks and a second
+      permutation on the rest, and S1 strips the masks. It is faster and
+      shrinks all downstream work but reveals the number of distinct
+      objects (the uniqueness pattern UP^d). *)
 
 type mode = Wire.dedup_mode = Replace | Eliminate
 
@@ -27,9 +30,11 @@ type mode = Wire.dedup_mode = Replace | Eliminate
 val run : Ctx.t -> mode:mode -> Enc_item.scored list -> Enc_item.scored list
 
 (** [run_many ctx ~mode blocks] de-duplicates several independent blocks
-    (one per shard) in one round: one [Dedup] request per block, all in
-    one batch, so S2 sees each block's own matrix and never a
-    cross-block pair. Permutations, masks and the matrix are drawn block
-    after block; {!run} is [run_many] on one block. An empty block passes
-    through and sends nothing. Results are per block, in order. *)
+    (one per shard) in one round: one [Dedup_pick] ([Replace]) or
+    [Dedup] ([Eliminate]) request per block, all in one batch, so S2 sees
+    each block's own matrix and never a cross-block pair. Permutations,
+    masks and the matrix are drawn block after block; {!run} is
+    [run_many] on one block. An empty block passes through and sends
+    nothing. Results are per block, in order. Raises [Proto_error] on a
+    reply of the wrong shape. *)
 val run_many : Ctx.t -> mode:mode -> Enc_item.scored list list -> Enc_item.scored list list

@@ -3,23 +3,24 @@ open Crypto
 
 let protocol = "SecUpdate"
 
-(* E2(sum of ts) — at most one t is 1 by the caller's invariant. *)
-let e2_sum dj ts =
-  match ts with
-  | [] -> invalid_arg "Sec_update.e2_sum: empty"
-  | t :: rest -> List.fold_left (Damgard_jurik.add dj) t rest
-
-(* One block's |gamma| x |T| grid. Both sides are permuted afresh (a
-   stable T order would let S2 follow one object's column across depths)
-   and the equality blinds are drawn here, in the grid's historical
-   (reverse) order; [blinds] is row-major, cell (i, j) at i * |T| + j. *)
+(* One block's |gamma| x |T| grid and S1's draws for it, all made on the
+   calling domain. Both sides are permuted afresh (a stable T order
+   would let S2 follow one object's column across depths), then the
+   equality blinds are drawn in the grid's historical (reverse) order
+   ([blinds] is row-major, cell (i, j) at i * |T| + j), then each new
+   item's masks: in Replace mode every field with its garbage
+   ([Gadgets.draw_replace]), in Eliminate mode only the merged ones
+   (worst and seen). *)
 type grid = {
   olds : Enc_item.scored array;
   news : Enc_item.scored array;
   blinds : Nat.t array array;
+  draws : Gadgets.replace_draws array;
 }
 
-let draw_grid (s1 : Ctx.s1) (t_list, gamma) =
+let merged_fields (it : Enc_item.scored) = 1 + Array.length it.seen
+
+let draw_grid (s1 : Ctx.s1) ~mode (t_list, gamma) =
   let olds = Array.of_list t_list and news = Array.of_list gamma in
   ignore (Rng.shuffle s1.rng olds);
   ignore (Rng.shuffle s1.rng news);
@@ -31,189 +32,144 @@ let draw_grid (s1 : Ctx.s1) (t_list, gamma) =
         :: !blinds
     done
   done;
-  { olds; news; blinds = Array.of_list !blinds }
+  let draws =
+    Array.map
+      (fun it ->
+        match mode with
+        | Sec_dedup.Replace -> Gadgets.draw_replace s1 it
+        | Sec_dedup.Eliminate ->
+          { Gadgets.masks = Array.init (merged_fields it) (fun _ -> Gadgets.draw_mask s1);
+            garbage = [||] })
+      news
+  in
+  { olds; news; blinds = Array.of_list !blinds; draws }
 
 (* [(g, x)] for every [x] below [count g], grid after grid: the items of
    one fan-out over every block *)
 let across grids count =
   Array.of_list (List.concat_map (fun g -> List.init (count g) (fun x -> (g, x))) grids)
 
-(* successive elements of [arr], one per call: a batch's results read
-   back in the order its requests were built *)
-let reader arr =
-  let next = ref 0 in
-  fun () ->
-    let v = arr.(!next) in
-    incr next;
-    v
+(* The reply to one block's Update_pick, cut into its parts: per old
+   entry its merged fields' sums, the grid's Enc(t_ij) row-major, per
+   new item (Replace) Enc(d) and Enc(d * u) per field, and (Eliminate)
+   the flags. *)
+type picked = {
+  sums : Paillier.ciphertext array array;
+  ts : Paillier.ciphertext array;
+  replies : Paillier.ciphertext list array;
+  flags : bool array;
+}
+
+let cut ~mode g resp =
+  let n_old = Array.length g.olds and n_new = Array.length g.news in
+  let f = merged_fields g.news.(0) in
+  let widths =
+    match mode with
+    | Sec_dedup.Replace -> List.init n_new (fun i -> 1 + Array.length g.draws.(i).masks)
+    | Sec_dedup.Eliminate -> []
+  in
+  let want = (n_old * f) + (n_new * n_old) + List.fold_left ( + ) 0 widths in
+  let want_flags = match mode with Sec_dedup.Replace -> 0 | Sec_dedup.Eliminate -> n_new in
+  match resp with
+  | Wire.Picked { cts; flags }
+    when List.length cts = want && List.length flags = want_flags ->
+    let cts = Array.of_list cts in
+    let news = Array.sub cts ((n_old * f) + (n_new * n_old)) (want - (n_old * f) - (n_new * n_old)) in
+    {
+      sums = Array.init n_old (fun j -> Array.sub cts (j * f) f);
+      ts = Array.sub cts (n_old * f) (n_new * n_old);
+      replies = Array.of_list (Gadgets.chunks widths news);
+      flags = Array.of_list flags;
+    }
+  | Wire.Picked { cts; flags } ->
+    Proto_error.fail "Sec_update.run_many: %d ciphertexts and %d flags for %d and %d"
+      (List.length cts) (List.length flags) want want_flags
+  | _ -> Proto_error.fail "Sec_update.run_many: expected Picked"
 
 let run_many (ctx : Ctx.t) ~mode blocks =
   Obs.span protocol @@ fun () ->
   let s1 = ctx.Ctx.s1 in
-  let dj = s1.djpub in
+  let pub = s1.pub in
+  let n = pub.Paillier.n in
   Gadgets.pass_through blocks
     ~pass:(function [], g -> Some g | t, [] -> Some t | _ :: _, _ :: _ -> None)
     (fun live ->
-      let grids = List.map (draw_grid s1) live in
-      (* one equality round for every block's grid, one Equality request
-         per block; the multi-exponentiations of all blocks fan out
-         together *)
+      let grids = List.map (draw_grid s1 ~mode) live in
+      (* the multi-exponentiations of every block's grid and masks fan
+         out together *)
       let cells = across grids (fun g -> Array.length g.blinds) in
       let diffs =
         Ctx.map ctx ~jobs:(Array.length cells) (fun x ->
             let g, c = cells.(x) in
             let n_old = Array.length g.olds in
-            Ehl.Ehl_plus.diff_with s1.pub ~blinds:g.blinds.(c) g.news.(c / n_old).Enc_item.ehl
+            Ehl.Ehl_plus.diff_with pub ~blinds:g.blinds.(c) g.news.(c / n_old).Enc_item.ehl
               g.olds.(c mod n_old).Enc_item.ehl)
       in
-      let ts =
-        Gadgets.equality_round_many ctx ~protocol
-          (Gadgets.chunks (List.map (fun g -> Array.length g.blinds) grids) diffs)
+      let news = across grids (fun g -> Array.length g.news) in
+      let masked =
+        Ctx.map ctx ~jobs:(Array.length news) (fun x ->
+            let g, i = news.(x) in
+            let it = g.news.(i) in
+            let fields = Gadgets.mask_fields pub it g.draws.(i) in
+            let f = merged_fields it in
+            (List.filteri (fun k _ -> k < f) fields, List.filteri (fun k _ -> k >= f) fields))
       in
-      let grids = List.map2 (fun g ts -> (g, Array.of_list ts)) grids ts in
-      let t_of (g, ts) i j = ts.((i * Array.length g.olds) + j) in
-      let zero = Paillier.to_nat (Gadgets.enc_zero s1) in
-      let n2 = s1.pub.Paillier.n2 in
-      (* --- old entries: W'_j = W_j + sum_i t_ij * W_i, seen vectors
-         merged. The per-entry selections (worst delta, per-slot seen
-         merge) are all independent E2 accumulators: every RecoverEnc of
-         every block's T-list travels in one batch round. Best scores are
-         not carried: SecRefresh rewrites them from worst and seen before
-         any read. *)
+      (* one Update_pick per block, all in one round *)
+      let per_block count arr = Gadgets.chunks (List.map count grids) arr in
+      let requests =
+        List.map2
+          (fun diffs rows ->
+            let merged, cells = List.split rows in
+            let cells = match mode with Sec_dedup.Replace -> cells | Sec_dedup.Eliminate -> [] in
+            Wire.Update_pick { mode; diffs; merged; cells })
+          (per_block (fun g -> Array.length g.blinds) diffs)
+          (per_block (fun g -> Array.length g.news) masked)
+      in
+      let grids =
+        List.map2 (fun g resp -> (g, cut ~mode g resp)) grids
+          (Ctx.rpc_batch ctx ~label:protocol requests)
+      in
+      (* --- old entries: field'_jf = field_jf * S_jf * prod_i
+         Enc(t_ij)^(n - rho_if), since sum_i t_ij * x_if =
+         sum_i t_ij * u_if - sum_i t_ij * rho_if. Best scores are not
+         carried: SecRefresh rewrites them from worst and seen before any
+         read. *)
       let olds = across grids (fun (g, _) -> Array.length g.olds) in
-      let selections =
-        Array.map
-          (fun (((g, _) as gt), j) ->
-            let old = g.olds.(j) in
-            (* each selection is default + sum_i t_ij * (x_i - default):
-               x_i when t_ij = 1, the default when no t_ij is (at most one
-               is). RecoverEnc folds its blinding into the same
-               simultaneous pass *)
-            let select default xs =
-              {
-                Gadgets.offset = default;
-                terms =
-                  List.init (Array.length g.news) (fun i ->
-                      (t_of gt i j, Modular.sub (Paillier.to_nat (xs i)) default ~m:n2));
-              }
-            in
-            let w_sel = select zero (fun i -> g.news.(i).Enc_item.worst) in
-            (* seen-vector merge: u'_{j,l} = u_{j,l} + sum_i t_ij * u_{i,l}
-               (at most one i matches, so the inner selection is exclusive) *)
-            let seen_sels =
-              Array.mapi
-                (fun l _ -> select zero (fun i -> g.news.(i).Enc_item.seen.(l)))
-                old.Enc_item.seen
-            in
-            w_sel :: Array.to_list seen_sels)
-          olds
-      in
-      let take =
-        reader
-          (Array.of_list
-             (Gadgets.recover_enc_specs ctx ~protocol (List.concat (Array.to_list selections))))
-      in
       let updated_olds =
-        List.map
-          (fun (g, _) ->
-            Array.map
-              (fun (old : Enc_item.scored) ->
-                let w_delta = take () in
-                let seen' =
-                  Array.map (fun u -> Paillier.add s1.pub u (take ())) old.Enc_item.seen
-                in
-                {
-                  old with
-                  Enc_item.worst = Paillier.add s1.pub old.Enc_item.worst w_delta;
-                  seen = seen';
-                })
-              g.olds)
-          grids
-      in
-      (* --- appended copies of new items --- *)
-      let matched_e2 =
-        List.map
-          (fun ((g, _) as gt) ->
-            Array.init (Array.length g.news) (fun i ->
-                e2_sum dj (List.init (Array.length g.olds) (fun j -> t_of gt i j))))
-          grids
+        Ctx.map ctx ~jobs:(Array.length olds) (fun x ->
+            let (g, p), j = olds.(x) in
+            let old = g.olds.(j) in
+            let n_old = Array.length g.olds in
+            let field f x =
+              Paillier.add pub (Paillier.add pub x p.sums.(j).(f))
+                (Paillier.scalar_mul_many pub
+                   (List.init (Array.length g.news) (fun i ->
+                        (p.ts.((i * n_old) + j), Nat.sub n (fst g.draws.(i).masks.(f))))))
+            in
+            { old with Enc_item.worst = field 0 old.worst; seen = Array.mapi (fun l u -> field (l + 1) u) old.seen })
       in
       let updated_news =
         match mode with
         | Sec_dedup.Replace ->
-          (* obliviously rewrite matched copies into sentinel garbage; the
-             per-cell/score/seen choices of every appended item of every
-             block are independent, so the whole fan-out is one
-             select_recover_many batch *)
-          let z = Ctx.sentinel_z s1 in
-          let n = s1.pub.Paillier.n in
-          let choices =
-            List.map2
-              (fun (g, _) matched ->
-                Array.mapi
-                  (fun i (nw : Enc_item.scored) ->
-                    let t = matched.(i) in
-                    let cell_choices =
-                      Array.map
-                        (fun cell ->
-                          let rand = Paillier.encrypt s1.rng s1.pub (Rng.nat_below s1.rng n) in
-                          (t, rand, cell))
-                        (Ehl.Ehl_plus.cells nw.Enc_item.ehl)
-                    in
-                    let enc_z = Paillier.encrypt s1.rng s1.pub z in
-                    (* sentinel copies get an all-ones seen vector so their
-                       best score stays -1 under the checkpoint refresh *)
-                    let seen_choices =
-                      Array.map
-                        (fun u -> (t, Paillier.encrypt s1.rng s1.pub Nat.one, u))
-                        nw.Enc_item.seen
-                    in
-                    Array.to_list cell_choices
-                    @ [ (t, enc_z, nw.Enc_item.worst) ]
-                    @ Array.to_list seen_choices)
-                  g.news)
-              grids matched_e2
-          in
-          let take =
-            reader
-              (Array.of_list
-                 (Gadgets.select_recover_many ctx ~protocol
-                    (List.concat_map (fun c -> List.concat (Array.to_list c)) choices)))
-          in
-          List.map
-            (fun (g, _) ->
-              Array.to_list
-                (Array.map
-                   (fun (nw : Enc_item.scored) ->
-                     let cells =
-                       Array.map (fun _ -> take ()) (Ehl.Ehl_plus.cells nw.Enc_item.ehl)
-                     in
-                     let worst = take () in
-                     let seen = Array.map (fun _ -> take ()) nw.Enc_item.seen in
-                     { Enc_item.ehl = Ehl.Ehl_plus.of_cells cells; worst; best = worst; seen })
-                   g.news))
-            grids
+          (* every appended item is rewritten in place: a matched copy
+             into garbage (random EHL cells, worst Z = -1, all-ones seen,
+             so its refreshed best is -1 too), the others into fresh
+             encryptions of themselves *)
+          let news = across grids (fun (g, _) -> Array.length g.news) in
+          Gadgets.chunks
+            (List.map (fun (g, _) -> Array.length g.news) grids)
+            (Ctx.map ctx ~jobs:(Array.length news) (fun x ->
+                 let (g, p), i = news.(x) in
+                 Gadgets.replace_item pub g.news.(i) g.draws.(i) p.replies.(i)))
         | Sec_dedup.Eliminate ->
-          (* S2 reveals which (permuted) appended items matched, one
-             Dup_flags request per block; they are dropped — the
-             SecDupElim leakage (UP^d) *)
-          let flags_ct =
-            List.map
-              (Array.map (fun c ->
-                   Damgard_jurik.rerandomize_with dj ~noise:(Noise_pool.take s1.Ctx.djnoise) c))
-              matched_e2
-          in
-          List.map2
-            (fun (g, _) resp ->
-              match resp with
-              | Wire.Flags flags ->
-                let flags = Array.of_list flags in
-                List.filteri (fun i _ -> not flags.(i)) (Array.to_list g.news)
-              | _ -> failwith "Sec_update.run_many: unexpected response")
+          (* S2 revealed which (permuted) appended items matched; they
+             are dropped: the SecDupElim leakage (UP^d) *)
+          List.map
+            (fun (g, p) -> List.filteri (fun i _ -> not p.flags.(i)) (Array.to_list g.news))
             grids
-            (Ctx.rpc_batch ctx ~label:"SecDupElim"
-               (List.map (fun cts -> Wire.Dup_flags (Array.to_list cts)) flags_ct))
       in
-      List.map2 (fun olds news -> Array.to_list olds @ news) updated_olds updated_news)
+      List.map2 (fun olds news -> olds @ news)
+        (Gadgets.chunks (List.map (fun (g, _) -> Array.length g.olds) grids) updated_olds)
+        updated_news)
 
 let run ctx ~mode ~t_list ~gamma = List.hd (run_many ctx ~mode [ (t_list, gamma) ])

@@ -1,95 +1,92 @@
+open Bignum
 open Crypto
 
 let protocol = "SecWorst"
 
-(* All instances of one phase share two rounds: every query's equality
-   tests travel in one batch, then every query's selected contributions in
-   one recover batch. A single-query call frames exactly as the historical
-   per-item protocol (singleton batches delegate to plain rpcs).
+(* S1's draws for one instance, on the calling domain: the permutation
+   of the others (a fresh one per instance hides pairwise relations
+   from S2), then per other, in permuted order, its diff blinds, then
+   per other a mask rho uniform on Z_n with its noise. A rho is never
+   shared: one reused across a row's instances would show S2 the same
+   masked value twice. *)
+type instance = {
+  target : Enc_item.entry;
+  perm : int array;  (** permuted position -> position in the caller's [others] *)
+  others : Enc_item.entry array;  (** permuted *)
+  blinds : Nat.t array array;
+  masks : (Nat.t * Nat.t) array;
+}
 
-   The optional [seen] callback lets SecQuery piggyback its seen-vector
-   selections on the same recover batch: once the equality indicators are
-   known (and unpermuted back to the caller's order), [seen i ts] returns
-   extra [(t, if_one, if_zero)] choices for query [i] whose recoveries
-   ride along with the contribution recoveries — no third round. *)
-let run_many ?seen (ctx : Ctx.t) (queries : (Enc_item.entry * Enc_item.entry list) list) =
+let draw (s1 : Ctx.s1) ((target : Enc_item.entry), others) =
+  let others = Array.of_list others in
+  let perm = Rng.shuffle s1.rng others in
+  let blinds =
+    Array.map
+      (fun _ -> Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub target.ehl)
+      others
+  in
+  let masks = Array.map (fun _ -> Gadgets.draw_mask s1) others in
+  { target; perm; others; blinds; masks }
+
+(* One Worst_pick per instance, all in one round. S2 answers
+   Enc(sum_l t_l * u_l) for u_l = x_l + rho_l and a fresh Enc(t_l) per
+   other; since sum_l t_l * x_l = sum_l t_l * u_l - sum_l t_l * rho_l,
+   worst = x * Enc(sum) * prod_l Enc(t_l)^(n - rho_l), one
+   multi-exponentiation. The Enc(t_l), unpermuted, are the equality
+   indicators SecQuery builds the seen vector from. *)
+let run_many (ctx : Ctx.t) queries =
   Obs.span protocol @@ fun () ->
   let s1 = ctx.Ctx.s1 in
-  (* S1: a random permutation over each H hides pairwise relations from S2 *)
-  let prepped =
-    List.map
-      (fun ((target : Enc_item.entry), others) ->
-        let arr = Array.of_list others in
-        let perm = Rng.shuffle s1.rng arr in
-        let permuted = Array.to_list arr in
-        let diffs =
-          List.map
-            (fun (o : Enc_item.entry) ->
-              Ehl.Ehl_plus.diff ?blind_bits:s1.blind_bits s1.rng s1.pub target.Enc_item.ehl
-                o.Enc_item.ehl)
-            permuted
-        in
-        (target, perm, permuted, diffs))
-      queries
+  let pub = s1.pub in
+  let insts = Array.of_list (List.map (draw s1) queries) in
+  let sizes = Array.to_list (Array.map (fun i -> Array.length i.others) insts) in
+  (* every (instance, other) pair of the phase, instance-major *)
+  let pairs =
+    Array.concat
+      (Array.to_list (Array.mapi (fun k i -> Array.init (Array.length i.others) (fun l -> (k, l))) insts))
   in
-  let ts_per_query =
-    Gadgets.equality_round_many ctx ~protocol (List.map (fun (_, _, _, diffs) -> diffs) prepped)
+  let diffs =
+    Ctx.map ctx ~jobs:(Array.length pairs) (fun x ->
+        let k, l = pairs.(x) in
+        let i = insts.(k) in
+        Ehl.Ehl_plus.diff_with pub ~blinds:i.blinds.(l) i.target.ehl i.others.(l).Enc_item.ehl)
   in
-  (* undo S1's own permutation on the indicators: perm maps new -> old *)
-  let unpermuted_per_query =
+  let scores =
+    Ctx.map ctx ~jobs:(Array.length pairs) (fun x ->
+        let k, l = pairs.(x) in
+        let i = insts.(k) in
+        Gadgets.masked pub i.others.(l).Enc_item.score i.masks.(l))
+  in
+  let replies =
     List.map2
-      (fun (_, perm, _, _) ts ->
-        match ts with
-        | [] -> []
-        | first :: _ ->
-          let ts_arr = Array.of_list ts in
-          let u = Array.make (Array.length ts_arr) first in
-          Array.iteri (fun new_i old_i -> u.(old_i) <- ts_arr.(new_i)) perm;
-          Array.to_list u)
-      prepped ts_per_query
+      (fun j resp ->
+        match resp with
+        | Wire.Cts (sum :: ts) when List.length ts = j -> (sum, Array.of_list ts)
+        | Wire.Cts rs ->
+          Proto_error.fail "Sec_worst.run_many: %d ciphertexts for %d others" (List.length rs) j
+        | _ -> Proto_error.fail "Sec_worst.run_many: expected Cts")
+      sizes
+      (Ctx.rpc_batch ctx ~label:protocol
+         (List.map2
+            (fun diffs scores -> Wire.Worst_pick { diffs; scores })
+            (Gadgets.chunks sizes diffs) (Gadgets.chunks sizes scores)))
+    |> Array.of_list
   in
-  (* x'_i = x_i if o_i = o else 0; recovered per item because several items
-     of the same depth can match the target simultaneously *)
-  let zero = Gadgets.enc_zero s1 in
-  let contrib_choices =
-    List.map2
-      (fun (_, _, permuted, _) ts ->
-        List.map2 (fun t (o : Enc_item.entry) -> (t, o.Enc_item.score, zero)) ts permuted)
-      prepped ts_per_query
-  in
-  let extra_choices =
-    match seen with
-    | None -> List.map (fun _ -> []) prepped
-    | Some f -> List.mapi f unpermuted_per_query
-  in
-  let picked =
-    ref
-      (Gadgets.select_recover_many ctx ~protocol
-         (List.concat contrib_choices @ List.concat extra_choices))
-  in
-  let next n =
-    let rec go n acc l =
-      if n = 0 then (List.rev acc, l)
-      else match l with x :: rest -> go (n - 1) (x :: acc) rest | [] -> assert false
-    in
-    let taken, rest = go n [] !picked in
-    picked := rest;
-    taken
-  in
-  let worsts =
-    List.map2
-      (fun ((target : Enc_item.entry), _, permuted, _) _ ->
-        List.fold_left (Paillier.add s1.pub) target.Enc_item.score
-          (next (List.length permuted)))
-      prepped ts_per_query
-  in
-  let extra_picks = List.map (fun choices -> next (List.length choices)) extra_choices in
-  List.map2
-    (fun (worst, unpermuted) extras -> (worst, unpermuted, extras))
-    (List.combine worsts unpermuted_per_query)
-    extra_picks
+  let n = pub.Paillier.n in
+  Array.to_list
+    (Ctx.map ctx ~jobs:(Array.length insts) (fun k ->
+         let i = insts.(k) and sum, ts = replies.(k) in
+         let worst = Paillier.add pub i.target.score sum in
+         let worst =
+           if ts = [||] then worst
+           else
+             Paillier.add pub worst
+               (Paillier.scalar_mul_many pub
+                  (Array.to_list (Array.mapi (fun l t -> (t, Nat.sub n (fst i.masks.(l)))) ts)))
+         in
+         let seen = Array.copy ts in
+         Array.iteri (fun l old -> seen.(old) <- ts.(l)) i.perm;
+         (worst, Array.to_list seen)))
 
 let run (ctx : Ctx.t) ~(target : Enc_item.entry) ~(others : Enc_item.entry list) =
-  match run_many ctx [ (target, others) ] with
-  | [ (worst, ts, _) ] -> (worst, ts)
-  | _ -> assert false
+  List.hd (run_many ctx [ (target, others) ])

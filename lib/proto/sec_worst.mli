@@ -4,37 +4,28 @@
     S1 holds the target [E(I) = (EHL(o), Enc(x))] and the items [H] of the
     other queried lists at the same depth; the output is
     [Enc(x + sum of the scores of items in H encoding the same object)].
-    S2 only sees a randomly permuted equality bit pattern. *)
+    S2 sees a randomly permuted equality bit pattern and the others'
+    scores masked by fresh uniform [rho] (a pick, DESIGN §3a item 15). *)
 
 open Crypto
 
 (** Returns the encrypted worst score together with the equality
-    indicators [E2(t_j)] against each element of [others] (in the
-    {e original} order of [others] — S1 undoes its own permutation).
-    SecQuery reuses the indicators to build the item's seen-vector
-    without a second equality round. *)
+    indicators [Enc(t_j)] against each element of [others], in the
+    {e original} order of [others] (S1 undoes its own permutation).
+    SecQuery builds the item's seen vector from them. *)
 val run :
   Ctx.t ->
   target:Enc_item.entry ->
   others:Enc_item.entry list ->
-  Paillier.ciphertext * Damgard_jurik.ciphertext list
+  Paillier.ciphertext * Paillier.ciphertext list
 
 (** Phase-collapsed form: the independent SecWorst instances of one depth
-    (one [(target, others)] pair per queried list) share two rounds — one
-    Equality batch, one Recover batch — instead of two rounds each.
-    Results are element-wise identical to m calls of {!run}.
-
-    [seen i ts] (optional) maps query [i]'s unpermuted indicators to extra
-    [(t, if_one, if_zero)] selections whose recoveries ride the same
-    Recover batch as the contributions; their Paillier results come back
-    as the third component, in the order the callback produced them.
-    SecQuery uses this to fold the seen-vector recoveries into SecWorst's
-    second round instead of paying a third round per depth. *)
+    (one [(target, others)] pair per queried list and shard) share one
+    round, one [Worst_pick] request each. Every draw is made on the
+    calling domain, instance after instance, so one instance is exactly
+    {!run}; diffs, masks and the final multi-exponentiations fan out.
+    Raises [Proto_error] on a reply of the wrong shape. *)
 val run_many :
-  ?seen:
-    (int ->
-    Damgard_jurik.ciphertext list ->
-    (Damgard_jurik.ciphertext * Paillier.ciphertext * Paillier.ciphertext) list) ->
   Ctx.t ->
   (Enc_item.entry * Enc_item.entry list) list ->
-  (Paillier.ciphertext * Damgard_jurik.ciphertext list * Paillier.ciphertext list) list
+  (Paillier.ciphertext * Paillier.ciphertext list) list

@@ -20,12 +20,15 @@ type request =
   | Zero_test of Paillier.ciphertext
   | Mult of Paillier.ciphertext * Paillier.ciphertext
   | Lsb of Paillier.ciphertext
-  | Dedup of {
+  | Dedup of { diffs : Paillier.ciphertext list; items : (Enc_item.masked * Enc_item.pack) list }
+  | Worst_pick of { diffs : Paillier.ciphertext list; scores : Paillier.ciphertext list }
+  | Update_pick of {
       mode : dedup_mode;
       diffs : Paillier.ciphertext list;
-      items : (Enc_item.masked * Enc_item.pack) list;
+      merged : Paillier.ciphertext list list;
+      cells : Paillier.ciphertext list list;
     }
-  | Dup_flags of Damgard_jurik.ciphertext list
+  | Dedup_pick of { diffs : Paillier.ciphertext list; items : Paillier.ciphertext list list }
   | Sort_items of { keys : Paillier.ciphertext list; items : Enc_item.scored list }
   | Sort_gate of {
       descending : bool;
@@ -47,7 +50,6 @@ type response =
   | Ct of Paillier.ciphertext
   | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
   | Bit of bool
-  | Flags of bool list
   | Items of (Enc_item.masked * Enc_item.pack) list
   | Sorted of Enc_item.scored list
   | Pair of Enc_item.scored * Enc_item.scored
@@ -56,6 +58,7 @@ type response =
   | Indices of int list
   | Slot of int option
   | Cts of Paillier.ciphertext list
+  | Picked of { cts : Paillier.ciphertext list; flags : bool list }
   | Batch_resp of response list
 
 (* One element of a multiplexed frame: the round scheduler coalesces ops
@@ -172,8 +175,10 @@ let keys_of ~pub ~djpub ~own_pub =
   let items = list (pair masked pack) in
   let mode = conv (fun e -> if e then Eliminate else Replace) (( = ) Eliminate) bool in
   let bits = check (fun b -> b > 0 && b <= 4096) "bad bit width" int in
-  (* request tag 5 (SecRefresh's Damgård–Jurik lift) is retired: reusing
-     it would misparse an older peer *)
+  (* request tags 5 (SecRefresh's Damgård–Jurik lift), 11 (SecDedup with
+     a mode byte) and 12 (SecUpdate's Damgård–Jurik flags) and response
+     tag 6 (the flags' reply) are retired: reusing one would misparse an
+     older peer *)
   let requests =
     [ Case (1, ct, (fun c -> Sign_of c), function Sign_of c -> Some c | _ -> None);
       Case (2, cts, (fun l -> Equality l), function Equality l -> Some l | _ -> None);
@@ -186,9 +191,6 @@ let keys_of ~pub ~djpub ~own_pub =
       Case (9, pair ct ct, (fun (a, b) -> Mult (a, b)),
             function Mult (a, b) -> Some (a, b) | _ -> None);
       Case (10, ct, (fun c -> Lsb c), function Lsb c -> Some c | _ -> None);
-      Case (11, triple mode cts items, (fun (mode, diffs, items) -> Dedup { mode; diffs; items }),
-            function Dedup { mode; diffs; items } -> Some (mode, diffs, items) | _ -> None);
-      Case (12, list dj, (fun l -> Dup_flags l), function Dup_flags l -> Some l | _ -> None);
       Case (13, pair cts (list scored), (fun (keys, items) -> Sort_items { keys; items }),
             function Sort_items { keys; items } -> Some (keys, items) | _ -> None);
       Case (14, quad bool (pair ct ct) scored scored,
@@ -200,7 +202,16 @@ let keys_of ~pub ~djpub ~own_pub =
       Case (17, cts, (fun l -> Rank_keys l), function Rank_keys l -> Some l | _ -> None);
       Case (18, cts, (fun l -> Zero_slot l), function Zero_slot l -> Some l | _ -> None);
       Case (20, pair cts cts, (fun (bottoms, bits) -> Refresh { bottoms; bits }),
-            function Refresh { bottoms; bits } -> Some (bottoms, bits) | _ -> None) ]
+            function Refresh { bottoms; bits } -> Some (bottoms, bits) | _ -> None);
+      Case (21, pair cts cts, (fun (diffs, scores) -> Worst_pick { diffs; scores }),
+            function Worst_pick { diffs; scores } -> Some (diffs, scores) | _ -> None);
+      Case (22, quad mode cts (list cts) (list cts),
+            (fun (mode, diffs, merged, cells) -> Update_pick { mode; diffs; merged; cells }),
+            function Update_pick u -> Some (u.mode, u.diffs, u.merged, u.cells) | _ -> None);
+      Case (23, pair cts (list cts), (fun (diffs, items) -> Dedup_pick { diffs; items }),
+            function Dedup_pick { diffs; items } -> Some (diffs, items) | _ -> None);
+      Case (24, pair cts items, (fun (diffs, items) -> Dedup { diffs; items }),
+            function Dedup { diffs; items } -> Some (diffs, items) | _ -> None) ]
   in
   let batch = variant ~what:"batched request" requests in
   let requests =
@@ -218,7 +229,6 @@ let keys_of ~pub ~djpub ~own_pub =
       Case (4, pair cts bool, (fun (bit_cts, parity) -> Dgk_bits { bit_cts; parity }),
             function Dgk_bits { bit_cts; parity } -> Some (bit_cts, parity) | _ -> None);
       Case (5, bool, (fun b -> Bit b), function Bit b -> Some b | _ -> None);
-      Case (6, list bool, (fun l -> Flags l), function Flags l -> Some l | _ -> None);
       Case (7, items, (fun l -> Items l), function Items l -> Some l | _ -> None);
       Case (8, list scored, (fun l -> Sorted l), function Sorted l -> Some l | _ -> None);
       Case (9, pair scored scored, (fun (x, y) -> Pair (x, y)),
@@ -228,7 +238,9 @@ let keys_of ~pub ~djpub ~own_pub =
             function Ranked l -> Some l | _ -> None);
       Case (12, list int, (fun l -> Indices l), function Indices l -> Some l | _ -> None);
       Case (13, option int, (fun s -> Slot s), function Slot s -> Some s | _ -> None);
-      Case (15, cts, (fun l -> Cts l), function Cts l -> Some l | _ -> None) ]
+      Case (15, cts, (fun l -> Cts l), function Cts l -> Some l | _ -> None);
+      Case (16, pair cts (list bool), (fun (cts, flags) -> Picked { cts; flags }),
+            function Picked { cts; flags } -> Some (cts, flags) | _ -> None) ]
   in
   let batch = variant ~what:"batched response" responses in
   let responses =

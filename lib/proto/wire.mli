@@ -63,11 +63,29 @@ type request =
   | Mult of Paillier.ciphertext * Paillier.ciphertext  (** SKNN secure multiply *)
   | Lsb of Paillier.ciphertext  (** SBD bit extraction *)
   | Dedup of {
-      mode : dedup_mode;
       diffs : Paillier.ciphertext list;  (** pairwise blinded EHL diffs, {!pair_indices} order *)
       items : (Enc_item.masked * Enc_item.pack) list;  (** masked items + escrows *)
+    }  (** SecDupElim: S2 drops duplicates, re-masks and permutes the rest *)
+  | Worst_pick of { diffs : Paillier.ciphertext list; scores : Paillier.ciphertext list }
+      (** SecWorst, one instance: the blinded diffs against the other
+          lists' entries and their masked scores [Enc(x_l + rho_l)], in
+          S1's permuted order; answered by [Cts] holding
+          [Enc(sum_l t_l * (x_l + rho_l))], then one [Enc(t_l)] per other *)
+  | Update_pick of {
+      mode : dedup_mode;
+      diffs : Paillier.ciphertext list;
+          (** the |gamma| x |T| grid, row-major: cell (i, j) at i * |T| + j *)
+      merged : Paillier.ciphertext list list;
+          (** per new item, its masked worst and seen slots *)
+      cells : Paillier.ciphertext list list;
+          (** [Replace]: per new item, its masked EHL cells; [Eliminate]: [] *)
     }
-  | Dup_flags of Damgard_jurik.ciphertext list  (** SecUpdate eliminate: reveal matches *)
+      (** SecUpdate, one block; answered by [Picked] (see there) *)
+  | Dedup_pick of { diffs : Paillier.ciphertext list; items : Paillier.ciphertext list list }
+      (** SecDedup, Replace mode: the pairwise diffs ({!pair_indices}
+          order) and per item its masked worst, seen slots and EHL cells;
+          answered by [Cts] holding, item after item, [Enc(d)] and
+          [Enc(d * u)] per field, [d] marking a non-kept duplicate *)
   | Sort_items of { keys : Paillier.ciphertext list; items : Enc_item.scored list }
       (** EncSort blinded one-round strategy *)
   | Sort_gate of {
@@ -97,7 +115,6 @@ type response =
   | Ct of Paillier.ciphertext
   | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
   | Bit of bool
-  | Flags of bool list
   | Items of (Enc_item.masked * Enc_item.pack) list
   | Sorted of Enc_item.scored list
   | Pair of Enc_item.scored * Enc_item.scored
@@ -107,7 +124,15 @@ type response =
   | Slot of int option
   | Cts of Paillier.ciphertext list
       (** SecRefresh: one fresh [Enc(b * v_l)] per (item, list) pair of a
-          [Refresh], in its bits' order *)
+          [Refresh], in its bits' order; SecWorst's and SecDedup's picks *)
+  | Picked of { cts : Paillier.ciphertext list; flags : bool list }
+      (** SecUpdate's pick, all fresh encryptions: [Enc(sum_i t_ij * u_if)]
+          per old entry [j] and merged field [f], then [Enc(t_ij)] per grid
+          cell, then in [Replace] mode per new item [Enc(d_i)] and
+          [Enc(d_i * u_if)] per field (merged, then cells), with
+          [d_i = OR_j t_ij]. In [Eliminate] mode [flags] holds each
+          [d_i] in plaintext (the new items S1 drops); in [Replace] it is
+          empty. *)
   | Batch_resp of response list
       (** element-wise responses to a [Batch], in request order; nesting
           rejected like [Batch] *)

@@ -119,36 +119,22 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
              (j, row))
     in
     (* Phase 1 — worst scores. The m per-list SecWorst instances of every
-       live shard are independent, so they share one Equality and one
-       Recover batch: two rounds per depth whatever m and the shard count.
-       The seen vectors are 1 for the item's own list and SecWorst's
-       equality indicators (recovered to Paillier form, riding the same
-       Recover batch) for the others. Global instance index gi maps to
-       (shard block gi / m, local list gi mod m). *)
+       live shard are independent, so they share one round per depth
+       whatever m and the shard count. The seen vectors are a fresh Enc(1)
+       for the item's own list and SecWorst's equality indicators for the
+       others. Global instance index gi maps to (shard block gi / m, local
+       list gi mod m). *)
     let indices = List.init m Fun.id in
-    let owns = Array.make (List.length rows * m) (Gadgets.enc_zero s1) in
     let worsts =
       Array.of_list
         (Sec_worst.run_many ctx
-           ~seen:(fun gi eq_bits ->
-             let i = gi mod m in
-             let eq_arr = Array.of_list eq_bits in
-             owns.(gi) <- Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one;
-             List.init m (fun l ->
-                 if l = i then None
-                 else
-                   let e = if l < i then eq_arr.(l) else eq_arr.(l - 1) in
-                   Some
-                     ( e,
-                       Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one,
-                       Gadgets.enc_zero s1 ))
-             |> List.filter_map Fun.id)
            (List.concat_map
               (fun (_, row) ->
                 let others = Array.to_list row in
                 List.map (fun i -> (row.(i), List.filteri (fun l _ -> l <> i) others)) indices)
               rows))
     in
+    let owns = Array.map (fun _ -> Paillier.encrypt s1.Ctx.rng pub Bignum.Nat.one) worsts in
     (* New candidates start with [best = worst]: every read of [best] (the
        halting test, the returned top-k) follows a [refresh]. *)
     let scored = Array.make shards [] in
@@ -158,11 +144,11 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
           List.map
             (fun i ->
               let gi = (pos * m) + i in
-              let worst, _, picked_list = worsts.(gi) in
-              let picked = Array.of_list picked_list in
+              let worst, ts = worsts.(gi) in
+              let ts = Array.of_list ts in
               let seen =
                 Array.init m (fun l ->
-                    if l = i then owns.(gi) else if l < i then picked.(l) else picked.(l - 1))
+                    if l = i then owns.(gi) else if l < i then ts.(l) else ts.(l - 1))
               in
               { Enc_item.ehl = row.(i).Enc_item.ehl; worst; best = worst; seen })
             indices)

@@ -11,15 +11,20 @@
    (a) shape: a relation and its x10 scaling give SecRefresh, SecWorst,
        SecDedup and SecUpdate requests of identical kinds, counts and
        sizes, under Full and Elim, with 1 and 2 shards;
-   (b) masked values: the values SecRefresh hands S2 to decrypt, and
-       RecoverEnc's inner plaintexts (from SecJoin, the one protocol that
-       still recovers), are never below 2^64 and their top-byte
-       histograms agree between the two relations;
+   (b) masked values: the values SecRefresh, SecWorst, SecUpdate and
+       SecDedup's Replace mode hand S2 to decrypt, and RecoverEnc's inner
+       plaintexts (from SecJoin, the one protocol that still recovers),
+       are never below 2^64 and their top-byte histograms agree between
+       the two relations; no two masked values of a session lie within
+       2^64 of each other (a repeated or shared mask would);
    (c) bits: whatever the seen bits, the bits S2 decrypts in a Refresh
        request read about half ones;
    (d) linkability: no ciphertext of a SecRefresh request appears in any
        other request or reply of its session, nor (1 + n) * c^-1 of one
-       (the complement S2 could compute itself). *)
+       (the complement S2 could compute itself);
+   (e) every ciphertext of a pick reply (SecWorst, SecUpdate, SecDedup's
+       Replace mode) occurs exactly once in its session: S2 answers with
+       fresh encryptions and S1 never sends one back as it is. *)
 
 open Bignum
 open Crypto
@@ -58,7 +63,14 @@ let describe (req : Wire.request) =
     ( "Dedup",
       [ List.length diffs; List.length items ],
       diffs @ List.concat_map (fun (it, _) -> masked_cts it) items )
-  | Wire.Dup_flags l -> ("Dup_flags", [ List.length l ], [])
+  | Wire.Worst_pick { diffs; scores } ->
+    ("Worst_pick", [ List.length diffs; List.length scores ], diffs @ scores)
+  | Wire.Update_pick { diffs; merged; cells; _ } ->
+    ( "Update_pick",
+      List.length diffs :: List.map List.length merged @ List.map List.length cells,
+      diffs @ List.concat merged @ List.concat cells )
+  | Wire.Dedup_pick { diffs; items } ->
+    ("Dedup_pick", List.length diffs :: List.map List.length items, diffs @ List.concat items)
   | Wire.Sort_items { keys; items } ->
     ("Sort_items", [ List.length keys ], keys @ List.concat_map scored_cts items)
   | Wire.Sort_gate { kx; ky; x; y; _ } ->
@@ -79,9 +91,9 @@ let describe (req : Wire.request) =
 
 let rec reply_cts (resp : Wire.response) =
   match resp with
-  | Wire.Sign _ | Wire.Bits2 _ | Wire.Bit _ | Wire.Flags _ | Wire.Indices _ | Wire.Slot _ -> []
+  | Wire.Sign _ | Wire.Bits2 _ | Wire.Bit _ | Wire.Indices _ | Wire.Slot _ -> []
   | Wire.Ct c -> [ c ]
-  | Wire.Cts l -> l
+  | Wire.Cts l | Wire.Picked { cts = l; _ } -> l
   | Wire.Dgk_bits { bit_cts; _ } -> bit_cts
   | Wire.Items l -> List.concat_map (fun (it, _) -> masked_cts it) l
   | Wire.Sorted l -> List.concat_map scored_cts l
@@ -298,12 +310,26 @@ let collect role session =
   in
   go 0 []
 
-(* one query per configuration at seed [i] *)
-let query_sessions rel i =
-  List.map
-    (fun (_, variant, shards) ->
-      run_session ~seed:(Printf.sprintf "test_audit %s %d" (Relation.name rel) i) ~variant ~shards rel)
-    configs
+(* one query per configuration at seed [i], run once and shared by
+   every role; the seed names the configuration, so no two sessions
+   draw the same stream *)
+let query_sessions =
+  let memo = Hashtbl.create 16 in
+  fun rel i ->
+    let key = (Relation.name rel, i) in
+    match Hashtbl.find_opt memo key with
+    | Some sessions -> sessions
+    | None ->
+      let sessions =
+        List.map
+          (fun (name, variant, shards) ->
+            run_session
+              ~seed:(Printf.sprintf "test_audit %s %d %s" (Relation.name rel) i name)
+              ~variant ~shards rel)
+          configs
+      in
+      Hashtbl.replace memo key sessions;
+      sessions
 
 let join_session scale i =
   [ run_join_session ~seed:(Printf.sprintf "test_audit join %d %d" scale i) ~scale ]
@@ -345,6 +371,52 @@ let test_masked () =
 let test_recover_inner () =
   let ia, ib = Lazy.force recover_samples in
   check_uniform "RecoverEnc inner plaintexts (SecJoin)" ia ib
+
+(* A pick request carries its diffs first, then the values it masked:
+   [counts] starts with the diff count for every pick kind. *)
+let pick_kinds = [ "Worst_pick"; "Update_pick"; "Dedup_pick" ]
+
+let pick_masked kind s =
+  List.concat_map
+    (fun r ->
+      List.concat_map
+        (fun e ->
+          if e.kind = kind then
+            List.filteri (fun i _ -> i >= List.hd e.counts) (List.map (fun c -> c.plain) e.req)
+          else [])
+        r.elements)
+    s.records
+
+let test_pick_masked kind () =
+  let a = collect (pick_masked kind) (query_sessions rel_a)
+  and b = collect (pick_masked kind) (query_sessions rel_b) in
+  check_uniform (kind ^ " masked values") a b
+
+(* Every masked value S2 decrypts in one session, the SecRefresh bottoms
+   and every pick's: sorted round Z_n, no two neighbours lie within 2^64
+   of each other. A mask reused across values shows as a difference of
+   scores, a repeated value as 0. *)
+let test_no_close_masks () =
+  List.iter
+    (fun rel ->
+      List.iteri
+        (fun i s ->
+          let vs =
+            List.sort Nat.compare
+              (refresh_masked s @ List.concat_map (fun k -> pick_masked k s) pick_kinds)
+          in
+          let close a b = Nat.compare (Modular.sub b a ~m:s.n) two64 < 0 in
+          let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
+          let wrap = match vs with [] | [ _ ] -> [] | first :: _ -> [ (List.nth vs (List.length vs - 1), first) ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, session %d: masked values" (Relation.name rel) i)
+            true (List.length vs >= 2);
+          Alcotest.(check int)
+            (Printf.sprintf "%s, session %d: pairs within 2^64" (Relation.name rel) i)
+            0
+            (List.length (List.filter (fun (a, b) -> close a b) (pairs vs @ wrap))))
+        (query_sessions rel 0))
+    [ rel_a; rel_b ]
 
 (* ---------------- (c) bits ---------------- *)
 
@@ -434,6 +506,47 @@ let check_unlinkable name s =
       Alcotest.(check int) (name ^ ": its complement never occurs") 0 (occurrences complement))
     refresh_cts
 
+(* Every ciphertext of a pick reply occurs once in its session's
+   requests and replies. *)
+let check_fresh_replies name s =
+  let count = Hashtbl.create 256 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun e ->
+          List.iter
+            (fun c ->
+              let k = Nat.to_string c.ct in
+              Hashtbl.replace count k (1 + Option.value ~default:0 (Hashtbl.find_opt count k)))
+            (e.req @ e.reply))
+        r.elements)
+    s.records;
+  let replies =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun e -> if List.mem e.kind pick_kinds then List.map (fun c -> c.ct) e.reply else [])
+          r.elements)
+      s.records
+  in
+  Alcotest.(check bool) (name ^ ": picks answered") true (replies <> []);
+  List.iter
+    (fun c ->
+      Alcotest.(check int) (name ^ ": a pick reply ciphertext occurs once") 1
+        (Hashtbl.find count (Nat.to_string c)))
+    replies
+
+let test_fresh_replies () =
+  List.iter
+    (fun (name, variant, shards) ->
+      List.iter
+        (fun rel ->
+          check_fresh_replies
+            (Printf.sprintf "%s, %s" name (Relation.name rel))
+            (run_session ~seed:"test_audit links" ~variant ~shards rel))
+        [ rel_a; rel_b ])
+    configs
+
 let test_unlinkable () =
   List.iter
     (fun (name, variant, shards) ->
@@ -456,5 +569,15 @@ let () =
         ] );
       ( "pick-view",
         [ Alcotest.test_case "(a) SecWorst, SecDedup and SecUpdate keep their shape" `Quick
-            test_pick_shape
+            test_pick_shape;
+          Alcotest.test_case "(b) SecWorst masked scores uniform" `Quick
+            (test_pick_masked "Worst_pick");
+          Alcotest.test_case "(b) SecUpdate masked fields uniform" `Quick
+            (test_pick_masked "Update_pick");
+          Alcotest.test_case "(b) SecDedup masked fields uniform" `Quick
+            (test_pick_masked "Dedup_pick");
+          Alcotest.test_case "(b) no two masked values of a session are close" `Quick
+            test_no_close_masks;
+          Alcotest.test_case "(e) every pick reply ciphertext occurs once" `Quick
+            test_fresh_replies
         ] ) ]

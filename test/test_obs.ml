@@ -146,7 +146,7 @@ let fig3 =
   Relation.create ~name:"fig3"
     [| [| 10; 3; 2 |]; [| 8; 8; 0 |]; [| 5; 7; 6 |]; [| 3; 2; 8 |]; [| 1; 1; 1 |] |]
 
-let run_fig3 domains =
+let run_fig3 ?(variant = Sectopk.Query.Elim) domains =
   let rng = Rng.create ~seed:"obs-domains" in
   let pub, sk = Paillier.keygen ~rand_bits:96 rng ~bits:128 in
   let ctx = Ctx.of_keys ~blind_bits:48 ~domains (Rng.fork rng ~label:"ctx") pub sk in
@@ -154,11 +154,23 @@ let run_fig3 domains =
   let tk =
     Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2
   in
-  let res =
-    Sectopk.Query.run ctx er tk
-      { Sectopk.Query.default_options with variant = Sectopk.Query.Elim }
-  in
+  let res = Sectopk.Query.run ctx er tk { Sectopk.Query.default_options with variant } in
   (ctx, res)
+
+(* SecWorst, SecUpdate and SecDedup pick in one Paillier round each and
+   SecRefresh masks in one: a SecTopK query runs no Damgård–Jurik
+   operation, under either dedup mode. *)
+let test_query_no_dj () =
+  List.iter
+    (fun (name, variant) ->
+      let ctx, res = with_obs (fun () -> run_fig3 ~variant 1) in
+      Alcotest.(check bool) (name ^ ": answered") true (res.Sectopk.Query.top <> []);
+      let got = Obs.Metrics.get (Obs.Collector.metrics ctx.Ctx.obs) in
+      Alcotest.(check bool) (name ^ ": S2 decrypted") true (got Obs.Metrics.Paillier_dec > 0);
+      List.iter
+        (fun op -> Alcotest.(check int) (name ^ ": " ^ Obs.Metrics.name op) 0 (got op))
+        Obs.Metrics.[ Dj_enc; Dj_dec; Dj_mul; Dj_rerand ])
+    [ ("Qry_F", Sectopk.Query.Full); ("Qry_E", Sectopk.Query.Elim) ]
 
 let test_domains_deterministic () =
   (* counters, bytes/rounds and the span tree must be byte-identical for
@@ -400,6 +412,7 @@ let suite =
         Alcotest.test_case "json exposition" `Quick test_registry_json ] );
     ( "determinism",
       [ Alcotest.test_case "domains 1 vs 4" `Slow test_domains_deterministic;
+        Alcotest.test_case "a SecTopK query counts no DJ operation" `Quick test_query_no_dj;
         Alcotest.test_case "no-op mode" `Slow test_noop_mode ] ) ]
 
 let () = Alcotest.run "obs" suite

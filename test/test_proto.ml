@@ -73,20 +73,49 @@ let bits ctx vs =
   Gadgets.equality_round ctx ~protocol:"test"
     (List.map (fun v -> Paillier.trivial ctx.Ctx.s1.Ctx.pub (Nat.of_int v)) vs)
 
+(* RecoverEnc of a select: E2(1) picks [inner] as the term, E2(0) as
+   the offset; either way a fresh ciphertext comes back. *)
 let test_recover_enc () =
-  let inner = enc 12345 in
-  let e2 = Damgard_jurik.encrypt_layered rng s1.Ctx.djpub inner in
-  match
-    Gadgets.recover_enc_specs ctx ~protocol:"test"
-      [ { Gadgets.offset = Nat.zero; terms = [ (e2, Nat.one) ] };
-        { Gadgets.offset = nat_of inner; terms = [] } ]
-  with
+  let inner = enc 12345 and zero = Gadgets.enc_zero s1 in
+  let t1 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.one in
+  let t0 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.zero in
+  match Gadgets.select_recover_many ctx ~protocol:"test" [ (t1, inner, zero); (t0, zero, inner) ] with
   | [ recovered; offset_only ] ->
     Alcotest.(check int) "roundtrip" 12345 (dec recovered);
     Alcotest.(check bool) "fresh ciphertext" false (Paillier.equal_ct inner recovered);
     Alcotest.(check int) "offset alone" 12345 (dec offset_only);
     Alcotest.(check bool) "offset re-randomised" false (Paillier.equal_ct inner offset_only)
-  | _ -> Alcotest.fail "one result per spec"
+  | _ -> Alcotest.fail "one result per choice"
+
+(* RecoverEnc of DJ accumulators trivial(offset) * prod c_i^k_i, drawing
+   and stripping the blindings exactly as [Gadgets.select_recover_many]
+   does: the reference the select gadget is compared against. *)
+let reference_recover (ctx : Ctx.t) specs =
+  let s1 = ctx.Ctx.s1 in
+  let pub = s1.Ctx.pub and dj = s1.Ctx.djpub in
+  let draws =
+    List.map
+      (fun _ ->
+        let r = Rng.nat_below s1.Ctx.rng pub.Paillier.n in
+        (r, Paillier.draw_noise s1.Ctx.rng pub))
+      specs
+  in
+  let blinded =
+    List.map2
+      (fun (offset, terms) (r, noise) ->
+        let e = nat_of (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub noise) r) in
+        Damgard_jurik.add dj
+          (Damgard_jurik.trivial dj (Nat.mul offset e))
+          (Damgard_jurik.scalar_mul_many dj (List.map (fun (c, k) -> (c, Nat.mul k e)) terms)))
+      specs draws
+  in
+  List.map2
+    (fun resp (r, noise) ->
+      match resp with
+      | Wire.Ct inner -> Paillier.add pub inner (Paillier.encrypt_neg_with pub ~draw:noise r)
+      | _ -> Alcotest.fail "Recover answers Ct")
+    (Ctx.rpc_batch ctx ~label:"test" (List.map (fun b -> Wire.Recover b) blinded))
+    draws
 
 let test_select_recover () =
   let a = enc 111 and b = enc 222 in
@@ -147,15 +176,12 @@ let test_select_reference () =
       (List.concat_map (fun t -> List.map (fun (x1, x0) -> (t, x1, x0)) cases) ts_a)
   in
   let reference =
-    Gadgets.recover_enc_specs b ~protocol:"test"
+    reference_recover b
       (List.concat_map
          (fun t ->
            List.map
              (fun (x1, x0) ->
-               {
-                 Gadgets.offset = Nat.zero;
-                 terms = [ (t, nat_of x1); (Damgard_jurik.of_nat dj (one_minus t), nat_of x0) ];
-               })
+               (Nat.zero, [ (t, nat_of x1); (Damgard_jurik.of_nat dj (one_minus t), nat_of x0) ]))
              cases)
          ts_b)
   in
@@ -171,26 +197,6 @@ let test_select_reference () =
            cases)
        [ true; false ])
     (List.map (fun c -> Nat.to_int (Paillier.decrypt sk c)) gadget)
-
-(* SecUpdate's old-entry form: default + sum_i t_i * (x_i - default)
-   recovers the default when every t is 0 and x_i when only t_i is 1 *)
-let test_offset_spec () =
-  let n2 = pub.Paillier.n2 in
-  let xs = [ enc 11; enc 22; enc 33 ] in
-  let spec default ts =
-    {
-      Gadgets.offset = nat_of default;
-      terms = List.map2 (fun t x -> (t, Modular.sub (nat_of x) (nat_of default) ~m:n2)) ts xs;
-    }
-  in
-  let none = bits ctx [ 3; 5; 4 ] and second = bits ctx [ 3; 0; 4 ] in
-  List.iter
-    (fun (name, default, v) ->
-      Alcotest.(check (list int)) name [ v; 22 ]
-        (List.map dec
-           (Gadgets.recover_enc_specs ctx ~protocol:"test"
-              [ spec default none; spec default second ])))
-    [ ("default enc_zero", Gadgets.enc_zero s1, 0); ("default 9", enc 9, 9) ]
 
 (* A Recover of a non-unit (here p, which no encryption can be) raises a
    named error in S2's handler instead of answering a wrong ciphertext;
@@ -643,7 +649,7 @@ let test_update_many () =
       let outs, rounds =
         rounds_of (fun () -> Sec_update.run_many ctx ~mode [ (t1, g1); ([], g3); (t2, g2) ])
       in
-      Alcotest.(check int) (mname ^ ": three rounds") 3 rounds;
+      Alcotest.(check int) (mname ^ ": one round") 1 rounds;
       Alcotest.(check bool) (mname ^ ": empty T passes gamma through") true (List.nth outs 1 == g3);
       Alcotest.check blocks_t (mname ^ ": as single-block runs")
         [ contents (Sec_update.run ctx ~mode ~t_list:t1 ~gamma:g1);
@@ -672,6 +678,213 @@ let test_refresh_many () =
       [];
       [ "o3 worst 5 best 12 seen [0;1]" ] ]
     (List.map contents outs)
+
+(* ---------------- picks ---------------- *)
+
+(* SecWorst, SecDedup and SecUpdate pick in one Paillier round each,
+   with no Damgård–Jurik operation on either side. *)
+let test_pick_counts () =
+  let counted f =
+    let col = Obs.Collector.create () in
+    let prev = Obs.is_enabled () in
+    Obs.set_enabled true;
+    Fun.protect ~finally:(fun () -> Obs.set_enabled prev) (fun () -> Obs.with_collector col f);
+    Obs.Metrics.get (Obs.Collector.metrics col)
+  in
+  let row = [| entry "o1" 10; entry "o2" 8; entry "o1" 6 |] in
+  let worst () =
+    ignore
+      (Sec_worst.run_many ctx
+         (List.init 3 (fun i -> (row.(i), List.filteri (fun l _ -> l <> i) (Array.to_list row)))))
+  in
+  let items () = [ scored "o1" 10 20; scored "o2" 8 20; scored "o1" 10 20 ] in
+  let update mode () =
+    ignore
+      (Sec_update.run ctx ~mode ~t_list:[ scored "o1" 10 26; scored "o2" 9 20 ]
+         ~gamma:[ scored ~seen:[| 0; 1 |] "o2" 4 18; scored "o3" 3 17 ])
+  in
+  List.iter
+    (fun (name, f) ->
+      let got = counted f in
+      Alcotest.(check int) (name ^ ": rounds") 1 (got Obs.Metrics.Rounds);
+      Alcotest.(check int) (name ^ ": messages") 2 (got Obs.Metrics.Msgs);
+      List.iter
+        (fun op -> Alcotest.(check int) (name ^ ": " ^ Obs.Metrics.name op) 0 (got op))
+        Obs.Metrics.[ Dj_enc; Dj_dec; Dj_mul; Dj_rerand ])
+    [ ("SecWorst, three instances", worst);
+      ("SecDedup replace", fun () -> ignore (Sec_dedup.run ctx ~mode:Sec_dedup.Replace (items ())));
+      ("SecDedup eliminate", fun () -> ignore (Sec_dedup.run ctx ~mode:Sec_dedup.Eliminate (items ())));
+      ("SecUpdate replace", update Sec_dedup.Replace);
+      ("SecUpdate eliminate", update Sec_dedup.Eliminate) ]
+
+(* what a candidate decrypts to: its object (None for garbage), signed
+   worst and seen slots *)
+let view (it : Enc_item.scored) =
+  let id, w, _ = opened it in
+  (id, w, Array.to_list (Array.map dec it.Enc_item.seen))
+
+let oid i = "o" ^ string_of_int i
+let widths = [ 1; 2 ]
+let garbage m = (None, -1, List.init m (fun _ -> 1))
+
+(* keep the first of every id *)
+let distinct key l =
+  List.rev
+    (List.fold_left (fun acc x -> if List.exists (fun y -> key y = key x) acc then acc else x :: acc) [] l)
+
+(* SecWorst against plaintext: worst = x + the scores of the others that
+   encode the target's object, and the indicators in the others' order. *)
+let prop_sec_worst =
+  let gen =
+    QCheck.Gen.(
+      pair (pair (int_bound 3) (int_bound 50)) (list_size (int_range 0 4) (pair (int_bound 3) (int_bound 50))))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:10 ~name:"sec-worst pick = plaintext (widths 1, 2)" (QCheck.make gen)
+       (fun ((tid, tx), others) ->
+         let target = entry (oid tid) tx in
+         let os = List.map (fun (id, x) -> entry (oid id) x) others in
+         let want_worst =
+           List.fold_left (fun acc (id, x) -> if id = tid then acc + x else acc) tx others
+         in
+         let want_seen = List.map (fun (id, _) -> Bool.to_int (id = tid)) others in
+         List.for_all
+           (fun domains ->
+             let worst, ts = Sec_worst.run { ctx with Ctx.domains } ~target ~others:os in
+             dec worst = want_worst && List.map dec ts = want_seen)
+           widths))
+
+(* SecDedup against plaintext, duplicates agreeing on their values:
+   Replace keeps one copy of every object and turns the others into
+   garbage (worst -1, seen all ones), Eliminate drops them. *)
+let prop_sec_dedup =
+  let value id = ((10 * id) + 1, [| id mod 2; 1 - (id mod 2) |]) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:10 ~name:"sec-dedup pick = plaintext (widths 1, 2, both modes)"
+       (QCheck.make QCheck.Gen.(list_size (int_range 1 6) (int_bound 3)))
+       (fun ids ->
+         let items =
+           List.map (fun id -> let w, seen = value id in scored ~seen (oid id) w w) ids
+         in
+         let reals =
+           List.map
+             (fun id -> let w, seen = value id in (Some (oid id), w, Array.to_list seen))
+             (distinct Fun.id ids)
+         in
+         let dups = List.length ids - List.length reals in
+         List.for_all
+           (fun domains ->
+             let run mode = List.sort compare (List.map view (Sec_dedup.run { ctx with Ctx.domains } ~mode items)) in
+             run Sec_dedup.Replace = List.sort compare (reals @ List.init dups (fun _ -> garbage 2))
+             && run Sec_dedup.Eliminate = List.sort compare reals)
+           widths))
+
+(* SecUpdate against plaintext: an old entry matched by a new item adds
+   its worst and seen slots; the matched new item becomes garbage
+   (Replace) or is dropped (Eliminate); the rest pass unchanged. *)
+let prop_sec_update =
+  let side = QCheck.Gen.(list_size (int_range 1 4) (triple (int_bound 5) (int_bound 50) (pair bool bool))) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:10 ~name:"sec-update pick = plaintext (widths 1, 2, both modes)"
+       (QCheck.make QCheck.Gen.(pair side side))
+       (fun (olds, news) ->
+         let olds = distinct (fun (id, _, _) -> id) olds and news = distinct (fun (id, _, _) -> id) news in
+         let seen (a, b) = [ Bool.to_int a; Bool.to_int b ] in
+         let item (id, w, s) = scored ~seen:(Array.of_list (seen s)) (oid id) w 0 in
+         let t_list = List.map item olds and gamma = List.map item news in
+         let match_of id = List.find_opt (fun (i, _, _) -> i = id) news in
+         let merged =
+           List.map
+             (fun (id, w, s) ->
+               match match_of id with
+               | Some (_, w', s') -> (Some (oid id), w + w', List.map2 ( + ) (seen s) (seen s'))
+               | None -> (Some (oid id), w, seen s))
+             olds
+         in
+         let matched (id, _, _) = List.exists (fun (i, _, _) -> i = id) olds in
+         let kept = List.filter (fun n -> not (matched n)) news in
+         let kept_views = List.map (fun (id, w, s) -> (Some (oid id), w, seen s)) kept in
+         let garbage_views = List.init (List.length news - List.length kept) (fun _ -> garbage 2) in
+         List.for_all
+           (fun domains ->
+             let run mode =
+               List.sort compare
+                 (List.map view (Sec_update.run { ctx with Ctx.domains } ~mode ~t_list ~gamma))
+             in
+             run Sec_dedup.Replace = List.sort compare (merged @ kept_views @ garbage_views)
+             && run Sec_dedup.Eliminate = List.sort compare (merged @ kept_views))
+           widths))
+
+(* S2 refuses a pick whose grid or field counts do not fit together. *)
+let test_pick_refusals () =
+  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
+  let s2 =
+    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
+      ~rng:(Rng.create ~seed:"test_proto s2")
+  in
+  let refuses name msg req =
+    Alcotest.check_raises name (Invalid_argument ("S2_server: " ^ msg)) (fun () ->
+        ignore (S2_server.handle s2 ~label:"test" req))
+  in
+  let c () = enc 5 in
+  let update mode diffs merged cells =
+    Wire.Update_pick
+      { mode; diffs = List.init diffs (fun _ -> c ()); merged = List.map (List.map c) merged;
+        cells = List.map (List.map c) cells }
+  in
+  refuses "worst: a score short" "worst pick count mismatch"
+    (Wire.Worst_pick { diffs = [ c (); c () ]; scores = [ c () ] });
+  refuses "update: no rows" "ragged update grid" (update Wire.Eliminate 2 [] []);
+  refuses "update: a grid that is not rows x cols" "ragged update grid"
+    (update Wire.Eliminate 3 [ [ (); () ]; [ (); () ] ] []);
+  refuses "update: ragged fields" "ragged update pick fields"
+    (update Wire.Eliminate 2 [ [ (); () ]; [ () ] ] []);
+  refuses "update: a row without cells" "ragged update pick cells"
+    (update Wire.Replace 2 [ [ () ]; [ () ] ] [ [ () ] ]);
+  refuses "update: cells in Eliminate mode" "ragged update pick cells"
+    (update Wire.Eliminate 2 [ [ () ]; [ () ] ] [ [ () ]; [ () ] ]);
+  refuses "dedup: a pair short" "dedup pair count mismatch"
+    (Wire.Dedup_pick { diffs = []; items = [ [ c () ]; [ c () ] ] });
+  refuses "dedup: ragged fields" "ragged dedup pick item"
+    (Wire.Dedup_pick { diffs = [ c () ]; items = [ [ c (); c () ]; [ c () ] ] })
+
+(* S1 raises a typed Proto_error when S2's answer to a pick has the
+   wrong shape. *)
+let test_pick_desync () =
+  let one = enc 1 in
+  let backend ops =
+    List.map
+      (fun (op, _) ->
+        match op with
+        | Wire.Mux_req { req = Wire.Update_pick _; _ } ->
+          Wire.Mux_answer (Wire.Picked { cts = [ one ]; flags = [] })
+        | Wire.Mux_req _ -> Wire.Mux_answer (Wire.Cts [ one ])
+        | _ -> Wire.Mux_ok)
+      ops
+  in
+  let sched = Sched.create ~window_us:0 ~backend () in
+  let pub, sk, ctx_rng, _ = Ctx.provision ~seed:"test_proto pick desync" ~key_bits:128 ~rand_bits:96 () in
+  let derived = Ctx.derive ctx_rng pub sk in
+  let items = [ scored "o1" 1 1; scored "o2" 2 2 ] in
+  List.iter
+    (fun (name, f) ->
+      let session = Sched.open_query sched in
+      let mctx = Ctx.of_derived ~blind_bits:48 ~mode:(Ctx.Mux (sched, session)) derived in
+      Alcotest.(check bool) (name ^ ": Proto_error") true
+        (try
+           f mctx;
+           false
+         with Proto_error.Proto_error _ -> true);
+      Sched.close_query sched session)
+    [ ("SecWorst", fun c -> ignore (Sec_worst.run c ~target:(entry "o1" 1) ~others:[ entry "o2" 2 ]));
+      ("SecDedup replace", fun c -> ignore (Sec_dedup.run c ~mode:Sec_dedup.Replace items));
+      ("SecDedup eliminate", fun c -> ignore (Sec_dedup.run c ~mode:Sec_dedup.Eliminate items));
+      ( "SecUpdate replace",
+        fun c -> ignore (Sec_update.run c ~mode:Sec_dedup.Replace ~t_list:items ~gamma:[ scored "o3" 3 3 ]) );
+      ( "SecUpdate eliminate",
+        fun c ->
+          ignore (Sec_update.run c ~mode:Sec_dedup.Eliminate ~t_list:items ~gamma:[ scored "o3" 3 3 ]) ) ];
+  Sched.stop sched
 
 (* ---------------- latency model ---------------- *)
 
@@ -723,7 +936,6 @@ let suite =
       [ Alcotest.test_case "recover_enc" `Quick test_recover_enc;
         Alcotest.test_case "select_recover" `Quick test_select_recover;
         Alcotest.test_case "select = two-base reference" `Quick test_select_reference;
-        Alcotest.test_case "offset spec selects at most one term" `Quick test_offset_spec;
         Alcotest.test_case "recover of a non-unit" `Quick test_recover_non_unit;
         Alcotest.test_case "strip = sub of a fresh encryption" `Quick test_strip
       ] );
@@ -776,8 +988,16 @@ let suite =
       ] );
     ( "blocks",
       [ Alcotest.test_case "sec-dedup run_many: one round" `Quick test_dedup_many;
-        Alcotest.test_case "sec-update run_many: three rounds" `Quick test_update_many;
+        Alcotest.test_case "sec-update run_many: one round" `Quick test_update_many;
         Alcotest.test_case "sec-refresh run_many: one round" `Quick test_refresh_many
+      ] );
+    ( "picks",
+      [ Alcotest.test_case "one round each, no DJ operation" `Quick test_pick_counts;
+        prop_sec_worst;
+        prop_sec_dedup;
+        prop_sec_update;
+        Alcotest.test_case "S2 refuses a ragged grid or field count" `Quick test_pick_refusals;
+        Alcotest.test_case "a short reply is a Proto_error" `Quick test_pick_desync
       ] );
     ("latency", [ Alcotest.test_case "50 Mbps link model" `Quick test_latency_model ]);
     ("trace", [ Alcotest.test_case "records events" `Quick test_trace_records ])

@@ -598,7 +598,7 @@ let answer_digest domains =
     [ ("full", Query.Full); ("elim", Query.Elim); ("batched", Query.Batched 3) ];
   Sha256.hex (Sha256.finalize h)
 
-let committed_answer_digest = "19f3bb3195f198749be4ac8747364ad99a4d90244b8aef18534083879cb5d394"
+let committed_answer_digest = "a9d9d2520e3341e5370c19ef0f418a6ea4814c9ce10a067695a436da1c3cb343"
 
 let test_answer_digest () =
   List.iter

@@ -53,7 +53,7 @@ let tuple () =
   }
 
 (* One sample per constructor (plus empty-collection corners), covering
-   all 18 requests and 14 responses. *)
+   all 20 requests and 14 responses. *)
 let request_samples : (string * Wire.request) list =
   [ ("EncCompare", Wire.Sign_of (ct 42));
     ("SecWorst", Wire.Equality [ ct 1; ct 2; ct 3 ]);
@@ -67,14 +67,25 @@ let request_samples : (string * Wire.request) list =
     ("SkNN", Wire.Mult (ct 3, ct 4));
     ("SBD", Wire.Lsb (ct 9));
     ( "SecDedup",
-      Wire.Dedup
+      Wire.Dedup { diffs = [ ct 1 ]; items = [ (masked "o1", pack ()); (masked "o2", pack ()) ] }
+    );
+    ("SecDedup", Wire.Dedup { diffs = []; items = [] });
+    ("SecWorst", Wire.Worst_pick { diffs = [ ct 1; ct 2 ]; scores = [ ct 3; ct 4 ] });
+    ("SecWorst", Wire.Worst_pick { diffs = []; scores = [] });
+    ( "SecUpdate",
+      Wire.Update_pick
         {
           mode = Wire.Replace;
-          diffs = [ ct 1 ];
-          items = [ (masked "o1", pack ()); (masked "o2", pack ()) ];
+          diffs = [ ct 1; ct 2 ];
+          merged = [ [ ct 3; ct 4; ct 5 ] ];
+          cells = [ [ ct 6; ct 7 ] ];
         } );
-    ("SecDedup", Wire.Dedup { mode = Wire.Eliminate; diffs = []; items = [] });
-    ("SecDupElim", Wire.Dup_flags [ dj 0; dj 1 ]);
+    ( "SecUpdate",
+      Wire.Update_pick
+        { mode = Wire.Eliminate; diffs = [ ct 1; ct 2 ]; merged = [ [ ct 3 ]; [ ct 4 ] ]; cells = [] }
+    );
+    ("SecDedup", Wire.Dedup_pick { diffs = [ ct 0 ]; items = [ [ ct 1; ct 2 ]; [ ct 3; ct 4 ] ] });
+    ("SecDedup", Wire.Dedup_pick { diffs = []; items = [] });
     ("EncSort", Wire.Sort_items { keys = [ ct 8 ]; items = [ scored "o3" ] });
     ( "EncSort",
       Wire.Sort_gate
@@ -101,8 +112,6 @@ let response_samples : Wire.response list =
     Wire.Ct (ct 12);
     Wire.Dgk_bits { bit_cts = [ ct 0; ct 1 ]; parity = true };
     Wire.Bit false;
-    Wire.Flags [ true; false; true ];
-    Wire.Flags [];
     Wire.Items [ (masked "o1", pack ()) ];
     Wire.Sorted [ scored "o1"; scored "o2" ];
     Wire.Pair (scored "oa", scored "ob");
@@ -113,6 +122,8 @@ let response_samples : Wire.response list =
     Wire.Slot (Some 3);
     Wire.Cts [ ct 4; ct 0 ];
     Wire.Cts [];
+    Wire.Picked { cts = [ ct 1; ct 2 ]; flags = [ true; false ] };
+    Wire.Picked { cts = [ ct 3 ]; flags = [] };
     Wire.Batch_resp [ Wire.Sign 1; Wire.Bits2 [ dj 0 ]; Wire.Ct (ct 7); Wire.Bit true ];
     Wire.Batch_resp [] ]
 
@@ -518,7 +529,7 @@ let test_oversized_prefix () =
    too: one SHA-256 over every sample frame (each length-prefixed) and
    every closed-form size, compared to the digest of the reference codec.
    A change here is a change of wire format. *)
-let golden_frames_sha256 = "bf5a288fc0bfb4146a63e53a514ec167868a3f0526a09394a3b1420de9d9ce42"
+let golden_frames_sha256 = "05d275d254bad603db2a5e7d8cdfdaffe2af80071171eb7fab02654c59d0e826"
 
 let test_golden_frames () =
   let h = Sha256.init () in
