@@ -4,9 +4,9 @@
    The host may have a single core, so the curve measures the
    ALGORITHMIC wins of partitioning, not parallel hardware: the global
    depth barrier advances one row per shard per depth, so the halting
-   depth falls like D/s while the whole fleet still pays the flat 2
-   SecWorst rounds per depth (one batch over every live shard's
-   instances).  The superlinear per-depth terms — SecUpdate's
+   depth falls like D/s while the whole fleet still pays the flat
+   per-depth rounds of one shard (every phase, SecWorst's included, is
+   one batch over every live shard's blocks).  The superlinear per-depth terms — SecUpdate's
    |T| x |gamma| grid walk and the checkpoint work (sort + refresh +
    halting test over a T that grows with depth) — shrink with the
    shorter loop, which is where the throughput comes from.  Uniform data

@@ -5,7 +5,7 @@
 #
 #   sh tools/check_rounds.sh [BENCH_fig12.json] [ceiling] [BENCH_concurrency.json]
 #
-# The ceiling (default 756, the committed fig12 count) pins the
+# The ceiling (default 522, the committed fig12 count) pins the
 # phase-level round collapse: anyone reintroducing a per-element round
 # trip inside a protocol loop, or a per-depth protocol the halting test
 # does not need, blows the budget and fails CI. Regenerate with
@@ -20,7 +20,7 @@
 set -eu
 
 file=${1:-BENCH_fig12.json}
-ceiling=${2:-756}
+ceiling=${2:-522}
 conc=${3:-BENCH_concurrency.json}
 
 if ! [ -f "$file" ]; then

@@ -19,8 +19,8 @@
 # seeded data and randomness, so the gate gives the same verdict on any
 # host, while the wall-clock speedup of the same runs spread from 1.8x
 # to 3.9x on a 2-vCPU host whose speed drifts.  The measured ratio is
-# 8535121 / 2805104 = 3.04x, and the floor is that, rounded down to a
-# tenth.  Regenerate with
+# 5798618 / 1881726 = 3.08x; the floor, 3.0x, is the 3.04x this gate
+# first measured, rounded down to a tenth.  Regenerate with
 #   dune exec bench/main.exe -- --only shard --json .
 set -eu
 
