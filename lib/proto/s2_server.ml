@@ -100,6 +100,8 @@ let dedup_remask t (it : Enc_item.masked) (pack : Enc_item.pack) =
   in
   (it', pack')
 
+let eq_bits t diffs = List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) diffs
+
 (* ---- picks ----
 
    S1 masks every value a pick selects with a fresh rho uniform on Z_n,
@@ -109,7 +111,6 @@ let dedup_remask t (it : Enc_item.masked) (pack : Enc_item.pack) =
 
 let enc t v = Paillier.encrypt t.rng t.pub v
 let enc_bit t b = enc t (if b then Nat.one else Nat.zero)
-let eq_bits t diffs = List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) diffs
 
 let decrypt_rows t rows =
   Array.of_list (List.map (fun r -> Array.of_list (List.map (Paillier.decrypt t.sk) r)) rows)
@@ -153,7 +154,7 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     Trace.record t.trace (Trace.Comparison { protocol = label; ordering = sign });
     Wire.Sign sign
   | Wire.Equality diffs ->
-    let bits = List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) diffs in
+    let bits = eq_bits t diffs in
     Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
     Wire.Bits2 (List.map (dj_bit t.rng t) bits)
   | Wire.Conjunction groups ->

@@ -215,10 +215,8 @@ let check_shapes ~labels ~ran =
 
 let test_shape () = check_shapes ~labels:[ refresh_label ] ~ran:[ refresh_label ]
 
-(* SecUpdate's Eliminate flags travelled under their own label until
-   SecUpdate answered them in its own request; both are compared. *)
 let pick_labels = [ "SecWorst"; "SecDedup"; "SecUpdate" ]
-let test_pick_shape () = check_shapes ~labels:("SecDupElim" :: pick_labels) ~ran:pick_labels
+let test_pick_shape () = check_shapes ~labels:pick_labels ~ran:pick_labels
 
 (* ---------------- (b) masked values ---------------- *)
 

@@ -7,8 +7,7 @@
 #   sh tools/check_wan_rounds.sh
 #
 # Rounds are a pure function of the seed: at seed 1 the pass serves 38
-# queries in 496 rounds, 13.05263158 per query (750 and 19.73684211
-# while SecWorst took two rounds and SecUpdate three). Every phase of a depth
+# queries in 496 rounds, 13.05263158 per query. Every phase of a depth
 # sends one frame covering every live shard, so a 2-shard query pays the
 # per-depth rounds of one shard. A per-shard session fork, or an extra
 # per-shard round, coming back anywhere on the serve-s1 -> proxy ->
