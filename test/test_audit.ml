@@ -473,12 +473,8 @@ let test_bits () =
 
 (* ---------------- (d) linkability ---------------- *)
 
-(* Every SecRefresh request ciphertext occurs once in its session's
-   requests and replies, and its complement (1 + n) * c^-1 mod n^2 (what
-   S2 computes from a ciphertext it knows to get the encryption of one
-   minus its plaintext) never occurs. *)
-let check_unlinkable name s =
-  let n2 = Nat.mul s.n s.n in
+(* how often a ciphertext occurs in the session's requests and replies *)
+let occurrences s =
   let count = Hashtbl.create 256 in
   List.iter
     (fun r ->
@@ -491,7 +487,15 @@ let check_unlinkable name s =
             (e.req @ e.reply))
         r.elements)
     s.records;
-  let occurrences c = Option.value ~default:0 (Hashtbl.find_opt count (Nat.to_string c)) in
+  fun c -> Option.value ~default:0 (Hashtbl.find_opt count (Nat.to_string c))
+
+(* Every SecRefresh request ciphertext occurs once in its session's
+   requests and replies, and its complement (1 + n) * c^-1 mod n^2 (what
+   S2 computes from a ciphertext it knows to get the encryption of one
+   minus its plaintext) never occurs. *)
+let check_unlinkable name s =
+  let n2 = Nat.mul s.n s.n in
+  let occurrences = occurrences s in
   let refresh_cts =
     List.concat_map (fun r -> List.concat_map (fun e -> List.map (fun c -> c.ct) e.req) r.elements)
       (refresh_records s)
@@ -507,18 +511,7 @@ let check_unlinkable name s =
 (* Every ciphertext of a pick reply occurs once in its session's
    requests and replies. *)
 let check_fresh_replies name s =
-  let count = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun e ->
-          List.iter
-            (fun c ->
-              let k = Nat.to_string c.ct in
-              Hashtbl.replace count k (1 + Option.value ~default:0 (Hashtbl.find_opt count k)))
-            (e.req @ e.reply))
-        r.elements)
-    s.records;
+  let occurrences = occurrences s in
   let replies =
     List.concat_map
       (fun r ->
@@ -530,8 +523,7 @@ let check_fresh_replies name s =
   Alcotest.(check bool) (name ^ ": picks answered") true (replies <> []);
   List.iter
     (fun c ->
-      Alcotest.(check int) (name ^ ": a pick reply ciphertext occurs once") 1
-        (Hashtbl.find count (Nat.to_string c)))
+      Alcotest.(check int) (name ^ ": a pick reply ciphertext occurs once") 1 (occurrences c))
     replies
 
 let test_fresh_replies () =

@@ -198,19 +198,22 @@ let test_select_reference () =
        [ true; false ])
     (List.map (fun c -> Nat.to_int (Paillier.decrypt sk c)) gadget)
 
+(* An S2 responder under the test's keys, outside any transport, for
+   feeding it requests directly. *)
+let standalone_s2 () =
+  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
+  S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
+    ~rng:(Rng.create ~seed:"test_proto s2")
+
 (* A Recover of a non-unit (here p, which no encryption can be) raises a
    named error in S2's handler instead of answering a wrong ciphertext;
    serve-s2 closes such a connection, and S1 sees a typed error. *)
 let test_recover_non_unit () =
   let p, _, _ = Paillier.secret_params sk in
-  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
-  let s2 =
-    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
-      ~rng:(Rng.create ~seed:"test_proto s2")
-  in
+  let s2 = standalone_s2 () in
   Alcotest.check_raises "named error"
     (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
-      ignore (S2_server.handle s2 ~label:"test" (Wire.Recover (Damgard_jurik.of_nat djpub p))))
+      ignore (S2_server.handle s2 ~label:"test" (Wire.Recover (Damgard_jurik.of_nat s1.Ctx.djpub p))))
 
 let test_conjunction_round () =
   let zero () = Paillier.encrypt rng pub Nat.zero in
@@ -556,11 +559,7 @@ let prop_sec_refresh =
    count is not a multiple of its list count, as Dedup refuses a wrong
    pair count. *)
 let test_sec_refresh_refusals () =
-  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
-  let s2 =
-    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
-      ~rng:(Rng.create ~seed:"test_proto s2")
-  in
+  let s2 = standalone_s2 () in
   let refresh bottoms bits =
     S2_server.handle s2 ~label:"SecRefresh" (Wire.Refresh { bottoms; bits })
   in
@@ -817,11 +816,7 @@ let prop_sec_update =
 
 (* S2 refuses a pick whose grid or field counts do not fit together. *)
 let test_pick_refusals () =
-  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
-  let s2 =
-    S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
-      ~rng:(Rng.create ~seed:"test_proto s2")
-  in
+  let s2 = standalone_s2 () in
   let refuses name msg req =
     Alcotest.check_raises name (Invalid_argument ("S2_server: " ^ msg)) (fun () ->
         ignore (S2_server.handle s2 ~label:"test" req))
