@@ -13,9 +13,6 @@ open Bignum
 open Crypto
 open Bench_util
 
-let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk)
-let djsk = Option.get djsk
-
 (* min-of-trials per-op nanoseconds *)
 let time_ns f =
   let batch n =
@@ -57,9 +54,12 @@ let width_tests () =
           fun () -> ignore (Modular.pow x e ~m) ) ])
     [ 1024; 2048; 3072 ]
 
+(* Paillier's n^3, the widest modulus the rows below exponentiate in *)
+let n3 = Nat.mul pub.Paillier.n2 pub.Paillier.n
+
 (* simultaneous double exponentiation vs two pows and a mul, over n^3 *)
 let multi_pow_tests () =
-  let m = djpub.Damgard_jurik.n3 in
+  let m = n3 in
   let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
   let e1 = Rng.nat_bits rng 128 and e2 = Rng.nat_bits rng 128 in
   [ ( "multi_pow_2bases_128b",
@@ -71,12 +71,11 @@ let multi_pow_tests () =
 let tests () =
   let x = Rng.nat_below rng pub.Paillier.n in
   let c = Paillier.encrypt rng pub x in
-  let e2 = Damgard_jurik.encrypt rng djpub x in
   let keys = Prf.gen_keys rng ehl_s in
   let ehl_a = Ehl.Ehl_plus.encode rng pub ~keys "a" in
   let ehl_b = Ehl.Ehl_plus.encode rng pub ~keys "b" in
   (* the comb alone, at a fixed draw *)
-  let rho = Paillier.draw_noise rng pub and rho2 = Damgard_jurik.draw_noise rng djpub in
+  let rho = Paillier.draw_noise rng pub in
   [ ("paillier_encrypt", fun () -> ignore (Paillier.encrypt rng pub x));
     ("paillier_decrypt", fun () -> ignore (Paillier.decrypt sk c));
     ("paillier_add", fun () -> ignore (Paillier.add pub c c));
@@ -86,10 +85,6 @@ let tests () =
       let m = pub.Paillier.n2 in
       let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
       fun () -> ignore (Modular.mul a b ~m) );
-    ("dj_encrypt", fun () -> ignore (Damgard_jurik.encrypt rng djpub x));
-    ("dj_decrypt", fun () -> ignore (Damgard_jurik.decrypt djsk e2));
-    ("dj_noise", fun () -> ignore (Damgard_jurik.noise_of djpub rho2));
-    ("dj_scalar_mul_ct", fun () -> ignore (Damgard_jurik.scalar_mul_ct djpub e2 c));
     ("ehl_plus_diff", fun () -> ignore (Ehl.Ehl_plus.diff ~blind_bits rng pub ehl_a ehl_b));
     ( "sha256_1kb",
       let buf = String.make 1024 'x' in
@@ -118,10 +113,7 @@ let tests () =
     ( "modexp_n3_256b_exp",
       fun () ->
         ignore
-          (Modular.pow
-             (Nat.rem x djpub.Damgard_jurik.n3)
-             (Nat.mul pub.Paillier.n Nat.two)
-             ~m:djpub.Damgard_jurik.n3) )
+          (Modular.pow (Nat.rem x n3) (Nat.mul pub.Paillier.n Nat.two) ~m:n3) )
   ]
   @ width_tests () @ multi_pow_tests ()
 

@@ -220,10 +220,11 @@ let serve_s2 port once =
        Proto.S2_server.serve_fd fd ~registry:reg
          ~on_ready:(fun dt ->
            (* warm-up is scrapeable, not just a line lost in stdout:
-              latest duration + cumulative comb-table count (pub,
-              djpub, own_pub per provisioning) *)
+              latest duration + the fixed-base combs the process holds,
+              counted after the provisioning (a connection whose keys
+              an earlier one derived builds none) *)
            Obs.Registry.set warmup_g dt;
-           Obs.Registry.add_gauge combs_g 3.;
+           Obs.Registry.set combs_g (float_of_int (Bignum.Fixed_base.cached_count ()));
            Format.printf "S2: keys provisioned, combs warmed in %.0f ms@.%!"
              (dt *. 1000.))
      with e -> Format.eprintf "S2: connection failed: %s@." (Printexc.to_string e));
@@ -426,9 +427,7 @@ let serve_s1 store_dir port seed bits variant workers queue_depth s2_addr metric
       let pub, _, _, _ = Proto.Ctx.provision ~seed ~key_bits:bits ~rand_bits:96 () in
       (* pay the one-time table builds now, not inside the first query *)
       let (), warm_s =
-        Obs.Timer.time (fun () ->
-            Crypto.Paillier.precompute pub;
-            Crypto.Damgard_jurik.(precompute (public_of_paillier pub)))
+        Obs.Timer.time (fun () -> Crypto.Paillier.precompute pub)
       in
       Format.printf "S1: combs warmed in %.0f ms@.%!" (warm_s *. 1000.);
       let index =

@@ -91,7 +91,9 @@ dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port" --json >"$work/stats-s1
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s2_port" --prom >"$work/stats-s2.prom"
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port"
 sh tools/check_stats.sh "$work/stats-s1.prom"
-sh tools/check_stats.sh "$work/stats-s2.prom" connections comb_warmup_seconds combs_built
+# serve-s1's connection built the combs of the shared key and of S1's
+# own key, the two serve-s2 holds
+sh tools/check_stats.sh "$work/stats-s2.prom" connections comb_warmup_seconds combs_built=2
 
 served=$(awk '$1 == "served" { print $2 }' "$work/stats-s1.prom")
 [ "$served" = "1" ] || { echo "expected served=1 in the scrape, got '$served'" >&2; exit 1; }
@@ -106,6 +108,14 @@ if [ -d artifacts ]; then
      "$work/queries.jsonl" artifacts/
   cp "$work/traces/trace-0.json" artifacts/sampled-trace.json
 fi
+
+echo "== 4c. a second serve-s2 connection under the same keys builds no comb =="
+dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs --seed $seed \
+  --s2 "127.0.0.1:$s2_port" >"$work/demo-s2.out"
+grep -qx 'oracle-valid: true' "$work/demo-s2.out" ||
+  { echo "demo against serve-s2 is not oracle-valid" >&2; cat "$work/demo-s2.out" >&2; exit 1; }
+dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s2_port" --prom >"$work/stats-s2-again.prom"
+sh tools/check_stats.sh "$work/stats-s2-again.prom" connections comb_warmup_seconds combs_built=2
 
 echo "== 5. four concurrent clients through the round scheduler =="
 # dune exec takes the build lock, so concurrent clients run the binary
@@ -172,7 +182,7 @@ cat "$work/query-flood.out"
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port" --prom >"$work/stats-s1-flood.prom"
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s2_port" --prom >"$work/stats-s2-flood.prom"
 sh tools/check_stats.sh "$work/stats-s1-flood.prom"
-sh tools/check_stats.sh "$work/stats-s2-flood.prom" connections comb_warmup_seconds combs_built
+sh tools/check_stats.sh "$work/stats-s2-flood.prom" connections comb_warmup_seconds combs_built=2
 served=$(awk '$1 == "served" { print $2 }' "$work/stats-s1-flood.prom")
 [ "$served" = "6" ] || { echo "expected served=6 after the flood, got '$served'" >&2; exit 1; }
 busy=$(awk '$1 == "busy" { print $2 }' "$work/stats-s1-flood.prom")

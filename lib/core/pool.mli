@@ -2,9 +2,8 @@
 
     One shared abstraction for every data-parallel batch in the system:
     relation encryption, the per-shard fan-out of the query loop,
-    [Ctx.parallel]'s tasks (SecDedup, EncSort, SecJoin) and the
-    deterministic exponentiations of the picks, SecRefresh and
-    RecoverEnc.
+    [Ctx.parallel]'s tasks (SecDedup, EncSort) and the deterministic
+    exponentiations of the picks (SecJoin's among them) and SecRefresh.
 
     No call spawns a domain. A fan-out borrows workers of the crew the
     calling domain belongs to ({!Service.current}: serve-s1's query

@@ -94,32 +94,9 @@ let noise_of pub draw =
     | None -> Modular.pow pub.h2 draw ~m:pub.n3
   end
 
-let noise rng pub = noise_of pub (draw_noise rng pub)
-
-let encrypt_with pub ~noise x =
+let encrypt rng pub x =
   Obs.bump Obs.Metrics.Dj_enc;
-  Modular.mul (g_pow pub x) noise ~m:pub.n3
-
-let encrypt rng pub x = encrypt_with pub ~noise:(noise rng pub) x
-
-(* As [Paillier.encrypt_neg_with]: (g^x * h2^rho)^(n^2-1)
-   = g^(-x) * (h2^(n^2-1))^rho mod n^3, since g = 1+n has order n^2. *)
-let encrypt_neg_with pub ~draw x =
-  Obs.bump Obs.Metrics.Dj_enc;
-  let neg = Nat.pred pub.n2 in
-  match pub.rand_bits with
-  | None -> Modular.pow (Modular.mul (g_pow pub x) (noise_of pub draw) ~m:pub.n3) neg ~m:pub.n3
-  | Some b ->
-    let noise =
-      match Fixed_base.cached_power ~base:pub.h2 ~exp:neg ~m:pub.n3 ~max_bits:(b + 1) with
-      | Some fb -> Fixed_base.pow fb draw
-      | None -> Modular.pow (Modular.pow pub.h2 draw ~m:pub.n3) neg ~m:pub.n3
-    in
-    Modular.mul (g_pow pub (Modular.sub Nat.zero (Nat.rem x pub.n2) ~m:pub.n2)) noise ~m:pub.n3
-
-let trivial pub x = g_pow pub x
-
-let encrypt_layered rng pub inner = encrypt rng pub (Paillier.to_nat inner)
+  Modular.mul (g_pow pub x) (noise_of pub (draw_noise rng pub)) ~m:pub.n3
 
 (* m mod p^2 from one CRT half. With c = (1+n)^m * r^(n^2) mod n^3, the
    n^2-th residue has order dividing p-1 mod p^3, so u = c^(p-1) mod p^3
@@ -152,47 +129,6 @@ let decrypt sk c =
   let k = Modular.mul (Modular.sub mq (Nat.rem mp q2) ~m:q2) sk.p2_inv_q2 ~m:q2 in
   Nat.add mp (Nat.mul sk.hp.p2 k)
 
-let decrypt_layered sk ppub c = Paillier.of_nat ppub (decrypt sk c)
-let add pub a b = Modular.mul a b ~m:pub.n3
-
 let scalar_mul pub c k =
   Obs.bump Obs.Metrics.Dj_mul;
   Modular.pow c (Nat.rem k pub.n2) ~m:pub.n3
-
-let scalar_mul_ct pub c inner = scalar_mul pub c (Paillier.to_nat inner)
-
-(* Enc2(sum k_i * x_i) from pairs (Enc2(x_i), k_i): one interleaved-window
-   multi-exponentiation over n^3 — the squaring chain is shared across all
-   pairs, so a fold of [scalar_mul] + [add] collapses to a fraction of the
-   modular multiplications. The product is exact (no rerandomization), so
-   the resulting ciphertext is identical to the unfused fold's. *)
-let scalar_mul_many pub pairs =
-  Obs.add Obs.Metrics.Dj_mul (List.length pairs);
-  Modular.multi_pow (List.map (fun (c, k) -> (c, Nat.rem k pub.n2)) pairs) ~m:pub.n3
-
-let rerandomize rng pub c =
-  Obs.bump Obs.Metrics.Dj_rerand;
-  Modular.mul c (noise rng pub) ~m:pub.n3
-
-(* noise drawn ahead (Noise_pool): one modular multiplication *)
-let rerandomize_with pub ~noise c =
-  Obs.bump Obs.Metrics.Dj_rerand;
-  Modular.mul c noise ~m:pub.n3
-
-(* Counterpart of [Paillier.precompute] for the layer-2 key: Montgomery
-   context for n^3 plus the comb for h2 under shortened noise; the comb
-   for h2^(n^2-1) is built by the first [encrypt_neg_with]. *)
-let precompute pub =
-  ignore (Modular.mul Nat.one Nat.one ~m:pub.n3);
-  match pub.rand_bits with
-  | None -> ()
-  | Some b -> ignore (Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1))
-
-let to_nat c = c
-
-let of_nat pub c =
-  if Nat.compare c pub.n3 >= 0 then invalid_arg "Damgard_jurik.of_nat: out of range";
-  c
-
-let ciphertext_bytes pub = (Nat.bit_length pub.n3 + 7) / 8
-let equal_ct = Nat.equal

@@ -1,11 +1,10 @@
 (** A seeded stream of re-randomization noise values.
 
     A re-randomization multiplies a ciphertext by a fresh encryption of
-    zero — one modular exponentiation ([Paillier.noise],
-    [Damgard_jurik.noise]). The pool draws those noise values from its
-    own generator, and the caller applies each with a single modular
-    multiplication ({!Paillier.rerandomize_with},
-    {!Damgard_jurik.rerandomize_with}).
+    zero — one modular exponentiation ([Paillier.noise]). The pool draws
+    those noise values from its own generator, and the caller applies
+    each with a single modular multiplication
+    ({!Paillier.rerandomize_with}).
 
     Deterministic under a seeded generator: values are drawn
     sequentially from the pool's root generator, in [take] order.

@@ -6,65 +6,104 @@ type joined = { score : Paillier.ciphertext; attrs : Paillier.ciphertext array }
 
 let protocol = "SecJoin"
 
-let combine (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_relation)
-    (tk : Join_scheme.token) =
+type multi_spec = {
+  chain : (int * int) list;
+      (* (attr of R_i, attr of R_{i+1}) - permuted indices, length L-1 *)
+  score_attrs : int list; (* one permuted score attribute per relation *)
+  k : int;
+}
+
+(* ---------------- the join pick ----------------
+
+   Every combine step is one Join_pick round over its tuple combinations
+   (DESIGN.md section 3a item 16). A combination holds one tuple per
+   relation; its verdict t is the conjunction of the [chain] equalities,
+   each the EHL difference of (attr of tuple i, attr of tuple i + 1).
+   Its fields are the score sum offset by +1, which keeps a genuine
+   all-zero score alive through SecFilter, and every carried attribute.
+   S1 sends each field x as Enc(x + rho) with rho uniform on Z_n; S2
+   answers Enc(t) and Enc(t * u) per field, u = x + rho, and
+   Enc(t * x) = Enc(t * u) * Enc(t)^(n - rho). *)
+
+let conditions spec (combo : Join_scheme.enc_tuple array) =
+  List.mapi (fun i (al, ar) -> (fst combo.(i).cells.(al), fst combo.(i + 1).cells.(ar))) spec.chain
+
+let carried (combo : Join_scheme.enc_tuple array) =
+  Array.concat (Array.to_list (Array.map (fun (tp : Join_scheme.enc_tuple) -> Array.map snd tp.cells) combo))
+
+(* S1's draws for one combination, on the calling domain: the blinds of
+   each condition's diff, a mask per field, then the noise of the +1's
+   encryption *)
+type draws = { blinds : Nat.t array list; masks : (Nat.t * Nat.t) array; one : Nat.t }
+
+let draw (s1 : Ctx.s1) spec combo =
+  let blinds =
+    List.map
+      (fun (l, _) -> Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub l)
+      (conditions spec combo)
+  in
+  let masks = Array.init (1 + Array.length (carried combo)) (fun _ -> Gadgets.draw_mask s1) in
+  { blinds; masks; one = Paillier.draw_noise s1.rng s1.pub }
+
+(* the combination's diff group and masked fields: pure *)
+let request pub spec combo d =
+  let diffs =
+    List.map2
+      (fun (l, r) blinds -> Ehl.Ehl_plus.diff_with pub ~blinds l r)
+      (conditions spec combo) d.blinds
+  in
+  let total =
+    List.fold_left
+      (fun acc (i, a) -> Paillier.add pub acc (snd combo.(i).Join_scheme.cells.(a)))
+      (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub d.one) Nat.one)
+      (List.mapi (fun i a -> (i, a)) spec.score_attrs)
+  in
+  (diffs, List.mapi (fun f x -> Gadgets.masked pub x d.masks.(f)) (total :: Array.to_list (carried combo)))
+
+(* Enc(t * x) per field from S2's Enc(t), then Enc(t * u) per field, at
+   [off] in its reply: pure *)
+let unmask pub d cts off =
+  let n = pub.Paillier.n and t = cts.(off) in
+  let picked =
+    Array.mapi
+      (fun f (rho, _) -> Paillier.add pub cts.(off + 1 + f) (Paillier.scalar_mul pub t (Nat.sub n rho)))
+      d.masks
+  in
+  { score = picked.(0); attrs = Array.sub picked 1 (Array.length picked - 1) }
+
+let join_pick (ctx : Ctx.t) spec combos =
   Obs.span protocol @@ fun () ->
   let s1 = ctx.Ctx.s1 in
   let pub = s1.Ctx.pub in
+  let combos = Array.of_list (List.map Array.of_list combos) in
+  ignore (Rng.shuffle s1.Ctx.rng combos);
+  let draws = Array.map (draw s1 spec) combos in
+  let jobs = Array.length combos in
+  let requests = Ctx.map ctx ~jobs (fun c -> request pub spec combos.(c) draws.(c)) in
+  let want, offsets = Array.fold_left_map (fun off d -> (off + 1 + Array.length d.masks, off)) 0 draws in
+  let cts =
+    match
+      Ctx.rpc ctx ~label:protocol
+        (Wire.Join_pick
+           { groups = Array.to_list (Array.map fst requests); fields = Array.to_list (Array.map snd requests) })
+    with
+    | Wire.Cts cts when List.length cts = want -> Array.of_list cts
+    | Wire.Cts cts -> Proto_error.fail "Sec_join.join_pick: %d ciphertexts for %d" (List.length cts) want
+    | _ -> Proto_error.fail "Sec_join.join_pick: expected Cts"
+  in
+  Array.to_list (Ctx.map ctx ~jobs (fun c -> unmask pub draws.(c) cts offsets.(c)))
+
+let binary (tk : Join_scheme.token) =
+  { chain = [ (tk.join_left, tk.join_right) ]; score_attrs = [ tk.score_left; tk.score_right ]; k = tk.k }
+
+let combine_pairs (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_relation) tk
+    pairs =
+  join_pick ctx (binary tk) (List.map (fun (i, j) -> [ e1.tuples.(i); e2.tuples.(j) ]) pairs)
+
+let combine ctx (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_relation) tk =
   let pairs = ref [] in
-  Array.iter
-    (fun (t1 : Join_scheme.enc_tuple) ->
-      Array.iter (fun (t2 : Join_scheme.enc_tuple) -> pairs := (t1, t2) :: !pairs) e2.Join_scheme.tuples)
-    e1.Join_scheme.tuples;
-  let pairs = Array.of_list !pairs in
-  ignore (Rng.shuffle s1.Ctx.rng pairs);
-  let jobs = Array.length pairs in
-  (* one equality round over the whole grid: the join predicate bits.
-     The blinded diffs are per-pair independent — fan them out. *)
-  let diffs =
-    Array.to_list
-      (Ctx.parallel ctx ~jobs (fun sub1 idx ->
-           let (t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple) = pairs.(idx) in
-           let ehl_l, _ = t1.Join_scheme.cells.(tk.Join_scheme.join_left) in
-           let ehl_r, _ = t2.Join_scheme.cells.(tk.Join_scheme.join_right) in
-           Ehl.Ehl_plus.diff ?blind_bits:sub1.Ctx.blind_bits sub1.Ctx.rng pub ehl_l ehl_r))
-  in
-  let ts = Array.of_list (Gadgets.equality_round ctx ~protocol diffs) in
-  let zero = Gadgets.enc_zero s1 in
-  (* tuple fan-out: every pair needs 1 + |attrs| selections, each a DJ
-     exponentiation — the heaviest loop of the join. Every select and
-     RecoverEnc of the whole grid is one select_recover_many round. *)
-  let per_pair =
-    List.map2
-      (fun t ((t1 : Join_scheme.enc_tuple), (t2 : Join_scheme.enc_tuple)) ->
-        let _, score_l = t1.Join_scheme.cells.(tk.Join_scheme.score_left) in
-        let _, score_r = t2.Join_scheme.cells.(tk.Join_scheme.score_right) in
-        (* s = t * (score_l + score_r + 1): the +1 keeps all-zero scores
-           of genuine matches alive through SecFilter *)
-        let total =
-          Paillier.add pub (Paillier.add pub score_l score_r)
-            (Paillier.encrypt s1.Ctx.rng pub Nat.one)
-        in
-        let carried =
-          Array.append
-            (Array.map snd t1.Join_scheme.cells)
-            (Array.map snd t2.Join_scheme.cells)
-        in
-        (t, total, zero) :: Array.to_list (Array.map (fun x -> (t, x, zero)) carried))
-      (Array.to_list ts) (Array.to_list pairs)
-  in
-  let picked =
-    Array.of_list (Gadgets.select_recover_many ctx ~protocol (List.concat per_pair))
-  in
-  let cursor = ref 0 in
-  List.map
-    (fun choices ->
-      let width = List.length choices in
-      let score = picked.(!cursor) in
-      let attrs = Array.init (width - 1) (fun a -> picked.(!cursor + 1 + a)) in
-      cursor := !cursor + width;
-      { score; attrs })
-    per_pair
+  Array.iteri (fun i _ -> Array.iteri (fun j _ -> pairs := (i, j) :: !pairs) e2.tuples) e1.tuples;
+  combine_pairs ctx e1 e2 tk !pairs
 
 let filter_protocol = "SecFilter"
 
@@ -163,20 +202,11 @@ let top_k ctx e1 e2 tk =
 (* ---------------- multi-way join (Section 12's L-relation sketch) ----
 
    The predicate of an L-way chain equi-join is a conjunction of L-1
-   pairwise conditions; S1 evaluates the EHL difference of each condition
-   on every tuple combination of the cross product and S2 returns one
-   E2(verdict) per combination through [Gadgets.conjunction_round]. Scores
-   and carried attributes are then selected exactly as in the binary
-   operator. Cross products grow multiplicatively, so this is practical
-   for small L / scaled relations — the same nested-loop generality the
-   paper sketches. *)
-
-type multi_spec = {
-  chain : (int * int) list;
-      (* (attr of R_i, attr of R_{i+1}) - permuted indices, length L-1 *)
-  score_attrs : int list; (* one permuted score attribute per relation *)
-  k : int;
-}
+   pairwise conditions; one join pick over the whole cross product
+   evaluates it per combination, and S2 records only the verdicts. Cross
+   products grow multiplicatively, so this is practical for small L /
+   scaled relations — the same nested-loop generality the paper
+   sketches. *)
 
 let spec_of_token key ~ms ~chain ~score_attrs ~k =
   let pos i attr =
@@ -197,57 +227,7 @@ let cross_product (rels : Join_scheme.enc_relation list) =
     [ [] ] rels
   |> List.map List.rev
 
-let combine_multi (ctx : Ctx.t) rels (spec : multi_spec) =
-  Obs.span protocol @@ fun () ->
-  let s1 = ctx.Ctx.s1 in
-  let pub = s1.Ctx.pub in
-  let combos = Array.of_list (cross_product rels) in
-  ignore (Rng.shuffle s1.Ctx.rng combos);
-  let groups =
-    Array.to_list
-      (Array.map
-         (fun combo ->
-           let arr = Array.of_list combo in
-           List.mapi
-             (fun i (al, ar) ->
-               let ehl_l, _ = arr.(i).Join_scheme.cells.(al) in
-               let ehl_r, _ = arr.(i + 1).Join_scheme.cells.(ar) in
-               Ehl.Ehl_plus.diff ?blind_bits:s1.Ctx.blind_bits s1.Ctx.rng pub ehl_l ehl_r)
-             spec.chain)
-         combos)
-  in
-  let ts = Gadgets.conjunction_round ctx ~protocol:"SecJoin" groups in
-  let zero = Gadgets.enc_zero s1 in
-  (* one recover batch for the score + attribute selections of every combo *)
-  let per_combo =
-    List.map2
-      (fun t combo ->
-        let arr = Array.of_list combo in
-        let total =
-          List.fold_left
-            (fun acc (i, sa) -> Paillier.add pub acc (snd arr.(i).Join_scheme.cells.(sa)))
-            (Paillier.encrypt s1.Ctx.rng pub Nat.one)
-            (List.mapi (fun i sa -> (i, sa)) spec.score_attrs)
-        in
-        let carried =
-          Array.concat (List.map (fun (tp : Join_scheme.enc_tuple) -> Array.map snd tp.Join_scheme.cells) combo)
-        in
-        (t, total, zero) :: Array.to_list (Array.map (fun x -> (t, x, zero)) carried))
-      ts (Array.to_list combos)
-  in
-  let picked =
-    Array.of_list
-      (Gadgets.select_recover_many ctx ~protocol:"SecJoin" (List.concat per_combo))
-  in
-  let cursor = ref 0 in
-  List.map
-    (fun choices ->
-      let width = List.length choices in
-      let score = picked.(!cursor) in
-      let attrs = Array.init (width - 1) (fun a -> picked.(!cursor + 1 + a)) in
-      cursor := !cursor + width;
-      { score; attrs })
-    per_combo
+let combine_multi ctx rels spec = join_pick ctx spec (cross_product rels)
 
 let top_k_multi ctx rels spec =
   Obs.with_default ctx.Ctx.obs @@ fun () ->
@@ -278,56 +258,6 @@ let enc_max ctx = function
 let diagonal ~n1 ~n2 d =
   let lo = max 0 (d - (n2 - 1)) and hi = min d (n1 - 1) in
   if lo > hi then [] else List.init (hi - lo + 1) (fun t -> (lo + t, d - (lo + t)))
-
-let combine_pairs (ctx : Ctx.t) (e1 : Join_scheme.enc_relation) (e2 : Join_scheme.enc_relation)
-    (tk : Join_scheme.token) pairs =
-  Obs.span protocol @@ fun () ->
-  let s1 = ctx.Ctx.s1 in
-  let pub = s1.Ctx.pub in
-  let arr = Array.of_list pairs in
-  ignore (Rng.shuffle s1.Ctx.rng arr);
-  let tup1 i = e1.Join_scheme.tuples.(i) and tup2 j = e2.Join_scheme.tuples.(j) in
-  let diffs =
-    Array.to_list
-      (Array.map
-         (fun (i, j) ->
-           let ehl_l, _ = (tup1 i).Join_scheme.cells.(tk.Join_scheme.join_left) in
-           let ehl_r, _ = (tup2 j).Join_scheme.cells.(tk.Join_scheme.join_right) in
-           Ehl.Ehl_plus.diff ?blind_bits:s1.Ctx.blind_bits s1.Ctx.rng pub ehl_l ehl_r)
-         arr)
-  in
-  let ts = Gadgets.equality_round ctx ~protocol:"SecJoin" diffs in
-  let zero = Gadgets.enc_zero s1 in
-  (* one recover batch for the whole diagonal's selections *)
-  let per_pair =
-    List.map2
-      (fun t (i, j) ->
-        let _, score_l = (tup1 i).Join_scheme.cells.(tk.Join_scheme.score_left) in
-        let _, score_r = (tup2 j).Join_scheme.cells.(tk.Join_scheme.score_right) in
-        let total =
-          Paillier.add pub (Paillier.add pub score_l score_r) (Paillier.encrypt s1.Ctx.rng pub Nat.one)
-        in
-        let carried =
-          Array.append
-            (Array.map snd (tup1 i).Join_scheme.cells)
-            (Array.map snd (tup2 j).Join_scheme.cells)
-        in
-        (t, total, zero) :: Array.to_list (Array.map (fun x -> (t, x, zero)) carried))
-      ts (Array.to_list arr)
-  in
-  let picked =
-    Array.of_list
-      (Gadgets.select_recover_many ctx ~protocol:"SecJoin" (List.concat per_pair))
-  in
-  let cursor = ref 0 in
-  List.map
-    (fun choices ->
-      let width = List.length choices in
-      let score = picked.(!cursor) in
-      let attrs = Array.init (width - 1) (fun a -> picked.(!cursor + 1 + a)) in
-      cursor := !cursor + width;
-      { score; attrs })
-    per_pair
 
 type sorted_stats = { pairs_explored : int; pairs_total : int; halted_early : bool }
 

@@ -1,10 +1,13 @@
 (** The secure top-k join operator [join_sec] (Section 12.4, Algorithm 11).
 
-    S1 combines every tuple pair in random order. For each pair the
-    servers obliviously evaluate the equi-join predicate through the EHL ⊖
-    operation; the pair's score and carried attributes are then selected
-    under encryption — a non-matching pair collapses to encryptions of 0.
-    S2 learns only the (permuted) predicate bit pattern.
+    S1 combines every tuple pair in random order, in one {e join pick}
+    round (DESIGN §3a item 16): for each pair S1 sends the EHL ⊖
+    difference of the join attributes and the pair's score and carried
+    attributes, each masked by a fresh uniform [rho]; S2 answers the
+    predicate bit [t] and [t * (x + rho)] per field as fresh encryptions,
+    and S1 removes [rho], so a non-matching pair collapses to encryptions
+    of 0. S2 learns only the (permuted) predicate bit pattern; every
+    other value it decrypts is uniform.
 
     Scores of matching pairs are offset by +1 under encryption so that a
     legitimate all-zero score survives SecFilter; the offset is removed
@@ -17,12 +20,24 @@ type joined = {
   attrs : Paillier.ciphertext array;  (** [t * x] for every carried attribute *)
 }
 
-(** All [n1 * n2] combined pairs, matching ones carrying real values. *)
+(** All [n1 * n2] combined pairs, matching ones carrying real values:
+    one round. *)
 val combine :
   Proto.Ctx.t ->
   Join_scheme.enc_relation ->
   Join_scheme.enc_relation ->
   Join_scheme.token ->
+  joined list
+
+(** [combine_pairs ctx e1 e2 tk pairs] combines only the tuple pairs
+    [(i, j)] listed, as {!combine} does all of them: one round. The
+    rank-join runs it once per diagonal. *)
+val combine_pairs :
+  Proto.Ctx.t ->
+  Join_scheme.enc_relation ->
+  Join_scheme.enc_relation ->
+  Join_scheme.token ->
+  (int * int) list ->
   joined list
 
 (** SecFilter (Algorithm 12): drop the collapsed (score 0) tuples under
@@ -37,8 +52,9 @@ val top_k : Proto.Ctx.t -> Join_scheme.enc_relation -> Join_scheme.enc_relation 
 (** {2 Multi-way joins}
 
     The L-relation generalization of Section 12: a chain of equi-join
-    conditions evaluated as one conjunction per cross-product combination
-    (S2 sees only the per-combination verdict pattern). *)
+    conditions evaluated as one conjunction per cross-product combination,
+    in one join pick whose groups hold each combination's L - 1
+    differences (S2 records only the per-combination verdict pattern). *)
 
 type multi_spec = {
   chain : (int * int) list;

@@ -388,9 +388,6 @@ module Report = struct
         ("P.dec", fun r -> string_of_int (get r.rops Paillier_dec));
         ("P.mul", fun r -> string_of_int (get r.rops Paillier_mul));
         ("P.rr", fun r -> string_of_int (get r.rops Paillier_rerand));
-        ("DJ.enc", fun r -> string_of_int (get r.rops Dj_enc));
-        ("DJ.dec", fun r -> string_of_int (get r.rops Dj_dec));
-        ("DJ.mul", fun r -> string_of_int (get r.rops Dj_mul));
         ("bytes", fun r -> string_of_int (get r.rops Bytes_sent));
         ("rounds", fun r -> string_of_int (get r.rops Rounds)) ]
       @ (if times then [ ("wall(s)", fun r -> Printf.sprintf "%.3f" r.wall) ] else [])
@@ -569,7 +566,6 @@ module Registry = struct
   let inc c = add c 1
   let counter_value c = locked c.creg (fun () -> !(c.c))
   let set g v = locked g.greg (fun () -> g.g := v)
-  let add_gauge g v = locked g.greg (fun () -> g.g := !(g.g) +. v)
   let observe h v = locked h.hreg (fun () -> Hist.record h.h v)
 
   let histdata_of_hist h =
@@ -723,28 +719,24 @@ module Cost_model = struct
     seen : int;  (* seen-vector width, m *)
     ct : int;  (* Paillier ciphertext bytes (S2 keypair) *)
     own_ct : int;  (* Paillier ciphertext bytes (S1's own keypair) *)
-    dj_ct : int;  (* Damgard-Jurik layer-2 ciphertext bytes *)
     req_base : int;  (* Wire request header bytes, excluding the label *)
     resp_base : int;  (* Wire response header bytes *)
   }
 
   type counts = {
     penc : int; pdec : int; pmul : int; prr : int;
-    djenc : int; djdec : int; djmul : int; djrr : int;
     pool : int;  (* noise values taken from the rerandomizer pool *)
     bytes : int; msgs : int; rounds : int;
   }
 
   let zero =
     { penc = 0; pdec = 0; pmul = 0; prr = 0;
-      djenc = 0; djdec = 0; djmul = 0; djrr = 0;
       pool = 0; bytes = 0; msgs = 0; rounds = 0 }
 
   let to_alist c =
     Metrics.
       [ (Paillier_enc, c.penc); (Paillier_dec, c.pdec); (Paillier_mul, c.pmul);
-        (Paillier_rerand, c.prr); (Dj_enc, c.djenc); (Dj_dec, c.djdec);
-        (Dj_mul, c.djmul); (Dj_rerand, c.djrr); (Rerand_pool, c.pool);
+        (Paillier_rerand, c.prr); (Rerand_pool, c.pool);
         (Bytes_sent, c.bytes); (Msgs, c.msgs); (Rounds, c.rounds) ]
 
   (* Bytes are measured from the Wire frames an rpc actually ships: a
@@ -842,8 +834,7 @@ module Cost_model = struct
 
   let add a b =
     { penc = a.penc + b.penc; pdec = a.pdec + b.pdec; pmul = a.pmul + b.pmul;
-      prr = a.prr + b.prr; djenc = a.djenc + b.djenc; djdec = a.djdec + b.djdec;
-      djmul = a.djmul + b.djmul; djrr = a.djrr + b.djrr; pool = a.pool + b.pool;
+      prr = a.prr + b.prr; pool = a.pool + b.pool;
       bytes = a.bytes + b.bytes; msgs = a.msgs + b.msgs; rounds = a.rounds + b.rounds }
 
   let sum = List.fold_left add zero
@@ -882,8 +873,7 @@ module Cost_model = struct
      Sort_items rpc carries keys + items out and the sorted items back. *)
   let enc_sort_blinded p ~items:l =
     let cell = p.cells + 2 + p.seen in
-    { zero with
-      penc = l;
+    { penc = l;
       pdec = l;
       pmul = l;
       prr = l * cell;

@@ -161,7 +161,6 @@ module Registry : sig
   val counter_value : counter -> int
 
   val set : gauge -> float -> unit
-  val add_gauge : gauge -> float -> unit
 
   val observe : histogram -> int -> unit
 
@@ -263,7 +262,6 @@ module Cost_model : sig
     seen : int;  (** seen-vector width (number of source lists, m) *)
     ct : int;  (** Paillier ciphertext bytes under the S2 keypair *)
     own_ct : int;  (** Paillier ciphertext bytes under S1's own keypair *)
-    dj_ct : int;  (** Damgard-Jurik layer-2 ciphertext bytes *)
     req_base : int;
         (** Wire request-frame header bytes excluding the label
             ([Wire.request_header_bytes ~label:""]) *)
@@ -272,7 +270,6 @@ module Cost_model : sig
 
   type counts = {
     penc : int; pdec : int; pmul : int; prr : int;
-    djenc : int; djdec : int; djmul : int; djrr : int;
     pool : int;  (** noise values taken from the rerandomizer pool *)
     bytes : int; msgs : int; rounds : int;
   }

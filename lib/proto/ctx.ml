@@ -7,8 +7,6 @@ open Crypto
 type derived = {
   pub : Paillier.public;
   sk : Paillier.secret;
-  djpub : Damgard_jurik.public;
-  djsk : Damgard_jurik.secret;
   own_pub : Paillier.public;
   own_sk : Paillier.secret;
   s1_rng : Rng.t;
@@ -18,7 +16,6 @@ type derived = {
 
 type s1 = {
   pub : Paillier.public;
-  djpub : Damgard_jurik.public;
   rng : Rng.t;
   blind_bits : int option;
   own_pub : Paillier.public;
@@ -45,7 +42,6 @@ let default_mode () =
   | Some other -> invalid_arg ("Ctx: unknown TRANSPORT " ^ other)
 
 let derive rng pub sk =
-  let djpub, djsk_opt = Damgard_jurik.of_paillier pub (Some sk) in
   let s1_rng = Rng.fork rng ~label:"s1" in
   (* S1's personal key inherits the noise policy of the main key so the
      escrow-pack encryptions also run off a fixed-base comb; keygen's
@@ -61,19 +57,17 @@ let derive rng pub sk =
      one startup span. *)
   Obs.span "comb_warmup" (fun () ->
       Paillier.precompute pub;
-      Damgard_jurik.precompute djpub;
       Paillier.precompute own_pub);
   let s2_rng = Rng.fork rng ~label:"s2" in
-  let djsk = Option.get djsk_opt and keys = Wire.keys_of ~pub ~djpub ~own_pub in
-  ({ pub; sk; djpub; djsk; own_pub; own_sk; s1_rng; s2_rng; keys } : derived)
+  let keys = Wire.keys_of ~pub ~own_pub in
+  ({ pub; sk; own_pub; own_sk; s1_rng; s2_rng; keys } : derived)
 
 let keys (d : derived) = d.keys
 
 let of_derived ?blind_bits ?(domains = 1) ?mode ?rtt_us (d : derived) =
   let mode = match mode with Some m -> m | None -> default_mode () in
   let local () =
-    S2_server.create ~pub:d.pub ~djpub:d.djpub ~sk:d.sk ~djsk:d.djsk
-      ~own_pub:d.own_pub ~rng:(Rng.copy d.s2_rng)
+    S2_server.create ~pub:d.pub ~sk:d.sk ~own_pub:d.own_pub ~rng:(Rng.copy d.s2_rng)
   in
   let transport =
     match mode with
@@ -88,7 +82,6 @@ let of_derived ?blind_bits ?(domains = 1) ?mode ?rtt_us (d : derived) =
     s1 =
       {
         pub = d.pub;
-        djpub = d.djpub;
         rng = Rng.copy d.s1_rng;
         blind_bits;
         own_pub = d.own_pub;

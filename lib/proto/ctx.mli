@@ -13,7 +13,6 @@ open Crypto
 
 type s1 = {
   pub : Paillier.public;
-  djpub : Damgard_jurik.public;
   rng : Rng.t;
   blind_bits : int option;
       (** Width of statistical-blinding exponents; [None] = full [Z_n]
@@ -66,14 +65,14 @@ val create :
   ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> Rng.t -> bits:int -> t
 
 (** What a query context starts from and never changes: the key pairs,
-    the Damgård–Jurik keys, the framing keys and the state of the "s1"
+    the framing keys and the state of the "s1"
     and "s2" generators. The per-key tables are warmed when it is
     derived. A server derives it once and starts every query from it. *)
 type derived
 
 (** [derive rng pub sk] derives S1's and S2's states from [rng] (two
-    forks, "s1" and "s2"), S1's personal key pair from the "s1"
-    generator, and the DJ keys from [sk]. *)
+    forks, "s1" and "s2") and S1's personal key pair from the "s1"
+    generator. *)
 val derive : Rng.t -> Paillier.public -> Paillier.secret -> derived
 
 (** The framing keys of every context started from it. *)

@@ -6,68 +6,6 @@ let blind_scalar (s1 : Ctx.s1) =
   | None -> Rng.unit_mod s1.rng s1.pub.Paillier.n
   | Some bits -> Nat.succ (Rng.nat_bits s1.rng bits)
 
-let equality_round (ctx : Ctx.t) ~protocol diffs =
-  match Ctx.rpc ctx ~label:protocol (Wire.Equality diffs) with
-  | Wire.Bits2 ts -> ts
-  | _ -> failwith "Gadgets.equality_round: unexpected response"
-
-let conjunction_round (ctx : Ctx.t) ~protocol groups =
-  match Ctx.rpc ctx ~label:protocol (Wire.Conjunction groups) with
-  | Wire.Bits2 replies -> replies
-  | _ -> failwith "Gadgets.conjunction_round: unexpected response"
-
-(* [f 0], ..., [f (n-1)] in index order: the calls draw randomness, so
-   the order is part of the determinism contract. *)
-let draw_each n f =
-  let rec go i acc = if i = n then Array.of_list (List.rev acc) else go (i + 1) (f i :: acc) in
-  go 0 []
-
-(* The select gadget and RecoverEnc, batched over [(t, if_one, if_zero)]
-   choices. E2(t * x1 + (1 - t) * x0) = E2(x0) * t^(x1 - x0), the
-   difference taken mod n^2, and the RecoverEnc blinding e = Enc(r)
-   multiplies the plaintext, so the blinded ciphertext is
-   trivial(x0 * e) * t^((x1 - x0) * e): one exponentiation, the
-   blinding folded in. Each choice's blinding [r] and its encryption
-   noise are drawn on the calling domain, in index order; the blinding
-   exponentiations and, after the batch round, the unblinding (an
-   encryption of -r from the same draw, off the negated-noise comb) fan
-   out over the context's width. *)
-let select_recover_many (ctx : Ctx.t) ~protocol choices =
-  let s1 = ctx.Ctx.s1 in
-  let pub = s1.pub and dj = s1.djpub in
-  let n2 = pub.Paillier.n2 in
-  let choices = Array.of_list choices in
-  let jobs = Array.length choices in
-  let draws =
-    draw_each jobs (fun _ ->
-        let r = Rng.nat_below s1.rng pub.Paillier.n in
-        (r, Paillier.draw_noise s1.rng pub))
-  in
-  let blinded =
-    Ctx.map ctx ~jobs (fun i ->
-        let r, noise = draws.(i) in
-        let e = Paillier.to_nat (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub noise) r) in
-        let t, if_one, if_zero = choices.(i) in
-        let x0 = Paillier.to_nat if_zero in
-        (* account for the blinding exponentiation the fold absorbs *)
-        Obs.bump Obs.Metrics.Dj_mul;
-        Damgard_jurik.add dj
-          (Damgard_jurik.trivial dj (Nat.mul x0 e))
-          (Damgard_jurik.scalar_mul_many dj
-             [ (t, Nat.mul (Modular.sub (Paillier.to_nat if_one) x0 ~m:n2) e) ]))
-  in
-  let resps =
-    Array.of_list
-      (Ctx.rpc_batch ctx ~label:protocol (Array.to_list (Array.map (fun b -> Wire.Recover b) blinded)))
-  in
-  Array.to_list
-    (Ctx.map ctx ~jobs (fun i ->
-         match resps.(i) with
-         | Wire.Ct inner ->
-           let r, noise = draws.(i) in
-           Paillier.add pub inner (Paillier.encrypt_neg_with pub ~draw:noise r)
-         | _ -> failwith "Gadgets.select_recover_many: unexpected response"))
-
 let pass_through blocks ~pass f =
   let outs =
     ref (match List.filter (fun b -> Option.is_none (pass b)) blocks with [] -> [] | live -> f live)

@@ -1,24 +1,13 @@
 (** Shared sub-protocol building blocks.
 
-    Two families of idioms:
-
-    - The paper's, which SecJoin still runs: the {e equality round} (S1
-      sends permuted blinded EHL differences, S2 decrypts them to bits
-      [t_i] and returns them doubly encrypted as [E2(t_i)]), the
-      {e select gadget} ([E2(t * Enc(a) + (1-t) * Enc(b)) = E2(Enc(b)) *
-      E2(t)^(Enc(a) - Enc(b))], one exponentiation of [E2(t)]) and
-      {e RecoverEnc} (Algorithm 5: stripping the outer DJ layer with
-      S2's help, under additive blinding). A select is never computed on
-      its own: {!select_recover_many} folds RecoverEnc's blinding into
-      the select's exponentiation and strips it with an encryption of
-      its negation from the same noise draw.
-    - The {e pick}, which SecWorst, SecUpdate and SecDedup's Replace
-      mode run instead (DESIGN §3a item 15): S1 sends each value a
-      select would choose as [Enc(x + rho)], [rho] fresh and uniform on
-      [Z_n]; S2, which decrypts the equality bits anyway, decrypts the
-      uniform [u = x + rho] and answers fresh [Enc(t)] and [Enc(t * u)];
-      S1 removes [rho] with exponentiations by [n - rho]. One Paillier
-      round, no Damgård–Jurik operation. *)
+    The central idiom is the {e pick}, which SecWorst, SecUpdate,
+    SecDedup's Replace mode and SecJoin run where the paper selects
+    under a second, Damgård–Jurik layer (DESIGN §3a items 15 and 16): S1
+    sends each value a select would choose as [Enc(x + rho)], [rho]
+    fresh and uniform on [Z_n]; S2, which decrypts the equality bits
+    anyway, decrypts the uniform [u = x + rho] and answers fresh
+    [Enc(t)] and [Enc(t * u)]; S1 removes [rho] with exponentiations by
+    [n - rho]. One Paillier round. *)
 
 open Bignum
 open Crypto
@@ -26,38 +15,6 @@ open Crypto
 (** Random blinding exponent drawn per the context's [blind_bits] policy
     (a unit of [Z_n] by default). *)
 val blind_scalar : Ctx.s1 -> Nat.t
-
-(** [equality_round ctx ~protocol diffs] — S1 sends the (already permuted)
-    EHL differences [Enc(b_i)]; S2 decrypts each, logs the bit pattern to
-    its trace, and returns [E2(t_i)] with [t_i = 1] iff [b_i = 0]
-    (Lemma 5.2 semantics). One round trip. *)
-val equality_round :
-  Ctx.t -> protocol:string -> Paillier.ciphertext list -> Damgard_jurik.ciphertext list
-
-(** The select gadget followed by RecoverEnc (Algorithm 5) over
-    [(t, if_one, if_zero)] choices, in one {!Ctx.rpc_batch} round: each
-    comes back as a fresh Paillier encryption of the chosen plaintext.
-    S1 blinds with a fresh [e = Enc(r)], sending
-    [trivial(if_zero * e) * t^((if_one - if_zero) * e)] (one
-    exponentiation per choice); S2 strips the outer layer and returns
-    [Enc(m) * e = Enc(m + r)]; S1 multiplies in the encryption of [-r]
-    from [e]'s own noise draw. The blindings are drawn in list order.
-    Counts two Dj_mul (the term and the absorbed blinding) and two
-    Paillier encryptions per choice. SecJoin's selects. *)
-val select_recover_many :
-  Ctx.t ->
-  protocol:string ->
-  (Damgard_jurik.ciphertext * Paillier.ciphertext * Paillier.ciphertext) list ->
-  Paillier.ciphertext list
-
-(** [conjunction_round ctx ~protocol groups] — like {!equality_round}
-    but each element is a {e group} of EHL differences: S2 returns
-    [E2(1)] iff {e every} difference in the group decrypts to zero. Used
-    by the multi-way join, whose predicate is a conjunction of equi-join
-    conditions; S2 sees only the per-group verdict pattern, not the
-    individual equalities. *)
-val conjunction_round :
-  Ctx.t -> protocol:string -> Paillier.ciphertext list list -> Damgard_jurik.ciphertext list
 
 (** [pass_through blocks ~pass f] runs a phase over per-shard blocks:
     a block for which [pass] returns [Some out] passes through as [out]
@@ -78,8 +35,7 @@ val chunks : int list -> 'a array -> 'a list list
     Counts one Paillier encryption. *)
 val strip : Ctx.s1 -> Paillier.ciphertext -> Nat.t -> Paillier.ciphertext
 
-(** A fresh Paillier encryption of zero by S1 (the [Enc(0)] leg of the
-    select gadget). *)
+(** The trivial encryption of zero, [1]: the empty homomorphic sum. *)
 val enc_zero : Ctx.s1 -> Paillier.ciphertext
 
 (** {2 Picks} *)

@@ -3,9 +3,7 @@ open Crypto
 
 type t = {
   pub : Paillier.public;
-  djpub : Damgard_jurik.public;
   sk : Paillier.secret;
-  djsk : Damgard_jurik.secret;
   own_pub : Paillier.public;
   rng : Rng.t;
   trace : Trace.t;
@@ -14,8 +12,8 @@ type t = {
 
 let make_pool rng pub = Noise_pool.create rng ~label:"noise" (fun r -> Paillier.noise r pub)
 
-let create ~pub ~djpub ~sk ~djsk ~own_pub ~rng =
-  { pub; djpub; sk; djsk; own_pub; rng; trace = Trace.create (); pnoise = make_pool rng pub }
+let create ~pub ~sk ~own_pub ~rng =
+  { pub; sk; own_pub; rng; trace = Trace.create (); pnoise = make_pool rng pub }
 
 let trace t = t.trace
 let secret_key t = t.sk
@@ -36,8 +34,6 @@ let provision (h : Wire.hello) =
   let root = Rng.create ~seed:h.seed in
   let pub, sk = Paillier.keygen ?rand_bits:h.rand_bits root ~bits:h.key_bits in
   let ctx_rng = Rng.fork root ~label:"ctx" in
-  let djpub, djsk_opt = Damgard_jurik.of_paillier pub (Some sk) in
-  let djsk = Option.get djsk_opt in
   let s1_rng = Rng.fork ctx_rng ~label:"s1" in
   (* same noise policy as [Ctx.derive] gives this key — the two
      derivations must stay in lockstep *)
@@ -49,9 +45,8 @@ let provision (h : Wire.hello) =
      before the first request *)
   Obs.span "comb_warmup" (fun () ->
       Paillier.precompute pub;
-      Damgard_jurik.precompute djpub;
       Paillier.precompute own_pub);
-  fun () -> create ~pub ~djpub ~sk ~djsk ~own_pub ~rng:(Rng.copy rng)
+  fun () -> create ~pub ~sk ~own_pub ~rng:(Rng.copy rng)
 
 let of_hello h = provision h ()
 
@@ -60,9 +55,6 @@ let of_hello h = provision h ()
    Everything below is S2's view: it sees only what arrives in the
    request, decrypts what the protocol lets it decrypt, and records each
    revealed fact in its trace under the request's protocol label. *)
-
-let dj_bit rng t b =
-  Damgard_jurik.encrypt rng t.djpub (if b then Nat.one else Nat.zero)
 
 (* S2 layers its own randomness on a masked SecDedup item and updates the
    escrow pack under S1's personal key accordingly (Algorithm 7). *)
@@ -106,8 +98,8 @@ let eq_bits t diffs = List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) 
 
    S1 masks every value a pick selects with a fresh rho uniform on Z_n,
    so each masked plaintext S2 decrypts is uniform; the equality bits
-   that drive the selects are recorded, as for an [Equality] request,
-   and every answer is a fresh encryption. *)
+   that drive the selects are recorded, and every answer is a fresh
+   encryption. *)
 
 let enc t v = Paillier.encrypt t.rng t.pub v
 let enc_bit t b = enc t (if b then Nat.one else Nat.zero)
@@ -153,18 +145,6 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     let sign = Bigint.sign (Paillier.decrypt_signed t.sk c) in
     Trace.record t.trace (Trace.Comparison { protocol = label; ordering = sign });
     Wire.Sign sign
-  | Wire.Equality diffs ->
-    let bits = eq_bits t diffs in
-    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
-    Wire.Bits2 (List.map (dj_bit t.rng t) bits)
-  | Wire.Conjunction groups ->
-    (* a group holds iff every difference decrypts to zero *)
-    let bits =
-      List.map (fun g -> List.for_all (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) g) groups
-    in
-    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
-    Wire.Bits2 (List.map (dj_bit t.rng t) bits)
-  | Wire.Recover c -> Wire.Ct (Damgard_jurik.decrypt_layered t.djsk t.pub c)
   | Wire.Refresh { bottoms; bits } ->
     (* SecRefresh: every plaintext here is uniform — masked bottoms and
        coin-flipped seen bits — so nothing is recorded. Pair i (item
@@ -220,6 +200,17 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     let us = decrypt_rows t items in
     Wire.Cts
       (List.concat (List.init (Array.length us) (fun i -> replace_answer t duplicate.(i) us.(i))))
+  | Wire.Join_pick { groups; fields } ->
+    (* a combination's verdict holds iff every diff of its group
+       decrypts to zero *)
+    if List.length fields <> List.length groups then
+      invalid_arg "S2_server: join pick count mismatch";
+    if List.mem [] groups then invalid_arg "S2_server: empty join pick group";
+    ignore (width "join pick fields" fields);
+    let bits = List.map (fun g -> List.for_all Fun.id (eq_bits t g)) groups in
+    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
+    let us = decrypt_rows t fields in
+    Wire.Cts (List.concat (List.mapi (fun i b -> replace_answer t b us.(i)) bits))
   | Wire.Worst_pick { diffs; scores } ->
     if List.length scores <> List.length diffs then
       invalid_arg "S2_server: worst pick count mismatch";
@@ -492,7 +483,7 @@ let serve_fd ?on_ready ?registry fd =
       Option.iter (fun f -> f setup_s) on_ready;
       let keys =
         let s = make () in
-        Wire.keys_of ~pub:s.pub ~djpub:s.djpub ~own_pub:s.own_pub
+        Wire.keys_of ~pub:s.pub ~own_pub:s.own_pub
       in
       Wire.write_frame fd (Wire.encode_control_reply Wire.Ok_ctl);
       (* each Mux_open starts the byte-identical twin of the query's

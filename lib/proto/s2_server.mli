@@ -1,6 +1,6 @@
 (** The S2 party: key holder and responder.
 
-    S2 owns the Paillier/DJ secret keys, its own randomness stream and the
+    S2 owns the Paillier secret key, its own randomness stream and the
     {!Trace} of everything it decrypts. It never sees S1 state — its whole
     view is the stream of {!Wire.request} frames dispatched to {!handle},
     each carrying the protocol label under which revealed facts are traced.
@@ -15,14 +15,7 @@ type t
 (** A responder over the given keys that draws from [rng] and starts
     with an empty trace. It builds no per-key tables: whoever derived
     the keys warms them ({!provision}, [Ctx.derive]). *)
-val create :
-  pub:Paillier.public ->
-  djpub:Damgard_jurik.public ->
-  sk:Paillier.secret ->
-  djsk:Damgard_jurik.secret ->
-  own_pub:Paillier.public ->
-  rng:Rng.t ->
-  t
+val create : pub:Paillier.public -> sk:Paillier.secret -> own_pub:Paillier.public -> rng:Rng.t -> t
 
 (** [provision h] derives S2's state from the client's provisioning
     parameters once, replaying the seeded generator in the exact order

@@ -12,9 +12,6 @@ type tuple = {
 
 type request =
   | Sign_of of Paillier.ciphertext
-  | Equality of Paillier.ciphertext list
-  | Conjunction of Paillier.ciphertext list list
-  | Recover of Damgard_jurik.ciphertext
   | Dgk_low_bits of { bits : int; z : Paillier.ciphertext }
   | Zero_any of Paillier.ciphertext list
   | Zero_test of Paillier.ciphertext
@@ -42,11 +39,11 @@ type request =
   | Rank_keys of Paillier.ciphertext list
   | Zero_slot of Paillier.ciphertext list
   | Refresh of { bottoms : Paillier.ciphertext list; bits : Paillier.ciphertext list }
+  | Join_pick of { groups : Paillier.ciphertext list list; fields : Paillier.ciphertext list list }
   | Batch of request list
 
 type response =
   | Sign of int
-  | Bits2 of Damgard_jurik.ciphertext list
   | Ct of Paillier.ciphertext
   | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
   | Bit of bool
@@ -124,8 +121,8 @@ let response_header_bytes = frame_header_bytes
 
 (* ---------------- frames under the session keys ----------------
 
-   Ciphertexts are fixed-width under the shared key, S1's escrow key or
-   the Damgård–Jurik key, so [keys_of] builds every keyed codec once. *)
+   Ciphertexts are fixed-width under the shared key or S1's escrow key,
+   so [keys_of] builds every keyed codec once. *)
 
 type keys = {
   request : ((int * string) * request) Codec.t;
@@ -135,12 +132,9 @@ type keys = {
   server : (unit * server_msg) Codec.t;
 }
 
-let keys_of ~pub ~djpub ~own_pub =
+let keys_of ~pub ~own_pub =
   let paillier pub = nat (Paillier.ciphertext_bytes pub) (Paillier.of_nat pub) Paillier.to_nat in
   let ct = paillier pub and own = paillier own_pub in
-  let dj =
-    nat (Damgard_jurik.ciphertext_bytes djpub) (Damgard_jurik.of_nat djpub) Damgard_jurik.to_nat
-  in
   let cts = list ct and capped c = array ~max:4096 c in
   (* a non-empty capped array: its smallest encoding holds one element *)
   let nonempty what c =
@@ -175,15 +169,14 @@ let keys_of ~pub ~djpub ~own_pub =
   let items = list (pair masked pack) in
   let mode = conv (fun e -> if e then Eliminate else Replace) (( = ) Eliminate) bool in
   let bits = check (fun b -> b > 0 && b <= 4096) "bad bit width" int in
-  (* request tags 5 (SecRefresh's Damgård–Jurik lift), 11 (SecDedup with
-     a mode byte) and 12 (SecUpdate's Damgård–Jurik flags) and response
-     tag 6 (the flags' reply) are retired: reusing one would misparse an
-     older peer *)
+  (* request tags 2, 3 and 4 (SecJoin's Damgård–Jurik equality,
+     conjunction and RecoverEnc rounds), 5 (SecRefresh's Damgård–Jurik
+     lift), 11 (SecDedup with a mode byte) and 12 (SecUpdate's
+     Damgård–Jurik flags) and response tags 2 (the doubly encrypted
+     bits) and 6 (the flags' reply) are retired: reusing one would
+     misparse an older peer *)
   let requests =
     [ Case (1, ct, (fun c -> Sign_of c), function Sign_of c -> Some c | _ -> None);
-      Case (2, cts, (fun l -> Equality l), function Equality l -> Some l | _ -> None);
-      Case (3, list cts, (fun l -> Conjunction l), function Conjunction l -> Some l | _ -> None);
-      Case (4, dj, (fun c -> Recover c), function Recover c -> Some c | _ -> None);
       Case (6, pair bits ct, (fun (bits, z) -> Dgk_low_bits { bits; z }),
             function Dgk_low_bits { bits; z } -> Some (bits, z) | _ -> None);
       Case (7, cts, (fun l -> Zero_any l), function Zero_any l -> Some l | _ -> None);
@@ -211,7 +204,9 @@ let keys_of ~pub ~djpub ~own_pub =
       Case (23, pair cts (list cts), (fun (diffs, items) -> Dedup_pick { diffs; items }),
             function Dedup_pick { diffs; items } -> Some (diffs, items) | _ -> None);
       Case (24, pair cts items, (fun (diffs, items) -> Dedup { diffs; items }),
-            function Dedup { diffs; items } -> Some (diffs, items) | _ -> None) ]
+            function Dedup { diffs; items } -> Some (diffs, items) | _ -> None);
+      Case (25, pair (list cts) (list cts), (fun (groups, fields) -> Join_pick { groups; fields }),
+            function Join_pick { groups; fields } -> Some (groups, fields) | _ -> None) ]
   in
   let batch = variant ~what:"batched request" requests in
   let requests =
@@ -224,7 +219,6 @@ let keys_of ~pub ~djpub ~own_pub =
   in
   let responses =
     [ Case (1, sign, (fun s -> Sign s), function Sign s -> Some s | _ -> None);
-      Case (2, list dj, (fun l -> Bits2 l), function Bits2 l -> Some l | _ -> None);
       Case (3, ct, (fun c -> Ct c), function Ct c -> Some c | _ -> None);
       Case (4, pair cts bool, (fun (bit_cts, parity) -> Dgk_bits { bit_cts; parity }),
             function Dgk_bits { bit_cts; parity } -> Some (bit_cts, parity) | _ -> None);

@@ -22,9 +22,9 @@
     cannot nest, since the batch element codec has no batch case.
 
     Ciphertexts are zero-padded fixed-width naturals: [ciphertext_bytes pub]
-    for values under the shared key, [ciphertext_bytes own_pub] for S1's
-    escrow key, [ciphertext_bytes djpub] for Damgård–Jurik values, so
-    the keyed codecs live in {!keys}, built once by {!keys_of}.
+    for values under the shared key and [ciphertext_bytes own_pub] for
+    S1's escrow key, so the keyed codecs live in {!keys}, built once by
+    {!keys_of}.
 
     All decoders validate magic, version, kind, tag, field bounds and
     trailing bytes; every failure raises [Invalid_argument]. *)
@@ -34,11 +34,7 @@ open Crypto
 (** The frame codecs for one key set, built once by {!keys_of}. *)
 type keys
 
-val keys_of :
-  pub:Paillier.public ->
-  djpub:Damgard_jurik.public ->
-  own_pub:Paillier.public ->
-  keys
+val keys_of : pub:Paillier.public -> own_pub:Paillier.public -> keys
 
 type dedup_mode = Replace | Eliminate
 
@@ -53,9 +49,6 @@ type tuple = {
 
 type request =
   | Sign_of of Paillier.ciphertext  (** EncCompare: sign of a blinded difference *)
-  | Equality of Paillier.ciphertext list  (** SecWorst/SecUpdate/SecJoin *)
-  | Conjunction of Paillier.ciphertext list list  (** multi-way join predicate *)
-  | Recover of Damgard_jurik.ciphertext  (** RecoverEnc: strip the outer layer *)
   | Dgk_low_bits of { bits : int; z : Paillier.ciphertext }
       (** DGK: bitwise decomposition of the blinded difference *)
   | Zero_any of Paillier.ciphertext list  (** DGK: any c_i = 0? (traced) *)
@@ -104,6 +97,14 @@ type request =
       (** SecRefresh: one block's masked bottoms [Enc(b_l + rho_l)] and its
           coin-flipped seen bits, item-major ([|bits| = |T| * m]); answered
           by [Cts] *)
+  | Join_pick of { groups : Paillier.ciphertext list list; fields : Paillier.ciphertext list list }
+      (** SecJoin, every combination of one combine step in S1's
+          permuted order: per combination its group of blinded EHL diffs
+          (one per equi-join condition) and its masked fields
+          [Enc(x + rho)] (the offset score sum, then each carried
+          attribute). The verdict [t] holds when every diff of the group
+          decrypts to 0; answered by [Cts] holding, combination after
+          combination, [Enc(t)] and [Enc(t * u)] per field *)
   | Batch of request list
       (** independent requests shipped as one frame (one round); nesting a
           [Batch] inside a [Batch] raises [Invalid_argument] in both the
@@ -111,7 +112,6 @@ type request =
 
 type response =
   | Sign of int  (** -1 | 0 | 1 *)
-  | Bits2 of Damgard_jurik.ciphertext list  (** E2 equality bits *)
   | Ct of Paillier.ciphertext
   | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
   | Bit of bool
@@ -124,7 +124,8 @@ type response =
   | Slot of int option
   | Cts of Paillier.ciphertext list
       (** SecRefresh: one fresh [Enc(b * v_l)] per (item, list) pair of a
-          [Refresh], in its bits' order; SecWorst's and SecDedup's picks *)
+          [Refresh], in its bits' order; SecWorst's, SecDedup's and
+          SecJoin's picks *)
   | Picked of { cts : Paillier.ciphertext list; flags : bool list }
       (** SecUpdate's pick, all fresh encryptions: [Enc(sum_i t_ij * u_if)]
           per old entry [j] and merged field [f], then [Enc(t_ij)] per grid

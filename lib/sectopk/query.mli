@@ -58,10 +58,10 @@ val run_sharded :
     All shards advance through a {e global depth barrier}: at depth [d]
     every live shard contributes its depth-[d] row, and every phase of
     the depth sends one frame covering every live shard. The per-list
-    SecWorst instances of the whole fleet share one Equality and one
-    Recover batch; SecDedup, SecUpdate and SecRefresh run once over one
-    block per shard ({!Proto.Sec_dedup.run_many} and its siblings). So
-    the rounds of a depth do not depend on the shard count. Dedup and
+    SecWorst instances of the whole fleet share one [Worst_pick] batch;
+    SecDedup, SecUpdate and SecRefresh run once over one block per
+    shard ({!Proto.Sec_dedup.run_many} and its siblings). So the rounds
+    of a depth do not depend on the shard count. Dedup and
     the running-list merge stay shard-local: each block is permuted and
     masked on its own, and the SecUpdate grid is block-diagonal, because
     cross-shard pairs encode distinct objects by construction. Each

@@ -1,5 +1,5 @@
 (* Leakage audit of S2's potential view for SecRefresh, SecWorst,
-   SecDedup and SecUpdate.
+   SecDedup, SecUpdate and SecJoin's combine step.
 
    A recording round-scheduler backend sits in front of
    [S2_server.handle_mux_ops]. The test holds [sk], so for every request
@@ -11,20 +11,23 @@
    (a) shape: a relation and its x10 scaling give SecRefresh, SecWorst,
        SecDedup and SecUpdate requests of identical kinds, counts and
        sizes, under Full and Elim, with 1 and 2 shards;
-   (b) masked values: the values SecRefresh, SecWorst, SecUpdate and
-       SecDedup's Replace mode hand S2 to decrypt, and RecoverEnc's inner
-       plaintexts (from SecJoin, the one protocol that still recovers),
-       are never below 2^64 and their top-byte histograms agree between
-       the two relations; no two masked values of a session lie within
-       2^64 of each other (a repeated or shared mask would);
+   (b) masked values: the values SecRefresh, SecWorst, SecUpdate,
+       SecDedup's Replace mode and SecJoin's join pick hand S2 to
+       decrypt are never below 2^64 and their top-byte histograms agree
+       between the two relations; no two masked values of a session lie
+       within 2^64 of each other (a repeated or shared mask would);
    (c) bits: whatever the seen bits, the bits S2 decrypts in a Refresh
        request read about half ones;
    (d) linkability: no ciphertext of a SecRefresh request appears in any
        other request or reply of its session, nor (1 + n) * c^-1 of one
        (the complement S2 could compute itself);
    (e) every ciphertext of a pick reply (SecWorst, SecUpdate, SecDedup's
-       Replace mode) occurs exactly once in its session: S2 answers with
-       fresh encryptions and S1 never sends one back as it is. *)
+       Replace mode, SecJoin) occurs exactly once in its session: S2
+       answers with fresh encryptions and S1 never sends one back as it
+       is.
+
+   No request carries a second-layer ciphertext: SecJoin picks in
+   Paillier, so there is no RecoverEnc role left to audit. *)
 
 open Bignum
 open Crypto
@@ -47,13 +50,10 @@ let masked_cts (it : Enc_item.masked) =
 
 (* One request element: its kind, its element counts and every
    ciphertext under the shared key it carries (escrows under S1's own
-   key and Damgård–Jurik values excluded). *)
+   key excluded). *)
 let describe (req : Wire.request) =
   match req with
   | Wire.Sign_of c -> ("Sign_of", [ 1 ], [ c ])
-  | Wire.Equality l -> ("Equality", [ List.length l ], l)
-  | Wire.Conjunction g -> ("Conjunction", List.map List.length g, List.concat g)
-  | Wire.Recover _ -> ("Recover", [ 1 ], [])
   | Wire.Dgk_low_bits { bits; z } -> ("Dgk_low_bits", [ bits ], [ z ])
   | Wire.Zero_any l -> ("Zero_any", [ List.length l ], l)
   | Wire.Zero_test c -> ("Zero_test", [ 1 ], [ c ])
@@ -87,11 +87,16 @@ let describe (req : Wire.request) =
   | Wire.Zero_slot l -> ("Zero_slot", [ List.length l ], l)
   | Wire.Refresh { bottoms; bits } ->
     ("Refresh", [ List.length bottoms; List.length bits ], bottoms @ bits)
+  | Wire.Join_pick { groups; fields } ->
+    let diffs = List.concat groups in
+    ( "Join_pick",
+      List.length diffs :: List.map List.length groups @ List.map List.length fields,
+      diffs @ List.concat fields )
   | Wire.Batch _ -> invalid_arg "describe: batches are flattened first"
 
 let rec reply_cts (resp : Wire.response) =
   match resp with
-  | Wire.Sign _ | Wire.Bits2 _ | Wire.Bit _ | Wire.Indices _ | Wire.Slot _ -> []
+  | Wire.Sign _ | Wire.Bit _ | Wire.Indices _ | Wire.Slot _ -> []
   | Wire.Ct c -> [ c ]
   | Wire.Cts l | Wire.Picked { cts = l; _ } -> l
   | Wire.Dgk_bits { bit_cts; _ } -> bit_cts
@@ -235,17 +240,8 @@ let refresh_masked s =
     (fun r -> List.concat_map (fun e -> fst (refresh_parts e)) r.elements)
     (refresh_records s)
 
-(* RecoverEnc's inner plaintexts m + r: the replies to Recover. *)
-let recover_inner s =
-  List.concat_map
-    (fun r ->
-      List.concat_map
-        (fun e -> if e.kind = "Recover" then List.map (fun c -> c.plain) e.reply else [])
-        r.elements)
-    s.records
-
 (* SecJoin's combine step through a fresh recorder: a 4 x 3 join whose
-   12 pairs each recover a score and four carried attributes. [scale]
+   12 pairs each pick a score and four carried attributes. [scale]
    multiplies every value, so the two relations share their equality
    pattern. *)
 let run_join_session ~seed ~scale =
@@ -337,9 +333,6 @@ let refresh_samples =
     ( collect refresh_masked (query_sessions rel_a),
       collect refresh_masked (query_sessions rel_b) )
 
-let recover_samples =
-  lazy (collect recover_inner (join_session 1), collect recover_inner (join_session 10))
-
 let check_uniform role a b =
   let hist vs =
     let h = Array.make bins 0 in
@@ -366,13 +359,9 @@ let test_masked () =
   let ma, mb = Lazy.force refresh_samples in
   check_uniform "SecRefresh masked values" ma mb
 
-let test_recover_inner () =
-  let ia, ib = Lazy.force recover_samples in
-  check_uniform "RecoverEnc inner plaintexts (SecJoin)" ia ib
-
 (* A pick request carries its diffs first, then the values it masked:
    [counts] starts with the diff count for every pick kind. *)
-let pick_kinds = [ "Worst_pick"; "Update_pick"; "Dedup_pick" ]
+let pick_kinds = [ "Worst_pick"; "Update_pick"; "Dedup_pick"; "Join_pick" ]
 
 let pick_masked kind s =
   List.concat_map
@@ -390,13 +379,19 @@ let test_pick_masked kind () =
   and b = collect (pick_masked kind) (query_sessions rel_b) in
   check_uniform (kind ^ " masked values") a b
 
+let test_join_masked () =
+  let kind = "Join_pick" in
+  check_uniform (kind ^ " masked values")
+    (collect (pick_masked kind) (join_session 1))
+    (collect (pick_masked kind) (join_session 10))
+
 (* Every masked value S2 decrypts in one session, the SecRefresh bottoms
    and every pick's: sorted round Z_n, no two neighbours lie within 2^64
    of each other. A mask reused across values shows as a difference of
    scores, a repeated value as 0. *)
 let test_no_close_masks () =
   List.iter
-    (fun rel ->
+    (fun (name, sessions) ->
       List.iteri
         (fun i s ->
           let vs =
@@ -407,14 +402,17 @@ let test_no_close_masks () =
           let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
           let wrap = match vs with [] | [ _ ] -> [] | first :: _ -> [ (List.nth vs (List.length vs - 1), first) ] in
           Alcotest.(check bool)
-            (Printf.sprintf "%s, session %d: masked values" (Relation.name rel) i)
+            (Printf.sprintf "%s, session %d: masked values" name i)
             true (List.length vs >= 2);
           Alcotest.(check int)
-            (Printf.sprintf "%s, session %d: pairs within 2^64" (Relation.name rel) i)
+            (Printf.sprintf "%s, session %d: pairs within 2^64" name i)
             0
             (List.length (List.filter (fun (a, b) -> close a b) (pairs vs @ wrap))))
-        (query_sessions rel 0))
-    [ rel_a; rel_b ]
+        sessions)
+    [ ("a", query_sessions rel_a 0);
+      ("b", query_sessions rel_b 0);
+      ("join", join_session 1 0);
+      ("join x10", join_session 10 0) ]
 
 (* ---------------- (c) bits ---------------- *)
 
@@ -535,7 +533,11 @@ let test_fresh_replies () =
             (Printf.sprintf "%s, %s" name (Relation.name rel))
             (run_session ~seed:"test_audit links" ~variant ~shards rel))
         [ rel_a; rel_b ])
-    configs
+    configs;
+  List.iter
+    (fun scale ->
+      List.iter (check_fresh_replies (Printf.sprintf "SecJoin x%d" scale)) (join_session scale 0))
+    [ 1; 10 ]
 
 let test_unlinkable () =
   List.iter
@@ -553,7 +555,6 @@ let () =
     [ ( "sec-refresh-view",
         [ Alcotest.test_case "(a) same shape for a relation and its x10 scaling" `Quick test_shape;
           Alcotest.test_case "(b) masked values uniform" `Quick test_masked;
-          Alcotest.test_case "(b) RecoverEnc inner plaintexts uniform" `Quick test_recover_inner;
           Alcotest.test_case "(c) decrypted bits are coin flips" `Quick test_bits;
           Alcotest.test_case "(d) no ciphertext links to another message" `Quick test_unlinkable
         ] );
@@ -566,6 +567,7 @@ let () =
             (test_pick_masked "Update_pick");
           Alcotest.test_case "(b) SecDedup masked fields uniform" `Quick
             (test_pick_masked "Dedup_pick");
+          Alcotest.test_case "(b) SecJoin masked fields uniform" `Quick test_join_masked;
           Alcotest.test_case "(b) no two masked values of a session are close" `Quick
             test_no_close_masks;
           Alcotest.test_case "(e) every pick reply ciphertext occurs once" `Quick

@@ -1,7 +1,8 @@
 (* Tests for the crypto substrate: FIPS/RFC test vectors for SHA-256 and
    HMAC, determinism/uniformity checks for the DRBG and RNG, and the
-   homomorphic identities that the SecTopK protocols rely on for Paillier
-   and Damgård-Jurik. *)
+   homomorphic identities that the SecTopK protocols rely on for
+   Paillier, and Damgård-Jurik's round trip, scalar homomorphism and CRT
+   decryption. *)
 
 open Bignum
 open Crypto
@@ -337,47 +338,13 @@ let test_dj_roundtrip () =
   Alcotest.check nat "dj n + k" mid (Damgard_jurik.decrypt djsk (Damgard_jurik.encrypt rng djpub mid))
 
 let test_dj_homomorphic () =
-  let a = Nat.of_int 11111 and b = Nat.of_int 22222 in
-  let c = Damgard_jurik.add djpub (Damgard_jurik.encrypt rng djpub a) (Damgard_jurik.encrypt rng djpub b) in
-  Alcotest.check nat "dj add" (Nat.add a b) (Damgard_jurik.decrypt djsk c);
+  let a = Nat.of_int 11111 in
   let s = Damgard_jurik.scalar_mul djpub (Damgard_jurik.encrypt rng djpub a) (Nat.of_int 9) in
   Alcotest.check nat "dj scalar" (Nat.of_int (11111 * 9)) (Damgard_jurik.decrypt djsk s)
 
-let test_dj_layered () =
-  (* E2(Enc(m1))^Enc(m2) = E2(Enc(m1+m2)) — the paper's Section 3.3 identity *)
-  let m1 = Nat.of_int 123 and m2 = Nat.of_int 456 in
-  let inner1 = Paillier.encrypt rng pub m1 in
-  let inner2 = Paillier.encrypt rng pub m2 in
-  let outer = Damgard_jurik.encrypt_layered rng djpub inner1 in
-  let combined = Damgard_jurik.scalar_mul_ct djpub outer inner2 in
-  let recovered = Damgard_jurik.decrypt_layered djsk pub combined in
-  Alcotest.check nat "inner decrypts to m1+m2" (Nat.of_int 579) (Paillier.decrypt sk recovered)
-
-let test_dj_layered_select () =
-  (* The select gadget used by SecWorst/SecUpdate:
-     E2(Enc(0)) * E2(t)^(Enc(x) - Enc(0)) = E2(t*Enc(x) + (1-t)*Enc(0)) *)
-  let x = Nat.of_int 777 in
-  let enc_x = Paillier.encrypt rng pub x in
-  let enc_0 = Paillier.encrypt rng pub Nat.zero in
-  let check_select t expected =
-    let e2_t = Damgard_jurik.encrypt rng djpub (Nat.of_int t) in
-    let x0 = Paillier.to_nat enc_0 in
-    let sel =
-      Damgard_jurik.add djpub
-        (Damgard_jurik.encrypt rng djpub x0)
-        (Damgard_jurik.scalar_mul djpub e2_t
-           (Modular.sub (Paillier.to_nat enc_x) x0 ~m:djpub.Damgard_jurik.n2))
-    in
-    let inner = Damgard_jurik.decrypt_layered djsk pub sel in
-    Alcotest.check nat (Printf.sprintf "select t=%d" t) expected (Paillier.decrypt sk inner)
-  in
-  check_select 1 x;
-  check_select 0 Nat.zero
-
 (* [encrypt_neg_with] must be the negation of [encrypt_with] from the
-   same draw, bit for bit: c^(n-1) mod n^2 for Paillier, c^(n^2-1) mod
-   n^3 for DJ, under shortened and textbook noise, at the plaintext
-   edges and at the draws 1, 2^96 and random. *)
+   same draw, bit for bit: c^(n-1) mod n^2, under shortened and textbook
+   noise, at the plaintext edges and at the draws 1, 2^96 and random. *)
 let neg_draws pub =
   [ ("1", Nat.one); ("2^96", Nat.shift_left Nat.one 96); ("random", Paillier.draw_noise rng pub) ]
 
@@ -401,38 +368,6 @@ let test_paillier_encrypt_neg_with () =
             [ ("0", Nat.zero); ("1", Nat.one); ("n-1", Nat.pred n); ("random", Rng.nat_below rng n) ])
         (neg_draws pub))
     [ ("rand_bits 96", Paillier.with_rand_bits pub (Some 96)); ("textbook", Paillier.with_rand_bits pub None) ]
-
-let test_dj_encrypt_neg_with () =
-  List.iter
-    (fun (policy, ppub) ->
-      let djpub = Damgard_jurik.public_of_paillier ppub in
-      let n2 = djpub.Damgard_jurik.n2 and n3 = djpub.Damgard_jurik.n3 in
-      List.iter
-        (fun (draw_name, draw) ->
-          List.iter
-            (fun (m_name, m) ->
-              let reference =
-                Modular.pow
-                  (Damgard_jurik.to_nat
-                     (Damgard_jurik.encrypt_with djpub ~noise:(Damgard_jurik.noise_of djpub draw) m))
-                  (Nat.pred n2) ~m:n3
-              in
-              let got = Damgard_jurik.encrypt_neg_with djpub ~draw m in
-              Alcotest.check nat
-                (Printf.sprintf "%s, draw %s, m = %s" policy draw_name m_name)
-                reference (Damgard_jurik.to_nat got);
-              Alcotest.check nat
-                (Printf.sprintf "%s, draw %s, m = %s decrypts to -m" policy draw_name m_name)
-                (Modular.sub Nat.zero m ~m:n2) (Damgard_jurik.decrypt djsk got))
-            [ ("0", Nat.zero); ("1", Nat.one); ("n^2-1", Nat.pred n2); ("random", Rng.nat_below rng n2) ])
-        (neg_draws ppub))
-    [ ("rand_bits 96", Paillier.with_rand_bits pub (Some 96)); ("textbook", Paillier.with_rand_bits pub None) ]
-
-let test_dj_rerandomize () =
-  let c = Damgard_jurik.encrypt rng djpub (Nat.of_int 31337) in
-  let c' = Damgard_jurik.rerandomize rng djpub c in
-  Alcotest.(check bool) "fresh" false (Damgard_jurik.equal_ct c c');
-  Alcotest.check nat "same plaintext" (Nat.of_int 31337) (Damgard_jurik.decrypt djsk c')
 
 (* ---------------- CRT decryption vs textbook formulas ----------------
 
@@ -478,7 +413,7 @@ let dj_classic pub sk c =
   let _, _, lambda = Paillier.secret_params sk in
   let n = pub.Damgard_jurik.n and n2 = pub.Damgard_jurik.n2 and n3 = pub.Damgard_jurik.n3 in
   let d = Modular.crt2 (Nat.one, n2) (Nat.zero, lambda) in
-  let u = Modular.pow (Damgard_jurik.to_nat c) d ~m:n3 in
+  let u = Modular.pow (c : Damgard_jurik.ciphertext :> Nat.t) d ~m:n3 in
   let t = Nat.rem (Nat.div (Nat.pred u) n) n2 in
   let m0 = Nat.rem t n in
   let binom =
@@ -502,9 +437,7 @@ let check_dj_crt label rng pub sk =
     check (Printf.sprintf "random #%d" i) m (Damgard_jurik.encrypt rng djpub m)
   done;
   List.iter
-    (fun (name, m) ->
-      check (name ^ " encrypted") m (Damgard_jurik.encrypt rng djpub m);
-      check (name ^ " trivial") m (Damgard_jurik.trivial djpub m))
+    (fun (name, m) -> check (name ^ " encrypted") m (Damgard_jurik.encrypt rng djpub m))
     [ ("0", Nat.zero); ("1", Nat.one); ("n-1", Nat.pred n); ("n", n); ("n+1", Nat.succ n);
       ("n^2-1", Nat.pred n2) ]
 
@@ -515,29 +448,20 @@ let test_dj_crt_matches_classic () =
   check_dj_crt "256-bit" rng256 pub256 sk256
 
 (* Ciphertexts that p or q divides are not units; no encryption is one.
-   Both decryptions name the error rather than returning a wrong
-   plaintext or failing inside Nat. *)
+   Decryption names the error rather than returning a wrong plaintext or
+   failing inside Nat. *)
 let test_non_unit_ciphertexts () =
   let p, q, _ = Paillier.secret_params sk in
   List.iter
     (fun (name, c) ->
-      Alcotest.check_raises ("paillier " ^ name)
+      Alcotest.check_raises name
         (Invalid_argument "Paillier.decrypt: ciphertext is not a unit") (fun () ->
-          ignore (Paillier.decrypt sk (Paillier.of_nat pub c)));
-      let c2 = Damgard_jurik.of_nat djpub c in
-      Alcotest.check_raises ("dj " ^ name)
-        (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
-          ignore (Damgard_jurik.decrypt djsk c2));
-      Alcotest.check_raises ("dj layered " ^ name)
-        (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
-          ignore (Damgard_jurik.decrypt_layered djsk pub c2)))
+          ignore (Paillier.decrypt sk (Paillier.of_nat pub c))))
     [ ("0", Nat.zero); ("p", p); ("q", q); ("3p", Nat.mul_int p 3) ]
 
 let test_ciphertext_sizes () =
   Alcotest.(check bool) "paillier ct is 2x plaintext width" true
-    (Paillier.ciphertext_bytes pub >= 2 * Paillier.plaintext_bytes pub - 1);
-  Alcotest.(check bool) "dj ct is 3x plaintext width" true
-    (Damgard_jurik.ciphertext_bytes djpub > Paillier.ciphertext_bytes pub)
+    (Paillier.ciphertext_bytes pub >= 2 * Paillier.plaintext_bytes pub - 1)
 
 (* ---------------- Noise_pool ---------------- *)
 
@@ -586,12 +510,7 @@ let test_noise_pool_rerandomize () =
   let c = Paillier.encrypt rng pub m in
   let c' = Paillier.rerandomize_with pub ~noise:(Noise_pool.take p) c in
   Alcotest.(check bool) "ciphertext changed" false (Paillier.equal_ct c c');
-  Alcotest.check nat "plaintext preserved" m (Paillier.decrypt sk c');
-  let dp = Noise_pool.create r ~label:"dj" (fun r -> Damgard_jurik.noise r djpub) in
-  let dc = Damgard_jurik.encrypt rng djpub m in
-  let dc' = Damgard_jurik.rerandomize_with djpub ~noise:(Noise_pool.take dp) dc in
-  Alcotest.(check bool) "dj ciphertext changed" false (Damgard_jurik.equal_ct dc dc');
-  Alcotest.check nat "dj plaintext preserved" m (Damgard_jurik.decrypt djsk dc')
+  Alcotest.check nat "plaintext preserved" m (Paillier.decrypt sk c')
 
 let suite =
   [ ( "sha256",
@@ -631,6 +550,8 @@ let suite =
         Alcotest.test_case "shortened-noise comb" `Quick test_paillier_shortened_noise_comb;
         Alcotest.test_case "encrypt_neg_with = negated encrypt_with" `Quick
           test_paillier_encrypt_neg_with;
+        Alcotest.test_case "non-unit ciphertexts rejected" `Quick test_non_unit_ciphertexts;
+        Alcotest.test_case "ciphertext sizes" `Quick test_ciphertext_sizes;
         prop_paillier_add;
         prop_paillier_scalar
       ] );
@@ -642,14 +563,7 @@ let suite =
     ( "damgard-jurik",
       [ Alcotest.test_case "roundtrip" `Quick test_dj_roundtrip;
         Alcotest.test_case "homomorphic" `Quick test_dj_homomorphic;
-        Alcotest.test_case "layered identity" `Quick test_dj_layered;
-        Alcotest.test_case "layered select gadget" `Quick test_dj_layered_select;
-        Alcotest.test_case "encrypt_neg_with = negated encrypt_with" `Quick
-          test_dj_encrypt_neg_with;
-        Alcotest.test_case "rerandomize" `Quick test_dj_rerandomize;
-        Alcotest.test_case "CRT decrypt = classic" `Quick test_dj_crt_matches_classic;
-        Alcotest.test_case "non-unit ciphertexts rejected" `Quick test_non_unit_ciphertexts;
-        Alcotest.test_case "ciphertext sizes" `Quick test_ciphertext_sizes
+        Alcotest.test_case "CRT decrypt = classic" `Quick test_dj_crt_matches_classic
       ] )
   ]
 

@@ -1,6 +1,7 @@
 (* Tests for the secure top-k join operator (Section 12): encryption setup,
-   the join predicate under encryption, SecFilter, and the full operator
-   against a plaintext join oracle. *)
+   the join predicate under encryption, SecFilter, the full operator
+   against a plaintext join oracle, and the join pick's rounds, op counts,
+   width determinism and desync errors. *)
 
 open Bignum
 open Crypto
@@ -26,6 +27,8 @@ let plain_join_scores () =
 let setup () =
   let (e1, e2), key = Join.Join_scheme.encrypt_pair ~s:4 (Rng.fork rng ~label:"enc") pub r1 r2 in
   (e1, e2, key)
+
+let tk_of key k = Join.Join_scheme.token key ~m1:2 ~m2:2 ~join:(0, 0) ~score:(1, 1) ~k
 
 let test_encrypt_pair_shape () =
   let e1, e2, key = setup () in
@@ -145,13 +148,14 @@ let plain_3way () =
                 acc := (r1.(1) + r2.(2) + r3.(1)) :: !acc)));
   List.sort (fun a b -> compare b a) !acc
 
-let test_three_way_join () =
+let three_way () =
   let encs, key = Join.Join_scheme.encrypt_all ~s:4 (Rng.fork rng ~label:"enc3w") pub [ m1; m2; m3 ] in
-  let spec =
-    Join.Sec_join.spec_of_token key ~ms:[ 2; 3; 2 ]
-      ~chain:[ (0, 0); (1, 0) ]
-      ~score_attrs:[ 1; 2; 1 ] ~k:5
-  in
+  ( encs,
+    Join.Sec_join.spec_of_token key ~ms:[ 2; 3; 2 ] ~chain:[ (0, 0); (1, 0) ] ~score_attrs:[ 1; 2; 1 ]
+      ~k:5 )
+
+let test_three_way_join () =
+  let encs, spec = three_way () in
   let top = Join.Sec_join.top_k_multi ctx encs spec in
   let scores = List.map (fun (t : Join.Sec_join.joined) -> dec t.Join.Sec_join.score) top in
   (* matches: (1,10)(1,5,100)(5,1000)=1110; (2,20)(2,6,200)(6,2000)=2220 *)
@@ -173,15 +177,16 @@ let test_three_way_no_match () =
 
 (* ---------------- rank join over pre-sorted relations ---------------- *)
 
-let test_sorted_join_matches_full () =
+let sorted_pair () =
   let ra = Relation.create ~name:"ra"
       [| [| 1; 50 |]; [| 2; 40 |]; [| 3; 30 |]; [| 4; 20 |]; [| 5; 10 |] |] in
   let rb = Relation.create ~name:"rb"
       [| [| 2; 45 |]; [| 1; 35 |]; [| 5; 25 |]; [| 9; 15 |]; [| 3; 5 |] |] in
-  let (e1, e2), key =
-    Join.Join_scheme.encrypt_pair_sorted ~s:4 (Rng.fork rng ~label:"rjt") pub ~score1:1 ~score2:1 ra rb
-  in
-  let tk = Join.Join_scheme.token key ~m1:2 ~m2:2 ~join:(0, 0) ~score:(1, 1) ~k:2 in
+  Join.Join_scheme.encrypt_pair_sorted ~s:4 (Rng.fork rng ~label:"rjt") pub ~score1:1 ~score2:1 ra rb
+
+let test_sorted_join_matches_full () =
+  let (e1, e2), key = sorted_pair () in
+  let tk = tk_of key 2 in
   let top, stats = Join.Sec_join.top_k_sorted_stats ctx e1 e2 tk in
   let scores = List.map (fun (t : Join.Sec_join.joined) -> dec t.Join.Sec_join.score) top in
   (* matches: 1->85, 2->85, 3->35, 5->35; top-2 = [85; 85] *)
@@ -231,6 +236,138 @@ let prop_sorted_join_oracle =
          in
          got = expected))
 
+(* ---------------- the join pick ---------------- *)
+
+let rounds_of ctx f =
+  let rounds () = Proto.Channel.rounds_total (Proto.Ctx.channel ctx) in
+  let before = rounds () in
+  let out = f () in
+  (out, rounds () - before)
+
+(* combine is one round; top_k adds SecFilter's and the sort's *)
+let test_rounds () =
+  let e1, e2, key = setup () in
+  let _, r = rounds_of ctx (fun () -> Join.Sec_join.combine ctx e1 e2 (tk_of key 2)) in
+  Alcotest.(check int) "combine" 1 r;
+  let _, r = rounds_of ctx (fun () -> Join.Sec_join.top_k ctx e1 e2 (tk_of key 2)) in
+  Alcotest.(check int) "top_k" 3 r
+
+(* the rank join's second diagonal, (0, 1) and (1, 0): tuples (1, 50)
+   and (2, 40) against (1, 35) and (2, 45) both match *)
+let test_diagonal_round () =
+  let (e1, e2), key = sorted_pair () in
+  let out, r =
+    rounds_of ctx (fun () -> Join.Sec_join.combine_pairs ctx e1 e2 (tk_of key 2) [ (0, 1); (1, 0) ])
+  in
+  Alcotest.(check int) "one round" 1 r;
+  Alcotest.(check (list int)) "both pairs match (+1 offset)" [ 86; 86 ]
+    (List.map (fun (t : Join.Sec_join.joined) -> dec t.Join.Sec_join.score) out)
+
+(* the three operators, each on a context of its own *)
+let queries () =
+  let e1, e2, key = setup () in
+  let encs, spec = three_way () in
+  let (s1, s2), skey = sorted_pair () in
+  [ ("top_k", fun c -> Join.Sec_join.top_k c e1 e2 (tk_of key 3));
+    ("top_k_multi", fun c -> Join.Sec_join.top_k_multi c encs spec);
+    ("top_k_sorted", fun c -> Join.Sec_join.top_k_sorted c s1 s2 (tk_of skey 2)) ]
+
+let fresh_ctx domains =
+  Proto.Ctx.of_keys ~blind_bits:48 ~domains (Rng.create ~seed:"test_join fresh") pub sk
+
+(* With Obs on, no query counts a Damgard-Jurik operation, and S2
+   decrypts. *)
+let test_no_dj () =
+  let prev = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) @@ fun () ->
+  List.iter
+    (fun (name, q) ->
+      let c = fresh_ctx 1 in
+      ignore (q c);
+      let got = Obs.Metrics.get (Obs.Collector.metrics c.Proto.Ctx.obs) in
+      Alcotest.(check bool) (name ^ ": S2 decrypted") true (got Obs.Metrics.Paillier_dec > 0);
+      List.iter
+        (fun op -> Alcotest.(check int) (name ^ ": " ^ Obs.Metrics.name op) 0 (got op))
+        Obs.Metrics.[ Dj_enc; Dj_dec; Dj_mul; Dj_rerand ])
+    (queries ())
+
+(* Every draw is made on the calling domain, so the answers are the
+   same ciphertexts at every width. *)
+let test_widths () =
+  let bytes (ts : Join.Sec_join.joined list) =
+    List.concat_map
+      (fun (t : Join.Sec_join.joined) ->
+        List.map
+          (fun c -> Nat.to_string (Paillier.to_nat c))
+          (t.Join.Sec_join.score :: Array.to_list t.Join.Sec_join.attrs))
+      ts
+  in
+  List.iter
+    (fun (name, q) ->
+      let one = bytes (q (fresh_ctx 1)) in
+      Alcotest.(check bool) (name ^ ": answered") true (one <> []);
+      Alcotest.(check (list string)) (name ^ ": widths 1 and 2") one (bytes (q (fresh_ctx 2))))
+    (queries ())
+
+(* S1 raises a typed Proto_error when S2's answer to a join pick is one
+   ciphertext short or one long. *)
+let test_desync () =
+  let seed = "test_join desync" and key_bits = 128 and rand_bits = 96 in
+  let pub, sk, ctx_rng, data_rng = Proto.Ctx.provision ~seed ~key_bits ~rand_bits () in
+  let derived = Proto.Ctx.derive ctx_rng pub sk in
+  let start = Proto.S2_server.provision { Proto.Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false } in
+  let (e1, e2), key = Join.Join_scheme.encrypt_pair ~s:4 data_rng pub r1 r2 in
+  List.iter
+    (fun (name, tamper) ->
+      let st = Proto.S2_server.mux_state ~make:(fun ~session:_ -> start ()) in
+      let backend ops =
+        List.map
+          (function
+            | Proto.Wire.Mux_answer (Proto.Wire.Cts cts) -> Proto.Wire.Mux_answer (Proto.Wire.Cts (tamper cts))
+            | reply -> reply)
+          (Proto.S2_server.handle_mux_ops st ops)
+      in
+      let sched = Proto.Sched.create ~window_us:0 ~backend () in
+      let session = Proto.Sched.open_query sched in
+      let mctx = Proto.Ctx.of_derived ~blind_bits:48 ~mode:(Proto.Ctx.Mux (sched, session)) derived in
+      Alcotest.(check bool) (name ^ ": Proto_error") true
+        (try
+           ignore (Join.Sec_join.combine mctx e1 e2 (tk_of key 2));
+           false
+         with Proto.Proto_error.Proto_error _ -> true);
+      Proto.Sched.close_query sched session;
+      Proto.Sched.stop sched)
+    [ ("short", List.tl); ("long", fun cts -> List.hd cts :: cts) ]
+
+(* The binary and the rank join against the plaintext join oracle over
+   small random relations: the top k scores, ties in any order. *)
+let prop_join_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6 ~name:"binary and rank join = plaintext join oracle"
+       QCheck.(quad (int_range 1 5) (int_range 1 5) (int_range 1 4) (int_bound 10_000))
+       (fun (n1, n2, k, seed) ->
+         let gen tag rows =
+           Synthetic.generate ~seed:(string_of_int seed ^ tag) ~name:tag ~rows ~attrs:2
+             (Synthetic.Uniform { lo = 0; hi = 3 })
+         in
+         let ra = gen "a" n1 and rb = gen "b" n2 in
+         let expected =
+           let acc = ref [] in
+           Relation.fold_rows ra ~init:() ~f:(fun () _ r1 ->
+               Relation.fold_rows rb ~init:() ~f:(fun () _ r2 ->
+                   if r1.(0) = r2.(0) then acc := (r1.(1) + r2.(1)) :: !acc));
+           List.filteri (fun i _ -> i < k) (List.sort (fun a b -> compare b a) !acc)
+         in
+         let scores = List.map (fun (t : Join.Sec_join.joined) -> dec t.Join.Sec_join.score) in
+         let (e1, e2), key = Join.Join_scheme.encrypt_pair ~s:4 (Rng.fork rng ~label:"jp") pub ra rb in
+         let (s1, s2), skey =
+           Join.Join_scheme.encrypt_pair_sorted ~s:4 (Rng.fork rng ~label:"jps") pub ~score1:1
+             ~score2:1 ra rb
+         in
+         scores (Join.Sec_join.top_k ctx e1 e2 (tk_of key k)) = expected
+         && scores (Join.Sec_join.top_k_sorted ctx s1 s2 (tk_of skey k)) = expected))
+
 let suite =
   [ ( "join-scheme",
       [ Alcotest.test_case "encrypt pair shape" `Quick test_encrypt_pair_shape;
@@ -254,6 +391,14 @@ let suite =
     ( "multi-way",
       [ Alcotest.test_case "3-way chain join" `Quick test_three_way_join;
         Alcotest.test_case "partial chain rejected" `Quick test_three_way_no_match
+      ] );
+    ( "join-pick",
+      [ Alcotest.test_case "combine 1 round, top_k 3" `Quick test_rounds;
+        Alcotest.test_case "a rank-join diagonal is 1 round" `Quick test_diagonal_round;
+        Alcotest.test_case "no Damgard-Jurik operation" `Quick test_no_dj;
+        Alcotest.test_case "same bytes at widths 1 and 2" `Quick test_widths;
+        Alcotest.test_case "a short or long reply is a Proto_error" `Quick test_desync;
+        prop_join_oracle
       ] )
   ]
 

@@ -43,7 +43,6 @@ let params =
     seen = 2;
     ct = Paillier.ciphertext_bytes pub;
     own_ct = Paillier.ciphertext_bytes s1.Ctx.own_pub;
-    dj_ct = Damgard_jurik.ciphertext_bytes s1.Ctx.djpub;
     req_base = Wire.request_header_bytes ~label:"";
     resp_base = Wire.response_header_bytes;
   }
@@ -119,7 +118,7 @@ let test_model_sec_worst_many () =
    costs two rounds whatever the shard count. *)
 let test_model_shard_flatness () =
   let open Obs.Cost_model in
-  let crypto c = (c.penc, c.pdec, c.pmul, c.prr, c.djenc, c.djdec, c.djmul, c.djrr) in
+  let crypto c = (c.penc, c.pdec, c.pmul, c.prr) in
   List.iter
     (fun shards ->
       let others = List.concat_map (fun _ -> [ 2; 2; 2 ]) (List.init shards Fun.id) in

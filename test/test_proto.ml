@@ -1,6 +1,6 @@
 (* Tests for the two-cloud sub-protocols, each checked against a plaintext
-   oracle: RecoverEnc, SecWorst, SecDedup/SecDupElim, SecUpdate,
-   EncCompare, EncSort and SecRefresh. *)
+   oracle: SecWorst, SecDedup/SecDupElim, SecUpdate, EncCompare, EncSort,
+   SecRefresh, and S2's side of SecJoin's join pick. *)
 
 open Bignum
 open Crypto
@@ -64,168 +64,52 @@ let test_channel () =
   Channel.reset ch;
   Alcotest.(check int) "reset" 0 (Channel.bytes_total ch)
 
-(* ---------------- RecoverEnc + select ---------------- *)
+(* ---------------- join pick (S2's side) ---------------- *)
 
 let nat_of = Paillier.to_nat
-
-(* E2(t) from a real S2 equality round: t = 1 exactly for a zero *)
-let bits ctx vs =
-  Gadgets.equality_round ctx ~protocol:"test"
-    (List.map (fun v -> Paillier.trivial ctx.Ctx.s1.Ctx.pub (Nat.of_int v)) vs)
-
-(* RecoverEnc of a select: E2(1) picks [inner] as the term, E2(0) as
-   the offset; either way a fresh ciphertext comes back. *)
-let test_recover_enc () =
-  let inner = enc 12345 and zero = Gadgets.enc_zero s1 in
-  let t1 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.one in
-  let t0 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.zero in
-  match Gadgets.select_recover_many ctx ~protocol:"test" [ (t1, inner, zero); (t0, zero, inner) ] with
-  | [ recovered; offset_only ] ->
-    Alcotest.(check int) "roundtrip" 12345 (dec recovered);
-    Alcotest.(check bool) "fresh ciphertext" false (Paillier.equal_ct inner recovered);
-    Alcotest.(check int) "offset alone" 12345 (dec offset_only);
-    Alcotest.(check bool) "offset re-randomised" false (Paillier.equal_ct inner offset_only)
-  | _ -> Alcotest.fail "one result per choice"
-
-(* RecoverEnc of DJ accumulators trivial(offset) * prod c_i^k_i, drawing
-   and stripping the blindings exactly as [Gadgets.select_recover_many]
-   does: the reference the select gadget is compared against. *)
-let reference_recover (ctx : Ctx.t) specs =
-  let s1 = ctx.Ctx.s1 in
-  let pub = s1.Ctx.pub and dj = s1.Ctx.djpub in
-  let draws =
-    List.map
-      (fun _ ->
-        let r = Rng.nat_below s1.Ctx.rng pub.Paillier.n in
-        (r, Paillier.draw_noise s1.Ctx.rng pub))
-      specs
-  in
-  let blinded =
-    List.map2
-      (fun (offset, terms) (r, noise) ->
-        let e = nat_of (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub noise) r) in
-        Damgard_jurik.add dj
-          (Damgard_jurik.trivial dj (Nat.mul offset e))
-          (Damgard_jurik.scalar_mul_many dj (List.map (fun (c, k) -> (c, Nat.mul k e)) terms)))
-      specs draws
-  in
-  List.map2
-    (fun resp (r, noise) ->
-      match resp with
-      | Wire.Ct inner -> Paillier.add pub inner (Paillier.encrypt_neg_with pub ~draw:noise r)
-      | _ -> Alcotest.fail "Recover answers Ct")
-    (Ctx.rpc_batch ctx ~label:"test" (List.map (fun b -> Wire.Recover b) blinded))
-    draws
-
-let test_select_recover () =
-  let a = enc 111 and b = enc 222 in
-  let t1 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.one in
-  let t0 = Damgard_jurik.encrypt rng s1.Ctx.djpub Nat.zero in
-  Alcotest.(check (list int)) "select one, select zero" [ 111; 222 ]
-    (List.map dec (Gadgets.select_recover_many ctx ~protocol:"test" [ (t1, a, b); (t0, a, b) ]))
-
-(* The one-exponentiation select E2(x0) * t^(x1 - x0) against the
-   two-base reference t^x1 * (E2(1) * t^(n^2-1))^x0, with t from a real
-   S2 equality round: both decrypt to the same Z_{n^2} value. Run
-   through RecoverEnc on two identically seeded contexts, the gadget
-   and the reference spec give the same Paillier ciphertexts bit for
-   bit, so S2 decrypted the same values. *)
-let test_select_reference () =
-  let fresh () = Ctx.create ~blind_bits:48 (Rng.create ~seed:"test_proto select") ~bits:128 in
-  let a = fresh () and b = fresh () in
-  let pub = a.Ctx.s1.Ctx.pub and dj = a.Ctx.s1.Ctx.djpub in
-  let n2 = pub.Paillier.n2 and n3 = dj.Damgard_jurik.n3 in
-  let djsk = Option.get (snd (Damgard_jurik.of_paillier pub (Some (Ctx.sk a)))) in
-  let erng = Rng.create ~seed:"test_proto select values" in
-  let c = Paillier.encrypt erng pub (Nat.of_int 7) and d = Paillier.encrypt erng pub (Nat.of_int 9) in
-  let lo, hi = if Nat.compare (nat_of c) (nat_of d) < 0 then (c, d) else (d, c) in
-  (* (x1, x0): equal, x1 < x0 and x1 > x0 as integers, x0 = enc_zero *)
-  let cases = [ (c, c); (lo, hi); (hi, lo); (c, Gadgets.enc_zero a.Ctx.s1) ] in
-  let ts_a = bits a [ 0; 5 ] and ts_b = bits b [ 0; 5 ] in
-  let one_minus t =
-    Modular.mul
-      (Damgard_jurik.to_nat (Damgard_jurik.trivial dj Nat.one))
-      (Modular.pow (Damgard_jurik.to_nat t) (Nat.pred n2) ~m:n3)
-      ~m:n3
-  in
-  List.iter2
-    (fun t bit ->
-      List.iter
-        (fun (x1, x0) ->
-          let reference =
-            Modular.multi_pow
-              [ (Damgard_jurik.to_nat t, nat_of x1); (one_minus t, nat_of x0) ]
-              ~m:n3
-          in
-          let select =
-            Modular.mul
-              (Damgard_jurik.to_nat (Damgard_jurik.trivial dj (nat_of x0)))
-              (Modular.pow (Damgard_jurik.to_nat t) (Modular.sub (nat_of x1) (nat_of x0) ~m:n2) ~m:n3)
-              ~m:n3
-          in
-          let value c = Damgard_jurik.decrypt djsk (Damgard_jurik.of_nat dj c) in
-          Alcotest.(check string) "same Z_{n^2} value" (Nat.to_string (value reference))
-            (Nat.to_string (value select));
-          Alcotest.(check string) "the chosen ciphertext"
-            (Nat.to_string (nat_of (if bit then x1 else x0)))
-            (Nat.to_string (value select)))
-        cases)
-    ts_a [ true; false ];
-  let gadget =
-    Gadgets.select_recover_many a ~protocol:"test"
-      (List.concat_map (fun t -> List.map (fun (x1, x0) -> (t, x1, x0)) cases) ts_a)
-  in
-  let reference =
-    reference_recover b
-      (List.concat_map
-         (fun t ->
-           List.map
-             (fun (x1, x0) ->
-               (Nat.zero, [ (t, nat_of x1); (Damgard_jurik.of_nat dj (one_minus t), nat_of x0) ]))
-             cases)
-         ts_b)
-  in
-  Alcotest.(check (list string)) "bit-identical RecoverEnc outputs"
-    (List.map (fun c -> Nat.to_string (nat_of c)) reference)
-    (List.map (fun c -> Nat.to_string (nat_of c)) gadget);
-  let sk = Ctx.sk a in
-  Alcotest.(check (list int)) "plaintexts"
-    (List.concat_map
-       (fun bit ->
-         List.map
-           (fun (x1, x0) -> Nat.to_int (Paillier.decrypt sk (if bit then x1 else x0)))
-           cases)
-       [ true; false ])
-    (List.map (fun c -> Nat.to_int (Paillier.decrypt sk c)) gadget)
 
 (* An S2 responder under the test's keys, outside any transport, for
    feeding it requests directly. *)
 let standalone_s2 () =
-  let djpub, djsk = Damgard_jurik.of_paillier pub (Some sk) in
-  S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk) ~own_pub:s1.Ctx.own_pub
-    ~rng:(Rng.create ~seed:"test_proto s2")
+  S2_server.create ~pub ~sk ~own_pub:s1.Ctx.own_pub ~rng:(Rng.create ~seed:"test_proto s2")
 
-(* A Recover of a non-unit (here p, which no encryption can be) raises a
-   named error in S2's handler instead of answering a wrong ciphertext;
-   serve-s2 closes such a connection, and S1 sees a typed error. *)
-let test_recover_non_unit () =
-  let p, _, _ = Paillier.secret_params sk in
+let join_pick s2 groups fields =
+  match S2_server.handle s2 ~label:"SecJoin" (Wire.Join_pick { groups; fields }) with
+  | Wire.Cts cts -> cts
+  | _ -> Alcotest.fail "a join pick answers Cts"
+
+(* A combination's verdict holds when every diff of its group decrypts
+   to zero; S2 answers Enc(t), then Enc(t * u) per field, and records
+   the verdicts as one event. *)
+let test_join_pick_verdicts () =
   let s2 = standalone_s2 () in
-  Alcotest.check_raises "named error"
-    (Invalid_argument "Damgard_jurik.decrypt: ciphertext is not a unit") (fun () ->
-      ignore (S2_server.handle s2 ~label:"test" (Wire.Recover (Damgard_jurik.of_nat s1.Ctx.djpub p))))
-
-let test_conjunction_round () =
-  let zero () = Paillier.encrypt rng pub Nat.zero in
-  let nonzero () = enc 5 in
+  let zero () = enc 0 and nonzero () = enc 5 in
   let groups = [ [ zero (); zero () ]; [ zero (); nonzero () ]; [ nonzero () ]; [ zero () ] ] in
-  let ts = Gadgets.conjunction_round ctx ~protocol:"test" groups in
-  let selected =
-    List.map dec
-      (Gadgets.select_recover_many ctx ~protocol:"test"
-         (List.map (fun t -> (t, enc 1, enc 0)) ts))
-  in
-  Alcotest.(check (list int)) "conjunction verdicts" [ 1; 0; 0; 1 ] selected
+  let fields = List.map (fun v -> [ enc v; enc (v + 1) ]) [ 10; 20; 30; 40 ] in
+  Alcotest.(check (list int)) "Enc(t), then Enc(t * u) per field"
+    [ 1; 10; 11; 0; 0; 0; 0; 0; 0; 1; 40; 41 ]
+    (List.map dec (join_pick s2 groups fields));
+  Alcotest.(check bool) "one event with the verdicts" true
+    (Trace.events (S2_server.trace s2)
+    = [ Trace.Equality_bits { protocol = "SecJoin"; bits = [ true; false; false; true ] } ])
+
+(* Every answer is a fresh encryption, even of a value S2 was sent. *)
+let test_join_pick_fresh () =
+  let s2 = standalone_s2 () in
+  let x = enc 12345 in
+  let reply = join_pick s2 [ [ enc 0 ] ] [ [ x; x ] ] in
+  Alcotest.(check (list int)) "t, then x twice" [ 1; 12345; 12345 ] (List.map dec reply);
+  let nats = List.map (fun c -> Nat.to_string (nat_of c)) (x :: reply) in
+  Alcotest.(check int) "no ciphertext repeats" 4 (List.length (List.sort_uniq compare nats))
+
+(* A non-unit (here p, which no encryption can be) makes S2's handler
+   raise a named error instead of answering a wrong ciphertext;
+   serve-s2 closes such a connection, and S1 sees a typed error. *)
+let test_join_pick_non_unit () =
+  let p, _, _ = Paillier.secret_params sk in
+  Alcotest.check_raises "named error"
+    (Invalid_argument "Paillier.decrypt: ciphertext is not a unit") (fun () ->
+      ignore (join_pick (standalone_s2 ()) [ [ enc 0 ] ] [ [ Paillier.of_nat pub p ] ]))
 
 (* ---------------- SecWorst ---------------- *)
 
@@ -841,7 +725,13 @@ let test_pick_refusals () =
   refuses "dedup: a pair short" "dedup pair count mismatch"
     (Wire.Dedup_pick { diffs = []; items = [ [ c () ]; [ c () ] ] });
   refuses "dedup: ragged fields" "ragged dedup pick item"
-    (Wire.Dedup_pick { diffs = [ c () ]; items = [ [ c (); c () ]; [ c () ] ] })
+    (Wire.Dedup_pick { diffs = [ c () ]; items = [ [ c (); c () ]; [ c () ] ] });
+  refuses "join: a group without fields" "join pick count mismatch"
+    (Wire.Join_pick { groups = [ [ c () ]; [ c () ] ]; fields = [ [ c () ] ] });
+  refuses "join: an empty group" "empty join pick group"
+    (Wire.Join_pick { groups = [ []; [ c () ] ]; fields = [ [ c () ]; [ c () ] ] });
+  refuses "join: ragged fields" "ragged join pick fields"
+    (Wire.Join_pick { groups = [ [ c () ]; [ c () ] ]; fields = [ [ c () ]; [ c (); c () ] ] })
 
 (* S1 raises a typed Proto_error when S2's answer to a pick has the
    wrong shape. *)
@@ -927,15 +817,11 @@ let test_strip () =
 
 let suite =
   [ ("channel", [ Alcotest.test_case "accounting" `Quick test_channel ]);
-    ( "gadgets",
-      [ Alcotest.test_case "recover_enc" `Quick test_recover_enc;
-        Alcotest.test_case "select_recover" `Quick test_select_recover;
-        Alcotest.test_case "select = two-base reference" `Quick test_select_reference;
-        Alcotest.test_case "recover of a non-unit" `Quick test_recover_non_unit;
-        Alcotest.test_case "strip = sub of a fresh encryption" `Quick test_strip
-      ] );
-    ( "gadgets-extra",
-      [ Alcotest.test_case "conjunction round" `Quick test_conjunction_round
+    ("gadgets", [ Alcotest.test_case "strip = sub of a fresh encryption" `Quick test_strip ]);
+    ( "s2-join-picks",
+      [ Alcotest.test_case "conjunction verdicts pick the fields" `Quick test_join_pick_verdicts;
+        Alcotest.test_case "answers are fresh encryptions" `Quick test_join_pick_fresh;
+        Alcotest.test_case "a non-unit is a named error" `Quick test_join_pick_non_unit
       ] );
     ( "sec-worst",
       [ Alcotest.test_case "paper Example 8.1" `Quick test_sec_worst_no_match;

@@ -11,15 +11,13 @@ open Crypto
 open Proto
 
 let rng = Rng.create ~seed:"test_wire"
-let pub, sk = Paillier.keygen ~rand_bits:96 rng ~bits:128
+let pub, _sk = Paillier.keygen ~rand_bits:96 rng ~bits:128
 let own_pub, _own_sk = Paillier.keygen ~rand_bits:96 rng ~bits:144
-let djpub, _djsk = Damgard_jurik.of_paillier pub (Some sk)
-let keys = Wire.keys_of ~pub ~djpub ~own_pub
+let keys = Wire.keys_of ~pub ~own_pub
 let prf_keys = Prf.gen_keys rng 4
 
 let ct i = Paillier.encrypt rng pub (Nat.of_int i)
 let own i = Paillier.encrypt rng own_pub (Nat.of_int i)
-let dj i = Damgard_jurik.encrypt rng djpub (Nat.of_int i)
 
 let scored oid =
   {
@@ -53,14 +51,9 @@ let tuple () =
   }
 
 (* One sample per constructor (plus empty-collection corners), covering
-   all 20 requests and 14 responses. *)
+   all 18 requests and 13 responses. *)
 let request_samples : (string * Wire.request) list =
   [ ("EncCompare", Wire.Sign_of (ct 42));
-    ("SecWorst", Wire.Equality [ ct 1; ct 2; ct 3 ]);
-    ("SecWorst", Wire.Equality []);
-    ("SecJoin", Wire.Conjunction [ [ ct 1 ]; [ ct 2; ct 3 ] ]);
-    ("SecJoin", Wire.Conjunction []);
-    ("SecBest", Wire.Recover (dj 5));
     ("EncCompareDGK", Wire.Dgk_low_bits { bits = 16; z = ct 77 });
     ("EncCompareDGK", Wire.Zero_any [ ct 0; ct 6 ]);
     ("EncCompareDGK", Wire.Zero_test (ct 6));
@@ -96,11 +89,15 @@ let request_samples : (string * Wire.request) list =
     ("SkNN", Wire.Zero_slot [ ct 0; ct 1 ]);
     ("SecRefresh", Wire.Refresh { bottoms = [ ct 4; ct 5 ]; bits = [ ct 1; ct 0; ct 0; ct 1 ] });
     ("SecRefresh", Wire.Refresh { bottoms = []; bits = [] });
+    ( "SecJoin",
+      Wire.Join_pick
+        { groups = [ [ ct 0 ]; [ ct 1; ct 2 ] ]; fields = [ [ ct 3; ct 4 ]; [ ct 5; ct 6 ] ] } );
+    ("SecJoin", Wire.Join_pick { groups = []; fields = [] });
     ( "EncSort",
       Wire.Batch
         [ Wire.Sign_of (ct 1);
-          Wire.Equality [ ct 2; ct 3 ];
-          Wire.Recover (dj 4);
+          Wire.Zero_any [ ct 2; ct 3 ];
+          Wire.Join_pick { groups = [ [ ct 4 ] ]; fields = [ [] ] };
           Wire.Mult (ct 5, ct 6) ] );
     ("EncSort", Wire.Batch []) ]
 
@@ -108,7 +105,6 @@ let response_samples : Wire.response list =
   [ Wire.Sign (-1);
     Wire.Sign 0;
     Wire.Sign 1;
-    Wire.Bits2 [ dj 0; dj 1 ];
     Wire.Ct (ct 12);
     Wire.Dgk_bits { bit_cts = [ ct 0; ct 1 ]; parity = true };
     Wire.Bit false;
@@ -124,7 +120,7 @@ let response_samples : Wire.response list =
     Wire.Cts [];
     Wire.Picked { cts = [ ct 1; ct 2 ]; flags = [ true; false ] };
     Wire.Picked { cts = [ ct 3 ]; flags = [] };
-    Wire.Batch_resp [ Wire.Sign 1; Wire.Bits2 [ dj 0 ]; Wire.Ct (ct 7); Wire.Bit true ];
+    Wire.Batch_resp [ Wire.Sign 1; Wire.Cts [ ct 0 ]; Wire.Ct (ct 7); Wire.Bit true ];
     Wire.Batch_resp [] ]
 
 let control_samples : Wire.control list =
@@ -305,6 +301,24 @@ let test_bad_header () =
   Alcotest.(check (option char)) "kind peek req" (Some 'Q') (Wire.frame_kind s);
   Alcotest.(check (option char)) "kind peek resp" (Some 'P') (Wire.frame_kind r)
 
+(* A retired tag is never reused, so a frame that carries one, from an
+   older peer, is refused rather than misread: request tags 2, 3, 4
+   (SecJoin's Damgård–Jurik rounds), 5, 11 and 12, response tags 2 and
+   6. The tag byte follows the magic, version and kind. *)
+let test_retired_tags () =
+  let req = Wire.encode_request keys ~session:0 ~label:"SecJoin" (Wire.Sign_of (ct 1)) in
+  List.iter
+    (fun tag ->
+      expect_invalid (Printf.sprintf "request tag %d" tag) (fun () ->
+          ignore (Wire.decode_request keys (corrupt req 6 (Char.chr tag)))))
+    [ 2; 3; 4; 5; 11; 12 ];
+  let resp = Wire.encode_response keys (Wire.Cts [ ct 1 ]) in
+  List.iter
+    (fun tag ->
+      expect_invalid (Printf.sprintf "response tag %d" tag) (fun () ->
+          ignore (Wire.decode_response keys (corrupt resp 6 (Char.chr tag)))))
+    [ 2; 6 ]
+
 (* nested batches are illegal in both directions: the encoder refuses to
    produce them and the decoder refuses hand-crafted ones *)
 let test_nested_batch () =
@@ -336,7 +350,7 @@ let mux_op_samples : Wire.mux_op list =
       {
         session = 2;
         label = "EncSort";
-        req = Wire.Batch [ Wire.Zero_test (ct 4); Wire.Equality [ ct 5; ct 6 ] ];
+        req = Wire.Batch [ Wire.Zero_test (ct 4); Wire.Zero_any [ ct 5; ct 6 ] ];
       };
     Wire.Mux_req { session = 3; label = "DGK"; req = Wire.Zero_any [ ct 7 ] };
     Wire.Mux_join { parent = 1; child = 3 };
@@ -348,7 +362,7 @@ let mux_reply_samples : Wire.mux_reply list =
     Wire.Mux_answer (Wire.Sign (-1));
     Wire.Mux_ok;
     Wire.Mux_ok;
-    Wire.Mux_answer (Wire.Batch_resp [ Wire.Bit false; Wire.Bits2 [ dj 1; dj 0 ] ]);
+    Wire.Mux_answer (Wire.Batch_resp [ Wire.Bit false; Wire.Cts [ ct 1; ct 0 ] ]);
     Wire.Mux_answer (Wire.Bit true);
     Wire.Mux_ok;
     Wire.Mux_ok;
@@ -529,7 +543,7 @@ let test_oversized_prefix () =
    too: one SHA-256 over every sample frame (each length-prefixed) and
    every closed-form size, compared to the digest of the reference codec.
    A change here is a change of wire format. *)
-let golden_frames_sha256 = "05d275d254bad603db2a5e7d8cdfdaffe2af80071171eb7fab02654c59d0e826"
+let golden_frames_sha256 = "27c8ac1dff047a5a9c46bb380175ce43715935b024c8a3ce3d39e054a646c726"
 
 let test_golden_frames () =
   let h = Sha256.init () in
@@ -571,6 +585,7 @@ let suite =
       [ Alcotest.test_case "truncated" `Quick test_truncated;
         Alcotest.test_case "overlong" `Quick test_overlong;
         Alcotest.test_case "bad header" `Quick test_bad_header;
+        Alcotest.test_case "retired tags" `Quick test_retired_tags;
         Alcotest.test_case "nested batch" `Quick test_nested_batch;
         Alcotest.test_case "mux frames" `Quick test_mux_malformed;
         Alcotest.test_case "stats frames" `Quick test_stats_malformed;

@@ -6,7 +6,8 @@
 #      `name value` sample, or a `name_bucket{le="..."} value` series;
 #   2. every histogram declared is internally consistent: cumulative
 #      bucket counts are monotone, the `+Inf` bucket equals `_count`;
-#   3. the required serving series are all present.
+#   3. the required serving series are all present; one written
+#      NAME=VALUE must also read exactly VALUE.
 #
 # Usage: sh tools/check_stats.sh FILE [required-series ...]
 # Default required series are the serve-s1 set; pass an explicit list
@@ -49,7 +50,7 @@ awk '
     if (declared[name] == "") {
       print "check_stats: sample for undeclared metric: " $0; bad = 1; next
     }
-    seen[name] = 1; next
+    seen[name] = 1; value[name] = $2; next
   }
   { print "check_stats: unparseable line " NR ": " $0; bad = 1 }
   END {
@@ -65,7 +66,11 @@ awk '
     n = split(req, reqs, /[ \t]+/)
     for (i = 1; i <= n; i++) {
       if (reqs[i] == "") continue
-      if (!(reqs[i] in seen)) { print "check_stats: required series missing: " reqs[i]; bad = 1 }
+      split(reqs[i], kv, "=")
+      if (!(kv[1] in seen)) { print "check_stats: required series missing: " kv[1]; bad = 1 }
+      else if (index(reqs[i], "=") > 0 && value[kv[1]] + 0 != kv[2] + 0) {
+        print "check_stats: " kv[1] " reads " value[kv[1]] ", expected " kv[2]; bad = 1
+      }
     }
     exit bad
   }

@@ -9,8 +9,6 @@ let () =
   let collector = Obs.Collector.create () in
   let rng = Crypto.Rng.create ~seed:"prof" in
   let pub, sk = Crypto.Paillier.keygen ~rand_bits:96 rng ~bits:192 in
-  let djpub, djsk = Crypto.Damgard_jurik.of_paillier pub (Some sk) in
-  let djsk = Option.get djsk in
   let time name n f =
     Obs.with_collector collector (fun () ->
         Obs.span name (fun () ->
@@ -18,16 +16,11 @@ let () =
   in
   let x = Crypto.Rng.nat_below rng pub.Crypto.Paillier.n in
   let c = Crypto.Paillier.encrypt rng pub x in
-  let e2 = Crypto.Damgard_jurik.encrypt rng djpub x in
   time "paillier encrypt (short)" 200 (fun () -> Crypto.Paillier.encrypt rng pub x);
   time "paillier decrypt" 100 (fun () -> Crypto.Paillier.decrypt sk c);
-  time "dj encrypt (short)" 100 (fun () -> Crypto.Damgard_jurik.encrypt rng djpub x);
-  time "dj trivial" 1000 (fun () -> Crypto.Damgard_jurik.trivial djpub x);
-  time "dj decrypt" 50 (fun () -> Crypto.Damgard_jurik.decrypt djsk e2);
-  time "dj scalar_mul_ct" 50 (fun () -> Crypto.Damgard_jurik.scalar_mul_ct djpub e2 c);
   time "paillier scalar_mul 48b" 500 (fun () -> Crypto.Paillier.scalar_mul pub c (Crypto.Rng.nat_bits rng 48));
-  let n3 = djpub.Crypto.Damgard_jurik.n3 in
-  let a = Crypto.Rng.nat_below rng n3 and b = Crypto.Rng.nat_below rng n3 in
-  time "modmul n3 (576b)" 20000 (fun () -> Modular.mul a b ~m:n3);
+  let n2 = pub.Crypto.Paillier.n2 in
+  let a = Crypto.Rng.nat_below rng n2 and b = Crypto.Rng.nat_below rng n2 in
+  time "modmul n2 (384b)" 20000 (fun () -> Modular.mul a b ~m:n2);
   print_newline ();
   Obs.Report.print collector
