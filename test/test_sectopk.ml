@@ -550,12 +550,10 @@ let test_domains_deterministic () =
     (Proto.Channel.rounds_total (Proto.Ctx.channel ctx1))
     (Proto.Channel.rounds_total (Proto.Ctx.channel ctx4))
 
-(* Qry_F, Qry_E and Qry_Ba(3) at k = 3 on a 24x3 uniform relation, hashed
-   into one SHA-256: every top-k ciphertext (worst, best, seen, EHL
-   cells), the halting depth, S2's trace, and the channel's bytes and
-   rounds. The digest is committed, so it pins the answer bytes across
-   pool widths and across changes to where randomness is drawn. *)
-let answer_digest domains =
+(* Qry_F, Qry_E and Qry_Ba(3) at k = 3 on a 24x3 uniform relation, each
+   query's context and result handed to [add_run] with the SHA-256's
+   [add] and the key's [sk]. *)
+let digest_of_runs domains add_run =
   let rel =
     Synthetic.generate ~seed:"answer-digest" ~name:"u24" ~rows:24 ~attrs:3
       (Synthetic.Uniform { lo = 0; hi = 30 })
@@ -565,13 +563,28 @@ let answer_digest domains =
   let er, key = Scheme.encrypt ~s:4 (Rng.fork rng ~label:"enc") pub rel in
   let h = Sha256.init () in
   let add s = Sha256.update h (s ^ ";") in
-  let add_nat c = add (Bignum.Nat.to_string c) in
   List.iter
     (fun (label, variant) ->
       let ctx = Proto.Ctx.of_keys ~blind_bits:48 ~domains (Rng.fork rng ~label) pub sk in
       let tk = Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:3 in
       let res = Query.run ctx er tk { Query.default_options with variant } in
       add label;
+      add_run add sk ctx res)
+    [ ("full", Query.Full); ("elim", Query.Elim); ("batched", Query.Batched 3) ];
+  Sha256.hex (Sha256.finalize h)
+
+let add_channel add ctx =
+  let ch = Proto.Ctx.channel ctx in
+  add (string_of_int (Proto.Channel.bytes_total ch));
+  add (string_of_int (Proto.Channel.rounds_total ch))
+
+(* The answer digest hashes every top-k ciphertext (worst, best, seen,
+   EHL cells), the halting depth, S2's trace, and the channel's bytes and
+   rounds. It is committed, so it pins the answer bytes across pool
+   widths and across changes to where randomness is drawn. *)
+let answer_digest domains =
+  digest_of_runs domains (fun add _ ctx res ->
+      let add_nat c = add (Bignum.Nat.to_string c) in
       List.iter
         (fun (it : Proto.Enc_item.scored) ->
           add_nat (Paillier.to_nat it.worst);
@@ -592,11 +605,39 @@ let answer_digest domains =
             | Comparison { protocol; ordering } -> Printf.sprintf "%s:cmp:%d" protocol ordering
             | Count { protocol; value } -> Printf.sprintf "%s:count:%d" protocol value))
         (Proto.Ctx.trace_events ctx);
-      let ch = Proto.Ctx.channel ctx in
-      add (string_of_int (Proto.Channel.bytes_total ch));
-      add (string_of_int (Proto.Channel.rounds_total ch)))
-    [ ("full", Query.Full); ("elim", Query.Elim); ("batched", Query.Batched 3) ];
-  Sha256.hex (Sha256.finalize h)
+      add_channel add ctx)
+
+(* The shape digest hashes only what no draw of randomness can move: the
+   halting depth, the top-k's decrypted (worst, best) scores as a sorted
+   list, bytes and rounds, and S2's leakage profile in
+   [Leakage.same_shape]'s terms (equality rounds, ones per round, each
+   dedup matrix's size and equal-pair count, uniqueness counts,
+   comparison count, sort sizes). Ciphertexts, ids and permuted
+   positions are left out: a change to where randomness is drawn moves
+   the answer digest and must leave this one as it is. *)
+let shape_digest domains =
+  digest_of_runs domains (fun add sk ctx res ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      let dec c = Bignum.Nat.to_string (Paillier.decrypt sk c) in
+      add (string_of_int res.Query.halting_depth);
+      add
+        (String.concat ","
+           (List.sort compare
+              (List.map
+                 (fun (it : Proto.Enc_item.scored) -> dec it.worst ^ "/" ^ dec it.best)
+                 res.Query.top)));
+      add_channel add ctx;
+      let p = Leakage.of_trace (Proto.Ctx.trace ctx) in
+      add (string_of_int p.Leakage.equality_rounds);
+      add (ints (List.map List.length p.Leakage.equality_bits));
+      add
+        (String.concat ","
+           (List.map
+              (fun (size, pairs) -> Printf.sprintf "%d/%d" size (List.length pairs))
+              p.Leakage.dedup_matrices));
+      add (ints p.Leakage.uniqueness_counts);
+      add (string_of_int p.Leakage.comparisons);
+      add (ints p.Leakage.sort_sizes))
 
 let committed_answer_digest = "a9d9d2520e3341e5370c19ef0f418a6ea4814c9ce10a067695a436da1c3cb343"
 
@@ -606,6 +647,16 @@ let test_answer_digest () =
       Alcotest.(check string)
         (Printf.sprintf "digest at width %d" domains)
         committed_answer_digest (answer_digest domains))
+    [ 1; 2; 4 ]
+
+let committed_shape_digest = "c9796af1f1286a29998feda7e65de5e53e922ca3b77227feef557c86514e37bf"
+
+let test_shape_digest () =
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "shape at width %d" domains)
+        committed_shape_digest (shape_digest domains))
     [ 1; 2; 4 ]
 
 let suite =
@@ -639,6 +690,7 @@ let suite =
         Alcotest.test_case "Qry_F hides uniqueness pattern" `Quick test_full_variant_hides_uniqueness;
         Alcotest.test_case "domain pool is deterministic" `Quick test_domains_deterministic;
         Alcotest.test_case "answer digest at widths 1, 2 and 4" `Quick test_answer_digest;
+        Alcotest.test_case "shape digest at widths 1, 2 and 4" `Quick test_shape_digest;
         prop_halting_depth_matches_nra
       ] );
     ("bandwidth", [ Alcotest.test_case "channel accounting" `Quick test_bandwidth_recorded ]);
