@@ -54,12 +54,10 @@ let width_tests () =
           fun () -> ignore (Modular.pow x e ~m) ) ])
     [ 1024; 2048; 3072 ]
 
-(* Paillier's n^3, the widest modulus the rows below exponentiate in *)
-let n3 = Nat.mul pub.Paillier.n2 pub.Paillier.n
-
-(* simultaneous double exponentiation vs two pows and a mul, over n^3 *)
+(* simultaneous double exponentiation vs two pows and a mul, over the
+   ciphertext modulus n^2 *)
 let multi_pow_tests () =
-  let m = n3 in
+  let m = pub.Paillier.n2 in
   let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
   let e1 = Rng.nat_bits rng 128 and e2 = Rng.nat_bits rng 128 in
   [ ( "multi_pow_2bases_128b",
@@ -110,10 +108,8 @@ let tests () =
     ( "nat_to_bytes_ct",
       let v = Paillier.to_nat c in
       fun () -> ignore (Nat.to_bytes v) );
-    ( "modexp_n3_256b_exp",
-      fun () ->
-        ignore
-          (Modular.pow (Nat.rem x n3) (Nat.mul pub.Paillier.n Nat.two) ~m:n3) )
+    ( "modexp_n2_256b_exp",
+      fun () -> ignore (Modular.pow x (Nat.mul pub.Paillier.n Nat.two) ~m:pub.Paillier.n2) )
   ]
   @ width_tests () @ multi_pow_tests ()
 

@@ -1,5 +1,3 @@
-open Crypto
-
 (* A fan-out splits its items into this many contiguous chunks whatever
    the width: a borrowed worker gets back to its own queue within one
    chunk. No chunk owns randomness, so the count moves no byte. *)
@@ -109,16 +107,13 @@ let overlap ~domains offload local =
   | Ok a, Ok b -> (a, b)
   | Error (e, bt), _ | _, Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-(* Explicit loop: forking mutates the parent generator, so the order of
-   forks is part of the determinism contract (Array.init's evaluation
-   order is unspecified). *)
-let fork_rngs rng ~jobs =
-  let rngs = Array.make jobs rng in
-  for i = 0 to jobs - 1 do
-    rngs.(i) <- Rng.fork rng ~label:("par:" ^ string_of_int i)
-  done;
-  rngs
-
-let map_rng rng ~domains ~jobs f =
-  let rngs = fork_rngs rng ~jobs in
-  run ~domains ~jobs (fun i -> f rngs.(i) i)
+(* [Array.init] applies its function in index order, so the draws are
+   made in the same order at every width. At width 1 each item's draw is
+   made just before its work, so no more than one item's draws are held
+   at a time. *)
+let map_drawn ~domains ~jobs ~draw f =
+  if domains <= 1 then Array.init jobs (fun i -> f i (draw i))
+  else begin
+    let draws = Array.init jobs draw in
+    run ~domains ~jobs (fun i -> f i draws.(i))
+  end

@@ -146,7 +146,7 @@ let rerandomize rng pub c =
   Obs.bump Obs.Metrics.Paillier_rerand;
   Modular.mul c (noise rng pub) ~m:pub.n2
 
-(* noise drawn ahead (Noise_pool): one modular multiplication *)
+(* noise made ahead ([noise_of] of a draw): one modular multiplication *)
 let rerandomize_with pub ~noise c =
   Obs.bump Obs.Metrics.Paillier_rerand;
   Modular.mul c noise ~m:pub.n2

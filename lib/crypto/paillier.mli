@@ -80,8 +80,7 @@ val sub : public -> ciphertext -> ciphertext -> ciphertext
 val rerandomize : Rng.t -> public -> ciphertext -> ciphertext
 
 (** One noise factor [r^n mod n^2] — what {!encrypt} and {!rerandomize}
-    multiply in; draw from a {!Noise_pool}. [noise rng pub] is
-    [noise_of pub (draw_noise rng pub)]. *)
+    multiply in. [noise rng pub] is [noise_of pub (draw_noise rng pub)]. *)
 val noise : Rng.t -> public -> Bignum.Nat.t
 
 (** The random half of {!noise}: every draw it makes from [rng] ([r], or

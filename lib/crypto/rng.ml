@@ -11,11 +11,12 @@ open Bignum
 
 type t = { d : Drbg.t; mutable buf : string; mutable pos : int; mutable chunk : int }
 
-(* The refill size starts small and doubles up to [max_chunk]: short-lived
-   forks (a pool value, a parallel sub-task) pay for the bytes they use,
-   while long-lived generators settle at the amortized-optimal size. The
-   schedule depends only on the refill count, so the stream is still a
-   pure function of the seed and cumulative byte count. *)
+(* The refill size starts small and doubles up to [max_chunk]: a
+   generator that draws little (a key derivation's fork, a test's
+   generator) pays for the bytes it uses, while long-lived generators
+   settle at the amortized-optimal size. The schedule depends only on the
+   refill count, so the stream is still a pure function of the seed and
+   cumulative byte count. *)
 let min_chunk = 32
 
 let max_chunk = 256

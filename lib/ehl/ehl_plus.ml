@@ -43,8 +43,6 @@ let mask pub (e : t) encs =
 
 let rerandomize rng pub t = Array.map (Paillier.rerandomize rng pub) t
 
-let rerandomize_with pub ~noise t =
-  Array.map (fun c -> Paillier.rerandomize_with pub ~noise:(noise ()) c) t
 let size_bytes pub t = Array.length t * Paillier.ciphertext_bytes pub
 let length = Array.length
 

@@ -35,10 +35,6 @@ val mask : Paillier.public -> t -> Paillier.ciphertext array -> t
 
 val rerandomize : Rng.t -> Paillier.public -> t -> t
 
-(** Re-randomize with precomputed noise factors (one call to [noise] per
-    cell, consumed left to right): one modular mul per cell. *)
-val rerandomize_with :
-  Paillier.public -> noise:(unit -> Bignum.Nat.t) -> t -> t
 val size_bytes : Paillier.public -> t -> int
 
 (** Number of ciphertexts stored ([s]). *)

@@ -18,9 +18,12 @@ type multi_spec = {
    Every combine step is one Join_pick round over its tuple combinations
    (DESIGN.md section 3a item 16). A combination holds one tuple per
    relation; its verdict t is the conjunction of the [chain] equalities,
-   each the EHL difference of (attr of tuple i, attr of tuple i + 1).
-   Its fields are the score sum offset by +1, which keeps a genuine
-   all-zero score alive through SecFilter, and every carried attribute.
+   each between (attr of tuple i, attr of tuple i + 1). S2 sees one EHL
+   difference per combination, over the cells of every condition with
+   a blind per cell, so it decrypts 0 only when every condition holds
+   and learns nothing of a single condition. Its fields are the score
+   sum offset by +1, which keeps a genuine all-zero score alive through
+   SecFilter, and every carried attribute.
    S1 sends each field x as Enc(x + rho) with rho uniform on Z_n; S2
    answers Enc(t) and Enc(t * u) per field, u = x + rho, and
    Enc(t * x) = Enc(t * u) * Enc(t)^(n - rho). *)
@@ -32,7 +35,7 @@ let carried (combo : Join_scheme.enc_tuple array) =
   Array.concat (Array.to_list (Array.map (fun (tp : Join_scheme.enc_tuple) -> Array.map snd tp.cells) combo))
 
 (* S1's draws for one combination, on the calling domain: the blinds of
-   each condition's diff, a mask per field, then the noise of the +1's
+   each condition's cells, a mask per field, then the noise of the +1's
    encryption *)
 type draws = { blinds : Nat.t array list; masks : (Nat.t * Nat.t) array; one : Nat.t }
 
@@ -45,20 +48,21 @@ let draw (s1 : Ctx.s1) spec combo =
   let masks = Array.init (1 + Array.length (carried combo)) (fun _ -> Gadgets.draw_mask s1) in
   { blinds; masks; one = Paillier.draw_noise s1.rng s1.pub }
 
-(* the combination's diff group and masked fields: pure *)
+(* the combination's diff and masked fields: pure *)
 let request pub spec combo d =
-  let diffs =
-    List.map2
-      (fun (l, r) blinds -> Ehl.Ehl_plus.diff_with pub ~blinds l r)
-      (conditions spec combo) d.blinds
+  let conds = conditions spec combo in
+  let side f =
+    Ehl.Ehl_plus.of_cells (Array.concat (List.map (fun c -> Ehl.Ehl_plus.cells (f c)) conds))
   in
+  (* one diff over every condition's cells *)
+  let diff = Ehl.Ehl_plus.diff_with pub ~blinds:(Array.concat d.blinds) (side fst) (side snd) in
   let total =
     List.fold_left
       (fun acc (i, a) -> Paillier.add pub acc (snd combo.(i).Join_scheme.cells.(a)))
       (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub d.one) Nat.one)
       (List.mapi (fun i a -> (i, a)) spec.score_attrs)
   in
-  (diffs, List.mapi (fun f x -> Gadgets.masked pub x d.masks.(f)) (total :: Array.to_list (carried combo)))
+  (diff, List.mapi (fun f x -> Gadgets.masked pub x d.masks.(f)) (total :: Array.to_list (carried combo)))
 
 (* Enc(t * x) per field from S2's Enc(t), then Enc(t * u) per field, at
    [off] in its reply: pure *)
@@ -85,7 +89,7 @@ let join_pick (ctx : Ctx.t) spec combos =
     match
       Ctx.rpc ctx ~label:protocol
         (Wire.Join_pick
-           { groups = Array.to_list (Array.map fst requests); fields = Array.to_list (Array.map snd requests) })
+           { diffs = Array.to_list (Array.map fst requests); fields = Array.to_list (Array.map snd requests) })
     with
     | Wire.Cts cts when List.length cts = want -> Array.of_list cts
     | Wire.Cts cts -> Proto_error.fail "Sec_join.join_pick: %d ciphertexts for %d" (List.length cts) want

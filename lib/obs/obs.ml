@@ -9,11 +9,11 @@
    - Hooks are free when disabled: [bump] is a flag test and a return.
    - A "current collector" lives in domain-local storage; entry points
      ([Query.run], [Sec_join.top_k], ...) install the context's collector,
-     and [Ctx.parallel] installs a fresh collector per task, merging them
-     back in task-index order.  Counters, bytes, rounds and the span tree
-     are therefore byte-identical for every [--domains] width; only wall
-     times differ, and the canonical rendering ([Report.render ~times:false])
-     excludes them. *)
+     and [Core.Pool.run] installs a fresh collector per chunk of a
+     fan-out, merging them back in chunk order.  Counters, bytes, rounds
+     and the span tree are therefore byte-identical for every [--domains]
+     width; only wall times differ, and the canonical rendering
+     ([Report.render ~times:false]) excludes them. *)
 
 module Metrics = struct
   type op =
@@ -28,7 +28,6 @@ module Metrics = struct
     | Modexp
     | Modexp_fixed_base
     | Prf_eval
-    | Rerand_pool
     | Bytes_sent
     | Msgs
     | Rounds
@@ -36,7 +35,7 @@ module Metrics = struct
     | Cache_hit
     | Cache_miss
 
-  let n_ops = 18
+  let n_ops = 17
 
   let index = function
     | Paillier_enc -> 0
@@ -49,19 +48,18 @@ module Metrics = struct
     | Dj_rerand -> 7
     | Modexp -> 8
     | Prf_eval -> 9
-    | Rerand_pool -> 10
-    | Bytes_sent -> 11
-    | Msgs -> 12
-    | Rounds -> 13
-    | Store_read_bytes -> 14
-    | Cache_hit -> 15
-    | Cache_miss -> 16
-    | Modexp_fixed_base -> 17
+    | Bytes_sent -> 10
+    | Msgs -> 11
+    | Rounds -> 12
+    | Store_read_bytes -> 13
+    | Cache_hit -> 14
+    | Cache_miss -> 15
+    | Modexp_fixed_base -> 16
 
   let all =
     [ Paillier_enc; Paillier_dec; Paillier_mul; Paillier_rerand;
       Dj_enc; Dj_dec; Dj_mul; Dj_rerand;
-      Modexp; Modexp_fixed_base; Prf_eval; Rerand_pool; Bytes_sent; Msgs; Rounds;
+      Modexp; Modexp_fixed_base; Prf_eval; Bytes_sent; Msgs; Rounds;
       Store_read_bytes; Cache_hit; Cache_miss ]
 
   let name = function
@@ -76,7 +74,6 @@ module Metrics = struct
     | Modexp -> "modexp"
     | Modexp_fixed_base -> "modexp_fixed_base"
     | Prf_eval -> "prf"
-    | Rerand_pool -> "rerand_pool"
     | Bytes_sent -> "bytes"
     | Msgs -> "messages"
     | Rounds -> "rounds"
@@ -147,7 +144,7 @@ module Collector = struct
 
   (* Merge a finished collector into [into]: counters are summed and
      [src]'s root spans become children of [into]'s innermost open span
-     (or roots).  Called in task-index order by [Ctx.parallel], so the
+     (or roots).  Called in chunk order by [Core.Pool.run], so the
      resulting tree is independent of the domain-pool width. *)
   let merge_into src ~into =
     if src.stack <> [] then invalid_arg "Obs.Collector.merge_into: open span in source";
@@ -725,18 +722,16 @@ module Cost_model = struct
 
   type counts = {
     penc : int; pdec : int; pmul : int; prr : int;
-    pool : int;  (* noise values taken from the rerandomizer pool *)
     bytes : int; msgs : int; rounds : int;
   }
 
   let zero =
-    { penc = 0; pdec = 0; pmul = 0; prr = 0;
-      pool = 0; bytes = 0; msgs = 0; rounds = 0 }
+    { penc = 0; pdec = 0; pmul = 0; prr = 0; bytes = 0; msgs = 0; rounds = 0 }
 
   let to_alist c =
     Metrics.
       [ (Paillier_enc, c.penc); (Paillier_dec, c.pdec); (Paillier_mul, c.pmul);
-        (Paillier_rerand, c.prr); (Rerand_pool, c.pool);
+        (Paillier_rerand, c.prr);
         (Bytes_sent, c.bytes); (Msgs, c.msgs); (Rounds, c.rounds) ]
 
   (* Bytes are measured from the Wire frames an rpc actually ships: a
@@ -834,7 +829,7 @@ module Cost_model = struct
 
   let add a b =
     { penc = a.penc + b.penc; pdec = a.pdec + b.pdec; pmul = a.pmul + b.pmul;
-      prr = a.prr + b.prr; pool = a.pool + b.pool;
+      prr = a.prr + b.prr;
       bytes = a.bytes + b.bytes; msgs = a.msgs + b.msgs; rounds = a.rounds + b.rounds }
 
   let sum = List.fold_left add zero
@@ -868,16 +863,15 @@ module Cost_model = struct
     { ops with bytes; msgs; rounds }
 
   (* EncSort, blinded strategy, over [items] scored candidates: blind +
-     encrypt + signed-decrypt per item, full re-randomization on return
-     (every noise factor drawn from S2's precomputed pool); one
-     Sort_items rpc carries keys + items out and the sorted items back. *)
+     encrypt + signed-decrypt per item, full re-randomization on return;
+     one Sort_items rpc carries keys + items out and the sorted items
+     back. *)
   let enc_sort_blinded p ~items:l =
     let cell = p.cells + 2 + p.seen in
     { penc = l;
       pdec = l;
       pmul = l;
       prr = l * cell;
-      pool = l * cell;
       bytes =
         req p ~label:"EncSort" (4 + (l * p.ct) + 4 + (l * scored_b p))
         + resp p (4 + (l * scored_b p));

@@ -19,7 +19,6 @@ module Metrics : sig
     | Modexp
     | Modexp_fixed_base  (** modexps answered from a precomputed comb table *)
     | Prf_eval
-    | Rerand_pool  (** noise values taken from a precomputed pool *)
     | Bytes_sent
     | Msgs
     | Rounds
@@ -270,7 +269,6 @@ module Cost_model : sig
 
   type counts = {
     penc : int; pdec : int; pmul : int; prr : int;
-    pool : int;  (** noise values taken from the rerandomizer pool *)
     bytes : int; msgs : int; rounds : int;
   }
 

@@ -180,21 +180,6 @@ let trace t = Transport.trace t.transport
 let trace_events t = Trace.events (trace t)
 let transport_name t = Transport.mode_name t.transport
 
-(* S1 state for one forked task: its own generator, derived from the
-   parent's generator by index label. *)
-let fork_s1 s1 i = { s1 with rng = Rng.fork s1.rng ~label:("par:" ^ string_of_int i) }
-
 let map t ~jobs f = Core.Pool.run ~domains:t.domains ~jobs f
-
-(* Tasks are pure S1 work: they get forked S1 state, never a transport,
-   so they need no S2 session and run on [t.domains] under every
-   transport. Forking happens here, in index order, before any task
-   starts; [map] merges the tasks' collectors. *)
-let parallel t ~jobs f =
-  let s1s = Array.make jobs t.s1 in
-  for i = 0 to jobs - 1 do
-    s1s.(i) <- fork_s1 t.s1 i
-  done;
-  map t ~jobs (fun i -> f s1s.(i) i)
 
 let sentinel_z (s1 : s1) = Bignum.Nat.pred s1.pub.Paillier.n

@@ -30,8 +30,7 @@ type t = {
   s1 : s1;
   transport : Transport.t;
   domains : int;
-      (** Width of the {!Core.Pool} fan-outs made through {!map} and
-          {!parallel}. *)
+      (** Width of the {!Core.Pool} fan-outs made through {!map}. *)
   obs : Obs.Collector.t;
       (** Default observability sink for this context: protocol entry
           points install it as the current collector unless an outer
@@ -59,8 +58,8 @@ type mode =
   | Mux of Sched.t * int
 
 (** [create rng ~bits] generates a fresh key pair of modulus width [bits]
-    and builds both party halves. [domains] (default 1) sets the
-    parallelism of {!parallel}; it never affects results or traces. *)
+    and builds both party halves. [domains] (default 1) sets the width
+    of {!map}; it never affects results or traces. *)
 val create :
   ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> Rng.t -> bits:int -> t
 
@@ -160,17 +159,6 @@ val transport_name : t -> string
     items runs under its own collector, merged into the caller's current
     collector in chunk order. *)
 val map : t -> jobs:int -> (int -> 'a) -> 'a array
-
-(** [parallel t ~jobs f] evaluates [f s1 i] for [i] in [0..jobs-1]
-    through {!map} and returns results in index order. Tasks are pure S1
-    work: each [s1] shares the keys of [t] but carries its own generator,
-    forked from [s1.rng] by index before any task starts, so a task may
-    draw randomness. No task gets a transport, so
-    none opens an S2 session, and the fan-out runs at full width on
-    every transport (a mux query pays no scheduler trip for a fork).
-    Results and accounting are byte-identical across any [domains]
-    setting. *)
-val parallel : t -> jobs:int -> (s1 -> int -> 'a) -> 'a array
 
 (** The sentinel "never in top-k" worst score [Z = n - 1] (= -1 in the
     signed encoding), as in SecDedup. *)

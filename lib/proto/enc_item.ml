@@ -26,13 +26,10 @@ type pack = {
   sigmas : Paillier.ciphertext array;
 }
 
-(* Pool-backed variant: noise factors are consumed in field order (ehl
-   cells, worst, best, seen left to right), one modular mul each. *)
-let rerandomize_scored_with pub ~noise (s : scored) =
-  let rr c = Paillier.rerandomize_with pub ~noise:(noise ()) c in
-  {
-    ehl = Ehl.Ehl_plus.rerandomize_with pub ~noise s.ehl;
-    worst = rr s.worst;
-    best = rr s.best;
-    seen = Array.map rr s.seen;
-  }
+(* Draws in field order: ehl cells, worst, best, seen left to right. *)
+let rerandomize_scored rng pub (s : scored) =
+  let rr = Paillier.rerandomize rng pub in
+  let ehl = Ehl.Ehl_plus.rerandomize rng pub s.ehl in
+  let worst = rr s.worst in
+  let best = rr s.best in
+  { ehl; worst; best; seen = Array.map rr s.seen }

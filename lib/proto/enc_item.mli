@@ -42,7 +42,7 @@ type pack = {
   sigmas : Paillier.ciphertext array;
 }
 
-(** Pool-backed re-randomization: one precomputed noise factor (and one
-    modular mul) per ciphertext, consumed in field order. *)
-val rerandomize_scored_with :
-  Paillier.public -> noise:(unit -> Bignum.Nat.t) -> scored -> scored
+(** [rerandomize_scored rng pub s] multiplies every ciphertext of [s]
+    by a fresh noise factor from [rng], drawn in field order (EHL cells,
+    worst, best, seen). *)
+val rerandomize_scored : Rng.t -> Paillier.public -> scored -> scored

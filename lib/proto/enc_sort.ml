@@ -6,9 +6,11 @@ type strategy = Network | Blinded
 let protocol = "EncSort"
 
 (* Affine key blinding rho*W + r with rho > 0: strictly monotone, so
-   comparing blinded keys compares the hidden worst scores. *)
-let blind_key (s1 : Ctx.s1) ~rho ~r w =
-  Paillier.add s1.pub (Paillier.scalar_mul s1.pub w rho) (Paillier.encrypt s1.rng s1.pub r)
+   comparing blinded keys compares the hidden worst scores. [d] is the
+   noise draw of r's encryption, so the blinding itself draws nothing. *)
+let blind_key pub ~rho ~r w d =
+  Paillier.add pub (Paillier.scalar_mul pub w rho)
+    (Paillier.encrypt_with pub ~noise:(Paillier.noise_of pub d) r)
 
 let additive_blind (s1 : Ctx.s1) =
   match s1.blind_bits with
@@ -22,12 +24,14 @@ let sort_blinded (ctx : Ctx.t) items =
   let rho = Gadgets.blind_scalar s1 and r = additive_blind s1 in
   let arr = Array.of_list items in
   ignore (Rng.shuffle s1.rng arr);
-  let jobs = Array.length arr in
-  (* Key blinding is per-item independent pure-S1 work: fan it out on the
-     pool. The decrypt + plaintext sort + re-randomization happen at S2 in
-     a single round trip. *)
+  (* Key blinding is per-item independent work: draw every item's noise
+     here, in shuffled order, and fan the exponentiations out. The
+     decrypt + plaintext sort + re-randomization happen at S2 in a single
+     round trip. *)
+  let draws = Array.map (fun _ -> Paillier.draw_noise s1.rng s1.pub) arr in
   let keys =
-    Ctx.parallel ctx ~jobs (fun sub1 i -> blind_key sub1 ~rho ~r arr.(i).Enc_item.worst)
+    Ctx.map ctx ~jobs:(Array.length arr) (fun i ->
+        blind_key s1.pub ~rho ~r arr.(i).Enc_item.worst draws.(i))
   in
   match
     Ctx.rpc ctx ~label:protocol
@@ -57,7 +61,8 @@ let gate_request (s1 : Ctx.s1) arr i j ~descending =
   let rho = Gadgets.blind_scalar s1 and r = additive_blind s1 in
   let coin = Rng.bool s1.rng in
   let x, y = if coin then (arr.(j), arr.(i)) else (arr.(i), arr.(j)) in
-  let kx = blind_key s1 ~rho ~r x.Enc_item.worst and ky = blind_key s1 ~rho ~r y.Enc_item.worst in
+  let kx = blind_key s1.pub ~rho ~r x.Enc_item.worst (Paillier.draw_noise s1.rng s1.pub) in
+  let ky = blind_key s1.pub ~rho ~r y.Enc_item.worst (Paillier.draw_noise s1.rng s1.pub) in
   Wire.Sort_gate { descending; kx; ky; x; y }
 
 (* Iterative bitonic network: the gates of one [(k, j)] phase touch

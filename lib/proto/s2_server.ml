@@ -7,20 +7,14 @@ type t = {
   own_pub : Paillier.public;
   rng : Rng.t;
   trace : Trace.t;
-  pnoise : Noise_pool.t;  (** precomputed Paillier re-randomization noise *)
 }
 
-let make_pool rng pub = Noise_pool.create rng ~label:"noise" (fun r -> Paillier.noise r pub)
-
-let create ~pub ~sk ~own_pub ~rng =
-  { pub; sk; own_pub; rng; trace = Trace.create (); pnoise = make_pool rng pub }
+let create ~pub ~sk ~own_pub ~rng = { pub; sk; own_pub; rng; trace = Trace.create () }
 
 let trace t = t.trace
 let secret_key t = t.sk
 
-let fork t ~label =
-  let rng = Rng.fork t.rng ~label in
-  { t with rng; trace = Trace.create (); pnoise = make_pool rng t.pub }
+let fork t ~label = { t with rng = Rng.fork t.rng ~label; trace = Trace.create () }
 let join sub ~into = Trace.append_into sub.trace ~into:into.trace
 
 (* Rebuild key material and the S2 randomness stream from the client's
@@ -200,14 +194,12 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     let us = decrypt_rows t items in
     Wire.Cts
       (List.concat (List.init (Array.length us) (fun i -> replace_answer t duplicate.(i) us.(i))))
-  | Wire.Join_pick { groups; fields } ->
-    (* a combination's verdict holds iff every diff of its group
-       decrypts to zero *)
-    if List.length fields <> List.length groups then
+  | Wire.Join_pick { diffs; fields } ->
+    (* a combination's verdict holds iff its diff decrypts to zero *)
+    if List.length fields <> List.length diffs then
       invalid_arg "S2_server: join pick count mismatch";
-    if List.mem [] groups then invalid_arg "S2_server: empty join pick group";
     ignore (width "join pick fields" fields);
-    let bits = List.map (fun g -> List.for_all Fun.id (eq_bits t g)) groups in
+    let bits = eq_bits t diffs in
     Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
     let us = decrypt_rows t fields in
     Wire.Cts (List.concat (List.mapi (fun i b -> replace_answer t b us.(i)) bits))
@@ -272,12 +264,9 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     in
     Array.sort (fun (a, _) (b, _) -> Bigint.compare b a) decorated;
     Trace.record t.trace (Trace.Count { protocol = label; value = Array.length decorated });
-    let noise () = Noise_pool.take t.pnoise in
     Wire.Sorted
       (Array.to_list
-         (Array.map
-            (fun (_, it) -> Enc_item.rerandomize_scored_with t.pub ~noise it)
-            decorated))
+         (Array.map (fun (_, it) -> Enc_item.rerandomize_scored t.rng t.pub it) decorated))
   | Wire.Sort_gate { descending; kx; ky; x; y } ->
     let vx = Paillier.decrypt_signed t.sk kx and vy = Paillier.decrypt_signed t.sk ky in
     let cmp = Bigint.compare vx vy in
@@ -285,9 +274,8 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     let first, second =
       if (cmp >= 0 && descending) || (cmp < 0 && not descending) then (x, y) else (y, x)
     in
-    let noise () = Noise_pool.take t.pnoise in
-    let first = Enc_item.rerandomize_scored_with t.pub ~noise first in
-    let second = Enc_item.rerandomize_scored_with t.pub ~noise second in
+    let first = Enc_item.rerandomize_scored t.rng t.pub first in
+    let second = Enc_item.rerandomize_scored t.rng t.pub second in
     Wire.Pair (first, second)
   | Wire.Filter tuples ->
     let n = t.pub.Paillier.n in
@@ -350,10 +338,14 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
     in
     Array.sort (fun (a, _) (b, _) -> Bigint.compare b a) decorated;
     Trace.record t.trace (Trace.Count { protocol = label; value = Array.length decorated });
-    let rr c = Paillier.rerandomize_with t.pub ~noise:(Noise_pool.take t.pnoise) c in
+    let rr = Paillier.rerandomize t.rng t.pub in
     Wire.Ranked
       (Array.to_list
-         (Array.map (fun (_, (score, attrs)) -> (rr score, Array.map rr attrs)) decorated))
+         (Array.map
+            (fun (_, (score, attrs)) ->
+              let score = rr score in
+              (score, Array.map rr attrs))
+            decorated))
   | Wire.Rank_keys cs ->
     let decorated =
       Array.of_list (List.mapi (fun j c -> (j, Paillier.decrypt t.sk c)) cs)

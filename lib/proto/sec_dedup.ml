@@ -119,15 +119,21 @@ let run_many (ctx : Ctx.t) ~mode blocks =
             Array.map (fun (i, j) -> (arr.(i), arr.(j))) (Wire.pair_indices (Array.length arr)))
           arrs
       in
-      (* Each matrix entry is an independent blinded diff: fan the pairs
-         of every block out on the pool together (pure S1 work). *)
+      (* Each matrix entry is an independent blinded diff: draw every
+         pair's blinds here, pair after pair, and fan the pairs of every
+         block out together. *)
       let all_pairs = Array.concat pairs in
+      let blinds =
+        Array.map
+          (fun ((a : Enc_item.scored), _) ->
+            Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub a.ehl)
+          all_pairs
+      in
       let diffs =
         Gadgets.chunks (List.map Array.length pairs)
-          (Ctx.parallel ctx ~jobs:(Array.length all_pairs) (fun sub1 idx ->
+          (Ctx.map ctx ~jobs:(Array.length all_pairs) (fun idx ->
                let a, b = all_pairs.(idx) in
-               Ehl.Ehl_plus.diff ?blind_bits:sub1.blind_bits sub1.rng sub1.pub a.Enc_item.ehl
-                 b.Enc_item.ehl))
+               Ehl.Ehl_plus.diff_with s1.pub ~blinds:blinds.(idx) a.Enc_item.ehl b.Enc_item.ehl))
       in
       match mode with Replace -> replace ctx arrs diffs | Eliminate -> eliminate ctx arrs diffs)
 

@@ -39,7 +39,7 @@ type request =
   | Rank_keys of Paillier.ciphertext list
   | Zero_slot of Paillier.ciphertext list
   | Refresh of { bottoms : Paillier.ciphertext list; bits : Paillier.ciphertext list }
-  | Join_pick of { groups : Paillier.ciphertext list list; fields : Paillier.ciphertext list list }
+  | Join_pick of { diffs : Paillier.ciphertext list; fields : Paillier.ciphertext list list }
   | Batch of request list
 
 type response =
@@ -171,10 +171,11 @@ let keys_of ~pub ~own_pub =
   let bits = check (fun b -> b > 0 && b <= 4096) "bad bit width" int in
   (* request tags 2, 3 and 4 (SecJoin's Damgård–Jurik equality,
      conjunction and RecoverEnc rounds), 5 (SecRefresh's Damgård–Jurik
-     lift), 11 (SecDedup with a mode byte) and 12 (SecUpdate's
-     Damgård–Jurik flags) and response tags 2 (the doubly encrypted
-     bits) and 6 (the flags' reply) are retired: reusing one would
-     misparse an older peer *)
+     lift), 11 (SecDedup with a mode byte), 12 (SecUpdate's
+     Damgård–Jurik flags) and 25 (SecJoin's pick with a group of diffs
+     per combination) and response tags 2 (the doubly encrypted bits)
+     and 6 (the flags' reply) are retired: reusing one would misparse an
+     older peer *)
   let requests =
     [ Case (1, ct, (fun c -> Sign_of c), function Sign_of c -> Some c | _ -> None);
       Case (6, pair bits ct, (fun (bits, z) -> Dgk_low_bits { bits; z }),
@@ -205,8 +206,8 @@ let keys_of ~pub ~own_pub =
             function Dedup_pick { diffs; items } -> Some (diffs, items) | _ -> None);
       Case (24, pair cts items, (fun (diffs, items) -> Dedup { diffs; items }),
             function Dedup { diffs; items } -> Some (diffs, items) | _ -> None);
-      Case (25, pair (list cts) (list cts), (fun (groups, fields) -> Join_pick { groups; fields }),
-            function Join_pick { groups; fields } -> Some (groups, fields) | _ -> None) ]
+      Case (26, pair cts (list cts), (fun (diffs, fields) -> Join_pick { diffs; fields }),
+            function Join_pick { diffs; fields } -> Some (diffs, fields) | _ -> None) ]
   in
   let batch = variant ~what:"batched request" requests in
   let requests =

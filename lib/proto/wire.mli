@@ -97,14 +97,14 @@ type request =
       (** SecRefresh: one block's masked bottoms [Enc(b_l + rho_l)] and its
           coin-flipped seen bits, item-major ([|bits| = |T| * m]); answered
           by [Cts] *)
-  | Join_pick of { groups : Paillier.ciphertext list list; fields : Paillier.ciphertext list list }
+  | Join_pick of { diffs : Paillier.ciphertext list; fields : Paillier.ciphertext list list }
       (** SecJoin, every combination of one combine step in S1's
-          permuted order: per combination its group of blinded EHL diffs
-          (one per equi-join condition) and its masked fields
+          permuted order: per combination one blinded EHL diff over the
+          cells of all its equi-join conditions and its masked fields
           [Enc(x + rho)] (the offset score sum, then each carried
-          attribute). The verdict [t] holds when every diff of the group
-          decrypts to 0; answered by [Cts] holding, combination after
-          combination, [Enc(t)] and [Enc(t * u)] per field *)
+          attribute). The verdict [t] holds when the diff decrypts to 0;
+          answered by [Cts] holding, combination after combination,
+          [Enc(t)] and [Enc(t * u)] per field *)
   | Batch of request list
       (** independent requests shipped as one frame (one round); nesting a
           [Batch] inside a [Batch] raises [Invalid_argument] in both the

@@ -32,9 +32,8 @@ type options = {
 }
 (** The halting tests compare with the blinded-sign EncCompare
     ({!Proto.Enc_compare.leq_many}). The per-depth fan-outs run at the
-    context's width ([ctx.domains], see {!Proto.Ctx.map} and
-    {!Proto.Ctx.parallel}); results and traces are identical for every
-    width. *)
+    context's width ([ctx.domains], see {!Proto.Ctx.map}); results and
+    traces are identical for every width. *)
 
 val default_options : options
 

@@ -29,19 +29,37 @@ let encrypt_rows ~domains rng pub rel key rows =
   in
   let sl = Sorted_lists.of_relation sub in
   let m = Sorted_lists.n_lists sl and n = Sorted_lists.depth sl in
+  (* Every noise draw is made here, in index order, and only the
+     exponentiations fan out: per object its EHL cells' encryptions, then
+     list by list per item its cells' rerandomizations and its score's
+     encryption. *)
+  let s = List.length key.ehl_keys in
+  let draw k _ = Array.init k (fun _ -> Paillier.draw_noise rng pub) in
+  let noise d = Paillier.noise_of pub d in
   (* EHL encodings are per-object; share them across lists *)
   let encodings =
-    Core.Pool.map_rng rng ~domains ~jobs:n (fun task_rng oid ->
-        Ehl.Ehl_plus.encode task_rng pub ~keys:key.ehl_keys
-          (Relation.object_id rel rows.(oid)))
+    Core.Pool.map_drawn ~domains ~jobs:n ~draw:(draw s) (fun oid draws ->
+        let id = Relation.object_id rel rows.(oid) in
+        Ehl.Ehl_plus.of_cells
+          (Array.of_list
+             (List.mapi
+                (fun j key ->
+                  Paillier.encrypt_with pub ~noise:(noise draws.(j))
+                    (Prf.to_nat_mod ~key id ~m:pub.Paillier.n))
+                key.ehl_keys)))
   in
   let plain_lists =
-    Core.Pool.map_rng rng ~domains ~jobs:m (fun task_rng attr ->
-        Array.map
-          (fun (it : Sorted_lists.item) ->
-            ( Ehl.Ehl_plus.rerandomize task_rng pub encodings.(it.Sorted_lists.oid),
-              Paillier.encrypt task_rng pub (Bignum.Nat.of_int it.Sorted_lists.score) ))
-          (Sorted_lists.list sl attr))
+    Array.init m (fun attr ->
+        let items = Sorted_lists.list sl attr in
+        Core.Pool.map_drawn ~domains ~jobs:(Array.length items) ~draw:(draw (s + 1))
+          (fun d draws ->
+            let it = items.(d) in
+            ( Ehl.Ehl_plus.of_cells
+                (Array.mapi
+                   (fun j c -> Paillier.rerandomize_with pub ~noise:(noise draws.(j)) c)
+                   (Ehl.Ehl_plus.cells encodings.(it.Sorted_lists.oid))),
+              Paillier.encrypt_with pub ~noise:(noise draws.(s))
+                (Bignum.Nat.of_int it.Sorted_lists.score) )))
   in
   let prp = Prp.create ~key:key.prp_key ~domain:m in
   let lists = Array.init m (fun i -> plain_lists.(Prp.invert prp i)) in

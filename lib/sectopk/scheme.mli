@@ -25,9 +25,10 @@ type encrypted_relation
     [s] is the number of EHL+ PRFs (default 5, as in the paper's
     experiments). [domains > 1] parallelizes the per-item encryption over
     that many OCaml domains (the paper: "the encryption for each item can
-    be fully parallelized ... we used 64 threads"); each domain draws from
-    its own forked DRBG, so results stay deterministic for a given seed
-    and domain count. *)
+    be fully parallelized ... we used 64 threads"); every noise draw is
+    made on the calling domain in item order and only the
+    exponentiations fan out ({!Core.Pool.map_drawn}), so a seed gives
+    the same bytes at every [domains]. *)
 val encrypt :
   ?s:int -> ?domains:int -> Rng.t -> Paillier.public -> Relation.t -> encrypted_relation * secret_key
 

@@ -87,10 +87,9 @@ let describe (req : Wire.request) =
   | Wire.Zero_slot l -> ("Zero_slot", [ List.length l ], l)
   | Wire.Refresh { bottoms; bits } ->
     ("Refresh", [ List.length bottoms; List.length bits ], bottoms @ bits)
-  | Wire.Join_pick { groups; fields } ->
-    let diffs = List.concat groups in
+  | Wire.Join_pick { diffs; fields } ->
     ( "Join_pick",
-      List.length diffs :: List.map List.length groups @ List.map List.length fields,
+      List.length diffs :: List.map List.length fields,
       diffs @ List.concat fields )
   | Wire.Batch _ -> invalid_arg "describe: batches are flattened first"
 

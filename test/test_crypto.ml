@@ -463,52 +463,11 @@ let test_ciphertext_sizes () =
   Alcotest.(check bool) "paillier ct is 2x plaintext width" true
     (Paillier.ciphertext_bytes pub >= 2 * Paillier.plaintext_bytes pub - 1)
 
-(* ---------------- Noise_pool ---------------- *)
-
-(* The stream is a pure function of the creating generator: value [i] is
-   the [i]-th [gen] draw from the pool's forked root, and two domains
-   taking concurrently share out exactly that stream between them. *)
-let pool_values n =
-  let r = Rng.create ~seed:"test_noise_pool" in
-  let p = Noise_pool.create r ~label:"p" (fun r -> Paillier.noise r pub) in
-  (p, List.init n (fun _ -> Noise_pool.take p))
-
-let test_noise_pool_deterministic () =
-  let _, a = pool_values 20 in
-  let _, b = pool_values 20 in
-  List.iteri (fun i x -> Alcotest.check nat (Printf.sprintf "replay #%d" i) x (List.nth b i)) a;
-  let root = Rng.fork (Rng.create ~seed:"test_noise_pool") ~label:"p" in
-  List.iteri
-    (fun i x -> Alcotest.check nat (Printf.sprintf "direct draw #%d" i) (Paillier.noise root pub) x)
-    a;
-  let r = Rng.create ~seed:"test_noise_pool" in
-  let p = Noise_pool.create r ~label:"p" (fun r -> Paillier.noise r pub) in
-  let d = Domain.spawn (fun () -> List.init 10 (fun _ -> Noise_pool.take p)) in
-  let mine = List.init 10 (fun _ -> Noise_pool.take p) in
-  let both = List.sort Nat.compare (mine @ Domain.join d) in
-  Alcotest.(check (list nat)) "concurrent takers split the stream" (List.sort Nat.compare a) both
-
-(* generation is the pool's cost, not the protocol's: a take counts one
-   rerand_pool and nothing else *)
-let test_noise_pool_accounting () =
-  let p, _ = pool_values 0 in
-  let prev = Obs.is_enabled () in
-  Obs.set_enabled true;
-  let c = Obs.Collector.create () in
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled prev)
-    (fun () -> Obs.with_collector c (fun () -> for _ = 1 to 3 do ignore (Noise_pool.take p) done));
-  Alcotest.(check (list (pair string int))) "op counters" [ ("rerand_pool", 3) ]
-    (List.filter_map
-       (fun (op, v) -> if v > 0 then Some (Obs.Metrics.name op, v) else None)
-       (Obs.Metrics.to_alist (Obs.Collector.metrics c)))
-
-let test_noise_pool_rerandomize () =
-  let r = Rng.create ~seed:"test_noise_pool_rr" in
-  let p = Noise_pool.create r ~label:"p" (fun r -> Paillier.noise r pub) in
+(* a precomputed noise factor applied with one modular multiplication *)
+let test_paillier_rerandomize_with () =
   let m = Nat.of_int 42 in
   let c = Paillier.encrypt rng pub m in
-  let c' = Paillier.rerandomize_with pub ~noise:(Noise_pool.take p) c in
+  let c' = Paillier.rerandomize_with pub ~noise:(Paillier.noise rng pub) c in
   Alcotest.(check bool) "ciphertext changed" false (Paillier.equal_ct c c');
   Alcotest.check nat "plaintext preserved" m (Paillier.decrypt sk c')
 
@@ -545,6 +504,7 @@ let suite =
         Alcotest.test_case "scalar mul" `Quick test_paillier_scalar_mul;
         Alcotest.test_case "neg and sub" `Quick test_paillier_neg_sub;
         Alcotest.test_case "rerandomize" `Quick test_paillier_rerandomize;
+        Alcotest.test_case "rerandomize_with" `Quick test_paillier_rerandomize_with;
         Alcotest.test_case "trivial encryption" `Quick test_paillier_trivial;
         Alcotest.test_case "CRT decrypt = classic" `Quick test_paillier_crt_matches_classic;
         Alcotest.test_case "shortened-noise comb" `Quick test_paillier_shortened_noise_comb;
@@ -554,11 +514,6 @@ let suite =
         Alcotest.test_case "ciphertext sizes" `Quick test_ciphertext_sizes;
         prop_paillier_add;
         prop_paillier_scalar
-      ] );
-    ( "noise-pool",
-      [ Alcotest.test_case "deterministic stream" `Quick test_noise_pool_deterministic;
-        Alcotest.test_case "rerandomize_with" `Quick test_noise_pool_rerandomize;
-        Alcotest.test_case "one rerand_pool per take" `Quick test_noise_pool_accounting
       ] );
     ( "damgard-jurik",
       [ Alcotest.test_case "roundtrip" `Quick test_dj_roundtrip;

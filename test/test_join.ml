@@ -340,6 +340,59 @@ let test_desync () =
       Proto.Sched.stop sched)
     [ ("short", List.tl); ("long", fun cts -> List.hd cts :: cts) ]
 
+(* S2 decrypts one difference per combination of a chain join, so the
+   zeros it can read are exactly the true verdicts it records, never a
+   single condition that holds. A recording backend in front of S2 keeps
+   every Join_pick diff. *)
+let test_one_diff_per_combination () =
+  let seed = "test_join one diff" and key_bits = 128 and rand_bits = 96 in
+  let pub, sk, ctx_rng, data_rng = Proto.Ctx.provision ~seed ~key_bits ~rand_bits () in
+  let derived = Proto.Ctx.derive ctx_rng pub sk in
+  let start = Proto.S2_server.provision { Proto.Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false } in
+  let encs, key = Join.Join_scheme.encrypt_all ~s:4 data_rng pub [ m1; m2; m3 ] in
+  let spec =
+    Join.Sec_join.spec_of_token key ~ms:[ 2; 3; 2 ] ~chain:[ (0, 0); (1, 0) ] ~score_attrs:[ 1; 2; 1 ]
+      ~k:5
+  in
+  let responders = ref [] and diffs = ref [] in
+  let st =
+    Proto.S2_server.mux_state ~make:(fun ~session:_ ->
+        let s2 = start () in
+        responders := s2 :: !responders;
+        s2)
+  in
+  let rec record = function
+    | Proto.Wire.Join_pick { diffs = d; _ } -> diffs := !diffs @ d
+    | Proto.Wire.Batch reqs -> List.iter record reqs
+    | _ -> ()
+  in
+  let backend ops =
+    List.iter (function Proto.Wire.Mux_req { req; _ }, _ -> record req | _ -> ()) ops;
+    Proto.S2_server.handle_mux_ops st ops
+  in
+  let sched = Proto.Sched.create ~window_us:0 ~backend () in
+  let session = Proto.Sched.open_query sched in
+  let mctx = Proto.Ctx.of_derived ~blind_bits:48 ~mode:(Proto.Ctx.Mux (sched, session)) derived in
+  let top = Join.Sec_join.top_k_multi mctx encs spec in
+  Proto.Sched.close_query sched session;
+  Proto.Sched.stop sched;
+  let verdicts =
+    List.concat_map
+      (fun s2 ->
+        List.concat_map
+          (function
+            | Proto.Trace.Equality_bits { protocol = "SecJoin"; bits } -> List.filter Fun.id bits
+            | _ -> [])
+          (Proto.Trace.events (Proto.S2_server.trace s2)))
+      !responders
+  in
+  let zeros = List.filter (fun c -> Nat.is_zero (Paillier.decrypt sk c)) !diffs in
+  Alcotest.(check int) "one diff per combination" (2 * 3 * 3) (List.length !diffs);
+  Alcotest.(check int) "true verdicts" (List.length (plain_3way ())) (List.length verdicts);
+  Alcotest.(check int) "zero diffs = true verdicts" (List.length verdicts) (List.length zeros);
+  Alcotest.(check (list int)) "answer = oracle" (plain_3way ())
+    (List.map (fun (t : Join.Sec_join.joined) -> Nat.to_int (Paillier.decrypt sk t.Join.Sec_join.score)) top)
+
 (* The binary and the rank join against the plaintext join oracle over
    small random relations: the top k scores, ties in any order. *)
 let prop_join_oracle =
@@ -390,7 +443,9 @@ let suite =
       ] );
     ( "multi-way",
       [ Alcotest.test_case "3-way chain join" `Quick test_three_way_join;
-        Alcotest.test_case "partial chain rejected" `Quick test_three_way_no_match
+        Alcotest.test_case "partial chain rejected" `Quick test_three_way_no_match;
+        Alcotest.test_case "S2 sees one difference per combination" `Quick
+          test_one_diff_per_combination
       ] );
     ( "join-pick",
       [ Alcotest.test_case "combine 1 round, top_k 3" `Quick test_rounds;

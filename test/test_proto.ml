@@ -73,22 +73,21 @@ let nat_of = Paillier.to_nat
 let standalone_s2 () =
   S2_server.create ~pub ~sk ~own_pub:s1.Ctx.own_pub ~rng:(Rng.create ~seed:"test_proto s2")
 
-let join_pick s2 groups fields =
-  match S2_server.handle s2 ~label:"SecJoin" (Wire.Join_pick { groups; fields }) with
+let join_pick s2 diffs fields =
+  match S2_server.handle s2 ~label:"SecJoin" (Wire.Join_pick { diffs; fields }) with
   | Wire.Cts cts -> cts
   | _ -> Alcotest.fail "a join pick answers Cts"
 
-(* A combination's verdict holds when every diff of its group decrypts
-   to zero; S2 answers Enc(t), then Enc(t * u) per field, and records
-   the verdicts as one event. *)
+(* A combination's verdict, the conjunction of its conditions, holds
+   when its one diff decrypts to zero; S2 answers Enc(t), then
+   Enc(t * u) per field, and records the verdicts as one event. *)
 let test_join_pick_verdicts () =
   let s2 = standalone_s2 () in
-  let zero () = enc 0 and nonzero () = enc 5 in
-  let groups = [ [ zero (); zero () ]; [ zero (); nonzero () ]; [ nonzero () ]; [ zero () ] ] in
+  let diffs = [ enc 0; enc 5; enc 7; enc 0 ] in
   let fields = List.map (fun v -> [ enc v; enc (v + 1) ]) [ 10; 20; 30; 40 ] in
   Alcotest.(check (list int)) "Enc(t), then Enc(t * u) per field"
     [ 1; 10; 11; 0; 0; 0; 0; 0; 0; 1; 40; 41 ]
-    (List.map dec (join_pick s2 groups fields));
+    (List.map dec (join_pick s2 diffs fields));
   Alcotest.(check bool) "one event with the verdicts" true
     (Trace.events (S2_server.trace s2)
     = [ Trace.Equality_bits { protocol = "SecJoin"; bits = [ true; false; false; true ] } ])
@@ -97,7 +96,7 @@ let test_join_pick_verdicts () =
 let test_join_pick_fresh () =
   let s2 = standalone_s2 () in
   let x = enc 12345 in
-  let reply = join_pick s2 [ [ enc 0 ] ] [ [ x; x ] ] in
+  let reply = join_pick s2 [ enc 0 ] [ [ x; x ] ] in
   Alcotest.(check (list int)) "t, then x twice" [ 1; 12345; 12345 ] (List.map dec reply);
   let nats = List.map (fun c -> Nat.to_string (nat_of c)) (x :: reply) in
   Alcotest.(check int) "no ciphertext repeats" 4 (List.length (List.sort_uniq compare nats))
@@ -109,7 +108,7 @@ let test_join_pick_non_unit () =
   let p, _, _ = Paillier.secret_params sk in
   Alcotest.check_raises "named error"
     (Invalid_argument "Paillier.decrypt: ciphertext is not a unit") (fun () ->
-      ignore (join_pick (standalone_s2 ()) [ [ enc 0 ] ] [ [ Paillier.of_nat pub p ] ]))
+      ignore (join_pick (standalone_s2 ()) [ enc 0 ] [ [ Paillier.of_nat pub p ] ]))
 
 (* ---------------- SecWorst ---------------- *)
 
@@ -726,12 +725,12 @@ let test_pick_refusals () =
     (Wire.Dedup_pick { diffs = []; items = [ [ c () ]; [ c () ] ] });
   refuses "dedup: ragged fields" "ragged dedup pick item"
     (Wire.Dedup_pick { diffs = [ c () ]; items = [ [ c (); c () ]; [ c () ] ] });
-  refuses "join: a group without fields" "join pick count mismatch"
-    (Wire.Join_pick { groups = [ [ c () ]; [ c () ] ]; fields = [ [ c () ] ] });
-  refuses "join: an empty group" "empty join pick group"
-    (Wire.Join_pick { groups = [ []; [ c () ] ]; fields = [ [ c () ]; [ c () ] ] });
+  refuses "join: a diff without fields" "join pick count mismatch"
+    (Wire.Join_pick { diffs = [ c (); c () ]; fields = [ [ c () ] ] });
+  refuses "join: fields without a diff" "join pick count mismatch"
+    (Wire.Join_pick { diffs = [ c () ]; fields = [ [ c () ]; [ c () ] ] });
   refuses "join: ragged fields" "ragged join pick fields"
-    (Wire.Join_pick { groups = [ [ c () ]; [ c () ] ]; fields = [ [ c () ]; [ c (); c () ] ] })
+    (Wire.Join_pick { diffs = [ c (); c () ]; fields = [ [ c () ]; [ c (); c () ] ] })
 
 (* S1 raises a typed Proto_error when S2's answer to a pick has the
    wrong shape. *)

@@ -226,7 +226,7 @@ let test_single_query () =
         true
         (trips >= base.rounds))
 
-(* Ctx.parallel tasks are pure S1 work that opens no S2 session, so a lone
+(* Ctx.map items are pure S1 work that opens no S2 session, so a lone
    mux query ships exactly one backend trip per channel round between its
    open and its close: no Mux_fork/Mux_join trips for the fan-outs. They
    run on the full pool under Mux too, with the Inproc answer. A 2-shard

@@ -68,6 +68,15 @@ let test_token_attribute_subset () =
     (List.sort compare [ Prp.apply prp 0; Prp.apply prp 2 ])
     (List.sort compare (List.map fst tk.Scheme.attrs))
 
+(* every entry of every list, as the decimal strings of its ciphertexts *)
+let entries er =
+  List.init (Scheme.n_attrs er) (fun list ->
+      List.init (Scheme.n_rows er) (fun depth ->
+          let e = Scheme.entry er ~list ~depth in
+          List.map
+            (fun c -> Bignum.Nat.to_string (Paillier.to_nat c))
+            (e.Proto.Enc_item.score :: Array.to_list (Ehl.Ehl_plus.cells e.Proto.Enc_item.ehl))))
+
 let test_parallel_encrypt () =
   (* multi-domain encryption must produce a fully functional ER *)
   let er, key = Scheme.encrypt ~s:4 ~domains:3 (Rng.fork rng ~label:"par") pub fig3 in
@@ -75,7 +84,25 @@ let test_parallel_encrypt () =
   let ctx = make_ctx () in
   let res = Query.run ctx er tk { Query.default_options with variant = Query.Elim } in
   let ids = List.map (fun (id, _, _) -> id) (Client.real_results ctx key ~ids:(ids_of fig3) res) in
-  Alcotest.(check (list string)) "parallel-encrypted DB answers correctly" [ "o2"; "o1" ] ids
+  Alcotest.(check (list string)) "parallel-encrypted DB answers correctly" [ "o2"; "o1" ] ids;
+  (* from one seed, every width gives the same bytes: width 1 draws item
+     by item, wider widths draw everything first *)
+  let plain domains = entries (fst (Scheme.encrypt ~s:4 ~domains (Rng.create ~seed:"par") pub fig3)) in
+  let sharded domains =
+    List.map entries
+      (Array.to_list
+         (fst (Scheme.encrypt_sharded ~s:4 ~domains ~shards:2 (Rng.create ~seed:"par") pub fig3)))
+  in
+  let plain1 = plain 1 and sharded1 = sharded 1 in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list (list (list string))))
+        (Printf.sprintf "encrypt at width %d" domains)
+        plain1 (plain domains);
+      Alcotest.(check (list (list (list (list string)))))
+        (Printf.sprintf "encrypt_sharded at width %d" domains)
+        sharded1 (sharded domains))
+    [ 2; 3 ]
 
 let test_resolver () =
   let _, key = Scheme.encrypt ~s:4 rng pub fig3 in
@@ -513,8 +540,9 @@ let test_codec_golden_blobs () =
 let test_domains_deterministic () =
   (* the domain pool must be invisible: a seeded query run with pool
      widths 1 and 4 produces bit-identical ciphertext results, the same
-     S2 trace and the same channel accounting (Ctx.parallel forks all
-     randomness in index order before any domain starts) *)
+     S2 trace and the same channel accounting (every fan-out draws its
+     randomness on the calling domain, in index order, before any item
+     runs) *)
   let go domains =
     let rng = Rng.create ~seed:"domains-det" in
     let pub, sk = Paillier.keygen ~rand_bits:96 rng ~bits:128 in
@@ -639,7 +667,7 @@ let shape_digest domains =
       add (string_of_int p.Leakage.comparisons);
       add (ints p.Leakage.sort_sizes))
 
-let committed_answer_digest = "a9d9d2520e3341e5370c19ef0f418a6ea4814c9ce10a067695a436da1c3cb343"
+let committed_answer_digest = "46caf9a10d7e9ec158701645761551501dc4dd8d8f11f85b9114915caa81a098"
 
 let test_answer_digest () =
   List.iter

@@ -90,14 +90,13 @@ let request_samples : (string * Wire.request) list =
     ("SecRefresh", Wire.Refresh { bottoms = [ ct 4; ct 5 ]; bits = [ ct 1; ct 0; ct 0; ct 1 ] });
     ("SecRefresh", Wire.Refresh { bottoms = []; bits = [] });
     ( "SecJoin",
-      Wire.Join_pick
-        { groups = [ [ ct 0 ]; [ ct 1; ct 2 ] ]; fields = [ [ ct 3; ct 4 ]; [ ct 5; ct 6 ] ] } );
-    ("SecJoin", Wire.Join_pick { groups = []; fields = [] });
+      Wire.Join_pick { diffs = [ ct 0; ct 1 ]; fields = [ [ ct 3; ct 4 ]; [ ct 5; ct 6 ] ] } );
+    ("SecJoin", Wire.Join_pick { diffs = []; fields = [] });
     ( "EncSort",
       Wire.Batch
         [ Wire.Sign_of (ct 1);
           Wire.Zero_any [ ct 2; ct 3 ];
-          Wire.Join_pick { groups = [ [ ct 4 ] ]; fields = [ [] ] };
+          Wire.Join_pick { diffs = [ ct 4 ]; fields = [ [] ] };
           Wire.Mult (ct 5, ct 6) ] );
     ("EncSort", Wire.Batch []) ]
 
@@ -303,15 +302,16 @@ let test_bad_header () =
 
 (* A retired tag is never reused, so a frame that carries one, from an
    older peer, is refused rather than misread: request tags 2, 3, 4
-   (SecJoin's Damgård–Jurik rounds), 5, 11 and 12, response tags 2 and
-   6. The tag byte follows the magic, version and kind. *)
+   (SecJoin's Damgård–Jurik rounds), 5, 11, 12 and 25 (SecJoin's pick
+   with a group of diffs per combination), response tags 2 and 6. The
+   tag byte follows the magic, version and kind. *)
 let test_retired_tags () =
   let req = Wire.encode_request keys ~session:0 ~label:"SecJoin" (Wire.Sign_of (ct 1)) in
   List.iter
     (fun tag ->
       expect_invalid (Printf.sprintf "request tag %d" tag) (fun () ->
           ignore (Wire.decode_request keys (corrupt req 6 (Char.chr tag)))))
-    [ 2; 3; 4; 5; 11; 12 ];
+    [ 2; 3; 4; 5; 11; 12; 25 ];
   let resp = Wire.encode_response keys (Wire.Cts [ ct 1 ]) in
   List.iter
     (fun tag ->
@@ -543,7 +543,7 @@ let test_oversized_prefix () =
    too: one SHA-256 over every sample frame (each length-prefixed) and
    every closed-form size, compared to the digest of the reference codec.
    A change here is a change of wire format. *)
-let golden_frames_sha256 = "27c8ac1dff047a5a9c46bb380175ce43715935b024c8a3ce3d39e054a646c726"
+let golden_frames_sha256 = "537316c285b577ca687706722949487d90d3e38f926a059ba794ae9c7ab7f28a"
 
 let test_golden_frames () =
   let h = Sha256.init () in
