@@ -34,16 +34,17 @@ let conditions spec (combo : Join_scheme.enc_tuple array) =
 let carried (combo : Join_scheme.enc_tuple array) =
   Array.concat (Array.to_list (Array.map (fun (tp : Join_scheme.enc_tuple) -> Array.map snd tp.cells) combo))
 
-(* S1's draws for one combination, on the calling domain: the blinds of
-   each condition's cells, a mask per field, then the noise of the +1's
-   encryption *)
-type draws = { blinds : Nat.t array list; masks : (Nat.t * Nat.t) array; one : Nat.t }
+(* S1's draws for one combination, on the calling domain: a blind per
+   cell of each condition in turn, a mask per field, then the noise of
+   the +1's encryption *)
+type draws = { blinds : Nat.t array; masks : (Nat.t * Nat.t) array; one : Nat.t }
 
 let draw (s1 : Ctx.s1) spec combo =
   let blinds =
-    List.map
-      (fun (l, _) -> Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub l)
-      (conditions spec combo)
+    Array.concat
+      (List.map
+         (fun (l, _) -> Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub l)
+         (conditions spec combo))
   in
   let masks = Array.init (1 + Array.length (carried combo)) (fun _ -> Gadgets.draw_mask s1) in
   { blinds; masks; one = Paillier.draw_noise s1.rng s1.pub }
@@ -54,8 +55,7 @@ let request pub spec combo d =
   let side f =
     Ehl.Ehl_plus.of_cells (Array.concat (List.map (fun c -> Ehl.Ehl_plus.cells (f c)) conds))
   in
-  (* one diff over every condition's cells *)
-  let diff = Ehl.Ehl_plus.diff_with pub ~blinds:(Array.concat d.blinds) (side fst) (side snd) in
+  let diff = Ehl.Ehl_plus.diff_with pub ~blinds:d.blinds (side fst) (side snd) in
   let total =
     List.fold_left
       (fun acc (i, a) -> Paillier.add pub acc (snd combo.(i).Join_scheme.cells.(a)))
