@@ -54,17 +54,36 @@ let width_tests () =
           fun () -> ignore (Modular.pow x e ~m) ) ])
     [ 1024; 2048; 3072 ]
 
-(* simultaneous double exponentiation vs two pows and a mul, over the
-   ciphertext modulus n^2 *)
+(* The kernels over the ciphertext modulus n^2: simultaneous double
+   exponentiation vs two pows and a mul; one inversion; the noise comb
+   at a full-width 97-bit exponent; one base raised to the ten 128-bit
+   exponents of a Replace rewrite (Gadgets.replace_item); and one old
+   entry of SecUpdate at a deep query's shape, 3 new items by 4 merged
+   fields (Sec_update). *)
 let multi_pow_tests () =
   let m = pub.Paillier.n2 in
   let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
   let e1 = Rng.nat_bits rng 128 and e2 = Rng.nat_bits rng 128 in
+  let exps count = List.init count (fun _ -> Rng.nat_bits rng 128) in
   [ ( "multi_pow_2bases_128b",
       fun () -> ignore (Modular.multi_pow [ (a, e1); (b, e2) ] ~m) );
     ( "two_pows_mul_128b",
       fun () ->
-        ignore (Modular.mul (Modular.pow a e1 ~m) (Modular.pow b e2 ~m) ~m) ) ]
+        ignore (Modular.mul (Modular.pow a e1 ~m) (Modular.pow b e2 ~m) ~m) );
+    ( "modinv_n2",
+      let c = Paillier.to_nat (Paillier.encrypt rng pub (Rng.nat_below rng pub.Paillier.n)) in
+      fun () -> ignore (Modular.inv c ~m) );
+    ( "comb_pow_97b",
+      let fb = Fixed_base.create (Option.get (Modular.mont_ctx m)) ~base:a ~max_bits:97 in
+      let e = Nat.add (Rng.nat_bits rng 96) (Nat.shift_left Nat.one 96) in
+      fun () -> ignore (Fixed_base.pow fb e) );
+    ( "pow_each_10x128b",
+      let es = exps 10 in
+      fun () -> ignore (Modular.pow_each a es ~m) );
+    ( "multi_pow_rows_3x4",
+      let bases = Array.init 3 (fun _ -> Rng.nat_below rng m) in
+      let rows = Array.init 4 (fun _ -> Array.of_list (exps 3)) in
+      fun () -> ignore (Modular.multi_pow_rows bases rows ~m) ) ]
 
 let tests () =
   let x = Rng.nat_below rng pub.Paillier.n in
@@ -83,7 +102,13 @@ let tests () =
       let m = pub.Paillier.n2 in
       let a = Rng.nat_below rng m and b = Rng.nat_below rng m in
       fun () -> ignore (Modular.mul a b ~m) );
-    ("ehl_plus_diff", fun () -> ignore (Ehl.Ehl_plus.diff ~blind_bits rng pub ehl_a ehl_b));
+    (* as a phase runs it: the blinds drawn, the first side inverted
+       once for many diffs *)
+    ( "ehl_plus_diff",
+      let inv_a = (Ehl.Ehl_plus.invert_many pub [| ehl_a |]).(0) in
+      fun () ->
+        let blinds = Ehl.Ehl_plus.draw_blinds ~blind_bits rng pub ehl_a in
+        ignore (Ehl.Ehl_plus.diff pub ~blinds inv_a ehl_b) );
     ( "sha256_1kb",
       let buf = String.make 1024 'x' in
       fun () -> ignore (Sha256.digest buf) );

@@ -91,6 +91,13 @@ dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port" --json >"$work/stats-s1
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s2_port" --prom >"$work/stats-s2.prom"
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port"
 sh tools/check_stats.sh "$work/stats-s1.prom"
+# serve-s1 re-reads combs_built at each scrape: the two noise combs its
+# key derivation built and the negated-noise comb of the query's strips.
+# A comb built per call (a Replace rewrite's, a join pick's) must never
+# enter the process cache, where it would evict these three and have
+# them rebuilt without any error; it would show here, and in the scrapes
+# after legs 5 and 5b.
+sh tools/check_stats.sh "$work/stats-s1.prom" combs_built=3
 # serve-s1's connection built the combs of the shared key and of S1's
 # own key, the two serve-s2 holds
 sh tools/check_stats.sh "$work/stats-s2.prom" connections comb_warmup_seconds combs_built=2
@@ -130,6 +137,7 @@ done
 for p in $pids; do wait "$p"; done
 
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port" --prom >"$work/stats-s1-conc.prom"
+sh tools/check_stats.sh "$work/stats-s1-conc.prom" combs_built=3
 served=$(awk '$1 == "served" { print $2 }' "$work/stats-s1-conc.prom")
 [ "$served" = "5" ] || { echo "expected served=5 after the concurrent leg, got '$served'" >&2; exit 1; }
 coalesced=$(awk '$1 == "coalesced_rounds" { print $2 }' "$work/stats-s1-conc.prom")
@@ -182,6 +190,7 @@ cat "$work/query-flood.out"
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s1_port" --prom >"$work/stats-s1-flood.prom"
 dune exec bin/topk_cli.exe -- stats "127.0.0.1:$s2_port" --prom >"$work/stats-s2-flood.prom"
 sh tools/check_stats.sh "$work/stats-s1-flood.prom"
+sh tools/check_stats.sh "$work/stats-s1-flood.prom" combs_built=3
 sh tools/check_stats.sh "$work/stats-s2-flood.prom" connections comb_warmup_seconds combs_built=2
 served=$(awk '$1 == "served" { print $2 }' "$work/stats-s1-flood.prom")
 [ "$served" = "6" ] || { echo "expected served=6 after the flood, got '$served'" >&2; exit 1; }
@@ -202,12 +211,14 @@ echo "== both daemons survived the flood: served=6, busy=$busy =="
 echo "== 5c. descriptor exhaustion: a fresh daemon pair under a low ulimit -n =="
 # Past the descriptor limit accept fails with EMFILE. Both daemons must
 # count it in accept_errors, back off and keep accepting, so once the
-# flood has closed they serve a query and both scrapes.
+# flood has closed they serve a query and both scrapes. This serve-s1
+# runs the full-privacy variant, whose Replace rewrites raise one reply
+# to many exponents from a comb built per call.
 (ulimit -n 16; exec "$cli" serve-s2 --port 0) >"$work/e2.log" 2>&1 &
 e2_pid=$!
 e2_port=$(wait_for_port "$work/e2.log")
 (ulimit -n 24; exec "$cli" serve-s1 --store "$work/index" --seed $seed --port 0 \
-  --s2 "127.0.0.1:$e2_port") >"$work/e1.log" 2>&1 &
+  --variant full --s2 "127.0.0.1:$e2_port") >"$work/e1.log" 2>&1 &
 e1_pid=$!
 e1_port=$(wait_for_port "$work/e1.log")
 python3 - "$e1_port" 30 "$e2_port" 20 <<'EOF'
@@ -243,6 +254,9 @@ for f in stats-e1 stats-e2; do
   [ -n "$errs" ] && [ "$errs" -gt 0 ] ||
     { echo "$f: expected accept_errors > 0, got '$errs'" >&2; exit 1; }
 done
+# the per-call combs of the Replace rewrites stayed out of the cache:
+# it holds the two noise combs alone (this variant strips nothing)
+sh tools/check_stats.sh "$work/stats-e1.prom" combs_built=2
 kill -TERM "$e1_pid" "$e2_pid"
 wait "$e1_pid" "$e2_pid" || true
 e1_pid=""
@@ -252,14 +266,19 @@ echo "== both daemons kept accepting past EMFILE and served a query =="
 echo "== 6. reference: in-process demo, same seed =="
 dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs \
   --seed $seed | tee "$work/demo.out"
+dune exec bin/topk_cli.exe -- demo --rows $rows --attrs $attrs -k 3 -m $attrs \
+  --seed $seed --variant full >"$work/demo-full.out"
 
 grep "score in" "$work/query.out" >"$work/query.scores"
 grep "score in" "$work/demo.out" >"$work/demo.scores"
 diff "$work/query.scores" "$work/demo.scores"
-for run in conc1 conc2 conc3 conc4 flood emfile; do
+for run in conc1 conc2 conc3 conc4 flood; do
   grep "score in" "$work/query-$run.out" >"$work/query-$run.scores"
   diff "$work/query-$run.scores" "$work/demo.scores"
 done
+grep "score in" "$work/query-emfile.out" >"$work/query-emfile.scores"
+grep "score in" "$work/demo-full.out" >"$work/demo-full.scores"
+diff "$work/query-emfile.scores" "$work/demo-full.scores"
 echo "== served results (sequential, concurrent, after both floods) are byte-identical to the in-process demo =="
 
 echo "== 7. graceful drain (SIGTERM) =="

@@ -1,18 +1,22 @@
-(* Fixed-base windowed exponentiation (a comb over 4-bit digits).
+(* Fixed-base windowed exponentiation (a comb over 6-bit digits).
 
    For a base g that is raised to many different exponents modulo the same
    m — Paillier/DJ noise generation raises the fixed n-th residue h on
    every encrypt and rerandomize — precompute
 
-     comb.(i).(d) = g^(d * 16^i) mod m   (d in 1..15)
+     comb.(i).(d) = g^(d * 64^i) mod m   (d in 1..63)
 
    once, after which g^e costs one Montgomery multiplication per nonzero
-   4-bit digit of e (~ max_bits/4 on average), instead of the ~max_bits
-   square-and-multiply passes of a generic modexp. The rows are stored as
-   the half-limb splits the multiplication reads, and a [pow] chains its
-   products on one workspace ({!Montgomery.comb_pow}). *)
+   6-bit digit of e: at most 16 for the 97-bit noise exponent (17 rows),
+   where 4-bit digits took up to 24. A row costs 63 multiplications and
+   63 entries to build and hold, about four times a 4-bit row; 8-bit
+   digits would cut a pow to 12 products but hold 255 entries a row,
+   which costs more memory than the benchmark's peak-RSS bound allows
+   (DESIGN §4f). The rows are stored as the half-limb splits the
+   multiplication reads, and a [pow] chains its products on one
+   workspace ({!Montgomery.comb_pow}). *)
 
-let window = 4
+let digit_bits = 6
 
 type t = {
   ctx : Montgomery.ctx;
@@ -22,15 +26,15 @@ type t = {
 
 let create ctx ~base ~max_bits =
   if max_bits <= 0 then invalid_arg "Fixed_base.create: max_bits <= 0";
-  let rows = (max_bits + window - 1) / window in
-  { ctx; max_bits; comb = Montgomery.comb ctx base ~rows }
+  let rows = (max_bits + digit_bits - 1) / digit_bits in
+  { ctx; max_bits; comb = Montgomery.comb ctx base ~digit_bits ~rows }
 
 (* Combs are cached per (base, exponent, modulus) with a bounded LRU
    policy: the steady state only ever combs a handful of noise bases
    (h mod n^2 and h2 mod n^3 per key pair, and the negated-noise powers
    h^(n-1) and h2^(n^2-1)), but a long-lived server handling many
    sessions would otherwise accumulate a comb per client key, and a comb
-   is large (~max_bits/4 * 15 split residues). Each hit stamps the entry with
+   is large (~max_bits/6 * 63 split residues). Each hit stamps the entry with
    a monotonically increasing tick; insertion beyond [capacity] evicts
    the least-recently used entry. Guarded by a mutex for the domain
    pool; a comb is immutable once built, so sharing across domains is

@@ -2,14 +2,18 @@
 
     Precomputes a comb table for one base modulo one odd modulus so that
     subsequent exponentiations cost roughly one Montgomery multiplication
-    per nonzero 4-bit digit of the exponent. Built for Paillier/DJ noise
+    per nonzero {!digit_bits}-bit digit of the exponent. Built for Paillier/DJ noise
     generation, where the fixed n-th residue [h] is raised to a fresh
     short exponent on every encryption and re-randomization. *)
 
 type t
 
+(** The comb's digit width, 6: a comb holds [ceil(max_bits / 6)] rows of
+    63 entries, and a [pow] costs at most one multiplication per row. *)
+val digit_bits : int
+
 (** [create ctx ~base ~max_bits] precomputes the comb for exponents up to
-    [max_bits] bits wide. Cost: ~[max_bits * 15 / 4] Montgomery
+    [max_bits] bits wide. Cost: [63 * ceil(max_bits / 6)] Montgomery
     multiplications, paid once per (base, modulus) pair. *)
 val create : Montgomery.ctx -> base:Nat.t -> max_bits:int -> t
 

@@ -98,6 +98,24 @@ let multi_pow pairs ~m =
         (Nat.rem Nat.one m) pairs
   end
 
+(* [b^e] for every [e], from one comb of [b] that lives for this call;
+   one modexp per result, as the separate [pow]s it replaces *)
+let pow_each b es ~m =
+  match mont_ctx m with
+  | Some ctx ->
+    Obs.add Obs.Metrics.Modexp (List.length es);
+    Montgomery.pow_each ctx b es
+  | None -> List.map (fun e -> pow b e ~m) es
+
+(* per row, the product of the bases raised to that row's exponents,
+   each base's window table shared by every row; one modexp per row *)
+let multi_pow_rows bases rows ~m =
+  match mont_ctx m with
+  | Some ctx ->
+    Obs.add Obs.Metrics.Modexp (Array.length rows);
+    Montgomery.multi_pow_rows ctx bases rows
+  | None -> Array.map (fun row -> multi_pow (Array.to_list (Array.combine bases row)) ~m) rows
+
 let rec gcd a b = if Nat.is_zero b then a else gcd b (Nat.rem a b)
 
 let lcm a b =
@@ -116,13 +134,115 @@ let egcd a b =
   in
   go (of_nat a) (of_nat b) one zero zero one
 
-let inv a ~m =
-  let g, x, _ = egcd (Nat.rem a m) m in
-  if not (Nat.is_one g) then failwith "Modular.inv: not invertible";
-  Bigint.mod_nat x m
+(* ---- binary extended GCD on limbs (odd moduli) ----
 
-(* Montgomery's batch-inversion trick: one egcd plus 3(n-1) modular
-   multiplications inverts n elements at once. Raises like [inv] if any
+   Every vector is k + 1 base-2^52 limbs, the top one only ever holding
+   the carry of x + m. The invariants are x1 * a = u and x2 * a = v
+   (mod m), from u = a, v = m, x1 = 1, x2 = 0: halving u halves x1 mod
+   m (m is odd, so (x1 + m) / 2 when x1 is odd), and subtracting the
+   smaller of u, v from the larger subtracts its x from the other's.
+   Each step removes a bit from u or v, so the loop ends within
+   2 * bits(m) steps, at u = 1 (x1 is the inverse), at v = 1 (x2 is),
+   or at u = v > 1 (gcd(a, m) = u: no inverse). *)
+
+let lbits = 52
+let lmask = (1 lsl lbits) - 1
+
+(* x <- x / 2, the low bit dropped *)
+let halve (x : int array) k =
+  for i = 0 to k - 1 do
+    x.(i) <- (x.(i) lsr 1) lor ((x.(i + 1) land 1) lsl (lbits - 1))
+  done;
+  x.(k) <- x.(k) lsr 1
+
+(* x <- x / 2 mod m for x in [0, m) *)
+let halve_mod (x : int array) (m : int array) k =
+  if x.(0) land 1 = 1 then begin
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let s = x.(i) + m.(i) + !c in
+      x.(i) <- s land lmask;
+      c := s lsr lbits
+    done;
+    x.(k) <- !c
+  end;
+  halve x k
+
+(* x <- x - y, for x >= y; returns the borrow out of limb k - 1 *)
+let sub_in_place (x : int array) (y : int array) k =
+  let b = ref 0 in
+  for i = 0 to k - 1 do
+    let d = x.(i) - y.(i) - !b in
+    x.(i) <- d land lmask;
+    b := if d < 0 then 1 else 0
+  done;
+  !b
+
+(* x <- x - y mod m, both in [0, m) *)
+let sub_mod (x : int array) (y : int array) (m : int array) k =
+  if sub_in_place x y k = 1 then begin
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let s = x.(i) + m.(i) + !c in
+      x.(i) <- s land lmask;
+      c := s lsr lbits
+    done
+  end
+
+let rec cmp_from (x : int array) (y : int array) i =
+  if i < 0 then 0 else if x.(i) <> y.(i) then compare x.(i) y.(i) else cmp_from x y (i - 1)
+
+let is_one_limbs (x : int array) k =
+  x.(0) = 1
+  &&
+  let rec rest i = i >= k || (x.(i) = 0 && rest (i + 1)) in
+  rest 1
+
+let inv_odd a m =
+  let k = Nat.limb_count m in
+  let vec x = Array.init (k + 1) (Nat.limb x) in
+  let mv = vec m in
+  let u = vec (Nat.rem a m) and v = vec m in
+  let x1 = vec Nat.one and x2 = Array.make (k + 1) 0 in
+  let strip u x =
+    while u.(0) land 1 = 0 do
+      halve u k;
+      halve_mod x mv k
+    done
+  in
+  if Nat.is_zero (Nat.rem a m) then failwith "Modular.inv: not invertible";
+  strip u x1;
+  (* u and v are odd from here on *)
+  let rec loop () =
+    if is_one_limbs u k then x1
+    else if is_one_limbs v k then x2
+    else begin
+      match cmp_from u v (k - 1) with
+      | 0 -> failwith "Modular.inv: not invertible"
+      | c when c > 0 ->
+        ignore (sub_in_place u v k);
+        sub_mod x1 x2 mv k;
+        strip u x1;
+        loop ()
+      | _ ->
+        ignore (sub_in_place v u k);
+        sub_mod x2 x1 mv k;
+        strip v x2;
+        loop ()
+    end
+  in
+  Nat.of_limb_prefix (loop ()) k
+
+let inv a ~m =
+  if Nat.is_even m || Nat.compare m (Nat.of_int 3) < 0 then begin
+    let g, x, _ = egcd (Nat.rem a m) m in
+    if not (Nat.is_one g) then failwith "Modular.inv: not invertible";
+    Bigint.mod_nat x m
+  end
+  else inv_odd a m
+
+(* Montgomery's batch-inversion trick: one inversion plus 3(n-1)
+   modular multiplications inverts n elements at once. Raises like [inv] if any
    element is not invertible (the whole batch shares one gcd). *)
 let inv_many xs ~m =
   match xs with

@@ -24,6 +24,16 @@ val pow : Nat.t -> Nat.t -> m:Nat.t -> Nat.t
     one modexp in {!Obs}. *)
 val multi_pow : (Nat.t * Nat.t) list -> m:Nat.t -> Nat.t
 
+(** [pow_each b es ~m] is [b^e mod m] for every [e] of [es], in order,
+    from one comb of [b] built for this call and never cached
+    ({!Montgomery.pow_each}). Counted as one modexp per result. *)
+val pow_each : Nat.t -> Nat.t list -> m:Nat.t -> Nat.t list
+
+(** [multi_pow_rows bases rows ~m] is {!multi_pow} of [bases] under each
+    row of exponents, one window table per base shared by every row
+    ({!Montgomery.multi_pow_rows}). Counted as one modexp per row. *)
+val multi_pow_rows : Nat.t array -> Nat.t array array -> m:Nat.t -> Nat.t array
+
 (** [mont_ctx m] is the process-wide cached Montgomery context for [m]
     ([None] when [m] is even or too small). The cache is domain-safe;
     callers of the {!Montgomery} kernels directly ({!Fixed_base}) fetch
@@ -31,12 +41,14 @@ val multi_pow : (Nat.t * Nat.t) list -> m:Nat.t -> Nat.t
 val mont_ctx : Nat.t -> Montgomery.ctx option
 
 (** [inv a ~m] is the multiplicative inverse of [a] modulo [m]. Raises
-    [Failure] if [gcd a m <> 1]. Extended Euclid. *)
+    [Failure] if [gcd a m <> 1] (zero included). On an odd [m >= 3] it
+    is a binary extended GCD on limbs, which ends within [2 * bits(m)]
+    steps; other moduli go through {!egcd}. *)
 val inv : Nat.t -> m:Nat.t -> Nat.t
 
 (** [inv_many xs ~m] inverts every element of [xs] with Montgomery's
-    batch trick: one extended Euclid plus [3(n-1)] modular
-    multiplications, instead of [n] egcds. Raises [Failure] (like
+    batch trick: one {!inv} plus [3(n-1)] modular multiplications,
+    instead of [n] inversions. Raises [Failure] (like
     {!inv}) if any element is not invertible. *)
 val inv_many : Nat.t list -> m:Nat.t -> Nat.t list
 

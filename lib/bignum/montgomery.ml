@@ -336,21 +336,26 @@ let unload ctx ws =
   mont_mul_chained ctx ws ctx.onesp;
   Nat.of_limb_prefix ws.t ctx.k
 
-(* 4-bit window digit [i] read straight out of the exponent's limbs: 52
-   is a multiple of 4, so a window never straddles a limb. *)
-let digit e i =
-  let bit = 4 * i in
+(* Digit [i] of [w] bits read straight out of the exponent's limbs. 52
+   is a multiple of 4, so a 4-bit window never straddles a limb; a wider
+   digit may, and then takes its top bits from the next limb. *)
+let digit e ~w i =
+  let bit = w * i in
   let limb = bit / base_bits in
-  (Nat.limb e limb lsr (bit - (limb * base_bits))) land 15
+  let off = bit - (limb * base_bits) in
+  let d = Nat.limb e limb lsr off in
+  let d = if off + w > base_bits then d lor (Nat.limb e (limb + 1) lsl (base_bits - off)) else d in
+  d land ((1 lsl w) - 1)
 
-(* Window table x^1..x^15 of the chained operand x, as splits; entry 0
-   is unused. Even entries are squarings of entry i/2 (cheaper than a
-   general multiply); every entry is captured straight from the
-   reduction's split output. Leaves x^15 chained. *)
-let window_table ctx ws : split array =
-  let tbl = Array.make 16 ctx.onesp in
+(* Window table x^1..x^(2^w - 1) of the chained operand x, as splits;
+   entry 0 is unused. Even entries are squarings of entry i/2 (cheaper
+   than a general multiply); every entry is captured straight from the
+   reduction's split output. Leaves the last entry chained. *)
+let window_table ctx ws ~w : split array =
+  let size = 1 lsl w in
+  let tbl = Array.make size ctx.onesp in
   tbl.(1) <- Array.copy ws.xsp;
-  for i = 2 to 15 do
+  for i = 2 to size - 1 do
     if i land 1 = 0 then comba_sqr ctx ws tbl.(i / 2) else comba_mul ctx ws tbl.(i - 1) tbl.(1);
     comba_reduce ctx ws;
     tbl.(i) <- Array.copy ws.xsp
@@ -373,76 +378,102 @@ let mul ctx a b =
   mont_mul_chained ctx ws ctx.r2sp;
   Nat.of_limb_prefix ws.t k
 
-(* Simultaneous multi-exponentiation (interleaved 4-bit windows): one
-   shared run of squarings for all bases, each base's window table
-   multiplied in at its own digits. For p bases of w windows this costs
-   4*w squarings (instead of p*4*w) plus the same table/window products
-   as separate exponentiations. *)
+(* Interleaved 4-bit windows over prepared tables: one shared run of
+   squarings for all bases, each base's window table multiplied in at
+   its own digits. For p bases of w windows this costs 4*w squarings
+   (instead of p*4*w) plus one product per nonzero digit. A base whose
+   exponent is zero needs no table. *)
+let window = 4
+
+let interleave ctx ws tables exps =
+  let maxbits = Array.fold_left (fun acc e -> max acc (Nat.bit_length e)) 0 exps in
+  let fresh = ref true in
+  for i = ((maxbits + window - 1) / window) - 1 downto 0 do
+    if not !fresh then
+      for _ = 1 to window do
+        mont_sqr_chained ctx ws
+      done;
+    for p = 0 to Array.length exps - 1 do
+      let d = digit exps.(p) ~w:window i in
+      if d <> 0 then begin
+        acc_mul ctx ws !fresh tables.(p).(d);
+        fresh := false
+      end
+    done
+  done;
+  if !fresh then Nat.one else unload ctx ws
+
+let table_of ctx ws b =
+  load ctx ws b;
+  window_table ctx ws ~w:window
+
 let multi_pow ctx pairs =
   let pairs = Array.of_list pairs in
-  let maxbits = Array.fold_left (fun acc (_, e) -> max acc (Nat.bit_length e)) 0 pairs in
-  if maxbits = 0 then Nat.one
-  else begin
-    let ws = workspace ctx.k in
-    let tables =
-      Array.map
-        (fun (b, e) ->
-          if Nat.is_zero e then [||]
-          else begin
-            load ctx ws b;
-            window_table ctx ws
-          end)
-        pairs
-    in
-    let fresh = ref true in
-    for i = ((maxbits + 3) / 4) - 1 downto 0 do
-      if not !fresh then
-        for _ = 1 to 4 do
-          mont_sqr_chained ctx ws
-        done;
-      for p = 0 to Array.length pairs - 1 do
-        let d = digit (snd pairs.(p)) i in
-        if d <> 0 then begin
-          acc_mul ctx ws !fresh tables.(p).(d);
-          fresh := false
-        end
-      done
-    done;
-    unload ctx ws
-  end
+  let ws = workspace ctx.k in
+  let tables = Array.map (fun (b, e) -> if Nat.is_zero e then [||] else table_of ctx ws b) pairs in
+  interleave ctx ws tables (Array.map snd pairs)
 
 (* 4-bit fixed windows: a multi-exponentiation of one base. *)
 let pow ctx b e = multi_pow ctx [ (b, e) ]
 
+(* One window table per base, built only for a base some row raises,
+   then one interleaved pass per row on the same workspace. *)
+let multi_pow_rows ctx bases rows =
+  if Array.exists (fun row -> Array.length row <> Array.length bases) rows then
+    invalid_arg "Montgomery.multi_pow_rows: row width";
+  let ws = workspace ctx.k in
+  let tables =
+    Array.mapi
+      (fun p b ->
+        if Array.for_all (fun row -> Nat.is_zero row.(p)) rows then [||] else table_of ctx ws b)
+      bases
+  in
+  Array.map (interleave ctx ws tables) rows
+
 (* ---------------- fixed-base combs ---------------- *)
 
-type comb = split array array
+type comb = { w : int; rows : split array array }
 
-(* Row i is the window table of base^(16^i); row i+1's base is the
-   square of row i's 8th entry. *)
-let comb ctx base ~rows =
+(* Row i is the window table of base^(2^(w*i)); row i+1's base is the
+   square of row i's entry 2^(w-1). *)
+let comb ctx base ~digit_bits:w ~rows =
+  if w < 1 || w > 8 then invalid_arg "Montgomery.comb: digit_bits";
   let ws = workspace ctx.k in
   load ctx ws base;
   let c = Array.make rows [||] in
   for i = 0 to rows - 1 do
     if i > 0 then begin
-      comba_sqr ctx ws c.(i - 1).(8);
+      comba_sqr ctx ws c.(i - 1).(1 lsl (w - 1));
       comba_reduce ctx ws
     end;
-    c.(i) <- window_table ctx ws
+    c.(i) <- window_table ctx ws ~w
   done;
-  c
+  { w; rows = c }
 
 (* One chained multiplication per nonzero digit, starting from the
    lowest one's entry. *)
-let comb_pow ctx (c : comb) e =
+let comb_pow ctx c e =
   let ws = workspace ctx.k in
   let fresh = ref true in
-  for i = 0 to Array.length c - 1 do
-    let d = digit e i in
+  for i = 0 to Array.length c.rows - 1 do
+    let d = digit e ~w:c.w i in
     if d <> 0 then begin
-      acc_mul ctx ws !fresh c.(i).(d);
+      acc_mul ctx ws !fresh c.rows.(i).(d);
       fresh := false
     end
   done;
   if !fresh then Nat.one else unload ctx ws
+
+(* A comb that lives for one call. A row of w-bit digits costs 2^w - 1
+   multiplications to build and about one per exponent to use, so for
+   c exponents of b bits the comb costs about (b / w) * (2^w - 1 + c).
+   At w = 3 that is the least for 5 to 10 exponents (a Replace
+   rewrite raises 9 or 10) at 128-bit and at 1,024-bit exponents, and
+   12% above w = 2 at 3 exponents, the fewest a join pick raises. *)
+let transient_digit_bits = 3
+
+let pow_each ctx b es =
+  let bits = List.fold_left (fun acc e -> max acc (Nat.bit_length e)) 0 es in
+  let w = transient_digit_bits in
+  let c = comb ctx b ~digit_bits:w ~rows:((bits + w - 1) / w) in
+  List.map (comb_pow ctx c) es

@@ -4,7 +4,7 @@
     Paillier/DJ operation reduces to modexps over 2-3x key-width moduli),
     so [Modular.pow] routes through this module: product-scanning
     Montgomery multiplication (no per-step division) with 4-bit fixed
-    windows.
+    windows, and combs for a base raised to many exponents.
 
     Each function converts into the Montgomery domain once, chains every
     intermediate product on one per-call workspace, and converts out
@@ -31,17 +31,30 @@ val pow : ctx -> Nat.t -> Nat.t -> Nat.t
     all-zero exponents) yields 1. *)
 val multi_pow : ctx -> (Nat.t * Nat.t) list -> Nat.t
 
-(** A fixed-base comb: for one base, the Montgomery forms of
-    [base^(d * 16^i)] for every digit [d] in 1..15 of every row [i],
-    stored as the half-limb splits the multiplication reads. Immutable
-    once built. *)
+(** [multi_pow_rows ctx bases rows] is, per row [r], the product of
+    [bases.(i)^(r.(i))] over [i]: {!multi_pow} per row, but each base's
+    window table is built once and read by every row. Raises
+    [Invalid_argument] on a row of another width than [bases]. *)
+val multi_pow_rows : ctx -> Nat.t array -> Nat.t array array -> Nat.t array
+
+(** A fixed-base comb: for one base and a digit width [w], the
+    Montgomery forms of [base^(d * 2^(w * i))] for every digit [d] in
+    [1 .. 2^w - 1] of every row [i], stored as the half-limb splits the
+    multiplication reads. Immutable once built. *)
 type comb
 
-(** [comb ctx base ~rows] builds the comb for exponents below
-    [2^(4 * rows)]. Cost: about [15 * rows] Montgomery multiplications. *)
-val comb : ctx -> Nat.t -> rows:int -> comb
+(** [comb ctx base ~digit_bits:w ~rows] builds the comb for exponents
+    below [2^(w * rows)], [w] in [1..8]. Cost: [2^w - 1] Montgomery
+    multiplications per row. *)
+val comb : ctx -> Nat.t -> digit_bits:int -> rows:int -> comb
 
 (** [comb_pow ctx c e] is [base^e mod m]: one multiplication per nonzero
-    4-bit digit of [e]. [e] must be below [2^(4 * rows)]; higher digits
-    are ignored. *)
+    [w]-bit digit of [e], a digit that straddles two limbs included.
+    [e] must be below [2^(w * rows)]; higher digits are ignored. *)
 val comb_pow : ctx -> comb -> Nat.t -> Nat.t
+
+(** [pow_each ctx b es] is [b^e mod m] for every [e] of [es], in order,
+    from one comb of 3-bit digits built for this call and then dropped:
+    for the ten 128-bit exponents of a Replace rewrite, about 40% of
+    the multiplications of separate {!pow}s. *)
+val pow_each : ctx -> Nat.t -> Nat.t list -> Nat.t list

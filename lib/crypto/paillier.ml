@@ -136,6 +136,18 @@ let scalar_mul_many pub pairs =
   Obs.add Obs.Metrics.Paillier_mul (List.length pairs);
   Modular.multi_pow (List.map (fun (c, k) -> (c, Nat.rem k pub.n)) pairs) ~m:pub.n2
 
+(* c^(k mod n) for every k, from one transient comb of c: the scalar
+   multiplications it replaces, one modexp per result *)
+let scalar_mul_each pub c ks =
+  Obs.add Obs.Metrics.Paillier_mul (List.length ks);
+  Modular.pow_each c (List.map (fun k -> Nat.rem k pub.n) ks) ~m:pub.n2
+
+(* one weighted sum per row over the same ciphertexts, each
+   ciphertext's window table shared by every row *)
+let scalar_mul_rows pub cs rows =
+  Obs.add Obs.Metrics.Paillier_mul (Array.length cs * Array.length rows);
+  Modular.multi_pow_rows cs (Array.map (Array.map (fun k -> Nat.rem k pub.n)) rows) ~m:pub.n2
+
 let neg pub c =
   Obs.bump Obs.Metrics.Paillier_mul;
   Modular.pow c (Nat.pred pub.n) ~m:pub.n2

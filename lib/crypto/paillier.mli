@@ -68,6 +68,18 @@ val scalar_mul : public -> ciphertext -> Nat.t -> ciphertext
     scalar multiplications. *)
 val scalar_mul_many : public -> (ciphertext * Nat.t) list -> ciphertext
 
+(** [scalar_mul_each pub c ks] is [scalar_mul pub c k] for every [k]
+    of [ks], in order, from one comb of [c] built for this call
+    ({!Bignum.Modular.pow_each}). Counts [List.length ks] scalar
+    multiplications. *)
+val scalar_mul_each : public -> ciphertext -> Nat.t list -> ciphertext list
+
+(** [scalar_mul_rows pub cs rows] is, per row [r], the weighted sum
+    [scalar_mul_many] of [cs] with weights [r], the window table of each
+    [cs.(i)] built once for all rows ({!Bignum.Modular.multi_pow_rows}).
+    Counts [|cs| * |rows|] scalar multiplications. *)
+val scalar_mul_rows : public -> ciphertext array -> Nat.t array array -> ciphertext array
+
 (** [neg pub c] encrypts the additive inverse ([c^(n-1)]). *)
 val neg : public -> ciphertext -> ciphertext
 

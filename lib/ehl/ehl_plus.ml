@@ -8,8 +8,7 @@ let encode rng pub ~keys id =
   |> List.map (fun key -> Paillier.encrypt rng pub (Prf.to_nat_mod ~key id ~m:pub.Paillier.n))
   |> Array.of_list
 
-(* The blinds of one [diff], drawn in cell order exactly like the
-   per-cell loop this replaces. *)
+(* The blinds of one [diff], one per cell in cell order. *)
 let draw_blinds ?blind_bits rng pub (a : t) =
   let n = pub.Paillier.n in
   Array.map
@@ -19,23 +18,30 @@ let draw_blinds ?blind_bits rng pub (a : t) =
       | Some bits -> Nat.succ (Rng.nat_bits rng bits))
     a
 
-let diff_with pub ~blinds (a : t) (b : t) =
+type inverted = Paillier.ciphertext array
+
+(* a cell's inverse mod n^2 encrypts its negated hash value *)
+let invert_many pub (items : t array) =
+  let cells = Array.concat (Array.to_list items) in
+  let invs =
+    Array.of_list
+      (Modular.inv_many (Array.to_list (Array.map Paillier.to_nat cells)) ~m:pub.Paillier.n2)
+  in
+  snd
+    (Array.fold_left_map
+       (fun off a ->
+         let s = Array.length a in
+         (off + s, Array.map (Paillier.of_nat pub) (Array.sub invs off s)))
+       0 items)
+
+let diff pub ~blinds (a : inverted) (b : t) =
   if Array.length a <> Array.length b || Array.length blinds <> Array.length a then
     invalid_arg "Ehl_plus.diff: length mismatch";
-  let n = pub.Paillier.n in
-  (* prod_i a_i^rho_i * b_i^(n - rho_i) decrypts to
-     sum_i rho_i * (a_i - b_i) mod n: one simultaneous
-     multi-exponentiation over 2s bases instead of a ciphertext negation
-     plus scalar multiplication per cell. *)
-  let pairs = ref [] in
-  for i = Array.length a - 1 downto 0 do
-    pairs := (a.(i), blinds.(i)) :: (b.(i), Nat.sub n blinds.(i)) :: !pairs
-  done;
-  Paillier.scalar_mul_many pub !pairs
-
-let diff ?blind_bits rng pub a b =
-  if Array.length a <> Array.length b then invalid_arg "Ehl_plus.diff: length mismatch";
-  diff_with pub ~blinds:(draw_blinds ?blind_bits rng pub a) a b
+  (* prod_i (a_i^-1 * b_i)^rho_i decrypts to sum_i rho_i * (b_i - a_i)
+     mod n: one multiplication per cell and one simultaneous
+     multi-exponentiation over s bases, each raised to its blind alone *)
+  Paillier.scalar_mul_many pub
+    (List.init (Array.length a) (fun i -> (Paillier.add pub a.(i) b.(i), blinds.(i))))
 
 let mask pub (e : t) encs =
   if Array.length e <> Array.length encs then invalid_arg "Ehl_plus.mask: length mismatch";

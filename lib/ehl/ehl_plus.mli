@@ -14,18 +14,28 @@ type t
 (** [encode rng pub ~keys id] builds EHL+(id) with [s = List.length keys]. *)
 val encode : Rng.t -> Paillier.public -> keys:Prf.key list -> string -> t
 
-(** The ⊖ operation: [Enc(0)] iff equal (up to negligible FPR), otherwise
-    an encryption of a random element. *)
-val diff : ?blind_bits:int -> Rng.t -> Paillier.public -> t -> t -> Paillier.ciphertext
-
-(** The two halves of {!diff}: [diff ?blind_bits rng pub a b] is
-    [diff_with pub ~blinds:(draw_blinds ?blind_bits rng pub a) a b].
-    [draw_blinds] makes every draw (one blind per cell, in cell order,
-    a unit of [Z_n] or a [blind_bits]-bit value); [diff_with] is the
-    deterministic multi-exponentiation, safe to fan out. *)
+(** [draw_blinds ?blind_bits rng pub a] makes every draw of one ⊖
+    against [a]: one blind per cell, in cell order, a unit of [Z_n] or
+    a [blind_bits]-bit value. *)
 val draw_blinds : ?blind_bits:int -> Rng.t -> Paillier.public -> t -> Bignum.Nat.t array
 
-val diff_with : Paillier.public -> blinds:Bignum.Nat.t array -> t -> t -> Paillier.ciphertext
+(** An EHL+ with every cell inverted modulo [n^2]: cell [i] encrypts
+    the negation of the hash value it encrypted. *)
+type inverted
+
+(** [invert_many pub items] inverts every cell of every item with one
+    [Modular.inv_many]: the side of ⊖ that meets several others is
+    inverted once. Raises [Failure] if a cell is not a unit (no
+    encryption is). *)
+val invert_many : Paillier.public -> t array -> inverted array
+
+(** The ⊖ operation (Section 5): [diff pub ~blinds a' b], with [a'] the
+    inversion of [a], is [prod_i (a_i^-1 * b_i)^rho_i], an encryption
+    of [sum_i rho_i * (b_i - a_i)]: [Enc(0)] iff [a] and [b] hash the
+    same (up to negligible FPR), otherwise, under uniform blinds, of a
+    random element. One exponent per cell, as wide as its blind. Pure,
+    so a fan-out draws the blinds first and runs [diff] anywhere. *)
+val diff : Paillier.public -> blinds:Bignum.Nat.t array -> inverted -> t -> Paillier.ciphertext
 
 (** The ⊙ operation (Section 5, "Notation"): blockwise product with a
     vector of encryptions — [mask pub e encs] multiplies cell [i] by

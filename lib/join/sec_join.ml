@@ -49,13 +49,15 @@ let draw (s1 : Ctx.s1) spec combo =
   let masks = Array.init (1 + Array.length (carried combo)) (fun _ -> Gadgets.draw_mask s1) in
   { blinds; masks; one = Paillier.draw_noise s1.rng s1.pub }
 
-(* the combination's diff and masked fields: pure *)
-let request pub spec combo d =
-  let conds = conditions spec combo in
-  let side f =
-    Ehl.Ehl_plus.of_cells (Array.concat (List.map (fun c -> Ehl.Ehl_plus.cells (f c)) conds))
-  in
-  let diff = Ehl.Ehl_plus.diff_with pub ~blinds:d.blinds (side fst) (side snd) in
+(* one side of the combination's conditions, their cells concatenated *)
+let side spec combo f =
+  Ehl.Ehl_plus.of_cells
+    (Array.concat (List.map (fun c -> Ehl.Ehl_plus.cells (f c)) (conditions spec combo)))
+
+(* the combination's diff, from its inverted left side, and masked
+   fields: pure *)
+let request pub spec combo left d =
+  let diff = Ehl.Ehl_plus.diff pub ~blinds:d.blinds left (side spec combo snd) in
   let total =
     List.fold_left
       (fun acc (i, a) -> Paillier.add pub acc (snd combo.(i).Join_scheme.cells.(a)))
@@ -65,14 +67,14 @@ let request pub spec combo d =
   (diff, List.mapi (fun f x -> Gadgets.masked pub x d.masks.(f)) (total :: Array.to_list (carried combo)))
 
 (* Enc(t * x) per field from S2's Enc(t), then Enc(t * u) per field, at
-   [off] in its reply: pure *)
+   [off] in its reply, every power of Enc(t) from one comb of it: pure *)
 let unmask pub d cts off =
   let n = pub.Paillier.n and t = cts.(off) in
-  let picked =
-    Array.mapi
-      (fun f (rho, _) -> Paillier.add pub cts.(off + 1 + f) (Paillier.scalar_mul pub t (Nat.sub n rho)))
-      d.masks
+  let powers =
+    Array.of_list
+      (Paillier.scalar_mul_each pub t (Array.to_list (Array.map (fun (rho, _) -> Nat.sub n rho) d.masks)))
   in
+  let picked = Array.mapi (fun f p -> Paillier.add pub cts.(off + 1 + f) p) powers in
   { score = picked.(0); attrs = Array.sub picked 1 (Array.length picked - 1) }
 
 let join_pick (ctx : Ctx.t) spec combos =
@@ -83,7 +85,8 @@ let join_pick (ctx : Ctx.t) spec combos =
   ignore (Rng.shuffle s1.Ctx.rng combos);
   let draws = Array.map (draw s1 spec) combos in
   let jobs = Array.length combos in
-  let requests = Ctx.map ctx ~jobs (fun c -> request pub spec combos.(c) draws.(c)) in
+  let lefts = Gadgets.invert pub (Array.map (fun combo -> side spec combo fst) combos) in
+  let requests = Ctx.map ctx ~jobs (fun c -> request pub spec combos.(c) lefts.(c) draws.(c)) in
   let want, offsets = Array.fold_left_map (fun off d -> (off + 1 + Array.length d.masks, off)) 0 draws in
   let cts =
     match

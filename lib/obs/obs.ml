@@ -772,12 +772,12 @@ module Cost_model = struct
       rounds = 1 }
 
   (* SecWorst (Alg. 4) against [others] candidate lists, one pick: per
-     other an EHL+ diff (2 scalar_muls per cell) and a masked score (one
+     other an EHL+ diff (one scalar_mul per cell) and a masked score (one
      encryption of its mask) out; S2 decrypts both and answers the
      masked sum and one Enc(t) per other; S1 removes the masks with one
      multi-exponentiation (a scalar_mul per other). *)
   let sec_worst_ops p j =
-    { zero with penc = 1 + (2 * j); pdec = 2 * j; pmul = (2 * p.cells * j) + j }
+    { zero with penc = 1 + (2 * j); pdec = 2 * j; pmul = (p.cells * j) + j }
 
   let sec_worst_req j p = 4 + (j * p.ct) + 4 + (j * p.ct)
   let sec_worst_resp j p = 4 + ((1 + j) * p.ct)
@@ -790,7 +790,7 @@ module Cost_model = struct
 
   (* SecDedup over [items] candidates of which [dups] are non-keeper
      duplicates, one rpc carrying the count-prefixed pairwise EHL+ diffs
-     (2 scalar_muls per cell each).
+     (one scalar_mul per cell each).
      - Replace, a pick: every field (cells, worst, seen) masked (one
        encryption each); S2 decrypts the matrix and every field and
        answers Enc(d) and Enc(d * u) per field; S1 rewrites each field
@@ -807,7 +807,7 @@ module Cost_model = struct
       match mode with
       | `Replace ->
         { zero with
-          pmul = (2 * p.cells * pairs) + (l * cell);
+          pmul = (p.cells * pairs) + (l * cell);
           pdec = pairs + (l * cell);
           penc = (l * cell) + (l * (1 + cell));
           bytes =
@@ -819,7 +819,7 @@ module Cost_model = struct
         let item_b = masked_b p + pack_b p in
         let kept = l - d in
         { zero with
-          pmul = 2 * p.cells * pairs;
+          pmul = p.cells * pairs;
           pdec = pairs + (kept * cell);
           penc = (2 * cell * l) + (2 * cell * kept) + (kept * cell);
           bytes = req p ~label:"SecDedup" (diffs_b + 4 + (l * item_b)) + resp p (4 + (kept * item_b));

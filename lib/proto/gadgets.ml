@@ -26,6 +26,10 @@ let chunks sizes arr =
 let strip (s1 : Ctx.s1) c m =
   Paillier.add s1.pub c (Paillier.encrypt_neg_with s1.pub ~draw:(Paillier.draw_noise s1.rng s1.pub) m)
 
+let invert pub ehls =
+  try Ehl.Ehl_plus.invert_many pub ehls
+  with Failure _ -> Proto_error.fail "Gadgets.invert: an EHL+ cell is not a unit"
+
 let enc_zero (s1 : Ctx.s1) = ignore s1.rng; Paillier.trivial s1.pub Nat.zero
 
 (* ---------------- picks ---------------- *)
@@ -53,7 +57,8 @@ let mask_fields pub it draws =
   |> List.mapi (fun f c -> masked pub c draws.masks.(f))
 
 (* x' = x * Enc(d * u)^-1 * Enc(d)^(rho + g) = (1 - d) * x + d * g, for
-   u = x + rho, field by field in [item_fields] order *)
+   u = x + rho, field by field in [item_fields] order; every power of
+   Enc(d) comes from one comb of it *)
 let replace_item pub (it : Enc_item.scored) draws reply =
   let fields = item_fields it in
   let d, dus =
@@ -63,15 +68,19 @@ let replace_item pub (it : Enc_item.scored) draws reply =
       Proto_error.fail "Gadgets.replace_item: %d ciphertexts for %d fields" (List.length reply)
         (List.length fields)
   in
-  let invs = Modular.inv_many (List.map Paillier.to_nat dus) ~m:pub.Paillier.n2 in
+  let invs =
+    try Modular.inv_many (List.map Paillier.to_nat dus) ~m:pub.Paillier.n2
+    with Failure _ -> Proto_error.fail "Gadgets.replace_item: a reply ciphertext is not a unit"
+  in
+  let powers =
+    Paillier.scalar_mul_each pub d
+      (List.mapi (fun f _ -> Nat.add (fst draws.masks.(f)) draws.garbage.(f)) fields)
+  in
   let fields =
     Array.of_list
-      (List.mapi
-         (fun f (x, inv) ->
-           Paillier.add pub
-             (Paillier.add pub x (Paillier.of_nat pub inv))
-             (Paillier.scalar_mul pub d (Nat.add (fst draws.masks.(f)) draws.garbage.(f))))
-         (List.combine fields invs))
+      (List.map2
+         (fun (x, inv) p -> Paillier.add pub (Paillier.add pub x (Paillier.of_nat pub inv)) p)
+         (List.combine fields invs) powers)
   in
   let m = Array.length it.seen in
   let worst = fields.(0) in

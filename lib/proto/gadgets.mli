@@ -35,6 +35,12 @@ val chunks : int list -> 'a array -> 'a list list
     Counts one Paillier encryption. *)
 val strip : Ctx.s1 -> Paillier.ciphertext -> Nat.t -> Paillier.ciphertext
 
+(** [invert pub ehls] is {!Ehl.Ehl_plus.invert_many}: the side of a
+    phase's ⊖s that meets several others, inverted once per phase.
+    Raises [Proto_error] if a cell is not a unit (a value no encryption
+    takes, which only a broken peer could have put there). *)
+val invert : Paillier.public -> Ehl.Ehl_plus.t array -> Ehl.Ehl_plus.inverted array
+
 (** The trivial encryption of zero, [1]: the empty homomorphic sum. *)
 val enc_zero : Ctx.s1 -> Paillier.ciphertext
 
@@ -72,7 +78,9 @@ val mask_fields : Paillier.public -> Enc_item.scored -> replace_draws -> Paillie
     [x * Enc(d * u)^-1 * Enc(d)^(rho + g)], which decrypts to [x] when
     [d] is 0 and to the garbage [g] when it is 1 ([u = x + rho]). The
     result's [best] is its [worst]. Pure: one [Modular.inv_many] and one
-    Paillier scalar multiplication per field. Raises [Proto_error] on a
-    reply of the wrong length. *)
+    Paillier scalar multiplication per field, every one of them a power
+    of [Enc(d)] from one comb ({!Paillier.scalar_mul_each}). Raises
+    [Proto_error] on a reply of the wrong length or one that carries a
+    non-unit. *)
 val replace_item :
   Paillier.public -> Enc_item.scored -> replace_draws -> Paillier.ciphertext list -> Enc_item.scored

@@ -113,27 +113,36 @@ let run_many (ctx : Ctx.t) ~mode blocks =
          permuted order --- *)
       let arrs = List.map Array.of_list live in
       List.iter (fun arr -> ignore (Rng.shuffle s1.rng arr)) arrs;
+      (* every pair as positions in the blocks' concatenation *)
+      let items = Array.concat arrs in
       let pairs =
-        List.map
-          (fun arr ->
-            Array.map (fun (i, j) -> (arr.(i), arr.(j))) (Wire.pair_indices (Array.length arr)))
-          arrs
+        snd
+          (List.fold_left_map
+             (fun off arr ->
+               let l = Array.length arr in
+               (off + l, Array.map (fun (i, j) -> (off + i, off + j)) (Wire.pair_indices l)))
+             0 arrs)
       in
       (* Each matrix entry is an independent blinded diff: draw every
          pair's blinds here, pair after pair, and fan the pairs of every
-         block out together. *)
+         block out together. An item is the first side of every pair it
+         opens, so its cells are inverted once. *)
       let all_pairs = Array.concat pairs in
       let blinds =
         Array.map
-          (fun ((a : Enc_item.scored), _) ->
-            Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub a.ehl)
+          (fun (a, _) ->
+            Ehl.Ehl_plus.draw_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub items.(a).Enc_item.ehl)
           all_pairs
+      in
+      let firsts =
+        if all_pairs = [||] then [||]
+        else Gadgets.invert s1.pub (Array.map (fun (it : Enc_item.scored) -> it.ehl) items)
       in
       let diffs =
         Gadgets.chunks (List.map Array.length pairs)
           (Ctx.map ctx ~jobs:(Array.length all_pairs) (fun idx ->
                let a, b = all_pairs.(idx) in
-               Ehl.Ehl_plus.diff_with s1.pub ~blinds:blinds.(idx) a.Enc_item.ehl b.Enc_item.ehl))
+               Ehl.Ehl_plus.diff s1.pub ~blinds:blinds.(idx) firsts.(a) items.(b).Enc_item.ehl))
       in
       match mode with Replace -> replace ctx arrs diffs | Eliminate -> eliminate ctx arrs diffs)
 

@@ -10,10 +10,12 @@ let protocol = "SecUpdate"
    ([blinds] is row-major, cell (i, j) at i * |T| + j), then each new
    item's masks: in Replace mode every field with its garbage
    ([Gadgets.draw_replace]), in Eliminate mode only the merged ones
-   (worst and seen). *)
+   (worst and seen). Each new item's cells are inverted once, for the
+   |T| diffs of its row. *)
 type grid = {
   olds : Enc_item.scored array;
   news : Enc_item.scored array;
+  inv_news : Ehl.Ehl_plus.inverted array;
   blinds : Nat.t array array;
   draws : Gadgets.replace_draws array;
 }
@@ -42,7 +44,8 @@ let draw_grid (s1 : Ctx.s1) ~mode (t_list, gamma) =
             garbage = [||] })
       news
   in
-  { olds; news; blinds = Array.of_list !blinds; draws }
+  let inv_news = Gadgets.invert s1.pub (Array.map (fun (it : Enc_item.scored) -> it.ehl) news) in
+  { olds; news; inv_news; blinds = Array.of_list !blinds; draws }
 
 (* [(g, x)] for every [x] below [count g], grid after grid: the items of
    one fan-out over every block *)
@@ -102,7 +105,7 @@ let run_many (ctx : Ctx.t) ~mode blocks =
         Ctx.map ctx ~jobs:(Array.length cells) (fun x ->
             let g, c = cells.(x) in
             let n_old = Array.length g.olds in
-            Ehl.Ehl_plus.diff_with pub ~blinds:g.blinds.(c) g.news.(c / n_old).Enc_item.ehl
+            Ehl.Ehl_plus.diff pub ~blinds:g.blinds.(c) g.inv_news.(c / n_old)
               g.olds.(c mod n_old).Enc_item.ehl)
       in
       let news = across grids (fun g -> Array.length g.news) in
@@ -131,21 +134,23 @@ let run_many (ctx : Ctx.t) ~mode blocks =
       in
       (* --- old entries: field'_jf = field_jf * S_jf * prod_i
          Enc(t_ij)^(n - rho_if), since sum_i t_ij * x_if =
-         sum_i t_ij * u_if - sum_i t_ij * rho_if. Best scores are not
-         carried: SecRefresh rewrites them from worst and seen before any
-         read. *)
+         sum_i t_ij * u_if - sum_i t_ij * rho_if; one row per field over
+         the Enc(t_ij) of column j, whose window tables every row
+         shares. Best scores are not carried: SecRefresh rewrites them
+         from worst and seen before any read. *)
       let olds = across grids (fun (g, _) -> Array.length g.olds) in
       let updated_olds =
         Ctx.map ctx ~jobs:(Array.length olds) (fun x ->
             let (g, p), j = olds.(x) in
             let old = g.olds.(j) in
             let n_old = Array.length g.olds in
-            let field f x =
-              Paillier.add pub (Paillier.add pub x p.sums.(j).(f))
-                (Paillier.scalar_mul_many pub
-                   (List.init (Array.length g.news) (fun i ->
-                        (p.ts.((i * n_old) + j), Nat.sub n (fst g.draws.(i).masks.(f))))))
+            let sums =
+              Paillier.scalar_mul_rows pub
+                (Array.init (Array.length g.news) (fun i -> p.ts.((i * n_old) + j)))
+                (Array.init (merged_fields old) (fun f ->
+                     Array.map (fun (d : Gadgets.replace_draws) -> Nat.sub n (fst d.masks.(f))) g.draws))
             in
+            let field f x = Paillier.add pub (Paillier.add pub x p.sums.(j).(f)) sums.(f) in
             { old with Enc_item.worst = field 0 old.worst; seen = Array.mapi (fun l u -> field (l + 1) u) old.seen })
       in
       let updated_news =

@@ -45,11 +45,16 @@ let run_many (ctx : Ctx.t) queries =
     Array.concat
       (Array.to_list (Array.mapi (fun k i -> Array.init (Array.length i.others) (fun l -> (k, l))) insts))
   in
+  (* each target meets all its others: its cells are inverted once *)
+  let targets =
+    if pairs = [||] then [||]
+    else Gadgets.invert pub (Array.map (fun i -> i.target.Enc_item.ehl) insts)
+  in
   let diffs =
     Ctx.map ctx ~jobs:(Array.length pairs) (fun x ->
         let k, l = pairs.(x) in
         let i = insts.(k) in
-        Ehl.Ehl_plus.diff_with pub ~blinds:i.blinds.(l) i.target.ehl i.others.(l).Enc_item.ehl)
+        Ehl.Ehl_plus.diff pub ~blinds:i.blinds.(l) targets.(k) i.others.(l).Enc_item.ehl)
   in
   let scores =
     Ctx.map ctx ~jobs:(Array.length pairs) (fun x ->

@@ -75,6 +75,7 @@ type telemetry = {
   bytes_h : Obs.Registry.histogram;  (* S1<->S2 bytes per query *)
   depth_h : Obs.Registry.histogram;  (* halting depth per query *)
   shards_g : Obs.Registry.gauge;  (* shard count of the served index *)
+  combs_g : Obs.Registry.gauge;  (* fixed-base combs the process holds, read at each scrape *)
   shard_queries_c : Obs.Registry.counter;  (* shard depth loops driven *)
   shard_merge_rounds_c : Obs.Registry.counter;  (* coordinator checkpoint merges *)
   accept_errors_c : Obs.Registry.counter;  (* accepts refused for want of descriptors *)
@@ -97,6 +98,7 @@ let make_telemetry () =
     bytes_h = Obs.Registry.histogram reg "query_bytes";
     depth_h = Obs.Registry.histogram reg "query_depth";
     shards_g = Obs.Registry.gauge reg "shards";
+    combs_g = Obs.Registry.gauge reg "combs_built";
     shard_queries_c = Obs.Registry.counter reg "shard_queries";
     shard_merge_rounds_c = Obs.Registry.counter reg "shard_merge_rounds";
     accept_errors_c = Obs.Registry.counter reg "accept_errors";
@@ -295,9 +297,13 @@ let session t id fd =
          match Wire.frame_kind frame with
          | Some 'C' ->
            (* live-telemetry scrape: any connection may ask; the reply
-              carries the full registry snapshot and needs no keys *)
+              carries the full registry snapshot and needs no keys.
+              [combs_built] is re-read here: the first query builds
+              the negated-noise combs, and a comb that left the cache
+              would be rebuilt without any other sign *)
            (match Wire.decode_control frame with
            | Wire.Stats_req ->
+             Obs.Registry.set t.tel.combs_g (float_of_int (Bignum.Fixed_base.cached_count ()));
              Wire.write_frame fd
                (Wire.encode_control_reply
                   (Wire.Stats_resp (Obs.Registry.snapshot t.tel.reg)))
@@ -462,8 +468,7 @@ let start ?(port = 0) cfg index =
   let derived, warm_s = Obs.Timer.time (fun () -> Ctx.derive ctx_rng pub sk) in
   let tel = make_telemetry () in
   Obs.Registry.set (Obs.Registry.gauge tel.reg "comb_warmup_seconds") warm_s;
-  Obs.Registry.set (Obs.Registry.gauge tel.reg "combs_built")
-    (float_of_int (Bignum.Fixed_base.cached_count ()));
+  Obs.Registry.set tel.combs_g (float_of_int (Bignum.Fixed_base.cached_count ()));
   Obs.Registry.set tel.shards_g (float_of_int (Array.length stores));
   (* The shared round scheduler, one per S2 connection. Local mode
      demultiplexes in-process; Tcp mode opens the single connection every

@@ -94,7 +94,8 @@ type t
     combs are warmed once here, by the derivation, for the whole serving
     set (the [comb_warmup_seconds] and [combs_built] gauges), never per
     shard or per query; the two negated-noise combs S1's strips use are
-    built by the first query, once per process. *)
+    built by the first query, once per process. A [Wire.Stats_req]
+    scrape re-reads [combs_built], so it counts those two as well. *)
 val start : ?port:int -> config -> index -> t
 
 val port : t -> int

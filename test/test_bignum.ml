@@ -432,7 +432,7 @@ let test_fixed_base_limb_counts () =
     List.iter
       (fun max_bits ->
         let fb = Fixed_base.create ctx ~base:g ~max_bits in
-        let top = 4 * ((max_bits - 1) / 4) in
+        let top = Fixed_base.digit_bits * ((max_bits - 1) / Fixed_base.digit_bits) in
         let full = Nat.pred (Nat.shift_left Nat.one max_bits) in
         List.iter
           (fun e ->
@@ -765,6 +765,160 @@ let test_gen_prime () =
       Alcotest.(check bool) "is prime" true (Prime.is_probable_prime ~rand_below p))
     [ 16; 32; 64; 128 ]
 
+(* ---------------- limb inverse ---------------- *)
+
+(* the inverse egcd's Bezout coefficient gives, if there is one *)
+let inv_ref a m =
+  let g, x, _ = Modular.egcd (Nat.rem a m) m in
+  if Nat.is_one g then Some (Bigint.mod_nat x m) else None
+
+let not_invertible = Failure "Modular.inv: not invertible"
+
+let check_inv name a m =
+  match inv_ref a m with
+  | Some want -> Alcotest.check nat name want (Modular.inv a ~m)
+  | None -> Alcotest.check_raises name not_invertible (fun () -> ignore (Modular.inv a ~m))
+
+(* On odd moduli of every limb count from 1 to 10, each with a full and
+   a short top limb, the binary GCD on limbs answers as egcd does: at
+   a = 1, a = m - 1, 2, values past m and random ones; and at every a
+   below a few small moduli, non-units included. *)
+let test_inv_limb_counts () =
+  let rng = splitmix 4242 in
+  for limbs = 1 to 10 do
+    List.iter
+      (fun bits ->
+        let m = odd_modulus rng bits in
+        List.iteri
+          (fun i a -> check_inv (Printf.sprintf "%d bits, case %d" bits i) a m)
+          ([ Nat.one; Nat.pred m; Nat.two; Nat.succ m; Nat.shift_left Nat.one (bits + 3) ]
+          @ List.init 6 (fun _ -> gen_nat_of_bits rng bits)))
+      [ 52 * limbs; (52 * limbs) - 5 ]
+  done;
+  List.iter
+    (fun m ->
+      for a = 0 to m - 1 do
+        check_inv (Printf.sprintf "%d mod %d" a m) (Nat.of_int a) (Nat.of_int m)
+      done)
+    [ 3; 5; 9; 15; 21; 45 ]
+
+(* Modulo n^2 of a 128-bit n = p * q, every non-unit raises, alone and
+   inside a batch of units, and the loop ends on each of them. *)
+let test_inv_non_units () =
+  let rng = splitmix 99 in
+  let rand_below = rand_below_of_rng rng in
+  let p = Prime.gen_prime ~bits:64 ~rand_below () in
+  let q = Prime.gen_prime ~bits:64 ~rand_below () in
+  let n = Nat.mul p q in
+  let m = Nat.mul n n in
+  List.iter
+    (fun (name, a) ->
+      Alcotest.check_raises name not_invertible (fun () -> ignore (Modular.inv a ~m));
+      Alcotest.check_raises (name ^ " in a batch") not_invertible (fun () ->
+          ignore (Modular.inv_many [ Nat.succ n; a; Nat.two ] ~m)))
+    [ ("0", Nat.zero); ("p", p); ("q", q); ("n", n); ("n^2", m);
+      ("p * r mod n^2", Nat.rem (Nat.mul p (gen_nat_of_bits rng 250)) m);
+      ("q^2", Nat.mul q q) ]
+
+(* ---------------- comb digit widths ---------------- *)
+
+(* exponents whose digits straddle a 52-bit limb boundary below [bits]:
+   per boundary b, the all-ones digit that holds bits b - 1 and b, and
+   those two bits alone *)
+let straddling ~w ~bits =
+  List.concat_map
+    (fun j ->
+      let b = 52 * j in
+      let i = (b - 1) / w in
+      if b < bits && (i + 1) * w > b then
+        [ Nat.shift_left (Nat.of_int ((1 lsl w) - 1)) (i * w);
+          Nat.add (Nat.shift_left Nat.one (b - 1)) (Nat.shift_left Nat.one b) ]
+      else [])
+    [ 1; 2; 3 ]
+
+(* A comb of any digit width from 1 to 8 equals pow_ref: 3-, 5-, 6- and
+   7-bit digits straddle limbs, at 0, 2^bits - 1, an exponent exactly
+   [bits] wide and the straddling ones. *)
+let test_comb_digit_widths () =
+  let rng = splitmix 6 in
+  let m = odd_modulus rng 256 in
+  let ctx = Option.get (Montgomery.create m) in
+  let g = Nat.rem (gen_nat_of_bits rng 256) m in
+  let bits = 200 in
+  let full = Nat.pred (Nat.shift_left Nat.one bits) in
+  let exact = Nat.add (gen_nat_of_bits rng (bits - 1)) (Nat.shift_left Nat.one (bits - 1)) in
+  for w = 1 to 8 do
+    let c = Montgomery.comb ctx g ~digit_bits:w ~rows:((bits + w - 1) / w) in
+    List.iter
+      (fun e ->
+        Alcotest.check nat
+          (Printf.sprintf "%d-bit digits, e = %s" w (Nat.to_hex e))
+          (pow_ref g e m) (Montgomery.comb_pow ctx c e))
+      ([ Nat.zero; Nat.one; full; exact ] @ straddling ~w ~bits)
+  done
+
+(* The noise comb at its radix: straddling digits, 0, 2^max_bits - 1
+   and an exponent exactly max_bits wide, at the 97-bit noise width and
+   past the second limb; one bit wider is refused. *)
+let test_fixed_base_radix () =
+  let rng = splitmix 97 in
+  let m = odd_modulus rng 256 in
+  let ctx = Option.get (Montgomery.create m) in
+  let g = Nat.rem (gen_nat_of_bits rng 256) m in
+  let w = Fixed_base.digit_bits in
+  List.iter
+    (fun max_bits ->
+      let fb = Fixed_base.create ctx ~base:g ~max_bits in
+      let full = Nat.pred (Nat.shift_left Nat.one max_bits) in
+      let exact = Nat.add (gen_nat_of_bits rng (max_bits - 1)) (Nat.shift_left Nat.one (max_bits - 1)) in
+      let cases = [ Nat.zero; full; exact ] @ straddling ~w ~bits:max_bits in
+      Alcotest.(check bool) "a digit straddles a limb" true (List.length cases > 3);
+      List.iter
+        (fun e ->
+          Alcotest.check nat
+            (Printf.sprintf "%d bits, e = %s" max_bits (Nat.to_hex e))
+            (pow_ref g e m) (Fixed_base.pow fb e))
+        cases;
+      Alcotest.check_raises (Printf.sprintf "%d bits refuses %d" max_bits (max_bits + 1))
+        (Invalid_argument "Fixed_base.pow: exponent exceeds the precomputed width") (fun () ->
+          ignore (Fixed_base.pow fb (Nat.shift_left Nat.one max_bits))))
+    [ 97; 160 ]
+
+(* One comb per base for many exponents, and one window table per base
+   for many rows, answer as the separate calls: zero exponents, a zero
+   row, a row raising one base, an even modulus, and a row of the wrong
+   width refused. *)
+let test_pow_each_rows () =
+  let rng = splitmix 31 in
+  List.iter
+    (fun bits ->
+      let m = odd_modulus rng bits in
+      let m = if bits = 64 then Nat.succ m else m in
+      let g = gen_nat_of_bits rng bits in
+      let es =
+        [ gen_nat_of_bits rng 128; Nat.zero; Nat.one; Nat.pred (Nat.shift_left Nat.one 130);
+          gen_nat_of_bits rng 5 ]
+      in
+      Alcotest.(check (list nat)) (Printf.sprintf "%d bits: pow_each = pow" bits)
+        (List.map (fun e -> Modular.pow g e ~m) es)
+        (Modular.pow_each g es ~m);
+      Alcotest.(check (list nat)) "no exponents" [] (Modular.pow_each g [] ~m);
+      let bases = Array.init 3 (fun _ -> gen_nat_of_bits rng bits) in
+      let rows =
+        [| Array.init 3 (fun _ -> gen_nat_of_bits rng 128); Array.make 3 Nat.zero;
+           [| Nat.zero; gen_nat_of_bits rng 49; Nat.zero |]; Array.init 3 (fun i -> Nat.of_int i) |]
+      in
+      Alcotest.(check (array nat)) (Printf.sprintf "%d bits: rows = multi_pow per row" bits)
+        (Array.map (fun row -> Modular.multi_pow (Array.to_list (Array.combine bases row)) ~m) rows)
+        (Modular.multi_pow_rows bases rows ~m))
+    [ 52; 64; 256; 384 ];
+  let m = odd_modulus rng 256 in
+  Alcotest.check_raises "a short row" (Invalid_argument "Montgomery.multi_pow_rows: row width")
+    (fun () ->
+      ignore
+        (Montgomery.multi_pow_rows (Option.get (Montgomery.create m)) [| Nat.two; Nat.one |]
+           [| [| Nat.one |] |]))
+
 let suite =
   [ ( "nat-unit",
       [ Alcotest.test_case "of/to int" `Quick test_of_to_int;
@@ -804,7 +958,9 @@ let suite =
         prop_fermat;
         prop_modinv;
         prop_egcd;
-        prop_crt
+        prop_crt;
+        Alcotest.test_case "limb inverse = egcd at 1-10 limbs" `Quick test_inv_limb_counts;
+        Alcotest.test_case "limb inverse refuses non-units" `Quick test_inv_non_units
       ] );
     ( "montgomery",
       [ prop_montgomery_pow; prop_montgomery_mul; prop_unreduced_chain; prop_of_limbs;
@@ -816,7 +972,10 @@ let suite =
         Alcotest.test_case "fixed-base comb cache" `Quick test_fixed_base_cache;
         Alcotest.test_case "fixed-base comb at 1-10 limbs" `Quick test_fixed_base_limb_counts;
         Alcotest.test_case "kernels on two domains" `Quick test_two_domains;
-        Alcotest.test_case "kernel allocation per call" `Quick test_kernel_allocation
+        Alcotest.test_case "kernel allocation per call" `Quick test_kernel_allocation;
+        Alcotest.test_case "comb at digit widths 1-8" `Quick test_comb_digit_widths;
+        Alcotest.test_case "fixed-base comb radix" `Quick test_fixed_base_radix;
+        Alcotest.test_case "one table per repeated base" `Quick test_pow_each_rows
       ] );
     ( "nat-differential",
       [ Alcotest.test_case "ops vs base-2^26 reference" `Quick test_differential_ops;

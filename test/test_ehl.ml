@@ -62,17 +62,67 @@ let test_ehl_rerandomize () =
 
 (* ---------------- EHL+ ---------------- *)
 
+(* one ⊖ as a phase runs it: blinds drawn for [a], [a] inverted *)
+let diff ?blind_bits a b =
+  let blinds = Ehl.Ehl_plus.draw_blinds ?blind_bits rng pub a in
+  Ehl.Ehl_plus.diff pub ~blinds (Ehl.Ehl_plus.invert_many pub [| a |]).(0) b
+
+(* The ⊖ of Π a_i^ρ_i · b_i^(n − ρ_i), which raised every cell of both
+   sides: the reference the inverted form is checked against. *)
+let diff_two_sided ~blinds a b =
+  let n = pub.Paillier.n in
+  let a = Ehl.Ehl_plus.cells a and b = Ehl.Ehl_plus.cells b in
+  Paillier.scalar_mul_many pub
+    (List.concat (List.init (Array.length a) (fun i -> [ (a.(i), blinds.(i)); (b.(i), Nat.sub n blinds.(i)) ])))
+
+(* For the same blinds the diff decrypts to the negation of the two-sided
+   form's plaintext, so it is zero exactly when that one is; at full and
+   at short blinds, for equal and unequal items. One [invert_many] over
+   several items inverts each as a lone call would. *)
+let test_ehlp_diff_negates_two_sided () =
+  let n = pub.Paillier.n in
+  let items = Array.init 4 (fun i -> Ehl.Ehl_plus.encode rng pub ~keys (Printf.sprintf "neg-%d" (i mod 3))) in
+  let invs = Ehl.Ehl_plus.invert_many pub items in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          List.iter
+            (fun blind_bits ->
+              let blinds = Ehl.Ehl_plus.draw_blinds ?blind_bits rng pub a in
+              let d = Ehl.Ehl_plus.diff pub ~blinds invs.(i) b in
+              let lone = Ehl.Ehl_plus.diff pub ~blinds (Ehl.Ehl_plus.invert_many pub [| a |]).(0) b in
+              let old = Paillier.decrypt sk (diff_two_sided ~blinds a b) in
+              let name = Printf.sprintf "items %d, %d" i j in
+              Alcotest.(check bool) (name ^ ": batch = lone inversion") true (Paillier.equal_ct d lone);
+              Alcotest.check nat (name ^ ": negated plaintext")
+                (Modular.sub Nat.zero old ~m:n) (Paillier.decrypt sk d);
+              Alcotest.(check bool) (name ^ ": zero iff equal") (i mod 3 = j mod 3)
+                (Nat.is_zero (Paillier.decrypt sk d)))
+            [ None; Some 48 ])
+        items)
+    items
+
+(* A cell no encryption can be (p divides it) has no inverse mod n^2. *)
+let test_ehlp_invert_non_unit () =
+  let p, _, _ = Paillier.secret_params sk in
+  let a = Ehl.Ehl_plus.encode rng pub ~keys "unit" in
+  let cells = Array.copy (Ehl.Ehl_plus.cells a) in
+  cells.(2) <- Paillier.of_nat pub p;
+  Alcotest.check_raises "not invertible" (Failure "Modular.inv: not invertible") (fun () ->
+      ignore (Ehl.Ehl_plus.invert_many pub [| a; Ehl.Ehl_plus.of_cells cells |]))
+
 let test_ehlp_diff_equal () =
   let a = Ehl.Ehl_plus.encode rng pub ~keys "patient-42" in
   let b = Ehl.Ehl_plus.encode rng pub ~keys "patient-42" in
-  Alcotest.check nat "Enc(0) for equal" Nat.zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub a b))
+  Alcotest.check nat "Enc(0) for equal" Nat.zero (Paillier.decrypt sk (diff a b))
 
 let test_ehlp_diff_unequal () =
   for i = 0 to 19 do
     let a = Ehl.Ehl_plus.encode rng pub ~keys (Printf.sprintf "p-%d" i) in
     let b = Ehl.Ehl_plus.encode rng pub ~keys (Printf.sprintf "q-%d" i) in
     Alcotest.(check bool) "nonzero for distinct" false
-      (Nat.is_zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub a b)))
+      (Nat.is_zero (Paillier.decrypt sk (diff a b)))
   done
 
 let test_ehlp_diff_small_blind () =
@@ -81,9 +131,9 @@ let test_ehlp_diff_small_blind () =
   let b = Ehl.Ehl_plus.encode rng pub ~keys "blind-test" in
   let c = Ehl.Ehl_plus.encode rng pub ~keys "blind-other" in
   Alcotest.check nat "equal" Nat.zero
-    (Paillier.decrypt sk (Ehl.Ehl_plus.diff ~blind_bits:40 rng pub a b));
+    (Paillier.decrypt sk (diff ~blind_bits:40 a b));
   Alcotest.(check bool) "unequal" false
-    (Nat.is_zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff ~blind_bits:40 rng pub a c)))
+    (Nat.is_zero (Paillier.decrypt sk (diff ~blind_bits:40 a c)))
 
 let test_ehlp_smaller_than_ehl () =
   let e = Ehl.Ehl_bits.encode rng pub ~keys ~params "size" in
@@ -101,11 +151,11 @@ let test_ehlp_mask_changes_hidden_values () =
   let masked = Ehl.Ehl_plus.mask pub a enc_alphas in
   (* masked vs b: no longer equal *)
   Alcotest.(check bool) "mask breaks equality" false
-    (Nat.is_zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub masked b)));
+    (Nat.is_zero (Paillier.decrypt sk (diff masked b)));
   (* unmasking restores it *)
   let neg_alphas = Array.map (fun c -> Paillier.neg pub c) enc_alphas in
   let unmasked = Ehl.Ehl_plus.mask pub masked neg_alphas in
-  Alcotest.check nat "unmask restores" Nat.zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub unmasked b))
+  Alcotest.check nat "unmask restores" Nat.zero (Paillier.decrypt sk (diff unmasked b))
 
 let test_ehlp_masked_pair_still_equal () =
   (* SecDedup invariant: masking *both* copies with the same alphas keeps
@@ -115,7 +165,7 @@ let test_ehlp_masked_pair_still_equal () =
   let alphas = Array.init 5 (fun _ -> Paillier.encrypt rng pub (Rng.nat_below rng pub.Paillier.n)) in
   let ma = Ehl.Ehl_plus.mask pub a alphas and mb = Ehl.Ehl_plus.mask pub b alphas in
   Alcotest.check nat "still equal under same mask" Nat.zero
-    (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub ma mb))
+    (Paillier.decrypt sk (diff ma mb))
 
 let test_ehlp_fpr_negligible () =
   let fpr = Ehl.Ehl_plus.false_positive_rate pub ~s:5 ~rows:1_000_000 in
@@ -127,7 +177,7 @@ let test_ehlp_keyed () =
   let a = Ehl.Ehl_plus.encode rng pub ~keys "kx" in
   let b = Ehl.Ehl_plus.encode rng pub ~keys:other_keys "kx" in
   Alcotest.(check bool) "cross-key diff nonzero" false
-    (Nat.is_zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub a b)))
+    (Nat.is_zero (Paillier.decrypt sk (diff a b)))
 
 let prop_ehlp_equality_iff =
   QCheck_alcotest.to_alcotest
@@ -136,7 +186,7 @@ let prop_ehlp_equality_iff =
        (fun (i, j) ->
          let a = Ehl.Ehl_plus.encode rng pub ~keys (string_of_int i) in
          let b = Ehl.Ehl_plus.encode rng pub ~keys (string_of_int j) in
-         let z = Nat.is_zero (Paillier.decrypt sk (Ehl.Ehl_plus.diff rng pub a b)) in
+         let z = Nat.is_zero (Paillier.decrypt sk (diff a b)) in
          z = (i = j)))
 
 let suite =
@@ -157,7 +207,9 @@ let suite =
         Alcotest.test_case "same mask preserves equality" `Quick test_ehlp_masked_pair_still_equal;
         Alcotest.test_case "fpr negligible" `Quick test_ehlp_fpr_negligible;
         Alcotest.test_case "keyed" `Quick test_ehlp_keyed;
-        prop_ehlp_equality_iff
+        prop_ehlp_equality_iff;
+        Alcotest.test_case "diff negates the two-sided form" `Quick test_ehlp_diff_negates_two_sided;
+        Alcotest.test_case "a non-unit cell has no inverse" `Quick test_ehlp_invert_non_unit
       ] )
   ]
 

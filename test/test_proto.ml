@@ -770,6 +770,98 @@ let test_pick_desync () =
           ignore (Sec_update.run c ~mode:Sec_dedup.Eliminate ~t_list:items ~gamma:[ scored "o3" 3 3 ]) ) ];
   Sched.stop sched
 
+(* A Replace reply that carries p, which no encryption can be, has no
+   inverse: SecDedup and SecUpdate raise a typed Proto_error, as for a
+   reply of the wrong shape, and not the inversion's Failure. The real
+   S2 answers; the backend swaps p into the first Enc(d * u) of a
+   Dedup_pick reply and the last of an Update_pick reply. *)
+let test_pick_non_unit () =
+  let seed = "test_proto pick non-unit" in
+  let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits:128 ~rand_bits:96 () in
+  let derived = Ctx.derive ctx_rng pub sk in
+  let p =
+    let p, _, _ = Paillier.secret_params sk in
+    Paillier.of_nat pub p
+  in
+  let start = S2_server.provision { Wire.seed; key_bits = 128; rand_bits = Some 96; obs = false } in
+  let st = S2_server.mux_state ~make:(fun ~session:_ -> start ()) in
+  let tamper req resp =
+    match (req, resp) with
+    | Wire.Dedup_pick _, Wire.Cts (d :: _ :: rest) -> Wire.Cts (d :: p :: rest)
+    | Wire.Update_pick _, Wire.Picked { cts; flags } ->
+      Wire.Picked { cts = List.rev (p :: List.tl (List.rev cts)); flags }
+    | _ -> resp
+  in
+  let backend ops =
+    List.map2
+      (fun (op, _) reply ->
+        match (op, reply) with
+        | Wire.Mux_req { req; _ }, Wire.Mux_answer resp -> Wire.Mux_answer (tamper req resp)
+        | _ -> reply)
+      ops (S2_server.handle_mux_ops st ops)
+  in
+  let sched = Sched.create ~window_us:0 ~backend () in
+  let scored oid =
+    let enc i = Paillier.encrypt rng pub (Nat.of_int i) in
+    { Enc_item.ehl = Ehl.Ehl_plus.encode rng pub ~keys oid; worst = enc 3; best = enc 3;
+      seen = [| enc 1; enc 0 |] }
+  in
+  List.iter
+    (fun (name, f) ->
+      let session = Sched.open_query sched in
+      let mctx = Ctx.of_derived ~blind_bits:48 ~mode:(Ctx.Mux (sched, session)) derived in
+      let outcome =
+        match f mctx with
+        | () -> "no error"
+        | exception Proto_error.Proto_error _ -> "Proto_error"
+        | exception e -> Printexc.to_string e
+      in
+      Alcotest.(check string) name "Proto_error" outcome;
+      Sched.close_query sched session)
+    [ ( "SecDedup replace",
+        fun c -> ignore (Sec_dedup.run c ~mode:Sec_dedup.Replace [ scored "o1"; scored "o2" ]) );
+      ( "SecUpdate replace",
+        fun c ->
+          ignore
+            (Sec_update.run c ~mode:Sec_dedup.Replace ~t_list:[ scored "o1"; scored "o2" ]
+               ~gamma:[ scored "o3" ]) ) ];
+  Sched.stop sched
+
+(* The shared-table and one-comb kernels are the separate calls they
+   replace, ciphertext for ciphertext and count for count: a row of
+   [scalar_mul_rows] is [scalar_mul_many] of the same pairs, and
+   [scalar_mul_each] is [scalar_mul] per weight (zero weights and
+   weights past n included). *)
+let test_shared_tables () =
+  let counted f =
+    let col = Obs.Collector.create () in
+    let prev = Obs.is_enabled () in
+    Obs.set_enabled true;
+    let r = Fun.protect ~finally:(fun () -> Obs.set_enabled prev) (fun () -> Obs.with_collector col f) in
+    let got = Obs.Metrics.get (Obs.Collector.metrics col) in
+    (r, List.map got Obs.Metrics.[ Paillier_mul; Modexp ])
+  in
+  let n = pub.Paillier.n in
+  let cts = Array.init 3 (fun i -> enc (i + 2)) in
+  let weight () = Rng.nat_below rng n in
+  let rows =
+    [| Array.init 3 (fun _ -> weight ()); [| Nat.zero; weight (); Nat.zero |]; Array.make 3 Nat.zero;
+       [| Nat.add n (weight ()); weight (); Nat.one |] |]
+  in
+  let shared, shared_counts = counted (fun () -> Paillier.scalar_mul_rows pub cts rows) in
+  let separate, separate_counts =
+    counted (fun () ->
+        Array.map (fun row -> Paillier.scalar_mul_many pub (Array.to_list (Array.combine cts row))) rows)
+  in
+  Alcotest.(check bool) "rows = scalar_mul_many per row" true
+    (Array.for_all2 Paillier.equal_ct shared separate);
+  Alcotest.(check (list int)) "rows: same counts" separate_counts shared_counts;
+  let ks = [ weight (); Nat.zero; Nat.one; Nat.add n Nat.two; weight (); Nat.pred n ] in
+  let each, each_counts = counted (fun () -> Paillier.scalar_mul_each pub cts.(0) ks) in
+  let one_by_one, one_counts = counted (fun () -> List.map (Paillier.scalar_mul pub cts.(0)) ks) in
+  Alcotest.(check bool) "each = scalar_mul per weight" true (List.for_all2 Paillier.equal_ct each one_by_one);
+  Alcotest.(check (list int)) "each: same counts" one_counts each_counts
+
 (* ---------------- latency model ---------------- *)
 
 let test_latency_model () =
@@ -877,7 +969,9 @@ let suite =
         prop_sec_dedup;
         prop_sec_update;
         Alcotest.test_case "S2 refuses a ragged grid or field count" `Quick test_pick_refusals;
-        Alcotest.test_case "a short reply is a Proto_error" `Quick test_pick_desync
+        Alcotest.test_case "a short reply is a Proto_error" `Quick test_pick_desync;
+        Alcotest.test_case "a non-unit reply is a Proto_error" `Quick test_pick_non_unit;
+        Alcotest.test_case "shared tables = separate calls" `Quick test_shared_tables
       ] );
     ("latency", [ Alcotest.test_case "50 Mbps link model" `Quick test_latency_model ]);
     ("trace", [ Alcotest.test_case "records events" `Quick test_trace_records ])
