@@ -1,14 +1,12 @@
 (* Ablation benches for the design choices called out in DESIGN.md:
    - EncSort strategy: bitonic network (faithful to [7]) vs one-round
      blinded sort;
-   - halting test: full NRA bound check vs the paper-literal (k+1)-only
-     check;
-   - blinding exponent width: full Z_n vs statistical.
+   - blinding exponent width: full Z_n vs statistical;
+   - database encryption across OCaml domains.
    These quantify what each engineering decision buys or costs. *)
 
 open Crypto
 open Dataset
-open Topk
 open Bench_util
 
 let sort_strategies () =
@@ -37,44 +35,6 @@ let sort_strategies () =
       row "%6d %16.3f %16.3f %16.1f %16.1f@." l tn tb
         (float_of_int bn /. 1024.) (float_of_int bb /. 1024.))
     [ 8; 16; 32 ]
-
-let halting_checks () =
-  header "ablation: halting test `All (NRA-complete) vs `KthOnly (paper-literal)";
-  row "%12s %14s %14s %12s %12s@." "dataset" "All t/depth" "Kth t/depth" "All depth" "Kth depth";
-  List.iter
-    (fun rel ->
-      let run halting =
-        let ctx = fresh_ctx () in
-        let er, key = Sectopk.Scheme.encrypt ~s:ehl_s (Rng.fork rng ~label:"enc") pub rel in
-        let tk = Sectopk.Scheme.token key ~m_total:(Relation.n_attrs rel) (Scoring.sum_of [ 0; 1; 2 ]) ~k:5 in
-        let res =
-          Sectopk.Query.run ctx er tk
-            { Sectopk.Query.default_options with variant = Sectopk.Query.Elim; halting;
-              max_depth = Some 25 }
-        in
-        (mean res.Sectopk.Query.depth_seconds, res.Sectopk.Query.halting_depth)
-      in
-      let ta, da = run `All in
-      let tk_, dk = run `KthOnly in
-      row "%12s %13.3fs %13.3fs %12d %12d@." (Relation.name rel) ta tk_ da dk)
-    (eval_datasets ~rows:60)
-
-let compare_protocols () =
-  header "ablation: EncCompare instantiations (blinded sign vs DGK bitwise)";
-  row "%14s %16s %16s@." "" "us per compare" "bytes";
-  let run name f =
-    let ctx = fresh_ctx () in
-    let a = Paillier.encrypt rng pub (Bignum.Nat.of_int 123) in
-    let b = Paillier.encrypt rng pub (Bignum.Nat.of_int 456) in
-    let reps = 30 in
-    let (), t = time (fun () -> for _ = 1 to reps do ignore (f ctx a b) done) in
-    row "%14s %16.1f %16d@." name
-      (1e6 *. t /. float_of_int reps)
-      (Proto.Channel.bytes_total (Proto.Ctx.channel ctx) / reps)
-  in
-  run "blinded-sign" (fun ctx a b -> Proto.Enc_compare.leq ctx a b);
-  run "dgk-16" (fun ctx a b -> Proto.Enc_compare.leq_dgk ctx ~bits:16 a b);
-  run "dgk-32" (fun ctx a b -> Proto.Enc_compare.leq_dgk ctx ~bits:32 a b)
 
 let blinding_width () =
   header "ablation: statistical blinding width (EHL+ diff cost)";
@@ -117,7 +77,5 @@ let parallel_encryption () =
 
 let run () =
   sort_strategies ();
-  halting_checks ();
-  compare_protocols ();
   blinding_width ();
   parallel_encryption ()

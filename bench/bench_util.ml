@@ -157,7 +157,7 @@ let run_query ?(sort = Proto.Enc_sort.Blinded) ?max_depth ?hist ~variant rel sco
   let ctx = fresh_ctx () in
   let er, key = Sectopk.Scheme.encrypt ~s:ehl_s (Rng.fork rng ~label:"enc") pub rel in
   let tk = Sectopk.Scheme.token key ~m_total:(Relation.n_attrs rel) scoring ~k in
-  let options = { Sectopk.Query.default_options with variant; sort; max_depth } in
+  let options = { Sectopk.Query.variant; sort; max_depth } in
   let res = Sectopk.Query.run ctx er tk options in
   Option.iter
     (fun h -> Array.iter (Obs.Hist.record_seconds h) res.Sectopk.Query.depth_seconds)

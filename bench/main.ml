@@ -35,7 +35,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("store", "durable index: build/publish, cold-open vs warm-cache query", Bench_store.run);
     ("shard", "scatter-gather throughput vs shard count (1/2/4 shards)", Bench_shard.run);
     ("micro", "micro-benchmarks of the crypto substrate", Bench_micro.run);
-    ("ablation", "design-choice ablations (sort strategy, halting, blinding)", Bench_ablation.run)
+    ("ablation", "design-choice ablations (sort strategy, blinding, parallel encryption)", Bench_ablation.run)
   ]
 
 let () =

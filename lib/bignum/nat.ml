@@ -5,7 +5,7 @@
    first.
 
    Base 2^52 packs twice as many bits per limb as the old base-2^26
-   representation (retained verbatim as [Nat_ref] for differential
+   representation (retained verbatim as test/nat_ref.ml for differential
    testing), halving the limb count of every operand and with it the
    loop/carry overhead of schoolbook multiplication and CIOS Montgomery
    reduction. A 52x52-bit limb product no longer fits a 63-bit native

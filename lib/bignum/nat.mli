@@ -3,8 +3,8 @@
     Values are immutable little-endian limb vectors in base [2^52]. Limb
     products are formed from 26-bit half-limbs so that every intermediate
     fits OCaml's 63-bit native [int], which lets every inner loop run on
-    unboxed integers (see nat.ml for the bounds; {!Nat_ref} retains the
-    old base-2^26 code as a differential-test oracle). All results are
+    unboxed integers (see nat.ml for the bounds; test/nat_ref.ml retains
+    the old base-2^26 code as a differential-test oracle). All results are
     normalized (no most-significant zero limbs); [zero] is the empty
     vector. *)
 

@@ -55,99 +55,3 @@ let leq_many (ctx : Ctx.t) pairs =
     List.mapi
       (fun i (coin, _) -> if coin then signs.(i) <= 0 else signs.(i) >= 0)
       prepared
-
-(* ---------------- DGK / Veugen bitwise comparison ---------------- *)
-
-let dgk_protocol = "EncCompareDGK"
-let statistical_slack = 40
-
-let leq_dgk (ctx : Ctx.t) ~bits a b =
-  Obs.span dgk_protocol @@ fun () ->
-  let s1 = ctx.Ctx.s1 in
-  let pub = s1.pub in
-  let open Bignum in
-  if bits + statistical_slack + 2 >= Nat.bit_length pub.Paillier.n then
-    invalid_arg "Enc_compare.leq_dgk: bits too large for the modulus";
-  (* d = 2^bits + b - a  (in [1, 2^(bits+1)) for inputs < 2^bits) *)
-  let d =
-    Paillier.add pub
-      (Paillier.trivial pub (Nat.shift_left Nat.one bits))
-      (Paillier.sub pub b a)
-  in
-  (* S1 blinds additively with bits+slack randomness and ships it; S2
-     decrypts z and reveals the low word bit-wise under encryption plus
-     the (blinded) parity of the high word *)
-  let r = Rng.nat_bits s1.rng (bits + statistical_slack) in
-  let z_ct = Paillier.add pub d (Paillier.encrypt s1.rng pub r) in
-  let z_bit_cts, z_high_parity =
-    match Ctx.rpc ctx ~label:dgk_protocol (Wire.Dgk_low_bits { bits; z = z_ct }) with
-    | Wire.Dgk_bits { bit_cts; parity } -> (bit_cts, parity)
-    | _ -> failwith "Enc_compare.leq_dgk: unexpected response"
-  in
-  (* --- S1: DGK zero-test for borrow = [z mod 2^bits < r mod 2^bits],
-     direction-masked by the coin s --- *)
-  let coin = Rng.bool s1.rng in
-  let s_term = if coin then 1 else -1 in
-  let r_bit i = if Nat.nth_bit r i then 1 else 0 in
-  let enc_const v =
-    if v >= 0 then Paillier.trivial pub (Nat.of_int v)
-    else Paillier.neg pub (Paillier.trivial pub (Nat.of_int (-v)))
-  in
-  let z_arr = Array.of_list z_bit_cts in
-  (* w_j = z_j XOR r_j, homomorphically (r_j is S1-known) *)
-  let w j =
-    if r_bit j = 0 then z_arr.(j) else Paillier.sub pub (enc_const 1) z_arr.(j)
-  in
-  let cs =
-    List.init bits (fun i ->
-        (* c_i = s + z_i - r_i + 3 * sum_{j>i} w_j *)
-        let tail = ref (enc_const 0) in
-        for j = i + 1 to bits - 1 do
-          tail := Paillier.add pub !tail (w j)
-        done;
-        let c =
-          Paillier.add pub
-            (Paillier.add pub z_arr.(i) (enc_const (s_term - r_bit i)))
-            (Paillier.scalar_mul pub !tail (Nat.of_int 3))
-        in
-        Paillier.scalar_mul pub c (Gadgets.blind_scalar s1))
-  in
-  let cs_arr = Array.of_list cs in
-  ignore (Rng.shuffle s1.rng cs_arr);
-  (* S2: does any c_i decrypt to zero? *)
-  let lambda =
-    match Ctx.rpc ctx ~label:dgk_protocol (Wire.Zero_any (Array.to_list cs_arr)) with
-    | Wire.Bit lambda -> lambda
-    | _ -> failwith "Enc_compare.leq_dgk: unexpected response"
-  in
-  (* --- S1: unmask the coin to obtain borrow = [z~ < r~] --- *)
-  let borrow =
-    if coin then lambda (* s = +1: lambda = [z~ < r~] directly *)
-    else begin
-      (* s = -1: lambda = [z~ > r~], so [z~ < r~] = not lambda AND z~ <> r~;
-         the equality corner is resolved with one extra blinded zero-test *)
-      let zt =
-        let acc = ref (enc_const 0) in
-        for j = 0 to bits - 1 do
-          acc := Paillier.add pub !acc (Paillier.scalar_mul pub z_arr.(j) (Nat.shift_left Nat.one j))
-        done;
-        !acc
-      in
-      let r_low = Nat.rem r (Nat.shift_left Nat.one bits) in
-      let diff = Paillier.sub pub zt (Paillier.trivial pub r_low) in
-      let blinded = Paillier.scalar_mul pub diff (Gadgets.blind_scalar s1) in
-      let equal =
-        match Ctx.rpc ctx ~label:dgk_protocol (Wire.Zero_test blinded) with
-        | Wire.Bit equal -> equal
-        | _ -> failwith "Enc_compare.leq_dgk: unexpected response"
-      in
-      (not lambda) && not equal
-    end
-  in
-  (* d_high = z_high - r_high - borrow; inputs < 2^bits make d_high a bit *)
-  let r_high_parity = Nat.nth_bit r bits in
-  let d_high =
-    (Bool.to_int z_high_parity - Bool.to_int r_high_parity - Bool.to_int borrow) land 1
-  in
-  (* f = (a <= b) iff d >= 2^bits iff d_high = 1 *)
-  d_high = 1

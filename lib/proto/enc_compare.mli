@@ -21,15 +21,3 @@ val leq : Ctx.t -> Paillier.ciphertext -> Paillier.ciphertext -> bool
     one batch frame. *)
 val leq_many :
   Ctx.t -> (Paillier.ciphertext * Paillier.ciphertext) list -> bool list
-
-(** [leq_dgk ctx ~bits a b] — the DGK/Veugen bitwise comparison, the
-    protocol family [11] actually builds on: S1 forms
-    [Enc(d) = Enc(2^bits + b - a)], statistically blinds it, S2 decrypts
-    the blinded value and returns bit encryptions of its low word, and the
-    parties resolve the borrow with the DGK zero-test under a direction
-    coin. S2 sees only uniform values and one coin-masked bit; unlike
-    {!leq}, not even a randomized difference magnitude leaks. Requires
-    [0 <= a, b < 2^bits] (no signed encoding; the caller maps sentinels).
-    Costs O(bits) ciphertexts per call — the ablation bench quantifies the
-    gap to {!leq}. *)
-val leq_dgk : Ctx.t -> bits:int -> Paillier.ciphertext -> Paillier.ciphertext -> bool

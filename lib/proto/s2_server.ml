@@ -159,17 +159,6 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
       (List.mapi
          (fun i b -> Paillier.encrypt t.rng t.pub (if b then vs.(i mod m) else Nat.zero))
          bs)
-  | Wire.Dgk_low_bits { bits; z } ->
-    let zv = Paillier.decrypt t.sk z in
-    let z_bits = List.init bits (fun i -> if Nat.nth_bit zv i then 1 else 0) in
-    let bit_cts = List.map (fun v -> Paillier.encrypt t.rng t.pub (Nat.of_int v)) z_bits in
-    Wire.Dgk_bits { bit_cts; parity = Nat.nth_bit zv bits }
-  | Wire.Zero_any cs ->
-    let lambda = List.exists (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) cs in
-    Trace.record t.trace
-      (Trace.Comparison { protocol = label; ordering = Bool.to_int lambda });
-    Wire.Bit lambda
-  | Wire.Zero_test c -> Wire.Bit (Nat.is_zero (Paillier.decrypt t.sk c))
   | Wire.Mult (a, b) ->
     let n = t.pub.Paillier.n in
     let ha = Paillier.decrypt t.sk a and hb = Paillier.decrypt t.sk b in

@@ -1,8 +1,8 @@
 (** What the Crypto Cloud S2 actually observes during query processing.
 
     Each sub-protocol appends the *decrypted view* S2 obtains to this log.
-    The {!Sectopk.Leakage} module reduces a trace to the paper's leakage
-    profiles, and the security tests assert that traces of databases that
+    The tests' [Leakage] module (test/leakage.ml) reduces a trace to the
+    paper's leakage profiles, and the security tests assert that traces of databases that
     agree on the leakage are identically distributed in shape. *)
 
 type event =

@@ -12,9 +12,6 @@ type tuple = {
 
 type request =
   | Sign_of of Paillier.ciphertext
-  | Dgk_low_bits of { bits : int; z : Paillier.ciphertext }
-  | Zero_any of Paillier.ciphertext list
-  | Zero_test of Paillier.ciphertext
   | Mult of Paillier.ciphertext * Paillier.ciphertext
   | Lsb of Paillier.ciphertext
   | Dedup of { diffs : Paillier.ciphertext list; items : (Enc_item.masked * Enc_item.pack) list }
@@ -45,8 +42,6 @@ type request =
 type response =
   | Sign of int
   | Ct of Paillier.ciphertext
-  | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
-  | Bit of bool
   | Items of (Enc_item.masked * Enc_item.pack) list
   | Sorted of Enc_item.scored list
   | Pair of Enc_item.scored * Enc_item.scored
@@ -168,20 +163,16 @@ let keys_of ~pub ~own_pub =
   in
   let items = list (pair masked pack) in
   let mode = conv (fun e -> if e then Eliminate else Replace) (( = ) Eliminate) bool in
-  let bits = check (fun b -> b > 0 && b <= 4096) "bad bit width" int in
   (* request tags 2, 3 and 4 (SecJoin's Damgård–Jurik equality,
      conjunction and RecoverEnc rounds), 5 (SecRefresh's Damgård–Jurik
-     lift), 11 (SecDedup with a mode byte), 12 (SecUpdate's
-     Damgård–Jurik flags) and 25 (SecJoin's pick with a group of diffs
-     per combination) and response tags 2 (the doubly encrypted bits)
-     and 6 (the flags' reply) are retired: reusing one would misparse an
-     older peer *)
+     lift), 6, 7 and 8 (the DGK comparison's low bits and zero tests),
+     11 (SecDedup with a mode byte), 12 (SecUpdate's Damgård–Jurik
+     flags) and 25 (SecJoin's pick with a group of diffs per
+     combination) and response tags 2 (the doubly encrypted bits), 4 and
+     5 (the DGK bits and zero-test bit) and 6 (the flags' reply) are
+     retired: reusing one would misparse an older peer *)
   let requests =
     [ Case (1, ct, (fun c -> Sign_of c), function Sign_of c -> Some c | _ -> None);
-      Case (6, pair bits ct, (fun (bits, z) -> Dgk_low_bits { bits; z }),
-            function Dgk_low_bits { bits; z } -> Some (bits, z) | _ -> None);
-      Case (7, cts, (fun l -> Zero_any l), function Zero_any l -> Some l | _ -> None);
-      Case (8, ct, (fun c -> Zero_test c), function Zero_test c -> Some c | _ -> None);
       Case (9, pair ct ct, (fun (a, b) -> Mult (a, b)),
             function Mult (a, b) -> Some (a, b) | _ -> None);
       Case (10, ct, (fun c -> Lsb c), function Lsb c -> Some c | _ -> None);
@@ -221,9 +212,6 @@ let keys_of ~pub ~own_pub =
   let responses =
     [ Case (1, sign, (fun s -> Sign s), function Sign s -> Some s | _ -> None);
       Case (3, ct, (fun c -> Ct c), function Ct c -> Some c | _ -> None);
-      Case (4, pair cts bool, (fun (bit_cts, parity) -> Dgk_bits { bit_cts; parity }),
-            function Dgk_bits { bit_cts; parity } -> Some (bit_cts, parity) | _ -> None);
-      Case (5, bool, (fun b -> Bit b), function Bit b -> Some b | _ -> None);
       Case (7, items, (fun l -> Items l), function Items l -> Some l | _ -> None);
       Case (8, list scored, (fun l -> Sorted l), function Sorted l -> Some l | _ -> None);
       Case (9, pair scored scored, (fun (x, y) -> Pair (x, y)),

@@ -49,10 +49,6 @@ type tuple = {
 
 type request =
   | Sign_of of Paillier.ciphertext  (** EncCompare: sign of a blinded difference *)
-  | Dgk_low_bits of { bits : int; z : Paillier.ciphertext }
-      (** DGK: bitwise decomposition of the blinded difference *)
-  | Zero_any of Paillier.ciphertext list  (** DGK: any c_i = 0? (traced) *)
-  | Zero_test of Paillier.ciphertext  (** DGK equality corner (untraced) *)
   | Mult of Paillier.ciphertext * Paillier.ciphertext  (** SKNN secure multiply *)
   | Lsb of Paillier.ciphertext  (** SBD bit extraction *)
   | Dedup of {
@@ -113,8 +109,6 @@ type request =
 type response =
   | Sign of int  (** -1 | 0 | 1 *)
   | Ct of Paillier.ciphertext
-  | Dgk_bits of { bit_cts : Paillier.ciphertext list; parity : bool }
-  | Bit of bool
   | Items of (Enc_item.masked * Enc_item.pack) list
   | Sorted of Enc_item.scored list
   | Pair of Enc_item.scored * Enc_item.scored

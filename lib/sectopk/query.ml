@@ -6,11 +6,10 @@ type variant = Full | Elim | Batched of int
 type options = {
   variant : variant;
   sort : Enc_sort.strategy;
-  halting : [ `All | `KthOnly ];
   max_depth : int option;
 }
 
-let default_options = { variant = Full; sort = Enc_sort.Blinded; halting = `All; max_depth = None }
+let default_options = { variant = Full; sort = Enc_sort.Blinded; max_depth = None }
 
 type result = {
   top : Enc_item.scored list;
@@ -28,25 +27,18 @@ let rec drop n = function [] -> [] | _ :: rest as l -> if n = 0 then l else drop
 (* The NRA bound test over the sorted encrypted list (Algorithm 3 lines
    10-12), completed with one unseen-object bound per shard that still
    has unseen rows: an unseen object lives in exactly one shard, so its
-   best possible score is that shard's bottom-score sum. *)
-let halting_test ctx ~halting ~k ~sorted ~unseen_bounds =
+   best possible score is that shard's bottom-score sum. Every candidate
+   test and every shard's unseen-bound test go in one batch round:
+   checkpoint rounds are flat in the shard count. *)
+let halting_test ctx ~k ~sorted ~unseen_bounds =
   if List.length sorted < k then false
   else begin
     let wk = (List.nth sorted (k - 1)).Enc_item.worst in
-    let rest = drop k sorted in
-    match halting with
-    | `All ->
-      (* every candidate test and every shard's unseen-bound test in one
-         batch round: checkpoint rounds are flat in the shard count *)
-      let pairs =
-        List.map (fun (it : Enc_item.scored) -> (it.Enc_item.best, wk)) rest
-        @ List.map (fun b -> (b, wk)) unseen_bounds
-      in
-      List.for_all Fun.id (Enc_compare.leq_many ctx pairs)
-    | `KthOnly ->
-      let leq = Enc_compare.leq ctx in
-      (match rest with [] -> true | next :: _ -> leq next.Enc_item.best wk)
-      && List.for_all (fun b -> leq b wk) unseen_bounds
+    let pairs =
+      List.map (fun (it : Enc_item.scored) -> (it.Enc_item.best, wk)) (drop k sorted)
+      @ List.map (fun b -> (b, wk)) unseen_bounds
+    in
+    List.for_all Fun.id (Enc_compare.leq_many ctx pairs)
   end
 
 let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
@@ -191,8 +183,7 @@ let run_sharded (ctx : Ctx.t) ers (tk : Scheme.token) options =
       in
       last_sorted := Some sorted;
       halted :=
-        d >= n_max - 1
-        || halting_test ctx ~halting:options.halting ~k ~sorted ~unseen_bounds
+        d >= n_max - 1 || halting_test ctx ~k ~sorted ~unseen_bounds
     end
     in
     timings := dt :: !timings;

@@ -12,10 +12,9 @@
     The halting test sorts [T] by worst score and, following the NRA
     condition, halts when the best score of every candidate outside the
     top-k — and of every unseen object (bounded by the sum of the current
-    bottom scores) — is at most the k-th worst score. [`KthOnly] checks
-    only the (k+1)-th candidate, which is the paper's literal Algorithm 3
-    line 10 (kept for ablation; it can halt early on adversarial data —
-    see DESIGN.md).
+    bottom scores) — is at most the k-th worst score. The paper's
+    literal Algorithm 3 line 10 checks only the (k+1)-th candidate, which
+    can halt early on adversarial data (DESIGN.md §3a item 3).
 
     Best scores come from SecRefresh alone (DESIGN §3a items 1 and 13):
     it rewrites every candidate's [best] right before each halting test
@@ -27,7 +26,6 @@ type variant = Full | Elim | Batched of int
 type options = {
   variant : variant;
   sort : Proto.Enc_sort.strategy;
-  halting : [ `All | `KthOnly ];
   max_depth : int option;  (** Cap on scanned depths (benchmarks). *)
 }
 (** The halting tests compare with the blinded-sign EncCompare

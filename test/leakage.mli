@@ -12,7 +12,7 @@
 
 (** Query pattern: [qp tokens] is the repetition matrix — entry [(i, j)],
     [j <= i], is [true] iff query [i] equals query [j] (Section 9). *)
-val query_pattern : Scheme.token list -> bool array array
+val query_pattern : Sectopk.Scheme.token list -> bool array array
 
 type profile = {
   equality_rounds : int;

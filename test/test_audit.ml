@@ -10,9 +10,10 @@
 
    (a) shape: a relation and its x10 scaling give SecRefresh, SecWorst,
        SecDedup and SecUpdate requests of identical kinds, counts and
-       sizes, under Full and Elim, with 1 and 2 shards;
+       sizes, under Full and Elim with 1 and 2 shards and under
+       Batched 2 with 1;
    (b) masked values: the values SecRefresh, SecWorst, SecUpdate,
-       SecDedup's Replace mode and SecJoin's join pick hand S2 to
+       SecDedup (both modes) and SecJoin's join pick hand S2 to
        decrypt are never below 2^64 and their top-byte histograms agree
        between the two relations; no two masked values of a session lie
        within 2^64 of each other (a repeated or shared mask would);
@@ -54,9 +55,6 @@ let masked_cts (it : Enc_item.masked) =
 let describe (req : Wire.request) =
   match req with
   | Wire.Sign_of c -> ("Sign_of", [ 1 ], [ c ])
-  | Wire.Dgk_low_bits { bits; z } -> ("Dgk_low_bits", [ bits ], [ z ])
-  | Wire.Zero_any l -> ("Zero_any", [ List.length l ], l)
-  | Wire.Zero_test c -> ("Zero_test", [ 1 ], [ c ])
   | Wire.Mult (a, b) -> ("Mult", [ 2 ], [ a; b ])
   | Wire.Lsb c -> ("Lsb", [ 1 ], [ c ])
   | Wire.Dedup { diffs; items; _ } ->
@@ -95,10 +93,9 @@ let describe (req : Wire.request) =
 
 let rec reply_cts (resp : Wire.response) =
   match resp with
-  | Wire.Sign _ | Wire.Bit _ | Wire.Indices _ | Wire.Slot _ -> []
+  | Wire.Sign _ | Wire.Indices _ | Wire.Slot _ -> []
   | Wire.Ct c -> [ c ]
   | Wire.Cts l | Wire.Picked { cts = l; _ } -> l
-  | Wire.Dgk_bits { bit_cts; _ } -> bit_cts
   | Wire.Items l -> List.concat_map (fun (it, _) -> masked_cts it) l
   | Wire.Sorted l -> List.concat_map scored_cts l
   | Wire.Pair (x, y) -> scored_cts x @ scored_cts y
@@ -189,7 +186,8 @@ let configs =
   [ ("Full, 1 shard", Query.Full, 1);
     ("Full, 2 shards", Query.Full, 2);
     ("Elim, 1 shard", Query.Elim, 1);
-    ("Elim, 2 shards", Query.Elim, 2) ]
+    ("Elim, 2 shards", Query.Elim, 2);
+    ("Batched 2, 1 shard", Query.Batched 2, 1) ]
 
 (* ---------------- (a) shape ---------------- *)
 
@@ -359,7 +357,9 @@ let test_masked () =
   check_uniform "SecRefresh masked values" ma mb
 
 (* A pick request carries its diffs first, then the values it masked:
-   [counts] starts with the diff count for every pick kind. *)
+   [counts] starts with the diff count for every pick kind, and for
+   SecDedup's Eliminate request ("Dedup"), whose masked items follow its
+   diffs. *)
 let pick_kinds = [ "Worst_pick"; "Update_pick"; "Dedup_pick"; "Join_pick" ]
 
 let pick_masked kind s =
@@ -384,10 +384,10 @@ let test_join_masked () =
     (collect (pick_masked kind) (join_session 1))
     (collect (pick_masked kind) (join_session 10))
 
-(* Every masked value S2 decrypts in one session, the SecRefresh bottoms
-   and every pick's: sorted round Z_n, no two neighbours lie within 2^64
-   of each other. A mask reused across values shows as a difference of
-   scores, a repeated value as 0. *)
+(* Every masked value S2 decrypts in one session, the SecRefresh bottoms,
+   every pick's and SecDedup's Eliminate items: sorted round Z_n, no two
+   neighbours lie within 2^64 of each other. A mask reused across values
+   shows as a difference of scores, a repeated value as 0. *)
 let test_no_close_masks () =
   List.iter
     (fun (name, sessions) ->
@@ -395,7 +395,8 @@ let test_no_close_masks () =
         (fun i s ->
           let vs =
             List.sort Nat.compare
-              (refresh_masked s @ List.concat_map (fun k -> pick_masked k s) pick_kinds)
+              (refresh_masked s
+              @ List.concat_map (fun k -> pick_masked k s) ("Dedup" :: pick_kinds))
           in
           let close a b = Nat.compare (Modular.sub b a ~m:s.n) two64 < 0 in
           let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
@@ -570,5 +571,7 @@ let () =
           Alcotest.test_case "(b) no two masked values of a session are close" `Quick
             test_no_close_masks;
           Alcotest.test_case "(e) every pick reply ciphertext occurs once" `Quick
-            test_fresh_replies
+            test_fresh_replies;
+          Alcotest.test_case "(b) SecDedup Eliminate masked items uniform" `Quick
+            (test_pick_masked "Dedup")
         ] ) ]

@@ -1,5 +1,5 @@
 (* Observability tests: (a) metrics/span determinism across domain-pool
-   widths, (b) the closed-form Obs.Cost_model against measured counters
+   widths, (b) the closed-form Cost_model (cost_model.ml) against measured counters
    (exact equality), (c) disabled observability changes nothing. *)
 
 open Bignum
@@ -39,7 +39,7 @@ let measure f =
 
 let params =
   {
-    Obs.Cost_model.cells = 4;
+    Cost_model.cells = 4;
     seen = 2;
     ct = Paillier.ciphertext_bytes pub;
     own_ct = Paillier.ciphertext_bytes s1.Ctx.own_pub;
@@ -54,33 +54,33 @@ let check_model name model measured =
         (name ^ ": " ^ Obs.Metrics.name op)
         expected
         (Obs.Metrics.get measured op))
-    (Obs.Cost_model.to_alist model)
+    (Cost_model.to_alist model)
 
 (* ---------------- cost model vs measured ---------------- *)
 
 let test_model_enc_compare () =
   let a = enc 3 and b = enc 5 in
   let m = measure (fun () -> ignore (Enc_compare.leq ctx a b)) in
-  check_model "enc_compare" (Obs.Cost_model.enc_compare params) m
+  check_model "enc_compare" (Cost_model.enc_compare params) m
 
 let test_model_sec_worst () =
   let target = entry "o1" 10 in
   let others = [ entry "o2" 8; entry "o3" 6 ] in
   let m = measure (fun () -> ignore (Sec_worst.run ctx ~target ~others)) in
-  check_model "sec_worst" (Obs.Cost_model.sec_worst params ~others:2) m
+  check_model "sec_worst" (Cost_model.sec_worst params ~others:2) m
 
 let test_model_sec_dedup () =
   (* Replace mode: 4 items, one duplicated pair -> 1 non-keeper *)
   let items = [ scored "o1" 5 9; scored "o2" 3 7; scored "o1" 4 8; scored "o3" 1 4 ] in
   let m = measure (fun () -> ignore (Sec_dedup.run ctx ~mode:Sec_dedup.Replace items)) in
   check_model "sec_dedup replace"
-    (Obs.Cost_model.sec_dedup params ~mode:`Replace ~items:4 ~dups:1)
+    (Cost_model.sec_dedup params ~mode:`Replace ~items:4 ~dups:1)
     m;
   (* Eliminate mode: 4 items, a triple -> 2 non-keepers *)
   let items = [ scored "o1" 5 9; scored "o2" 3 7; scored "o1" 4 8; scored "o1" 2 6 ] in
   let m = measure (fun () -> ignore (Sec_dedup.run ctx ~mode:Sec_dedup.Eliminate items)) in
   check_model "sec_dedup eliminate"
-    (Obs.Cost_model.sec_dedup params ~mode:`Eliminate ~items:4 ~dups:2)
+    (Cost_model.sec_dedup params ~mode:`Eliminate ~items:4 ~dups:2)
     m
 
 let test_model_enc_sort () =
@@ -88,17 +88,17 @@ let test_model_enc_sort () =
   let m =
     measure (fun () -> ignore (Enc_sort.sort ctx ~strategy:Enc_sort.Blinded items))
   in
-  check_model "enc_sort" (Obs.Cost_model.enc_sort_blinded params ~items:3) m
+  check_model "enc_sort" (Cost_model.enc_sort_blinded params ~items:3) m
 
 (* ---------------- sharded (many-form) cost models ---------------- *)
 
 let test_model_enc_compare_many () =
   let pairs = [ (enc 3, enc 5); (enc 7, enc 2); (enc 1, enc 1) ] in
   let m = measure (fun () -> ignore (Enc_compare.leq_many ctx pairs)) in
-  check_model "enc_compare_many" (Obs.Cost_model.enc_compare_many params ~pairs:3) m;
+  check_model "enc_compare_many" (Cost_model.enc_compare_many params ~pairs:3) m;
   (* a single pair must reduce to the singleton form *)
   Alcotest.(check bool) "1 pair = enc_compare" true
-    (Obs.Cost_model.enc_compare_many params ~pairs:1 = Obs.Cost_model.enc_compare params)
+    (Cost_model.enc_compare_many params ~pairs:1 = Cost_model.enc_compare params)
 
 let test_model_sec_worst_many () =
   (* three instances (a 3-list depth row), each against the other two *)
@@ -108,16 +108,16 @@ let test_model_sec_worst_many () =
         (row.(i), List.filteri (fun j _ -> j <> i) (Array.to_list row)))
   in
   let m = measure (fun () -> ignore (Sec_worst.run_many ctx instances)) in
-  check_model "sec_worst_many" (Obs.Cost_model.sec_worst_many params ~others:[ 2; 2; 2 ]) m;
+  check_model "sec_worst_many" (Cost_model.sec_worst_many params ~others:[ 2; 2; 2 ]) m;
   Alcotest.(check bool) "1 instance = sec_worst" true
-    (Obs.Cost_model.sec_worst_many params ~others:[ 2 ] = Obs.Cost_model.sec_worst params ~others:2)
+    (Cost_model.sec_worst_many params ~others:[ 2 ] = Cost_model.sec_worst params ~others:2)
 
 (* The load-bearing property of the scatter-gather design: crypto work of
    the phase-collapsed fleet is the SUM of the per-shard work, while the
    round count stays that of a single shard — and the checkpoint merge
    costs two rounds whatever the shard count. *)
 let test_model_shard_flatness () =
-  let open Obs.Cost_model in
+  let open Cost_model in
   let crypto c = (c.penc, c.pdec, c.pmul, c.prr) in
   List.iter
     (fun shards ->

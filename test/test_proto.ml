@@ -260,27 +260,6 @@ let test_enc_compare () =
   Alcotest.(check bool) "-1 <= 0" true (Enc_compare.leq ctx z (enc 0));
   Alcotest.(check bool) "0 <= -1 is false" false (Enc_compare.leq ctx (enc 0) z)
 
-let test_enc_compare_dgk_known () =
-  let check a b =
-    Alcotest.(check bool)
-      (Printf.sprintf "dgk %d <= %d" a b)
-      (a <= b)
-      (Enc_compare.leq_dgk ctx ~bits:16 (enc a) (enc b))
-  in
-  check 3 5;
-  check 5 3;
-  check 4 4;
-  check 0 0;
-  check 0 65535;
-  check 65535 0;
-  check 65535 65535
-
-let prop_enc_compare_dgk =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:60 ~name:"DGK comparison matches plaintext order"
-       QCheck.(pair (int_bound 65535) (int_bound 65535))
-       (fun (a, b) -> Enc_compare.leq_dgk ctx ~bits:16 (enc a) (enc b) = (a <= b)))
-
 let prop_enc_compare =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60 ~name:"EncCompare matches plaintext order"
@@ -461,7 +440,7 @@ let test_sec_refresh_desync () =
       (fun (op, _) ->
         match op with
         | Wire.Mux_req { req = Wire.Refresh _; _ } -> Wire.Mux_answer (Wire.Cts [ enc 1 ])
-        | Wire.Mux_req _ -> Wire.Mux_answer (Wire.Bit true)
+        | Wire.Mux_req _ -> Wire.Mux_answer (Wire.Sign 1)
         | _ -> Wire.Mux_ok)
       ops
   in
@@ -935,9 +914,7 @@ let suite =
       ] );
     ( "enc-compare",
       [ Alcotest.test_case "known orders + sentinel" `Quick test_enc_compare;
-        Alcotest.test_case "DGK known orders" `Quick test_enc_compare_dgk_known;
-        prop_enc_compare;
-        prop_enc_compare_dgk
+        prop_enc_compare
       ] );
     ( "enc-sort",
       [ Alcotest.test_case "blinded strategy" `Quick (sort_test Enc_sort.Blinded);

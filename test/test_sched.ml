@@ -476,7 +476,7 @@ let test_rpc_batch_desync () =
         match op with
         | Wire.Mux_req { req = Wire.Batch _; _ } ->
           Wire.Mux_answer (Wire.Batch_resp []) (* wrong arity *)
-        | Wire.Mux_req _ -> Wire.Mux_answer (Wire.Bit true)
+        | Wire.Mux_req _ -> Wire.Mux_answer (Wire.Sign 1)
         | _ -> Wire.Mux_ok)
       ops
   in

@@ -202,13 +202,6 @@ let test_fig3_network_sort () =
   let ids = List.map (fun (id, _, _) -> id) (Client.real_results ctx key ~ids:(ids_of fig3) res) in
   Alcotest.(check (list string)) "network sort same answer" [ "o2"; "o1" ] ids
 
-let test_fig3_kth_only () =
-  let options = { Query.default_options with variant = Query.Elim; halting = `KthOnly } in
-  let f = Scoring.sum_of [ 0; 1; 2 ] in
-  let ctx, key, res = run_query ~options fig3 f ~k:2 in
-  let ids = List.map (fun (id, _, _) -> id) (Client.real_results ctx key ~ids:(ids_of fig3) res) in
-  Alcotest.(check (list string)) "paper-literal halting, same answer here" [ "o2"; "o1" ] ids
-
 (* ---------------- SecQuery vs oracle on random data ---------------- *)
 
 let random_rel seed rows attrs hi =
@@ -702,8 +695,7 @@ let suite =
         Alcotest.test_case "Qry_E answers Figure 3" `Quick test_fig3_elim;
         Alcotest.test_case "Qry_Ba answers Figure 3" `Quick test_fig3_batched;
         Alcotest.test_case "halting depth = 3" `Quick test_fig3_halting_depth;
-        Alcotest.test_case "network sort variant" `Quick test_fig3_network_sort;
-        Alcotest.test_case "paper-literal halting" `Quick test_fig3_kth_only
+        Alcotest.test_case "network sort variant" `Quick test_fig3_network_sort
       ] );
     ( "secquery-random",
       [ prop_secure_elim;

@@ -226,71 +226,6 @@ let test_nra_skewed_halts_early () =
   let _, stats = Nra.run sl (Scoring.sum_of [ 0; 1; 2 ]) ~k:5 in
   Alcotest.(check bool) "halts well before n" true (stats.Nra.halting_depth < 100)
 
-(* ---------------- TA ---------------- *)
-
-let test_ta_example () =
-  let sl = Sorted_lists.of_relation rel3 in
-  let f = Scoring.sum_of [ 0; 1; 2 ] in
-  let results, stats = Ta.run sl f ~k:2 in
-  Alcotest.(check (list (pair int int))) "exact top-2"
-    [ (2, 18); (1, 16) ]
-    (List.map (fun r -> (r.Ta.oid, r.Ta.score)) results);
-  Alcotest.(check bool) "random accesses happened" true (stats.Ta.random_accesses > 0)
-
-(* TA halts once the k-th score reaches the threshold, so on a tie at
-   rank k it may keep either tied object while the oracle breaks ties by
-   id. A correct answer has the oracle's score list, distinct ids, and
-   each object's exact score. *)
-let ta_agrees_with_oracle (seed, k, m) =
-  let rel = Synthetic.generate ~seed:(string_of_int seed) ~name:"ta" ~rows:50 ~attrs:m
-              (Synthetic.Uniform { lo = 0; hi = 40 }) in
-  let f = Scoring.sum_of (List.init m Fun.id) in
-  let results, _ = Ta.run (Sorted_lists.of_relation rel) f ~k in
-  let ids = List.map (fun r -> r.Ta.oid) results in
-  List.map (fun r -> r.Ta.score) results = List.map snd (Naive_topk.run rel f ~k)
-  && List.for_all (fun r -> r.Ta.score = Scoring.score f rel r.Ta.oid) results
-  && List.length (List.sort_uniq compare ids) = List.length ids
-
-let prop_ta_matches_oracle =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:80 ~name:"TA returns the exact oracle answer"
-       QCheck.(triple (int_bound 100_000) (int_range 1 8) (int_range 2 4))
-       ta_agrees_with_oracle)
-
-(* (seed, k, m) cases that tie at rank k: at (78453, 6, 2) TA keeps
-   object 28 and the oracle object 27, both at score 64 *)
-let test_ta_ties_at_rank_k () =
-  List.iter
-    (fun ((seed, k, m) as case) ->
-      Alcotest.(check bool) (Printf.sprintf "(%d, %d, %d)" seed k m) true
-        (ta_agrees_with_oracle case))
-    [ (78453, 6, 2); (12900, 4, 2) ]
-
-let prop_ta_halts_no_later_than_nra =
-  (* TA's exact scores let it halt at or before NRA's depth — the price is
-     the random accesses NRA is chosen to avoid *)
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:40 ~name:"TA halting depth <= NRA halting depth"
-       QCheck.(pair (int_bound 100_000) (int_range 1 6))
-       (fun (seed, k) ->
-         let rel = Synthetic.generate ~seed:(string_of_int seed) ~name:"tanra" ~rows:50 ~attrs:3
-                     (Synthetic.Uniform { lo = 0; hi = 40 }) in
-         let f = Scoring.sum_of [ 0; 1; 2 ] in
-         let sl = Sorted_lists.of_relation rel in
-         let _, ta = Ta.run sl f ~k in
-         let _, nra = Nra.run sl f ~k in
-         ta.Ta.halting_depth <= nra.Nra.halting_depth))
-
-let test_ta_random_access_growth () =
-  (* every distinct object seen costs one random access *)
-  let rel = Synthetic.generate ~seed:"taacc" ~name:"ta" ~rows:40 ~attrs:3
-      (Synthetic.Uniform { lo = 0; hi = 30 }) in
-  let sl = Sorted_lists.of_relation rel in
-  let _, stats = Ta.run sl (Scoring.sum_of [ 0; 1; 2 ]) ~k:5 in
-  Alcotest.(check bool) "at least k accesses" true (stats.Ta.random_accesses >= 5);
-  Alcotest.(check bool) "at most 3 per depth" true
-    (stats.Ta.random_accesses <= 3 * stats.Ta.halting_depth)
-
 let suite =
   [ ( "relation",
       [ Alcotest.test_case "basics" `Quick test_relation_basics;
@@ -320,13 +255,6 @@ let suite =
         prop_nra_correct_weighted;
         prop_nra_batched_same_answers;
         prop_nra_batched_halts_no_earlier
-      ] );
-    ( "ta",
-      [ Alcotest.test_case "exact answers on the example" `Quick test_ta_example;
-        Alcotest.test_case "random access accounting" `Quick test_ta_random_access_growth;
-        Alcotest.test_case "ties at rank k" `Quick test_ta_ties_at_rank_k;
-        prop_ta_matches_oracle;
-        prop_ta_halts_no_later_than_nra
       ] )
   ]
 

@@ -51,12 +51,9 @@ let tuple () =
   }
 
 (* One sample per constructor (plus empty-collection corners), covering
-   all 18 requests and 13 responses. *)
+   all 15 requests and 11 responses. *)
 let request_samples : (string * Wire.request) list =
   [ ("EncCompare", Wire.Sign_of (ct 42));
-    ("EncCompareDGK", Wire.Dgk_low_bits { bits = 16; z = ct 77 });
-    ("EncCompareDGK", Wire.Zero_any [ ct 0; ct 6 ]);
-    ("EncCompareDGK", Wire.Zero_test (ct 6));
     ("SkNN", Wire.Mult (ct 3, ct 4));
     ("SBD", Wire.Lsb (ct 9));
     ( "SecDedup",
@@ -95,7 +92,7 @@ let request_samples : (string * Wire.request) list =
     ( "EncSort",
       Wire.Batch
         [ Wire.Sign_of (ct 1);
-          Wire.Zero_any [ ct 2; ct 3 ];
+          Wire.Zero_slot [ ct 2; ct 3 ];
           Wire.Join_pick { diffs = [ ct 4 ]; fields = [ [] ] };
           Wire.Mult (ct 5, ct 6) ] );
     ("EncSort", Wire.Batch []) ]
@@ -105,8 +102,6 @@ let response_samples : Wire.response list =
     Wire.Sign 0;
     Wire.Sign 1;
     Wire.Ct (ct 12);
-    Wire.Dgk_bits { bit_cts = [ ct 0; ct 1 ]; parity = true };
-    Wire.Bit false;
     Wire.Items [ (masked "o1", pack ()) ];
     Wire.Sorted [ scored "o1"; scored "o2" ];
     Wire.Pair (scored "oa", scored "ob");
@@ -119,7 +114,7 @@ let response_samples : Wire.response list =
     Wire.Cts [];
     Wire.Picked { cts = [ ct 1; ct 2 ]; flags = [ true; false ] };
     Wire.Picked { cts = [ ct 3 ]; flags = [] };
-    Wire.Batch_resp [ Wire.Sign 1; Wire.Cts [ ct 0 ]; Wire.Ct (ct 7); Wire.Bit true ];
+    Wire.Batch_resp [ Wire.Sign 1; Wire.Cts [ ct 0 ]; Wire.Ct (ct 7); Wire.Sign 0 ];
     Wire.Batch_resp [] ]
 
 let control_samples : Wire.control list =
@@ -205,7 +200,7 @@ let test_control_roundtrip () =
     control_reply_samples
 
 let test_header_bytes () =
-  (* the per-frame overhead constants used by Obs.Cost_model *)
+  (* the per-frame overhead constants used by Cost_model (cost_model.ml) *)
   let s = Wire.encode_request keys ~session:0 ~label:"EncCompare" (Wire.Sign_of (ct 1)) in
   Alcotest.(check int) "request header + ct"
     (Wire.request_header_bytes ~label:"EncCompare" + Paillier.ciphertext_bytes pub)
@@ -295,29 +290,30 @@ let test_bad_header () =
   (* kind mismatch: a request frame is not a response/control and vice versa *)
   expect_invalid "request as response" (fun () -> ignore (Wire.decode_response keys s));
   expect_invalid "request as control" (fun () -> ignore (Wire.decode_control s));
-  let r = Wire.encode_response keys (Wire.Bit true) in
+  let r = Wire.encode_response keys (Wire.Sign 1) in
   expect_invalid "response as request" (fun () -> ignore (Wire.decode_request keys r));
   Alcotest.(check (option char)) "kind peek req" (Some 'Q') (Wire.frame_kind s);
   Alcotest.(check (option char)) "kind peek resp" (Some 'P') (Wire.frame_kind r)
 
 (* A retired tag is never reused, so a frame that carries one, from an
    older peer, is refused rather than misread: request tags 2, 3, 4
-   (SecJoin's Damgård–Jurik rounds), 5, 11, 12 and 25 (SecJoin's pick
-   with a group of diffs per combination), response tags 2 and 6. The
-   tag byte follows the magic, version and kind. *)
+   (SecJoin's Damgård–Jurik rounds), 5, 6, 7 and 8 (the DGK comparison),
+   11, 12 and 25 (SecJoin's pick with a group of diffs per combination),
+   response tags 2, 4 and 5 (the DGK replies) and 6. The tag byte
+   follows the magic, version and kind. *)
 let test_retired_tags () =
   let req = Wire.encode_request keys ~session:0 ~label:"SecJoin" (Wire.Sign_of (ct 1)) in
   List.iter
     (fun tag ->
       expect_invalid (Printf.sprintf "request tag %d" tag) (fun () ->
           ignore (Wire.decode_request keys (corrupt req 6 (Char.chr tag)))))
-    [ 2; 3; 4; 5; 11; 12; 25 ];
+    [ 2; 3; 4; 5; 6; 7; 8; 11; 12; 25 ];
   let resp = Wire.encode_response keys (Wire.Cts [ ct 1 ]) in
   List.iter
     (fun tag ->
       expect_invalid (Printf.sprintf "response tag %d" tag) (fun () ->
           ignore (Wire.decode_response keys (corrupt resp 6 (Char.chr tag)))))
-    [ 2; 6 ]
+    [ 2; 4; 5; 6 ]
 
 (* nested batches are illegal in both directions: the encoder refuses to
    produce them and the decoder refuses hand-crafted ones *)
@@ -331,11 +327,11 @@ let test_nested_batch () =
   (* a singleton batch frame with its inner element tag patched to the
      batch tag: the decoder must reject it before touching the payload *)
   let label = "EncSort" in
-  let s = Wire.encode_request keys ~session:0 ~label (Wire.Batch [ Wire.Zero_test (ct 6) ]) in
+  let s = Wire.encode_request keys ~session:0 ~label (Wire.Batch [ Wire.Lsb (ct 6) ]) in
   let inner_tag_pos = Wire.request_header_bytes ~label + 4 in
   expect_invalid "decode nested batch req" (fun () ->
       ignore (Wire.decode_request keys (corrupt s inner_tag_pos '\x13')));
-  let r = Wire.encode_response keys (Wire.Batch_resp [ Wire.Bit true ]) in
+  let r = Wire.encode_response keys (Wire.Batch_resp [ Wire.Sign 1 ]) in
   expect_invalid "decode nested batch resp" (fun () ->
       ignore (Wire.decode_response keys (corrupt r (Wire.response_header_bytes + 4) '\x0e')))
 
@@ -350,9 +346,9 @@ let mux_op_samples : Wire.mux_op list =
       {
         session = 2;
         label = "EncSort";
-        req = Wire.Batch [ Wire.Zero_test (ct 4); Wire.Zero_any [ ct 5; ct 6 ] ];
+        req = Wire.Batch [ Wire.Lsb (ct 4); Wire.Zero_slot [ ct 5; ct 6 ] ];
       };
-    Wire.Mux_req { session = 3; label = "DGK"; req = Wire.Zero_any [ ct 7 ] };
+    Wire.Mux_req { session = 3; label = "SkNN"; req = Wire.Zero_slot [ ct 7 ] };
     Wire.Mux_join { parent = 1; child = 3 };
     Wire.Mux_close { session = 2 };
     Wire.Mux_close { session = 1 } ]
@@ -362,8 +358,8 @@ let mux_reply_samples : Wire.mux_reply list =
     Wire.Mux_answer (Wire.Sign (-1));
     Wire.Mux_ok;
     Wire.Mux_ok;
-    Wire.Mux_answer (Wire.Batch_resp [ Wire.Bit false; Wire.Cts [ ct 1; ct 0 ] ]);
-    Wire.Mux_answer (Wire.Bit true);
+    Wire.Mux_answer (Wire.Batch_resp [ Wire.Sign 0; Wire.Cts [ ct 1; ct 0 ] ]);
+    Wire.Mux_answer (Wire.Sign 1);
     Wire.Mux_ok;
     Wire.Mux_ok;
     Wire.Mux_ok ]
@@ -426,12 +422,12 @@ let test_mux_malformed () =
                {
                  session = 1;
                  label = "EncSort";
-                 req = Wire.Batch [ Wire.Batch [ Wire.Zero_test (ct 1) ] ];
+                 req = Wire.Batch [ Wire.Batch [ Wire.Lsb (ct 1) ] ];
                } ]));
   let single =
     Wire.encode_mux keys
       [ Wire.Mux_req
-          { session = 1; label = "EncSort"; req = Wire.Batch [ Wire.Zero_test (ct 6) ] } ]
+          { session = 1; label = "EncSort"; req = Wire.Batch [ Wire.Lsb (ct 6) ] } ]
   in
   (* op tag, session, label("EncSort"), batch tag, count, inner tag *)
   let inner_tag_pos = hdr + 1 + 4 + (4 + 7) + 1 + 4 in
@@ -543,7 +539,7 @@ let test_oversized_prefix () =
    too: one SHA-256 over every sample frame (each length-prefixed) and
    every closed-form size, compared to the digest of the reference codec.
    A change here is a change of wire format. *)
-let golden_frames_sha256 = "537316c285b577ca687706722949487d90d3e38f926a059ba794ae9c7ab7f28a"
+let golden_frames_sha256 = "13e11dbc4fc8b16524aa6acac2581618e81249d8c8bb2701c477674d68009389"
 
 let test_golden_frames () =
   let h = Sha256.init () in
