@@ -8,7 +8,7 @@
 
    --clients N        top of the sweep axis (1,2,4,... up to N)
    --no-coalescing    dedicated per-client transports instead (the N x
-                      baseline; Loopback charges the same RTT per round)
+                      baseline; Inproc charges the same RTT per round)
    --rtt MICROS       link latency (default here: 10ms)
 
    The uncoalesced mode reports sum-of-rounds as its trip count: every
@@ -114,13 +114,9 @@ let run_point ~coalescing ~rtt_us ~baseline n =
             let session, mode =
               match sched with
               | Some s -> let id = Sched.open_query s in (Some id, Ctx.Mux (s, id))
-              | None -> (None, Ctx.Loopback)
+              | None -> (None, Ctx.Inproc)
             in
-            let ctx =
-              Ctx.of_keys ~blind_bits ~mode
-                ?rtt_us:(if coalescing then None else Some rtt_us)
-                ctx_rng pub sk
-            in
+            let ctx = Ctx.of_keys ~blind_bits ~mode ~rtt_us ctx_rng pub sk in
             ignore sk;
             let er, key = Sectopk.Scheme.encrypt ~s:Bench_util.ehl_s data_rng pub rel in
             let tk =

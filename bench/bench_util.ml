@@ -20,12 +20,7 @@ let ehl_s = 4
 let rng = Rng.create ~seed:"bench"
 let pub, sk = Paillier.keygen ~rand_bits rng ~bits:key_bits
 
-(* --transport inproc|loopback: which Ctx transport every benchmark
-   context uses (the codec/transport overhead axis; the daemon path is
-   exercised by the CLI, the tests and benchmark/, not this harness). *)
-let transport = ref Proto.Ctx.Inproc
-
-(* --rtt MICROS: simulated per-round latency injected by the Loopback
+(* --rtt MICROS: simulated per-round latency injected by the in-process
    transport — makes round counts visible as wall-clock, so batching wins
    show up in the timed columns, not only in the rounds columns. *)
 let rtt_us : int option ref = ref None
@@ -48,7 +43,7 @@ let domains = ref 1
 
 let fresh_ctx () =
   Proto.Ctx.with_batching
-    (Proto.Ctx.of_keys ~blind_bits ~domains:!domains ~mode:!transport ?rtt_us:!rtt_us
+    (Proto.Ctx.of_keys ~blind_bits ~domains:!domains ?rtt_us:!rtt_us
        (Rng.fork rng ~label:"ctx") pub sk)
     !batching
 

@@ -6,8 +6,7 @@
      dune exec bench/main.exe -- --list       -- list experiment ids
      dune exec bench/main.exe -- --json DIR   -- also write BENCH_<id>.json
      dune exec bench/main.exe -- --domains N  -- query-side domain pool width
-     dune exec bench/main.exe -- --transport T - inproc (default) | loopback
-     dune exec bench/main.exe -- --rtt MICROS - per-round latency on the loopback transport
+     dune exec bench/main.exe -- --rtt MICROS - per-round latency on the in-process transport
      dune exec bench/main.exe -- --no-batching - one frame per request (historical framing)
      dune exec bench/main.exe -- --clients N   - top of the concurrency sweep axis
      dune exec bench/main.exe -- --no-coalescing - concurrency sweep without the round scheduler
@@ -61,20 +60,10 @@ let () =
         exit 2
     end
     | None -> ());
-    (match flag "--transport" with
-    | Some "inproc" -> Bench_util.transport := Proto.Ctx.Inproc
-    | Some "loopback" -> Bench_util.transport := Proto.Ctx.Loopback
-    | Some other ->
-      Format.eprintf "--transport expects inproc or loopback, got %S@." other;
-      exit 2
-    | None -> ());
     (match flag "--rtt" with
     | Some n -> begin
       match int_of_string_opt n with
-      | Some n when n >= 0 ->
-        Bench_util.rtt_us := Some n;
-        (* rtt is charged per round by the Loopback transport only *)
-        Bench_util.transport := Proto.Ctx.Loopback
+      | Some n when n >= 0 -> Bench_util.rtt_us := Some n
       | _ ->
         Format.eprintf "--rtt expects a non-negative integer (microseconds), got %S@." n;
         exit 2

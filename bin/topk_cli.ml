@@ -77,7 +77,7 @@ let remote_s2 keys fd pid =
     Option.iter (fun pid -> ignore (Unix.waitpid [] pid)) pid;
     ops
   in
-  (Some (Proto.Ctx.Mux (sched, session)), stop)
+  (Proto.Ctx.Mux (sched, session), stop)
 
 let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics trace_out =
   if metrics || trace_out <> None then Obs.set_enabled true;
@@ -92,13 +92,10 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
     | Some addr, _ ->
       remote_s2 (Proto.Ctx.keys derived)
         (Proto.Transport.connect_tcp (parse_addr addr) hello) None
-    | None, Some "socket" ->
+    | None, `Socket ->
       let fd, pid = Proto.Transport.spawn_daemon hello in
       remote_s2 (Proto.Ctx.keys derived) fd (Some pid)
-    | None, Some "inproc" -> (Some Proto.Ctx.Inproc, fun () -> [])
-    | None, Some "loopback" -> (Some Proto.Ctx.Loopback, fun () -> [])
-    | None, Some other -> invalid_arg ("unknown transport: " ^ other)
-    | None, None -> (None, fun () -> []) (* TRANSPORT env or inproc *)
+    | None, `Inproc -> (Proto.Ctx.Inproc, fun () -> [])
   in
   let (er, key), enc_s =
     Obs.Timer.time (fun () -> Sectopk.Scheme.encrypt ~s:4 data_rng pub rel)
@@ -107,7 +104,7 @@ let demo rows attrs k m seed bits dist variant domains transport s2_addr metrics
     (Sectopk.Scheme.size_bytes pub er / 1024);
   let scoring = Scoring.sum_of (List.init (min m attrs) Fun.id) in
   let token = Sectopk.Scheme.token key ~m_total:attrs scoring ~k in
-  let ctx = Proto.Ctx.of_derived ~blind_bits:48 ~domains ?mode derived in
+  let ctx = Proto.Ctx.of_derived ~blind_bits:48 ~domains ~mode derived in
   Format.printf "transport: %s@." (Proto.Ctx.transport_name ctx);
   let res, query_s =
     Obs.Timer.time (fun () ->
@@ -146,11 +143,11 @@ let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~doc:"Query-side domain pool width.")
 
 let transport_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (enum [ ("inproc", `Inproc); ("socket", `Socket) ]) `Inproc
        & info [ "transport" ]
-           ~doc:"Transport to S2: inproc | loopback | socket (spawns a child daemon \
-                 and reaches it through the round scheduler, like --s2). \
-                 Defaults to the TRANSPORT environment variable, else inproc.")
+           ~doc:"Transport to S2: inproc (S2 in this process, every message through \
+                 the wire codec) | socket (spawns a child daemon and reaches it \
+                 through the round scheduler, like --s2).")
 
 let s2_arg =
   Arg.(value & opt (some string) None

@@ -22,15 +22,13 @@ let standby =
             c
           | exception Failure _ -> None))
 
-let capture f = match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
-
 (* The engine. Up to [helpers] parked workers of the caller's crew are
    lent a loop that claims chunks until none is left (or, on a borrowed
-   worker, until a job waits for it); the caller runs [before ()], claims
-   chunks too, and then waits only for the chunks others claimed. So it
-   never waits on a chunk nobody started, and with no parked worker
-   everything runs inline. [body] must not raise. *)
-let fan ~helpers ~n ~before body =
+   worker, until a job waits for it); the caller claims chunks too, and
+   then waits only for the chunks others claimed. So it never waits on
+   a chunk nobody started, and with no parked worker everything runs
+   inline. [body] must not raise. *)
+let fan ~helpers ~n body =
   let next = Atomic.make 0 in
   let lock = Mutex.create () and all_done = Condition.create () in
   let left = ref n in
@@ -53,21 +51,12 @@ let fan ~helpers ~n ~before body =
        (fun crew ->
          Service.lend crew ~max:helpers (claim ~yield:(fun () -> Service.job_waiting crew)))
        crew);
-  let first = capture before in
   claim ~yield:(fun () -> false) ();
   Mutex.lock lock;
   while !left > 0 do
     Condition.wait all_done lock
   done;
-  Mutex.unlock lock;
-  first
-
-(* Chunk collectors join the caller's current collector in chunk order,
-   so counters and span trees do not depend on who ran which chunk. *)
-let merge cols =
-  Option.iter
-    (fun into -> Array.iter (fun c -> Obs.Collector.merge_into c ~into) cols)
-    (Obs.current ())
+  Mutex.unlock lock
 
 let run ~domains ~jobs f =
   if jobs < 0 then invalid_arg "Pool.run: jobs < 0";
@@ -82,30 +71,25 @@ let run ~domains ~jobs f =
           let i = ref (c * jobs / n) and hi = (c + 1) * jobs / n in
           (* once an item has raised, no further item starts *)
           while !i < hi && Option.is_none (Atomic.get failed) do
-            (match capture (fun () -> f !i) with
-            | Ok v -> results.(!i) <- Some v
-            | Error e -> ignore (Atomic.compare_and_set failed None (Some e)));
+            (match f !i with
+            | v -> results.(!i) <- Some v
+            | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (Atomic.compare_and_set failed None (Some (e, bt))));
             incr i
           done)
     in
-    ignore (fan ~helpers:(min domains n - 1) ~n ~before:ignore body);
-    merge cols;
+    fan ~helpers:(min domains n - 1) ~n body;
+    (* chunk collectors join the caller's current collector in chunk
+       order, so counters and span trees do not depend on who ran which
+       chunk *)
+    Option.iter
+      (fun into -> Array.iter (fun c -> Obs.Collector.merge_into c ~into) cols)
+      (Obs.current ());
     match Atomic.get failed with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> Array.map Option.get results
   end
-
-let overlap ~domains offload local =
-  let col = Obs.Collector.create () in
-  let off = ref None in
-  let local =
-    fan ~helpers:(if domains > 1 then 1 else 0) ~n:1 ~before:local (fun _ ->
-        off := Some (Obs.with_collector col (fun () -> capture offload)))
-  in
-  merge [| col |];
-  match (Option.get !off, local) with
-  | Ok a, Ok b -> (a, b)
-  | Error (e, bt), _ | _, Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* [Array.init] applies its function in index order, so the draws are
    made in the same order at every width. At width 1 each item's draw is

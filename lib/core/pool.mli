@@ -31,14 +31,6 @@
     has finished. *)
 val run : domains:int -> jobs:int -> (int -> 'a) -> 'a array
 
-(** [overlap ~domains offload local] runs [local ()] on the calling
-    domain, under its current collector, while a borrowed worker runs
-    [offload ()] under a private collector merged afterwards. With
-    [domains <= 1] or no parked worker the caller runs [local] and then
-    [offload]. Returns [(offload (), local ())]; an exception from
-    either is raised after both have finished. *)
-val overlap : domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-
 (** [map_drawn ~domains ~jobs ~draw f] is [f i (draw i)] for [i] in
     [0..jobs-1], in index order. Every [draw i] runs on the calling
     domain, under its collector, in index order; only [f] fans out, so

@@ -9,6 +9,5 @@ let create ~key ~domain =
   Array.iteri (fun i v -> inv.(v) <- i) fwd;
   { fwd; inv }
 
-let domain t = Array.length t.fwd
 let apply t i = t.fwd.(i)
 let invert t i = t.inv.(i)

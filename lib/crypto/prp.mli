@@ -8,7 +8,6 @@
 type t
 
 val create : key:string -> domain:int -> t
-val domain : t -> int
 
 (** Forward permutation [P_K(i)]. *)
 val apply : t -> int -> int

@@ -32,14 +32,7 @@ type t = {
 
 type mode =
   | Inproc
-  | Loopback
   | Mux of Sched.t * int (* shared round scheduler + this query's session id *)
-
-let default_mode () =
-  match Sys.getenv_opt "TRANSPORT" with
-  | Some "loopback" -> Loopback
-  | Some "inproc" | None -> Inproc
-  | Some other -> invalid_arg ("Ctx: unknown TRANSPORT " ^ other)
 
 let derive rng pub sk =
   let s1_rng = Rng.fork rng ~label:"s1" in
@@ -64,15 +57,12 @@ let derive rng pub sk =
 
 let keys (d : derived) = d.keys
 
-let of_derived ?blind_bits ?(domains = 1) ?mode ?rtt_us (d : derived) =
-  let mode = match mode with Some m -> m | None -> default_mode () in
-  let local () =
-    S2_server.create ~pub:d.pub ~sk:d.sk ~own_pub:d.own_pub ~rng:(Rng.copy d.s2_rng)
-  in
+let of_derived ?blind_bits ?(domains = 1) ?(mode = Inproc) ?rtt_us (d : derived) =
   let transport =
     match mode with
-    | Inproc -> Transport.inproc d.keys (local ())
-    | Loopback -> Transport.loopback ?rtt_us d.keys (local ())
+    | Inproc ->
+      Transport.inproc ?rtt_us d.keys
+        (S2_server.create ~pub:d.pub ~sk:d.sk ~own_pub:d.own_pub ~rng:(Rng.copy d.s2_rng))
     | Mux (sched, session) ->
       (* the scheduler's backend starts the byte-identical responder on
          the other side of the frame *)
@@ -95,10 +85,6 @@ let of_derived ?blind_bits ?(domains = 1) ?mode ?rtt_us (d : derived) =
 
 let of_keys ?blind_bits ?domains ?mode ?rtt_us rng pub sk =
   of_derived ?blind_bits ?domains ?mode ?rtt_us (derive rng pub sk)
-
-let create ?blind_bits ?domains ?mode ?rtt_us rng ~bits =
-  let pub, sk = Paillier.keygen rng ~bits in
-  of_keys ?blind_bits ?domains ?mode ?rtt_us rng pub sk
 
 (* Canonical seeded provisioning, shared verbatim by [S2_server.provision]:
    any reordering here desynchronises a daemon's randomness stream from
@@ -133,46 +119,6 @@ let rpc_batch t ~label reqs =
       Proto_error.fail "Ctx.rpc_batch: %d responses to %d requests under %s"
         (List.length resps) (List.length reqs) label
     | _ -> Proto_error.fail "Ctx.rpc_batch: expected batch response under %s" label)
-
-(* Double-buffered batching: while chunk [i] is in flight on a borrowed
-   crew worker, the caller's domain prepares chunk [i+1]. [prepare] runs
-   strictly in index order on the calling domain, under its collector, so
-   the S1 randomness stream is identical to sequential execution; chunks
-   are sent one at a time, so the S2 stream is too. *)
-let rpc_pipeline t ~label ?(chunk = 16) ~prepare n =
-  if chunk <= 0 then invalid_arg "Ctx.rpc_pipeline: chunk <= 0";
-  let overlap = t.domains > 1 && Transport.concurrent t.transport in
-  let idx = ref 0 in
-  let next_chunk () =
-    if !idx >= n then None
-    else begin
-      let m = min chunk (n - !idx) in
-      let base = !idx in
-      (* explicit loop: [prepare] draws randomness, so index order is part
-         of the determinism contract *)
-      let reqs = ref [] in
-      for j = 0 to m - 1 do
-        reqs := prepare (base + j) :: !reqs
-      done;
-      idx := base + m;
-      Some (List.rev !reqs)
-    end
-  in
-  let rec loop out = function
-    | None -> List.concat (List.rev out)
-    | Some reqs ->
-      if overlap then begin
-        let resps, nxt =
-          Core.Pool.overlap ~domains:t.domains (fun () -> rpc_batch t ~label reqs) next_chunk
-        in
-        loop (resps :: out) nxt
-      end
-      else begin
-        let resps = rpc_batch t ~label reqs in
-        loop (resps :: out) (next_chunk ())
-      end
-  in
-  loop [] (next_chunk ())
 
 let channel t = Transport.channel t.transport
 let sk t = Transport.secret_key t.transport

@@ -5,9 +5,9 @@
     never touches S2 state; every decryption crosses the transport as a
     {!Wire} request and everything S2 learns is appended to its trace on
     the other side. Depending on the transport mode the S2 half runs
-    in-process (Inproc/Loopback) or behind a round scheduler (Mux), whose
-    backend may be a separate daemon; the protocols are agnostic (see
-    DESIGN.md section 4c). *)
+    in-process behind the {!Wire} codec (Inproc) or behind a round
+    scheduler (Mux), whose backend may be a separate daemon; the
+    protocols are agnostic (see DESIGN.md section 4c). *)
 
 open Crypto
 
@@ -44,24 +44,16 @@ type t = {
           way; only framing (bytes/messages/rounds) differs. *)
 }
 
-(** Transport selection. When omitted, the [TRANSPORT] environment
-    variable picks between [inproc] (default) and [loopback] — this is
-    how CI reruns the whole suite through the codec. [Mux] parks this
-    query's rounds at a shared {!Sched} under a session id from
-    [Sched.open_query], so concurrent queries' trips coalesce; results,
-    traces and per-query op counters stay byte-identical to the
-    [Inproc] baseline. A scheduler over [Sched.socket_backend] is how a
-    context reaches an S2 daemon. *)
+(** Transport selection (default [Inproc]). [Inproc] runs S2 in this
+    process and sends every request and response through the {!Wire}
+    codec. [Mux] parks this query's rounds at a shared {!Sched} under a
+    session id from [Sched.open_query], so concurrent queries' trips
+    coalesce; results, traces and per-query op counters stay
+    byte-identical to [Inproc]'s. A scheduler over
+    [Sched.socket_backend] is how a context reaches an S2 daemon. *)
 type mode =
   | Inproc
-  | Loopback
   | Mux of Sched.t * int
-
-(** [create rng ~bits] generates a fresh key pair of modulus width [bits]
-    and builds both party halves. [domains] (default 1) sets the width
-    of {!map}; it never affects results or traces. *)
-val create :
-  ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> Rng.t -> bits:int -> t
 
 (** What a query context starts from and never changes: the key pairs,
     the framing keys and the state of the "s1"
@@ -81,8 +73,9 @@ val keys : derived -> Wire.keys
     results, traces and op counters are those of [of_keys] on the
     generator the value was derived from. The derived value is only
     read, so domains may start contexts from one value at once.
-    [rtt_us] is the simulated per-round latency of the Loopback
-    transport (ignored by the others). *)
+    [domains] (default 1) sets the width of {!map}; it never affects
+    results or traces. [rtt_us] is a simulated per-round latency
+    (Inproc; ignored by Mux). *)
 val of_derived :
   ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> derived -> t
 
@@ -127,27 +120,16 @@ val rpc : t -> label:string -> Wire.request -> Wire.response
     [Server_error] by the serving front-end). *)
 val rpc_batch : t -> label:string -> Wire.request list -> Wire.response list
 
-(** [rpc_pipeline t ~label ~prepare n] evaluates [prepare i] for [i] in
-    [0..n-1] (strictly in order, on the calling domain, under its
-    collector) and ships the requests in chunks of [chunk] (default 16)
-    via {!rpc_batch}. When [t.domains > 1] and the transport allows it,
-    chunk [i]'s round trip runs on a borrowed crew worker
-    ({!Core.Pool.overlap}) while the caller prepares chunk [i+1].
-    Responses come back in request order. Results, traces and op
-    counters are identical to the sequential path. *)
-val rpc_pipeline :
-  t -> label:string -> ?chunk:int -> prepare:(int -> Wire.request) -> int -> Wire.response list
-
 (** The bandwidth-accounting channel of the underlying transport. *)
 val channel : t -> Channel.t
 
-(** Direct S2 state for local transports and tests; raises
+(** Direct S2 state for [Inproc] and tests; raises
     [Invalid_argument] when S2 is remote. *)
 val sk : t -> Paillier.secret
 
 val trace : t -> Trace.t
 
-(** S2's trace as an event list (local transports only, like {!trace}). *)
+(** S2's trace as an event list ([Inproc] only, like {!trace}). *)
 val trace_events : t -> Trace.event list
 
 val transport_name : t -> string

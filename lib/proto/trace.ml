@@ -16,7 +16,3 @@ let events t = List.rev t.rev_events
 let length t = t.n
 
 let append_into src ~into = List.iter (record into) (events src)
-
-let clear t =
-  t.rev_events <- [];
-  t.n <- 0

@@ -27,8 +27,6 @@ val events : t -> event list
 (** Events in order of occurrence. *)
 val length : t -> int
 
-val clear : t -> unit
-
 (** [append_into src ~into] appends all of [src]'s events to [into] in
     order. Sub-traces of parallel batches are appended in task-index
     order, so the merged trace is identical to a serial run's. *)

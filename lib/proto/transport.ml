@@ -1,63 +1,39 @@
 type kind =
-  | Inproc of S2_server.t
-  | Loopback of S2_server.t
+  | Inproc of { server : S2_server.t; rtt_us : int }
+      (* [rtt_us]: simulated per-round latency (bench --rtt) *)
   | Mux of { sched : Sched.t; session : int }
       (* parked at a shared round scheduler: many queries, one S2 trip *)
 
-type t = {
-  keys : Wire.keys;
-  chan : Channel.t;
-  kind : kind;
-  rtt_us : int; (* simulated per-round latency (Loopback only; bench --rtt) *)
-}
+type t = { keys : Wire.keys; chan : Channel.t; kind : kind }
 
-let inproc keys server =
-  { keys; chan = Channel.create (); kind = Inproc server; rtt_us = 0 }
+let inproc ?(rtt_us = 0) keys server =
+  { keys; chan = Channel.create (); kind = Inproc { server; rtt_us } }
 
-let loopback ?(rtt_us = 0) keys server =
-  { keys; chan = Channel.create (); kind = Loopback server; rtt_us }
-
-let mux keys sched ~session =
-  { keys; chan = Channel.create (); kind = Mux { sched; session }; rtt_us = 0 }
+let mux keys sched ~session = { keys; chan = Channel.create (); kind = Mux { sched; session } }
 
 let channel t = t.chan
 let keys t = t.keys
-
-(* Mux keeps the scheduler's one-outstanding-op-per-query invariant — the
-   all-parked ship condition counts queries — so a query never has two
-   rpcs in flight there: Ctx.rpc_pipeline ships its chunks one at a time
-   (results are width-independent by construction, only wall time
-   changes). *)
-let concurrent t = match t.kind with Mux _ -> false | Inproc _ | Loopback _ -> true
-
-let mode_name t =
-  match t.kind with Inproc _ -> "inproc" | Loopback _ -> "loopback" | Mux _ -> "mux"
+let mode_name t = match t.kind with Inproc _ -> "inproc" | Mux _ -> "mux"
 
 (* ---------------- request/response round trip ----------------
 
    Every rpc is one request frame S1 -> S2 and one response frame back:
-   both are charged to the channel at their real encoded length (Loopback
-   measures the frames it materialises; Inproc and Mux charge Wire's
-   closed forms, which the property tests pin to the encoded lengths). *)
+   both are charged to the channel at their real encoded length (Inproc
+   measures the frames it materialises; Mux charges Wire's closed forms,
+   which the property tests pin to the encoded lengths). *)
 
 let rpc t ~label req =
   match t.kind with
-  | Inproc server ->
-    Channel.send t.chan ~dir:Channel.S1_to_s2 ~label
-      ~bytes:(Wire.request_bytes t.keys ~label req);
-    let resp = S2_server.handle server ~label req in
-    Channel.send t.chan ~dir:Channel.S2_to_s1 ~label
-      ~bytes:(Wire.response_bytes t.keys resp);
-    Channel.round_trip t.chan;
-    resp
-  | Loopback server ->
+  | Inproc { server; rtt_us } ->
+    (* S2 sees only what the wire carries: a request the decoder
+       refuses never reaches it *)
     let frame = Wire.encode_request t.keys ~session:0 ~label req in
     Channel.send t.chan ~dir:Channel.S1_to_s2 ~label ~bytes:(String.length frame);
     let _session, label', req' = Wire.decode_request t.keys frame in
     let resp_frame = Wire.encode_response t.keys (S2_server.handle server ~label:label' req') in
     Channel.send t.chan ~dir:Channel.S2_to_s1 ~label ~bytes:(String.length resp_frame);
     Channel.round_trip t.chan;
-    if t.rtt_us > 0 then Unix.sleepf (float_of_int t.rtt_us *. 1e-6);
+    if rtt_us > 0 then Unix.sleepf (float_of_int rtt_us *. 1e-6);
     Wire.decode_response t.keys resp_frame
   | Mux { sched; session } -> (
     (* per-query accounting charges the closed forms (what one query's
@@ -76,8 +52,7 @@ let rpc t ~label req =
 
 (* ---------------- S2-side introspection ---------------- *)
 
-let local_server t =
-  match t.kind with Inproc server | Loopback server -> Some server | Mux _ -> None
+let local_server t = match t.kind with Inproc { server; _ } -> Some server | Mux _ -> None
 
 let trace t =
   match local_server t with

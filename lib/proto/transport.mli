@@ -1,35 +1,30 @@
 (** Transport between the S1 driver code and the S2 responder.
 
-    Three implementations of one rpc interface:
+    Two implementations of one rpc interface:
 
-    - [Inproc]: S2 runs in-process and requests are dispatched without
-      materialising frames; the channel is charged {!Wire}'s closed-form
-      frame sizes (pinned to the real encoded lengths by the property
-      tests). The fast path and the reference.
-    - [Loopback]: every request and response is encoded through {!Wire}
-      and decoded on the other side, still in one process — proves each
-      protocol survives serialization, and measures real frame lengths.
+    - [Inproc]: S2 runs in-process, and every request and response is
+      encoded through {!Wire} and decoded on the other side, so S2 sees
+      only what the wire carries and the channel is charged the frames'
+      real lengths.
     - [Mux]: requests park at a shared round scheduler ({!Sched}) which
       merges every concurrent query's next op into one multiplexed S2
       trip — in-process, or over a connection to an S2 daemon
       ([Sched.socket_backend] on a {!spawn_daemon} / {!connect_tcp}
       fd). This is the only way to reach an out-of-process S2. The
-      per-query channel is charged the same closed forms as [Inproc],
-      so per-query accounting stays baseline-identical while the shared
-      trip count drops.
+      per-query channel is charged {!Wire}'s closed-form frame sizes
+      (pinned to the encoded lengths by the Wire tests), so per-query
+      accounting equals [Inproc]'s while the shared trip count drops.
 
     A seeded query produces byte-identical results, traces and operation
-    counters on all of them (a daemon counts its S2 ops on its side;
-    fetch them with {!stats}). *)
+    counters on both (a daemon counts its S2 ops on its side; fetch them
+    with {!stats}). *)
 
 type t
-
-val inproc : Wire.keys -> S2_server.t -> t
 
 (** [rtt_us] injects a simulated per-round latency (microseconds of
     [Unix.sleepf] after each round trip) so round-count differences show
     up as wall-clock time on one machine (bench [--rtt]). *)
-val loopback : ?rtt_us:int -> Wire.keys -> S2_server.t -> t
+val inproc : ?rtt_us:int -> Wire.keys -> S2_server.t -> t
 
 (** Park this query's rpcs at a shared {!Sched} under the given mux
     session id (obtained from [Sched.open_query]). *)
@@ -38,18 +33,15 @@ val mux : Wire.keys -> Sched.t -> session:int -> t
 val channel : t -> Channel.t
 val keys : t -> Wire.keys
 
-(** False for [Mux] (the scheduler's ship condition assumes one
-    outstanding op per query): [Ctx.rpc_pipeline] overlaps a chunk's
-    round trip with preparing the next only where this is true. *)
-val concurrent : t -> bool
-
 val mode_name : t -> string
 
 (** One request/response round trip. Both frames are charged to the
-    channel at their encoded length under the request's protocol label. *)
+    channel at their encoded length under the request's protocol label.
+    On [Inproc], a request the decoder refuses raises [Invalid_argument]
+    before S2 handles it. *)
 val rpc : t -> label:string -> Wire.request -> Wire.response
 
-(** Direct S2 state, for local transports and tests; raises
+(** Direct S2 state, for [Inproc] and tests; raises
     [Invalid_argument] when S2 is behind a scheduler. *)
 val trace : t -> Trace.t
 

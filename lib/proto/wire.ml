@@ -288,8 +288,8 @@ let decode_mux_replies keys data = snd (decode keys.mux_replies "mux replies" da
 let encode_server_msg keys msg = encode keys.server ((), msg)
 let decode_server_msg keys data = snd (decode keys.server "server message" data)
 
-(* Exactly [String.length (encode_* ...)]: the Inproc and Mux transports
-   charge these without materialising the frame. *)
+(* Exactly [String.length (encode_* ...)]: the Mux transport charges
+   these without materialising the frame. *)
 let request_bytes keys ~label req = keys.request.size ((0, label), req)
 let response_bytes keys resp = keys.response.size ((), resp)
 

@@ -15,8 +15,8 @@
     Primitives (30-bit int, 8-byte int and float, bool, length-prefixed
     string, fixed-width ciphertext) and combinators (tuples, capped
     lists and arrays, option, tagged-variant cases) build every frame
-    kind. Hence {!request_bytes}/{!response_bytes} — what the Inproc and
-    Mux transports charge without materialising a frame — cannot drift
+    kind. Hence {!request_bytes}/{!response_bytes} — what the Mux
+    transport charges without materialising a frame — cannot drift
     from the encoders; every collection count is checked against count
     x smallest element before anything is allocated; and a [Batch]
     cannot nest, since the batch element codec has no batch case.

@@ -22,10 +22,12 @@ let size_bytes pub db = Array.length db.records * db.m * Paillier.ciphertext_byt
 let secure_multiply = Sm.secure_multiply
 
 (* Distance phase shared by both selection strategies. The O(n*m) secure
-   multiplications d_j = sum_i (x_ji - q_i)^2 are fully independent:
-   blinding of the next chunk overlaps the batch in flight through
-   [Ctx.rpc_pipeline], and the cross terms are stripped afterwards in
-   index order. *)
+   multiplications d_j = sum_i (x_ji - q_i)^2 are fully independent: S1
+   blinds them in index order (the blinds draw randomness), ships them in
+   chunks of [chunk] through [Ctx.rpc_batch] and strips the cross terms
+   afterwards in index order. *)
+let chunk = 16
+
 let distances (ctx : Ctx.t) db ~point =
   let s1 = ctx.Ctx.s1 in
   let pub = s1.Ctx.pub in
@@ -33,21 +35,26 @@ let distances (ctx : Ctx.t) db ~point =
   let enc_q = Array.map (fun v -> Paillier.encrypt s1.Ctx.rng pub (Nat.of_int v)) point in
   let m = db.m in
   let total = Array.length db.records * m in
-  let escrow = Array.make total (Paillier.trivial pub Nat.zero, Nat.zero, Nat.zero) in
-  let prepare idx =
-    let diff = Paillier.sub pub db.records.(idx / m).(idx mod m) enc_q.(idx mod m) in
-    let ra = Rng.nat_below s1.Ctx.rng n and rb = Rng.nat_below s1.Ctx.rng n in
-    let a' = Paillier.add pub diff (Paillier.encrypt s1.Ctx.rng pub ra) in
-    let b' = Paillier.add pub diff (Paillier.encrypt s1.Ctx.rng pub rb) in
-    escrow.(idx) <- (diff, ra, rb);
-    Wire.Mult (a', b')
+  let prepared =
+    Array.init total (fun idx ->
+        let diff = Paillier.sub pub db.records.(idx / m).(idx mod m) enc_q.(idx mod m) in
+        let ra = Rng.nat_below s1.Ctx.rng n and rb = Rng.nat_below s1.Ctx.rng n in
+        let a' = Paillier.add pub diff (Paillier.encrypt s1.Ctx.rng pub ra) in
+        let b' = Paillier.add pub diff (Paillier.encrypt s1.Ctx.rng pub rb) in
+        ((diff, ra, rb), Wire.Mult (a', b')))
   in
-  let resps = Ctx.rpc_pipeline ctx ~label:protocol ~prepare total in
+  let resps =
+    List.concat_map
+      (fun lo ->
+        Ctx.rpc_batch ctx ~label:protocol
+          (List.init (min chunk (total - lo)) (fun j -> snd prepared.(lo + j))))
+      (List.init ((total + chunk - 1) / chunk) (fun c -> c * chunk))
+  in
   let prods =
     Array.of_list
       (List.mapi
          (fun idx resp ->
-           let diff, ra, rb = escrow.(idx) in
+           let (diff, ra, rb), _ = prepared.(idx) in
            match resp with
            | Wire.Ct h ->
              (* ab = h - a*rb - b*ra - ra*rb *)

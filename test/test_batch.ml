@@ -3,8 +3,9 @@
    must change framing only: results (ciphertext-identical), S2 traces
    and crypto op counters are equal on both paths, while rounds drop for
    every fan-out protocol and bytes stay within a small tolerance (batch
-   frames trade per-frame headers for 5-byte element prefixes). Checked
-   on both local transports, so the Wire codec sees every batch shape. *)
+   frames trade per-frame headers for 5-byte element prefixes). The
+   in-process transport encodes every frame, so the Wire codec sees
+   every batch shape. *)
 
 open Bignum
 open Crypto
@@ -33,14 +34,14 @@ let framing_ops = [ "bytes"; "messages"; "rounds" ]
 
 (* Run one scenario on a fresh seeded context; everything except
    [batching] is identical between the two runs being compared. *)
-let run (mode : Ctx.mode) ~batching scenario : outcome =
+let run ~batching scenario : outcome =
   let prev = Obs.is_enabled () in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled prev)
     (fun () ->
       let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
-      let ctx = Ctx.with_batching (Ctx.of_keys ~blind_bits:48 ~mode ctx_rng pub sk) batching in
+      let ctx = Ctx.with_batching (Ctx.of_keys ~blind_bits:48 ctx_rng pub sk) batching in
       let repr =
         Obs.with_collector ctx.Ctx.obs (fun () -> scenario ~pub ~sk ~data_rng ctx)
       in
@@ -121,9 +122,9 @@ let sknn ~pub ~sk:_ ~data_rng ctx =
 
 (* ---------------- the equivalence check ---------------- *)
 
-let check_equiv name ~reduces (mode : Ctx.mode) scenario =
-  let batched = run mode ~batching:true scenario in
-  let single = run mode ~batching:false scenario in
+let check_equiv name ~reduces scenario =
+  let batched = run ~batching:true scenario in
+  let single = run ~batching:false scenario in
   Alcotest.(check (list string)) (name ^ ": results byte-identical") single.repr batched.repr;
   Alcotest.(check bool) (name ^ ": S2 trace identical") true (single.trace = batched.trace);
   Alcotest.(check (list (pair string int))) (name ^ ": crypto op counters") single.ops
@@ -160,12 +161,11 @@ let scenarios =
     ("sec_join", false, sec_join);
     ("sknn", true, sknn) ]
 
-let cases mode_name mode =
+let cases =
   List.map
     (fun (name, reduces, scenario) ->
-      Alcotest.test_case name `Slow (fun () ->
-          check_equiv (mode_name ^ "/" ^ name) ~reduces mode scenario))
+      Alcotest.test_case name `Slow (fun () -> check_equiv name ~reduces scenario))
     scenarios
 
-let suite = [ ("inproc", cases "inproc" Ctx.Inproc); ("loopback", cases "loopback" Ctx.Loopback) ]
+let suite = [ ("inproc", cases) ]
 let () = Alcotest.run "batch" suite

@@ -9,7 +9,9 @@ open Topk
 open Proto
 
 let rng = Rng.create ~seed:"test_obs"
-let ctx = Ctx.create ~blind_bits:48 rng ~bits:128
+let ctx =
+  let pub, sk = Paillier.keygen rng ~bits:128 in
+  Ctx.of_keys ~blind_bits:48 rng pub sk
 let s1 = ctx.Ctx.s1
 let pub = s1.Ctx.pub
 let keys = Prf.gen_keys rng 4

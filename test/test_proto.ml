@@ -7,7 +7,9 @@ open Crypto
 open Proto
 
 let rng = Rng.create ~seed:"test_proto"
-let ctx = Ctx.create ~blind_bits:48 rng ~bits:128
+let ctx =
+  let pub, sk = Paillier.keygen rng ~bits:128 in
+  Ctx.of_keys ~blind_bits:48 rng pub sk
 let s1 = ctx.Ctx.s1
 let pub = s1.Ctx.pub
 let sk = Ctx.sk ctx

@@ -287,7 +287,6 @@ let hello = { Wire.seed; key_bits; rand_bits = Some rand_bits; obs = false }
 let with_transport transport f =
   match transport with
   | `Inproc -> f Ctx.Inproc
-  | `Loopback -> f Ctx.Loopback
   | `Mux window_us ->
     let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
     let sched = Sched.create ~window_us ~backend:(S2_server.handle_mux_ops st) () in
@@ -298,10 +297,9 @@ let with_transport transport f =
         Sched.stop sched)
       (fun () -> f (Ctx.Mux (sched, session)))
 
-let transports = [| `Inproc; `Loopback; `Mux 0; `Mux 2_000 |]
+let transports = [| `Inproc; `Mux 0; `Mux 2_000 |]
 let transport_name = function
   | `Inproc -> "inproc"
-  | `Loopback -> "loopback"
   | `Mux w -> Printf.sprintf "mux %d us" w
 
 (* shards x transport x variant x domains x k: every answer halts and is

@@ -84,9 +84,8 @@ let test_traffic_is_linear_in_nm () =
   let sm_bytes = 3 * 8 * 3 * ct in
   Alcotest.(check bool) "traffic >= 3*n*m ciphertexts" true (d.Proto.Channel.bytes >= sm_bytes)
 
-(* At width 2 a borrowed crew worker ships chunk i of the distance
-   pipeline while the caller prepares chunk i+1; the neighbours, bytes and
-   rounds must equal the sequential width-1 run's. *)
+(* The distance phase sends the same chunks at every width: at width 2
+   the neighbours, bytes and rounds must equal the width-1 run's. *)
 let test_pipeline_width_two () =
   let go domains =
     let rng = Rng.create ~seed:"knn-width" in

@@ -1,10 +1,9 @@
 (* lib/store acceptance tests: build -> open round-trips byte-identically
-   with the in-memory path (results, S2 trace, crypto op-counters, on
-   both local transports), publication is crash-safe (the MANIFEST
-   rename is the only commit point), every corruption class is rejected
-   with its typed error, the LRU block cache is lazy and counted, and CSV
-   ingestion accepts UCI-shaped files while rejecting malformed rows with
-   line numbers. *)
+   with the in-memory path (results, S2 trace, crypto op-counters),
+   publication is crash-safe (the MANIFEST rename is the only commit
+   point), every corruption class is rejected with its typed error, the
+   LRU block cache is lazy and counted, and CSV ingestion accepts
+   UCI-shaped files while rejecting malformed rows with line numbers. *)
 
 open Bignum
 open Crypto
@@ -84,9 +83,9 @@ let store_counter = function
 
 (* run the seeded Fig. 3 query over a given relation value; provisioning
    is replayed fresh so the blinding stream is identical per run *)
-let run_on (mode : Ctx.mode) relation : outcome =
+let run_on relation : outcome =
   let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits ~rand_bits () in
-  let ctx = Ctx.of_keys ~blind_bits:48 ~mode ctx_rng pub sk in
+  let ctx = Ctx.of_keys ~blind_bits:48 ctx_rng pub sk in
   let tk = Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2 in
   let res = Sectopk.Query.run ctx relation tk Sectopk.Query.default_options in
   let all_ids = List.init (Relation.n_rows fig3) (fun i -> Relation.object_id fig3 i) in
@@ -126,7 +125,7 @@ let check_identical name (a : outcome) (b : outcome) =
   Alcotest.(check bool) (name ^ ": S2 trace identical") true (a.trace = b.trace);
   Alcotest.(check (list (pair string int))) (name ^ ": crypto op totals") a.ops b.ops
 
-let test_round_trip mode () =
+let test_round_trip () =
   with_obs (fun () ->
       let dir = build_store ~block_records:2 () in
       let st = Store.open_index ~dir pub in
@@ -134,8 +133,8 @@ let test_round_trip mode () =
       Alcotest.(check int) "lists" 3 (Store.n_attrs st);
       Alcotest.(check int) "cells" 4 (Store.cells st);
       Alcotest.(check int) "generation" 1 (Store.generation st);
-      let memory = run_on mode er in
-      let stored = run_on mode (Store.relation st) in
+      let memory = run_on er in
+      let stored = run_on (Store.relation st) in
       Alcotest.(check bool) "trace non-trivial" true (List.length memory.trace > 3);
       check_identical "memory vs store" memory stored;
       Store.close st)
@@ -456,8 +455,7 @@ let test_csv_file_round_trip () =
 
 let suite =
   [ ( "round-trip",
-      [ Alcotest.test_case "inproc identity" `Slow (test_round_trip Ctx.Inproc);
-        Alcotest.test_case "loopback identity" `Slow (test_round_trip Ctx.Loopback);
+      [ Alcotest.test_case "inproc identity" `Slow test_round_trip;
         Alcotest.test_case "every entry identical" `Quick test_every_entry_identical ] );
     ( "crash-safety",
       [ Alcotest.test_case "previous generation survives" `Quick

@@ -1,10 +1,10 @@
 (* Wire codec property tests: every request/response/control constructor
    round-trips through encode/decode, the closed-form frame sizes
-   ([Wire.request_bytes]/[response_bytes]) equal the encoded lengths the
-   Loopback transport charges, and malformed frames (truncated,
-   overlong, wrong magic/version/kind/tag, random mutations) always raise
-   [Invalid_argument] — never any other exception, never a misparse of a
-   valid frame into a different shape. *)
+   ([Wire.request_bytes]/[response_bytes], what Mux charges) equal the
+   encoded lengths the Inproc transport charges, and malformed frames
+   (truncated, overlong, wrong magic/version/kind/tag, random mutations)
+   always raise [Invalid_argument] — never any other exception, never a
+   misparse of a valid frame into a different shape. *)
 
 open Bignum
 open Crypto

@@ -1,6 +1,6 @@
 #!/bin/sh
 # RTT sweep: price the round collapse as wall-clock by running fig12 on
-# the Loopback transport with simulated per-round latency, batched vs
+# the in-process transport with simulated per-round latency, batched vs
 # unbatched (one frame per request — the historical framing).
 #
 #   sh tools/rtt_sweep.sh [OUTDIR] [RTT_US ...]
